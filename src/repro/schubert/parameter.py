@@ -27,6 +27,7 @@ avoids the discriminant with probability one and endpoints remain distinct.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import List, Literal, Sequence
 
 import numpy as np
@@ -42,10 +43,15 @@ from ..tracker import (
     retrack_duplicate_clusters,
     tighten_options,
 )
-from ..linalg import batched_det
 from ..tracker.interface import _per_path_t
 from ..tracker.stacked import StackedHomotopy
-from .homotopy import normalize_to_standard_chart
+from .brackets import (
+    BracketChart,
+    path_at,
+    path_derivative,
+    plane_path_brackets,
+)
+from .homotopy import _BatchSlices, _OneKernel, normalize_to_standard_chart
 from .patterns import LocalizationPattern
 from .poset import PieriPoset
 from .solver import PieriInstance
@@ -58,7 +64,7 @@ __all__ = [
 ]
 
 
-class PieriParameterHomotopy(HomotopyFunction, BatchHomotopy):
+class PieriParameterHomotopy(_OneKernel, HomotopyFunction, BatchHomotopy):
     """H(x, t): root-pattern solutions deformed between two instances.
 
     Unknowns are the free coefficients of the *root* localization pattern
@@ -68,8 +74,7 @@ class PieriParameterHomotopy(HomotopyFunction, BatchHomotopy):
     Implements both tracker protocols: the online phase tracks all
     ``d(m, p, q)`` known solutions at once, so the batched methods carry
     a leading path axis (each path at its own t) and the scalar methods
-    run through them as one-row batches — scalar and batched tracking
-    see bit-identical arithmetic.
+    run through them as one-row batches.
     """
 
     def __init__(
@@ -96,43 +101,33 @@ class PieriParameterHomotopy(HomotopyFunction, BatchHomotopy):
         ).root()
         amb = self.problem.ambient
         # chart: all bottom pivots pinned to 1; the rest of the support free
-        pinned = {
-            (b - 1, j) for j, b in enumerate(self.pattern.bottom_pivots)
-        }
+        pinned = [(b - 1, j) for j, b in enumerate(self.pattern.bottom_pivots)]
         self._free = sorted(
             (r - 1, j - 1)
             for r, j in self.pattern.support()
             if (r - 1, j - 1) not in pinned
         )
-        self._amb = amb
-        self._pinned = pinned
-        # precomputed gather tables (as in PieriEdgeHomotopy)
-        self._free_l = np.array([r // amb for r, _ in self._free])
-        self._free_i = np.array([r % amb for r, _ in self._free])
-        self._free_j = np.array([j for _, j in self._free])
-        idx = np.arange(amb)
-        keep = np.array([np.delete(idx, i) for i in range(amb)])
-        # the Jacobian only needs cofactors at the free (i, j) positions:
-        # precompute minor index tables for the unique ones (<= dim of
-        # them) instead of the full amb x amb cofactor matrix
-        pos = np.stack([self._free_i, self._free_j], axis=1)
-        uniq, inverse = np.unique(pos, axis=0, return_inverse=True)
-        self._cof_rows = keep[uniq[:, 0]][:, :, None]
-        self._cof_cols = keep[uniq[:, 1]][:, None, :]
-        self._cof_signs = (-1.0) ** (uniq[:, 0] + uniq[:, 1])
-        self._cof_gather = inverse
-        # scatter tables and stacked deformation endpoints for the
-        # batched kernels
-        pinned_sorted = sorted(pinned)
-        self._pinned_rows = np.array([r for r, _ in pinned_sorted])
-        self._pinned_cols = np.array([j for _, j in pinned_sorted])
+        # scatter tables for the chart maps
+        self._pinned_rows = np.array([r for r, _ in pinned])
+        self._pinned_cols = np.array([j for _, j in pinned])
         self._free_rows = np.array([r for r, _ in self._free])
         self._free_cols = np.array([j for _, j in self._free])
-        self._n_blocks = self.problem.nrows // amb
-        self._k0 = self.gamma_k[:, None, None] * np.stack(start.planes)
-        self._k1 = np.stack(target.planes).astype(complex)
-        self._s0 = np.array(start.points, dtype=complex)
-        self._s1 = np.array(target.points, dtype=complex)
+        # bracket evaluator: every condition moves, so what is taped is
+        # the map's own Pluecker coordinates (one unit form per subset
+        # and power of s); each condition keeps the polynomial-in-t
+        # brackets of its plane path (gamma-twisted start plane to target
+        # plane) and the coefficients of its point path
+        chart = self._chart = BracketChart(amb, self._free, pinned)
+        self._s_pow = np.arange(chart.degrees)
+        unit = np.eye(len(self._s_pow) * math.comb(amb, self.problem.p))
+        self._pluecker = chart.tape(unit.reshape(len(unit), -1, chart.degrees))
+        self._brackets = plane_path_brackets(
+            self.gamma_k[:, None, None] * np.stack(start.planes),
+            np.stack(target.planes),
+        )
+        s0 = np.array(start.points, dtype=complex)
+        s1 = np.array(target.points, dtype=complex)
+        self._points = np.stack([s0, s1 - s0 + self.delta_s, -self.delta_s])
 
     @property
     def dim(self) -> int:
@@ -172,75 +167,43 @@ class PieriParameterHomotopy(HomotopyFunction, BatchHomotopy):
             )
         return ks, ss
 
-    def _paths_at_batch(self, tt: np.ndarray):
-        """All N deformed conditions for every path's own t."""
-        w0 = (1.0 - tt)[:, None, None, None]
-        w1 = tt[:, None, None, None]
-        ks = w0 * self._k0 + w1 * self._k1  # (npaths, n, amb, m)
-        ss = (
-            (1.0 - tt)[:, None] * self._s0
-            + tt[:, None] * self._s1
-            + (tt * (1.0 - tt))[:, None] * self.delta_s
-        )  # (npaths, n)
-        return ks, ss
+    def _conditions(self, X, tt, brackets, points, with_t=False):
+        """Residuals, dH/dx and (when asked) dH/dt of all N conditions.
 
-    def _matrices(self, c: np.ndarray, tt: np.ndarray):
-        """Condition-matrix stacks (npaths, n, amb, amb) plus s values.
-
-        The map columns are assembled in one einsum over the degree
-        blocks (entries above a column's support vanish by the pattern,
-        so the full-block sum equals the per-degree sum at s0 = 1).
+        Condition i is ``sum_(S, d) kappa_iS(t) s_i(t)**d pi_(S, d)(x)``
+        over the Pluecker coordinates ``pi`` of the map: those and their
+        gradients are replayed once per point, whatever the conditions;
+        the coefficients hold all that moves.  The deformation data comes
+        in as arguments — coefficients of the bracket paths
+        ``(m+1, ..., N, C)`` and of the point paths ``(3, ..., N)`` — so
+        :class:`PieriParameterStack` can pass per-path arrays through the
+        same code.
         """
-        ks, ss = self._paths_at_batch(tt)
-        npaths = c.shape[0]
-        n = self.problem.num_conditions
-        amb = self._amb
-        p = self.problem.p
-        blocks = c.reshape(npaths, self._n_blocks, amb, p)
-        spow = ss[:, :, None] ** np.arange(self._n_blocks)
-        mats = np.empty((npaths, n, amb, amb), dtype=complex)
-        mats[..., :p] = np.einsum("pcl,plar->pcar", spow, blocks)
-        mats[..., p:] = ks
-        return mats, ss
+        chart = self._chart
+        pi, dpi = chart.replay(chart.extend(X), self._pluecker)
+        shape = (X.shape[0], -1, pi.shape[1])
+        t = tt[:, None]
+        kappa = path_at(brackets, t[:, :, None])[..., None]
+        s = path_at(points, t)[..., None]
+        s_pow = s**self._s_pow
+        coef = (kappa * s_pow[:, :, None, :]).reshape(shape)
+        res = np.matmul(coef, pi[:, :, None])[:, :, 0]
+        jac = np.matmul(coef, dpi)[:, :, : chart.n]
+        if not with_t:
+            return res, jac, None
+        dkappa = path_at(path_derivative(brackets), t[:, :, None])[..., None]
+        ds = path_at(path_derivative(points), t)[..., None]
+        ds_pow = np.zeros_like(s_pow)
+        ds_pow[..., 1:] = self._s_pow[1:] * s_pow[..., :-1] * ds
+        dcoef = dkappa * s_pow[:, :, None, :] + kappa * ds_pow[:, :, None, :]
+        dt = np.matmul(dcoef.reshape(shape), pi[:, :, None])[:, :, 0]
+        return res, jac, dt
 
-    # ------------------------------------------------------------------
-    # BatchHomotopy protocol (scalar methods run through it, one row)
-    # ------------------------------------------------------------------
-    def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
+    def _batch(self, X, t, with_t=False):
         X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        mats, _ = self._matrices(self.to_matrix_batch(X), tt)
-        return batched_det(mats)
-
-    def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
-        return self.evaluate_and_jacobian_batch(X, t)[1]
-
-    def evaluate_and_jacobian_batch(self, X, t):
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        c = self.to_matrix_batch(X)
-        mats, ss = self._matrices(c, tt)
-        amb = self._amb
-        res = batched_det(mats)
-        minors = mats[:, :, self._cof_rows, self._cof_cols]
-        dets = batched_det(minors.reshape(-1, amb - 1, amb - 1))
-        cofs = self._cof_signs * dets.reshape(minors.shape[:3])
-        gathered = cofs[:, :, self._cof_gather]
-        spow = ss[:, :, None] ** self._free_l  # s_i(t)^l, s0 = 1 throughout
-        return res, gathered * spow
-
-    # ------------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-    def jacobian_x(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_and_jacobian_x(x, t)[1]
-
-    def evaluate_and_jacobian_x(self, x, t):
-        res, jac = self.evaluate_and_jacobian_batch(
-            np.asarray(x, dtype=complex)[None, :], t
+        return self._conditions(
+            X, _per_path_t(t, X.shape[0]), self._brackets, self._points, with_t
         )
-        return res[0], jac[0]
 
 
 def continue_to_instance(
@@ -309,7 +272,7 @@ def continue_to_instance(
     return solutions, results
 
 
-class PieriParameterStack(StackedHomotopy):
+class PieriParameterStack(_BatchSlices, StackedHomotopy):
     """Same-structure specialization of :class:`StackedHomotopy`.
 
     A generic :class:`StackedHomotopy` front dispatches every batched
@@ -342,81 +305,31 @@ class PieriParameterStack(StackedHomotopy):
             if member.problem != root.problem:
                 raise ValueError("members must share one (m, p, q)")
         super().__init__(members, owners)
-        own = self.owners
-        # per-path deformation endpoints: row r follows owner own[r]
-        self._k0 = np.stack([members[o]._k0 for o in own])
-        self._k1 = np.stack([members[o]._k1 for o in own])
-        self._s0 = np.stack([members[o]._s0 for o in own])
-        self._s1 = np.stack([members[o]._s1 for o in own])
-        self._delta = np.stack([members[o].delta_s for o in own])
+        # per-path deformation data: row r follows owner owners[r]
+        self._brackets = np.stack(
+            [members[o]._brackets for o in self.owners], axis=1
+        )
+        self._points = np.stack(
+            [members[o]._points for o in self.owners], axis=1
+        )
 
     def restrict(self, rows) -> "PieriParameterStack":
+        # every batched method below evaluates the whole front at once,
+        # so the per-member row groups of the base class are not kept
         rows = np.asarray(rows, dtype=np.int64)
         view = object.__new__(PieriParameterStack)
         view.members = self.members
-        owners = self.owners[rows]
-        view.owners = owners
-        groups = [
-            (k, np.flatnonzero(owners == k)) for k in range(len(self.members))
-        ]
-        view._groups = [(k, r) for k, r in groups if r.size]
-        for name in ("_k0", "_k1", "_s0", "_s1", "_delta"):
-            setattr(view, name, getattr(self, name)[rows])
+        view.owners = self.owners[rows]
+        view._brackets = self._brackets[:, rows]
+        view._points = self._points[:, rows]
         return view
 
     # ------------------------------------------------------------------
-    def _matrices(self, X: np.ndarray, tt: np.ndarray):
-        """As :meth:`PieriParameterHomotopy._matrices`, per-path endpoints."""
-        root = self.members[0]
-        c = root.to_matrix_batch(X)
-        w0 = (1.0 - tt)[:, None, None, None]
-        w1 = tt[:, None, None, None]
-        ks = w0 * self._k0 + w1 * self._k1
-        ss = (
-            (1.0 - tt)[:, None] * self._s0
-            + tt[:, None] * self._s1
-            + (tt * (1.0 - tt))[:, None] * self._delta
+    def _batch(self, X, t, with_t=False):
+        X = self._check(X)
+        return self.members[0]._conditions(
+            X, _per_path_t(t, X.shape[0]), self._brackets, self._points, with_t
         )
-        npaths = c.shape[0]
-        amb = root._amb
-        p = root.problem.p
-        blocks = c.reshape(npaths, root._n_blocks, amb, p)
-        spow = ss[:, :, None] ** np.arange(root._n_blocks)
-        n = root.problem.num_conditions
-        mats = np.empty((npaths, n, amb, amb), dtype=complex)
-        mats[..., :p] = np.einsum("pcl,plar->pcar", spow, blocks)
-        mats[..., p:] = ks
-        return mats, ss
-
-    def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        mats, _ = self._matrices(X, tt)
-        return batched_det(mats)
-
-    def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
-        return self.evaluate_and_jacobian_batch(X, t)[1]
-
-    def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
-        # the generic BatchHomotopy finite difference runs through the
-        # fused evaluate_batch — cheaper than the per-member loop
-        return BatchHomotopy.jacobian_t_batch(self, X, t)
-
-    def jacobians_batch(self, X, t):
-        return BatchHomotopy.jacobians_batch(self, X, t)
-
-    def evaluate_and_jacobian_batch(self, X, t):
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        root = self.members[0]
-        amb = root._amb
-        mats, ss = self._matrices(X, tt)
-        res = batched_det(mats)
-        minors = mats[:, :, root._cof_rows, root._cof_cols]
-        dets = batched_det(minors.reshape(-1, amb - 1, amb - 1))
-        cofs = root._cof_signs * dets.reshape(minors.shape[:3])
-        gathered = cofs[:, :, root._cof_gather]
-        return res, gathered * (ss[:, :, None] ** root._free_l)
 
     def __repr__(self) -> str:
         return (
@@ -463,11 +376,16 @@ def continue_to_instances(
     stack = PieriParameterStack(members, owners)
     raw = BatchTracker(opts).track_batch(stack, x0s)
     # duplicate-endpoint separation is a per-query question: two paths
-    # of different queries may legitimately coincide
+    # of different queries may legitimately coincide.  The shared loop
+    # indexes its result list and the re-track callback by path id, so
+    # each query's rows are renumbered 0..d-1 first (also the ids a
+    # sequential continue_to_instance call reports).
     for k, member in enumerate(members):
-        rows = list(range(k * d, (k + 1) * d))
-        group = [raw[i] for i in rows]
-        retrack_duplicate_clusters(
+        group = [
+            dataclasses.replace(result, path_id=pid)
+            for pid, result in enumerate(raw[k * d : (k + 1) * d])
+        ]
+        raw[k * d : (k + 1) * d] = retrack_duplicate_clusters(
             group,
             lambda pid, o, m=member: PathTracker(o).track(
                 m, x0s_one[pid], path_id=pid
@@ -475,8 +393,6 @@ def continue_to_instances(
             tighten_options,
             opts,
         )
-        for i, result in zip(rows, group):
-            raw[i] = result
     out: List[tuple[List[np.ndarray], List[PathResult]]] = []
     for k, member in enumerate(members):
         solutions: List[np.ndarray] = []

@@ -16,6 +16,7 @@ most ``p`` new jobs per returned result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .patterns import LocalizationPattern, PieriProblem
@@ -24,12 +25,26 @@ from .poset import PieriPoset
 __all__ = ["PieriTreeNode", "PieriTree", "memory_profile"]
 
 
+@lru_cache(maxsize=1 << 14)
+def _chain_pattern(
+    problem: PieriProblem, columns: Tuple[int, ...]
+) -> LocalizationPattern:
+    """The pattern a chain of increments ends at, one validated increment
+    past its parent's.  Solvers ask every node for its pattern several
+    times and walk the tree parent-first, so the memo (bounded; patterns
+    are immutable) turns a replay of the whole chain into a lookup
+    without storing anything on the nodes themselves."""
+    if not columns:
+        return problem.trivial_pattern()
+    return _chain_pattern(problem, columns[:-1]).child_via(columns[-1])
+
+
 @dataclass(frozen=True)
 class PieriTreeNode:
     """A node of the Pieri tree: the chain of pivot increments taken.
 
     ``columns`` records which column's bottom pivot was incremented at each
-    step, which identifies the chain uniquely; the pattern is recomputed on
+    step, which identifies the chain uniquely; the pattern is derived on
     demand.  The root node is the empty chain at the trivial pattern.
     """
 
@@ -41,10 +56,7 @@ class PieriTreeNode:
         return len(self.columns)
 
     def pattern(self) -> LocalizationPattern:
-        pat = self.problem.trivial_pattern()
-        for c in self.columns:
-            pat = pat.child_via(c)
-        return pat
+        return _chain_pattern(self.problem, self.columns)
 
     def children(self) -> Iterator["PieriTreeNode"]:
         for col, _child in self.pattern().children():

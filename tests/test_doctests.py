@@ -20,6 +20,7 @@ DOCUMENTED_MODULES = [
     "repro.linalg.dets",
     "repro.parallel.executors",
     "repro.schubert.solver",
+    "repro.schubert.brackets",
     "repro.polyhedral.supports",
     "repro.polyhedral.cells",
     "repro.polyhedral.binomial",

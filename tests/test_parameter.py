@@ -9,6 +9,7 @@ from repro.schubert import (
     PieriParameterHomotopy,
     PieriSolver,
     continue_to_instance,
+    continue_to_instances,
     pieri_root_count,
     verify_solutions,
 )
@@ -91,6 +92,39 @@ class TestContinuation:
         tree_jobs = sum(report.jobs_per_level.values())
         assert tree_jobs == 37  # sum of (2,2,1) level counts
         assert pieri_root_count(2, 2, 1) == 8 < tree_jobs
+
+
+class TestStackedContinuation:
+    def test_duplicate_retrack_reaches_every_query(self, monkeypatch):
+        """B = 3 stack: the shared duplicate-retrack loop indexes its
+        result list and the re-track callback by path id, so each query
+        must hand it ids 0..d-1 — stacked row ids raised IndexError for
+        every query but the first."""
+        base = PieriInstance.random(2, 2, 0, np.random.default_rng(40))
+        report = PieriSolver(base, seed=41).solve()
+        rng = np.random.default_rng(42)
+        targets = [PieriInstance.random(2, 2, 0, rng) for _ in range(3)]
+        retracked = []
+
+        def every_path_collides(results, tol=1e-6):
+            ids = [r.path_id for r in results if r.success]
+            retracked.append(ids)
+            return ids
+
+        monkeypatch.setattr(
+            "repro.tracker.result.duplicate_path_ids", every_path_collides
+        )
+        pairs = continue_to_instances(
+            base, report.solutions, targets, rng=np.random.default_rng(43)
+        )
+        # one escalation rung per query re-tracks both of its paths; they
+        # reproduce their endpoints, so the loop settles on the next look
+        assert [ids for ids in retracked if ids] == [[0, 1]] * 3
+        for target, (sols, results) in zip(targets, pairs):
+            assert [r.path_id for r in results] == [0, 1]
+            assert all(r.success for r in results)
+            v = verify_solutions(target, sols)
+            assert v.ok, str(v)
 
 
 class TestOracle:

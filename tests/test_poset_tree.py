@@ -141,6 +141,28 @@ class TestTree:
         assert child.level == 1
         assert str(child).startswith("[1 3]")
 
+    def test_pattern_memo_leaves_nodes_alone(self):
+        """Patterns are memoized beside the nodes, not on them: equality,
+        hashing and the pickled state do not depend on pattern() having
+        been called, and an invalid chain still fails at its first
+        invalid increment."""
+        import pickle
+
+        prob = PieriProblem(2, 2, 1)
+        node = PieriTreeNode(prob, (1, 0, 1, 1))
+        pat = node.pattern()
+        replay = prob.trivial_pattern()
+        for c in node.columns:
+            replay = replay.child_via(c)
+        assert pat == replay and node.pattern() is pat
+        assert set(vars(node)) == {"problem", "columns"}
+        fresh = PieriTreeNode(prob, (1, 0, 1, 1))
+        assert fresh == node and hash(fresh) == hash(node)
+        clone = pickle.loads(pickle.dumps(node))
+        assert clone == node and clone.pattern() == pat
+        with pytest.raises(ValueError):
+            PieriTreeNode(prob, (0, 1)).pattern()  # [2 2] is not a pattern
+
     def test_ascii_art_truncates(self):
         tree = PieriTree(PieriProblem(2, 2, 1))
         art = tree.ascii_art(max_depth=2)
