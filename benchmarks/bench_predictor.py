@@ -14,12 +14,13 @@ Euler baseline.  Three claims are checked per system:
   as a regression floor — the 2x aspiration from the PR issue is
   printed alongside for tracking);
 - **wall clock** — the end-to-end ratio must stay above ``WALL_GATE``.
-  In this pure-numpy harness the small benchmark fronts are dominated
-  by fixed per-call interpreter overhead, not per-path arithmetic
-  (hermite's thinner, longer-tailed fronts make *more* kernel calls
-  while doing ~1.7x less counted work), so wall parity rather than a
-  1.5x win is the honest expectation at these sizes; the gate guards
-  against the pipeline making solves meaningfully *slower*.
+  Hermite's thinner, longer-tailed fronts make *more* kernel calls
+  while doing ~1.7x less counted work, and in this pure-numpy harness a
+  thin front still pays numpy dispatch per call (1.3x measured on both
+  full systems since the SLP kernels replay by level; parity before,
+  when every kernel call cost a flat 0.2 ms), so the 1.5x aspiration
+  is printed, not gated; the gate guards against the pipeline making
+  solves meaningfully *slower*.
 
 cyclic-7 is solved through the polyhedral start system with a warm
 artifact cache (PR 9): the mixed-cell phase-1 work is predictor-

@@ -17,10 +17,13 @@ per-cell phase-1 tracking: it builds a
 stored generic coefficients to its own coefficients and tracks the
 stored endpoints — mixed-volume-many paths, nothing else.
 
-Only *clean* phase-1 results are stored (``phase1_failures == 0``): a
-missing endpoint would silently lose a root of every warm query.
-Loading re-validates shapes and, optionally, the lifting against its
-journaled seed (:func:`validate_lifting_seed`).
+Only *clean* phase-1 results are stored (``phase1_failures == 0``, one
+endpoint per unit of mixed volume, no two of them coinciding): a missing
+or doubled endpoint would silently lose a root of every warm query.
+:func:`store_polyhedral_start` owns that policy — it declines and says
+so — and :func:`load_polyhedral_start` applies the same test to what
+it reads back.  Loading also re-validates shapes and, optionally, the
+lifting against its journaled seed (:func:`validate_lifting_seed`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..telemetry import current_telemetry
 from .fingerprints import supports_fingerprint
 from .store import ArtifactStore
 
@@ -49,19 +53,37 @@ def polyhedral_key(target, affine: bool = True) -> str:
     return key if affine else key + "-torus"
 
 
+def _collide(starts, tol: float = 1e-6) -> bool:
+    """Do two of the start points lie within ``tol`` (max norm)?
+
+    A phase 1 that reports no failure can still deliver two paths on
+    one endpoint (a predictor jump the duplicate re-track did not
+    separate); warm queries through such a start set lose a root each.
+    """
+    from ..tracker.result import greedy_cluster_indices
+
+    return len(greedy_cluster_indices(starts, tol)) < len(starts)
+
+
 def store_polyhedral_start(
     store: ArtifactStore, target, poly_start, starts
-) -> str:
+) -> Optional[str]:
     """Persist a clean phase-1 result for the target's supports.
 
     ``starts`` are the tracked toric endpoints (solutions of the
-    generic system), one per unit of mixed volume; ``poly_start`` is
-    the :class:`~repro.polyhedral.PolyhedralStart` that produced them.
-    Returns the key.
+    generic system); ``poly_start`` is the
+    :class:`~repro.polyhedral.PolyhedralStart` that produced them.
+    Returns the key — or ``None``, with nothing written, when phase 1
+    lost a path, ``starts`` is not one point per unit of mixed volume,
+    or two of them coincide.
     """
-    if poly_start.phase1_failures:
-        raise ValueError("refusing to cache an incomplete phase-1 result")
     sub = poly_start.subdivision
+    if (
+        poly_start.phase1_failures
+        or len(starts) != sub.mixed_volume
+        or _collide(starts)
+    ):
+        return None
     key = polyhedral_key(target)
     starts = np.asarray(starts, dtype=complex)
     meta = {
@@ -98,7 +120,9 @@ def load_polyhedral_start(store: ArtifactStore, target) -> Optional[dict]:
     """The warm-start bundle for a target's supports, or ``None``.
 
     Returns ``{"supports", "coefficients", "generic_system", "starts",
-    "meta"}`` after shape validation; any inconsistency reads as a miss.
+    "meta"}`` after shape validation; any inconsistency reads as a miss,
+    and a bundle whose starts coincide (see :func:`store_polyhedral_start`)
+    also counts as ``corrupt``.
     """
     from ..polyhedral.supports import coefficient_system
 
@@ -128,6 +152,12 @@ def load_polyhedral_start(store: ArtifactStore, target) -> Optional[dict]:
         if starts.shape != (int(meta["mixed_volume"]), nvars):
             return None
     except (KeyError, ValueError, TypeError):
+        return None
+    if _collide(starts):
+        store.stats["corrupt"] += 1
+        tel = current_telemetry()
+        if tel is not None:
+            tel.count("artifacts.corrupt")
         return None
     return {
         "supports": supports,

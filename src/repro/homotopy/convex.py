@@ -76,7 +76,7 @@ class ConvexHomotopy(HomotopyFunction, BatchHomotopy):
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_kg"] = state["_kf"] = None  # exec'd code doesn't pickle
+        state["_kg"] = state["_kf"] = None  # rebound on arrival, not shipped
         state.pop("kernel_usage", None)
         return state
 

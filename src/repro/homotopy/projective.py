@@ -108,7 +108,7 @@ class ProjectivePatchHomotopy(HomotopyFunction, BatchHomotopy):
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_kg"] = state["_kf"] = None  # exec'd code doesn't pickle
+        state["_kg"] = state["_kf"] = None  # rebound on arrival, not shipped
         return state
 
     def __setstate__(self, state) -> None:

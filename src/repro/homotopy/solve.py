@@ -603,10 +603,11 @@ def _solve(
                 if store is not None:
                     from ..artifacts import polyhedral_key, store_polyhedral_start
 
-                    stored = False
-                    if poly_start.phase1_failures == 0:
-                        store_polyhedral_start(store, target, poly_start, starts)
-                        stored = True
+                    # the store declines a start set with a failed or
+                    # doubled-up path (a root lost to every warm query)
+                    stored = store_polyhedral_start(
+                        store, target, poly_start, starts
+                    ) is not None
                     cache_info = {
                         "status": "cold",
                         "key": polyhedral_key(target),

@@ -9,9 +9,10 @@ This package makes that hot path pluggable:
   accounting (arithmetic bit-identical to the default path);
 - the ``"slp"`` backend *tapes* the system once into a straight-line
   program with common-subexpression sharing, derives the Jacobian tape
-  by forward-mode AD over the SLP, and replays both fused per batch as
-  generated-and-``exec``'d numpy source (:mod:`repro.kernels.slp`),
-  behind a small array-API seam (:mod:`repro.kernels.array_api`) that
+  by forward-mode AD over the SLP, and replays both fused per batch by
+  dependency level — O(depth) array operations a call, whatever the
+  instruction count (:mod:`repro.kernels.slp`) — behind a small
+  array-API seam (:mod:`repro.kernels.array_api`) that
   leaves the door open to GPU arrays.
 
 Tapes and bound kernels are memoized by structure fingerprint plus
@@ -22,7 +23,7 @@ once.  Backend selection is threaded through the homotopy layer as a
 :class:`~repro.homotopy.convex.ConvexHomotopy`, and on the polyhedral
 :class:`~repro.polyhedral.CellHomotopy`.
 
-All generated code is elementwise along the point axis, so scalar
+Every replay is elementwise along the point axis, so scalar
 (one-row) and batched evaluation are bit-identical — the invariant the
 scalar/batch parity suites pin.
 
@@ -195,7 +196,8 @@ class KernelUsage:
     only its own share.  Snapshot at construction, then
     :meth:`report` yields the per-run backend summary —
     ``backend`` / ``tape_ops`` / ``taping_seconds`` / ``calls`` /
-    ``evaluations`` — with duplicate kernel objects counted once.
+    ``evaluations`` / ``points_per_call`` (mean front width a call saw)
+    — with duplicate kernel objects counted once.
     """
 
     def __init__(self, kernels: Iterable) -> None:
@@ -244,4 +246,5 @@ class KernelUsage:
             ),
             "calls": int(calls),
             "evaluations": int(evaluations),
+            "points_per_call": evaluations / calls if calls else 0.0,
         }

@@ -1,35 +1,42 @@
-"""The array-API seam under the generated kernels.
+"""The array-API seam under the SLP kernels.
 
-Generated straight-line programs never import numpy themselves: every
-array they allocate comes from an :class:`ArrayBackend` handed in at
-call time.  The default backend is plain numpy, but anything exposing
-``empty``/``zeros``/``full`` with numpy semantics (a CuPy module, an
-array-api-compat namespace) slots in without touching the generated
-source — the door the roadmap leaves open to GPU arrays.
+A schedule replay (:mod:`repro.kernels.slp`) never imports numpy
+itself: every array it allocates and every array function it calls
+comes from an :class:`ArrayBackend` handed in at call time.  The
+default backend is plain numpy, but anything exposing ``empty``,
+``zeros``, ``multiply`` and ``add`` with numpy semantics (``out=``
+included) — a CuPy module, an array-api-compat namespace — slots in
+without touching the replay: the door the roadmap leaves open to GPU
+arrays.
 
-The backend deliberately exposes only what the code generator emits:
-allocation.  All arithmetic in a straight-line program is operator
-syntax (``*``, ``+``, ``**``) on whatever array type the caller passed
-in, so the compute follows the input arrays' library automatically.
+The backend deliberately exposes only what a replay asks of it.  Row
+gathers are the arrays' own ``take`` method and time powers their
+``**`` operator, so those follow the input arrays' library
+automatically.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ArrayBackend", "NUMPY_BACKEND", "get_array_backend"]
+__all__ = [
+    "ArrayBackend",
+    "NUMPY_BACKEND",
+    "get_array_backend",
+    "register_array_backend",
+]
 
 
 class ArrayBackend:
-    """A named allocation namespace for generated kernels.
+    """A named array namespace for schedule replays.
 
     Parameters
     ----------
     name:
         Registry key (``"numpy"`` is built in).
     xp:
-        Module-like namespace providing ``empty``, ``zeros`` and
-        ``full`` with numpy calling conventions.
+        Module-like namespace providing ``empty``, ``zeros``,
+        ``multiply`` and ``add`` with numpy calling conventions.
     """
 
     __slots__ = ("name", "xp")
@@ -63,5 +70,5 @@ def get_array_backend(name_or_backend=None) -> ArrayBackend:
 
 
 def register_array_backend(backend: ArrayBackend) -> None:
-    """Register an alternative allocation namespace (e.g. CuPy)."""
+    """Register an alternative array namespace (e.g. CuPy)."""
     _REGISTRY[backend.name] = backend

@@ -8,11 +8,11 @@ cache levels make repeated solves pay taping once:
 - the **tape cache** keys on the *structure fingerprint* (equation
   count, variable count, and the ordered ``(row, exponent, eta)``
   support triplets) — systems from the same family share one tape and
-  hence one set of generated-and-compiled code objects;
+  hence one set of replay schedules;
 - the **kernel cache** keys on structure fingerprint *plus* the
   coefficient hash — the fully bound kernel (constants folded into the
-  per-program tables) is reused verbatim when the exact same system
-  comes back.
+  per-program constant columns) is reused verbatim when the exact same
+  system comes back.
 
 Both caches are process-local and softly capped: inserting beyond the
 cap evicts the oldest entry, so a sweep over thousands of

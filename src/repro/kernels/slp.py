@@ -1,6 +1,6 @@
 """Straight-line-program taping with forward-mode AD Jacobians.
 
-This module is the heart of the compiled kernel backend.  A *tape* is
+This module is the heart of the SLP kernel backend.  A *tape* is
 built once per system structure, in three passes:
 
 1. **Taping with hash-consing.**  Every monomial ``x^a`` (and, for
@@ -21,28 +21,33 @@ built once per system structure, in three passes:
    the Jacobian tape comes out with no redundant work — the CppAD
    idiom, specialized to polynomial straight-line programs.
 
-3. **Code generation.**  Each requested program ("eval", "eval_jac",
-   "jac_t", "jac_both") is emitted as numpy source operating
-   elementwise along the leading *point* axis and compiled with
-   :func:`compile`/``exec``.  All arithmetic is elementwise in the
-   point axis — no reductions whose association depends on the batch
-   shape — so evaluating one row of a batch is bit-identical to
-   evaluating that row alone.  That property is what lets the scalar
-   tracker paths route through the same compiled kernels as the batch
-   fronts without perturbing a single decision.
+3. **Level scheduling.**  Each requested program ("eval", "eval_jac",
+   "jac_t", "jac_both") is an output subset of the one tape, replayed
+   by a :class:`_Schedule` that numbers the live nodes by
+   ``(depth, id)`` into the rows of a ``(nslots, npts)`` work array: one
+   ``multiply`` of two row gathers per product *depth*, then one gather,
+   one multiply by the constant column and ``max_terms - 1`` prefix
+   adds for all linear combinations at once.  A call costs O(depth)
+   array operations, not O(instructions) — what a front of a few points
+   can afford.  Products and sums are the tape's own, in its
+   left-to-right order, and everything is elementwise in the point
+   axis, so one row of a batch is bit-identical to that row evaluated
+   alone, whichever :data:`BLOCK` of a wide front it falls in.  That
+   property is what lets the scalar tracker paths route through the
+   same kernels as the batch fronts without perturbing a decision.
 
-Coefficients are *not* baked into the generated source: the source
-depends only on the system's structure (supports and t-exponents), and
-each term's coefficient is looked up in a constant table bound at
-kernel-bind time.  Two systems from the same family — the sweep
-engine's common case — therefore share one compiled code object and
-differ only in their constant tables (see :mod:`repro.kernels.cache`).
+Coefficients are *not* part of a schedule: it depends only on the
+system's structure (supports and t-exponents), and each term's
+coefficient is folded into a constant column at kernel-bind time.  Two
+systems from the same family — the sweep engine's common case —
+therefore share one tape and its schedules and differ only in their
+constant columns (see :mod:`repro.kernels.cache`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,15 +97,7 @@ class KernelStats:
         self.evaluations += int(npts)
 
     def snapshot(self) -> dict:
-        return {
-            "backend": self.backend,
-            "tape_ops": self.tape_ops,
-            "n_terms": self.n_terms,
-            "taping_seconds": self.taping_seconds,
-            "cache_hit": self.cache_hit,
-            "calls": self.calls,
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -190,20 +187,135 @@ class _TapeBuilder:
 _Entry = Tuple[int, float, Optional[int]]
 
 
-@dataclass
-class _Program:
-    """One generated function: source, code object, constant spec."""
+#: points replayed per pass over a schedule, so that the work arrays of
+#: a wide front stay in cache (128 measured best on katsura-9/cyclic-7)
+BLOCK = 128
 
-    name: str
-    source: str
-    code: object
-    const_spec: List[Tuple[int, float]]
-    n_ops: int
+
+class _Schedule:
+    """One program's replay plan: index tables only, no constants.
+
+    Work row 0 is the constant 1, rows ``1..nvars`` the variables, then
+    one row ``T ** eta`` per ``(row, eta)`` of ``tpows``; ``levels`` holds
+    ``(a, b, lo, hi)`` per product depth — rows ``lo:hi`` are rows ``a``
+    times rows ``b``.  ``gather`` names the work row of every
+    linear-combination term, j-th terms of all outputs contiguous and
+    outputs sorted by falling term count, so ``adds`` — ``(m, off)`` per
+    ``j >= 1`` — accumulate prefixes in the tape's left-to-right order.
+    ``gather`` rows ``rows`` carry ``coefficients[term] * scale`` (the
+    others pad empty outputs with ``0 * 1``); ``sections`` holds, per
+    result (``res``/``jac``/``dt``), the accumulator rows of its outputs
+    in output order and its trailing shape.
+    """
+
+    def __init__(self, tape: "SLPTape", name: str) -> None:
+        if name not in ("eval", "eval_jac", "jac_t", "jac_both"):
+            raise ValueError(f"unknown SLP program {name!r}")
+        neqs, nvars, ops = tape.neqs, tape.nvars, tape.ops
+        outputs: List[List[_Entry]] = []
+        shapes: List[tuple] = []
+        if name in ("eval", "eval_jac"):
+            shapes.append((neqs,))
+            outputs += tape.res_terms
+        if name in ("eval_jac", "jac_both"):
+            shapes.append((neqs, nvars))
+            cells = np.ndindex(neqs, nvars)
+            outputs += [tape.jac_terms.get(iv, []) for iv in cells]
+        if name in ("jac_t", "jac_both"):
+            shapes.append((neqs,))
+            outputs += tape.dt_terms
+
+        # live nodes get work rows; creation order is topological, so
+        # one backward sweep closes the set and one forward sweep
+        # numbers the products by (depth, id): each depth is one slice
+        live = {n for out in outputs for _, _, n in out if n is not None}
+        for nid in range(len(ops) - 1, -1, -1):
+            if nid in live and ops[nid][0] == "mul":
+                live.update(ops[nid][1:])
+        slot: Dict[Optional[int], int] = {None: 0}
+        self.tpows: List[Tuple[int, float]] = []
+        depth: Dict[int, int] = {}
+        by_depth: Dict[int, List[int]] = {}
+        for nid in sorted(live):
+            op = ops[nid]
+            if op[0] == "var":
+                slot[nid] = 1 + op[1]
+            elif op[0] == "tpow":
+                slot[nid] = 1 + nvars + len(self.tpows)
+                self.tpows.append((slot[nid], op[1]))
+            else:
+                d = 1 + max(depth.get(op[1], 0), depth.get(op[2], 0))
+                depth[nid] = d
+                by_depth.setdefault(d, []).append(nid)
+        self.nvars = nvars
+        self.nslots = 1 + nvars + len(self.tpows)
+        self.levels = []
+        for _, ids in sorted(by_depth.items()):
+            a = np.array([slot[ops[n][1]] for n in ids], dtype=np.intp)
+            b = np.array([slot[ops[n][2]] for n in ids], dtype=np.intp)
+            lo, self.nslots = self.nslots, self.nslots + len(ids)
+            slot.update(zip(ids, range(lo, self.nslots)))
+            self.levels.append((a, b, lo, self.nslots))
+
+        order = sorted(range(len(outputs)), key=lambda p: -len(outputs[p]))
+        gather: List[int] = []
+        rows, term, scale = [], [], []
+        self.adds: List[Tuple[int, int]] = []
+        for j in range(max(map(len, outputs), default=0) or 1):
+            off = len(gather)
+            for p in order:
+                if j < len(outputs[p]):
+                    k, s, node = outputs[p][j]
+                    rows.append(len(gather))
+                    term.append(k)
+                    scale.append(s)
+                    gather.append(slot[node])
+                elif j == 0:
+                    gather.append(0)
+            if j:
+                self.adds.append((len(gather) - off, off))
+        self.gather = np.array(gather, dtype=np.intp)
+        self.rows, self.term = np.array([rows, term], dtype=np.intp)
+        self.scale = np.array(scale, dtype=float)
+        scatter = np.empty(len(outputs), dtype=np.intp)
+        scatter[order] = np.arange(len(outputs))
+        cuts = np.cumsum([int(np.prod(shape)) for shape in shapes])[:-1]
+        self.sections = list(zip(np.split(scatter, cuts), shapes))
+        self.n_ops = len(live) + len(rows)
+
+    def replay(self, X, T, K, xp):
+        """Run the program on ``X`` (``npts, nvars``) and times ``T``
+        with constant column ``K``; arrays come from namespace ``xp``."""
+        npts, secs = X.shape[0], self.sections
+        outs = [xp.empty((npts, len(r)), dtype=X.dtype) for r, _ in secs]
+        V, nrows = None, self.nslots + len(self.gather)
+        for lo in range(0, npts, BLOCK):
+            hi = min(lo + BLOCK, npts)
+            if V is None or V.shape[1] != hi - lo:
+                V = xp.empty((nrows, hi - lo), dtype=X.dtype)
+                V[0] = 1.0
+                G = V[self.nslots :]
+            V[1 : 1 + self.nvars] = X[lo:hi].T
+            Tb = T[lo:hi] if self.tpows else None
+            for row, eta in self.tpows:  # scalar exponents: see docs/kernels.md
+                V[row] = Tb ** eta
+            for a, b, s, e in self.levels:
+                xp.multiply(V.take(a, 0), V.take(b, 0), out=V[s:e])
+            # into V's tail rows, not over the gathered operand: numpy
+            # rounds a 1x1 product written in place unlike any other shape
+            xp.multiply(K, V.take(self.gather, 0), out=G)
+            for m, off in self.adds:
+                acc = G[:m]
+                xp.add(acc, G[off : off + m], out=acc)
+            for out, (r, _) in zip(outs, secs):
+                out[lo:hi] = G.take(r, 0).T
+        outs = [o.reshape((npts,) + s) for o, (_, s) in zip(outs, secs)]
+        return outs[0] if len(outs) == 1 else tuple(outs)
 
 
 @dataclass
 class SLPTape:
-    """The structure-only tape: ops, per-output term lists, programs.
+    """The structure-only tape: ops, per-output term lists, schedules.
 
     A tape is shared by every system with the same structure; binding
     concrete coefficients happens in :class:`SLPKernel`.
@@ -218,124 +330,18 @@ class SLPTape:
     dt_terms: List[List[_Entry]]
     n_terms: int
     build_seconds: float
-    _programs: Dict[str, _Program] = field(default_factory=dict)
+    _programs: Dict[str, _Schedule] = field(default_factory=dict)
 
-    # ------------------------------------------------------------------
-    def program(self, name: str) -> _Program:
+    def program(self, name: str) -> _Schedule:
         prog = self._programs.get(name)
         if prog is None:
-            prog = self._generate(name)
-            self._programs[name] = prog
+            prog = self._programs[name] = _Schedule(self, name)
         return prog
 
     @property
     def tape_ops(self) -> int:
         """Operation count of the fused eval+Jacobian program."""
         return self.program("eval_jac").n_ops
-
-    # ------------------------------------------------------------------
-    def _live_nodes(self, groups: Sequence[List[_Entry]]) -> List[int]:
-        live: set = set()
-        stack: List[int] = []
-        for entries in groups:
-            for _, _, node in entries:
-                if node is not None and node not in live:
-                    live.add(node)
-                    stack.append(node)
-        while stack:
-            op = self.ops[stack.pop()]
-            if op[0] == "mul":
-                for arg in op[1:]:
-                    if arg not in live:
-                        live.add(arg)
-                        stack.append(arg)
-        return sorted(live)  # creation order is topological
-
-    def _generate(self, name: str) -> _Program:
-        want_res = name in ("eval", "eval_jac")
-        want_jac = name in ("eval_jac", "jac_both")
-        want_dt = name in ("jac_t", "jac_both")
-        if not (want_res or want_jac or want_dt):
-            raise ValueError(f"unknown SLP program {name!r}")
-        groups: List[List[_Entry]] = []
-        if want_res:
-            groups.extend(self.res_terms)
-        if want_jac:
-            groups.extend(self.jac_terms.values())
-        if want_dt:
-            groups.extend(self.dt_terms)
-        live = self._live_nodes(groups)
-        const_spec: List[Tuple[int, float]] = []
-        fname = f"_slp_{name}"
-        lines = [f"def {fname}(X, T, K, xp):", "    npts = X.shape[0]"]
-        for nid in live:
-            op = self.ops[nid]
-            if op[0] == "var":
-                lines.append(f"    n{nid} = X[:, {op[1]}]")
-            elif op[0] == "tpow":
-                if op[1] == 1.0:
-                    lines.append(f"    n{nid} = T")
-                else:
-                    lines.append(f"    n{nid} = T ** {op[1]!r}")
-            else:
-                lines.append(f"    n{nid} = n{op[1]} * n{op[2]}")
-
-        def emit_sum(entries: List[_Entry], target: str) -> None:
-            if not entries:
-                return
-            for j, (k, scale, node) in enumerate(entries):
-                ki = len(const_spec)
-                const_spec.append((k, scale))
-                if j == 0:
-                    if node is None:
-                        lines.append(
-                            f"    acc = xp.full(npts, K[{ki}], dtype=X.dtype)"
-                        )
-                    else:
-                        lines.append(f"    acc = K[{ki}] * n{node}")
-                elif node is None:
-                    lines.append(f"    acc += K[{ki}]")
-                else:
-                    lines.append(f"    acc += K[{ki}] * n{node}")
-            lines.append(f"    {target} = acc")
-
-        rets = []
-        if want_res:
-            lines.append(
-                f"    res = xp.empty((npts, {self.neqs}), dtype=X.dtype)"
-            )
-            for i, entries in enumerate(self.res_terms):
-                if entries:
-                    emit_sum(entries, f"res[:, {i}]")
-                else:
-                    lines.append(f"    res[:, {i}] = 0.0")
-            rets.append("res")
-        if want_jac:
-            lines.append(
-                f"    jac = xp.zeros((npts, {self.neqs}, {self.nvars}),"
-                " dtype=X.dtype)"
-            )
-            for (i, v), entries in sorted(self.jac_terms.items()):
-                emit_sum(entries, f"jac[:, {i}, {v}]")
-            rets.append("jac")
-        if want_dt:
-            lines.append(
-                f"    dt = xp.zeros((npts, {self.neqs}), dtype=X.dtype)"
-            )
-            for i, entries in enumerate(self.dt_terms):
-                emit_sum(entries, f"dt[:, {i}]")
-            rets.append("dt")
-        lines.append("    return " + ", ".join(rets))
-        source = "\n".join(lines) + "\n"
-        namespace: dict = {}
-        exec(compile(source, f"<slp:{name}>", "exec"), namespace)
-        return _Program(
-            name=name,
-            source=source,
-            code=namespace[fname],
-            const_spec=const_spec,
-            n_ops=len(live) + len(const_spec),
-        )
 
 
 def build_tape(
@@ -415,23 +421,17 @@ class SLPKernel:
             cache_hit=cache_hit,
         )
 
-    def _prog(self, name: str):
-        bound = self._bound.get(name)
-        if bound is None:
-            prog = self.tape.program(name)
-            consts = tuple(
-                complex(self.coefficients[k] * scale)
-                for k, scale in prog.const_spec
-            )
-            bound = (prog.code, consts)
-            self._bound[name] = bound
-        return bound
-
     def _run(self, name: str, X: np.ndarray, tt):
-        fn, consts = self._prog(name)
+        xp = self.array_backend.xp
+        bound = self._bound.get(name)
+        if bound is None:  # fold the coefficients into the constant column
+            prog = self.tape.program(name)
+            K = xp.zeros((len(prog.gather), 1), dtype=complex)
+            K[prog.rows, 0] = self.coefficients[prog.term] * prog.scale
+            bound = self._bound[name] = (prog, K)
         self.stats.record(X.shape[0])
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return fn(X, tt, consts, self.array_backend.xp)
+            return bound[0].replay(X, tt, bound[1], xp)
 
     # ------------------------------------------------------------------
     def evaluate(self, X: np.ndarray, tt=None) -> np.ndarray:

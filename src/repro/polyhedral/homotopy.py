@@ -157,7 +157,7 @@ class CellHomotopy(HomotopyFunction, BatchHomotopy):
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_slp"] = None  # exec'd code doesn't pickle
+        state["_slp"] = None  # rebound on arrival, not shipped
         return state
 
     def __setstate__(self, state) -> None:

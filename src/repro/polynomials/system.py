@@ -201,9 +201,9 @@ class PolynomialSystem:
         return self.neqs == self.nvars
 
     def __getstate__(self):
-        # compiled kernels hold exec'd code objects, which do not
-        # pickle; ship the backend *name* and recompile on arrival
-        # (memoized per process, so workers pay taping once per family)
+        # ship the backend *name*, not the bound kernel, and rebind on
+        # arrival: kernels are memoized per process, so workers pay
+        # taping once per family and share its tape and schedules
         state = self.__dict__.copy()
         state["_kernel"] = None
         return state

@@ -379,6 +379,9 @@ def _cmd_report(args) -> int:
                 line += (f" kernel={kstats.get('backend', '?')}"
                          f" tape_ops={kstats.get('tape_ops', '?')}"
                          f" kernel_evals={kstats.get('evaluations', '?')}")
+                if "points_per_call" in kstats:
+                    # thin fronts pay per call, not per point
+                    line += f" pts/call={kstats['points_per_call']:.1f}"
                 kcache = record.get("kernel_cache")
                 if kcache:
                     # worker-cumulative cache state when the job finished

@@ -120,12 +120,58 @@ def greedy_cluster_indices(points, tol: float) -> List[List[int]]:
 
     Each point joins the *first* earlier representative within ``tol``
     and opens a new cluster otherwise — semantically identical to the
-    textbook quadratic double loop, but every membership test is one
-    vectorized reduction against the whole representative matrix.  On a
-    thousand-path result set the double loop costs ~n^2/2 separate
-    numpy calls and dominates the entire post-tracking pipeline; this
-    form is ~n calls and disappears from profiles.
+    textbook quadratic double loop.  Two points within ``tol`` in the
+    max norm are within ``tol`` in the real part of their first
+    coordinate, so sorting on that key and taking ``searchsorted``
+    windows of width ``tol`` leaves only a handful of candidate pairs
+    to test exactly; representatives are then resolved in index order
+    over the close pairs alone.  Near-linear on a solve's endpoint set
+    (512 endpoints: 19 ms as one reduction per point, under 1 ms here).
+    Keys that do not separate the points (non-finite, or so many equal
+    that the candidate table would outgrow the point set 32-fold) fall
+    back to :func:`_greedy_cluster_scan`.
     """
+    points = list(points)
+    n = len(points)
+    if n < 2:
+        return [[i] for i in range(n)]
+    P = np.asarray(points, dtype=complex).reshape(n, -1)
+    key = P[:, 0].real
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    # a slightly wide window keeps rounding in ``ks + tol`` harmless:
+    # candidates only need to be a superset of the close pairs
+    stop = np.searchsorted(ks, ks + tol * (1.0 + 1e-9), side="right")
+    counts = stop - np.arange(1, n + 1)
+    total = int(counts.sum())
+    # measured at 32 candidates a point: 0.7 / 3.5 / 10 ms here against
+    # 1.2 / 13 / 165 ms for the scan at n = 128 / 512 / 2048 (level near
+    # n / 2 a point); past that the (total, dim) pair table is memory
+    # the scan never needs -- keys all equal make it n**2 / 2 rows
+    if total > 32 * n or not np.isfinite(ks).all():
+        return _greedy_cluster_scan(points, tol)
+    first = np.repeat(np.arange(n), counts)
+    second = first + 1 + np.arange(total) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    a, b = order[first], order[second]
+    close = np.max(np.abs(P[a] - P[b]), axis=1) < tol
+    early, late = np.minimum(a, b)[close], np.maximum(a, b)[close]
+    rep = list(range(n))
+    by_late = np.lexsort((early, late))
+    for i, j in zip(early[by_late].tolist(), late[by_late].tolist()):
+        # pairs of ``j`` arrive by rising ``i``, every ``i < j`` final
+        if rep[j] == j and rep[i] == i:
+            rep[j] = i
+    clusters: dict = {}
+    for i, r in enumerate(rep):
+        clusters.setdefault(r, []).append(i)
+    return list(clusters.values())
+
+
+def _greedy_cluster_scan(points, tol: float) -> List[List[int]]:
+    """The same clustering as one vectorized reduction per point against
+    the whole representative matrix (~n numpy calls of growing width)."""
     clusters: List[List[int]] = []
     reps: np.ndarray | None = None
     nrep = 0

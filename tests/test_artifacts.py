@@ -6,6 +6,7 @@ safe via atomic rename, and a warm Pieri query tracks exactly
 ``d(m, p, q)`` paths — asserted from the report itself.
 """
 
+import importlib
 import json
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ from repro.artifacts import (
     pieri_key,
     polyhedral_key,
     resolve_store,
+    store_polyhedral_start,
     supports_fingerprint,
     validate_lifting_seed,
 )
@@ -283,6 +285,55 @@ class TestPolyhedralRoute:
         store.put(key, meta, arrays)
         report = solve(query, start="polyhedral", mode="batch",
                        rng=np.random.default_rng(1), cache=store)
+        assert report.summary["cache"]["status"] == "cold"
+        assert report.summary["success"] == report.summary["mixed_volume"]
+
+    def test_colliding_starts_are_not_stored(self, tmp_path, monkeypatch):
+        """Phase 1 can report no failure and still land two paths on one
+        endpoint; such a start set must never reach the store."""
+        solve_mod = importlib.import_module("repro.homotopy.solve")
+        real = solve_mod._polyhedral_start
+        seen = {}
+
+        def doubled(*args, **kwargs):
+            poly_start, starts = real(*args, **kwargs)
+            starts[1] = starts[0] + 1e-9
+            seen["poly_start"], seen["starts"] = poly_start, starts
+            return poly_start, starts
+
+        monkeypatch.setattr(solve_mod, "_polyhedral_start", doubled)
+        store = ArtifactStore(tmp_path)
+        target, _ = self._family()
+        cold = solve(target, start="polyhedral", mode="batch",
+                     rng=np.random.default_rng(0), cache=store)
+        assert cold.summary["phase1_failures"] == 0
+        assert cold.summary["cache"]["status"] == "cold"
+        assert cold.summary["cache"]["stored"] is False
+        assert store.keys() == [] and store.stats["stores"] == 0
+        # the policy is the store function's own: a doubled-up and a
+        # short start set are both declined, a clean one goes in
+        poly_start, starts = seen["poly_start"], seen["starts"]
+        for bad in (starts, starts[:-1]):
+            assert store_polyhedral_start(store, target, poly_start, bad) is None
+        assert store.keys() == []
+        starts[1] = starts[0] + 1.0
+        key = store_polyhedral_start(store, target, poly_start, starts)
+        assert store.keys() == [key]
+
+    def test_colliding_stored_starts_are_served_cold(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        target, query = self._family()
+        solve(target, start="polyhedral", mode="batch",
+              rng=np.random.default_rng(0), cache=store)
+        key = polyhedral_key(query)
+        # a bundle written before the guard existed: every start still
+        # solves the generic system, but two of them coincide
+        meta, arrays = store.get(key)
+        arrays["starts"][1] = arrays["starts"][0]
+        store.put(key, meta, arrays)
+        report = solve(query, start="polyhedral", mode="batch",
+                       rng=np.random.default_rng(1), cache=store)
+        assert store.stats["corrupt"] == 1
         assert report.summary["cache"]["status"] == "cold"
         assert report.summary["success"] == report.summary["mixed_volume"]
 

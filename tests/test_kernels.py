@@ -24,6 +24,7 @@ from repro.kernels import (
     NaiveSystemKernel,
     Term,
     build_tape,
+    cached_slp_kernel,
     clear_kernel_cache,
     compile_system_kernel,
     compile_term_kernel,
@@ -31,6 +32,7 @@ from repro.kernels import (
     normalize_kernel,
     system_terms,
 )
+from repro.kernels import slp
 from repro.polynomials import Polynomial, PolynomialSystem
 from repro.systems import cyclic_roots_system, katsura_system
 
@@ -128,6 +130,211 @@ def test_slp_matches_naive_on_benchmark_systems():
 
 
 # ---------------------------------------------------------------------------
+# the level-scheduled replay against a sequential interpreter of the tape
+# ---------------------------------------------------------------------------
+
+
+def _interpret(tape, coefficients, X, T=None):
+    """``(res, jac, dt)`` by walking ``tape.ops`` one node at a time and
+    summing each term list left to right — ``acc = K0*n0; acc += K1*n1``
+    — which is the arithmetic the replay has to reproduce bit for bit."""
+    vals = []
+    for op in tape.ops:
+        if op[0] == "mul":
+            vals.append(vals[op[1]] * vals[op[2]])
+        else:
+            vals.append(X[:, op[1]] if op[0] == "var" else T ** op[1])
+    one = np.ones(len(X), dtype=complex)
+
+    def lincomb(entries):
+        acc = np.zeros(len(X), dtype=complex)
+        for j, (k, scale, node) in enumerate(entries):
+            term = complex(coefficients[k] * scale) * (
+                one if node is None else vals[node]
+            )
+            acc = term if j == 0 else acc + term
+        return acc
+
+    res = np.stack([lincomb(e) for e in tape.res_terms], axis=1)
+    dt = np.stack([lincomb(e) for e in tape.dt_terms], axis=1)
+    jac = np.zeros((len(X), tape.neqs, tape.nvars), dtype=complex)
+    for (i, v), entries in tape.jac_terms.items():
+        jac[:, i, v] = lincomb(entries)
+    return res, jac, dt
+
+
+def _assert_replay_is_interpreter(neqs, nvars, terms, X, T=None):
+    has_t = T is not None
+    if has_t:
+        kernel = compile_term_kernel(neqs, nvars, terms)
+    else:
+        kernel = cached_slp_kernel(neqs, nvars, terms)
+    res, jac, dt = _interpret(kernel.tape, kernel.coefficients, X, T)
+    assert np.array_equal(kernel.evaluate(X, T), res)
+    res_k, jac_k = kernel.evaluate_and_jacobian(X, T)
+    assert res_k.shape == res.shape and jac_k.shape == jac.shape
+    assert np.array_equal(res_k, res) and np.array_equal(jac_k, jac)
+    if has_t:
+        assert np.array_equal(kernel.jacobian_t(X, T), dt)
+        jac_b, dt_b = kernel.jacobians(X, T)
+        assert np.array_equal(jac_b, jac) and np.array_equal(dt_b, dt)
+    return kernel
+
+
+@st.composite
+def term_lists(draw, parametric):
+    """Random structures incl. the degenerate ones: rows without terms,
+    constant-only terms, variables no term mentions, repeated supports."""
+    nvars = draw(st.integers(1, 3))
+    neqs = draw(st.integers(1, 3))
+    used = draw(st.integers(0, nvars))  # variables >= used never appear
+    etas = st.sampled_from([0.0, 1.0, 2.0, 0.5, 1.75, 3.25, 1.0 / 3.0])
+    terms = []
+    for _ in range(draw(st.integers(0, 7))):
+        expo = tuple(
+            draw(st.integers(0, 3)) if v < used else 0 for v in range(nvars)
+        )
+        terms.append(Term(
+            row=draw(st.integers(0, neqs - 1)),
+            expo=expo,
+            coeff=draw(small_complex),
+            eta=draw(etas) if parametric else 0.0,
+        ))
+    return neqs, nvars, terms
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data(), parametric=st.booleans(), complex_t=st.booleans())
+def test_replay_is_the_sequential_interpreter(data, parametric, complex_t):
+    """All four programs, every structure hypothesis can think of.
+
+    The issue allowed parametric tapes 4 ulp of slack for an
+    array-exponent ``T ** etas``; the replay keeps one scalar-exponent
+    power per distinct ``eta`` instead (numpy picks a different pow for
+    some exponents depending on the operand shapes, which would break
+    row-of-batch identity), so equality is exact there too.
+    """
+    neqs, nvars, terms = data.draw(term_lists(parametric))
+    X = data.draw(point_batches(nvars))
+    T = None
+    if parametric:
+        seed = data.draw(st.integers(0, 2**16))
+        rng = np.random.default_rng(seed)
+        T = 0.05 + 0.95 * rng.random(len(X))
+        if complex_t:
+            T = T + 0.2j * rng.standard_normal(len(X))
+    _assert_replay_is_interpreter(neqs, nvars, terms, X, T)
+
+
+def test_replay_handles_degenerate_structures():
+    # row 1 has no term, row 2 only constants, variable 2 is in no term
+    terms = [
+        Term(0, (2, 1, 0), 1.5 - 0.5j),
+        Term(0, (0, 0, 0), 0.25j),
+        Term(2, (0, 0, 0), 2.0 + 0j),
+        Term(2, (0, 0, 0), -0.5 + 1j),
+    ]
+    X = np.random.default_rng(0).standard_normal((5, 3)) + 0.5j
+    kernel = _assert_replay_is_interpreter(3, 3, terms, X)
+    res, jac = kernel.evaluate_and_jacobian(X)
+    assert np.all(res[:, 1] == 0) and np.all(res[:, 2] == 1.5 + 1j)
+    assert np.all(jac[:, 1:, :] == 0) and np.all(jac[:, :, 2] == 0)
+    # no term at all, and no point at all
+    empty = _assert_replay_is_interpreter(2, 2, [], X[:, :2])
+    assert not empty.evaluate(X[:, :2]).any()
+    res0, jac0 = kernel.evaluate_and_jacobian(X[:0])
+    assert res0.shape == (0, 3) and jac0.shape == (0, 3, 3)
+
+
+def test_one_term_one_point_rounds_like_a_row_of_a_batch():
+    """The 1x1 gather table: numpy rounds a complex product written over
+    its own operand differently when both are a single element, so the
+    constant-column multiply must not be in place (these values differ
+    in the last bit of the real part if it is)."""
+    terms = [Term(0, (1,), 0.8828125 + 0.0625j)]
+    X = np.array([[0.05119245 + 1j], [0.3 + 0.2j]])
+    kernel = _assert_replay_is_interpreter(1, 1, terms, X[:1])
+    assert kernel.evaluate(X[:1])[0, 0] == kernel.evaluate(X)[0, 0]
+    rng = np.random.default_rng(3)
+    for _ in range(200):  # the effect hits ~1 % of random operands
+        terms = [Term(0, (1,), complex(*rng.standard_normal(2)))]
+        X = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+        _assert_replay_is_interpreter(1, 1, terms, X[:1])
+        _assert_replay_is_interpreter(1, 1, terms, X)
+
+
+@pytest.mark.parametrize("parametric", [False, True])
+def test_rows_are_bitwise_the_same_in_any_block(parametric):
+    """A row's values do not depend on the batch around it: prefixes of
+    every length around the block width, and single rows from either
+    side of a block boundary, reproduce the rows of the full batch."""
+    B = slp.BLOCK
+    rng = np.random.default_rng(8)
+    if parametric:
+        nvars = 3
+        terms = [
+            Term(int(rng.integers(0, 3)),
+                 tuple(int(e) for e in rng.integers(0, 4, 3)),
+                 complex(*rng.standard_normal(2)),
+                 float(rng.choice([0.0, 1.0, 2.0, 0.5, 2.75])))
+            for _ in range(12)
+        ]
+        kernel = compile_term_kernel(3, 3, terms)
+        T = 0.05 + 0.95 * rng.random(3 * B + 5)
+        calls = (kernel.evaluate, kernel.evaluate_and_jacobian,
+                 kernel.jacobian_t, kernel.jacobians)
+    else:
+        system = katsura_system(4)
+        nvars = system.nvars
+        kernel = compile_system_kernel(system, "slp")
+        T = None
+        calls = (kernel.evaluate, kernel.evaluate_and_jacobian)
+    X = rng.standard_normal((3 * B + 5, nvars)) + 1j * rng.standard_normal(
+        (3 * B + 5, nvars)
+    )
+
+    def run(call, rows):
+        out = call(X[rows], None if T is None else T[rows])
+        return out if isinstance(out, tuple) else (out,)
+
+    for call in calls:
+        full = run(call, slice(None))
+        for n in (1, B - 1, B, B + 1, 3 * B + 5):
+            for part, whole in zip(run(call, slice(0, n)), full):
+                assert np.array_equal(part, whole[:n])
+        for i in (0, B - 1, B, 2 * B, 3 * B + 4):
+            for part, whole in zip(run(call, slice(i, i + 1)), full):
+                assert np.array_equal(part[0], whole[i])
+
+
+def test_same_structure_shares_schedules_and_differs_in_constants():
+    clear_kernel_cache()
+    system = katsura_system(3)
+    terms = system_terms(system)
+    shifted = [
+        Term(t.row, t.expo, t.coeff * (1.0 + 0.5j), t.eta) for t in terms
+    ]
+    k1 = cached_slp_kernel(system.neqs, system.nvars, terms)
+    k2 = cached_slp_kernel(system.neqs, system.nvars, shifted)
+    X = np.full((2, system.nvars), 0.3 - 0.2j)
+    r1, r2 = k1.evaluate(X), k2.evaluate(X)
+    (sched1, K1), (sched2, K2) = k1._bound["eval"], k2._bound["eval"]
+    assert sched1 is sched2 is k1.tape.program("eval")
+    assert K1.shape == K2.shape and not np.array_equal(K1, K2)
+    # a schedule holds index tables only: nothing complex-valued in it
+    assert not any(
+        np.iscomplexobj(v) for v in vars(sched1).values()
+        if isinstance(v, np.ndarray)
+    )
+    assert np.allclose(r2, r1 * (1.0 + 0.5j))
+    clear_kernel_cache()
+
+
+# ---------------------------------------------------------------------------
 # backend plumbing: selection, validation, naive wrapper, pickling
 # ---------------------------------------------------------------------------
 
@@ -181,9 +388,15 @@ def test_convex_homotopy_pickles_and_rebinds_kernel():
     h = ConvexHomotopy(
         katsura_system(2), katsura_system(2), gamma=0.6 + 0.8j, kernel="slp"
     )
+    X = np.full((3, 3), 0.3 - 0.1j)
+    before = h.evaluate_and_jacobian_batch(X, 0.5)  # binds both kernels
     clone = pickle.loads(pickle.dumps(h))
     assert clone.kernel == "slp" and len(clone.kernels) == 2
-    X = np.full((3, 3), 0.3 - 0.1j)
+    # bound kernels are not shipped: the clone rebinds from the
+    # process-local cache, here to the very same kernel objects
+    assert all(a is b for a, b in zip(clone.kernels, h.kernels))
+    after = clone.evaluate_and_jacobian_batch(X, 0.5)
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
     assert np.array_equal(
         clone.evaluate_batch(X, 0.5), h.evaluate_batch(X, 0.5)
     )
@@ -207,8 +420,6 @@ def test_kernel_memoized_by_structure_and_coefficients():
     shifted = [
         Term(t.row, t.expo, t.coeff * (1.0 + 0.5j), t.eta) for t in terms
     ]
-    from repro.kernels import cached_slp_kernel
-
     k3 = cached_slp_kernel(system.neqs, system.nvars, shifted)
     assert k3 is not k1 and k3.tape is k1.tape
     assert k3.stats.cache_hit and k3.stats.taping_seconds == 0.0
@@ -290,6 +501,8 @@ def test_kernel_usage_reports_deltas_not_lifetime_counts():
     kernel.evaluate_and_jacobian(X)
     report = usage.report()
     assert report["calls"] == 2 and report["evaluations"] == 8
+    assert report["points_per_call"] == 4.0
+    assert KernelUsage([kernel]).report()["points_per_call"] == 0.0
     assert KernelUsage([]).report() is None
 
 

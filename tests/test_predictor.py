@@ -22,6 +22,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.homotopy import make_homotopy_and_starts
 from repro.systems import katsura_system
@@ -616,6 +618,51 @@ class TestGreedyClustering:
     def test_empty_and_single(self):
         assert greedy_cluster_indices([], 1e-6) == []
         assert greedy_cluster_indices([np.array([1 + 0j])], 1e-6) == [[0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 100),  # same_key: the scan fallback from n = 66
+        dim=st.integers(1, 3),
+        planted=st.integers(0, 12),
+        same_key=st.booleans(),
+    )
+    def test_property_first_seen_greedy(self, seed, n, dim, planted, same_key):
+        """The sorted-window form is the double loop, on point sets
+        built to stress it: planted near-duplicates at offsets inside,
+        at and beyond ``tol``, in a random arrival order, and keys that
+        separate nothing (every point with the same first real part)."""
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        for _ in range(planted):
+            i, j = rng.integers(0, n, 2)
+            offset = (rng.random(dim) - 0.5) * rng.choice([1e-8, 1.6e-6, 3e-6])
+            pts[j] = pts[i] + offset * rng.choice([1.0, 1j])
+        if same_key:
+            pts[:, 0] = pts[0, 0].real + 1j * pts[:, 0].imag
+        pts = list(pts[rng.permutation(n)])
+        assert greedy_cluster_indices(pts, 1e-6) == self._naive(pts, 1e-6)
+
+    @pytest.mark.parametrize("order", [
+        (0, 1, 2, 3), (1, 0, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1), (1, 3, 0, 2),
+    ])
+    def test_chain_only_adjacent_within_tol(self, order):
+        """a-b-c-d with only neighbours within ``tol``: who represents
+        whom depends on arrival order alone, never on the sort."""
+        chain = [np.array([k * 0.8e-6 + 0.5j, 2.0]) for k in range(4)]
+        pts = [chain[k] for k in order]
+        got = greedy_cluster_indices(pts, 1e-6)
+        assert got == self._naive(pts, 1e-6)
+        assert sorted(i for c in got for i in c) == [0, 1, 2, 3]
+
+    def test_all_identical_points_and_keys(self):
+        # identical keys on either side of the fallback to the scan
+        # (more than 32 candidate pairs a point: from 66 points on)
+        for n in (50, 90):
+            pts = [np.array([0.25 - 1j, 3.0])] * n
+            assert greedy_cluster_indices(pts, 1e-6) == [list(range(n))]
+            pts = [np.array([0.25 + k * 1j, 3.0]) for k in range(n)]
+            assert greedy_cluster_indices(pts, 1e-6) == [[k] for k in range(n)]
 
 
 class TestSolveIntegration:
