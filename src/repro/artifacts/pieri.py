@@ -12,7 +12,9 @@ its full solution set in the standard chart, the root count it must
 have, and the tree's per-level job counts (the memoized poset/tree
 summary).  Loading re-validates the counts — a cached instance with a
 missing solution would silently lose endpoints of every warm query, so
-an incomplete artifact reads as a miss, never as an answer.
+an incomplete artifact reads as a miss, never as an answer, and one
+whose solutions coincide (a path jump the tree solve did not notice)
+as ``corrupt``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .fingerprints import pieri_fingerprint
-from .store import ArtifactStore
+from .store import ArtifactStore, collide
 
 __all__ = ["pieri_key", "store_pieri_generic", "load_pieri_generic"]
 
@@ -41,7 +43,7 @@ def store_pieri_generic(
     """Persist a *fully* solved generic instance; returns the key.
 
     The caller must only store complete solves (every expected root
-    found, zero failures) — :meth:`~repro.schubert.PieriSolver.solve`
+    found once, zero failures) — :meth:`~repro.schubert.PieriSolver.solve`
     enforces this before calling in.
     """
     problem = instance.problem
@@ -72,7 +74,8 @@ def load_pieri_generic(
 
     Validates shape and completeness: the solution count must equal the
     Pieri root count ``d(m, p, q)`` and the plane/point arrays must
-    match the problem dimensions, else the artifact reads as a miss.
+    match the problem dimensions, else the artifact reads as a miss;
+    solutions that coincide count as ``corrupt`` on top.
     """
     from ..schubert.poset import pieri_root_count
     from ..schubert.solver import PieriInstance, PieriProblem
@@ -105,4 +108,7 @@ def load_pieri_generic(
         )
     except (KeyError, ValueError, TypeError):
         return None
-    return instance, [solutions[i] for i in range(solutions.shape[0])], meta
+    if collide(solutions):
+        store.note_corrupt()
+        return None
+    return instance, list(solutions), meta

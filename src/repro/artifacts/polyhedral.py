@@ -32,9 +32,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..telemetry import current_telemetry
 from .fingerprints import supports_fingerprint
-from .store import ArtifactStore
+from .store import ArtifactStore, collide
 
 __all__ = [
     "polyhedral_key",
@@ -53,18 +52,6 @@ def polyhedral_key(target, affine: bool = True) -> str:
     return key if affine else key + "-torus"
 
 
-def _collide(starts, tol: float = 1e-6) -> bool:
-    """Do two of the start points lie within ``tol`` (max norm)?
-
-    A phase 1 that reports no failure can still deliver two paths on
-    one endpoint (a predictor jump the duplicate re-track did not
-    separate); warm queries through such a start set lose a root each.
-    """
-    from ..tracker.result import greedy_cluster_indices
-
-    return len(greedy_cluster_indices(starts, tol)) < len(starts)
-
-
 def store_polyhedral_start(
     store: ArtifactStore, target, poly_start, starts
 ) -> Optional[str]:
@@ -81,7 +68,7 @@ def store_polyhedral_start(
     if (
         poly_start.phase1_failures
         or len(starts) != sub.mixed_volume
-        or _collide(starts)
+        or collide(starts)
     ):
         return None
     key = polyhedral_key(target)
@@ -153,11 +140,8 @@ def load_polyhedral_start(store: ArtifactStore, target) -> Optional[dict]:
             return None
     except (KeyError, ValueError, TypeError):
         return None
-    if _collide(starts):
-        store.stats["corrupt"] += 1
-        tel = current_telemetry()
-        if tel is not None:
-            tel.count("artifacts.corrupt")
+    if collide(starts):
+        store.note_corrupt()
         return None
     return {
         "supports": supports,

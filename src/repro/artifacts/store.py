@@ -50,6 +50,19 @@ STORE_ENV = "REPRO_ARTIFACT_STORE"
 _FORMAT_VERSION = 1
 
 
+def collide(points, tol: float = 1e-6) -> bool:
+    """Do two of the points lie within ``tol`` (max norm)?
+
+    A solve that reports no failure can still deliver two paths on one
+    endpoint (a predictor jump nothing separated); every warm query
+    continued from such a set loses a root, so the codecs neither store
+    nor serve one.
+    """
+    from ..tracker.result import greedy_cluster_indices
+
+    return len(greedy_cluster_indices(points, tol)) < len(points)
+
+
 def _fsync_dir(directory: Path) -> None:
     try:
         fd = os.open(directory, os.O_RDONLY)
@@ -110,24 +123,29 @@ class ArtifactStore:
         except FileNotFoundError:
             if meta_path.exists():
                 # committed marker without payload: a torn write
-                self.stats["corrupt"] += 1
-                if tel is not None:
-                    tel.count("artifacts.corrupt")
+                self.note_corrupt()
             self.stats["misses"] += 1
             if tel is not None:
                 tel.count("artifacts.miss")
             return None
         except (ValueError, OSError, KeyError, json.JSONDecodeError):
-            self.stats["corrupt"] += 1
+            self.note_corrupt()
             self.stats["misses"] += 1
             if tel is not None:
-                tel.count("artifacts.corrupt")
                 tel.count("artifacts.miss")
             return None
         self.stats["hits"] += 1
         if tel is not None:
             tel.count("artifacts.hit")
         return meta, arrays
+
+    def note_corrupt(self) -> None:
+        """Count an artifact that must not be served: undecodable here,
+        or decoded but failing a loader's validation of its content."""
+        self.stats["corrupt"] += 1
+        tel = current_telemetry()
+        if tel is not None:
+            tel.count("artifacts.corrupt")
 
     def put(
         self,

@@ -339,9 +339,7 @@ def _warm_polyhedral_start(store, target, rng, tel):
             np.asarray(starts), np.zeros(len(starts))
         )
         if not np.all(np.isfinite(residual)) or np.max(np.abs(residual)) > 1e-4:
-            store.stats["corrupt"] += 1
-            if tel is not None:
-                tel.count("artifacts.corrupt")
+            store.note_corrupt()
             return None, None, None
     return homotopy, starts, bundle["meta"]
 

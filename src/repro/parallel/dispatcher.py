@@ -11,6 +11,10 @@ Extracted from the Pieri tree scheduler so that *any* job-shaped workload
    returning a failure value) up to a retry budget;
 5. terminate when the queue is drained and every worker is parked.
 
+What an idle worker is handed in step 1 is the caller's to say (``take``):
+the head of the queue by default, or a *bundle* of queued jobs — the
+Pieri scheduler hands out same-level fronts that way.
+
 The dispatcher is executor-agnostic: it only sees a ``submit`` callable
 returning :class:`concurrent.futures.Future` objects.  If the underlying
 pool is a :class:`~concurrent.futures.ProcessPoolExecutor` and a worker
@@ -52,6 +56,7 @@ def dispatch_jobs(
     on_abandoned: Optional[Callable[[Any], None]] = None,
     rebuild_pool: Optional[Callable[[], Callable[[Any], Future]]] = None,
     telemetry: Optional[DispatchTelemetry] = None,
+    take: Optional[Callable[[deque, int], list]] = None,
 ) -> DispatchTelemetry:
     """Run the dynamic master loop until every job is done or abandoned.
 
@@ -89,8 +94,22 @@ def dispatch_jobs(
         Pass a :class:`DispatchTelemetry` to have it mutated in place —
         the caller then keeps the partial counts even when ``on_result``
         raises to abort the run mid-flight.
+    take:
+        What an idle worker is handed.  ``None`` is the head of the
+        queue, one job a worker.  Otherwise ``take(queue, n_idle)``
+        removes a non-empty list of jobs from the FCFS ``queue`` while
+        ``n_idle`` workers (this one included) wait, and that *bundle*
+        is what ``submit`` and ``on_result`` receive.  Retries stay per
+        job: a crashed bundle comes back as its single jobs, each
+        charged under its own ``retry_key``, and a job that has come
+        back (crash or breakage) is from then on handed out alone — a
+        poison job forfeits only itself, and no re-formed bundle resets
+        a budget.
     """
     queue: deque = deque(initial_jobs)
+    # jobs that came back: the same FCFS queue, or when bundling one of
+    # their own, served first and one job at a time
+    retries: deque = queue if take is None else deque()
     active: Dict[Future, Any] = {}
     attempts: Dict[Any, int] = {}
     telemetry = DispatchTelemetry() if telemetry is None else telemetry
@@ -102,14 +121,25 @@ def dispatch_jobs(
         if on_abandoned is not None:
             on_abandoned(job)
 
-    def crash(job: Any) -> None:
+    def jobs_of(unit: Any) -> Iterable[Any]:
+        return (unit,) if take is None else unit
+
+    def next_unit() -> Any:
+        if take is None:
+            return queue.popleft()
+        if retries:
+            return [retries.popleft()]
+        return take(queue, n_workers - len(active))
+
+    def crash(unit: Any) -> None:
         telemetry.worker_crashes += 1
-        key = retry_key(job)
-        attempts[key] = attempts.get(key, 0) + 1
-        if attempts[key] <= max_retries:
-            queue.append(job)
-        else:
-            abandon(job)
+        for job in jobs_of(unit):
+            key = retry_key(job)
+            attempts[key] = attempts.get(key, 0) + 1
+            if attempts[key] <= max_retries:
+                retries.append(job)
+            else:
+                abandon(job)
 
     def harvest(fut: Future, job: Any, lost: list) -> None:
         """Consume one settled future: result, own crash, or breakage."""
@@ -156,17 +186,18 @@ def dispatch_jobs(
         else:
             fruitless_breaks = 1
         done_at_last_break = telemetry.jobs_done
+        lost = [job for unit in in_flight for job in jobs_of(unit)]
         if fruitless_breaks > max_retries:
-            for job in in_flight:
+            for job in lost:
                 abandon(job)
             fruitless_breaks = 0
         else:
-            queue.extend(in_flight)
+            retries.extend(lost)
         submit = rebuild_pool()
 
-    while queue or active:
-        while queue and len(active) < n_workers:
-            job = queue.popleft()
+    while queue or retries or active:
+        while (queue or retries) and len(active) < n_workers:
+            job = next_unit()
             try:
                 fut = submit(job)
             except BrokenExecutor:
@@ -216,6 +247,7 @@ def dispatch_with_pool(
     rebuildable: bool = True,
     cancel_on_exit: bool = False,
     telemetry: Optional[DispatchTelemetry] = None,
+    take: Optional[Callable[[deque, int], list]] = None,
 ) -> DispatchTelemetry:
     """:func:`dispatch_jobs` plus executor lifecycle, in one call.
 
@@ -247,6 +279,7 @@ def dispatch_with_pool(
             on_abandoned=on_abandoned,
             rebuild_pool=rebuild_pool if rebuildable else None,
             telemetry=telemetry,
+            take=take,
         )
     finally:
         if cancel_on_exit:

@@ -3,35 +3,31 @@
 The master owns a queue of *ready* jobs (tree edges whose start solution is
 known).  At startup it enqueues the at-most-p jobs out of the tree root;
 whenever a worker returns a result, the master generates the (at most p)
-jobs the result enables and hands the next queued job to the first idle
-worker — first-come-first-served, exactly the paper's protocol, including
-its termination rule: workers that returned a leaf and found the queue
-empty are parked on an idle list and *re-activated* when new jobs appear;
-the run ends when every job is done and all workers are parked.
+jobs each returned edge enables and serves the first idle worker from the
+queue — first-come-first-served, no barrier between levels, and the paper's
+termination rule: workers that found the queue empty are parked on an idle
+list and *re-activated* when new jobs appear; the run ends when every job
+is done and all workers are parked.
 
-Two job granularities share the loop:
-
-- ``granularity="edge"`` (the paper's): workers execute
-  :meth:`repro.schubert.solver.PieriSolver.run_job`, the same routine the
-  sequential DFS uses, with the same per-poset-node homotopies — so the
-  parallel solve returns exactly the same solution set (tested).
-- ``granularity="level"``: the master runs the tree level-synchronously
-  and dispatches *level batches* — each worker gets a chunk of one
-  level's edges and tracks them as a single stacked SoA front via
-  :meth:`~repro.schubert.solver.PieriSolver.run_jobs_batched`.  The two
-  parallel axes compose: processes across chunks, SIMD-style batching
-  within each chunk.
+What a worker is handed is a *bundle*, not one edge: the ready edges at the
+level of the queue's head, split evenly among the workers idle at that
+moment.  Edges of one level share a shape, so the worker tracks its bundle
+as a single stacked SoA front
+(:meth:`repro.schubert.solver.PieriSolver.run_jobs_batched`) with the same
+per-poset-node homotopies the sequential solver builds — the parallel solve
+returns exactly the same solution set (tested).  A front here is bound by
+interpreter overhead per call, not arithmetic: one edge a job cost 23-28 ms
+a path, the same edges in bundles 6-9 ms.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Literal, Optional
-
-import numpy as np
+from typing import Dict, List, Literal, Optional
 
 from ..schubert.solver import (
     PieriInstance,
@@ -39,8 +35,9 @@ from ..schubert.solver import (
     PieriReport,
     PieriSolver,
 )
+from ..schubert.tree import PieriTreeNode
 from ..tracker import TrackerOptions
-from .dispatcher import DispatchTelemetry, dispatch_jobs, dispatch_with_pool
+from .dispatcher import dispatch_with_pool
 
 __all__ = ["ParallelPieriReport", "solve_pieri_parallel"]
 
@@ -55,37 +52,30 @@ def _init_pieri_worker(
 
 
 def _run_pieri_job(args):
-    node_columns, start_matrix = args
-    from ..schubert.tree import PieriTreeNode
-
-    node = PieriTreeNode(_WORKER_SOLVER.problem, tuple(node_columns))
-    t0 = time.perf_counter()
-    result = _WORKER_SOLVER.run_job(PieriJob(node, start_matrix))
-    dt = time.perf_counter() - t0
-    return node_columns, result.matrix, result.path_result.status.value, dt
-
-
-def _run_pieri_level_chunk(args):
-    """Worker entry point for one level chunk: a stacked batch of edges."""
-    from ..schubert.tree import PieriTreeNode
-
+    """Worker entry point: one bundle of same-level edges, one stacked front."""
     t0 = time.perf_counter()
     jobs = [
-        PieriJob(
-            PieriTreeNode(_WORKER_SOLVER.problem, tuple(cols)), start_matrix
-        )
-        for cols, start_matrix in args
+        PieriJob(PieriTreeNode(_WORKER_SOLVER.problem, tuple(cols)), start)
+        for cols, start in args
     ]
     results, stats = _WORKER_SOLVER.run_jobs_batched(jobs)
-    dt = time.perf_counter() - t0
-    return (
-        [
-            (list(r.job.node.columns), r.matrix, r.path_result.status.value)
-            for r in results
-        ],
-        stats,
-        dt,
-    )
+    return [r.matrix for r in results], stats, time.perf_counter() - t0
+
+
+def _take_front(queue: deque, n_idle: int) -> List[PieriJob]:
+    """The ready edges at the level of the queue's head, split evenly
+    among the idle workers: this worker's share, in queue order."""
+    level = queue[0].level
+    n_ready = sum(job.level == level for job in queue)
+    share = -(-n_ready // n_idle)
+    bundle: List[PieriJob] = []
+    rest: List[PieriJob] = []
+    for job in queue:
+        mine = job.level == level and len(bundle) < share
+        (bundle if mine else rest).append(job)
+    queue.clear()
+    queue.extend(rest)
+    return bundle
 
 
 @dataclass
@@ -117,17 +107,34 @@ def solve_pieri_parallel(
 ) -> ParallelPieriReport:
     """Solve a Pieri problem with the master/slave tree scheduler.
 
-    ``granularity`` picks the unit of work handed to a worker: a single
-    tree ``edge`` (one tracked path, the paper's protocol) or a
-    ``level`` chunk — a contiguous share of one tree level, tracked by
-    the worker as a single stacked SoA batch.  Level granularity
-    composes the two parallel axes (processes x batch) at the price of
-    a synchronization barrier between levels.
+    The master keeps the paper's protocol — a FCFS queue of ready tree
+    edges, no barrier between levels, children enqueued as their
+    parent's result arrives — and hands an idle worker a *bundle*: its
+    even share of the ready edges at the level of the queue's head,
+    tracked by the worker as one stacked SoA front.  With one worker
+    that is one bundle per level; with several, the fronts stay as wide
+    as the moment allows.  ``granularity`` is accepted for callers of
+    the former edge-at-a-time and level-synchronous masters; both names
+    run this one.
 
-    Fault tolerance: a job whose worker *crashes* (raises, as opposed to
-    returning a failed path) is re-enqueued up to ``max_job_retries``
-    times; the job's whole subtree would otherwise be silently lost.
-    Crashes are counted in ``worker_crashes``.
+    ``jobs_per_level`` counts edges, ``seconds_per_level`` worker-busy
+    seconds, and ``level_batches`` has one record per tree level, the
+    sums over its bundles (``n_chunks`` of them): ``n_jobs`` edges,
+    ``n_homotopies`` built, ``chart_switches``, ``retries``.
+
+    Fault tolerance: a bundle whose worker *crashes* (raises, as opposed
+    to returning a failed path) is re-enqueued as single edges, each up
+    to ``max_job_retries`` times; an edge past its budget forfeits its
+    own subtree (counted in ``failures``) and nothing else.  Crashes are
+    counted in ``worker_crashes``.
+
+    >>> import numpy as np
+    >>> instance = PieriInstance.random(2, 2, 0, np.random.default_rng(1))
+    >>> report = solve_pieri_parallel(instance, n_workers=1, mode="thread", seed=2)
+    >>> report.n_solutions, report.failures, report.jobs_per_level
+    (2, 0, {1: 1, 2: 2, 3: 2, 4: 2})
+    >>> [r["n_chunks"] for r in report.level_batches]
+    [1, 1, 1, 1]
     """
     if n_workers is None:
         n_workers = max(1, (os.cpu_count() or 2) - 1)
@@ -137,10 +144,6 @@ def solve_pieri_parallel(
         raise ValueError(f"unknown mode {mode!r}")
     if granularity not in ("edge", "level"):
         raise ValueError(f"unknown granularity {granularity!r}")
-    if granularity == "level":
-        return _solve_level_batched(
-            instance, n_workers, mode, options, seed, max_job_retries
-        )
     # the local solver mirrors the workers: used for job expansion only
     master = PieriSolver(instance, options=options, seed=seed)
 
@@ -155,29 +158,40 @@ def solve_pieri_parallel(
         return ThreadPoolExecutor(max_workers=n_workers)
 
     report = ParallelPieriReport(instance, n_workers=n_workers)
+    levels: Dict[int, dict] = {}
     t_wall = time.perf_counter()
 
-    def submit_job(pool, job: PieriJob):
+    def submit_bundle(pool, bundle: List[PieriJob]):
         # _run_pieri_job is looked up as a module global at call time so
         # fault-injection tests can monkeypatch it
         return pool.submit(
-            _run_pieri_job, (list(job.node.columns), job.start_matrix)
+            _run_pieri_job,
+            [(list(job.node.columns), job.start_matrix) for job in bundle],
         )
 
-    def on_result(job: PieriJob, result) -> List[PieriJob]:
-        _cols, matrix, _status, dt = result
-        lvl = job.level
-        report.jobs_per_level[lvl] = report.jobs_per_level.get(lvl, 0) + 1
-        report.seconds_per_level[lvl] = (
-            report.seconds_per_level.get(lvl, 0.0) + dt
+    def on_result(bundle: List[PieriJob], result) -> List[PieriJob]:
+        matrices, stats, dt = result
+        lvl = bundle[0].level
+        record = levels.setdefault(
+            lvl,
+            {"level": lvl, "seconds": 0.0, "n_chunks": 0,
+             **dict.fromkeys(stats, 0)},
         )
-        if matrix is None:
-            report.failures += 1
-            return []
-        if job.node.is_leaf():
-            report.solutions.append(matrix)
-            return []
-        return [PieriJob(child, matrix) for child in job.node.children()]
+        record["seconds"] += dt
+        record["n_chunks"] += 1
+        for key, count in stats.items():
+            record[key] += count
+        enabled: List[PieriJob] = []
+        for job, matrix in zip(bundle, matrices):
+            if matrix is None:
+                report.failures += 1
+            elif job.node.is_leaf():
+                report.solutions.append(matrix)
+            else:
+                enabled.extend(
+                    PieriJob(child, matrix) for child in job.node.children()
+                )
+        return enabled
 
     def on_abandoned(job: PieriJob) -> None:
         # retry budget spent: record the lost subtree as a failure
@@ -185,7 +199,7 @@ def solve_pieri_parallel(
 
     telemetry = dispatch_with_pool(
         make_pool,
-        submit_job,
+        submit_bundle,
         master.initial_jobs(),
         on_result,
         n_workers=n_workers,
@@ -193,134 +207,12 @@ def solve_pieri_parallel(
         retry_key=lambda job: job.node.columns,
         on_abandoned=on_abandoned,
         rebuildable=(mode == "process"),
+        take=_take_front,
     )
-    report.max_queue_length = telemetry.max_queue_length
-    report.max_active_jobs = telemetry.max_active_jobs
-    report.worker_crashes = telemetry.worker_crashes
-    report.pool_rebuilds = telemetry.pool_rebuilds
-    report.wall_seconds = time.perf_counter() - t_wall
-    report.total_seconds = report.wall_seconds
-    return report
-
-
-def _chunk_jobs(jobs: List[PieriJob], n_chunks: int) -> List[List[PieriJob]]:
-    """Split one level's jobs into up to ``n_chunks`` contiguous chunks."""
-    n_chunks = max(1, min(n_chunks, len(jobs)))
-    bounds = np.linspace(0, len(jobs), n_chunks + 1).astype(int)
-    return [
-        jobs[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if a < b
-    ]
-
-
-def _solve_level_batched(
-    instance: PieriInstance,
-    n_workers: int,
-    mode: str,
-    options: Optional[TrackerOptions],
-    seed: int,
-    max_job_retries: int,
-) -> ParallelPieriReport:
-    """Level-synchronous master: dispatch stacked level chunks to workers.
-
-    Each tree level is split into at most ``n_workers`` contiguous
-    chunks; a worker tracks its chunk as one stacked batch
-    (:meth:`~repro.schubert.solver.PieriSolver.run_jobs_batched`).  The
-    master expands the next level only when the current one has fully
-    returned, so the dispatcher runs once per level over a pool that
-    persists across levels.  A chunk abandoned after its crash-retry
-    budget forfeits its jobs (counted as failures), exactly as an
-    abandoned edge forfeits its subtree in edge granularity.
-    """
-    master = PieriSolver(instance, options=options, seed=seed)
-    report = ParallelPieriReport(instance, n_workers=n_workers)
-    t_wall = time.perf_counter()
-
-    def make_pool():
-        if mode == "process":
-            return ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_pieri_worker,
-                initargs=(instance, options, seed),
-            )
-        _init_pieri_worker(instance, options, seed)
-        return ThreadPoolExecutor(max_workers=n_workers)
-
-    state = {"pool": make_pool(), "next_jobs": [], "level_stats": None}
-
-    def submit(chunk: List[PieriJob]):
-        # module-global lookup keeps the fault-injection monkeypatch hook
-        return state["pool"].submit(
-            _run_pieri_level_chunk,
-            [(list(j.node.columns), j.start_matrix) for j in chunk],
-        )
-
-    def rebuild_pool():
-        state["pool"].shutdown(wait=False, cancel_futures=True)
-        state["pool"] = make_pool()
-        return submit
-
-    def on_result(chunk: List[PieriJob], result) -> List[List[PieriJob]]:
-        triples, stats, dt = result
-        lvl = chunk[0].level
-        report.jobs_per_level[lvl] = (
-            report.jobs_per_level.get(lvl, 0) + len(chunk)
-        )
-        report.seconds_per_level[lvl] = (
-            report.seconds_per_level.get(lvl, 0.0) + dt
-        )
-        ls = state["level_stats"]
-        ls["seconds"] += dt
-        ls["n_chunks"] += 1
-        for key in ("n_jobs", "n_homotopies", "chart_switches", "retries"):
-            ls[key] += stats[key]
-        for job, (_cols, matrix, _status) in zip(chunk, triples):
-            if matrix is None:
-                report.failures += 1
-            elif job.node.is_leaf():
-                report.solutions.append(matrix)
-            else:
-                state["next_jobs"].extend(
-                    PieriJob(child, matrix) for child in job.node.children()
-                )
-        return []
-
-    def on_abandoned(chunk: List[PieriJob]) -> None:
-        # retry budget spent: every job in the chunk (and its subtree)
-        # is lost; record them as failures so counts stay honest
-        report.failures += len(chunk)
-
-    telemetry = DispatchTelemetry()
-    try:
-        frontier = master.initial_jobs()
-        while frontier:
-            lvl = frontier[0].level
-            state["next_jobs"] = []
-            state["level_stats"] = {
-                "level": lvl,
-                "seconds": 0.0,
-                "n_chunks": 0,
-                "n_jobs": 0,
-                "n_homotopies": 0,
-                "chart_switches": 0,
-                "retries": 0,
-            }
-            dispatch_jobs(
-                _chunk_jobs(frontier, n_workers),
-                submit,
-                on_result,
-                n_workers=n_workers,
-                max_retries=max_job_retries,
-                retry_key=lambda chunk: tuple(
-                    j.node.columns for j in chunk
-                ),
-                on_abandoned=on_abandoned,
-                rebuild_pool=rebuild_pool if mode == "process" else None,
-                telemetry=telemetry,
-            )
-            report.level_batches.append(state["level_stats"])
-            frontier = state["next_jobs"]
-    finally:
-        state["pool"].shutdown(wait=False, cancel_futures=True)
+    report.level_batches = [levels[lvl] for lvl in sorted(levels)]
+    for record in report.level_batches:
+        report.jobs_per_level[record["level"]] = record["n_jobs"]
+        report.seconds_per_level[record["level"]] = record["seconds"]
     report.max_queue_length = telemetry.max_queue_length
     report.max_active_jobs = telemetry.max_active_jobs
     report.worker_crashes = telemetry.worker_crashes

@@ -36,6 +36,7 @@ from ..tracker import (
     PathTracker,
     StackedHomotopy,
     TrackerOptions,
+    greedy_cluster_indices,
     track_with_rescue,
 )
 from ..tracker.rescue import fold_rescued_effort, keep_rescue
@@ -177,11 +178,9 @@ class PieriReport:
         return worst
 
     def all_distinct(self, tol: float = 1e-6) -> bool:
-        for i in range(len(self.solutions)):
-            for j in range(i + 1, len(self.solutions)):
-                if np.max(np.abs(self.solutions[i] - self.solutions[j])) < tol:
-                    return False
-        return True
+        """No two solutions within ``tol`` of each other (max norm)."""
+        clusters = greedy_cluster_indices(self.solutions, tol)
+        return len(clusters) == len(self.solutions)
 
 
 class PieriSolver:
@@ -522,8 +521,8 @@ class PieriSolver:
         coefficient-parameter continuation — exactly ``d(m, p, q)``
         tracked paths instead of the whole tree — and
         ``report.cache["status"]`` says which route ran.  A cold solve
-        that finds every expected root populates the store on the way
-        out.  A warm attempt that fails any path falls back to the
+        that finds every expected root, each once, populates the store
+        on the way out.  A warm attempt that fails any path falls back to the
         ab-initio tree (cached data can steer the route, never the
         answer).
         """
@@ -553,9 +552,12 @@ class PieriSolver:
                 "n_paths": sum(report.jobs_per_level.values()),
                 "stored": False,
             }
+            # two coinciding endpoints (a path jump no failure count
+            # shows) would cost every warm query a root: not stored
             complete = (
                 report.failures == 0
                 and report.n_solutions == report.expected_count()
+                and report.all_distinct()
             )
             if complete:
                 store_pieri_generic(

@@ -23,6 +23,7 @@ from repro.artifacts import (
     pieri_key,
     polyhedral_key,
     resolve_store,
+    store_pieri_generic,
     store_polyhedral_start,
     supports_fingerprint,
     validate_lifting_seed,
@@ -223,6 +224,30 @@ class TestPieriRoute:
         n = instance.problem.num_conditions
         assert len(instance.planes) == n and len(instance.points) == n
         assert load_pieri_generic(store, 3, 3, 0) is None  # other shape
+
+    def test_duplicated_endpoint_does_not_poison_the_store(self, tmp_path):
+        """Regression (found sizing PR 16): on this (2,2,2) instance the
+        tree solve returns 32 matrices with ``failures == 0`` of which
+        two coincide.  Stored, it cost every warm query a root."""
+        rng = np.random.default_rng([0, 2])
+        seed = int(rng.integers(2**31))
+        instance = PieriInstance.random(2, 2, 2, rng)
+        store = ArtifactStore(tmp_path)
+        cold = PieriSolver(instance, seed=seed).solve(mode="batch", cache=store)
+        assert cold.failures == 0
+        assert cold.n_solutions == cold.expected_count() == 32
+        assert not cold.all_distinct()
+        assert cold.cache["status"] == "cold"
+        assert cold.cache["stored"] is False
+        assert store.keys() == []
+        # a bundle written before the guard existed loads as corrupt
+        store_pieri_generic(store, instance, cold.solutions, cold.jobs_per_level)
+        assert load_pieri_generic(store, 2, 2, 2) is None
+        assert store.stats["corrupt"] == 1
+        # ... and the next query is served cold, not a root short
+        query = PieriInstance.random(2, 2, 2, np.random.default_rng(5))
+        report = PieriSolver(query, seed=1).solve(mode="batch", cache=store)
+        assert report.cache["status"] == "cold"
 
 
 # ----------------------------------------------------------- polyhedral

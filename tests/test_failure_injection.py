@@ -23,7 +23,14 @@ import pytest
 
 import repro.parallel.pieri_scheduler as scheduler_mod
 from repro.parallel import solve_pieri_parallel
-from repro.schubert import PieriInstance, pieri_root_count, verify_solutions
+from repro.schubert import (
+    PieriInstance,
+    PieriSolver,
+    level_job_counts,
+    pieri_root_count,
+    verify_solutions,
+)
+from repro.schubert.tree import PieriTreeNode
 from repro.simcluster import (
     ClusterSpec,
     simulate_dynamic,
@@ -46,6 +53,19 @@ class FlakyWorker:
             self.crashes += 1
             raise RuntimeError("injected worker crash")
         return self.real(args)
+
+
+_REAL_PIERI_WORKER = scheduler_mod._run_pieri_job
+
+
+def _die_once(args):
+    """Pieri worker that kills its process on the first multi-edge bundle
+    (module-level so the pool can pickle it by name)."""
+    marker = os.environ["REPRO_TEST_DIE_MARKER"]
+    if len(args) > 1 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(13)
+    return _REAL_PIERI_WORKER(args)
 
 
 class TestPieriSchedulerFaults:
@@ -76,6 +96,89 @@ class TestPieriSchedulerFaults:
         assert report.n_solutions == 0
         assert report.failures >= 1
         assert report.worker_crashes > 0
+
+    def test_crashed_bundle_is_retried_as_singletons(self, monkeypatch):
+        """The first multi-edge bundle crashes once: its edges come back
+        one by one, each tracked exactly once in the end."""
+        real, calls = scheduler_mod._run_pieri_job, []
+
+        def crash_first_bundle(args):
+            cols = [tuple(c) for c, _start in args]
+            calls.append(cols)
+            if len(cols) > 1 and sum(len(c) > 1 for c in calls) == 1:
+                raise RuntimeError("injected bundle crash")
+            return real(args)
+
+        monkeypatch.setattr(scheduler_mod, "_run_pieri_job", crash_first_bundle)
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(6))
+        report = solve_pieri_parallel(
+            instance, n_workers=1, mode="thread", seed=7
+        )
+        crashed = next(c for c in calls if len(c) > 1)
+        after = calls[calls.index(crashed) + 1:]
+        assert after[: len(crashed)] == [[edge] for edge in crashed]
+        assert report.worker_crashes == 1
+        assert report.failures == 0
+        assert report.n_solutions == pieri_root_count(2, 2, 1)
+        assert verify_solutions(instance, report.solutions).ok
+        assert sum(report.jobs_per_level.values()) == sum(
+            level_job_counts(2, 2, 1)
+        )
+
+    def test_poison_edge_forfeits_only_its_own_subtree(self, monkeypatch):
+        """An edge that crashes every worker it reaches is charged alone:
+        abandoned after ``max_job_retries``, its bundle-mates unharmed."""
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(8))
+        seq = PieriSolver(instance, seed=9).solve()
+        # a level-3 edge: poison it and count the leaves below it
+        poison = next(
+            node
+            for root_child in PieriTreeNode(instance.problem).children()
+            for mid in root_child.children()
+            for node in mid.children()
+        )
+
+        def leaves(node):
+            if node.is_leaf():
+                return 1
+            return sum(leaves(child) for child in node.children())
+
+        real, attempts = scheduler_mod._run_pieri_job, []
+
+        def poisoned(args):
+            if any(tuple(c) == poison.columns for c, _start in args):
+                attempts.append(len(args))
+                raise RuntimeError("poison edge")
+            return real(args)
+
+        monkeypatch.setattr(scheduler_mod, "_run_pieri_job", poisoned)
+        report = solve_pieri_parallel(
+            instance, n_workers=2, mode="thread", seed=9, max_job_retries=2
+        )
+        # once in whatever bundle it rode in, then alone until abandoned
+        assert len(attempts) == 3 and attempts[1:] == [1, 1]
+        assert report.worker_crashes == 3
+        assert report.failures == 1
+        assert report.n_solutions == seq.n_solutions - leaves(poison)
+        flat = np.stack([s.ravel() for s in seq.solutions])
+        for sol in report.solutions:
+            assert np.min(np.max(np.abs(flat - sol.ravel()), axis=1)) < 1e-8
+
+    def test_broken_pool_mid_bundle_loses_no_edge(self, monkeypatch, tmp_path):
+        """A worker *process* dying with a bundle in hand breaks the pool:
+        the master rebuilds it and every edge is still tracked."""
+        monkeypatch.setenv("REPRO_TEST_DIE_MARKER", str(tmp_path / "died"))
+        monkeypatch.setattr(scheduler_mod, "_run_pieri_job", _die_once)
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(10))
+        report = solve_pieri_parallel(
+            instance, n_workers=2, mode="process", seed=11
+        )
+        assert (tmp_path / "died").exists(), "the injected death never fired"
+        assert report.pool_rebuilds >= 1
+        assert report.failures == 0
+        assert report.n_solutions == pieri_root_count(2, 2, 1)
+        assert verify_solutions(instance, report.solutions).ok
+        assert list(report.jobs_per_level.values()) == level_job_counts(2, 2, 1)
 
     def test_no_crashes_zero_counter(self):
         instance = PieriInstance.random(2, 2, 0, np.random.default_rng(4))
@@ -219,6 +322,108 @@ class TestDispatcherPoolBreakage:
                 lambda job, result: None,
                 n_workers=1,
             )
+
+
+class TestDispatcherBundles:
+    """``dispatch_jobs(take=...)``: bundles out, per-job budgets back."""
+
+    @staticmethod
+    def _pairs(queue, n_idle):
+        return [queue.popleft() for _ in range(min(2, len(queue)))]
+
+    def test_crashed_bundle_charges_each_job_and_retries_them_alone(self):
+        from concurrent.futures import Future
+
+        from repro.parallel import dispatch_jobs
+
+        submitted = []
+
+        def submit(bundle):
+            submitted.append(list(bundle))
+            fut = Future()
+            if "poison" in bundle:
+                fut.set_exception(RuntimeError("crash"))
+            else:
+                fut.set_result([job.upper() for job in bundle])
+            return fut
+
+        done, lost = [], []
+        telemetry = dispatch_jobs(
+            ["a", "poison", "b", "c"],
+            submit,
+            lambda bundle, result: done.extend(result),
+            n_workers=1,
+            max_retries=2,
+            retry_key=lambda job: job,
+            on_abandoned=lost.append,
+            take=self._pairs,
+        )
+        assert sorted(done) == ["A", "B", "C"]
+        assert lost == ["poison"]      # the job, not the bundle it rode in
+        assert telemetry.jobs_abandoned == 1
+        # one crash in the bundle, then alone until the budget is spent;
+        # its bundle-mate "a" was charged once and finished on its retry
+        assert submitted == [
+            ["a", "poison"], ["a"], ["poison"], ["poison"], ["b", "c"],
+        ]
+        assert telemetry.worker_crashes == 3
+
+    def test_bundle_lost_to_a_breakage_comes_back_uncharged(self):
+        from concurrent.futures import BrokenExecutor, Future
+
+        from repro.parallel import dispatch_jobs
+
+        seen = []
+
+        def make_submit():
+            def submit(bundle):
+                seen.append(list(bundle))
+                fut = Future()
+                if len(seen) == 1:
+                    fut.set_exception(BrokenExecutor("worker died"))
+                elif seen.count(list(bundle)) == 1:
+                    fut.set_exception(RuntimeError("first solo try crashes"))
+                else:
+                    fut.set_result([job.upper() for job in bundle])
+                return fut
+
+            return submit
+
+        done, lost = [], []
+        telemetry = dispatch_jobs(
+            ["a", "b", "c"],
+            make_submit(),
+            lambda bundle, result: done.extend(result),
+            n_workers=1,
+            max_retries=1,      # a charge for the breakage would abandon
+            retry_key=lambda job: job,
+            on_abandoned=lost.append,
+            rebuild_pool=make_submit,
+            take=self._pairs,
+        )
+        assert seen[:3] == [["a", "b"], ["a"], ["b"]]   # back one by one
+        assert sorted(done) == ["A", "B", "C"] and lost == []
+        assert telemetry.pool_rebuilds == 1
+
+    def test_default_take_is_the_head_of_the_queue(self):
+        from concurrent.futures import Future
+
+        from repro.parallel import dispatch_jobs
+
+        order = []
+
+        def submit(job):
+            order.append(job)
+            fut = Future()
+            fut.set_result(job)
+            return fut
+
+        dispatch_jobs(
+            [1, 2, 3], submit,
+            lambda job, result: [10 * job] if job < 10 else None,
+            n_workers=1,
+        )
+        assert order == [1, 2, 3, 10, 20, 30]
 
 
 class TestSimulatedFailures:

@@ -226,6 +226,87 @@ class TestParallelPieri:
         assert par.max_active_jobs >= 1
         assert par.n_workers == 2
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(2, 2, 0), (2, 2, 1), (3, 2, 0)])
+    def test_bundles_match_sequential(self, shape, n_workers, mode):
+        """Whatever bundles the moment forms, the solution set is the
+        sequential edge-at-a-time one and every level counts its edges."""
+        instance = PieriInstance.random(*shape, np.random.default_rng(21))
+        seq = PieriSolver(instance, seed=22).solve(mode="per_path")
+        par = solve_pieri_parallel(
+            instance, n_workers=n_workers, mode=mode, seed=22
+        )
+        assert par.failures == seq.failures == 0
+        assert par.n_solutions == seq.n_solutions == pieri_root_count(*shape)
+        flat = np.stack([s.ravel() for s in seq.solutions])
+        for sol in par.solutions:
+            assert np.min(np.max(np.abs(flat - sol.ravel()), axis=1)) < 1e-8
+        assert par.all_distinct()
+        assert par.jobs_per_level == seq.jobs_per_level
+
+    def test_every_edge_is_tracked_exactly_once(self, monkeypatch):
+        import repro.parallel.pieri_scheduler as scheduler_mod
+        from repro.schubert import level_job_counts
+
+        real, seen = scheduler_mod._run_pieri_job, []
+
+        def recording(args):
+            seen.extend(tuple(cols) for cols, _start in args)
+            return real(args)
+
+        monkeypatch.setattr(scheduler_mod, "_run_pieri_job", recording)
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(23))
+        par = solve_pieri_parallel(
+            instance, n_workers=3, mode="thread", seed=24
+        )
+        assert len(seen) == len(set(seen)) == sum(level_job_counts(2, 2, 1))
+        assert sum(par.jobs_per_level.values()) == len(seen)
+
+    def test_level_records_aggregate_the_bundles(self):
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(25))
+        par = solve_pieri_parallel(
+            instance, n_workers=2, mode="thread", seed=26
+        )
+        n = instance.problem.num_conditions
+        assert [r["level"] for r in par.level_batches] == list(range(1, n + 1))
+        for record in par.level_batches:
+            lvl = record["level"]
+            assert record["n_jobs"] == par.jobs_per_level[lvl]
+            assert record["seconds"] == par.seconds_per_level[lvl]
+            assert 1 <= record["n_chunks"] <= record["n_jobs"]
+            assert 1 <= record["n_homotopies"] <= record["n_jobs"]
+            assert record["chart_switches"] >= 0 and record["retries"] >= 0
+
+    def test_one_worker_takes_one_bundle_per_level(self):
+        """Deterministic: a lone worker is always the only idle one, so
+        its share of each level is the whole level."""
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(27))
+        par = solve_pieri_parallel(
+            instance, n_workers=1, mode="thread", seed=28
+        )
+        assert [r["n_chunks"] for r in par.level_batches] == (
+            [1] * instance.problem.num_conditions
+        )
+        assert par.max_active_jobs == 1
+
+    def test_take_front_splits_the_head_level_evenly(self):
+        from collections import deque
+        from types import SimpleNamespace
+
+        from repro.parallel.pieri_scheduler import _take_front
+
+        jobs = [SimpleNamespace(level=lvl, tag=i)
+                for i, lvl in enumerate([3, 4, 3, 3, 4, 3, 3])]
+        queue = deque(jobs)
+        first = _take_front(queue, 2)      # 5 ready at level 3, 2 idle
+        assert [j.tag for j in first] == [0, 2, 3]
+        second = _take_front(queue, 1)     # the head moved to level 4
+        assert [j.tag for j in second] == [1, 4]
+        third = _take_front(queue, 3)      # 2 ready, 3 idle: one each
+        assert [j.tag for j in third] == [5]
+        assert [j.tag for j in queue] == [6]
+
     def test_invalid_workers(self):
         instance = PieriInstance.random(2, 2, 0, np.random.default_rng(11))
         with pytest.raises(ValueError):

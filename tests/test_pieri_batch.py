@@ -328,15 +328,19 @@ class TestSolverParity:
         assert retried.max_steps == custom.max_steps * 3
 
 
-class TestParallelLevelGranularity:
-    def test_matches_sequential(self):
+class TestParallelGranularityKeyword:
+    """``granularity`` is a compatibility keyword: both names run the one
+    bundle master (its own tests live in ``test_parallel.py``)."""
+
+    @pytest.mark.parametrize("granularity", ["edge", "level"])
+    def test_both_names_match_sequential(self, granularity):
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(13))
         seq = PieriSolver(instance, seed=14).solve()
         par = solve_pieri_parallel(
-            instance, n_workers=2, mode="thread", seed=14, granularity="level"
+            instance, n_workers=2, mode="thread", seed=14,
+            granularity=granularity,
         )
         assert par.failures == seq.failures
-        assert par.n_solutions == seq.n_solutions
         _assert_same_solution_sets(seq.solutions, par.solutions)
         assert len(par.level_batches) == instance.problem.num_conditions
         assert all(r["n_chunks"] >= 1 for r in par.level_batches)
