@@ -60,7 +60,7 @@ def _solve_case(case: dict, predictor: str, seed: int):
         kernel="slp",
         mode="batch",
         predictor=predictor,
-        start_kind=case.get("start_kind", "total_degree"),
+        start=case.get("start", "total_degree"),
         cache=case.get("cache"),
     )
     wall = time.perf_counter() - t0
@@ -127,7 +127,7 @@ def full_cases() -> list:
         {
             "name": "cyclic-7",
             "system": cyclic_roots_system(7),
-            "start_kind": "polyhedral",
+            "start": "polyhedral",
             "cache": cache,
             "warmup": True,
         },
@@ -141,7 +141,7 @@ def quick_cases() -> list:
         {
             "name": "cyclic-5",
             "system": cyclic_roots_system(5),
-            "start_kind": "polyhedral",
+            "start": "polyhedral",
             "cache": cache,
             "warmup": True,
         },

@@ -37,7 +37,7 @@ def bench_real_small_instance(benchmark):
     instance = PieriInstance.random(2, 2, 1, np.random.default_rng(30))
 
     def run():
-        return PieriSolver(instance, seed=31).solve()
+        return PieriSolver(instance, seed=31).solve(mode="per_path")
 
     report = benchmark(run)
     assert report.n_solutions == 8
@@ -59,7 +59,7 @@ def bench_paper_size_instance(benchmark):
     solver = PieriSolver(instance, seed=33)
 
     def run():
-        return solver.solve()
+        return solver.solve(mode="per_path")
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.n_solutions == 55

@@ -1,10 +1,12 @@
 #!/usr/bin/env python
 """Parallel path tracking on cyclic n-roots: static vs dynamic (paper §II).
 
-Tracks all Bezout paths of cyclic-5 (120 paths, 70 finite roots, 50
-divergent) serially, with static pre-assignment, and with the dynamic
-master/slave executor, then prints the speedup/imbalance contrast the
-paper's Table I makes at cluster scale.
+Tracks a fixed slice of the Bezout paths of cyclic-5 (the first 40 of
+120; all 120 reach 70 finite roots and 50 divergent paths) serially,
+with static pre-assignment, and with the dynamic master/slave executor,
+then prints the speedup/imbalance contrast the paper's Table I makes at
+cluster scale.  Every schedule hands the tracker one path at a time — a
+one-row front — so per-path seconds are exclusive wall time.
 
 Run:  python examples/cyclic_parallel.py [n_workers]
 """
@@ -24,8 +26,9 @@ target = cyclic_roots_system(5)
 homotopy, starts = make_homotopy_and_starts(
     target, rng=np.random.default_rng(0)
 )
-print(f"cyclic-5: {len(starts)} paths "
-      f"(expected finite roots: {CYCLIC_FINITE_ROOTS[5]})")
+n_all, starts = len(starts), starts[:40]
+print(f"cyclic-5: {len(starts)} of {n_all} paths "
+      f"(finite roots of the whole set: {CYCLIC_FINITE_ROOTS[5]})")
 
 serial = track_paths_parallel(homotopy, starts, mode="serial")
 summary = summarize_results(serial.results)

@@ -6,9 +6,9 @@ stalls or wanders), at infinity, or nowhere (numerical failure).  The
 seed trackers hardcoded one answer — a single Newton sharpen at
 ``t = 1`` — so every singular endpoint degraded to an opaque SINGULAR
 label and every stall to FAILED.  This package turns the terminal phase
-into a strategy both trackers (scalar :class:`~repro.tracker.PathTracker`
-and structure-of-arrays :class:`~repro.tracker.BatchTracker`, including
-stacked fronts) delegate to:
+into a strategy the tracker loop (:class:`~repro.tracker.BatchTracker`,
+stacked fronts included; :class:`~repro.tracker.PathTracker` is its
+one-row case) delegates to:
 
 - :class:`RefineEndgame` — the seed behavior, bit for bit: one Newton
   sharpen at ``t = 1`` with the options' endgame tolerance.  The

@@ -20,9 +20,8 @@ The loop tracking is *batched along the path axis*: every path of a
 front that needs the endgame anchors on its ring and loops in lockstep,
 one :func:`~repro.tracker.newton.batch_newton_correct` call per sample
 angle, with closed-up paths culled from the looping front.  The scalar
-entry point runs the same kernels as a one-row batch, so scalar and
-batched endgame decisions are bit-identical path by path (the same
-contract the PR-1 trackers pin for stepping).
+entry point runs the same kernels as a one-row batch, so a path is
+classified the same whatever rows loop with it.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ class CauchyEndgame(EndgameStrategy):
     # ------------------------------------------------------------------
     def finish(self, homotopy, x, t, options) -> EndgameOutcome:
         """Scalar entry point: the batch kernels run as a one-row batch."""
-        out = self.finish_batch(
+        out = self._classify(
             as_batch(homotopy),
             np.asarray(x, dtype=complex)[None, :],
             np.array([float(t)]),
@@ -322,6 +321,11 @@ class CauchyEndgame(EndgameStrategy):
         return ok & (drift_ref <= tol) & (drift_mean <= tol)
 
     def finish_batch(self, homotopy, X, tt, options) -> BatchEndgameOutcome:
+        return self._classify(homotopy, X, tt, options)
+
+    def _classify(self, homotopy, X, tt, options) -> BatchEndgameOutcome:
+        """The body behind both public names (a traced call of either
+        opens one span)."""
         X = np.asarray(X, dtype=complex)
         n = X.shape[0]
         tt = np.asarray(tt, dtype=float)

@@ -4,11 +4,11 @@ An :class:`EndgameStrategy` owns the terminal phase of path tracking:
 given a path that either arrived at ``t = 1`` or stalled inside the
 strategy's *operating radius* (``t > 1 - operating_radius``), it
 classifies the endpoint and may annotate it with a winding number and a
-multiplicity.  Both trackers delegate to it — the scalar
-:class:`~repro.tracker.tracker.PathTracker` through :meth:`finish`, the
-structure-of-arrays :class:`~repro.tracker.batch.BatchTracker` through
-:meth:`finish_batch` (one call for the whole surviving front, stacked
-fronts included).
+multiplicity.  The tracker loop
+(:class:`~repro.tracker.batch.BatchTracker`) delegates to it through
+:meth:`finish_batch` — one call for the whole surviving front, stacked
+fronts included; :meth:`finish` is the one-row case for callers holding
+a single point.
 
 :class:`RefineEndgame` reproduces the seed trackers' hardcoded terminal
 phase exactly — same Newton call, same classification — so it is the
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tracker.interface import BatchHomotopy, HomotopyFunction
-from ..tracker.newton import batch_newton_correct, newton_correct
+from ..tracker.interface import BatchHomotopy, HomotopyFunction, as_batch
+from ..tracker.newton import batch_newton_correct
 from ..tracker.result import PathStatus
 
 __all__ = [
@@ -63,7 +63,7 @@ class BatchEndgameOutcome:
 
 
 class EndgameStrategy(abc.ABC):
-    """Pluggable terminal phase shared by the scalar and batch trackers.
+    """Pluggable terminal phase of the tracker loop.
 
     ``operating_radius`` is the strategy's hand-over region: a path that
     stalls (step underflow, no blow-up) at ``t > 1 - operating_radius``
@@ -118,23 +118,20 @@ class RefineEndgame(EndgameStrategy):
 
     def finish(self, homotopy, x, t, options) -> EndgameOutcome:
         del t  # the sharpen always happens at t = 1, as the seed did
-        final = newton_correct(
-            homotopy,
-            x,
-            1.0,
-            tol=options.endgame_tol,
-            max_iterations=options.endgame_iterations,
+        out = self._sharpen(
+            as_batch(homotopy), np.asarray(x, dtype=complex)[None, :], options
         )
-        if final.singular:
-            status = PathStatus.SINGULAR
-        elif not final.converged and final.residual > options.corrector_tol:
-            status = PathStatus.FAILED
-        else:
-            status = PathStatus.SUCCESS
-        return EndgameOutcome(status, final.x, final.residual, final.iterations)
+        return EndgameOutcome(
+            out.status[0], out.x[0], float(out.residual[0]), int(out.iterations[0])
+        )
 
     def finish_batch(self, homotopy, X, tt, options) -> BatchEndgameOutcome:
         del tt
+        return self._sharpen(homotopy, X, options)
+
+    def _sharpen(self, homotopy, X, options) -> BatchEndgameOutcome:
+        """The body behind both public names (a traced call of either
+        opens one span)."""
         final = batch_newton_correct(
             homotopy,
             X,

@@ -108,10 +108,11 @@ class ConvexHomotopy(HomotopyFunction, BatchHomotopy):
         return self.target.nvars
 
     # The scalar methods run through the batched kernels as one-row
-    # batches: elementwise batching does not change rounding, so scalar
-    # and batched tracking see bit-identical arithmetic — which is what
-    # lets BatchTracker reproduce PathTracker's per-path decisions even
-    # on knife-edge diverging paths.
+    # batches: elementwise batching does not change rounding, so a point
+    # sees bit-identical arithmetic however many rows it is evaluated
+    # with — which is what makes a one-row front (PathTracker) the same
+    # computation as its row of a wide one, even on knife-edge diverging
+    # paths.
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.evaluate_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
 
@@ -136,7 +137,7 @@ class ConvexHomotopy(HomotopyFunction, BatchHomotopy):
 
         Both Jacobian-producing methods assemble their outputs from this
         single evaluation pass, which keeps their arithmetic (and hence
-        the scalar/batch parity guarantee) in one place.
+        the row-of-front identity) in one place.
         """
         tt = _per_path_t(t, X.shape[0])
         g, jg, f, jf = self._pair_eval_jac(X)

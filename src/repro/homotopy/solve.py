@@ -31,7 +31,6 @@ from ..tracker import (
     BatchTracker,
     PathResult,
     PathStatus,
-    PathTracker,
     TrackerOptions,
     greedy_cluster_indices,
     make_predictor,
@@ -405,8 +404,7 @@ def solve(
     rng: np.random.Generator | None = None,
     refine: bool = True,
     rerun_duplicates: bool = True,
-    mode: Literal["per_path", "batch"] = "per_path",
-    start_kind: str | None = None,
+    mode: Literal["per_path", "batch"] = "batch",
     endgame="refine",
     rescue: bool = False,
     kernel: str | None = None,
@@ -420,10 +418,13 @@ def solve(
     the signature of a predictor jumping between close paths — are
     re-tracked with conservatively small steps, PHCpack-style.
 
-    ``mode="batch"`` tracks every path in one structure-of-arrays front
-    (:class:`BatchTracker`): same per-path decisions, a fraction of the
-    Python dispatch overhead.  Duplicate re-runs always use the scalar
-    tracker (they are few and need the tightened options).
+    ``mode`` only says how many rows a front of the one tracker loop
+    (:class:`BatchTracker`) gets: ``"batch"`` (default) tracks every
+    path in one structure-of-arrays front, ``"per_path"`` one path per
+    front — the same decisions and endpoints bit for bit, at several
+    times the Python dispatch overhead, with ``stats.seconds`` each
+    path's exclusive wall time.  Duplicate re-runs and the other
+    re-track rungs travel as one front per rung in either mode.
 
     ``start="polyhedral"`` routes through the polyhedral subsystem: the
     number of tracked paths is the *mixed volume* (BKK bound) instead of
@@ -447,9 +448,7 @@ def solve(
     rerun_duplicates:
         Re-track colliding endpoints with conservative steps.
     mode:
-        ``"per_path"`` (scalar tracker) or ``"batch"`` (SoA front).
-    start_kind:
-        Deprecated alias for ``start`` (kept for older callers).
+        ``"batch"`` (one SoA front) or ``"per_path"`` (one-row fronts).
     endgame:
         Terminal-phase strategy: ``"refine"`` (default — the seed
         Newton sharpen, endpoint statuses and solutions bit-identical
@@ -533,8 +532,8 @@ def solve(
     >>> len(report.singular_solutions)
     1
     """
-    if start_kind is not None:
-        start = start_kind  # legacy spelling
+    if mode not in ("per_path", "batch"):
+        raise ValueError(f"unknown tracking mode {mode!r}")
     tel = current_telemetry()
     own = None
     if trace_paths and tel is None:
@@ -627,57 +626,42 @@ def _solve(
                 )
         if tel is not None:
             tel.count("solve.paths", len(starts))
+        starts_arr = np.asarray(starts, dtype=complex)
+        tracker = BatchTracker(base_options, endgame=strategy)
+        ids = list(range(len(starts)))
+        # mode only says how many rows a front gets: all of them, or one
+        fronts = [ids] if mode == "batch" else [[i] for i in ids]
         with maybe_span(tel, "track", "solve"):
-            if mode == "batch":
-                results = BatchTracker(
-                    base_options, endgame=strategy
-                ).track_batch(homotopy, starts)
-            elif mode == "per_path":
-                results = PathTracker(
-                    base_options, endgame=strategy
-                ).track_many(homotopy, starts)
-            else:
-                raise ValueError(f"unknown tracking mode {mode!r}")
+            results = [
+                r
+                for front in fronts
+                for r in tracker.track_batch(
+                    homotopy, starts_arr[front], path_ids=front
+                )
+            ]
         n_fallback = 0
         if make_predictor(base_options.predictor).error_model:
             with maybe_span(tel, "fallback_retrack", "solve"):
                 n_fallback = _fallback_retrack(
-                    results, starts, homotopy, base_options, strategy
+                    results, starts_arr, homotopy, base_options, strategy
                 )
             if tel is not None and n_fallback:
                 tel.count("solve.fallback_retracked", n_fallback)
         if rerun_duplicates:
             with maybe_span(tel, "retrack_duplicates", "solve"):
-                # in batch mode a whole rung re-tracks as one vectorized
-                # batch (scalar/batch parity makes this a pure wall-time
-                # win); per-path mode keeps the scalar loop
-                starts_arr = np.asarray(starts, dtype=complex)
                 retrack_duplicate_clusters(
                     results,
-                    lambda pid, opts: PathTracker(opts, endgame=strategy).track(
-                        homotopy, starts[pid], path_id=pid
-                    ),
+                    lambda pids, opts: BatchTracker(
+                        opts, endgame=strategy
+                    ).track_batch(homotopy, starts_arr[pids], path_ids=pids),
                     _tightened,
                     base_options,
-                    retrack_batch=(
-                        (
-                            lambda pids, opts: BatchTracker(
-                                opts, endgame=strategy
-                            ).track_batch(
-                                homotopy, starts_arr[pids], path_ids=pids
-                            )
-                        )
-                        if mode == "batch"
-                        else None
-                    ),
                 )
         n_rescued = 0
         if rescue:
             with maybe_span(tel, "rescue", "solve"):
                 results, n_rescued = rescue_diverged(
-                    PathTracker(base_options, endgame=strategy),
-                    homotopy,
-                    results,
+                    tracker, homotopy, results
                 )
         if refine:
             with maybe_span(tel, "refine", "solve"):

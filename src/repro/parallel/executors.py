@@ -17,8 +17,10 @@ correctness tests and when the homotopy is cheap relative to process
 startup.  ``mode="serial"`` is the 1-CPU baseline sharing the same code
 path.
 
-Beyond the paper's axis (paths x workers), two modes exploit the
-structure-of-arrays tracker (:class:`~repro.tracker.BatchTracker`):
+Every worker runs the one tracker loop
+(:class:`~repro.tracker.BatchTracker`); the per-path modes above hand it
+one-row fronts, so a path's seconds are its exclusive wall time.  Beyond
+the paper's axis (paths x workers), two modes make the fronts wide:
 
 - **batch** — one process advances *all* paths as a single vectorized
   front; no inter-process coordination at all, the speedup comes from
@@ -51,7 +53,6 @@ from ..tracker import (
     BatchTracker,
     HomotopyFunction,
     PathResult,
-    PathTracker,
     TrackerOptions,
 )
 
@@ -85,8 +86,7 @@ def load_imbalance(busy_seconds) -> float:
 # Module-level worker state: set once per worker process by the initializer
 # so the homotopy is pickled once, not per path.
 _WORKER_HOMOTOPY: HomotopyFunction | None = None
-_WORKER_TRACKER: PathTracker | None = None
-_WORKER_BATCH_TRACKER: BatchTracker | None = None
+_WORKER_TRACKER: BatchTracker | None = None
 
 WorkerKey = Tuple[int, int]
 
@@ -97,17 +97,15 @@ def _worker_key() -> WorkerKey:
 
 
 def _init_worker(homotopy: HomotopyFunction, options: TrackerOptions) -> None:
-    global _WORKER_HOMOTOPY, _WORKER_TRACKER, _WORKER_BATCH_TRACKER
+    global _WORKER_HOMOTOPY, _WORKER_TRACKER
     _WORKER_HOMOTOPY = homotopy
-    _WORKER_TRACKER = PathTracker(options)
-    _WORKER_BATCH_TRACKER = BatchTracker(options)
+    _WORKER_TRACKER = BatchTracker(options)
 
 
 def _track_one(args) -> tuple[int, PathResult, float, WorkerKey]:
-    path_id, start = args
-    t0 = time.perf_counter()
-    result = _WORKER_TRACKER.track(_WORKER_HOMOTOPY, start, path_id=path_id)
-    return path_id, result, time.perf_counter() - t0, _worker_key()
+    """Track one path: a one-row block."""
+    [(path_id, result)], busy, key = _track_batch_block([args])
+    return path_id, result, busy, key
 
 
 def _track_chunk(args) -> List[tuple[int, PathResult, float, WorkerKey]]:
@@ -117,11 +115,11 @@ def _track_chunk(args) -> List[tuple[int, PathResult, float, WorkerKey]]:
 def _track_batch_block(
     args,
 ) -> tuple[List[tuple[int, PathResult]], float, WorkerKey]:
-    """Track one block of paths as a single SoA front (hybrid mode)."""
+    """Track one block of paths as a single SoA front."""
     path_ids = [pid for pid, _ in args]
     starts = [start for _, start in args]
     t0 = time.perf_counter()
-    results = _WORKER_BATCH_TRACKER.track_batch(
+    results = _WORKER_TRACKER.track_batch(
         _WORKER_HOMOTOPY, starts, path_ids=path_ids
     )
     busy = time.perf_counter() - t0

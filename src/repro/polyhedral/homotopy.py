@@ -20,8 +20,8 @@ regular at ``t = 0`` (no fractional-power singularity).
 :class:`~repro.tracker.HomotopyFunction` and the structure-of-arrays
 :class:`~repro.tracker.BatchHomotopy` — so a cell's whole start batch
 advances through the existing :class:`~repro.tracker.BatchTracker`
-front, and stragglers re-run through the scalar
-:class:`~repro.tracker.PathTracker` with conservative options.
+front, and stragglers re-run as fronts of their own with conservative
+options (across cells: a :class:`~repro.tracker.StackedHomotopy`).
 
 :class:`PolyhedralStart` packages the pipeline end to end: subdivision,
 generic system, per-cell tracking, and the start points that
@@ -44,7 +44,7 @@ from ..tracker import (
     BatchTracker,
     HomotopyFunction,
     PathResult,
-    PathTracker,
+    StackedHomotopy,
     TrackerOptions,
     retrack_duplicate_clusters,
 )
@@ -392,8 +392,8 @@ class PolyhedralStart:
         Returns ``(starts, results)``: a ``(mixed_volume, n)`` array of
         solutions of the generic system (one per path, cells
         concatenated in order) plus the per-path phase-1 results.
-        Failed paths are retried once with conservative scalar options
-        — unless the endgame already classified them (a Cauchy-measured
+        Failed paths are retried once, cell by cell, with conservative
+        options — unless the endgame already classified them (a Cauchy-measured
         singular endpoint is a verdict, not a numerical accident, so
         requeueing it cannot help) — and colliding endpoints, a
         predictor jump between close paths which would silently lose a
@@ -405,42 +405,52 @@ class PolyhedralStart:
         """
         opts = options or TrackerOptions()
         tracker = BatchTracker(opts, endgame=endgame)
+        retry = BatchTracker(_tightened(opts), endgame=endgame)
         all_starts: List[np.ndarray] = []
         all_results: List[PathResult] = []
-        path_homotopy: List[CellHomotopy] = []
+        homotopies: List[CellHomotopy] = []
+        path_cell: List[int] = []
         path_seed: List[np.ndarray] = []
         self.phase1_failures = 0
-        offset = 0
         for cell in self.subdivision.cells:
             homotopy = self.cell_homotopy(cell)
-            seeds = self.cell_starts(cell)
-            results = tracker.track_batch(
-                homotopy, seeds, path_ids=list(range(offset, offset + len(seeds)))
-            )
-            for k, result in enumerate(results):
-                if not result.success and not result.endgame_classified:
-                    retry = PathTracker(_tightened(opts), endgame=endgame).track(
-                        homotopy, seeds[k], path_id=result.path_id
-                    )
-                    if retry.success:
-                        results[k] = retry
+            seeds = np.asarray(self.cell_starts(cell), dtype=complex)
+            ids = list(range(len(path_seed), len(path_seed) + len(seeds)))
+            results = tracker.track_batch(homotopy, seeds, path_ids=ids)
+            failed = [
+                k for k, r in enumerate(results)
+                if not r.success and not r.endgame_classified
+            ]
+            if failed:
+                retried = retry.track_batch(
+                    homotopy, seeds[failed], path_ids=[ids[k] for k in failed]
+                )
+                for k, redo in zip(failed, retried):
+                    if redo.success:
+                        results[k] = redo
             all_results.extend(results)
-            path_homotopy.extend([homotopy] * len(seeds))
-            path_seed.extend(np.asarray(s, dtype=complex) for s in seeds)
-            offset += len(seeds)
+            path_cell.extend([len(homotopies)] * len(seeds))
+            homotopies.append(homotopy)
+            path_seed.extend(seeds)
+
+        def retrack(pids, o):
+            # one front across cells: the members are the cells in play
+            cells = sorted({path_cell[pid] for pid in pids})
+            member = {c: k for k, c in enumerate(cells)}
+            stack = StackedHomotopy(
+                [homotopies[c] for c in cells],
+                [member[path_cell[pid]] for pid in pids],
+            )
+            return BatchTracker(o, endgame=endgame).track_batch(
+                stack, [path_seed[pid] for pid in pids], path_ids=pids
+            )
+
         # endpoint collisions: re-track whole clusters with tighter steps
         # (all_results is ordered by path id, so ids index the lists);
         # the generic system has mixed_volume distinct regular roots, so
         # a collision here is always a predictor jump — the shared
         # escalation loop stops when a round reproduces every endpoint
-        retrack_duplicate_clusters(
-            all_results,
-            lambda pid, o: PathTracker(o, endgame=endgame).track(
-                path_homotopy[pid], path_seed[pid], path_id=pid
-            ),
-            _tightened,
-            opts,
-        )
+        retrack_duplicate_clusters(all_results, retrack, _tightened, opts)
         for pid, result in enumerate(all_results):
             if result.success and np.all(np.isfinite(result.solution)):
                 all_starts.append(result.solution)

@@ -38,7 +38,6 @@ from ..tracker import (
     HomotopyFunction,
     PathResult,
     PathStatus,
-    PathTracker,
     TrackerOptions,
     retrack_duplicate_clusters,
     tighten_options,
@@ -212,7 +211,7 @@ def continue_to_instance(
     target: PieriInstance,
     options: TrackerOptions | None = None,
     rng: np.random.Generator | None = None,
-    mode: Literal["per_path", "batch"] = "per_path",
+    mode: Literal["per_path", "batch"] = "batch",
 ) -> tuple[List[np.ndarray], List[PathResult]]:
     """Track a solved instance's solutions to a new instance.
 
@@ -220,9 +219,10 @@ def continue_to_instance(
     the standard chart.  Only ``d(m, p, q)`` paths are tracked — compare
     with the full tree's job count for the offline/online cost split.
 
-    ``mode="batch"`` tracks all paths as one structure-of-arrays front
-    (the homotopy's native batch protocol); ``"per_path"`` is the scalar
-    baseline.  Per-path decisions are identical either way.
+    ``mode="batch"`` (default) tracks all paths as one structure-of-
+    arrays front (the homotopy's native batch protocol); ``"per_path"``
+    one path per front.  Decisions and endpoints are identical either
+    way, bit for bit.
 
     An endpoint whose chart normalization hits a zero pivot (the
     solution fits a child pattern — non-generic target data) is recorded
@@ -240,22 +240,22 @@ def continue_to_instance(
         homotopy.from_matrix(np.asarray(sol, dtype=complex))
         for sol in start_solutions
     ]
-    if mode == "batch":
-        raw = BatchTracker(opts).track_batch(homotopy, x0s)
-    else:
-        tracker = PathTracker(opts)
-        raw = [
-            tracker.track(homotopy, x0, path_id=k)
-            for k, x0 in enumerate(x0s)
-        ]
+    ids = list(range(len(x0s)))
+    # mode only says how many rows a front gets: all of them, or one
+    fronts = [ids] if mode == "batch" else [[k] for k in ids]
+    tracker = BatchTracker(opts)
+    raw = [
+        r
+        for front in fronts
+        for r in tracker.track_batch(
+            homotopy, [x0s[k] for k in front], path_ids=front
+        )
+    ]
     # endpoint collisions would silently merge two feedback laws: the
     # deformation's endpoints are provably distinct, so a collision is a
     # predictor jump — separate it through the shared escalation loop
     retrack_duplicate_clusters(
-        raw,
-        lambda pid, o: PathTracker(o).track(homotopy, x0s[pid], path_id=pid),
-        tighten_options,
-        opts,
+        raw, _front_retrack(homotopy, x0s), tighten_options, opts
     )
     solutions: List[np.ndarray] = []
     results: List[PathResult] = []
@@ -270,6 +270,14 @@ def continue_to_instance(
                 solutions.append(matrix)
         results.append(result)
     return solutions, results
+
+
+def _front_retrack(homotopy, x0s):
+    """The re-track callback of the duplicate escalation: one rung's
+    paths of ``homotopy`` as one front."""
+    return lambda pids, options: BatchTracker(options).track_batch(
+        homotopy, [x0s[pid] for pid in pids], path_ids=pids
+    )
 
 
 class PieriParameterStack(_BatchSlices, StackedHomotopy):
@@ -386,12 +394,7 @@ def continue_to_instances(
             for pid, result in enumerate(raw[k * d : (k + 1) * d])
         ]
         raw[k * d : (k + 1) * d] = retrack_duplicate_clusters(
-            group,
-            lambda pid, o, m=member: PathTracker(o).track(
-                m, x0s_one[pid], path_id=pid
-            ),
-            tighten_options,
-            opts,
+            group, _front_retrack(member, x0s_one), tighten_options, opts
         )
     out: List[tuple[List[np.ndarray], List[PathResult]]] = []
     for k, member in enumerate(members):

@@ -8,15 +8,14 @@ scheduler in :mod:`repro.parallel` drive *exactly the same computation* —
 only the order differs, which is what makes the sequential/parallel
 agreement tests meaningful.
 
-Two tracking modes share those hooks.  ``solve(mode="per_path")`` is the
-paper's unit of work: one scalar tracker call per edge.
-``solve(mode="batch")`` exploits that every edge at tree level ``n`` has
-the same shape (``dim == n``): a whole level's edges are stacked into one
-:class:`~repro.tracker.StackedHomotopy` and advanced by the SoA
-:class:`~repro.tracker.BatchTracker` as a single front
-(:meth:`PieriSolver.run_jobs_batched`), with the retry ladder and
-chart-switch continuation reworked as batch-aware requeues.  Per-path
-decisions are identical in both modes, so the solution sets agree.
+Every edge is tracked by :meth:`PieriSolver.run_jobs_batched`: same-level
+edges share a shape (``dim == level``), so any number of them stack into
+one :class:`~repro.tracker.StackedHomotopy` front of the SoA
+:class:`~repro.tracker.BatchTracker`, with the chart-switch continuation
+and the retry ladder as requeued fronts.  ``solve(mode=...)`` only says how
+many rows a front gets: ``"batch"`` a whole tree level, ``"per_path"`` one
+edge (the paper's unit of work, depth first).  A row is tracked the same
+whatever rows travel with it, so the solution sets agree.
 """
 
 from __future__ import annotations
@@ -33,11 +32,9 @@ from ..tracker import (
     BatchTracker,
     PathResult,
     PathStatus,
-    PathTracker,
     StackedHomotopy,
     TrackerOptions,
     greedy_cluster_indices,
-    track_with_rescue,
 )
 from ..tracker.rescue import fold_rescued_effort, keep_rescue
 from .homotopy import (
@@ -199,13 +196,14 @@ class PieriSolver:
     >>> report.max_residual() < 1e-8 and report.all_distinct()
     True
 
-    ``mode="batch"`` tracks whole tree levels as stacked SoA fronts and
-    finds the same solutions:
+    That tracked whole tree levels as stacked SoA fronts (one record per
+    level in ``level_batches``); ``mode="per_path"`` tracks one edge per
+    front, depth first, and finds the same solutions:
 
-    >>> batch = PieriSolver(instance, seed=2).solve(mode="batch")
-    >>> batch.n_solutions == report.n_solutions
+    >>> len(report.level_batches) == instance.problem.num_conditions
     True
-    >>> len(batch.level_batches) == instance.problem.num_conditions
+    >>> per_path = PieriSolver(instance, seed=2).solve(mode="per_path")
+    >>> per_path.n_solutions == report.n_solutions
     True
     """
 
@@ -228,7 +226,7 @@ class PieriSolver:
     ) -> None:
         self.instance = instance
         self.problem = instance.problem
-        self.tracker = PathTracker(options or self.DEFAULT_OPTIONS)
+        self.tracker = BatchTracker(options or self.DEFAULT_OPTIONS)
         self.seed = int(seed)
 
     # ------------------------------------------------------------------
@@ -246,7 +244,7 @@ class PieriSolver:
         ignored: retrying a *single* edge with fresh gammas would break the
         per-node bijection (its endpoint could collide with a sibling's).
         Failed paths are retried with tighter tracking of the *same*
-        homotopy instead (see :meth:`run_job`).
+        homotopy instead (see :meth:`run_jobs_batched`).
         """
         del attempt
         pattern = node.pattern()
@@ -301,42 +299,9 @@ class PieriSolver:
             max_steps=base.max_steps * (attempt + 1),
         )
 
-    def _retry_tracker(self, attempt: int) -> PathTracker:
-        """A scalar tracker with the attempt's tightened options (same
-        endgame strategy as the main tracker)."""
-        return PathTracker(
-            self._retry_options(attempt), endgame=self.tracker.endgame
-        )
-
     def run_job(self, job: PieriJob) -> PieriJobResult:
-        """Track one edge and normalize the endpoint to the standard chart.
-
-        Apparent divergence routes through the tracker-level rescue
-        pipeline (:func:`~repro.tracker.track_with_rescue`): the edge
-        homotopy's :meth:`~repro.schubert.homotopy.PieriEdgeHomotopy.
-        rescale_patch` re-pins the chart and the same geometric path is
-        resumed from its reached ``t``.  Remaining failures are retried
-        with tighter tracking of the *same* homotopy (same gamma twists)
-        so the per-node start/endpoint bijection that guarantees
-        distinct solutions is never violated; endpoints the endgame
-        already classified (e.g. a Cauchy-measured singularity) are not
-        retried — the verdict stands.
-        """
-        homotopy = self.make_homotopy(job.node)
-        x0 = homotopy.start_vector(job.start_matrix)
-        result, homotopy = track_with_rescue(self.tracker, homotopy, x0)
-        for attempt in range(1, self.MAX_RETRIES + 1):
-            if result.success or result.endgame_classified:
-                break
-            result = self._retry_tracker(attempt).track(homotopy, x0)
-        if not result.success:
-            return PieriJobResult(job, result, None)
-        matrix = homotopy.to_matrix(result.solution)
-        try:
-            matrix = normalize_to_standard_chart(matrix, job.node.pattern())
-        except ZeroDivisionError:
-            return PieriJobResult(job, result, None)
-        return PieriJobResult(job, result, matrix)
+        """Track one edge: the one-row case of :meth:`run_jobs_batched`."""
+        return self.run_jobs_batched([job])[0][0]
 
     def expand(self, result: PieriJobResult) -> List[PieriJob]:
         """New jobs enabled by a finished one (the master's generate step)."""
@@ -353,24 +318,28 @@ class PieriSolver:
     def run_jobs_batched(
         self, jobs: Sequence[PieriJob]
     ) -> Tuple[List[PieriJobResult], Dict[str, int]]:
-        """Track many same-level edges as one stacked batch.
+        """Track same-level edges as one stacked front, then normalize
+        each endpoint to the standard chart.
 
         All jobs must share a tree level, so their edge homotopies share
         a shape (``dim == level``) and stack into one
         :class:`~repro.tracker.StackedHomotopy` front.  Edges into the
         same poset node reuse one homotopy object (identical gamma
-        twists), exactly as :meth:`run_job` builds them, so the
-        start/endpoint bijection that keeps solutions distinct is
-        preserved.  The scalar driver's failure handling is reworked as
-        batch-aware requeues:
+        twists, see :meth:`_edge_rng`), so the start/endpoint bijection
+        that keeps solutions distinct is preserved.  Failures are
+        requeued as fronts of their own:
 
-        - apparently divergent paths are re-pinned and *resumed* in a
-          rescaled chart, each from its own reached ``t`` (the
-          chart-switch continuation, stacked per target chart);
+        - apparently divergent paths are re-pinned through the edge
+          homotopy's :meth:`~repro.schubert.homotopy.PieriEdgeHomotopy.
+          rescale_patch` and *resumed* in the rescaled chart, each from
+          its own reached ``t`` (the chart-switch continuation, stacked
+          per target chart);
         - remaining failures are re-tracked from their start points with
           the progressively tighter retry options, as one stacked batch
           per attempt, against the *original* homotopies (fresh gammas
-          would break the bijection).
+          would break the bijection); endpoints the endgame already
+          classified (e.g. a Cauchy-measured singularity) are not
+          retried — the verdict stands.
 
         Returns one :class:`PieriJobResult` per job, in input order,
         plus a stats dict (``n_jobs``, ``n_homotopies``,
@@ -402,8 +371,7 @@ class PieriSolver:
             members[k].start_vector(job.start_matrix)
             for k, job in zip(owners, jobs)
         ]
-        tracker = BatchTracker(self.tracker.options, endgame=self.tracker.endgame)
-        results = tracker.track_batch(StackedHomotopy(members, owners), x0)
+        results = self.tracker.track_batch(StackedHomotopy(members, owners), x0)
         homs: List[PieriEdgeHomotopy] = [members[k] for k in owners]
         stats = {
             "n_jobs": len(jobs),
@@ -445,16 +413,16 @@ class PieriSolver:
             sw_t.append(r.stats.t_reached)
         if sw_paths:
             stats["chart_switches"] = len(sw_paths)
-            resumed = tracker.track_batch(
+            resumed = self.tracker.track_batch(
                 StackedHomotopy(sw_members, sw_owner),
                 sw_x,
                 path_ids=[results[i].path_id for i in sw_paths],
                 t_start=np.array(sw_t),
             )
             for i, k, rr in zip(sw_paths, sw_owner, resumed):
-                # same finalize/keep/fold sequence as the scalar rescue
-                # pipeline, so the two drivers cannot disagree on a
-                # rescued verdict, its coordinates, or its stats
+                # same finalize/keep/fold sequence as rescue_diverged,
+                # so the two drivers cannot disagree on a rescued
+                # verdict, its coordinates, or its stats
                 rr = sw_members[k].finalize_rescued(rr)
                 if keep_rescue(rr):
                     results[i] = fold_rescued_effort(rr, results[i])
@@ -484,7 +452,7 @@ class PieriSolver:
                 results[i] = rr
                 homs[i] = members[owners[i]]
 
-        # --- normalize endpoints to the standard chart, as run_job does
+        # --- normalize endpoints to the standard chart
         out: List[PieriJobResult] = []
         for job, r, hom in zip(jobs, results, homs):
             if not r.success:
@@ -502,17 +470,19 @@ class PieriSolver:
     # ------------------------------------------------------------------
     def solve(
         self,
-        mode: Literal["per_path", "batch"] = "per_path",
+        mode: Literal["per_path", "batch"] = "batch",
         cache=None,
     ) -> PieriReport:
         """Sequential solve of the whole tree.
 
-        ``per_path`` runs the depth-first scalar driver (one tracked
-        path per call, the paper's unit of work); ``batch`` runs the
-        tree level-synchronously, tracking every edge of a level as one
-        stacked structure-of-arrays front and recording per-level batch
-        stats in ``report.level_batches``.  Both modes build identical
-        homotopies, so the solution sets agree.
+        ``batch`` (default) runs the tree level-synchronously, tracking
+        every edge of a level as one stacked structure-of-arrays front
+        and recording per-level batch stats in ``report.level_batches``;
+        ``per_path`` runs it depth first, one edge per front (the
+        paper's unit of work, several times the Python overhead per
+        path).  Both modes build identical homotopies and a row is
+        tracked the same whatever travels with it, so the solution sets
+        agree.
 
         ``cache`` (an :class:`~repro.artifacts.ArtifactStore`, a path,
         or ``True`` for the ``$REPRO_ARTIFACT_STORE`` default) turns on
@@ -537,11 +507,7 @@ class PieriSolver:
             report = self._solve_warm(store, mode)
             if report is not None:
                 return report
-        report = (
-            self._solve_batched()
-            if mode == "batch"
-            else self._solve_per_path()
-        )
+        report = self._solve_tree(mode)
         if store is not None:
             from ..artifacts import pieri_key, store_pieri_generic
 
@@ -620,59 +586,38 @@ class PieriSolver:
         }
         return report
 
-    def _solve_per_path(self) -> PieriReport:
-        """Depth-first scalar solve (the ``mode="per_path"`` body)."""
+    def _solve_tree(self, mode: str) -> PieriReport:
+        """Ab-initio solve of the whole tree; ``mode`` only says how many
+        edges a front gets: a whole level (``"batch"``, level-synchronous)
+        or one (``"per_path"``, depth first, each edge timed on its own)."""
         t_start = time.perf_counter()
         report = PieriReport(self.instance)
-        stack = self.initial_jobs()
-        while stack:
-            job = stack.pop()
-            t0 = time.perf_counter()
-            result = self.run_job(job)
-            dt = time.perf_counter() - t0
-            lvl = job.level
-            report.jobs_per_level[lvl] = report.jobs_per_level.get(lvl, 0) + 1
-            report.seconds_per_level[lvl] = (
-                report.seconds_per_level.get(lvl, 0.0) + dt
-            )
-            if not result.success:
-                report.failures += 1
-                continue
-            if job.node.is_leaf():
-                report.solutions.append(result.matrix)
+        pending = self.initial_jobs()
+        while pending:
+            if mode == "batch":
+                front, pending = pending, []
             else:
-                stack.extend(self.expand(result))
-        report.total_seconds = time.perf_counter() - t_start
-        return report
-
-    def _solve_batched(self) -> PieriReport:
-        """Level-synchronous solve: one stacked batch per tree level."""
-        t_start = time.perf_counter()
-        report = PieriReport(self.instance)
-        frontier = self.initial_jobs()
-        while frontier:
-            lvl = frontier[0].level
+                front = [pending.pop()]
+            lvl = front[0].level
             t0 = time.perf_counter()
-            results, stats = self.run_jobs_batched(frontier)
+            results, stats = self.run_jobs_batched(front)
             dt = time.perf_counter() - t0
             report.jobs_per_level[lvl] = (
-                report.jobs_per_level.get(lvl, 0) + len(frontier)
+                report.jobs_per_level.get(lvl, 0) + len(front)
             )
             report.seconds_per_level[lvl] = (
                 report.seconds_per_level.get(lvl, 0.0) + dt
             )
-            report.level_batches.append(
-                {"level": lvl, "seconds": dt, **stats}
-            )
-            nxt: List[PieriJob] = []
+            if mode == "batch":
+                report.level_batches.append(
+                    {"level": lvl, "seconds": dt, **stats}
+                )
             for result in results:
                 if not result.success:
                     report.failures += 1
-                    continue
-                if result.job.node.is_leaf():
+                elif result.job.node.is_leaf():
                     report.solutions.append(result.matrix)
                 else:
-                    nxt.extend(self.expand(result))
-            frontier = nxt
+                    pending.extend(self.expand(result))
         report.total_seconds = time.perf_counter() - t_start
         return report

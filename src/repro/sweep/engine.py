@@ -20,12 +20,12 @@ Schedules:
   ``benchmarks/bench_sweep.py``).
 
 Polynomial-system jobs route through :func:`repro.homotopy.solve` with
-``mode="batch"`` (the structure-of-arrays tracker) and the job's
+``mode="batch"`` (one structure-of-arrays front) and the job's
 start-system strategy — ``total_degree``, ``linear_product``, or
 ``polyhedral``, which tracks one path per unit of mixed volume; Pieri
-jobs run the tree solver per instance, either edge by edge
+jobs run the tree solver per instance, with one edge per front
 (``mode="per_path"``) or with whole tree levels tracked as stacked SoA
-batches (``mode="batch"``, journaling the per-level batch stats).
+fronts (``mode="batch"``, journaling the per-level batch stats).
 Workers self-report busy seconds and identity, exactly like
 :mod:`repro.parallel.executors`.
 """

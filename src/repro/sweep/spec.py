@@ -81,10 +81,11 @@ JOB_KINDS: Dict[str, tuple] = {
 #: its own start mechanism).
 START_KINDS = ("total_degree", "linear_product", "polyhedral")
 
-#: Tracking modes for Pieri jobs: ``per_path`` drives the scalar tracker
-#: edge by edge, ``batch`` tracks whole tree levels as stacked SoA
-#: fronts (:meth:`repro.schubert.solver.PieriSolver.solve`).  Polynomial
-#: jobs always run the batch tracker and take no mode.
+#: Tracking modes for Pieri jobs — how many edges a front gets:
+#: ``per_path`` one (depth first, the paper's unit of work), ``batch``
+#: a whole tree level as one stacked SoA front
+#: (:meth:`repro.schubert.solver.PieriSolver.solve`).  Polynomial jobs
+#: always track one wide front and take no mode.
 PIERI_MODES = ("per_path", "batch")
 
 #: Endgame strategies for polynomial-system jobs (the choices

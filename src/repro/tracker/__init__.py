@@ -1,15 +1,16 @@
 """Predictor-corrector path tracking (PHCpack's continuation, in Python).
 
-Two tracker front-ends share the same options and result records:
+One tracker loop, two names for how many rows a front gets:
 
-- :class:`PathTracker` — one path at a time (the paper's unit of work).
 - :class:`BatchTracker` — N paths as a structure-of-arrays front, one
   vectorized numpy call per predictor/corrector stage.
+- :class:`PathTracker` — one path at a time (the paper's unit of work):
+  a one-row front through the same loop, bit for bit the row that path
+  would be in a wider front.
 
-Both consume any homotopy implementing the :class:`HomotopyFunction`
+The loop consumes any homotopy implementing the :class:`HomotopyFunction`
 protocol (``evaluate`` / ``jacobian_x`` / ``jacobian_t`` and ``dim``);
-scalar-only homotopies batch through :class:`ScalarBatchAdapter`, and
-per-path decisions are bit-identical between the two front-ends.  A batch
+scalar-only homotopies batch through :class:`ScalarBatchAdapter`.  A batch
 need not track one homotopy from many starts: :class:`StackedHomotopy`
 stacks *distinct same-shape* homotopies (e.g. every Pieri edge of one
 tree level) into a single structure-of-arrays front.
@@ -53,7 +54,7 @@ from .predictor import (
     PredictorState,
     make_predictor,
 )
-from .rescue import rescue_diverged, track_with_rescue
+from .rescue import rescue_diverged
 from .result import (
     PathResult,
     PathStatus,
@@ -86,7 +87,6 @@ __all__ = [
     "retrack_duplicate_clusters",
     "tighten_options",
     "summarize_results",
-    "track_with_rescue",
     "rescue_diverged",
     "PathTracker",
     "BatchTracker",

@@ -11,10 +11,12 @@ path cost over MPI ranks, the batch tracker amortizes Python and numpy
 dispatch overhead over paths, and the two compose (see
 ``mode="hybrid"`` in :func:`repro.parallel.track_paths_parallel`).
 
-Semantics are path-by-path identical to :class:`~repro.tracker.tracker.
-PathTracker`: each path keeps its own adaptive step size, so the decisions
-it makes (accept/reject, expand/shrink, diverge, fail) depend only on its
-own history, and the batch runs them in lockstep sweeps.  Paths that
+This is the one predictor-corrector loop of the package: each path keeps
+its own adaptive step size, so the decisions it makes (accept/reject,
+expand/shrink, diverge, fail) depend only on its own history — a row is
+tracked bit for bit the same whatever rows travel with it — and the batch
+runs them in lockstep sweeps.  :class:`~repro.tracker.tracker.PathTracker`
+is the one-row case.  Paths that
 finish — converged to t=1, diverged past the bound, or failed on step
 underflow — are *culled* from the front, so late sweeps run on ever
 smaller batches.  The endgame (sharpening at t=1) is deferred and run once
@@ -25,7 +27,8 @@ share batched kernel calls, so per-path ``stats.seconds`` is *amortized*
 — each sweep's wall-clock cost is split evenly over the paths live in
 the front for that sweep (plus their share of the start-point check and
 the endgame batch).  Per-path seconds are therefore comparable across
-batch sizes, and they sum to the batch's wall clock.
+batch sizes, they sum to the batch's wall clock, and a one-row front's
+are that path's exclusive wall time.
 
 With ``options.trace_paths`` set and an ambient
 :class:`~repro.telemetry.Telemetry` context active, the tracker
@@ -47,7 +50,6 @@ from .newton import _solve_batch, batch_newton_correct
 from .predictor import (
     make_predictor,
     resolve_fail_fast,
-    resolve_frozen,
     resolve_loose_tol,
     resolve_recycle,
     resolve_update_tol,
@@ -73,10 +75,10 @@ _CODE_BY_STATUS = {s: c for c, s in _STATUS_BY_CODE.items()}
 class BatchTracker:
     """Tracks batches of solution paths from t=0 to t=1 as one SoA front.
 
-    ``endgame`` picks the terminal-phase strategy (``None`` / a name /
-    an :class:`~repro.endgame.EndgameStrategy` instance), exactly as on
-    the scalar :class:`~repro.tracker.tracker.PathTracker`; the whole
-    surviving front is finished by one
+    ``endgame`` picks the terminal-phase strategy: ``None`` (the default
+    :class:`~repro.endgame.RefineEndgame`), a name (``"refine"`` /
+    ``"cauchy"``), or an :class:`~repro.endgame.EndgameStrategy`
+    instance; the whole surviving front is finished by one
     :meth:`~repro.endgame.EndgameStrategy.finish_batch` call.
     """
 
@@ -143,6 +145,12 @@ class BatchTracker:
         had reached.  Returns one :class:`PathResult` per start, in
         input order.
         """
+        return self._traced(homotopy, starts, path_ids, t_start)
+
+    def _traced(self, homotopy, starts, path_ids, t_start) -> List[PathResult]:
+        """The body behind both public names, ``track_batch`` and
+        :meth:`PathTracker.track <repro.tracker.tracker.PathTracker.track>`
+        (a traced call of either opens one span)."""
         tel = current_telemetry() if self.options.trace_paths else None
         if tel is None:
             return self._track_batch(homotopy, starts, path_ids, t_start, None)
@@ -196,7 +204,6 @@ class BatchTracker:
         update_tol = resolve_update_tol(opts, pred)
         loose_tol = resolve_loose_tol(opts, pred)
         fail_fast = resolve_fail_fast(opts, pred)
-        frozen = resolve_frozen(opts, pred)
         # per-call predictor history (secant/Hermite memory), seeded with
         # the uncorrected starts — a requeued/resumed batch (chart-switch
         # continuation with per-path t_start) begins with *empty* history
@@ -234,8 +241,8 @@ class BatchTracker:
         jac_evals += check.jac_evaluations
         bad = np.flatnonzero(~check.converged)
         classify(bad, PathStatus.FAILED, check.residual[bad])
-        # failed paths keep their original start point (as PathTracker does);
-        # only converged paths adopt the corrected one
+        # failed paths keep their original start point; only converged
+        # paths adopt the corrected one
         X[check.converged] = check.x[check.converged]
         if recycle:
             re_ok[:] = check.jac_current
@@ -255,29 +262,35 @@ class BatchTracker:
                 run = np.flatnonzero(state == _RUNNING)
                 if run.size == 0:
                     break
-            dt = np.minimum(step[run], 1.0 - T[run])
-            t_new = T[run] + dt
+            # the running rows, as an index into the front's arrays.
+            # While no row has left the front that is a slice (views,
+            # no gathers) and ``restrict`` would be the identity
+            whole = run.size == n
+            live = slice(None) if whole else run
+            bh_run = bh if whole else bh.restrict(run)
+            X_run, T_run = X[live], T[live]
+            dt = np.minimum(step[live], 1.0 - T_run)
+            t_new = T_run + dt
 
             # --- predict: batched tangent (recycled J_x where valid),
             # predictor-strategy point guess with secant fallback
-            bh_run = bh.restrict(run)
             with maybe_span(tel, "tangent", "predictor"):
-                if recycle and np.any(re_ok[run]):
-                    hit = re_ok[run]
+                hit = re_ok[live] if recycle else None
+                if recycle and hit.any():
                     tangent, ok = self._tangents(
-                        bh_run, X[run], T[run], jac=re_jac[run], jac_ok=hit
+                        bh_run, X_run, T_run, jac=re_jac[live], jac_ok=hit
                     )
-                    recycled[run[hit]] += 1
-                    jac_evals[run[~hit]] += 1
+                    recycled[live] += hit
+                    jac_evals[live] += ~hit
                     if tel is not None:
                         tel.count(
                             "tracker.tangents_recycled", int(hit.sum())
                         )
                 else:
-                    tangent, ok = self._tangents(bh_run, X[run], T[run])
-                    jac_evals[run] += 1
+                    tangent, ok = self._tangents(bh_run, X_run, T_run)
+                    jac_evals[live] += 1
                 x_pred = pred.predict(
-                    pstate, run, X[run], T[run], dt, tangent, ok
+                    pstate, run, X_run, T_run, dt, tangent, ok
                 )
 
             # --- correct
@@ -292,26 +305,25 @@ class BatchTracker:
                     update_tol=update_tol,
                     loose_tol=loose_tol,
                     fail_fast=fail_fast,
-                    frozen=frozen,
                 )
-            newton[run] += corr.iterations
-            jac_evals[run] += corr.jac_evaluations
+            newton[live] += corr.iterations
+            jac_evals[live] += corr.jac_evaluations
 
             conv = corr.converged
             err_all = None
-            if pred.error_model and np.any(conv):
+            if pred.error_model and conv.any():
                 # suspected path jump: the corrector converged, but to a
                 # point far beyond what the prediction's error model can
                 # explain — almost certainly a neighboring path's basin.
                 # Rejecting here costs one retry at a smaller step and
                 # saves the whole endpoint-collision retracking rung the
                 # jump would otherwise trigger
-                err_all = np.max(np.abs(corr.x - x_pred), axis=1)
+                err_all = np.abs(corr.x - x_pred).max(axis=1)
                 jump = conv & (
                     err_all
                     > opts.predictor_jump_factor * opts.predictor_target_error
                 )
-                if np.any(jump):
+                if jump.any():
                     conv = conv & ~jump
                     if tel is not None:
                         tel.count("tracker.jump_rejections", int(jump.sum()))
@@ -369,9 +381,12 @@ class BatchTracker:
                         step[grow] * opts.expand, opts.max_step
                     )
                     easy[grow] = 0
-                norms = np.max(np.abs(X[acc]), axis=1)
+                norms = np.abs(X[acc]).max(axis=1)
                 div = norms > opts.divergence_bound
-                classify(acc[div], PathStatus.DIVERGED, corr.residual[conv][div])
+                if div.any():
+                    classify(
+                        acc[div], PathStatus.DIVERGED, corr.residual[conv][div]
+                    )
                 # survivors that reached t=1 leave the front for the endgame
                 done = (~div) & (T[acc] >= 1.0)
                 state[acc[done]] = _ENDGAME

@@ -1,17 +1,15 @@
 """Newton correctors.
 
-Three flavours: a corrector against a :class:`HomotopyFunction` at fixed t
-(the inner loop of the path tracker), a structure-of-arrays corrector
-against a :class:`BatchHomotopy` that runs the same iteration on a whole
-batch of paths with one stacked ``np.linalg.solve`` per sweep, and a root
-refiner for plain :class:`~repro.polynomials.PolynomialSystem` objects
-(used by endgames and by tests to sharpen solutions to near machine
-precision).
+One structure-of-arrays corrector against a :class:`BatchHomotopy`
+(:func:`batch_newton_correct`: the inner loop of the path tracker, one
+stacked ``np.linalg.solve`` per sweep over the still-working paths;
+:func:`newton_correct` is its one-row case), and a root refiner for
+plain :class:`~repro.polynomials.PolynomialSystem` objects (used by
+endgames and by tests to sharpen solutions to near machine precision).
 
-The batch corrector is semantically path-by-path identical to the scalar
-one: each path converges, underflows, or goes singular by exactly the same
-criteria, and paths that finish early are masked out of later sweeps so no
-work (or divergence) from one path can perturb another.
+Each path of a batch converges, underflows, or goes singular on its own
+history alone, and paths that finish early are masked out of later
+sweeps so no work (or divergence) from one path can perturb another.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interface import BatchHomotopy, HomotopyFunction, _per_path_t
+from .interface import BatchHomotopy, HomotopyFunction, _per_path_t, as_batch
 
 __all__ = [
     "NewtonResult",
@@ -39,19 +37,9 @@ CONTRACTION = 0.1
 
 @dataclass
 class NewtonResult:
-    """Outcome of a Newton iteration.
-
-    ``jacobian`` (requested via ``want_jacobian``) is ``J_x`` at (or,
-    under update-size acceptance, within ``update_tol`` of) the returned
-    point — available when convergence was declared on the residual
-    check (whose evaluation produced the matrix anyway) or on a small
-    update (the final sweep's matrix, off by that update).  Underflow-
-    and tail-converged runs moved ``x`` a noise-floor-sized but
-    *unvalidated* distance after the last Jacobian evaluation, so their
-    matrix is never handed out.  ``jac_evaluations`` counts the
-    ``evaluate_and_jacobian`` calls this run made (the tracker's
-    effort accounting).
-    """
+    """Outcome of a Newton iteration on one point: one row of a
+    :class:`BatchNewtonResult`, ``jacobian`` being ``None`` unless it
+    was requested and is current."""
 
     x: np.ndarray
     converged: bool
@@ -83,151 +71,26 @@ def newton_correct(
     update_tol: float | None = None,
     loose_tol: float | None = None,
     fail_fast: bool = False,
-    frozen: bool = False,
 ) -> NewtonResult:
     """Newton's method on ``H(., t) = 0`` starting from ``x``.
 
-    Convergence is declared on the max-norm of the *residual*; the corrector
-    also stops early if the update underflows (quadratic convergence hit the
-    noise floor).  With ``want_jacobian`` the residual-converged outcome
-    carries ``J_x`` at the accepted point (see :class:`NewtonResult`) —
-    exactly the matrix the tracker's next tangent solve needs.
-
-    ``update_tol`` additionally accepts on *update size* (PHCpack's path
-    corrector criterion): once ``|dx|`` falls below it, quadratic
-    convergence puts the next residual below tolerance, so the
-    verification sweep is skipped — one fused evaluation saved per
-    accepted step.  The handed-out Jacobian is then the final sweep's,
-    current to within ``|dx| <= update_tol`` of the returned point —
-    far more accuracy than a tangent solve needs.  ``loose_tol`` (>=
-    ``update_tol``) accepts a step earlier still, but only with
-    *quadratic-contraction evidence*: the update must also have shrunk
-    to at most :data:`CONTRACTION` times the previous one, so a
-    corrector that is merely inching along (near-singular endgame
-    region, wandering path) never takes the loose exit and falls back
-    to the strict criteria.
-
-    ``fail_fast`` rejects as soon as an update *grows*: a contracting
-    Newton run shrinks its update every sweep, so growth means the
-    prediction missed the basin and the remaining sweeps are almost
-    always wasted — the tracker learns of the rejection several fused
-    evaluations earlier and retries with a smaller step.
-
-    ``frozen`` runs the *chord* (frozen-Jacobian) variant instead:
-    ``J_x`` is evaluated once, fused, at the entry point, factored into
-    every subsequent solve, and residuals come from cheap eval-only
-    sweeps — so a whole corrector run charges exactly one Jacobian
-    evaluation.  The iteration contracts linearly at rate
-    ``O(|x - x_entry|)``, which a higher-order predictor keeps tiny;
-    it is the operator-recycling half of the predictor pipeline and is
-    never used by the seed Euler loop.
+    The one-row case of :func:`batch_newton_correct` — same sweeps, same
+    criteria — unpacked into a :class:`NewtonResult`.
     """
-    x = np.asarray(x, dtype=complex).copy()
-    if frozen:
-        return _newton_correct_frozen(
-            homotopy, x, t, tol, max_iterations, want_jacobian, update_tol
-        )
-    residual = float("inf")
-    evals = 0
-    dx_prev = np.inf
-    for it in range(1, max_iterations + 1):
-        res, jac = homotopy.evaluate_and_jacobian_x(x, t)
-        evals += 1
-        residual = float(np.max(np.abs(res)))
-        if residual <= tol:
-            return NewtonResult(
-                x, True, it - 1, residual,
-                jacobian=jac if want_jacobian else None,
-                jac_evaluations=evals,
-            )
-        dx = _solve(jac, res)
-        if dx is None:
-            return NewtonResult(
-                x, False, it - 1, residual, singular=True,
-                jac_evaluations=evals,
-            )
-        x = x + dx
-        dxnorm = float(np.max(np.abs(dx)))
-        # update-size acceptance is deliberately *absolute*, like the
-        # residual criterion it replaces: a relative threshold would
-        # balloon on diverging paths (|x| huge) and accept junk steps
-        if update_tol is not None and (
-            dxnorm <= update_tol
-            or (
-                loose_tol is not None
-                and dxnorm <= loose_tol
-                # finite guard: dx_prev is inf on the first sweep, and
-                # a single update is no contraction evidence at all
-                and np.isfinite(dx_prev)
-                and dxnorm <= CONTRACTION * dx_prev
-            )
-        ):
-            return NewtonResult(
-                x, True, it, residual,
-                jacobian=jac if want_jacobian else None,
-                jac_evaluations=evals,
-            )
-        if fail_fast and dxnorm > dx_prev:
-            return NewtonResult(x, False, it, residual, jac_evaluations=evals)
-        dx_prev = dxnorm
-        if np.max(np.abs(dx)) <= 1e-15 * max(1.0, np.max(np.abs(x))):
-            res = homotopy.evaluate(x, t)
-            residual = float(np.max(np.abs(res)))
-            return NewtonResult(
-                x, residual <= tol * 1e3, it, residual, jac_evaluations=evals
-            )
-    res = homotopy.evaluate(x, t)
-    residual = float(np.max(np.abs(res)))
-    return NewtonResult(
-        x, residual <= tol, max_iterations, residual, jac_evaluations=evals
+    out = _newton_sweeps(
+        as_batch(homotopy), np.asarray(x, dtype=complex)[None, :], t,
+        tol, max_iterations, None, want_jacobian, update_tol, loose_tol,
+        fail_fast,
     )
-
-
-def _newton_correct_frozen(
-    homotopy: HomotopyFunction,
-    x: np.ndarray,
-    t: float,
-    tol: float,
-    max_iterations: int,
-    want_jacobian: bool,
-    update_tol: float | None,
-) -> NewtonResult:
-    """Chord corrector: one fused evaluation, then eval-only sweeps.
-
-    The handed-out Jacobian is the frozen entry matrix — stale by the
-    total correction, which the error-model step control keeps below
-    the prediction target, well within tangent-solve accuracy.
-    """
-    res, jac = homotopy.evaluate_and_jacobian_x(x, t)
-    handout = jac if want_jacobian else None
-    residual = float(np.max(np.abs(res)))
-    if residual <= tol:
-        return NewtonResult(
-            x, True, 0, residual, jacobian=handout, jac_evaluations=1
-        )
-    for it in range(1, max_iterations + 1):
-        dx = _solve(jac, res)
-        if dx is None:
-            return NewtonResult(
-                x, False, it - 1, residual, singular=True, jac_evaluations=1
-            )
-        x = x + dx
-        dxnorm = np.max(np.abs(dx))
-        if update_tol is not None and dxnorm <= update_tol:
-            return NewtonResult(
-                x, True, it, residual, jacobian=handout, jac_evaluations=1
-            )
-        res = homotopy.evaluate(x, t)
-        residual = float(np.max(np.abs(res)))
-        if residual <= tol:
-            return NewtonResult(
-                x, True, it, residual, jacobian=handout, jac_evaluations=1
-            )
-        if dxnorm <= 1e-15 * max(1.0, np.max(np.abs(x))):
-            return NewtonResult(
-                x, residual <= tol * 1e3, it, residual, jac_evaluations=1
-            )
-    return NewtonResult(x, False, max_iterations, residual, jac_evaluations=1)
+    return NewtonResult(
+        out.x[0],
+        bool(out.converged[0]),
+        int(out.iterations[0]),
+        float(out.residual[0]),
+        singular=bool(out.singular[0]),
+        jacobian=out.jacobian[0] if want_jacobian and out.jac_current[0] else None,
+        jac_evaluations=int(out.jac_evaluations[0]),
+    )
 
 
 @dataclass
@@ -240,8 +103,9 @@ class BatchNewtonResult:
     that declared convergence produced the matrix) or within the
     update-size threshold of it (update acceptance — the final sweep's
     matrix), ready for the tracker to recycle into its next tangent
-    solve.  Underflow- and tail-converged rows have a stale matrix and
-    stay False.
+    solve.  Underflow- and tail-converged rows moved ``x`` a
+    noise-floor-sized but *unvalidated* distance after the last
+    Jacobian evaluation: their matrix is stale and they stay False.
     ``jac_evaluations`` counts, per path, the fused
     ``evaluate_and_jacobian_batch`` sweeps the path took part in.
     """
@@ -263,19 +127,18 @@ def _solve_batch(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarr
     exactly singular, so on failure we fall back to per-member solves and
     mark only the offenders.
     """
-    k = jac.shape[0]
-    ok = np.ones(k, dtype=bool)
-    dx = np.zeros_like(res)
     try:
         dx = np.linalg.solve(jac, -res[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        for i in range(k):
+        dx = np.zeros_like(res)
+        ok = np.ones(jac.shape[0], dtype=bool)
+        for i in range(jac.shape[0]):
             try:
                 dx[i] = np.linalg.solve(jac[i], -res[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
-    ok &= np.all(np.isfinite(dx), axis=1)
-    return dx, ok
+        return dx, ok & np.isfinite(dx).all(axis=1)
+    return dx, np.isfinite(dx).all(axis=1)
 
 
 def batch_newton_correct(
@@ -289,27 +152,53 @@ def batch_newton_correct(
     update_tol: float | None = None,
     loose_tol: float | None = None,
     fail_fast: bool = False,
-    frozen: bool = False,
 ) -> BatchNewtonResult:
     """Newton's method on ``H(., t_i) = 0`` for a whole batch of paths.
 
     ``X`` is ``(npaths, dim)``, ``t`` a scalar or ``(npaths,)`` vector.
     Paths where ``active`` is False are left untouched (reported as not
-    converged with infinite residual); among active paths, each one
-    converges, underflows, or is flagged singular by exactly the criteria
-    of :func:`newton_correct` (including the ``update_tol`` update-size
-    acceptance, the contraction-gated ``loose_tol`` exit, and the
-    ``fail_fast`` growing-update rejection),
-    and finished paths drop out of later sweeps.  Each
-    sweep costs one batched evaluation plus one stacked
-    ``np.linalg.solve`` over the still-working paths.  With
-    ``want_jacobian`` the residual- and update-converged rows
-    additionally hand out ``J_x`` at (or within ``update_tol`` of)
-    their accepted point (see :class:`BatchNewtonResult`).  ``frozen``
-    selects the chord variant (see :func:`newton_correct`): one fused
-    sweep at entry, eval-only residual sweeps after — each active path
-    is charged exactly one Jacobian evaluation.
+    converged with infinite residual); each active path converges,
+    underflows, or is flagged singular on its own history, and finished
+    paths drop out of later sweeps.  Each sweep costs one batched
+    evaluation plus one stacked ``np.linalg.solve`` over the
+    still-working paths.
+
+    Convergence is declared on the max-norm of the *residual*; a path
+    also stops early if its update underflows (quadratic convergence hit
+    the noise floor).  With ``want_jacobian`` the residual- and
+    update-converged rows hand out ``J_x`` at (or within ``update_tol``
+    of) their accepted point (see :class:`BatchNewtonResult`) — exactly
+    the matrix the tracker's next tangent solve needs.
+
+    ``update_tol`` additionally accepts on *update size* (PHCpack's path
+    corrector criterion): once ``|dx|`` falls below it, quadratic
+    convergence puts the next residual below tolerance, so the
+    verification sweep is skipped — one fused evaluation saved per
+    accepted step.  ``loose_tol`` (>= ``update_tol``) accepts a step
+    earlier still, but only with *quadratic-contraction evidence*: the
+    update must also have shrunk to at most :data:`CONTRACTION` times
+    the previous one, so a corrector that is merely inching along
+    (near-singular endgame region, wandering path) never takes the
+    loose exit and falls back to the strict criteria.
+
+    ``fail_fast`` rejects as soon as an update *grows*: a contracting
+    Newton run shrinks its update every sweep, so growth means the
+    prediction missed the basin and the remaining sweeps are almost
+    always wasted — the tracker learns of the rejection several fused
+    evaluations earlier and retries with a smaller step.
     """
+    return _newton_sweeps(
+        homotopy, X, t, tol, max_iterations, active, want_jacobian,
+        update_tol, loose_tol, fail_fast,
+    )
+
+
+def _newton_sweeps(
+    homotopy, X, t, tol, max_iterations, active, want_jacobian,
+    update_tol, loose_tol, fail_fast,
+) -> BatchNewtonResult:
+    """The one Newton iteration of the tracker package, behind both
+    public names (a traced call of either opens one span)."""
     X = np.asarray(X, dtype=complex).copy()
     if X.ndim != 2:
         raise ValueError("X must have shape (npaths, dim)")
@@ -335,45 +224,51 @@ def batch_newton_correct(
         work = np.arange(npaths)
     else:
         work = np.flatnonzero(np.asarray(active, dtype=bool))
-    if frozen:
-        return _batch_frozen_sweeps(
-            homotopy, X, tt, tol, max_iterations, update_tol, work,
-            converged, singular, iterations, residual, jac_evals,
-            jac_out, jac_cur, result,
-        )
-    bh_work = None
-    local = np.arange(0)
+    bh_work, local = homotopy, work
     dx_prev = np.full(npaths, np.inf)
     for it in range(1, max_iterations + 1):
         if work.size == 0:
             return result()
-        bh_work = homotopy.restrict(work)
+        # the rows still at work, as an index into the full arrays.
+        # While every row survives that is a slice (a view, no gather)
+        # and ``restrict`` would be the identity; each stage below
+        # likewise re-gathers only when it actually drops a row
+        whole = work.size == npaths
+        rows = slice(None) if whole else work
+        bh_work = homotopy if whole else homotopy.restrict(work)
         # positions of the surviving rows within bh_work: restriction
         # composes, so mid-sweep re-checks can reuse this restricted
         # view instead of re-slicing the full stack from scratch
         local = np.arange(work.size)
-        res, jac = bh_work.evaluate_and_jacobian_batch(X[work], tt[work])
-        jac_evals[work] += 1
-        resnorm = np.max(np.abs(res), axis=1)
-        residual[work] = resnorm
+        res, jac = bh_work.evaluate_and_jacobian_batch(X[rows], tt[rows])
+        jac_evals[rows] += 1
+        resnorm = np.abs(res).max(axis=1)
+        residual[rows] = resnorm
         done = resnorm <= tol
-        converged[work[done]] = True
-        iterations[work[done]] = it - 1
-        if want_jacobian and np.any(done):
-            jac_out[work[done]] = jac[done]
-            jac_cur[work[done]] = True
-        work, res, jac, local = work[~done], res[~done], jac[~done], local[~done]
-        if work.size == 0:
-            return result()
+        if done.any():
+            fin = work[done]
+            converged[fin] = True
+            iterations[fin] = it - 1
+            if want_jacobian:
+                jac_out[fin] = jac[done]
+                jac_cur[fin] = True
+            keep = ~done
+            rows = work = work[keep]
+            res, jac, local = res[keep], jac[keep], local[keep]
+            if work.size == 0:
+                return result()
         dx, ok = _solve_batch(jac, res)
-        singular[work[~ok]] = True
-        iterations[work[~ok]] = it - 1
-        work, dx, jac, local = work[ok], dx[ok], jac[ok], local[ok]
-        if work.size == 0:
-            return result()
-        X[work] += dx
-        xnorm = np.maximum(1.0, np.max(np.abs(X[work]), axis=1))
-        dxnorm = np.max(np.abs(dx), axis=1)
+        if not ok.all():
+            bad = work[~ok]
+            singular[bad] = True
+            iterations[bad] = it - 1
+            rows = work = work[ok]
+            dx, jac, local = dx[ok], jac[ok], local[ok]
+            if work.size == 0:
+                return result()
+        X[rows] += dx
+        xnorm = np.maximum(1.0, np.abs(X[rows]).max(axis=1))
+        dxnorm = np.abs(dx).max(axis=1)
         if update_tol is not None:
             # update-size acceptance: quadratic convergence puts the
             # next residual below tolerance, so skip its verification
@@ -383,7 +278,7 @@ def batch_newton_correct(
             # replaces — a relative one balloons on diverging paths
             small = dxnorm <= update_tol
             if loose_tol is not None:
-                prev = dx_prev[work]
+                prev = dx_prev[rows]
                 small |= (
                     (dxnorm <= loose_tol)
                     # finite guard: prev is inf on a row's first sweep,
@@ -391,31 +286,33 @@ def batch_newton_correct(
                     & np.isfinite(prev)
                     & (dxnorm <= CONTRACTION * prev)
                 )
-            if np.any(small):
-                s = work[small]
-                converged[s] = True
-                iterations[s] = it
+            if small.any():
+                fin = work[small]
+                converged[fin] = True
+                iterations[fin] = it
                 if want_jacobian:
-                    jac_out[s] = jac[small]
-                    jac_cur[s] = True
+                    jac_out[fin] = jac[small]
+                    jac_cur[fin] = True
                 keep = ~small
-                work, dx, local = work[keep], dx[keep], local[keep]
+                rows = work = work[keep]
+                dx, local = dx[keep], local[keep]
                 xnorm, dxnorm = xnorm[keep], dxnorm[keep]
                 if work.size == 0:
                     return result()
         if fail_fast:
-            grew = dxnorm > dx_prev[work]
-            if np.any(grew):
+            grew = dxnorm > dx_prev[rows]
+            if grew.any():
                 iterations[work[grew]] = it
                 keep = ~grew
-                work, dx, local = work[keep], dx[keep], local[keep]
+                rows = work = work[keep]
+                dx, local = dx[keep], local[keep]
                 xnorm, dxnorm = xnorm[keep], dxnorm[keep]
                 if work.size == 0:
                     return result()
-        dx_prev[work] = dxnorm
+        dx_prev[rows] = dxnorm
         # update underflow: quadratic convergence hit the noise floor
         under = dxnorm <= 1e-15 * xnorm
-        if np.any(under):
+        if under.any():
             u = work[under]
             rn = np.max(
                 np.abs(
@@ -428,86 +325,12 @@ def batch_newton_correct(
             iterations[u] = it
             work, local = work[~under], local[~under]
     if work.size:
-        sub = homotopy.restrict(work) if bh_work is None else bh_work.restrict(local)
-        rn = np.max(np.abs(sub.evaluate_batch(X[work], tt[work])), axis=1)
+        rn = np.max(
+            np.abs(bh_work.restrict(local).evaluate_batch(X[work], tt[work])),
+            axis=1,
+        )
         residual[work] = rn
         converged[work] = rn <= tol
-        iterations[work] = max_iterations
-    return result()
-
-
-def _batch_frozen_sweeps(
-    homotopy, X, tt, tol, max_iterations, update_tol, work,
-    converged, singular, iterations, residual, jac_evals,
-    jac_out, jac_cur, result,
-):
-    """Chord sweeps for :func:`batch_newton_correct` (``frozen=True``).
-
-    One fused evaluation per active path builds the frozen per-path
-    Jacobians; every later sweep is an eval-only residual pass plus a
-    stacked solve against the frozen stack.  Convergence criteria (and
-    their ordering) mirror the scalar :func:`_newton_correct_frozen`
-    path by path.
-    """
-    if work.size == 0:
-        return result()
-    bh_work = homotopy.restrict(work)
-    local = np.arange(work.size)
-    res, jac = bh_work.evaluate_and_jacobian_batch(X[work], tt[work])
-    jac_evals[work] += 1
-    if jac_out is not None:
-        jac_out[work] = jac
-    resnorm = np.max(np.abs(res), axis=1)
-    residual[work] = resnorm
-    done = resnorm <= tol
-    converged[work[done]] = True
-    if jac_cur is not None:
-        jac_cur[work[done]] = True
-    keep = ~done
-    work, res, jac, local = work[keep], res[keep], jac[keep], local[keep]
-    for it in range(1, max_iterations + 1):
-        if work.size == 0:
-            return result()
-        dx, ok = _solve_batch(jac, res)
-        singular[work[~ok]] = True
-        iterations[work[~ok]] = it - 1
-        work, dx, jac, local = work[ok], dx[ok], jac[ok], local[ok]
-        if work.size == 0:
-            return result()
-        X[work] += dx
-        dxnorm = np.max(np.abs(dx), axis=1)
-        if update_tol is not None:
-            small = dxnorm <= update_tol
-            if np.any(small):
-                s = work[small]
-                converged[s] = True
-                iterations[s] = it
-                if jac_cur is not None:
-                    jac_cur[s] = True
-                keep = ~small
-                work, dx, jac, local = (
-                    work[keep], dx[keep], jac[keep], local[keep]
-                )
-                dxnorm = dxnorm[keep]
-                if work.size == 0:
-                    return result()
-        res = bh_work.restrict(local).evaluate_batch(X[work], tt[work])
-        resnorm = np.max(np.abs(res), axis=1)
-        residual[work] = resnorm
-        done = resnorm <= tol
-        # the noise floor catches rows whose update underflowed without
-        # meeting the residual tolerance: loosened acceptance, no J
-        under = ~done & (
-            dxnorm <= 1e-15 * np.maximum(1.0, np.max(np.abs(X[work]), axis=1))
-        )
-        loose = under & (resnorm <= tol * 1e3)
-        converged[work[done | loose]] = True
-        iterations[work[done | under]] = it
-        if jac_cur is not None:
-            jac_cur[work[done]] = True
-        keep = ~(done | under)
-        work, res, jac, local = work[keep], res[keep], jac[keep], local[keep]
-    if work.size:
         iterations[work] = max_iterations
     return result()
 

@@ -2,15 +2,13 @@
 
 The predictor is the half of the increment-and-fix loop that guesses
 where a path goes next; the corrector (Newton) pays for every digit the
-guess is short.  Both tracker front-ends (:class:`~repro.tracker.tracker.
-PathTracker` and :class:`~repro.tracker.batch.BatchTracker`) delegate the
-guess to a :class:`Predictor`:
+guess is short.  The tracker loop (:class:`~repro.tracker.batch.
+BatchTracker`) delegates the guess to a :class:`Predictor`:
 
 - :class:`EulerPredictor` (``"euler"``, the default) — first-order
   tangent prediction ``x + dt * dx/dt`` with a secant fallback when the
   tangent solve fails.  This is bit-identical to the seed arithmetic:
-  the batch form below *is* the seed code, and the scalar tracker calls
-  it with one-row arrays, so the scalar/batch parity suites pin it.
+  the batch form below *is* the seed code.
 - :class:`HermitePredictor` (``"hermite"``) — each path remembers its
   last accepted ``(t, x, dx/dt)``; together with the current point and
   tangent that determines a cubic, evaluated past the current time
@@ -19,9 +17,8 @@ guess to a :class:`Predictor`:
   and the corrector starts closer — fewer Newton sweeps per step.
 
 Predictors operate on *row batches*: ``predict`` takes ``(k, dim)``
-arrays for the active front, and the scalar tracker passes one-row
-arrays, which keeps every arithmetic decision bit-identical between the
-two front-ends (elementwise batching does not change rounding).
+arrays for the active front, all arithmetic elementwise per row, so a
+path's predictions do not depend on how many rows travel with it.
 
 Per-path history lives in a :class:`PredictorState` created per
 ``track``/``track_batch`` call — a resumed path (chart switch, retry,
@@ -67,7 +64,6 @@ __all__ = [
     "resolve_update_tol",
     "resolve_loose_tol",
     "resolve_fail_fast",
-    "resolve_frozen",
 ]
 
 #: Registered predictor names (the choices ``TrackerOptions.predictor``
@@ -163,7 +159,7 @@ def _euler_predict(state, rows, X, T, dt, tangent, ok):
     Tangent rows step ``x + dt * dx/dt``; rows whose tangent solve
     failed fall back to the secant through the last accepted point, or
     stay put when there is no history yet.  Bit-identical to the seed
-    tracker loop (the parity suites pin this).
+    tracker loop.
     """
     x_pred = X + dt[:, None] * tangent
     if not np.all(ok):
@@ -326,20 +322,3 @@ def resolve_fail_fast(options, predictor: Predictor) -> bool:
     if options.corrector_fail_fast is None:
         return predictor.error_model
     return bool(options.corrector_fail_fast)
-
-
-def resolve_frozen(options, predictor: Predictor) -> bool:
-    """Whether the step corrector runs frozen-Jacobian (chord) sweeps.
-
-    The chord corrector charges one fused Jacobian evaluation per run
-    but contracts only linearly, at rate ``O(correction distance)``.
-    Benchmarked against full Newton with update-size acceptance it
-    *loses* on these systems — the smaller convergence radius drives
-    step rejections up and the equilibrium step size down, and recycling
-    its entry Jacobian (stale by the whole correction) degrades the
-    Hermite tangents — so the default ``None`` resolves to off for
-    every predictor; it stays available as an explicit experiment knob.
-    """
-    if options.corrector_frozen is None:
-        return False
-    return bool(options.corrector_frozen)

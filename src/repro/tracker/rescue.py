@@ -16,24 +16,26 @@ returning ``(new_homotopy, new_x)`` — the same path in better
 coordinates — and optionally
 :meth:`~repro.tracker.interface.HomotopyFunction.finalize_rescued` to
 map a finished result back to the caller's coordinate conventions.
-:func:`track_with_rescue` drives one path through that protocol;
-:func:`rescue_diverged` sweeps a whole result list (the batch-mode
-pipeline: diverged paths are rare, so they resume on the scalar
-tracker).  The Schubert solver's chart switching and the blackbox
-solver's projective rescue are both thin clients of these two calls.
+:func:`rescue_diverged` sweeps a finished result list through that
+protocol: every diverged path is re-patched and all of them resume
+together, each from its own reached ``t``, as one stacked front.  The
+blackbox solver's projective rescue is a thin client of it; the Schubert
+solver's chart switch runs the same re-patch / resume / keep / fold
+sequence inside its own requeue (it also has to swap the edge homotopy
+the endpoint is read in).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from ..telemetry import current_telemetry
 from .result import PathResult, PathStatus
+from .stacked import StackedHomotopy
 
 __all__ = [
-    "track_with_rescue",
     "rescue_diverged",
     "keep_rescue",
     "fold_rescued_effort",
@@ -61,8 +63,8 @@ def keep_rescue(resumed: PathResult) -> bool:
 def fold_rescued_effort(resumed: PathResult, prior: PathResult) -> PathResult:
     """Account the diverged attempt's effort on the kept rescue result.
 
-    Shared by every rescue driver (the scalar pipeline here and the
-    batched Schubert chart-switch requeue) so a rescued path reports
+    Shared by every rescue driver (:func:`rescue_diverged` here and the
+    Schubert chart-switch requeue) so a rescued path reports
     the same bookkeeping — ``stats.rescues``, accumulated step/Newton
     counts, the *original* start point — no matter which driver rescued
     it.
@@ -76,50 +78,6 @@ def fold_rescued_effort(resumed: PathResult, prior: PathResult) -> PathResult:
     return resumed
 
 
-def track_with_rescue(
-    tracker,
-    homotopy,
-    start: Sequence[complex],
-    path_id: int = -1,
-    t_start: float = 0.0,
-    max_rescues: int = 1,
-):
-    """Track one path; on mid-way divergence re-patch and resume it.
-
-    Returns ``(result, final_homotopy)``: the homotopy whose coordinates
-    the result's solution lives in — the original one, or the last
-    re-patched one if a rescue succeeded.  A rescue is kept only when
-    the resumed path *finishes* (SUCCESS, classified SINGULAR, or
-    AT_INFINITY after :meth:`finalize_rescued`); otherwise the original
-    diverged result stands, exactly as the Schubert chart-switch always
-    behaved.
-    """
-    result = tracker.track(homotopy, start, path_id=path_id, t_start=t_start)
-    hom = homotopy
-    for _ in range(max_rescues):
-        if result.status is not PathStatus.DIVERGED:
-            break
-        t = result.stats.t_reached
-        if not 0.0 < t < 1.0:
-            break
-        patch = hom.rescale_patch(result.solution, t)
-        if patch is None:
-            break
-        new_hom, x1 = patch
-        tel = current_telemetry()
-        if tel is not None:
-            tel.count("tracker.rescue_attempts")
-            tel.instant("rescue_attempt", "tracker", path=int(path_id), t=float(t))
-        resumed = tracker.track(new_hom, x1, path_id=path_id, t_start=t)
-        resumed = new_hom.finalize_rescued(resumed)
-        if not keep_rescue(resumed):
-            break
-        if tel is not None:
-            tel.count("tracker.rescues_kept")
-        result, hom = fold_rescued_effort(resumed, result), new_hom
-    return result, hom
-
-
 def rescue_diverged(
     tracker,
     homotopy,
@@ -128,31 +86,42 @@ def rescue_diverged(
     """Re-patch and resume every DIVERGED path of a finished batch.
 
     ``results`` is mutated in place (and returned) together with the
-    number of paths whose classification a rescue changed.  Each rescued
-    path resumes from its own reached ``t`` on the (scalar) ``tracker``
-    — divergence is the rare case, so there is no batching win to chase
-    here.
+    number of paths whose classification a rescue changed.  ``tracker``
+    is a :class:`~repro.tracker.batch.BatchTracker`: the re-patched
+    paths — each in its own patch homotopy, each from its own reached
+    ``t`` — resume as one stacked front.  A rescue is kept only when the
+    resumed path *finishes* (see :func:`keep_rescue`); otherwise the
+    original diverged result stands.
     """
-    changed = 0
+    tel = current_telemetry()
+    rows: List[int] = []
+    patches: list = []
     for i, r in enumerate(results):
-        if r.status is not PathStatus.DIVERGED:
-            continue
         t = r.stats.t_reached
-        if not 0.0 < t < 1.0:
+        if r.status is not PathStatus.DIVERGED or not 0.0 < t < 1.0:
             continue
         patch = homotopy.rescale_patch(r.solution, t)
         if patch is None:
             continue
-        new_hom, x1 = patch
-        tel = current_telemetry()
         if tel is not None:
             tel.count("tracker.rescue_attempts")
             tel.instant("rescue_attempt", "tracker", path=int(r.path_id), t=float(t))
-        resumed = tracker.track(new_hom, x1, path_id=r.path_id, t_start=t)
-        resumed = new_hom.finalize_rescued(resumed)
-        if keep_rescue(resumed):
+        rows.append(i)
+        patches.append(patch)
+    if not rows:
+        return results, 0
+    resumed = tracker.track_batch(
+        StackedHomotopy([hom for hom, _ in patches], range(len(rows))),
+        [x1 for _, x1 in patches],
+        path_ids=[results[i].path_id for i in rows],
+        t_start=np.array([results[i].stats.t_reached for i in rows]),
+    )
+    changed = 0
+    for i, (new_hom, _), rr in zip(rows, patches, resumed):
+        rr = new_hom.finalize_rescued(rr)
+        if keep_rescue(rr):
             if tel is not None:
                 tel.count("tracker.rescues_kept")
-            results[i] = fold_rescued_effort(resumed, r)
+            results[i] = fold_rescued_effort(rr, results[i])
             changed += 1
     return results, changed

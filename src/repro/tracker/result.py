@@ -243,7 +243,6 @@ def retrack_duplicate_clusters(
     options,
     rounds: int = 3,
     tol: float = 1e-6,
-    retrack_batch=None,
 ) -> List[PathResult]:
     """Re-track endpoint-collision clusters until they separate or stall.
 
@@ -264,20 +263,16 @@ def retrack_duplicate_clusters(
         Per-path results ordered by path id (mutated in place and also
         returned).
     retrack:
-        ``retrack(path_id, options) -> PathResult`` — re-track one path
-        with the given (tightened) options.
+        ``retrack(path_ids, options) -> List[PathResult]`` — re-track a
+        whole rung's members with the given (tightened) options as one
+        front (results aligned with ``path_ids``).  Tightened re-tracks
+        take 4x the steps of the main pass at a quarter the step size,
+        which is exactly where a front pays.
     tighten:
         ``tighten(options) -> options`` — one escalation step.
     options:
         The options the main tracking pass used; tightened before the
         first re-track round.
-    retrack_batch:
-        Optional ``retrack_batch(path_ids, options) -> List[PathResult]``
-        re-tracking a whole rung's members in one call (results aligned
-        with ``path_ids``).  Tightened re-tracks take 4x the steps of
-        the main pass at a quarter the step size, so a driver with a
-        vectorized tracker should prefer this over ``rounds * len(dups)``
-        scalar loops; ``retrack`` remains the fallback.
     """
     from ..telemetry import current_telemetry
 
@@ -297,11 +292,7 @@ def retrack_duplicate_clusters(
                 "retry_rung", "tracker", rung=rung + 1, paths=len(dups)
             )
         moved = False
-        if retrack_batch is not None:
-            redone = retrack_batch(dups, options)
-        else:
-            redone = (retrack(pid, options) for pid in dups)
-        for pid, retracked in zip(dups, redone):
+        for pid, retracked in zip(dups, retrack(dups, options)):
             old = results[pid]
             if retracked.success or not old.success:
                 if (

@@ -1,4 +1,4 @@
-"""Adaptive predictor-corrector path tracking.
+"""Adaptive predictor-corrector path tracking: options and the per-path name.
 
 This is the Python counterpart of PHCpack's increment-and-fix continuation:
 
@@ -21,28 +21,21 @@ This is the Python counterpart of PHCpack's increment-and-fix continuation:
   exactly the seed behavior; :class:`~repro.endgame.CauchyEndgame`
   additionally recovers singular endpoints by winding-number loops and
   takes over paths that stall inside its operating radius.
+
+The loop itself lives once, in :class:`~repro.tracker.batch.BatchTracker`;
+:class:`PathTracker` hands it one row at a time — the paper's unit of work,
+whose ``stats.seconds`` are that path's exclusive wall time.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from ..telemetry import current_telemetry, maybe_span
 from .interface import HomotopyFunction
-from .newton import _solve, newton_correct, newton_refine_system
-from .predictor import (
-    make_predictor,
-    resolve_frozen,
-    resolve_fail_fast,
-    resolve_loose_tol,
-    resolve_recycle,
-    resolve_update_tol,
-)
-from .result import PathResult, PathStatus, TrackStats
+from .newton import newton_refine_system
+from .predictor import make_predictor
+from .result import PathResult
 
 __all__ = ["TrackerOptions", "PathTracker"]
 
@@ -114,12 +107,6 @@ class TrackerOptions:
     # burning the remaining corrector sweeps confirming the miss; None
     # resolves to on exactly under the error-model predictor
     corrector_fail_fast: bool | None = None
-    # frozen-Jacobian (chord) step corrector: one fused evaluation at
-    # the predicted point, eval-only residual sweeps after.  Measured
-    # slower than full Newton + update acceptance on the benchmark
-    # systems (smaller convergence radius -> more rejections), so the
-    # default None resolves to OFF; True opts in as an experiment
-    corrector_frozen: bool | None = None
 
     def validated(self) -> "TrackerOptions":
         if not (0 < self.min_step <= self.initial_step <= self.max_step):
@@ -141,8 +128,11 @@ class TrackerOptions:
 
 
 class PathTracker:
-    """Tracks solution paths of a :class:`HomotopyFunction` from t=0 to t=1.
+    """Tracks solution paths of a :class:`HomotopyFunction` one at a time.
 
+    Each :meth:`track` is a one-row front of
+    :class:`~repro.tracker.batch.BatchTracker` — same loop, same
+    decisions, bit for bit the row that path would be in a wider front.
     ``endgame`` picks the terminal-phase strategy: ``None`` (the default
     :class:`~repro.endgame.RefineEndgame` — seed behavior, bit for
     bit), a name (``"refine"`` / ``"cauchy"``), or any
@@ -152,26 +142,12 @@ class PathTracker:
     def __init__(
         self, options: TrackerOptions | None = None, endgame=None
     ) -> None:
-        self.options = (options or TrackerOptions()).validated()
-        # imported lazily: repro.endgame builds on the tracker submodules
-        from ..endgame import make_endgame
+        # imported lazily: the front is built on TrackerOptions above
+        from .batch import BatchTracker
 
-        self.endgame = make_endgame(endgame)
-
-    # ------------------------------------------------------------------
-    def _tangent(
-        self, homotopy: HomotopyFunction, x: np.ndarray, t: float
-    ) -> np.ndarray | None:
-        """dx/dt from J_x dx/dt = -J_t, or None if J_x is singular."""
-        jac_x = homotopy.jacobian_x(x, t)
-        jac_t = homotopy.jacobian_t(x, t)
-        try:
-            dxdt = np.linalg.solve(jac_x, -jac_t)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(dxdt)):
-            return None
-        return dxdt
+        self._front = BatchTracker(options, endgame=endgame)
+        self.options = self._front.options
+        self.endgame = self._front.endgame
 
     def track(
         self,
@@ -185,200 +161,8 @@ class PathTracker:
         ``t_start > 0`` resumes a path from a mid-way point (used by chart
         switching: the same geometric path continued in new coordinates).
         """
-        tel = current_telemetry() if self.options.trace_paths else None
-        if tel is None:
-            return self._track(homotopy, start, path_id, t_start, None)
-        with tel.trace():
-            return self._track(homotopy, start, path_id, t_start, tel)
+        return self._front._traced(homotopy, [start], [path_id], t_start)[0]
 
-    def _track(
-        self,
-        homotopy: HomotopyFunction,
-        start: Sequence[complex],
-        path_id: int,
-        t_start: float,
-        tel,
-    ) -> PathResult:
-        opts = self.options
-        t0 = time.perf_counter()
-        stats = TrackStats()
-        x = np.asarray(start, dtype=complex).copy()
-        x_start = x.copy()
-        if not 0.0 <= t_start < 1.0:
-            raise ValueError("t_start must lie in [0, 1)")
-        t = float(t_start)
-        step = opts.initial_step
-        easy_streak = 0
-        pred = make_predictor(opts.predictor)
-        recycle = resolve_recycle(opts, pred)
-        update_tol = resolve_update_tol(opts, pred)
-        loose_tol = resolve_loose_tol(opts, pred)
-        fail_fast = resolve_fail_fast(opts, pred)
-        frozen = resolve_frozen(opts, pred)
-        # per-track predictor history (secant/Hermite memory), seeded
-        # with the uncorrected start — resumed paths start with *empty*
-        # history, so a chart switch never extrapolates across charts
-        pstate = pred.make_state(x[None, :], np.array([t]))
-        row = np.zeros(1, dtype=np.intp)
-        re_jac = None  # corrector Jacobian carried across the step boundary
-
-        def finish(status: PathStatus, xf: np.ndarray, res: float) -> PathResult:
-            stats.t_reached = t
-            stats.seconds = time.perf_counter() - t0
-            return PathResult(status, xf, x_start, res, stats, path_id)
-
-        # make sure the start point actually solves H(., t_start)
-        check = newton_correct(
-            homotopy, x, t, tol=opts.corrector_tol,
-            max_iterations=opts.corrector_iterations,
-            want_jacobian=recycle,
-        )
-        stats.newton_iterations += check.iterations
-        stats.jacobian_evaluations += check.jac_evaluations
-        if not check.converged:
-            return finish(PathStatus.FAILED, x, check.residual)
-        x = check.x
-        if recycle:
-            re_jac = check.jacobian
-
-        while t < 1.0:
-            if stats.total_steps >= opts.max_steps:
-                return finish(PathStatus.FAILED, x, float("inf"))
-            dt = min(step, 1.0 - t)
-            t_new = t + dt
-
-            # --- predict
-            with maybe_span(tel, "tangent", "predictor"):
-                if re_jac is not None:
-                    # recycled tangent solve: J_x is the corrector's
-                    # final matrix at (x, t); only J_t is evaluated —
-                    # the cheap eval-only route (no fused Jacobian pass)
-                    tangent = _solve(re_jac, homotopy.jacobian_t(x, t))
-                    stats.tangents_recycled += 1
-                    if tel is not None:
-                        tel.count("tracker.tangents_recycled")
-                else:
-                    tangent = self._tangent(homotopy, x, t)
-                    stats.jacobian_evaluations += 1
-                ok1 = np.array([tangent is not None])
-                tan1 = (
-                    np.zeros((1, x.size), dtype=complex)
-                    if tangent is None
-                    else tangent[None, :]
-                )
-                x_pred = pred.predict(
-                    pstate, row, x[None, :], np.array([t]),
-                    np.array([dt]), tan1, ok1,
-                )[0]
-
-            # --- correct
-            with maybe_span(tel, "newton", "corrector"):
-                corr = newton_correct(
-                    homotopy,
-                    x_pred,
-                    t_new,
-                    tol=opts.corrector_tol,
-                    max_iterations=opts.corrector_iterations,
-                    want_jacobian=recycle,
-                    update_tol=update_tol,
-                    loose_tol=loose_tol,
-                    fail_fast=fail_fast,
-                    frozen=frozen,
-                )
-            stats.newton_iterations += corr.iterations
-            stats.jacobian_evaluations += corr.jac_evaluations
-            accept = corr.converged
-            err = 0.0
-            if accept and pred.error_model:
-                err = float(np.max(np.abs(corr.x - x_pred)))
-                if err > opts.predictor_jump_factor * opts.predictor_target_error:
-                    # suspected path jump: converged far beyond what the
-                    # prediction's error model can explain — reject and
-                    # retry at a smaller step (see BatchTracker)
-                    accept = False
-                    if tel is not None:
-                        tel.count("tracker.jump_rejections")
-            if tel is not None:
-                tel.instant(
-                    "step_accept" if accept else "step_reject",
-                    "tracker",
-                    path=int(path_id),
-                    t=float(t_new),
-                    dt=float(dt),
-                    newton=int(corr.iterations),
-                )
-                tel.observe("step_size", float(dt))
-
-            if accept:
-                pred.accepted(pstate, row, x[None, :], np.array([t]), tan1, ok1)
-                x, t = corr.x, t_new
-                stats.steps_accepted += 1
-                if recycle:
-                    re_jac = corr.jacobian
-                if pred.error_model:
-                    # asymptotic error model: err ~ C dt^p, solve for
-                    # the dt that would have hit the target error
-                    if err > 0.0:
-                        growth = np.minimum(
-                            opts.predictor_max_growth,
-                            opts.predictor_safety
-                            * (opts.predictor_target_error / err)
-                            ** (1.0 / pred.order),
-                        )
-                    else:
-                        growth = np.float64(opts.predictor_max_growth)
-                    step = float(
-                        np.minimum(
-                            np.maximum(dt * growth, opts.min_step),
-                            opts.max_step,
-                        )
-                    )
-                    if tel is not None:
-                        tel.observe("predictor_error", float(err))
-                else:
-                    easy_streak += 1
-                    if easy_streak >= opts.expand_after and corr.iterations <= 2:
-                        step = min(step * opts.expand, opts.max_step)
-                        easy_streak = 0
-                norm = float(np.max(np.abs(x)))
-                if norm > opts.divergence_bound:
-                    return finish(PathStatus.DIVERGED, x, corr.residual)
-            else:
-                stats.steps_rejected += 1
-                easy_streak = 0
-                step *= opts.shrink
-                if step < opts.min_step:
-                    if float(np.max(np.abs(x))) > 1e3:
-                        return finish(PathStatus.DIVERGED, x, corr.residual)
-                    if t > 1.0 - self.endgame.operating_radius:
-                        # stall inside the endgame's operating radius:
-                        # hand the path over instead of failing it
-                        if tel is not None:
-                            tel.instant(
-                                "endgame_handoff",
-                                "tracker",
-                                path=int(path_id),
-                                reason="stalled",
-                                t=float(t),
-                            )
-                        break
-                    return finish(PathStatus.FAILED, x, corr.residual)
-
-        # --- endgame: the terminal phase belongs to the strategy
-        if tel is not None and t >= 1.0:
-            tel.instant(
-                "endgame_handoff", "tracker", path=int(path_id), reason="arrived"
-            )
-        with maybe_span(tel, "finish", "endgame"):
-            out = self.endgame.finish(homotopy, x, t, opts)
-        stats.newton_iterations += out.iterations
-        result = finish(out.status, out.x, out.residual)
-        result.endgame = self.endgame.name
-        result.winding_number = out.winding_number
-        result.multiplicity = out.multiplicity
-        return result
-
-    # ------------------------------------------------------------------
     def track_many(
         self,
         homotopy: HomotopyFunction,

@@ -1,10 +1,11 @@
-"""Batch tracking layer: masked batch Newton, SoA tracker, scalar parity.
+"""Batch tracking layer: masked batch Newton, SoA tracker, row-of-front identity.
 
-The contract under test: :class:`BatchTracker` is a *drop-in* for
-:class:`PathTracker` — same per-path decisions, same statuses, endpoints
-agreeing to 1e-8 — whether the homotopy implements the batch protocol
-natively (ConvexHomotopy) or is wrapped by :class:`ScalarBatchAdapter`
-(the Pieri determinant homotopy).
+The contract under test: there is one tracker loop, and a path is tracked
+bit for bit the same whatever rows travel with it — ``PathTracker.track``
+(a one-row front) returns exactly its row of a wide
+``BatchTracker.track_batch`` front — whether the homotopy implements the
+batch protocol natively (ConvexHomotopy) or is wrapped by
+:class:`ScalarBatchAdapter` (the Pieri determinant homotopy).
 """
 
 import doctest
@@ -23,6 +24,7 @@ from repro.tracker import (
     PathStatus,
     PathTracker,
     ScalarBatchAdapter,
+    TrackerOptions,
     as_batch,
     batch_newton_correct,
     newton_correct,
@@ -226,28 +228,40 @@ class TestBatchTrackerBasics:
 
 
 class TestScalarParity:
-    """ISSUE acceptance: statuses and endpoints agree to 1e-8."""
+    """One loop: ``PathTracker.track`` is the one-row case of the front."""
 
-    def test_cyclic5_parity(self):
-        target = cyclic_roots_system(5)
+    @pytest.mark.parametrize("kernel", ["naive", "slp"])
+    @pytest.mark.parametrize("predictor", ["euler", "hermite"])
+    @pytest.mark.parametrize("system", ["cyclic5", "katsura5"])
+    def test_track_is_row_of_the_front(self, system, predictor, kernel):
+        """Regression for the hand-kept scalar loop's drift: under
+        hermite it ended 49 of these 60 cyclic-5 paths (27 of 32 on
+        katsura-5) at last-bit-different endpoints, and the diverging
+        cyclic-5 paths 7 / 44 / 45 took other step sequences (path 7:
+        323 accepted / 11 rejected scalar, 363 / 10 in the front)."""
+        if system == "cyclic5":
+            target, n_paths = cyclic_roots_system(5), 60
+        else:
+            target, n_paths = katsura_system(5), None
         homotopy, starts = make_homotopy_and_starts(
-            target, rng=np.random.default_rng(11)
+            target, rng=np.random.default_rng(3), kernel=kernel
         )
-        serial = PathTracker().track_many(homotopy, starts)
-        batch = BatchTracker().track_batch(homotopy, starts)
-        _assert_parity(serial, batch)
-        # the workload exercises divergence culling, not just successes
-        assert any(r.status is not PathStatus.SUCCESS for r in serial)
-
-    def test_katsura_parity(self):
-        target = katsura_system(5)
-        homotopy, starts = make_homotopy_and_starts(
-            target, rng=np.random.default_rng(12)
-        )
-        serial = PathTracker().track_many(homotopy, starts)
-        batch = BatchTracker().track_batch(homotopy, starts)
-        _assert_parity(serial, batch)
-        assert sum(r.success for r in batch) == len(starts)
+        starts = starts[:n_paths]
+        options = TrackerOptions(predictor=predictor)
+        front = BatchTracker(options).track_batch(homotopy, starts)
+        tracker = PathTracker(options)
+        for i, row in enumerate(front):
+            one = tracker.track(homotopy, starts[i], path_id=i)
+            assert one.status == row.status
+            assert np.array_equal(one.solution, row.solution)
+            for counter in (
+                "steps_accepted", "steps_rejected", "newton_iterations",
+                "jacobian_evaluations", "tangents_recycled",
+            ):
+                assert getattr(one.stats, counter) == getattr(row.stats, counter)
+        if system == "cyclic5":
+            # the slice exercises divergence culling, not just successes
+            assert not any(front[i].success for i in (7, 44, 45))
 
     def test_pieri_edge_parity_via_adapter(self):
         """A determinant homotopy runs through ScalarBatchAdapter."""
@@ -272,9 +286,18 @@ class TestScalarParity:
         assert per_path.n_solutions == batch.n_solutions
         assert per_path.summary["success"] == batch.summary["success"]
 
-    def test_solve_rejects_unknown_mode(self):
+    def test_solve_rejects_unknown_mode(self, monkeypatch):
         with pytest.raises(ValueError):
             solve(cyclic_roots_system(3), mode="bogus")
+
+        # ... before any start-system work: a typo must not cost the
+        # mixed-cell enumeration and phase 1 of the polyhedral route
+        def no_cells(*args, **kwargs):
+            raise AssertionError("start system built before mode was checked")
+
+        monkeypatch.setattr("repro.polyhedral.homotopy.mixed_cells", no_cells)
+        with pytest.raises(ValueError):
+            solve(cyclic_roots_system(3), start="polyhedral", mode="bogus")
 
 
 def test_polynomial_doctests():

@@ -119,7 +119,7 @@ class TestSolve:
         x, y = variables(2)
         target = PolynomialSystem([x**2 + y**2 - 4, (x - 1) ** 2 + y**2 - 4])
         report = solve(
-            target, start_kind="linear_product", rng=np.random.default_rng(7)
+            target, start="linear_product", rng=np.random.default_rng(7)
         )
         assert report.n_solutions == 2
 
@@ -127,7 +127,7 @@ class TestSolve:
         x, y = variables(2)
         target = PolynomialSystem([x, y])
         with pytest.raises(ValueError):
-            solve(target, start_kind="bogus")
+            solve(target, start="bogus")
 
     def test_distinct_solutions_dedup(self):
         from repro.tracker import PathResult, PathStatus, TrackStats

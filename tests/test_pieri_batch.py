@@ -1,10 +1,11 @@
-"""Batched Pieri tracking: StackedHomotopy and scalar-vs-batch parity.
+"""Batched Pieri tracking: StackedHomotopy and the one job driver.
 
-The ISSUE-4 acceptance contract: solving a Pieri instance with
+Every edge goes through ``PieriSolver.run_jobs_batched``; ``mode`` only
+says how many edges a front gets.  Solving a Pieri instance with
 ``mode="batch"`` (whole tree levels as stacked SoA fronts) must agree
-with the scalar per-path driver — equal failure statuses and endpoints
-matching to 1e-8 — across (m, p, q) cells, including runs that exercise
-the batch-aware retry ladder and chart-switch requeues, plus the batched
+with ``mode="per_path"`` (one edge per front) — equal failure statuses
+and endpoints matching to 1e-8 — across (m, p, q) cells, including runs
+that exercise the retry ladder and chart-switch requeues, plus the
 ``continue_to_instance`` online phase.
 """
 
@@ -254,20 +255,20 @@ class TestSolverParity:
         assert all(r["n_jobs"] >= 1 for r in batch.level_batches)
 
     def test_run_jobs_batched_matches_run_job(self):
+        """``run_job`` is the one-row case of the level's stacked front
+        (to 1e-8, not bitwise: the bracket GEMMs round by shape)."""
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(21))
         solver = PieriSolver(instance, seed=22)
         frontier = solver.initial_jobs()
         while frontier:
-            scalar = [solver.run_job(job) for job in frontier]
             batched, stats = solver.run_jobs_batched(frontier)
             assert stats["n_jobs"] == len(frontier)
             nxt = []
-            for a, b in zip(scalar, batched):
-                assert a.success == b.success
+            for job, b in zip(frontier, batched):
+                a = solver.run_job(job)
                 assert a.path_result.status == b.path_result.status
-                if a.success:
-                    assert np.max(np.abs(a.matrix - b.matrix)) < 1e-8
-                nxt.extend(solver.expand(a))
+                assert b.success and np.max(np.abs(a.matrix - b.matrix)) < 1e-8
+                nxt.extend(solver.expand(b))
             frontier = nxt
 
     def test_batch_rejects_mixed_levels(self):
@@ -293,7 +294,9 @@ class TestSolverParity:
             expand_after=2,
         )
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(0))
-        per_path = PieriSolver(instance, options=stress, seed=0).solve()
+        per_path = PieriSolver(instance, options=stress, seed=0).solve(
+            mode="per_path"
+        )
         batch = PieriSolver(instance, options=stress, seed=0).solve(
             mode="batch"
         )
@@ -307,7 +310,9 @@ class TestSolverParity:
             PieriSolver.DEFAULT_OPTIONS, divergence_bound=20.0
         )
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(0))
-        per_path = PieriSolver(instance, options=opts, seed=0).solve()
+        per_path = PieriSolver(instance, options=opts, seed=0).solve(
+            mode="per_path"
+        )
         batch = PieriSolver(instance, options=opts, seed=0).solve(mode="batch")
         assert sum(r["chart_switches"] for r in batch.level_batches) > 0
         assert batch.failures == per_path.failures == 0
@@ -364,7 +369,7 @@ class TestContinuationBatch:
         base, sols = solved_base
         target = PieriInstance.random(2, 2, 1, np.random.default_rng(33))
         sp, rp = continue_to_instance(
-            base, sols, target, rng=np.random.default_rng(34)
+            base, sols, target, rng=np.random.default_rng(34), mode="per_path"
         )
         sb, rb = continue_to_instance(
             base, sols, target, rng=np.random.default_rng(34), mode="batch"

@@ -322,17 +322,12 @@ class TestPolyhedralSolveParity:
 
     def test_per_path_mode_matches_batch(self):
         sys_ = cyclic_roots_system(3)
-        a = solve(sys_, start="polyhedral", rng=np.random.default_rng(4))
+        a = solve(
+            sys_, start="polyhedral", mode="per_path",
+            rng=np.random.default_rng(4),
+        )
         b = solve(
             sys_, start="polyhedral", mode="batch",
             rng=np.random.default_rng(4),
         )
         assert _solution_sets_match(a.solutions, b.solutions)
-
-    def test_legacy_start_kind_alias(self):
-        report = solve(
-            katsura_system(2), start_kind="polyhedral",
-            rng=np.random.default_rng(0),
-        )
-        assert report.summary["start"] == "polyhedral"
-        assert report.n_solutions == 4

@@ -1,8 +1,15 @@
 """Unit tests for the predictor-corrector path tracker and Newton correctors."""
 
+import dataclasses
+import inspect
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.tracker
+from repro.homotopy import solve
 from repro.polynomials import PolynomialSystem, variables
 from repro.tracker import (
     HomotopyFunction,
@@ -147,6 +154,54 @@ class TestTrackerBasic:
             TrackerOptions(min_step=1.0, initial_step=0.1).validated()
         with pytest.raises(ValueError):
             TrackerOptions(expand=0.5).validated()
+
+
+@pytest.fixture
+def tracer():
+    """perfbench's tracer with its default targets installed (imported
+    the way ``perfbench/test_harness.py`` does)."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    yield tracer
+    tracer.uninstall()
+
+
+class TestOneSpanPerCall:
+    """The tracer wraps both names of each delegate pair; a delegate
+    calls the shared private body, never the other public name, so a
+    call opens one span and its effort is counted once.  A span record
+    is ``[name, layer, op, start, end, parent, counts]``."""
+
+    def test_track_opens_one_span_carrying_the_results_counts(self, tracer):
+        result = PathTracker().track(SqrtHomotopy(), [1.0])
+        (span,) = [s for s in tracer.spans if s[0] == "tracker.track"]
+        stats = result.stats
+        assert span[-1] == {
+            "paths": 1,
+            "newton_iters": stats.newton_iterations,
+            "jacobian_evals": stats.jacobian_evaluations,
+            "tangents_recycled": stats.tangents_recycled,
+            "steps_accepted": stats.steps_accepted,
+            "steps_rejected": stats.steps_rejected,
+        }
+
+    def test_newton_correct_opens_one_corrector_span(self, tracer):
+        # through the module: the tracer rebinds functions by name
+        out = repro.tracker.newton_correct(SqrtHomotopy(), np.array([1.9]), 1.0)
+        assert out.converged
+        names = [s[0] for s in tracer.spans]
+        assert names.count("tracker.corrector") == 1
+
+
+def test_knob_budget():
+    """The next knob shows up in review as a changed number."""
+    assert len(dataclasses.fields(TrackerOptions)) == 22
+    assert len(inspect.signature(solve).parameters) == 13
 
 
 class TestSummarize:
