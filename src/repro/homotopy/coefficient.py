@@ -9,14 +9,12 @@ to the case the artifact store serves: the start ``G`` is a *cached
 generic system with the target's supports*, so ``G`` and ``F`` differ
 only in coefficients.  That structural identity buys the warm path its
 speed: instead of evaluating two full polynomial systems per tracker
-step, one shared monomial table is built per batch and only the
-coefficient vector is blended in ``t``; ``dH/dt = F - gamma G`` falls
-out of the same table analytically (per term: ``c^F - gamma c^G``).
-
-The class is batch-protocol native like
-:class:`~repro.schubert.parameter.PieriParameterHomotopy` — scalar
-methods run through the batched ones as one-row batches, so scalar and
-batched tracking see bit-identical arithmetic.
+step, ``(1 - t) gamma g + t f = gamma g t^0 + (f - gamma g) t^1`` makes
+``H`` one parametric term list — two :class:`~repro.kernels.Term` per
+support row — evaluated by one kernel call
+(:class:`~repro.kernels.TermHomotopy`: the SLP tape under
+``kernel="slp"``, the reference term kernel otherwise), with
+``dH/dt = F - gamma G`` falling out of the same list analytically.
 
 >>> import numpy as np
 >>> from repro.polyhedral.supports import (
@@ -37,20 +35,20 @@ True
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..kernels import KernelUsage
+from ..kernels import Term, TermHomotopy
+from ..polyhedral.supports import coefficient_system
 from ..polynomials import PolynomialSystem
-from ..tracker import BatchHomotopy, HomotopyFunction
-from ..tracker.interface import _per_path_t
 from .convex import random_gamma
+from .projective import repatch
 
 __all__ = ["CoefficientHomotopy"]
 
 
-class CoefficientHomotopy(HomotopyFunction, BatchHomotopy):
+class CoefficientHomotopy(TermHomotopy):
     """Convex coefficient blend between a cached generic system and a
     target sharing its supports.
 
@@ -68,9 +66,11 @@ class CoefficientHomotopy(HomotopyFunction, BatchHomotopy):
         supports (a :class:`ValueError` otherwise — the caller should
         treat that as a structure mismatch and fall back to the cold
         ab-initio route); support rows the target lacks get a zero
-        target coefficient, so ``H(., 1)`` *is* the target exactly.
+        target coefficient, so ``H(., 1)`` *is* the target.
     gamma, rng:
         The gamma twist (drawn from ``rng`` when not given).
+    kernel:
+        Evaluation backend (see :mod:`repro.kernels`).
     """
 
     def __init__(
@@ -80,6 +80,7 @@ class CoefficientHomotopy(HomotopyFunction, BatchHomotopy):
         target: PolynomialSystem,
         gamma: complex | None = None,
         rng: np.random.Generator | None = None,
+        kernel: str | None = None,
     ) -> None:
         if not target.is_square():
             raise ValueError("homotopy continuation needs a square system")
@@ -89,33 +90,14 @@ class CoefficientHomotopy(HomotopyFunction, BatchHomotopy):
         self.gamma = random_gamma(rng) if gamma is None else complex(gamma)
         if self.gamma == 0:
             raise ValueError("gamma must be nonzero")
-        self._nvars = int(target.nvars)
+        supports = [np.asarray(s, dtype=np.int64) for s in supports]
         self.generic_coefficients = [
             np.asarray(c, dtype=complex) for c in generic_coefficients
         ]
-
-        mono_index: dict = {}
-
-        def intern(expo: tuple) -> int:
-            idx = mono_index.get(expo)
-            if idx is None:
-                idx = len(mono_index)
-                mono_index[expo] = idx
-            return idx
-
-        rows: List[int] = []
-        cols: List[int] = []
-        cg: List[complex] = []
-        cf: List[complex] = []
-        jrows: List[int] = []
-        jvars: List[int] = []
-        jcols: List[int] = []
-        jcg: List[complex] = []
-        jcf: List[complex] = []
+        terms = []
         for i, (support, gcoefs, poly) in enumerate(
             zip(supports, self.generic_coefficients, target)
         ):
-            support = np.asarray(support, dtype=np.int64)
             if len(support) != len(gcoefs):
                 raise ValueError("support/coefficient row mismatch")
             fmap = {
@@ -124,189 +106,37 @@ class CoefficientHomotopy(HomotopyFunction, BatchHomotopy):
             }
             for a, g in zip(support, gcoefs):
                 expo = tuple(int(v) for v in a)
-                f = fmap.pop(expo, 0.0 + 0.0j)
                 g = self.gamma * complex(g)
-                rows.append(i)
-                cols.append(intern(expo))
-                cg.append(g)
-                cf.append(f)
-                for v, ev in enumerate(expo):
-                    if ev == 0:
-                        continue
-                    reduced = list(expo)
-                    reduced[v] = ev - 1
-                    jrows.append(i)
-                    jvars.append(v)
-                    jcols.append(intern(tuple(reduced)))
-                    jcg.append(ev * g)
-                    jcf.append(ev * f)
+                terms.append(Term(i, expo, g, 0.0))
+                terms.append(Term(i, expo, fmap.pop(expo, 0.0j) - g, 1.0))
             if fmap:
                 raise ValueError(
                     f"equation {i}: target monomials {sorted(fmap)} are "
                     "outside the cached supports (structure mismatch)"
                 )
-        self._expos = np.zeros(
-            (max(1, len(mono_index)), self._nvars), dtype=np.int64
-        )
-        for expo, idx in mono_index.items():
-            self._expos[idx] = expo
-        self._rows = np.asarray(rows, dtype=np.int64)
-        self._cols = np.asarray(cols, dtype=np.int64)
-        self._cg = np.asarray(cg, dtype=complex)
-        self._cf = np.asarray(cf, dtype=complex)
-        self._jrows = np.asarray(jrows, dtype=np.int64)
-        self._jvars = np.asarray(jvars, dtype=np.int64)
-        self._jcols = np.asarray(jcols, dtype=np.int64)
-        self._jcg = np.asarray(jcg, dtype=complex)
-        self._jcf = np.asarray(jcf, dtype=complex)
-        # no compiled kernels on this path: the term tables already
-        # amortize everything a tape would (solve() reads this field)
-        self.kernel_usage = KernelUsage([])
-        self.kernel = None
+        super().__init__(target.nvars, terms, kernel)
+        # G as a system: what the rescue re-patch homogenizes (~0.2 ms)
+        self.start = coefficient_system(supports, self.generic_coefficients)
 
-    @property
-    def kernels(self) -> tuple:
-        return ()
+    # The benchmark's tracer wraps the methods it finds in this class's
+    # own namespace, so the inherited ones are listed here by name.
+    evaluate_batch = TermHomotopy.evaluate_batch
+    jacobian_x_batch = TermHomotopy.jacobian_x_batch
+    jacobian_t_batch = TermHomotopy.jacobian_t_batch
+    evaluate_and_jacobian_batch = TermHomotopy.evaluate_and_jacobian_batch
+    jacobians_batch = TermHomotopy.jacobians_batch
+    evaluate = TermHomotopy.evaluate
+    jacobian_x = TermHomotopy.jacobian_x
+    jacobian_t = TermHomotopy.jacobian_t
+    evaluate_and_jacobian_x = TermHomotopy.evaluate_and_jacobian_x
 
-    @property
-    def dim(self) -> int:
-        return self._nvars
-
-    # ------------------------------------------------------------------
-    def _mono(self, X: np.ndarray) -> np.ndarray:
-        # (npts, nmono); 0**0 == 1 keeps constants right at x = 0
-        return np.prod(X[:, None, :] ** self._expos[None, :, :], axis=2)
-
-    def _scatter(self, rows, contrib, npts) -> np.ndarray:
-        out = np.zeros((self._nvars, npts), dtype=complex)
-        np.add.at(out, rows, contrib.T)
-        return out.T
-
-    # ------------------------------------------------------------------
-    # BatchHomotopy protocol (scalar methods are one-row batches)
-    # ------------------------------------------------------------------
-    def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        with np.errstate(invalid="ignore", over="ignore"):
-            mono = self._mono(X)
-            w = (1.0 - tt)[:, None]
-            contrib = (
-                w * self._cg[None, :] + tt[:, None] * self._cf[None, :]
-            ) * mono[:, self._cols]
-        return self._scatter(self._rows, contrib, X.shape[0])
-
-    def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
-        return self.evaluate_and_jacobian_batch(X, t)[1]
-
-    def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        _per_path_t(t, X.shape[0])  # shape check only; dH/dt is t-free
-        with np.errstate(invalid="ignore", over="ignore"):
-            mono = self._mono(X)
-            contrib = (self._cf - self._cg)[None, :] * mono[:, self._cols]
-        return self._scatter(self._rows, contrib, X.shape[0])
-
-    def evaluate_and_jacobian_batch(self, X, t):
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        npts = X.shape[0]
-        with np.errstate(invalid="ignore", over="ignore"):
-            mono = self._mono(X)
-            w = (1.0 - tt)[:, None]
-            contrib = (
-                w * self._cg[None, :] + tt[:, None] * self._cf[None, :]
-            ) * mono[:, self._cols]
-            res = self._scatter(self._rows, contrib, npts)
-            jac = np.zeros((self._nvars, self._nvars, npts), dtype=complex)
-            if len(self._jrows):
-                jcontrib = (
-                    w * self._jcg[None, :] + tt[:, None] * self._jcf[None, :]
-                ) * mono[:, self._jcols]
-                np.add.at(jac, (self._jrows, self._jvars), jcontrib.T)
-        return res, jac.transpose(2, 0, 1)
-
-    def jacobians_batch(self, X, t):
-        # fused predictor call: one monomial table for dH/dx and dH/dt
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        npts = X.shape[0]
-        with np.errstate(invalid="ignore", over="ignore"):
-            mono = self._mono(X)
-            w = (1.0 - tt)[:, None]
-            jac = np.zeros((self._nvars, self._nvars, npts), dtype=complex)
-            if len(self._jrows):
-                jcontrib = (
-                    w * self._jcg[None, :] + tt[:, None] * self._jcf[None, :]
-                ) * mono[:, self._jcols]
-                np.add.at(jac, (self._jrows, self._jvars), jcontrib.T)
-            dcontrib = (self._cf - self._cg)[None, :] * mono[:, self._cols]
-            dt = self._scatter(self._rows, dcontrib, npts)
-        return jac.transpose(2, 0, 1), dt
-
-    # ------------------------------------------------------------------
-    # scalar HomotopyFunction protocol
-    # ------------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-    def jacobian_x(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_and_jacobian_x(x, t)[1]
-
-    def jacobian_t(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.jacobian_t_batch(
-            np.asarray(x, dtype=complex)[None, :], t
-        )[0]
-
-    def evaluate_and_jacobian_x(self, x, t):
-        res, jac = self.evaluate_and_jacobian_batch(
-            np.asarray(x, dtype=complex)[None, :], t
-        )
-        return res[0], jac[0]
-
-    # ------------------------------------------------------------------
-    # tracker-level rescue hook: same projective re-patch as the convex
-    # homotopy — H is gamma (1-t) G + t F, so the homogenized pair and
-    # gamma carry over verbatim
-    # ------------------------------------------------------------------
+    # tracker-level rescue hook: H is gamma (1-t) G + t F, so the convex
+    # homotopy's projective re-patch carries over verbatim
     def rescale_patch(self, x: np.ndarray, t: float):
-        if t <= 0.0 or t >= 1.0:
-            return None
-        x = np.asarray(x, dtype=complex)
-        if not np.all(np.isfinite(x)):
-            return None
-        from ..polyhedral.supports import coefficient_system
-        from .projective import ProjectivePatchHomotopy, homogenized_pair
-
-        cached = getattr(self, "_homogenized", None)
-        if cached is None:
-            generic = coefficient_system(
-                self._supports_arrays(), self.generic_coefficients
-            )
-            cached = homogenized_pair(generic, self.target)
-            self._homogenized = cached
-        start_h, target_h = cached
-        y0 = np.concatenate([x, [1.0 + 0j]])
-        y0 = y0 / np.linalg.norm(y0)
-        patched = ProjectivePatchHomotopy(
-            start_h,
-            target_h,
-            self.gamma,
-            np.conj(y0),
-            affine_target=self.target,
-        )
-        return patched, y0
-
-    def _supports_arrays(self) -> List[np.ndarray]:
-        """Recover the per-equation support arrays from the term tables."""
-        out: List[np.ndarray] = []
-        for i in range(self.target.neqs):
-            sel = self._rows == i
-            out.append(self._expos[self._cols[sel]])
-        return out
+        return repatch(self, x, t)
 
     def __repr__(self) -> str:
         return (
             f"CoefficientHomotopy(dim={self.dim}, "
-            f"nterms={len(self._rows)}, gamma={self.gamma:.4f})"
+            f"nterms={len(self._terms) // 2}, gamma={self.gamma:.4f})"
         )

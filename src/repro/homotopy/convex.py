@@ -24,6 +24,7 @@ from ..polynomials import PolynomialSystem
 from ..telemetry import active_tracer, maybe_span
 from ..tracker import BatchHomotopy, HomotopyFunction
 from ..tracker.interface import _per_path_t
+from .projective import repatch
 
 __all__ = ["ConvexHomotopy", "random_gamma"]
 
@@ -34,7 +35,7 @@ def random_gamma(rng: np.random.Generator | None = None) -> complex:
     return cmath.exp(2j * cmath.pi * rng.random())
 
 
-class ConvexHomotopy(HomotopyFunction, BatchHomotopy):
+class ConvexHomotopy(BatchHomotopy, HomotopyFunction):
     """H(x,t) = gamma (1-t) G(x) + t F(x) between polynomial systems."""
 
     def __init__(
@@ -107,27 +108,13 @@ class ConvexHomotopy(HomotopyFunction, BatchHomotopy):
     def dim(self) -> int:
         return self.target.nvars
 
-    # The scalar methods run through the batched kernels as one-row
-    # batches: elementwise batching does not change rounding, so a point
-    # sees bit-identical arithmetic however many rows it is evaluated
-    # with — which is what makes a one-row front (PathTracker) the same
-    # computation as its row of a wide one, even on knife-edge diverging
-    # paths.
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-    def jacobian_x(self, x: np.ndarray, t: float) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        _g, jg, _f, jf = self._pair_eval_jac(x[None, :])
-        return self.gamma * (1.0 - t) * jg[0] + t * jf[0]
-
-    def jacobian_t(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.jacobian_t_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-    def evaluate_and_jacobian_x(self, x, t):
-        x = np.asarray(x, dtype=complex)
-        res, jac = self.evaluate_and_jacobian_batch(x[None, :], t)
-        return res[0], jac[0]
+    # The scalar protocol is BatchHomotopy's one-row default.  The
+    # benchmark's tracer wraps the methods it finds in this class's own
+    # namespace, so the inherited ones are listed here by name.
+    evaluate = BatchHomotopy.evaluate
+    jacobian_x = BatchHomotopy.jacobian_x
+    jacobian_t = BatchHomotopy.jacobian_t
+    evaluate_and_jacobian_x = BatchHomotopy.evaluate_and_jacobian_x
 
     # ------------------------------------------------------------------
     # BatchHomotopy: N paths, each at its own t, in one vectorized call
@@ -179,42 +166,7 @@ class ConvexHomotopy(HomotopyFunction, BatchHomotopy):
     # tracker-level rescue hook (see repro.tracker.rescue)
     # ------------------------------------------------------------------
     def rescale_patch(self, x: np.ndarray, t: float):
-        """Re-express an escaping path in projective patch coordinates.
-
-        The path of the affine homotopy with coordinates blowing up is,
-        in projective space, a perfectly ordinary path heading for the
-        hyperplane at infinity.  Lift the current point to ``[x, 1]``,
-        normalize it, and choose the patch hyperplane ``c = conj(y0)``
-        so that ``c . y0 = |y0|^2 = 1`` exactly: the re-patched start
-        is unit-normalized and satisfies the patch equation to machine
-        precision.  Returns ``(ProjectivePatchHomotopy, y0)``; the
-        homogenized systems are built once and cached.
-        """
-        if t <= 0.0 or t >= 1.0:
-            return None
-        x = np.asarray(x, dtype=complex)
-        if not np.all(np.isfinite(x)):
-            return None
-        # imported lazily: projective builds on this module's clients
-        from .projective import ProjectivePatchHomotopy, homogenized_pair
-
-        cached = getattr(self, "_homogenized", None)
-        if cached is None:
-            cached = homogenized_pair(self.start, self.target)
-            self._homogenized = cached
-        start_h, target_h = cached
-        y0 = np.concatenate([x, [1.0 + 0j]])
-        y0 = y0 / np.linalg.norm(y0)
-        patched = ProjectivePatchHomotopy(
-            start_h,
-            target_h,
-            self.gamma,
-            np.conj(y0),
-            affine_target=self.target,
-            kernel=self.kernel,
-        )
-        self.kernel_usage.add(patched.kernels)
-        return patched, y0
+        return repatch(self, x, t)
 
     def __repr__(self) -> str:
         return f"ConvexHomotopy(dim={self.dim}, gamma={self.gamma:.4f})"

@@ -8,7 +8,9 @@ hyperplane ``c . y = 1``, and the escaping path becomes a bounded path
 whose endpoint has ``y_h -> 0``.  That is exactly the shape of the
 tracker-level rescue protocol (:mod:`repro.tracker.rescue`):
 
-- :meth:`~repro.homotopy.convex.ConvexHomotopy.rescale_patch` builds a
+- :func:`repatch` (the ``rescale_patch`` of
+  :class:`~repro.homotopy.convex.ConvexHomotopy` and
+  :class:`~repro.homotopy.coefficient.CoefficientHomotopy`) builds a
   :class:`ProjectivePatchHomotopy` whose patch vector is the conjugate
   of the current (normalized) point — so the re-patched start satisfies
   the patch equation exactly and is perfectly scaled (unit norm);
@@ -33,7 +35,7 @@ from ..polynomials import PolynomialSystem
 from ..tracker import BatchHomotopy, HomotopyFunction, PathStatus
 from ..tracker.interface import _per_path_t
 
-__all__ = ["homogenized_pair", "ProjectivePatchHomotopy"]
+__all__ = ["homogenized_pair", "repatch", "ProjectivePatchHomotopy"]
 
 
 def homogenized_pair(start: PolynomialSystem, target: PolynomialSystem):
@@ -49,7 +51,46 @@ def homogenized_pair(start: PolynomialSystem, target: PolynomialSystem):
     return start_h, target_h
 
 
-class ProjectivePatchHomotopy(HomotopyFunction, BatchHomotopy):
+def repatch(homotopy, x: np.ndarray, t: float):
+    """Re-express an escaping path of ``gamma (1-t) G + t F`` in
+    projective patch coordinates.
+
+    ``homotopy`` names its systems ``start`` and ``target`` and carries
+    ``gamma``, ``kernel`` and ``kernel_usage``.  The path of the affine
+    homotopy with coordinates blowing up is, in projective space, a
+    perfectly ordinary path heading for the hyperplane at infinity.
+    Lift the current point to ``[x, 1]``, normalize it, and choose the
+    patch hyperplane ``c = conj(y0)`` so that ``c . y0 = |y0|^2 = 1``
+    exactly: the re-patched start is unit-normalized and satisfies the
+    patch equation to machine precision.  Returns
+    ``(ProjectivePatchHomotopy, y0)``; the homogenized systems are built
+    once and cached on ``homotopy``.
+    """
+    if t <= 0.0 or t >= 1.0:
+        return None
+    x = np.asarray(x, dtype=complex)
+    if not np.all(np.isfinite(x)):
+        return None
+    cached = getattr(homotopy, "_homogenized", None)
+    if cached is None:
+        cached = homogenized_pair(homotopy.start, homotopy.target)
+        homotopy._homogenized = cached
+    start_h, target_h = cached
+    y0 = np.concatenate([x, [1.0 + 0j]])
+    y0 = y0 / np.linalg.norm(y0)
+    patched = ProjectivePatchHomotopy(
+        start_h,
+        target_h,
+        homotopy.gamma,
+        np.conj(y0),
+        affine_target=homotopy.target,
+        kernel=homotopy.kernel,
+    )
+    homotopy.kernel_usage.add(patched.kernels)
+    return patched, y0
+
+
+class ProjectivePatchHomotopy(BatchHomotopy, HomotopyFunction):
     """``H(y, t) = [gamma (1-t) G_h(y) + t F_h(y);  c . y - 1]``.
 
     ``G_h`` and ``F_h`` are the homogenizations of an affine convex
@@ -134,7 +175,7 @@ class ProjectivePatchHomotopy(HomotopyFunction, BatchHomotopy):
         return self.start_h.nvars
 
     # ------------------------------------------------------------------
-    # BatchHomotopy protocol (scalar methods run through it, one row)
+    # BatchHomotopy protocol (the scalar one is its one-row default)
     # ------------------------------------------------------------------
     def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
@@ -181,24 +222,6 @@ class ProjectivePatchHomotopy(HomotopyFunction, BatchHomotopy):
         jac_t = np.zeros((X.shape[0], self.dim), dtype=complex)
         jac_t[:, :-1] = f - self.gamma * g
         return jac_x, jac_t
-
-    # ------------------------------------------------------------------
-    # scalar HomotopyFunction protocol
-    # ------------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-    def jacobian_x(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_and_jacobian_x(x, t)[1]
-
-    def jacobian_t(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.jacobian_t_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-    def evaluate_and_jacobian_x(self, x, t):
-        res, jac = self.evaluate_and_jacobian_batch(
-            np.asarray(x, dtype=complex)[None, :], t
-        )
-        return res[0], jac[0]
 
     # ------------------------------------------------------------------
     # rescue protocol

@@ -34,7 +34,7 @@ from ..tracker import (
     TrackerOptions,
     greedy_cluster_indices,
     make_predictor,
-    newton_refine_system,
+    refine_solutions,
     rescue_diverged,
     retrack_duplicate_clusters,
     summarize_results,
@@ -307,7 +307,7 @@ def _polyhedral_start(
     return poly_start, list(toric)
 
 
-def _warm_polyhedral_start(store, target, rng, tel):
+def _warm_polyhedral_start(store, target, rng, tel, kernel):
     """Try the artifact store for a same-supports warm start.
 
     On a hit, returns ``(CoefficientHomotopy, starts, meta)`` — the
@@ -327,7 +327,8 @@ def _warm_polyhedral_start(store, target, rng, tel):
     with maybe_span(tel, "start_system", "solve"):
         try:
             homotopy = CoefficientHomotopy(
-                bundle["supports"], bundle["coefficients"], target, rng=rng
+                bundle["supports"], bundle["coefficients"], target,
+                rng=rng, kernel=kernel,
             )
         except ValueError:
             return None, None, None
@@ -585,7 +586,7 @@ def _solve(
             homotopy = starts = None
             if store is not None:
                 homotopy, starts, warm_meta = _warm_polyhedral_start(
-                    store, target, rng, tel
+                    store, target, rng, tel, kernel
                 )
             if homotopy is None:
                 with maybe_span(tel, "start_system", "solve"):
@@ -665,12 +666,7 @@ def _solve(
                 )
         if refine:
             with maybe_span(tel, "refine", "solve"):
-                for r in results:
-                    if r.success:
-                        nr = newton_refine_system(target, r.solution)
-                        if nr.converged:
-                            r.solution = nr.x
-                            r.residual = nr.residual
+                refine_solutions(target, results)
         clusters = multiplicity_clusters(results)
     # the non-singular cluster representatives ARE the distinct finite
     # solutions (same tolerance, same first-seen order as

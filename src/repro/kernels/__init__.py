@@ -20,8 +20,10 @@ coefficient hash (:mod:`repro.kernels.cache`), so repeated solves of
 the same family — the sweep engine's common case — pay taping cost
 once.  Backend selection is threaded through the homotopy layer as a
 ``kernel=`` option on :func:`repro.homotopy.solve`, on
-:class:`~repro.homotopy.convex.ConvexHomotopy`, and on the polyhedral
-:class:`~repro.polyhedral.CellHomotopy`.
+:class:`~repro.homotopy.convex.ConvexHomotopy`, and on the two term-list
+homotopies built on :class:`TermHomotopy` (the polyhedral
+:class:`~repro.polyhedral.CellHomotopy` and the warm route's
+:class:`~repro.homotopy.coefficient.CoefficientHomotopy`).
 
 Every replay is elementwise along the point axis, so scalar
 (one-row) and batched evaluation are bit-identical — the invariant the
@@ -69,6 +71,7 @@ from .array_api import (
 )
 from .cache import (
     CAPACITY_ENV,
+    bound_slp_kernel,
     cached_slp_kernel,
     cached_tape,
     clear_kernel_cache,
@@ -78,6 +81,7 @@ from .cache import (
     structure_fingerprint,
 )
 from .slp import KernelStats, SLPKernel, SLPTape, Term, build_tape
+from .terms import NaiveTermKernel, TermHomotopy
 
 __all__ = [
     "KERNEL_BACKENDS",
@@ -85,9 +89,11 @@ __all__ = [
     "KernelStats",
     "KernelUsage",
     "NaiveSystemKernel",
+    "NaiveTermKernel",
     "SLPKernel",
     "SLPTape",
     "Term",
+    "TermHomotopy",
     "build_tape",
     "clear_kernel_cache",
     "compile_system_kernel",
@@ -176,17 +182,16 @@ def compile_system_kernel(system, backend: str = "slp"):
 
 
 def compile_term_kernel(
-    neqs: int, nvars: int, terms: Iterable[Term], backend: str = "slp"
-) -> SLPKernel:
+    neqs: int, nvars: int, terms: Iterable[Term], backend: str | None = "slp"
+):
     """Compile a parametric term list ``c * t^eta * x^a`` (the
-    polyhedral :class:`~repro.polyhedral.CellHomotopy` shape) into an
-    SLP kernel with t-derivative programs."""
-    backend = normalize_kernel(backend)
-    if backend != "slp":
-        raise ValueError(
-            "parametric term kernels only support the 'slp' backend"
-        )
-    return cached_slp_kernel(neqs, nvars, list(terms), has_t=True)
+    :class:`TermHomotopy` shape) for a backend: an SLP kernel with
+    t-derivative programs on the structure's memoized tape, or for
+    ``None`` / ``"naive"`` the reference :class:`NaiveTermKernel`."""
+    terms = list(terms)
+    if normalize_kernel(backend) == "slp":
+        return bound_slp_kernel(neqs, nvars, terms, has_t=True)
+    return NaiveTermKernel(neqs, nvars, terms)
 
 
 class KernelUsage:

@@ -38,6 +38,7 @@ __all__ = [
     "structure_fingerprint",
     "coefficient_fingerprint",
     "cached_tape",
+    "bound_slp_kernel",
     "cached_slp_kernel",
     "kernel_cache_info",
     "set_kernel_cache_capacity",
@@ -120,35 +121,36 @@ def cached_tape(
     return tape, False
 
 
+def bound_slp_kernel(
+    neqs: int, nvars: int, terms: Sequence[Term], has_t: bool = False
+) -> SLPKernel:
+    """A fresh kernel on the structure's memoized tape: the tape and its
+    schedules are shared, the binding is the caller's to keep or drop
+    (a warm query's coefficients never come back, so memoizing its
+    binding would only hold memory until the cap evicts it)."""
+    tape, hit = cached_tape(neqs, nvars, terms, has_t)
+    return SLPKernel(
+        tape,
+        [t.coeff for t in terms],
+        taping_seconds=0.0 if hit else tape.build_seconds,
+        cache_hit=hit,
+    )
+
+
 def cached_slp_kernel(
     neqs: int, nvars: int, terms: Sequence[Term], has_t: bool = False
 ) -> SLPKernel:
     """The fully bound SLP kernel, memoized by (structure, coefficients)."""
-    skey = structure_fingerprint(neqs, nvars, terms, has_t)
-    coefficients = [t.coeff for t in terms]
-    key = (skey, coefficient_fingerprint(coefficients))
+    key = (
+        structure_fingerprint(neqs, nvars, terms, has_t),
+        coefficient_fingerprint([t.coeff for t in terms]),
+    )
     kernel = _KERNELS.get(key)
     if kernel is not None:
         _HITS["kernel"] += 1
         return kernel
     _MISSES["kernel"] += 1
-    tape = _TAPES.get(skey)
-    if tape is None:
-        _MISSES["tape"] += 1
-        tape = build_tape(neqs, nvars, terms, has_t=has_t)
-        _TAPES[skey] = tape
-        _evict(_TAPES, "tape")
-        taping_seconds, cache_hit = tape.build_seconds, False
-    else:
-        _HITS["tape"] += 1
-        taping_seconds, cache_hit = 0.0, True
-    kernel = SLPKernel(
-        tape,
-        coefficients,
-        taping_seconds=taping_seconds,
-        cache_hit=cache_hit,
-    )
-    _KERNELS[key] = kernel
+    kernel = _KERNELS[key] = bound_slp_kernel(neqs, nvars, terms, has_t)
     _evict(_KERNELS, "kernel")
     return kernel
 

@@ -1,0 +1,174 @@
+"""Parametric term lists ``sum c * t^eta * x^a``: the reference
+evaluator and the homotopy base class that evaluates through a kernel.
+
+Two homotopies in this codebase are nothing but such a list — the
+polyhedral :class:`~repro.polyhedral.CellHomotopy` (``eta`` = lifted
+slack) and the warm route's :class:`~repro.homotopy.coefficient.
+CoefficientHomotopy` (``eta`` in {0, 1}) — so both are a
+:class:`TermHomotopy`: a constructor that builds
+:class:`~repro.kernels.Term` objects, bound through
+:func:`~repro.kernels.compile_term_kernel` to either the SLP tape or
+:class:`NaiveTermKernel`, the one place the triplet-scatter reference
+arithmetic for term lists lives.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from ..polynomials.system import _CompiledTables
+from ..tracker.interface import BatchHomotopy, HomotopyFunction, _per_path_t
+from .slp import KernelStats, Term
+
+__all__ = ["NaiveTermKernel", "TermHomotopy"]
+
+
+class NaiveTermKernel:
+    """Power-table + ``np.add.at`` evaluation of a parametric term list,
+    with :class:`~repro.kernels.SLPKernel`'s four-method signature.
+
+    Monomials come from the shape-stable power table of
+    :class:`~repro.polynomials.PolynomialSystem`; time powers are one
+    scalar-exponent ``tt ** eta`` per distinct exponent (numpy's
+    array-exponent power rounds by operand shape).  Every other
+    operation is elementwise along the point axis, so a row of a batch
+    is bit-identical to that row evaluated alone.  This is the oracle
+    the SLP tape is cross-checked against.
+    """
+
+    backend = "naive"
+
+    def __init__(self, neqs: int, nvars: int, terms: Sequence[Term]) -> None:
+        t0 = time.perf_counter()
+        tb = self._tables = _CompiledTables(
+            ((t.row, t.expo, t.coeff) for t in terms), nvars
+        )
+        eta = np.array([t.eta for t in terms], dtype=float)
+        moving = np.flatnonzero(eta > 0.0)  # the terms dH/dt keeps
+        self._etas, power = np.unique(
+            np.concatenate([eta, eta[moving] - 1.0]), return_inverse=True
+        )
+        own = power[: len(eta)]
+        # per output: (scatter index, coefficients, time-power row,
+        # monomial column, trailing shape)
+        self._res = (tb.res_rows, tb.res_coefs, own, tb.res_cols, (neqs,))
+        self._jac = (
+            (tb.jac_rows, tb.jac_vars),
+            tb.jac_coefs,
+            own[tb.jac_term],
+            tb.jac_cols,
+            (neqs, nvars),
+        )
+        self._dt = (
+            tb.res_rows[moving],
+            tb.res_coefs[moving] * eta[moving],
+            power[len(eta) :],
+            tb.res_cols[moving],
+            (neqs,),
+        )
+        self.stats = KernelStats(
+            backend=self.backend,
+            tape_ops=len(tb.res_rows) + len(tb.jac_rows),
+            n_terms=len(eta),
+            taping_seconds=time.perf_counter() - t0,
+        )
+
+    def _run(self, X: np.ndarray, tt: np.ndarray, *outputs):
+        self.stats.record(X.shape[0])
+        outs = []
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            mono = self._tables.monomial_values_many(X)
+            tpow = np.empty((len(self._etas), len(tt)), dtype=tt.dtype)
+            for k, eta in enumerate(self._etas):
+                tpow[k] = tt ** eta
+            for where, coefs, power, cols, shape in outputs:
+                out = np.zeros(shape + (X.shape[0],), dtype=complex)
+                np.add.at(
+                    out, where, coefs[:, None] * tpow[power] * mono[:, cols].T
+                )
+                # point axis first (np.moveaxis costs 3 us a thin call)
+                outs.append(out.transpose(out.ndim - 1, *range(out.ndim - 1)))
+        return outs[0] if len(outs) == 1 else tuple(outs)
+
+    def evaluate(self, X: np.ndarray, tt: np.ndarray) -> np.ndarray:
+        """Residuals, shape ``(npts, neqs)``."""
+        return self._run(X, tt, self._res)
+
+    def evaluate_and_jacobian(self, X: np.ndarray, tt: np.ndarray):
+        """Residuals and x-Jacobians from one monomial table."""
+        return self._run(X, tt, self._res, self._jac)
+
+    def jacobian_t(self, X: np.ndarray, tt: np.ndarray) -> np.ndarray:
+        """t-derivatives, shape ``(npts, neqs)``."""
+        return self._run(X, tt, self._dt)
+
+    def jacobians(self, X: np.ndarray, tt: np.ndarray):
+        """x-Jacobians and t-derivatives from one monomial table."""
+        return self._run(X, tt, self._jac, self._dt)
+
+
+class TermHomotopy(BatchHomotopy, HomotopyFunction):
+    """A square homotopy given as a term list, evaluated by one kernel.
+
+    ``kernel`` is ``None`` (the reference arithmetic, not accounted),
+    ``"naive"`` (the same, reported in solve summaries) or ``"slp"``.
+    Kernels do not pickle: a shipped homotopy carries its term list and
+    backend name and rebinds on arrival.
+    """
+
+    def __init__(
+        self, nvars: int, terms: Iterable[Term], kernel: str | None = None
+    ) -> None:
+        self._nvars = int(nvars)
+        self._terms = list(terms)
+        self._bind_kernel(kernel)
+
+    def _bind_kernel(self, kernel: str | None) -> None:
+        # imported late: the package imports this module
+        from . import KernelUsage, compile_term_kernel, normalize_kernel
+
+        self.kernel = normalize_kernel(kernel)
+        self._kernel = compile_term_kernel(
+            self._nvars, self._nvars, self._terms, self.kernel
+        )
+        self.kernel_usage = KernelUsage(self.kernels)
+
+    @property
+    def kernels(self) -> tuple:
+        """Bound kernel objects (for stats accounting); may be empty."""
+        return () if self.kernel is None else (self._kernel,)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_kernel"], state["kernel_usage"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._bind_kernel(self.kernel)
+
+    @property
+    def dim(self) -> int:
+        return self._nvars
+
+    def _args(self, X, t):
+        X = np.asarray(X, dtype=complex)
+        return X, _per_path_t(t, X.shape[0])
+
+    def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
+        return self._kernel.evaluate(*self._args(X, t))
+
+    def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
+        return self._kernel.evaluate_and_jacobian(*self._args(X, t))[1]
+
+    def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
+        return self._kernel.jacobian_t(*self._args(X, t))
+
+    def evaluate_and_jacobian_batch(self, X, t):
+        return self._kernel.evaluate_and_jacobian(*self._args(X, t))
+
+    def jacobians_batch(self, X, t):
+        return self._kernel.jacobians(*self._args(X, t))

@@ -16,9 +16,9 @@ cell's ``|det|`` toric roots across ``t in [0, 1]`` reaches exactly
 cell so the smallest positive exponent is 1, which keeps ``dH/dt``
 regular at ``t = 0`` (no fractional-power singularity).
 
-:class:`CellHomotopy` implements both tracker protocols — the scalar
-:class:`~repro.tracker.HomotopyFunction` and the structure-of-arrays
-:class:`~repro.tracker.BatchHomotopy` — so a cell's whole start batch
+:class:`CellHomotopy` is a :class:`~repro.kernels.TermHomotopy` — a
+term list bound to an evaluation kernel, implementing both tracker
+protocols — so a cell's whole start batch
 advances through the existing :class:`~repro.tracker.BatchTracker`
 front, and stragglers re-run as fronts of their own with conservative
 options (across cells: a :class:`~repro.tracker.StackedHomotopy`).
@@ -33,22 +33,19 @@ from __future__ import annotations
 
 import dataclasses
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels import KernelUsage, Term
+from ..kernels import KernelUsage, Term, TermHomotopy
 from ..polynomials import PolynomialSystem
 from ..tracker import (
-    BatchHomotopy,
     BatchTracker,
-    HomotopyFunction,
     PathResult,
     StackedHomotopy,
     TrackerOptions,
     retrack_duplicate_clusters,
 )
-from ..tracker.interface import _per_path_t
 from .binomial import solve_binomial_system
 from .cells import MixedCell, MixedSubdivision, mixed_cells
 from .supports import random_coefficient_system
@@ -56,7 +53,7 @@ from .supports import random_coefficient_system
 __all__ = ["CellHomotopy", "PolyhedralStart"]
 
 
-class CellHomotopy(HomotopyFunction, BatchHomotopy):
+class CellHomotopy(TermHomotopy):
     """``H_i(z,t) = sum_a c_{i,a} t^{eta_{i,a}} z^a`` for one mixed cell.
 
     Exponents come pre-normalized (0 on the cell's edges, >= 1 off
@@ -71,212 +68,18 @@ class CellHomotopy(HomotopyFunction, BatchHomotopy):
         etas: Sequence[np.ndarray],
         kernel: str | None = None,
     ) -> None:
-        self._nvars = int(supports[0].shape[1])
-        if len(supports) != self._nvars:
+        nvars = int(supports[0].shape[1])
+        if len(supports) != nvars:
             raise ValueError("cell homotopies need a square system")
-        self._terms: list = []
-        mono_index: Dict[Tuple[int, ...], int] = {}
-
-        def intern(expo: Tuple[int, ...]) -> int:
-            idx = mono_index.get(expo)
-            if idx is None:
-                idx = len(mono_index)
-                mono_index[expo] = idx
-            return idx
-
-        res_rows, res_cols, res_coefs, res_etas = [], [], [], []
-        jac_rows, jac_vars, jac_cols, jac_coefs, jac_etas = [], [], [], [], []
-        dt_rows, dt_cols, dt_coefs, dt_etas = [], [], [], []
-        for i, (support, coefs, eta) in enumerate(zip(supports, coefficients, etas)):
-            for a, c, e in zip(support, coefs, eta):
-                expo = tuple(int(v) for v in a)
-                c = complex(c)
-                e = float(e)
-                self._terms.append(Term(row=i, expo=expo, coeff=c, eta=e))
-                col = intern(expo)
-                res_rows.append(i)
-                res_cols.append(col)
-                res_coefs.append(c)
-                res_etas.append(e)
-                if e > 0.0:
-                    dt_rows.append(i)
-                    dt_cols.append(col)
-                    dt_coefs.append(c * e)
-                    dt_etas.append(e - 1.0)
-                for v, ev in enumerate(expo):
-                    if ev == 0:
-                        continue
-                    reduced = list(expo)
-                    reduced[v] = ev - 1
-                    jac_rows.append(i)
-                    jac_vars.append(v)
-                    jac_cols.append(intern(tuple(reduced)))
-                    jac_coefs.append(ev * c)
-                    jac_etas.append(e)
-        self._expos = np.zeros((max(1, len(mono_index)), self._nvars), dtype=np.int64)
-        for expo, idx in mono_index.items():
-            self._expos[idx] = expo
-        self._res = (
-            np.asarray(res_rows, dtype=np.int64),
-            np.asarray(res_cols, dtype=np.int64),
-            np.asarray(res_coefs, dtype=complex),
-            np.asarray(res_etas, dtype=float),
-        )
-        self._jac = (
-            np.asarray(jac_rows, dtype=np.int64),
-            np.asarray(jac_vars, dtype=np.int64),
-            np.asarray(jac_cols, dtype=np.int64),
-            np.asarray(jac_coefs, dtype=complex),
-            np.asarray(jac_etas, dtype=float),
-        )
-        self._dt = (
-            np.asarray(dt_rows, dtype=np.int64),
-            np.asarray(dt_cols, dtype=np.int64),
-            np.asarray(dt_coefs, dtype=complex),
-            np.asarray(dt_etas, dtype=float),
-        )
-        self._bind_kernel(kernel)
-
-    def _bind_kernel(self, kernel: str | None) -> None:
-        from ..kernels import compile_term_kernel, normalize_kernel
-
-        self.kernel = normalize_kernel(kernel)
-        if self.kernel == "slp":
-            self._slp = compile_term_kernel(
-                self._nvars, self._nvars, self._terms
-            )
-        else:
-            # "naive" keeps the triplet-scatter arithmetic below; the
-            # name is still recorded for reporting
-            self._slp = None
-
-    @property
-    def kernels(self) -> tuple:
-        """Bound kernel objects (for stats accounting); may be empty."""
-        return (self._slp,) if self._slp is not None else ()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_slp"] = None  # rebound on arrival, not shipped
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._bind_kernel(self.kernel)
-
-    # ------------------------------------------------------------------
-    @property
-    def dim(self) -> int:
-        return self._nvars
-
-    def _mono(self, X: np.ndarray) -> np.ndarray:
-        # (npts, nmono); one shared table per call, like the compiled
-        # system evaluators (0**0 == 1 keeps constants right at z = 0)
-        return np.prod(X[:, None, :] ** self._expos[None, :, :], axis=2)
-
-    # ------------------------------------------------------------------
-    # BatchHomotopy protocol (the scalar methods are one-row batches)
-    # ------------------------------------------------------------------
-    def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        if self._slp is not None:
-            return self._slp.evaluate(X, tt)
-        rows, cols, coefs, etas = self._res
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            mono = self._mono(X)
-            contrib = coefs[None, :] * (tt[:, None] ** etas[None, :]) * mono[:, cols]
-        out = np.zeros((self._nvars, X.shape[0]), dtype=complex)
-        np.add.at(out, rows, contrib.T)
-        return out.T
-
-    def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
-        return self.evaluate_and_jacobian_batch(X, t)[1]
-
-    def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        if self._slp is not None:
-            return self._slp.jacobian_t(X, tt)
-        rows, cols, coefs, etas = self._dt
-        out = np.zeros((self._nvars, X.shape[0]), dtype=complex)
-        if len(rows):
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                mono = self._mono(X)
-                contrib = (
-                    coefs[None, :] * (tt[:, None] ** etas[None, :]) * mono[:, cols]
-                )
-            np.add.at(out, rows, contrib.T)
-        return out.T
-
-    def evaluate_and_jacobian_batch(self, X, t):
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        if self._slp is not None:
-            return self._slp.evaluate_and_jacobian(X, tt)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            mono = self._mono(X)
-            rows, cols, coefs, etas = self._res
-            contrib = coefs[None, :] * (tt[:, None] ** etas[None, :]) * mono[:, cols]
-            res = np.zeros((self._nvars, X.shape[0]), dtype=complex)
-            np.add.at(res, rows, contrib.T)
-            jrows, jvars, jcols, jcoefs, jetas = self._jac
-            jac = np.zeros((self._nvars, self._nvars, X.shape[0]), dtype=complex)
-            if len(jrows):
-                jcontrib = (
-                    jcoefs[None, :] * (tt[:, None] ** jetas[None, :]) * mono[:, jcols]
-                )
-                np.add.at(jac, (jrows, jvars), jcontrib.T)
-        return res.T, jac.transpose(2, 0, 1)
-
-    def jacobians_batch(self, X, t):
-        # fused: one shared monomial table for both Jacobians (this is
-        # the predictor's per-step call, the phase-1 hot loop)
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        if self._slp is not None:
-            return self._slp.jacobians(X, tt)
-        npts = X.shape[0]
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            mono = self._mono(X)
-            jrows, jvars, jcols, jcoefs, jetas = self._jac
-            jac = np.zeros((self._nvars, self._nvars, npts), dtype=complex)
-            if len(jrows):
-                jcontrib = (
-                    jcoefs[None, :] * (tt[:, None] ** jetas[None, :]) * mono[:, jcols]
-                )
-                np.add.at(jac, (jrows, jvars), jcontrib.T)
-            drows, dcols, dcoefs, detas = self._dt
-            dt = np.zeros((self._nvars, npts), dtype=complex)
-            if len(drows):
-                dcontrib = (
-                    dcoefs[None, :] * (tt[:, None] ** detas[None, :]) * mono[:, dcols]
-                )
-                np.add.at(dt, drows, dcontrib.T)
-        return jac.transpose(2, 0, 1), dt.T
-
-    # ------------------------------------------------------------------
-    # scalar HomotopyFunction protocol
-    # ------------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-    def jacobian_x(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_and_jacobian_batch(
-            np.asarray(x, dtype=complex)[None, :], t
-        )[1][0]
-
-    def jacobian_t(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.jacobian_t_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-    def evaluate_and_jacobian_x(self, x, t):
-        res, jac = self.evaluate_and_jacobian_batch(
-            np.asarray(x, dtype=complex)[None, :], t
-        )
-        return res[0], jac[0]
+        terms = [
+            Term(i, tuple(int(v) for v in a), complex(c), float(e))
+            for i, (support, coefs, eta) in enumerate(zip(supports, coefficients, etas))
+            for a, c, e in zip(support, coefs, eta)
+        ]
+        super().__init__(nvars, terms, kernel)
 
     def __repr__(self) -> str:
-        return f"CellHomotopy(dim={self._nvars}, nterms={len(self._res[0])})"
+        return f"CellHomotopy(dim={self.dim}, nterms={len(self._terms)})"
 
 
 def _tightened(options: TrackerOptions) -> TrackerOptions:
@@ -324,7 +127,6 @@ class PolyhedralStart:
         rng = np.random.default_rng() if rng is None else rng
         self.target = target
         self.kernel = kernel
-        self.cell_kernels: List = []
         self.kernel_usage = KernelUsage([])
         self.subdivision: MixedSubdivision = mixed_cells(
             target, rng=rng, affine=affine, lifting_bound=lifting_bound
@@ -369,7 +171,6 @@ class PolyhedralStart:
             etas,
             kernel=self.kernel,
         )
-        self.cell_kernels.extend(homotopy.kernels)
         self.kernel_usage.add(homotopy.kernels)
         return homotopy
 

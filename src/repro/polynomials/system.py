@@ -30,7 +30,8 @@ __all__ = ["PolynomialSystem"]
 
 
 class _CompiledTables:
-    """Flat tables for vectorized residual/Jacobian evaluation."""
+    """Flat tables for vectorized residual/Jacobian evaluation of
+    ``(row, exponent, coefficient)`` term triplets."""
 
     __slots__ = (
         "expos",
@@ -43,10 +44,11 @@ class _CompiledTables:
         "jac_vars",
         "jac_cols",
         "jac_coefs",
+        "jac_term",
         "_scratch",
     )
 
-    def __init__(self, polys: Sequence[Polynomial], nvars: int) -> None:
+    def __init__(self, triplets, nvars: int) -> None:
         mono_index: dict[Tuple[int, ...], int] = {}
 
         def intern(expo: Tuple[int, ...]) -> int:
@@ -63,21 +65,22 @@ class _CompiledTables:
         jac_vars: List[int] = []
         jac_cols: List[int] = []
         jac_coefs: List[complex] = []
+        jac_term: List[int] = []  # triplet each Jacobian entry derives from
 
-        for i, poly in enumerate(polys):
-            for expo, c in poly.terms():
-                res_rows.append(i)
-                res_cols.append(intern(expo))
-                res_coefs.append(c)
-                for v, e in enumerate(expo):
-                    if e == 0:
-                        continue
-                    reduced = list(expo)
-                    reduced[v] = e - 1
-                    jac_rows.append(i)
-                    jac_vars.append(v)
-                    jac_cols.append(intern(tuple(reduced)))
-                    jac_coefs.append(e * c)
+        for i, expo, c in triplets:
+            res_rows.append(i)
+            res_cols.append(intern(expo))
+            res_coefs.append(c)
+            for v, e in enumerate(expo):
+                if e == 0:
+                    continue
+                reduced = list(expo)
+                reduced[v] = e - 1
+                jac_rows.append(i)
+                jac_vars.append(v)
+                jac_cols.append(intern(tuple(reduced)))
+                jac_coefs.append(e * c)
+                jac_term.append(len(res_rows) - 1)
 
         nmono = max(1, len(mono_index))
         expos = np.zeros((nmono, nvars), dtype=np.int64)
@@ -96,6 +99,7 @@ class _CompiledTables:
         self.jac_vars = np.asarray(jac_vars, dtype=np.int64)
         self.jac_cols = np.asarray(jac_cols, dtype=np.int64)
         self.jac_coefs = np.asarray(jac_coefs, dtype=complex)
+        self.jac_term = np.asarray(jac_term, dtype=np.int64)
         # per-batch-shape scratch buffers (powers / gather / product),
         # reused across calls so replaying the same points-shape — every
         # step of a tracked front — does not reallocate the power table.
@@ -235,7 +239,14 @@ class PolynomialSystem:
     # ------------------------------------------------------------------
     def _compiled(self) -> _CompiledTables:
         if self._tables is None:
-            self._tables = _CompiledTables(self._polys, self._nvars)
+            self._tables = _CompiledTables(
+                (
+                    (i, expo, c)
+                    for i, poly in enumerate(self._polys)
+                    for expo, c in poly.terms()
+                ),
+                self._nvars,
+            )
         return self._tables
 
     # ------------------------------------------------------------------

@@ -153,27 +153,7 @@ class _BatchSlices:
         return self._batch(X, t, with_t=True)[1:]
 
 
-class _OneKernel(_BatchSlices):
-    """Adds the scalar protocol as one-row batches: scalar and batched
-    tracking share one implementation."""
-
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-    def jacobian_x(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.evaluate_and_jacobian_x(x, t)[1]
-
-    def evaluate_and_jacobian_x(self, x, t):
-        res, jac = self.evaluate_and_jacobian_batch(
-            np.asarray(x, dtype=complex)[None, :], t
-        )
-        return res[0], jac[0]
-
-    def jacobian_t(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.jacobian_t_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
-
-
-class PieriEdgeHomotopy(_OneKernel, HomotopyFunction, BatchHomotopy):
+class PieriEdgeHomotopy(_BatchSlices, BatchHomotopy, HomotopyFunction):
     """The square homotopy tracked along one Pieri-tree edge.
 
     Implements *both* tracker protocols: the scalar
@@ -405,10 +385,10 @@ class PieriEdgeHomotopy(_OneKernel, HomotopyFunction, BatchHomotopy):
     jacobian_x_batch = _BatchSlices.jacobian_x_batch
     evaluate_and_jacobian_batch = _BatchSlices.evaluate_and_jacobian_batch
     jacobians_batch = _BatchSlices.jacobians_batch
-    evaluate = _OneKernel.evaluate
-    jacobian_x = _OneKernel.jacobian_x
-    evaluate_and_jacobian_x = _OneKernel.evaluate_and_jacobian_x
-    jacobian_t = _OneKernel.jacobian_t
+    evaluate = BatchHomotopy.evaluate
+    jacobian_x = BatchHomotopy.jacobian_x
+    evaluate_and_jacobian_x = BatchHomotopy.evaluate_and_jacobian_x
+    jacobian_t = BatchHomotopy.jacobian_t
 
     def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
         """Only the moving condition depends on t: the fixed forms are

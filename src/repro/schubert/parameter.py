@@ -50,7 +50,7 @@ from .brackets import (
     path_derivative,
     plane_path_brackets,
 )
-from .homotopy import _BatchSlices, _OneKernel, normalize_to_standard_chart
+from .homotopy import _BatchSlices, normalize_to_standard_chart
 from .patterns import LocalizationPattern
 from .poset import PieriPoset
 from .solver import PieriInstance
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 
-class PieriParameterHomotopy(_OneKernel, HomotopyFunction, BatchHomotopy):
+class PieriParameterHomotopy(_BatchSlices, BatchHomotopy, HomotopyFunction):
     """H(x, t): root-pattern solutions deformed between two instances.
 
     Unknowns are the free coefficients of the *root* localization pattern

@@ -168,6 +168,25 @@ class BatchHomotopy(abc.ABC):
         """
         return self.jacobian_x_batch(X, t), self.jacobian_t_batch(X, t)
 
+    # -- the scalar protocol, as one-row batches -----------------------
+    # Elementwise batching does not change rounding, so a point sees the
+    # same arithmetic however many rows it is evaluated with; a class
+    # implementing both protocols lists BatchHomotopy first.
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.evaluate_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
+
+    def jacobian_x(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.evaluate_and_jacobian_x(x, t)[1]
+
+    def evaluate_and_jacobian_x(self, x, t):
+        res, jac = self.evaluate_and_jacobian_batch(
+            np.asarray(x, dtype=complex)[None, :], t
+        )
+        return res[0], jac[0]
+
+    def jacobian_t(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self.jacobian_t_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
+
     # -- rescue hooks (see repro.tracker.rescue) -----------------------
     def rescale_patch(self, x: np.ndarray, t: float):
         """Offer better coordinates for one escaping path (see

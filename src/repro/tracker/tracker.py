@@ -175,12 +175,15 @@ class PathTracker:
 
 
 def refine_solutions(system, results, tol: float = 1e-12):
-    """Endgame helper: Newton-refine SUCCESS results against a target system."""
+    """Endgame helper: Newton-refine SUCCESS results against a target
+    system.  A result whose refinement does not converge keeps the
+    endpoint and residual the tracker delivered."""
     out = []
     for r in results:
         if r.success:
             nr = newton_refine_system(system, r.solution, tol=tol)
-            r.solution = nr.x
-            r.residual = nr.residual
+            if nr.converged:
+                r.solution = nr.x
+                r.residual = nr.residual
         out.append(r)
     return out

@@ -252,8 +252,8 @@ class TestPieriRoute:
 
 # ----------------------------------------------------------- polyhedral
 class TestPolyhedralRoute:
-    def _family(self, seed=42):
-        target = cyclic_roots_system(4)
+    def _family(self, seed=42, target=None):
+        target = cyclic_roots_system(4) if target is None else target
         sups = [np.asarray(s) for s in supports_of(target)]
         rng = np.random.default_rng(seed)
         coeffs = [
@@ -291,11 +291,36 @@ class TestPolyhedralRoute:
         fresh = solve(query, start="polyhedral", mode="batch",
                       rng=np.random.default_rng(1))
         assert "cache" not in fresh.summary
-        assert len(warm.solutions) == len(fresh.solutions)
-        fresh_flat = np.stack([s.ravel() for s in fresh.solutions])
-        for w in warm.solutions:
-            gap = np.min(np.max(np.abs(fresh_flat - w.ravel()), axis=1))
-            assert gap < 1e-8
+        self._assert_same_roots(warm, fresh)
+
+    @staticmethod
+    def _assert_same_roots(report, reference):
+        assert len(report.solutions) == len(reference.solutions)
+        flat = np.stack([s.ravel() for s in reference.solutions])
+        for w in report.solutions:
+            assert np.min(np.max(np.abs(flat - w.ravel()), axis=1)) < 1e-8
+
+    @pytest.mark.parametrize("family", [cyclic_roots_system, katsura_system])
+    def test_warm_route_threads_the_kernel(self, tmp_path, family):
+        """``solve(kernel=)`` reaches the coefficient homotopy (it was
+        dropped: a warm hit had no ``"kernel"`` entry, a cold one did)."""
+        store = ArtifactStore(tmp_path)
+        target, query = self._family(target=family(4))
+        cold = solve(target, start="polyhedral", mode="batch",
+                     rng=np.random.default_rng(0), cache=store)
+        assert cold.summary["cache"]["stored"]
+        fresh = solve(query, start="polyhedral", mode="batch",
+                      rng=np.random.default_rng(1))
+        for kernel in (None, "naive", "slp"):
+            warm = solve(query, start="polyhedral", mode="batch", kernel=kernel,
+                         rng=np.random.default_rng(1), cache=store)
+            assert warm.summary["cache"]["status"] == "warm"
+            if kernel is None:
+                assert "kernel" not in warm.summary
+            else:
+                assert warm.summary["kernel"]["backend"] == kernel
+                assert warm.summary["kernel"]["evaluations"] > 0
+            self._assert_same_roots(warm, fresh)
 
     def test_corrupted_endpoints_fall_back_ab_initio(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -22,6 +22,7 @@ from repro.kernels import (
     KERNEL_BACKENDS,
     KernelUsage,
     NaiveSystemKernel,
+    NaiveTermKernel,
     Term,
     build_tape,
     cached_slp_kernel,
@@ -296,6 +297,11 @@ def test_rows_are_bitwise_the_same_in_any_block(parametric):
     X = rng.standard_normal((3 * B + 5, nvars)) + 1j * rng.standard_normal(
         (3 * B + 5, nvars)
     )
+    _assert_rows_do_not_depend_on_the_batch(calls, X, T)
+
+
+def _assert_rows_do_not_depend_on_the_batch(calls, X, T):
+    B = slp.BLOCK
 
     def run(call, rows):
         out = call(X[rows], None if T is None else T[rows])
@@ -309,6 +315,117 @@ def test_rows_are_bitwise_the_same_in_any_block(parametric):
         for i in (0, B - 1, B, 2 * B, 3 * B + 4):
             for part, whole in zip(run(call, slice(i, i + 1)), full):
                 assert np.array_equal(part[0], whole[i])
+
+
+def _cell_homotopy(kernel, rng):
+    """A 3-variable term homotopy with fractional slacks above 1."""
+    from repro.polyhedral.homotopy import CellHomotopy
+
+    supports = [rng.integers(0, 4, (4, 3)) for _ in range(3)]
+    coefficients = [
+        rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)
+    ]
+    etas = [rng.choice([0.0, 1.0, 2.0, 1.5, 2.75], 4) for _ in range(3)]
+    return CellHomotopy(supports, coefficients, etas, kernel=kernel)
+
+
+def _coefficient_homotopy(kernel, rng):
+    """katsura-2 served from a generic system on its (augmented) supports;
+    returns the homotopy and that generic system."""
+    from repro.homotopy.coefficient import CoefficientHomotopy
+    from repro.polyhedral.supports import (
+        augment_with_origin, random_coefficient_system, supports_of)
+
+    target = katsura_system(2)
+    supports = augment_with_origin(supports_of(target))
+    generic, coefficients = random_coefficient_system(supports, rng)
+    homotopy = CoefficientHomotopy(
+        supports, coefficients, target, gamma=0.6 + 0.8j, kernel=kernel
+    )
+    return homotopy, generic
+
+
+_TERM_EVALUATORS = {
+    "naive-kernel": lambda rng: _cell_homotopy("naive", rng).kernels[0],
+    "cell-naive": lambda rng: _cell_homotopy("naive", rng),
+    "cell-slp": lambda rng: _cell_homotopy("slp", rng),
+    "coefficient-naive": lambda rng: _coefficient_homotopy("naive", rng)[0],
+    "coefficient-slp": lambda rng: _coefficient_homotopy("slp", rng)[0],
+}
+
+
+@pytest.mark.parametrize("complex_t", [False, True], ids=["real-t", "complex-t"])
+@pytest.mark.parametrize("subject", sorted(_TERM_EVALUATORS))
+def test_term_evaluator_rows_do_not_depend_on_the_batch(subject, complex_t):
+    rng = np.random.default_rng(11)
+    obj = _TERM_EVALUATORS[subject](rng)
+    if subject == "naive-kernel":
+        nvars = 3
+        calls = (obj.evaluate, obj.evaluate_and_jacobian,
+                 obj.jacobian_t, obj.jacobians)
+    else:
+        nvars = obj.dim
+        calls = (obj.evaluate_batch, obj.jacobian_x_batch,
+                 obj.jacobian_t_batch, obj.evaluate_and_jacobian_batch,
+                 obj.jacobians_batch)
+    npts = 3 * slp.BLOCK + 5
+    X = rng.standard_normal((npts, nvars)) + 1j * rng.standard_normal(
+        (npts, nvars)
+    )
+    T = 0.05 + 0.95 * rng.random(npts)
+    if complex_t:  # the Cauchy endgame's circles around t = 1
+        T = 1.0 - 0.3 * rng.random(npts) * np.exp(2j * np.pi * rng.random(npts))
+    _assert_rows_do_not_depend_on_the_batch(calls, X, T)
+
+
+def test_coefficient_homotopy_backends_agree_and_meet_both_ends():
+    """eta in {0, 1}: naive and SLP agree to 1e-12 everywhere, and the
+    two-terms-a-row blend still is gamma G at t = 0 and F at t = 1."""
+    naive, generic = _coefficient_homotopy("naive", np.random.default_rng(5))
+    fast, _ = _coefficient_homotopy("slp", np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+
+    def near(a, b):
+        return float(np.max(np.abs(a - b))) <= 1e-12 * (1 + np.max(np.abs(b)))
+
+    for t in (0.0, 0.35, 1.0, 0.8 + 0.1j, rng.random(9)):
+        for method in ("evaluate_batch", "jacobian_x_batch", "jacobian_t_batch",
+                       "evaluate_and_jacobian_batch", "jacobians_batch"):
+            a, b = getattr(naive, method)(X, t), getattr(fast, method)(X, t)
+            for u, v in zip(*((a, b) if isinstance(a, tuple) else ((a,), (b,)))):
+                assert u.shape == v.shape and near(u, v)
+    g, jg = generic.evaluate_and_jacobian_many(X)
+    f, jf = naive.target.evaluate_and_jacobian_many(X)
+    for hom in (naive, fast):
+        res0, jac0 = hom.evaluate_and_jacobian_batch(X, 0.0)
+        res1, jac1 = hom.evaluate_and_jacobian_batch(X, 1.0)
+        assert near(res0, hom.gamma * g) and near(jac0, hom.gamma * jg)
+        assert near(res1, f) and near(jac1, jf)
+        assert near(hom.jacobian_t_batch(X, 0.4), f - hom.gamma * g)
+        assert np.array_equal(hom.evaluate(X[2], 0.35),
+                              hom.evaluate_batch(X, 0.35)[2])
+
+
+@pytest.mark.parametrize("kernel", [None, "naive", "slp"])
+@pytest.mark.parametrize("build", [_cell_homotopy,
+                                   lambda k, r: _coefficient_homotopy(k, r)[0]],
+                         ids=["cell", "coefficient"])
+def test_term_homotopy_pickle_rebinds_and_evaluates_identically(build, kernel):
+    hom = build(kernel, np.random.default_rng(2))
+    state = hom.__getstate__()
+    assert "_kernel" not in state and "kernel_usage" not in state
+    back = pickle.loads(pickle.dumps(hom))
+    assert type(back) is type(hom) and back.kernel == kernel
+    assert len(back.kernels) == len(hom.kernels) == (kernel is not None)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    T = rng.random(4)
+    for u, v in zip(hom.evaluate_and_jacobian_batch(X, T) + hom.jacobians_batch(X, T),
+                    back.evaluate_and_jacobian_batch(X, T) + back.jacobians_batch(X, T)):
+        assert np.array_equal(u, v)
+    if kernel is not None:  # accounted again from the arrival's binding
+        assert back.kernel_usage.report()["calls"] >= 2
 
 
 def test_same_structure_shares_schedules_and_differs_in_constants():
@@ -542,9 +659,26 @@ def test_cell_homotopy_slp_matches_triplet_scatter():
         assert _close(jxn, jxs) and _close(jtn, jts)
 
 
-def test_compile_term_kernel_requires_slp():
-    with pytest.raises(ValueError, match="only support the 'slp'"):
-        compile_term_kernel(1, 1, [Term(0, (1,), 1.0 + 0j, 1.0)], "naive")
+def test_compile_term_kernel_accepts_naive():
+    terms = [Term(0, (1, 2), 1.5 - 2j, 1.0), Term(1, (0, 1), 0.5j, 2.5),
+             Term(1, (3, 0), -1.0 + 0j, 0.0), Term(0, (0, 0), 2.0 + 1j, 0.0)]
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    T = rng.random(5)
+    fast = compile_term_kernel(2, 2, terms, "slp")
+    for backend in (None, "naive"):
+        naive = compile_term_kernel(2, 2, terms, backend)
+        assert isinstance(naive, NaiveTermKernel) and naive.backend == "naive"
+        assert _close(naive.evaluate(X, T), fast.evaluate(X, T))
+        for a, b in zip(naive.evaluate_and_jacobian(X, T),
+                        fast.evaluate_and_jacobian(X, T)):
+            assert a.shape == b.shape and _close(a, b)
+        assert _close(naive.jacobian_t(X, T), fast.jacobian_t(X, T))
+        for a, b in zip(naive.jacobians(X, T), fast.jacobians(X, T)):
+            assert a.shape == b.shape and _close(a, b)
+        assert naive.stats.calls == 4 and naive.stats.evaluations == 20
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        compile_term_kernel(2, 2, terms, "fortran")
 
 
 def test_polyhedral_solve_with_slp_kernel():

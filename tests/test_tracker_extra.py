@@ -111,6 +111,22 @@ class TestRefineSolutions:
         out = refine_solutions(target, [fail])
         assert out[0].solution[0] == 123.0
 
+    def test_keeps_the_endpoint_when_refinement_does_not_converge(self):
+        """x^2 + 1 from a real start: Newton stays on the real axis and
+        wanders for ever.  The tracker's endpoint must survive that, not
+        be replaced by wherever the twentieth iterate happened to be."""
+        (x,) = variables(1)
+        target = PolynomialSystem([x**2 + 1])
+        from repro.tracker import PathResult, TrackStats, newton_refine_system
+
+        start = np.array([0.7 + 0j])
+        assert not newton_refine_system(target, start).converged
+        ok = PathResult(
+            PathStatus.SUCCESS, start.copy(), start.copy(), 1e-9, TrackStats()
+        )
+        (out,) = refine_solutions(target, [ok])
+        assert np.array_equal(out.solution, start) and out.residual == 1e-9
+
 
 class TestStatsBookkeeping:
     def test_total_steps_sum(self):
