@@ -6,7 +6,7 @@ Extracted from the Pieri tree scheduler so that *any* job-shaped workload
 1. hand queued jobs to idle workers, first-come-first-served;
 2. wait for any worker to finish;
 3. let the caller consume the result and enqueue the jobs it enables
-   (the Pieri ``expand`` step, or nothing for a flat job list);
+   (the Pieri generate step, or nothing for a flat job list);
 4. re-enqueue jobs whose worker *crashed* (raised, as opposed to
    returning a failure value) up to a retry budget;
 5. terminate when the queue is drained and every worker is parked.
@@ -15,23 +15,95 @@ What an idle worker is handed in step 1 is the caller's to say (``take``):
 the head of the queue by default, or a *bundle* of queued jobs — the
 Pieri scheduler hands out same-level fronts that way.
 
-The dispatcher is executor-agnostic: it only sees a ``submit`` callable
-returning :class:`concurrent.futures.Future` objects.  If the underlying
-pool is a :class:`~concurrent.futures.ProcessPoolExecutor` and a worker
-*process* dies (``BrokenExecutor``), every in-flight job is lost at once;
-with a ``rebuild_pool`` factory the dispatcher rebuilds the pool,
-re-enqueues the in-flight jobs, and keeps going — without one, the error
-propagates.
+The loop (:func:`dispatch_jobs`) is executor-agnostic: it only sees a
+``submit`` callable returning :class:`concurrent.futures.Future` objects.
+If the underlying pool is a :class:`~concurrent.futures.ProcessPoolExecutor`
+and a worker *process* dies (``BrokenExecutor``), every in-flight job is
+lost at once; with a ``rebuild_pool`` factory the dispatcher rebuilds the
+pool, re-enqueues the in-flight jobs, and keeps going — without one, the
+error propagates.
+
+This is the one module that builds executors for local workers
+(:func:`make_pool`) and owns their lifecycle (:func:`dispatch_with_pool`);
+path tracking, sweeps and the Pieri tree each make one such call.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional
 
-__all__ = ["DispatchTelemetry", "dispatch_jobs", "dispatch_with_pool"]
+__all__ = [
+    "DispatchTelemetry",
+    "dispatch_jobs",
+    "dispatch_with_pool",
+    "make_pool",
+]
+
+
+def _resolve_workers(n_workers: Optional[int]) -> int:
+    """The pool size asked for; ``None`` leaves one CPU to the master."""
+    if n_workers is None:
+        return max(1, (os.cpu_count() or 2) - 1)
+    if n_workers < 1:
+        raise ValueError("need at least one worker")
+    return n_workers
+
+
+class _InlineExecutor(Executor):
+    """The ``"serial"`` pool: ``submit`` runs the call in the master and
+    returns the settled future."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def make_pool(
+    mode: str,
+    n_workers: int,
+    initializer: Optional[Callable[..., None]] = None,
+    initargs: tuple = (),
+) -> Executor:
+    """The executor behind a worker ``mode``.
+
+    ``"process"`` is a :class:`~concurrent.futures.ProcessPoolExecutor`
+    whose workers each run ``initializer(*initargs)``; ``"thread"`` a
+    :class:`~concurrent.futures.ThreadPoolExecutor` and ``"serial"`` an
+    executor that runs every call inline at ``submit`` — both share this
+    process's module state, so the initializer runs once, here.
+
+    >>> seen = []
+    >>> with make_pool("serial", 1, seen.append, ("ready",)) as pool:
+    ...     pool.submit(pow, 2, 10).result(), seen
+    (1024, ['ready'])
+    """
+    if mode == "process":
+        return ProcessPoolExecutor(
+            max_workers=n_workers, initializer=initializer, initargs=initargs
+        )
+    if mode not in ("thread", "serial"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if initializer is not None:
+        initializer(*initargs)
+    if mode == "thread":
+        return ThreadPoolExecutor(max_workers=n_workers)
+    return _InlineExecutor()
 
 
 @dataclass
@@ -236,7 +308,7 @@ def dispatch_jobs(
 
 
 def dispatch_with_pool(
-    make_pool: Callable[[], Any],
+    new_pool: Callable[[], Executor],
     submit_job: Callable[[Any, Any], Future],
     initial_jobs: Iterable[Any],
     on_result: Callable[[Any, Any], Optional[Iterable[Any]]],
@@ -244,32 +316,33 @@ def dispatch_with_pool(
     max_retries: int = 0,
     retry_key: Callable[[Any], Any] = id,
     on_abandoned: Optional[Callable[[Any], None]] = None,
-    rebuildable: bool = True,
-    cancel_on_exit: bool = False,
     telemetry: Optional[DispatchTelemetry] = None,
     take: Optional[Callable[[deque, int], list]] = None,
 ) -> DispatchTelemetry:
     """:func:`dispatch_jobs` plus executor lifecycle, in one call.
 
-    Owns the pool: creates it via ``make_pool``, submits through
-    ``submit_job(pool, job)``, transparently replaces a broken pool when
-    ``rebuildable`` (pass ``False`` for thread pools, which cannot
-    break), and always shuts the final pool down — waiting for stragglers
-    by default, or cancelling them when ``cancel_on_exit`` is set (used
-    by callers whose ``on_result`` aborts the run mid-flight).
+    Owns the pool: creates it via ``new_pool`` (typically a
+    :func:`make_pool` call), submits through ``submit_job(pool, job)``,
+    transparently replaces a broken process pool (thread and inline
+    pools cannot break), and always shuts the final pool down.  The loop
+    returns with nothing in flight, so that shutdown waits for the
+    workers to exit; when ``on_result`` or ``on_abandoned`` raised to
+    stop the run, whatever is still queued or running is dropped, as a
+    kill would drop it.
     """
-    state = {"pool": make_pool()}
+    state = {"pool": new_pool()}
 
     def submit(job: Any) -> Future:
         return submit_job(state["pool"], job)
 
     def rebuild_pool() -> Callable[[Any], Future]:
         state["pool"].shutdown(wait=False, cancel_futures=True)
-        state["pool"] = make_pool()
+        state["pool"] = new_pool()
         return submit
 
+    rebuildable = isinstance(state["pool"], ProcessPoolExecutor)
     try:
-        return dispatch_jobs(
+        telemetry = dispatch_jobs(
             initial_jobs,
             submit,
             on_result,
@@ -281,8 +354,8 @@ def dispatch_with_pool(
             telemetry=telemetry,
             take=take,
         )
-    finally:
-        if cancel_on_exit:
-            state["pool"].shutdown(wait=False, cancel_futures=True)
-        else:
-            state["pool"].shutdown(wait=True)
+    except BaseException:
+        state["pool"].shutdown(wait=False, cancel_futures=True)
+        raise
+    state["pool"].shutdown(wait=True)
+    return telemetry

@@ -1,38 +1,40 @@
 """Real parallel path tracking: static and dynamic load balancing (paper §II).
 
 The paper's two schemes, implemented on local workers instead of MPI ranks
-(see DESIGN.md substitutions):
+(see DESIGN.md substitutions).  Both are the one master loop of
+:mod:`repro.parallel.dispatcher` — hand a block of paths to an idle worker,
+first-come-first-served, collect its results — and differ only in how the
+path list is cut into blocks before the run:
 
-- **static** — the path list is split round-robin into one chunk per worker
-  before any tracking starts; each worker runs its whole chunk.  Minimal
-  coordination, but worker finish times inherit the full variance of the
-  per-path costs.
-- **dynamic** — a master hands out one path at a time; a worker that
-  finishes requests the next (first-come-first-served).  More coordination,
-  near-perfect balance.
+- **static** — one round-robin block per worker, so every worker is handed
+  its whole share at once.  Minimal coordination, but worker finish times
+  inherit the full variance of the per-path costs.
+- **dynamic** — one path a block; a worker that finishes is handed the
+  next.  More coordination, near-perfect balance.
 
 Workers are processes by default (real parallelism for this CPU-bound
 workload); ``mode="thread"`` runs the same code on threads, useful for
 correctness tests and when the homotopy is cheap relative to process
-startup.  ``mode="serial"`` is the 1-CPU baseline sharing the same code
-path.
+startup.  ``mode="serial"`` is the 1-CPU baseline: the same loop over a
+pool that runs each block inline.
 
 Every worker runs the one tracker loop
 (:class:`~repro.tracker.BatchTracker`); the per-path modes above hand it
 one-row fronts, so a path's seconds are its exclusive wall time.  Beyond
-the paper's axis (paths x workers), two modes make the fronts wide:
+the paper's axis (paths x workers), two modes track a block as one wide
+front:
 
-- **batch** — one process advances *all* paths as a single vectorized
-  front; no inter-process coordination at all, the speedup comes from
+- **batch** — one block, all paths, advanced as a single vectorized front
+  in this process; no coordination at all, the speedup comes from
   amortizing numpy dispatch over the batch.
-- **hybrid** — processes x batch: the path list is split into per-worker
-  blocks and every worker tracks its block as one batched front.  With
-  ``schedule="static"`` there is one round-robin block per worker; with
-  ``schedule="dynamic"`` the list is cut into several smaller blocks
-  handed out first-come-first-served, trading some batching efficiency
-  for balance.
+- **hybrid** — processes x batch: every worker tracks its block as one
+  batched front; ``schedule="dynamic"`` cuts ``4 * n_workers`` blocks,
+  trading some batching efficiency for balance.
 
-Worker busy time is *self-reported*: every job result carries the worker
+A worker that raises stops the run: its exception reaches the caller and
+no partial report is returned.
+
+Worker busy time is *self-reported*: every block result carries the worker
 identity (process id, thread id) that ran it, and per-worker busy seconds
 are aggregated from those reports — so ``load_imbalance`` reflects the
 real assignment, not a master-side guess.
@@ -41,9 +43,9 @@ real assignment, not a master-side guess.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Sequence, Tuple
 
@@ -55,6 +57,7 @@ from ..tracker import (
     PathResult,
     TrackerOptions,
 )
+from .dispatcher import _resolve_workers, dispatch_with_pool, make_pool
 
 __all__ = ["ParallelTrackReport", "load_imbalance", "track_paths_parallel"]
 
@@ -102,28 +105,18 @@ def _init_worker(homotopy: HomotopyFunction, options: TrackerOptions) -> None:
     _WORKER_TRACKER = BatchTracker(options)
 
 
-def _track_one(args) -> tuple[int, PathResult, float, WorkerKey]:
-    """Track one path: a one-row block."""
-    [(path_id, result)], busy, key = _track_batch_block([args])
-    return path_id, result, busy, key
-
-
-def _track_chunk(args) -> List[tuple[int, PathResult, float, WorkerKey]]:
-    return [_track_one(item) for item in args]
-
-
-def _track_batch_block(
-    args,
-) -> tuple[List[tuple[int, PathResult]], float, WorkerKey]:
-    """Track one block of paths as a single SoA front."""
-    path_ids = [pid for pid, _ in args]
-    starts = [start for _, start in args]
+def _track_block(block, wide: bool) -> tuple[List[PathResult], float, WorkerKey]:
+    """Worker entry point: track one block of ``(path_id, start)`` pairs,
+    as a single SoA front when ``wide`` and as one-row fronts otherwise."""
     t0 = time.perf_counter()
-    results = _WORKER_TRACKER.track_batch(
-        _WORKER_HOMOTOPY, starts, path_ids=path_ids
-    )
-    busy = time.perf_counter() - t0
-    return [(r.path_id, r) for r in results], busy, _worker_key()
+    results: List[PathResult] = []
+    for front in [block] if wide else [[item] for item in block]:
+        results += _WORKER_TRACKER.track_batch(
+            _WORKER_HOMOTOPY,
+            [start for _, start in front],
+            path_ids=[path_id for path_id, _ in front],
+        )
+    return results, time.perf_counter() - t0, _worker_key()
 
 
 @dataclass
@@ -153,9 +146,7 @@ def _busy_list(per_worker: Dict[WorkerKey, float], n_workers: int) -> List[float
     statistic still reflects the full pool size.
     """
     busy = sorted(per_worker.values(), reverse=True)
-    if len(busy) < n_workers:
-        busy += [0.0] * (n_workers - len(busy))
-    return busy
+    return busy + [0.0] * (n_workers - len(busy))
 
 
 def track_paths_parallel(
@@ -178,13 +169,14 @@ def track_paths_parallel(
     n_workers:
         Pool size; defaults to ``cpu_count() - 1`` (min 1).
     schedule:
-        ``"static"`` pre-assigns one round-robin chunk per worker;
-        ``"dynamic"`` hands out one path (or block, in hybrid mode) at a
-        time, first-come-first-served — the paper's two schemes.
+        How the path list is cut: ``"static"`` is one round-robin block
+        per worker, ``"dynamic"`` one path a block (``4 * n_workers``
+        blocks in hybrid mode) — the paper's two schemes.
     mode:
-        ``"process"``/``"thread"``/``"serial"`` track per path;
-        ``"batch"`` advances all paths as one SoA front in this process;
-        ``"hybrid"`` gives each worker a block tracked as one front.
+        ``"process"``/``"thread"``/``"serial"`` track a block path by
+        path; ``"batch"`` advances all paths as one SoA front in this
+        process; ``"hybrid"`` has each worker process track its block
+        as one front.  One worker is always this process.
     options:
         Tracker options shared by every worker.
 
@@ -207,90 +199,55 @@ def track_paths_parallel(
     True
     """
     options = options or TrackerOptions()
-    if n_workers is None:
-        n_workers = max(1, (os.cpu_count() or 2) - 1)
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
+    n_workers = _resolve_workers(n_workers)
     if schedule not in ("static", "dynamic"):
         raise ValueError(f"unknown schedule {schedule!r}")
     if mode not in ("process", "thread", "serial", "batch", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
     jobs = [(i, np.asarray(s, dtype=complex)) for i, s in enumerate(starts)]
 
-    t_wall = time.perf_counter()
-    if mode == "batch" or (mode == "hybrid" and n_workers == 1):
-        # one vectorized SoA front in this process; "parallelism" across
-        # paths comes from batching, not workers
-        _init_worker(homotopy, options)
-        block, busy, _ = _track_batch_block(jobs)
-        wall = time.perf_counter() - t_wall
-        results = [r for _, r in sorted(block, key=lambda pr: pr[0])]
-        return ParallelTrackReport(results, schedule, 1, wall, [busy])
+    # mode: which pool, and whether a block is one front or one-row fronts
+    wide = mode in ("batch", "hybrid")
+    if mode in ("serial", "batch") or n_workers == 1:
+        pool_mode, n_workers = "serial", 1
+    else:
+        pool_mode = "thread" if mode == "thread" else "process"
+    # schedule: how the path list is cut
+    if wide and n_workers == 1:
+        n_blocks = 1  # batch, or hybrid on one worker: one front
+    elif schedule == "static":
+        n_blocks = n_workers
+    else:
+        n_blocks = 4 * n_workers if wide else len(jobs)
+    blocks = [b for b in (jobs[k::n_blocks] for k in range(n_blocks)) if b]
 
-    if mode == "serial" or n_workers == 1:
-        _init_worker(homotopy, options)
-        triples = [_track_one(job) for job in jobs]
-        wall = time.perf_counter() - t_wall
-        results = [r for _, r, _, _ in sorted(triples, key=lambda t: t[0])]
-        return ParallelTrackReport(
-            results, schedule, 1, wall, [sum(dt for _, _, dt, _ in triples)]
-        )
-
-    if mode in ("process", "hybrid"):
-        pool_cls = ProcessPoolExecutor
-        pool_kwargs = dict(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=(homotopy, options),
-        )
-    else:  # thread
-        pool_cls = ThreadPoolExecutor
-        _init_worker(homotopy, options)  # threads share module state
-        pool_kwargs = dict(max_workers=n_workers)
-
+    results: List[PathResult] = []
     per_worker: Dict[WorkerKey, float] = {}
-    if mode == "hybrid":
-        # processes x batch: each block advances as one SoA front
-        if schedule == "static":
-            blocks = [jobs[w::n_workers] for w in range(n_workers)]
-        else:
-            n_blocks = min(len(jobs), 4 * n_workers)
-            blocks = [jobs[b::n_blocks] for b in range(n_blocks)]
-        blocks = [b for b in blocks if b]
-        pairs: List[tuple[int, PathResult]] = []
-        with pool_cls(**pool_kwargs) as pool:
-            for block_out, busy, key in pool.map(
-                _track_batch_block, blocks, chunksize=1
-            ):
-                pairs.extend(block_out)
-                per_worker[key] = per_worker.get(key, 0.0) + busy
-        wall = time.perf_counter() - t_wall
-        results = [r for _, r in sorted(pairs, key=lambda pr: pr[0])]
-        return ParallelTrackReport(
-            results, schedule, n_workers, wall, _busy_list(per_worker, n_workers)
-        )
 
-    triples: List[tuple[int, PathResult, float, WorkerKey]] = []
-    with pool_cls(**pool_kwargs) as pool:
-        if schedule == "static":
-            # one pre-assigned round-robin chunk per worker, as in the paper
-            chunks = [jobs[w::n_workers] for w in range(n_workers)]
-            futures = [pool.submit(_track_chunk, chunk) for chunk in chunks]
-            for fut in futures:
-                chunk_out = fut.result()
-                triples.extend(chunk_out)
-                for _, _, dt, key in chunk_out:
-                    per_worker[key] = per_worker.get(key, 0.0) + dt
-        else:
-            # dynamic: the executor's shared queue is exactly FCFS; each
-            # worker self-reports its identity alongside the job timing
-            for path_id, result, dt, key in pool.map(
-                _track_one, jobs, chunksize=1
-            ):
-                triples.append((path_id, result, dt, key))
-                per_worker[key] = per_worker.get(key, 0.0) + dt
+    def on_result(block, out) -> None:
+        tracked, busy, key = out
+        results.extend(tracked)
+        per_worker[key] = per_worker.get(key, 0.0) + busy
+
+    def on_abandoned(block) -> None:
+        # called inside the dispatcher's ``except``: a bare raise hands the
+        # worker's own exception to the caller (a dead process leaves none)
+        if sys.exc_info()[1] is not None:
+            raise
+        lost = [path_id for path_id, _ in block]
+        raise RuntimeError(f"worker process died; paths {lost} lost")
+
+    t_wall = time.perf_counter()
+    dispatch_with_pool(
+        lambda: make_pool(pool_mode, n_workers, _init_worker, (homotopy, options)),
+        lambda pool, block: pool.submit(_track_block, block, wide),
+        blocks,
+        on_result,
+        n_workers=n_workers,
+        on_abandoned=on_abandoned,
+    )
     wall = time.perf_counter() - t_wall
-    results = [r for _, r, _, _ in sorted(triples, key=lambda t: t[0])]
+    results.sort(key=lambda r: r.path_id)
     return ParallelTrackReport(
         results, schedule, n_workers, wall, _busy_list(per_worker, n_workers)
     )

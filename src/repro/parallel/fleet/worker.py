@@ -278,8 +278,7 @@ def _sweep_job_runner(payload: dict) -> dict:
     """Run one sweep job payload (the ``job`` sub-dict is a JobSpec)."""
     from ...sweep.engine import _run_job_timed
 
-    record, _busy, _key = _run_job_timed(payload["job"])
-    return record
+    return _run_job_timed(payload["job"])
 
 
 def run_sweep_worker(

@@ -22,12 +22,10 @@ a path, the same edges in bundles 6-9 ms.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional
+from typing import List, Literal, Optional
 
 from ..schubert.solver import (
     PieriInstance,
@@ -37,7 +35,7 @@ from ..schubert.solver import (
 )
 from ..schubert.tree import PieriTreeNode
 from ..tracker import TrackerOptions
-from .dispatcher import dispatch_with_pool
+from .dispatcher import _resolve_workers, dispatch_with_pool, make_pool
 
 __all__ = ["ParallelPieriReport", "solve_pieri_parallel"]
 
@@ -136,29 +134,12 @@ def solve_pieri_parallel(
     >>> [r["n_chunks"] for r in report.level_batches]
     [1, 1, 1, 1]
     """
-    if n_workers is None:
-        n_workers = max(1, (os.cpu_count() or 2) - 1)
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
+    n_workers = _resolve_workers(n_workers)
     if mode not in ("process", "thread"):
         raise ValueError(f"unknown mode {mode!r}")
     if granularity not in ("edge", "level"):
         raise ValueError(f"unknown granularity {granularity!r}")
-    # the local solver mirrors the workers: used for job expansion only
-    master = PieriSolver(instance, options=options, seed=seed)
-
-    def make_pool():
-        if mode == "process":
-            return ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_pieri_worker,
-                initargs=(instance, options, seed),
-            )
-        _init_pieri_worker(instance, options, seed)
-        return ThreadPoolExecutor(max_workers=n_workers)
-
     report = ParallelPieriReport(instance, n_workers=n_workers)
-    levels: Dict[int, dict] = {}
     t_wall = time.perf_counter()
 
     def submit_bundle(pool, bundle: List[PieriJob]):
@@ -171,48 +152,22 @@ def solve_pieri_parallel(
 
     def on_result(bundle: List[PieriJob], result) -> List[PieriJob]:
         matrices, stats, dt = result
-        lvl = bundle[0].level
-        record = levels.setdefault(
-            lvl,
-            {"level": lvl, "seconds": 0.0, "n_chunks": 0,
-             **dict.fromkeys(stats, 0)},
-        )
-        record["seconds"] += dt
-        record["n_chunks"] += 1
-        for key, count in stats.items():
-            record[key] += count
-        enabled: List[PieriJob] = []
-        for job, matrix in zip(bundle, matrices):
-            if matrix is None:
-                report.failures += 1
-            elif job.node.is_leaf():
-                report.solutions.append(matrix)
-            else:
-                enabled.extend(
-                    PieriJob(child, matrix) for child in job.node.children()
-                )
-        return enabled
-
-    def on_abandoned(job: PieriJob) -> None:
-        # retry budget spent: record the lost subtree as a failure
-        report.failures += 1
+        return report.record_front(bundle, matrices, {"n_chunks": 1, **stats}, dt)
 
     telemetry = dispatch_with_pool(
-        make_pool,
+        lambda: make_pool(
+            mode, n_workers, _init_pieri_worker, (instance, options, seed)
+        ),
         submit_bundle,
-        master.initial_jobs(),
+        PieriSolver(instance, options=options, seed=seed).initial_jobs(),
         on_result,
         n_workers=n_workers,
         max_retries=max_job_retries,
         retry_key=lambda job: job.node.columns,
-        on_abandoned=on_abandoned,
-        rebuildable=(mode == "process"),
         take=_take_front,
     )
-    report.level_batches = [levels[lvl] for lvl in sorted(levels)]
-    for record in report.level_batches:
-        report.jobs_per_level[record["level"]] = record["n_jobs"]
-        report.seconds_per_level[record["level"]] = record["seconds"]
+    # an edge whose retry budget was spent forfeits its subtree
+    report.failures += telemetry.jobs_abandoned
     report.max_queue_length = telemetry.max_queue_length
     report.max_active_jobs = telemetry.max_active_jobs
     report.worker_crashes = telemetry.worker_crashes

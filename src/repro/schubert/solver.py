@@ -146,8 +146,8 @@ class PieriReport:
     jobs_per_level: Dict[int, int] = field(default_factory=dict)
     seconds_per_level: Dict[int, float] = field(default_factory=dict)
     total_seconds: float = 0.0
-    #: one record per tree level when solved with ``mode="batch"``:
-    #: n_jobs, n_homotopies, chart_switches, retries, seconds
+    #: one record per tree level, the sums over the fronts tracked at
+    #: it: n_jobs, n_homotopies, chart_switches, retries, seconds
     level_batches: List[dict] = field(default_factory=list)
     #: artifact-store routing of this solve, when a ``cache=`` was given:
     #: ``status`` ("warm" — continued from the cached generic instance
@@ -179,14 +179,52 @@ class PieriReport:
         clusters = greedy_cluster_indices(self.solutions, tol)
         return len(clusters) == len(self.solutions)
 
+    def record_front(
+        self,
+        jobs: Sequence[PieriJob],
+        matrices: Sequence[Optional[np.ndarray]],
+        stats: Dict[str, int],
+        seconds: float,
+    ) -> List[PieriJob]:
+        """Book one tracked front: the master's generate step.
+
+        ``jobs`` share a tree level, ``matrices`` are their endpoints
+        (``None`` for a failed edge); ``stats`` (the front's counts, see
+        :meth:`PieriSolver.run_jobs_batched`) and its worker-busy
+        ``seconds`` are added to the level's record.  A failed edge is
+        counted, a leaf's matrix is a solution, and the child jobs every
+        other edge enables are returned.
+        """
+        lvl = jobs[0].level
+        record = next((r for r in self.level_batches if r["level"] == lvl), None)
+        if record is None:
+            record = {"level": lvl, "seconds": 0.0, **dict.fromkeys(stats, 0)}
+            self.level_batches.append(record)
+        record["seconds"] += seconds
+        for key, count in stats.items():
+            record[key] += count
+        self.jobs_per_level[lvl] = self.jobs_per_level.get(lvl, 0) + len(jobs)
+        self.seconds_per_level[lvl] = record["seconds"]
+        enabled: List[PieriJob] = []
+        for job, matrix in zip(jobs, matrices):
+            if matrix is None:
+                self.failures += 1
+            elif job.node.is_leaf():
+                self.solutions.append(matrix)
+            else:
+                enabled.extend(
+                    PieriJob(child, matrix) for child in job.node.children()
+                )
+        return enabled
+
 
 class PieriSolver:
     """Runs Pieri jobs; sequential driver plus hooks for the parallel one.
 
     The one-call entry point is :meth:`solve`; the job-level hooks
-    (:meth:`initial_jobs` / :meth:`run_job` / :meth:`expand`) let the
-    parallel tree scheduler and the sweep engine drive exactly the same
-    computation.
+    (:meth:`initial_jobs` / :meth:`run_jobs_batched` /
+    :meth:`PieriReport.record_front`) let the parallel tree scheduler
+    drive exactly the same computation.
 
     >>> import numpy as np
     >>> instance = PieriInstance.random(2, 2, 0, np.random.default_rng(1))
@@ -230,7 +268,7 @@ class PieriSolver:
         self.seed = int(seed)
 
     # ------------------------------------------------------------------
-    def _edge_rng(self, node: PieriTreeNode, attempt: int = 0) -> np.random.Generator:
+    def _edge_rng(self, node: PieriTreeNode) -> np.random.Generator:
         """Deterministic randomness keyed on the *poset* node.
 
         All tree edges into the same pattern at the same level must share
@@ -239,14 +277,7 @@ class PieriSolver:
         the endpoints, so distinct chains stay distinct.  Keying on the
         chain history instead would give each edge its own homotopy and
         let endpoints collide.  This also makes parallel == sequential.
-
-        ``attempt`` is accepted for interface stability but deliberately
-        ignored: retrying a *single* edge with fresh gammas would break the
-        per-node bijection (its endpoint could collide with a sibling's).
-        Failed paths are retried with tighter tracking of the *same*
-        homotopy instead (see :meth:`run_jobs_batched`).
         """
-        del attempt
         pattern = node.pattern()
         return np.random.default_rng(
             [self.seed, node.level, *pattern.bottom_pivots]
@@ -255,7 +286,6 @@ class PieriSolver:
     def make_homotopy(
         self,
         node: PieriTreeNode,
-        attempt: int = 0,
         pin_row: int | None = None,
     ) -> PieriEdgeHomotopy:
         if node.level == 0:
@@ -268,7 +298,7 @@ class PieriSolver:
             jstar,
             self.instance.planes[:n],
             self.instance.points[:n],
-            rng=self._edge_rng(node, attempt),
+            rng=self._edge_rng(node),
             pin_row=pin_row,
         )
 
@@ -283,6 +313,11 @@ class PieriSolver:
 
     def _retry_options(self, attempt: int) -> TrackerOptions:
         """Progressively conservative options for retries of hard paths.
+
+        A retry tightens the tracking of the *same* homotopy: redrawing
+        the gammas of a single edge would break the per-node bijection
+        of :meth:`_edge_rng` (its endpoint could collide with a
+        sibling's).
 
         ``dataclasses.replace`` keeps every field not listed here at the
         *caller's* value, so new :class:`TrackerOptions` fields are never
@@ -302,15 +337,6 @@ class PieriSolver:
     def run_job(self, job: PieriJob) -> PieriJobResult:
         """Track one edge: the one-row case of :meth:`run_jobs_batched`."""
         return self.run_jobs_batched([job])[0][0]
-
-    def expand(self, result: PieriJobResult) -> List[PieriJob]:
-        """New jobs enabled by a finished one (the master's generate step)."""
-        if not result.success:
-            return []
-        return [
-            PieriJob(child, result.matrix)
-            for child in result.job.node.children()
-        ]
 
     # ------------------------------------------------------------------
     # Batched tracking: a whole tree level as one stacked SoA front
@@ -598,26 +624,11 @@ class PieriSolver:
                 front, pending = pending, []
             else:
                 front = [pending.pop()]
-            lvl = front[0].level
             t0 = time.perf_counter()
             results, stats = self.run_jobs_batched(front)
             dt = time.perf_counter() - t0
-            report.jobs_per_level[lvl] = (
-                report.jobs_per_level.get(lvl, 0) + len(front)
+            pending.extend(
+                report.record_front(front, [r.matrix for r in results], stats, dt)
             )
-            report.seconds_per_level[lvl] = (
-                report.seconds_per_level.get(lvl, 0.0) + dt
-            )
-            if mode == "batch":
-                report.level_batches.append(
-                    {"level": lvl, "seconds": dt, **stats}
-                )
-            for result in results:
-                if not result.success:
-                    report.failures += 1
-                elif result.job.node.is_leaf():
-                    report.solutions.append(result.matrix)
-                else:
-                    pending.extend(self.expand(result))
         report.total_seconds = time.perf_counter() - t_start
         return report

@@ -16,11 +16,6 @@ from .cluster import (
     speedup_table,
 )
 from .pieri_sim import PieriSimResult, default_level_cost, simulate_pieri_tree
-from .sweep_replay import (
-    SweepReplayResult,
-    replay_sweep_dynamic,
-    resume_replay,
-)
 from .fleet_sim import (
     FleetSimResult,
     fleet_job_record,
@@ -43,9 +38,6 @@ __all__ = [
     "PieriSimResult",
     "default_level_cost",
     "simulate_pieri_tree",
-    "SweepReplayResult",
-    "replay_sweep_dynamic",
-    "resume_replay",
     "FleetSimResult",
     "fleet_job_record",
     "resume_fleet",

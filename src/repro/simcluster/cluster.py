@@ -35,26 +35,10 @@ from .workload import Workload
 __all__ = [
     "ClusterSpec",
     "SimResult",
-    "active_load_imbalance",
     "simulate_static",
     "simulate_dynamic",
     "speedup_table",
 ]
-
-
-def active_load_imbalance(busy_seconds) -> float:
-    """max busy / mean busy over the CPUs that did any work.
-
-    Idle CPUs are *excluded*: simulated allocations are often far larger
-    than the job list (the paper's 128-CPU rows), and counting trailing
-    never-used CPUs would swamp the statistic.  The real executors use
-    the complementary full-pool convention — see
-    :func:`repro.parallel.executors.load_imbalance`.
-    """
-    busy = np.asarray([b for b in busy_seconds if b > 0])
-    if busy.size == 0 or busy.mean() == 0:
-        return 1.0
-    return float(busy.max() / busy.mean())
 
 
 @dataclass(frozen=True)
@@ -111,7 +95,18 @@ class SimResult:
 
     @property
     def load_imbalance(self) -> float:
-        return active_load_imbalance(self.busy_seconds)
+        """max busy / mean busy over the CPUs that did any work.
+
+        Idle CPUs are *excluded*: simulated allocations are often far larger
+        than the job list (the paper's 128-CPU rows), and counting trailing
+        never-used CPUs would swamp the statistic.  The real executors use
+        the complementary full-pool convention — see
+        :func:`repro.parallel.executors.load_imbalance`.
+        """
+        busy = np.asarray([b for b in self.busy_seconds if b > 0])
+        if busy.size == 0 or busy.mean() == 0:
+            return 1.0
+        return float(busy.max() / busy.mean())
 
     def speedup(self, t1_seconds: float) -> float:
         return t1_seconds / self.wall_seconds

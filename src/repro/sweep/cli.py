@@ -427,6 +427,11 @@ def _cmd_report(args) -> int:
             line += (f" cache={route.get('status', '?')}"
                      f"({route.get('n_paths', '?')} paths)")
         print(line)
+    if manifest and manifest.get("abandoned"):
+        # jobs the last run gave up on after their retries, and why
+        print(f"  abandoned ({len(manifest['abandoned'])}):")
+        for job_id, reason in sorted(manifest["abandoned"].items()):
+            print(f"    {job_id}: {reason}")
     if manifest and manifest.get("fleet"):
         fstats = manifest["fleet"]
         print(f"  fleet: workers {len(fstats.get('workers_seen') or ())}, "

@@ -10,13 +10,14 @@ taking the pool down — restarts with only the unfinished jobs, and the
 per-job seeds make the merged result set identical to an uninterrupted
 run.
 
-Schedules:
+Schedules — how the pending list is cut into the units the one
+:func:`~repro.parallel.dispatcher.dispatch_with_pool` call hands out:
 
-- ``dynamic`` (default) — one job at a time, first-come-first-served;
+- ``dynamic`` (default) — one job a unit, first-come-first-served;
   per-job journaling, so a kill loses at most the jobs in flight.
-- ``static`` — one contiguous block per worker, pre-assigned; minimal
-  coordination but journaling is per *block*, so checkpoints are coarser
-  and a skewed job mix leaves workers idle (measured by
+- ``static`` — one contiguous block per worker, cut before the run;
+  minimal coordination but journaling is per *block*, so checkpoints are
+  coarser and a skewed job mix leaves workers idle (measured by
   ``benchmarks/bench_sweep.py``).
 
 Polynomial-system jobs route through :func:`repro.homotopy.solve` with
@@ -35,8 +36,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Literal, Optional, Sequence
@@ -44,7 +45,12 @@ from typing import Dict, List, Literal, Optional, Sequence
 import numpy as np
 
 from ..kernels import kernel_cache_info
-from ..parallel.dispatcher import DispatchTelemetry, dispatch_with_pool
+from ..parallel.dispatcher import (
+    DispatchTelemetry,
+    _resolve_workers,
+    dispatch_with_pool,
+    make_pool,
+)
 from ..parallel.executors import (
     WorkerKey,
     _busy_list,
@@ -279,8 +285,7 @@ def _run_job_timed(job_dict: dict):
     t0 = time.perf_counter()
     with use_telemetry(tel):
         record = run_job(job)
-    busy = time.perf_counter() - t0
-    record["seconds"] = busy
+    record["seconds"] = time.perf_counter() - t0
     record["worker"] = list(_worker_key())
     deterministic = tel.deterministic_summary()
     if deterministic:
@@ -289,11 +294,11 @@ def _run_job_timed(job_dict: dict):
     if wall:
         record["telemetry_seconds"] = wall
     record["kernel_cache"] = kernel_cache_info()
-    return record, busy, _worker_key()
+    return record
 
 
 def _run_job_block(job_dicts: List[dict]):
-    """Static-schedule worker entry point: run one pre-assigned block."""
+    """The submitted function: run one unit of jobs, in order."""
     return [_run_job_timed(d) for d in job_dicts]
 
 
@@ -313,6 +318,9 @@ class SweepReport:
     worker_crashes: int = 0
     pool_rebuilds: int = 0
     jobs_abandoned: int = 0
+    #: why each abandoned job was given up on: the ``repr`` of the
+    #: exception its last attempt ended in, or ``"worker process died"``
+    abandoned: Dict[str, str] = field(default_factory=dict)
     aborted: bool = False
     #: protocol stats when the run was driven by the multi-host fleet
     #: (``schedule == "fleet"``): workers seen, steals, requeues,
@@ -390,36 +398,25 @@ def run_sweep(
     remainder is dropped exactly as a ``SIGKILL`` would drop it, which
     is what the resume tests exercise.
 
-    Fault tolerance is a property of the ``dynamic`` schedule with
-    thread/process workers: worker crashes (raised exceptions *and* dead
-    worker processes) are retried up to ``max_retries`` times per job,
-    and a dead process pool is rebuilt transparently.  The ``static``
-    schedule pre-assigns blocks with no retry, and ``serial`` mode runs
-    jobs inline in the master — in both, a crashed job surfaces as the
-    raised exception.  Either way the journal keeps every completed job
-    and the manifest is finalized on the way out, so a rerun resumes
-    from whatever finished.
+    Fault tolerance is the dispatcher's, whatever the schedule and
+    mode: a unit whose worker crashed (raised, *or* died as a process —
+    a dead pool is rebuilt transparently) comes back as its single jobs,
+    each retried alone up to ``max_retries`` times and then abandoned,
+    with the reason kept in ``report.abandoned`` and the manifest.  The
+    other jobs run on; the journal keeps every completed job and the
+    manifest is finalized on the way out (``incomplete`` if anything was
+    abandoned), so a rerun resumes from whatever finished.
     """
-    if n_workers is None:
-        n_workers = max(1, (os.cpu_count() or 2) - 1)
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
+    n_workers = _resolve_workers(n_workers)
     if schedule not in ("dynamic", "static"):
         raise ValueError(f"unknown schedule {schedule!r}")
     if mode not in ("process", "thread", "serial"):
         raise ValueError(f"unknown mode {mode!r}")
     if abort_after is not None and abort_after < 1:
         raise ValueError("abort_after must be a positive count")
+    if mode == "serial":
+        n_workers = 1
 
-    if any(job.cache != "off" for job in spec.jobs):
-        # point cache-aware jobs at a store the whole pool shares; the
-        # worker processes inherit the variable at fork, and an explicit
-        # $REPRO_ARTIFACT_STORE wins so sweeps can share one store
-        from ..artifacts import STORE_ENV
-
-        os.environ.setdefault(
-            STORE_ENV, str(Path(checkpoint) / "artifacts")
-        )
     journal = SweepJournal(checkpoint)
     journal.initialize(spec.to_dict())
     done = journal.load_records()
@@ -435,50 +432,85 @@ def run_sweep(
     journal.write_manifest(
         spec.n_jobs, len(done), "running", {"name": spec.name}
     )
-    if not pending:
-        journal.write_manifest(
-            spec.n_jobs, len(done), "complete", {"name": spec.name}
-        )
-        report.telemetry = aggregate_job_telemetry(report.records.values())
-        return report
+
+    # the units the master hands out: the inline pool has no one to
+    # pre-assign to, so serial keeps the per-job checkpoints
+    if schedule == "static" and mode != "serial":
+        bounds = np.linspace(0, len(pending), n_workers + 1).astype(int)
+        units = [pending[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    else:
+        units = [[job] for job in pending]
 
     per_worker: Dict[WorkerKey, float] = {}
+    telemetry = DispatchTelemetry()
+
+    def journal_unit(unit: List[JobSpec], records: List[dict]) -> None:
+        for record in records:
+            key = tuple(record["worker"])
+            per_worker[key] = per_worker.get(key, 0.0) + record["seconds"]
+            journal.append(record)
+            report.records[record["job_id"]] = record
+            report.ran_job_ids.append(record["job_id"])
+            if abort_after is not None and len(report.ran_job_ids) >= abort_after:
+                raise _SweepAborted
+
+    def on_abandoned(job: JobSpec) -> None:
+        # called inside the dispatcher's ``except`` when the job raised;
+        # after a dead worker process there may be no exception
+        exc = sys.exc_info()[1]
+        report.abandoned[job.job_id] = (
+            "worker process died" if exc is None else repr(exc)
+        )
+
+    # point cache-aware jobs at a store the whole pool shares, for the
+    # duration of this run: the worker processes inherit the variable at
+    # fork, and an explicit $REPRO_ARTIFACT_STORE wins so sweeps can
+    # share one store
+    from ..artifacts import STORE_ENV
+
+    own_store = STORE_ENV not in os.environ and any(
+        job.cache != "off" for job in pending
+    )
+    if own_store:
+        os.environ[STORE_ENV] = str(Path(checkpoint) / "artifacts")
     t_wall = time.perf_counter()
-
-    def journal_record(item) -> None:
-        record, busy, key = item
-        per_worker[key] = per_worker.get(key, 0.0) + busy
-        journal.append(record)
-        report.records[record["job_id"]] = record
-        report.ran_job_ids.append(record["job_id"])
-        if abort_after is not None and len(report.ran_job_ids) >= abort_after:
-            raise _SweepAborted
-
     try:
         with journal:
-            if mode == "serial":
-                report.n_workers = 1
-                for job in pending:
-                    journal_record(_run_job_timed(job.to_dict()))
-            elif schedule == "static":
-                _run_static(pending, n_workers, mode, journal_record)
-            else:
-                _run_dynamic(
-                    pending, n_workers, mode, max_retries, journal_record, report
-                )
+            dispatch_with_pool(
+                lambda: make_pool(mode, n_workers, _warm_worker),
+                lambda pool, unit: pool.submit(
+                    _run_job_block, [job.to_dict() for job in unit]
+                ),
+                units,
+                journal_unit,
+                n_workers=n_workers,
+                max_retries=max_retries,
+                retry_key=lambda job: job.job_id,
+                on_abandoned=on_abandoned,
+                telemetry=telemetry,
+                # the queue holds whole units; one that crashed comes back
+                # as its single jobs, each retried alone
+                take=lambda queue, n_idle: queue.popleft(),
+            )
     except _SweepAborted:
         report.aborted = True
     finally:
         # even a crashed run leaves an honest manifest behind (the
         # journal itself is already durable, record by record)
+        if own_store:
+            del os.environ[STORE_ENV]
         report.wall_seconds = time.perf_counter() - t_wall
-        report.worker_busy_seconds = _busy_list(per_worker, report.n_workers)
+        report.worker_busy_seconds = _busy_list(per_worker, n_workers)
+        report.worker_crashes = telemetry.worker_crashes
+        report.pool_rebuilds = telemetry.pool_rebuilds
+        report.jobs_abandoned = telemetry.jobs_abandoned
         report.telemetry = aggregate_job_telemetry(report.records.values())
         status = "complete" if report.complete else (
             "aborted" if report.aborted else "incomplete"
         )
         journal.write_manifest(
-            spec.n_jobs, report.n_done, status, {"name": spec.name}
+            spec.n_jobs, report.n_done, status,
+            {"name": spec.name, "abandoned": report.abandoned},
         )
     return report
 
@@ -489,59 +521,3 @@ def _warm_worker() -> None:
     import repro.homotopy  # noqa: F401
     import repro.schubert  # noqa: F401
     import repro.systems  # noqa: F401
-
-
-def _make_pool(mode: str, n_workers: int):
-    if mode == "process":
-        return ProcessPoolExecutor(max_workers=n_workers, initializer=_warm_worker)
-    return ThreadPoolExecutor(max_workers=n_workers)
-
-
-def _run_static(
-    pending: List[JobSpec], n_workers: int, mode: str, journal_record
-) -> None:
-    """Pre-assigned contiguous blocks, one per worker (coarse checkpoints)."""
-    dicts = [job.to_dict() for job in pending]
-    bounds = np.linspace(0, len(dicts), n_workers + 1).astype(int)
-    blocks = [
-        dicts[bounds[w] : bounds[w + 1]]
-        for w in range(n_workers)
-        if bounds[w] < bounds[w + 1]
-    ]
-    pool = _make_pool(mode, n_workers)
-    try:
-        for block_out in pool.map(_run_job_block, blocks):
-            for item in block_out:
-                journal_record(item)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_dynamic(
-    pending: List[JobSpec],
-    n_workers: int,
-    mode: str,
-    max_retries: int,
-    journal_record,
-    report: SweepReport,
-) -> None:
-    """FCFS master loop via the shared dispatcher; journals per job."""
-    telemetry = DispatchTelemetry()
-    try:
-        dispatch_with_pool(
-            lambda: _make_pool(mode, n_workers),
-            lambda pool, job: pool.submit(_run_job_timed, job.to_dict()),
-            pending,
-            lambda job, item: journal_record(item),
-            n_workers=n_workers,
-            max_retries=max_retries,
-            retry_key=lambda job: job.job_id,
-            rebuildable=(mode == "process"),
-            cancel_on_exit=True,  # an abort drops in-flight work, like a kill
-            telemetry=telemetry,
-        )
-    finally:
-        # keep the partial counts even when journal_record aborts the run
-        report.worker_crashes = telemetry.worker_crashes
-        report.pool_rebuilds = telemetry.pool_rebuilds
-        report.jobs_abandoned = telemetry.jobs_abandoned

@@ -1,14 +1,22 @@
 """Tests for the real parallel executors (threads/processes, static/dynamic)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
+import repro.parallel.executors as executors_mod
 from repro.homotopy import make_homotopy_and_starts
-from repro.parallel import solve_pieri_parallel, track_paths_parallel
+from repro.parallel import (
+    dispatch_jobs,
+    solve_pieri_parallel,
+    track_paths_parallel,
+)
+from repro.parallel.dispatcher import make_pool
 from repro.parallel.executors import _busy_list, load_imbalance
 from repro.schubert import PieriInstance, PieriSolver, pieri_root_count
 from repro.systems import cyclic_roots_system
-from repro.tracker import PathStatus
+from repro.tracker import BatchHomotopy, PathStatus
 
 
 class TestLoadImbalance:
@@ -172,6 +180,153 @@ class TestBatchModes:
         assert max(r.stats.seconds for r in report.results) <= (
             report.worker_busy_seconds[0] + 1e-6
         )
+
+
+@pytest.fixture(scope="module")
+def cyclic4_serial(cyclic4):
+    homotopy, starts = cyclic4
+    return track_paths_parallel(homotopy, starts, mode="serial")
+
+
+class Boom(Exception):
+    pass
+
+
+class ExplodingHomotopy(BatchHomotopy):
+    """Every evaluation raises: a worker that crashes on any block."""
+
+    dim = 1
+
+    def evaluate_batch(self, X, t):
+        raise Boom("exploding homotopy")
+
+    def jacobian_x_batch(self, X, t):
+        raise Boom("exploding homotopy")
+
+
+class TestOneLocalMaster:
+    """``mode`` and ``schedule`` only say how the path list is cut and who
+    runs a block: every combination is one ``dispatch_with_pool`` call."""
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    @pytest.mark.parametrize(
+        "mode", ["serial", "thread", "process", "batch", "hybrid"]
+    )
+    def test_every_cut_matches_serial(
+        self, cyclic4, cyclic4_serial, mode, schedule
+    ):
+        homotopy, starts = cyclic4
+        report = track_paths_parallel(
+            homotopy, starts, n_workers=2, schedule=schedule, mode=mode
+        )
+        n_workers = 1 if mode in ("serial", "batch") else 2
+        assert report.n_workers == n_workers
+        assert len(report.worker_busy_seconds) == n_workers
+        assert report.schedule == schedule
+        assert [r.path_id for r in report.results] == list(range(len(starts)))
+        for a, b in zip(cyclic4_serial.results, report.results):
+            assert a.status == b.status
+            if mode in ("batch", "hybrid"):
+                if a.status is PathStatus.SUCCESS:
+                    assert np.max(np.abs(a.solution - b.solution)) <= 1e-8
+            else:
+                # who runs a one-row front cannot change its arithmetic
+                assert np.array_equal(a.solution, b.solution, equal_nan=True)
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_one_worker_hybrid_is_one_front(self, cyclic4, monkeypatch, schedule):
+        homotopy, starts = cyclic4
+        real, calls = executors_mod._track_block, []
+
+        def spy(block, wide):
+            calls.append((len(block), wide))
+            return real(block, wide)
+
+        monkeypatch.setattr(executors_mod, "_track_block", spy)
+        track_paths_parallel(
+            homotopy, starts[:6], n_workers=1, schedule=schedule, mode="hybrid"
+        )
+        assert calls == [(6, True)]
+
+    @pytest.mark.parametrize(
+        "mode, schedule",
+        [("serial", "dynamic"), ("thread", "static"), ("thread", "dynamic")],
+    )
+    def test_worker_exception_reaches_the_caller(
+        self, monkeypatch, mode, schedule
+    ):
+        real, shutdowns = executors_mod.make_pool, []
+
+        def spy(*args):
+            pool = real(*args)
+            shutdown = pool.shutdown
+
+            def recorded(**kwargs):
+                shutdowns.append(kwargs)
+                shutdown(**kwargs)
+
+            pool.shutdown = recorded
+            return pool
+
+        monkeypatch.setattr(executors_mod, "make_pool", spy)
+        starts = [[1.0 + 0j]] * 6
+        with pytest.raises(Exception) as info:
+            track_paths_parallel(
+                ExplodingHomotopy(), starts, n_workers=2,
+                schedule=schedule, mode=mode,
+            )
+        chain = [info.value, info.value.__cause__, info.value.__context__]
+        assert any(isinstance(exc, Boom) for exc in chain)
+        # the one pool is shut down, dropping whatever was still queued
+        assert shutdowns == [{"wait": False, "cancel_futures": True}]
+
+
+class TestMakePool:
+    """The ``"serial"`` pool: an executor that runs the call at submit."""
+
+    def test_result_and_exception_are_settled_futures(self):
+        seen = []
+        with make_pool("serial", 1, seen.append, ("init",)) as pool:
+            assert seen == ["init"]  # the initializer ran here, once
+            done = pool.submit(divmod, 7, 2)
+            assert done.done() and done.result() == (3, 1)
+            failed = pool.submit(divmod, 1, 0)
+            assert failed.done()
+            assert isinstance(failed.exception(), ZeroDivisionError)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            make_pool("bogus", 1)
+
+    def test_dispatch_jobs_with_bundles_over_the_serial_pool(self):
+        """The real master loop over the inline pool: bundles out, a
+        crashed bundle back as single jobs, every job done once."""
+        pool, handed, done = make_pool("serial", 1), [], []
+        crashed = []
+
+        def work(bundle):
+            handed.append(list(bundle))
+            if 3 in bundle and not crashed:
+                crashed.append(bundle)
+                raise RuntimeError("crash once")
+            return [job * job for job in bundle]
+
+        def take(queue: deque, n_idle: int):
+            return [queue.popleft() for _ in range(min(2, len(queue)))]
+
+        telemetry = dispatch_jobs(
+            range(5),
+            lambda bundle: pool.submit(work, bundle),
+            lambda bundle, squares: done.extend(squares),
+            n_workers=1,
+            max_retries=1,
+            retry_key=lambda job: job,
+            take=take,
+        )
+        assert handed == [[0, 1], [2, 3], [2], [3], [4]]
+        assert sorted(done) == [0, 1, 4, 9, 16]
+        assert telemetry.worker_crashes == 1
+        assert telemetry.jobs_abandoned == 0
 
 
 class TestParallelPieri:

@@ -18,6 +18,7 @@ from repro.linalg import batched_det
 from repro.parallel import solve_pieri_parallel
 from repro.schubert import (
     PieriInstance,
+    PieriReport,
     PieriSolver,
     continue_to_instance,
     trivial_solution_matrix,
@@ -259,24 +260,28 @@ class TestSolverParity:
         (to 1e-8, not bitwise: the bracket GEMMs round by shape)."""
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(21))
         solver = PieriSolver(instance, seed=22)
+        report = PieriReport(instance)
         frontier = solver.initial_jobs()
         while frontier:
             batched, stats = solver.run_jobs_batched(frontier)
             assert stats["n_jobs"] == len(frontier)
-            nxt = []
             for job, b in zip(frontier, batched):
                 a = solver.run_job(job)
                 assert a.path_result.status == b.path_result.status
                 assert b.success and np.max(np.abs(a.matrix - b.matrix)) < 1e-8
-                nxt.extend(solver.expand(b))
-            frontier = nxt
+            frontier = report.record_front(
+                frontier, [b.matrix for b in batched], stats, 0.0
+            )
+        assert report.n_solutions == report.expected_count()
 
     def test_batch_rejects_mixed_levels(self):
         instance = PieriInstance.random(2, 2, 0, np.random.default_rng(1))
         solver = PieriSolver(instance, seed=2)
         jobs = solver.initial_jobs()
-        results, _ = solver.run_jobs_batched(jobs)
-        deeper = solver.expand(results[0])
+        results, stats = solver.run_jobs_batched(jobs)
+        deeper = PieriReport(instance).record_front(
+            jobs, [r.matrix for r in results], stats, 0.0
+        )
         with pytest.raises(ValueError):
             solver.run_jobs_batched([jobs[0], deeper[0]])
         assert solver.run_jobs_batched([]) == ([], {

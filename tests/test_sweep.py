@@ -17,7 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.simcluster import ClusterSpec, replay_sweep_dynamic, resume_replay
+import repro.sweep.engine as engine_mod
+from repro.sweep.cli import main as cli_main
 from repro.sweep import (
     JobSpec,
     SweepJournal,
@@ -470,6 +471,90 @@ class TestWorkerFailureInjection:
         assert report.complete
         assert report.worker_crashes == 1
 
+    def test_crashing_job_is_retried_in_a_static_block(
+        self, tmp_path, monkeypatch
+    ):
+        """Retry is the dispatcher's, not the dynamic schedule's: the
+        crashed block comes back as single jobs and nothing is lost."""
+        spec = SweepSpec(
+            "flaky-static",
+            [JobSpec("katsura", {"n": 2}, seed=s) for s in range(6)],
+        )
+        marker = tmp_path / "raised.marker"
+        monkeypatch.setenv("REPRO_SWEEP_FAIL_JOB", spec.jobs[1].job_id)
+        monkeypatch.setenv("REPRO_SWEEP_KILL_MARKER", str(marker))
+        report = run_sweep(
+            spec, tmp_path / "ck", mode="thread", n_workers=2,
+            schedule="static",
+        )
+        assert marker.exists()
+        assert report.complete
+        assert report.worker_crashes == 1
+        assert report.jobs_abandoned == 0 and report.abandoned == {}
+        monkeypatch.delenv("REPRO_SWEEP_FAIL_JOB")
+        reference = run_sweep(spec, tmp_path / "ref", mode="serial")
+        assert results_only(report.records) == results_only(reference.records)
+
+    @pytest.mark.parametrize(
+        "mode, schedule", [("serial", "dynamic"), ("thread", "static")]
+    )
+    def test_abandoned_job_keeps_its_reason(
+        self, tmp_path, monkeypatch, capsys, mode, schedule
+    ):
+        spec = SweepSpec(
+            "poison",
+            [JobSpec("katsura", {"n": 2}, seed=s) for s in range(4)],
+        )
+        victim = spec.jobs[2].job_id
+        real = engine_mod.run_job
+
+        def poisoned(job):
+            if job.job_id == victim:
+                raise ArithmeticError("poisoned job")
+            return real(job)
+
+        monkeypatch.setattr(engine_mod, "run_job", poisoned)
+        report = run_sweep(
+            spec, tmp_path / "ck", mode=mode, n_workers=2,
+            schedule=schedule, max_retries=1,
+        )
+        assert not report.complete and not report.aborted
+        assert report.jobs_abandoned == 1
+        assert sorted(report.records) == sorted(
+            job.job_id for job in spec.jobs if job.job_id != victim
+        )
+        assert list(report.abandoned) == [victim]
+        assert "ArithmeticError('poisoned job')" in report.abandoned[victim]
+        manifest = SweepJournal(tmp_path / "ck").read_manifest()
+        assert manifest["status"] == "incomplete"
+        assert manifest["abandoned"] == report.abandoned
+        assert cli_main(["report", str(tmp_path / "ck")]) == 0
+        assert (
+            f"{victim}: ArithmeticError('poisoned job')"
+            in capsys.readouterr().out
+        )
+
+
+class TestArtifactStoreScope:
+    def test_store_variable_is_set_for_the_run_only(self, tmp_path, monkeypatch):
+        """Regression: ``run_sweep`` left ``$REPRO_ARTIFACT_STORE`` set, so
+        a second sweep in the process was served from the first one's
+        store and never got an ``artifacts/`` of its own."""
+        monkeypatch.delenv("REPRO_ARTIFACT_STORE", raising=False)
+        spec = SweepSpec(
+            "cached",
+            [JobSpec("pieri", {"m": 2, "p": 2, "q": 0}, seed=0, cache="on")],
+        )
+        for name in ("first", "second"):
+            checkpoint = tmp_path / name
+            report = run_sweep(spec, checkpoint, mode="serial")
+            assert report.complete
+            (record,) = report.records.values()
+            assert record["artifacts"]["root"] == str(checkpoint / "artifacts")
+            assert record["artifacts"]["route"]["status"] == "cold"
+            assert (checkpoint / "artifacts").is_dir()
+            assert "REPRO_ARTIFACT_STORE" not in os.environ
+
 
 class TestCLI:
     def run_cli(self, *args):
@@ -557,36 +642,3 @@ class TestCLI:
         assert cauchy["multiplicity_histogram"] == {"1": 4}
         refine = by_id["katsura-n2-s0"]["result"]
         assert refine["endgame"] == "refine"
-
-
-class TestSimulatedReplay:
-    """The simcluster failure-injection replay of the same scheduler."""
-
-    COSTS = list(np.random.default_rng(42).lognormal(0.0, 1.0, 80) * 5.0)
-
-    def test_kill_and_resume_cover_all_jobs_exactly_once(self):
-        full = replay_sweep_dynamic(self.COSTS, 4)
-        assert full.jobs_done == len(self.COSTS)
-        killed = replay_sweep_dynamic(
-            self.COSTS, 4, kill_at=full.wall_seconds / 3
-        )
-        assert 0 < killed.jobs_done < len(self.COSTS)
-        resumed = resume_replay(self.COSTS, 4, killed)
-        done = killed.done_jobs() + resumed.done_jobs()
-        assert sorted(done) == list(range(len(self.COSTS)))
-
-    def test_worker_death_requeues_and_completes(self):
-        clean = replay_sweep_dynamic(self.COSTS, 4)
-        hurt = replay_sweep_dynamic(
-            self.COSTS, 4, worker_deaths={1: 10.0, 3: 25.0}
-        )
-        assert hurt.jobs_done == len(self.COSTS)
-        assert hurt.requeues >= 1
-        assert hurt.wall_seconds > clean.wall_seconds
-        # dead workers stop accumulating busy time
-        assert hurt.busy_seconds[1] <= 10.0
-        assert hurt.busy_seconds[3] <= 25.0
-
-    def test_all_workers_dead_rejected(self):
-        with pytest.raises(ValueError):
-            replay_sweep_dynamic(self.COSTS, 2, worker_deaths={0: 1.0, 1: 2.0})

@@ -10,7 +10,9 @@ import pytest
 
 import repro.tracker
 from repro.homotopy import solve
+from repro.parallel import dispatch_with_pool, track_paths_parallel
 from repro.polynomials import PolynomialSystem, variables
+from repro.sweep import run_sweep
 from repro.tracker import (
     HomotopyFunction,
     PathStatus,
@@ -202,6 +204,16 @@ def test_knob_budget():
     """The next knob shows up in review as a changed number."""
     assert len(dataclasses.fields(TrackerOptions)) == 22
     assert len(inspect.signature(solve).parameters) == 13
+    # the local masters: one dispatcher call each
+    n_parameters = {
+        fn.__name__: len(inspect.signature(fn).parameters)
+        for fn in (dispatch_with_pool, track_paths_parallel, run_sweep)
+    }
+    assert n_parameters == {
+        "dispatch_with_pool": 10,
+        "track_paths_parallel": 6,
+        "run_sweep": 7,
+    }
 
 
 class TestSummarize:
