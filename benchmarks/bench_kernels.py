@@ -130,7 +130,7 @@ def compare_backends(system, name: str, npts: int, min_seconds: float,
     scale = 1.0 + float(np.max(np.abs(jac_n)))
     agree = float(np.max(np.abs(jac_s - jac_n))) <= 1e-10 * scale
     naive_pps = _throughput(
-        system._tables_evaluate_and_jacobian_many, X, min_seconds
+        system.evaluate_and_jacobian_many, X, min_seconds
     )
     slp_pps = _throughput(slp.evaluate_and_jacobian, X, min_seconds)
     return {

@@ -2,19 +2,17 @@
 
     H_i(x, t) = sum_a ((1 - t) gamma c^G_{i,a} + t c^F_{i,a}) x^a
 
-Mathematically this is exactly the convex homotopy
-``gamma (1-t) G + t F`` (:class:`~repro.homotopy.convex.ConvexHomotopy`)
-— same gamma trick, same probability-one path regularity — specialized
-to the case the artifact store serves: the start ``G`` is a *cached
-generic system with the target's supports*, so ``G`` and ``F`` differ
-only in coefficients.  That structural identity buys the warm path its
-speed: instead of evaluating two full polynomial systems per tracker
-step, ``(1 - t) gamma g + t f = gamma g t^0 + (f - gamma g) t^1`` makes
-``H`` one parametric term list — two :class:`~repro.kernels.Term` per
-support row — evaluated by one kernel call
-(:class:`~repro.kernels.TermHomotopy`: the SLP tape under
-``kernel="slp"``, the reference term kernel otherwise), with
-``dH/dt = F - gamma G`` falling out of the same list analytically.
+This *is* the convex homotopy ``gamma (1-t) G + t F``
+(:class:`~repro.homotopy.convex.ConvexHomotopy` — same gamma trick,
+same probability-one path regularity, same term list from
+:func:`~repro.homotopy.convex.blend_terms`) in the case the artifact
+store serves: the start ``G`` is a *cached generic system with the
+target's supports*, so ``G`` and ``F`` differ only in coefficients.
+The class adds the structure checks that let the warm route tell a
+query the cache can serve from one it cannot, and rebuilds ``G`` from
+the stored coefficient rows; since the blend's structure depends on the
+supports alone, every query on one family replays the same memoized
+tape.
 
 >>> import numpy as np
 >>> from repro.polyhedral.supports import (
@@ -39,16 +37,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ..kernels import Term, TermHomotopy
 from ..polyhedral.supports import coefficient_system
 from ..polynomials import PolynomialSystem
-from .convex import random_gamma
-from .projective import repatch
+from .convex import ConvexHomotopy
 
 __all__ = ["CoefficientHomotopy"]
 
 
-class CoefficientHomotopy(TermHomotopy):
+class CoefficientHomotopy(ConvexHomotopy):
     """Convex coefficient blend between a cached generic system and a
     target sharing its supports.
 
@@ -82,58 +78,43 @@ class CoefficientHomotopy(TermHomotopy):
         rng: np.random.Generator | None = None,
         kernel: str | None = None,
     ) -> None:
-        if not target.is_square():
-            raise ValueError("homotopy continuation needs a square system")
         if len(supports) != target.neqs:
             raise ValueError("supports/target equation count mismatch")
-        self.target = target
-        self.gamma = random_gamma(rng) if gamma is None else complex(gamma)
-        if self.gamma == 0:
-            raise ValueError("gamma must be nonzero")
         supports = [np.asarray(s, dtype=np.int64) for s in supports]
         self.generic_coefficients = [
             np.asarray(c, dtype=complex) for c in generic_coefficients
         ]
-        terms = []
         for i, (support, gcoefs, poly) in enumerate(
             zip(supports, self.generic_coefficients, target)
         ):
             if len(support) != len(gcoefs):
                 raise ValueError("support/coefficient row mismatch")
-            fmap = {
-                tuple(int(e) for e in expo): complex(c)
-                for expo, c in poly.terms()
-            }
-            for a, g in zip(support, gcoefs):
-                expo = tuple(int(v) for v in a)
-                g = self.gamma * complex(g)
-                terms.append(Term(i, expo, g, 0.0))
-                terms.append(Term(i, expo, fmap.pop(expo, 0.0j) - g, 1.0))
-            if fmap:
+            known = {tuple(a) for a in support.tolist()}
+            outside = sorted(e for e, _ in poly.terms() if e not in known)
+            if outside:
                 raise ValueError(
-                    f"equation {i}: target monomials {sorted(fmap)} are "
+                    f"equation {i}: target monomials {outside} are "
                     "outside the cached supports (structure mismatch)"
                 )
-        super().__init__(target.nvars, terms, kernel)
-        # G as a system: what the rescue re-patch homogenizes (~0.2 ms)
-        self.start = coefficient_system(supports, self.generic_coefficients)
+        super().__init__(
+            coefficient_system(supports, self.generic_coefficients),
+            target,
+            gamma,
+            rng,
+            kernel,
+        )
 
     # The benchmark's tracer wraps the methods it finds in this class's
     # own namespace, so the inherited ones are listed here by name.
-    evaluate_batch = TermHomotopy.evaluate_batch
-    jacobian_x_batch = TermHomotopy.jacobian_x_batch
-    jacobian_t_batch = TermHomotopy.jacobian_t_batch
-    evaluate_and_jacobian_batch = TermHomotopy.evaluate_and_jacobian_batch
-    jacobians_batch = TermHomotopy.jacobians_batch
-    evaluate = TermHomotopy.evaluate
-    jacobian_x = TermHomotopy.jacobian_x
-    jacobian_t = TermHomotopy.jacobian_t
-    evaluate_and_jacobian_x = TermHomotopy.evaluate_and_jacobian_x
-
-    # tracker-level rescue hook: H is gamma (1-t) G + t F, so the convex
-    # homotopy's projective re-patch carries over verbatim
-    def rescale_patch(self, x: np.ndarray, t: float):
-        return repatch(self, x, t)
+    evaluate_batch = ConvexHomotopy.evaluate_batch
+    jacobian_x_batch = ConvexHomotopy.jacobian_x_batch
+    jacobian_t_batch = ConvexHomotopy.jacobian_t_batch
+    evaluate_and_jacobian_batch = ConvexHomotopy.evaluate_and_jacobian_batch
+    jacobians_batch = ConvexHomotopy.jacobians_batch
+    evaluate = ConvexHomotopy.evaluate
+    jacobian_x = ConvexHomotopy.jacobian_x
+    jacobian_t = ConvexHomotopy.jacobian_t
+    evaluate_and_jacobian_x = ConvexHomotopy.evaluate_and_jacobian_x
 
     def __repr__(self) -> str:
         return (

@@ -6,27 +6,27 @@ For all but finitely many complex ``gamma`` on the unit circle, every
 solution path of ``H`` is regular and bounded for t in [0, 1) — the
 probability-one guarantee that makes homotopy continuation reliable.
 
-The class implements both tracker protocols: the scalar
-:class:`HomotopyFunction` (one point, one t) and the structure-of-arrays
-:class:`BatchHomotopy` (N points, each at its own t), where residuals and
-Jacobians of both polynomial systems come from one shared monomial-table
-evaluation per batch via
-:meth:`~repro.polynomials.PolynomialSystem.evaluate_and_jacobian_many`.
+Eq. (1) is written once, in :func:`blend_terms`: a parametric term list
+over the union of the two supports, which makes :class:`ConvexHomotopy`
+(and through it the warm route's :class:`~repro.homotopy.coefficient.
+CoefficientHomotopy` and the rescue chart :class:`~repro.homotopy.
+projective.ProjectivePatchHomotopy`) a :class:`~repro.kernels.
+TermHomotopy` — one kernel call per evaluation, the SLP tape under
+``kernel="slp"`` and the reference term kernel otherwise, both tracker
+protocols inherited.
 """
 
 from __future__ import annotations
 
 import cmath
+from typing import List
 
 import numpy as np
 
+from ..kernels import Term, TermHomotopy
 from ..polynomials import PolynomialSystem
-from ..telemetry import active_tracer, maybe_span
-from ..tracker import BatchHomotopy, HomotopyFunction
-from ..tracker.interface import _per_path_t
-from .projective import repatch
 
-__all__ = ["ConvexHomotopy", "random_gamma"]
+__all__ = ["ConvexHomotopy", "blend_terms", "random_gamma"]
 
 
 def random_gamma(rng: np.random.Generator | None = None) -> complex:
@@ -35,7 +35,58 @@ def random_gamma(rng: np.random.Generator | None = None) -> complex:
     return cmath.exp(2j * cmath.pi * rng.random())
 
 
-class ConvexHomotopy(BatchHomotopy, HomotopyFunction):
+def blend_terms(
+    start: PolynomialSystem, target: PolynomialSystem, gamma: complex
+) -> List[Term]:
+    """Eq. (1) as a term list in the *reversed* time ``s = 1 - t``:
+
+        gamma (1 - t) G + t F  =  F + s (gamma G - F)
+
+    Per equation, over the sorted union of the two supports, every
+    monomial gets the pair ``(c_F, eta=0)`` and ``(gamma c_G - c_F,
+    eta=1)`` — zero coefficients included, so the structure (and with it
+    the memoized tape) depends on the supports alone and systems that
+    differ only in coefficients share one.  Why ``s`` and not ``t``: see
+    :class:`_BlendHomotopy`.
+    """
+    terms: List[Term] = []
+    for i, (g, f) in enumerate(zip(start, target)):
+        cg, cf = g.coefficients(), f.coefficients()
+        for expo in sorted(cg.keys() | cf.keys()):
+            c = cf.get(expo, 0j)
+            terms.append(Term(i, expo, c, 0.0))
+            terms.append(Term(i, expo, gamma * cg.get(expo, 0j) - c, 1.0))
+    return terms
+
+
+class _BlendHomotopy(TermHomotopy):
+    """A term list holding :func:`blend_terms`: the kernel's time is
+    ``s = 1 - t``, and that is arithmetic, not style.
+
+    A diverging path has ``|x| -> inf`` as ``t -> 1``; in the forward
+    form ``gamma G t^0 + (F - gamma G) t^1`` the start system's share
+    ``gamma c x^d - gamma c x^d t`` then cancels to a relative error of
+    ``1e-16 / (1 - t)`` (cyclic-5 total degree: the ~28 paths that
+    otherwise end DIVERGED all end FAILED, and rescue has nothing to
+    re-patch).  In
+    ``s`` the share that must stay accurate, ``gamma s G``, is one
+    product with the exactly computed ``1 - t``.  Complex ``t`` (the
+    Cauchy endgame's circles) passes through.
+    """
+
+    def _args(self, X, t):
+        X, tt = super()._args(X, t)
+        return X, 1.0 - tt
+
+    def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
+        return -super().jacobian_t_batch(X, t)  # d/dt = -d/ds
+
+    def jacobians_batch(self, X, t):
+        jac_x, jac_s = super().jacobians_batch(X, t)
+        return jac_x, -jac_s
+
+
+class ConvexHomotopy(_BlendHomotopy):
     """H(x,t) = gamma (1-t) G(x) + t F(x) between polynomial systems."""
 
     def __init__(
@@ -55,117 +106,26 @@ class ConvexHomotopy(BatchHomotopy, HomotopyFunction):
         self.gamma = random_gamma(rng) if gamma is None else complex(gamma)
         if self.gamma == 0:
             raise ValueError("gamma must be nonzero")
-        self._bind_kernel(kernel)
+        super().__init__(
+            target.nvars, blend_terms(start, target, self.gamma), kernel
+        )
 
-    def _bind_kernel(self, kernel: str | None) -> None:
-        from ..kernels import KernelUsage, compile_system_kernel, normalize_kernel
+    # The benchmark's tracer wraps the methods it finds in this class's
+    # own namespace, so the inherited ones are listed here by name.
+    evaluate_batch = _BlendHomotopy.evaluate_batch
+    jacobian_x_batch = _BlendHomotopy.jacobian_x_batch
+    jacobian_t_batch = _BlendHomotopy.jacobian_t_batch
+    evaluate_and_jacobian_batch = _BlendHomotopy.evaluate_and_jacobian_batch
+    jacobians_batch = _BlendHomotopy.jacobians_batch
+    evaluate = _BlendHomotopy.evaluate
+    jacobian_x = _BlendHomotopy.jacobian_x
+    jacobian_t = _BlendHomotopy.jacobian_t
+    evaluate_and_jacobian_x = _BlendHomotopy.evaluate_and_jacobian_x
 
-        self.kernel = normalize_kernel(kernel)
-        if self.kernel is None:
-            self._kg = self._kf = None
-        else:
-            self._kg = compile_system_kernel(self.start, self.kernel)
-            self._kf = compile_system_kernel(self.target, self.kernel)
-        # delta accounting from this moment on: memoized kernels carry
-        # cumulative counters from earlier solves in the same process
-        self.kernel_usage = KernelUsage(self.kernels)
-
-    @property
-    def kernels(self) -> tuple:
-        """Bound kernel objects (for stats accounting); may be empty."""
-        return tuple(k for k in (self._kg, self._kf) if k is not None)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_kg"] = state["_kf"] = None  # rebound on arrival, not shipped
-        state.pop("kernel_usage", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._bind_kernel(self.kernel)
-
-    # ------------------------------------------------------------------
-    # backend seam: every evaluation of G and F funnels through these
-    # ------------------------------------------------------------------
-    def _pair_eval(self, X: np.ndarray):
-        with maybe_span(active_tracer(), "evaluate", "kernel"):
-            if self._kg is not None:
-                return self._kg.evaluate(X), self._kf.evaluate(X)
-            return self.start.evaluate_many(X), self.target.evaluate_many(X)
-
-    def _pair_eval_jac(self, X: np.ndarray):
-        with maybe_span(active_tracer(), "evaluate_and_jacobian", "kernel"):
-            if self._kg is not None:
-                g, jg = self._kg.evaluate_and_jacobian(X)
-                f, jf = self._kf.evaluate_and_jacobian(X)
-            else:
-                g, jg = self.start.evaluate_and_jacobian_many(X)
-                f, jf = self.target.evaluate_and_jacobian_many(X)
-        return g, jg, f, jf
-
-    @property
-    def dim(self) -> int:
-        return self.target.nvars
-
-    # The scalar protocol is BatchHomotopy's one-row default.  The
-    # benchmark's tracer wraps the methods it finds in this class's own
-    # namespace, so the inherited ones are listed here by name.
-    evaluate = BatchHomotopy.evaluate
-    jacobian_x = BatchHomotopy.jacobian_x
-    jacobian_t = BatchHomotopy.jacobian_t
-    evaluate_and_jacobian_x = BatchHomotopy.evaluate_and_jacobian_x
-
-    # ------------------------------------------------------------------
-    # BatchHomotopy: N paths, each at its own t, in one vectorized call
-    # ------------------------------------------------------------------
-    def _batch_parts(self, X: np.ndarray, t):
-        """Shared per-batch intermediates: (tt, w, g, f, jg, jf).
-
-        Both Jacobian-producing methods assemble their outputs from this
-        single evaluation pass, which keeps their arithmetic (and hence
-        the row-of-front identity) in one place.
-        """
-        tt = _per_path_t(t, X.shape[0])
-        g, jg, f, jf = self._pair_eval_jac(X)
-        w = self.gamma * (1.0 - tt)
-        return tt, w, g, f, jg, jf
-
-    def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        g, f = self._pair_eval(X)
-        w = self.gamma * (1.0 - tt)
-        return w[:, None] * g + tt[:, None] * f
-
-    def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
-        return self.evaluate_and_jacobian_batch(X, t)[1]
-
-    def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        _per_path_t(t, X.shape[0])  # shape check only; dH/dt is t-free
-        g, f = self._pair_eval(X)
-        return f - self.gamma * g
-
-    def evaluate_and_jacobian_batch(self, X, t):
-        X = np.asarray(X, dtype=complex)
-        tt, w, g, f, jg, jf = self._batch_parts(X, t)
-        res = w[:, None] * g + tt[:, None] * f
-        jac = w[:, None, None] * jg + tt[:, None, None] * jf
-        return res, jac
-
-    def jacobians_batch(self, X, t):
-        """dH/dx and dH/dt from a single pass over each system."""
-        X = np.asarray(X, dtype=complex)
-        tt, w, g, f, jg, jf = self._batch_parts(X, t)
-        jac_x = w[:, None, None] * jg + tt[:, None, None] * jf
-        jac_t = f - self.gamma * g
-        return jac_x, jac_t
-
-    # ------------------------------------------------------------------
     # tracker-level rescue hook (see repro.tracker.rescue)
-    # ------------------------------------------------------------------
     def rescale_patch(self, x: np.ndarray, t: float):
+        from .projective import repatch  # imported late: it imports this module
+
         return repatch(self, x, t)
 
     def __repr__(self) -> str:

@@ -22,18 +22,20 @@ tracker-level rescue protocol (:mod:`repro.tracker.rescue`):
   AT_INFINITY with the (normalized) projective representative as its
   solution.
 
-The patched homotopy implements both tracker protocols, so rescued
-fronts can run scalar or batched, and the Cauchy endgame can loop it in
-complex time like any other homotopy.
+The patched homotopy is a term list like the affine one (the blend of
+the homogenized pair plus the patch row), so rescued fronts run through
+the same kernels, and the Cauchy endgame can loop it in complex time
+like any other homotopy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import Term
 from ..polynomials import PolynomialSystem
-from ..tracker import BatchHomotopy, HomotopyFunction, PathStatus
-from ..tracker.interface import _per_path_t
+from ..tracker import PathStatus
+from .convex import _BlendHomotopy, blend_terms
 
 __all__ = ["homogenized_pair", "repatch", "ProjectivePatchHomotopy"]
 
@@ -90,7 +92,7 @@ def repatch(homotopy, x: np.ndarray, t: float):
     return patched, y0
 
 
-class ProjectivePatchHomotopy(BatchHomotopy, HomotopyFunction):
+class ProjectivePatchHomotopy(_BlendHomotopy):
     """``H(y, t) = [gamma (1-t) G_h(y) + t F_h(y);  c . y - 1]``.
 
     ``G_h`` and ``F_h`` are the homogenizations of an affine convex
@@ -98,7 +100,9 @@ class ProjectivePatchHomotopy(BatchHomotopy, HomotopyFunction):
     variables) and ``c`` is the affine patch vector; the last row pins
     the patch, making the system square again.  The same gamma as the
     affine homotopy keeps the tracked path the *same geometric path* —
-    only the chart changes.
+    only the chart changes.  As a term list: the blend of the
+    homogenized pair plus ``n + 2`` time-free terms in equation ``n``
+    (``c_j y_j`` and ``-1``), whose ``d/dt`` row is zero by construction.
     """
 
     def __init__(
@@ -130,98 +134,13 @@ class ProjectivePatchHomotopy(BatchHomotopy, HomotopyFunction):
         self.infinity_tol = float(infinity_tol)
         self.residual_tol = float(residual_tol)
         self.affine_bound = float(affine_bound)
-        self._bind_kernel(kernel)
-
-    def _bind_kernel(self, kernel: str | None) -> None:
-        from ..kernels import compile_system_kernel, normalize_kernel
-
-        self.kernel = normalize_kernel(kernel)
-        if self.kernel is None:
-            self._kg = self._kf = None
-        else:
-            self._kg = compile_system_kernel(self.start_h, self.kernel)
-            self._kf = compile_system_kernel(self.target_h, self.kernel)
-
-    @property
-    def kernels(self) -> tuple:
-        """Bound kernel objects (for stats accounting); may be empty."""
-        return tuple(k for k in (self._kg, self._kf) if k is not None)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_kg"] = state["_kf"] = None  # rebound on arrival, not shipped
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._bind_kernel(self.kernel)
-
-    def _pair_eval(self, X: np.ndarray):
-        if self._kg is not None:
-            return self._kg.evaluate(X), self._kf.evaluate(X)
-        return self.start_h.evaluate_many(X), self.target_h.evaluate_many(X)
-
-    def _pair_eval_jac(self, X: np.ndarray):
-        if self._kg is not None:
-            g, jg = self._kg.evaluate_and_jacobian(X)
-            f, jf = self._kf.evaluate_and_jacobian(X)
-        else:
-            g, jg = self.start_h.evaluate_and_jacobian_many(X)
-            f, jf = self.target_h.evaluate_and_jacobian_many(X)
-        return g, jg, f, jf
-
-    @property
-    def dim(self) -> int:
-        return self.start_h.nvars
-
-    # ------------------------------------------------------------------
-    # BatchHomotopy protocol (the scalar one is its one-row default)
-    # ------------------------------------------------------------------
-    def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        g, f = self._pair_eval(X)
-        w = self.gamma * (1.0 - tt)
-        out = np.empty((X.shape[0], self.dim), dtype=complex)
-        out[:, :-1] = w[:, None] * g + tt[:, None] * f
-        out[:, -1] = X @ self.patch - 1.0
-        return out
-
-    def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
-        return self.evaluate_and_jacobian_batch(X, t)[1]
-
-    def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        _per_path_t(t, X.shape[0])  # shape check only; dH/dt is t-free
-        g, f = self._pair_eval(X)
-        out = np.zeros((X.shape[0], self.dim), dtype=complex)
-        out[:, :-1] = f - self.gamma * g
-        return out
-
-    def evaluate_and_jacobian_batch(self, X, t):
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        g, jg, f, jf = self._pair_eval_jac(X)
-        w = self.gamma * (1.0 - tt)
-        res = np.empty((X.shape[0], self.dim), dtype=complex)
-        res[:, :-1] = w[:, None] * g + tt[:, None] * f
-        res[:, -1] = X @ self.patch - 1.0
-        jac = np.empty((X.shape[0], self.dim, self.dim), dtype=complex)
-        jac[:, :-1] = w[:, None, None] * jg + tt[:, None, None] * jf
-        jac[:, -1] = self.patch
-        return res, jac
-
-    def jacobians_batch(self, X, t):
-        X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
-        g, jg, f, jf = self._pair_eval_jac(X)
-        w = self.gamma * (1.0 - tt)
-        jac_x = np.empty((X.shape[0], self.dim, self.dim), dtype=complex)
-        jac_x[:, :-1] = w[:, None, None] * jg + tt[:, None, None] * jf
-        jac_x[:, -1] = self.patch
-        jac_t = np.zeros((X.shape[0], self.dim), dtype=complex)
-        jac_t[:, :-1] = f - self.gamma * g
-        return jac_x, jac_t
+        n, nvars = start_h.neqs, start_h.nvars
+        terms = blend_terms(start_h, target_h, self.gamma)
+        for j, c in enumerate(patch):
+            unit = tuple(int(k == j) for k in range(nvars))
+            terms.append(Term(n, unit, complex(c)))
+        terms.append(Term(n, (0,) * nvars, -1.0 + 0j))
+        super().__init__(nvars, terms, kernel)
 
     # ------------------------------------------------------------------
     # rescue protocol

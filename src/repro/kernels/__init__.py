@@ -19,11 +19,13 @@ Tapes and bound kernels are memoized by structure fingerprint plus
 coefficient hash (:mod:`repro.kernels.cache`), so repeated solves of
 the same family — the sweep engine's common case — pay taping cost
 once.  Backend selection is threaded through the homotopy layer as a
-``kernel=`` option on :func:`repro.homotopy.solve`, on
-:class:`~repro.homotopy.convex.ConvexHomotopy`, and on the two term-list
-homotopies built on :class:`TermHomotopy` (the polyhedral
-:class:`~repro.polyhedral.CellHomotopy` and the warm route's
-:class:`~repro.homotopy.coefficient.CoefficientHomotopy`).
+``kernel=`` option on :func:`repro.homotopy.solve` and on the four
+polynomial homotopies, all term lists built on :class:`TermHomotopy`
+(the polyhedral :class:`~repro.polyhedral.CellHomotopy` and the three
+faces of the paper's eq. (1): :class:`~repro.homotopy.convex.
+ConvexHomotopy`, the warm route's :class:`~repro.homotopy.coefficient.
+CoefficientHomotopy` and the rescue chart :class:`~repro.homotopy.
+projective.ProjectivePatchHomotopy`).
 
 Every replay is elementwise along the point axis, so scalar
 (one-row) and batched evaluation are bit-identical — the invariant the
@@ -160,11 +162,11 @@ class NaiveSystemKernel:
 
     def evaluate(self, X: np.ndarray, tt=None) -> np.ndarray:
         self.stats.record(X.shape[0])
-        return self.system._tables_evaluate_many(X)
+        return self.system.evaluate_many(X)
 
     def evaluate_and_jacobian(self, X: np.ndarray, tt=None):
         self.stats.record(X.shape[0])
-        return self.system._tables_evaluate_and_jacobian_many(X)
+        return self.system.evaluate_and_jacobian_many(X)
 
     def __repr__(self) -> str:
         return f"NaiveSystemKernel(ops={self.stats.tape_ops})"

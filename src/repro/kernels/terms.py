@@ -1,10 +1,13 @@
 """Parametric term lists ``sum c * t^eta * x^a``: the reference
 evaluator and the homotopy base class that evaluates through a kernel.
 
-Two homotopies in this codebase are nothing but such a list — the
-polyhedral :class:`~repro.polyhedral.CellHomotopy` (``eta`` = lifted
-slack) and the warm route's :class:`~repro.homotopy.coefficient.
-CoefficientHomotopy` (``eta`` in {0, 1}) — so both are a
+Every polynomial homotopy in this codebase is nothing but such a list
+— the polyhedral :class:`~repro.polyhedral.CellHomotopy` (``eta`` =
+lifted slack) and the three faces of paper eq. (1), ``eta`` in {0, 1}
+(:class:`~repro.homotopy.convex.ConvexHomotopy`, the warm route's
+:class:`~repro.homotopy.coefficient.CoefficientHomotopy` and the rescue
+chart :class:`~repro.homotopy.projective.ProjectivePatchHomotopy`, all
+on :func:`~repro.homotopy.convex.blend_terms`) — so all four are a
 :class:`TermHomotopy`: a constructor that builds
 :class:`~repro.kernels.Term` objects, bound through
 :func:`~repro.kernels.compile_term_kernel` to either the SLP tape or
@@ -20,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..polynomials.system import _CompiledTables
+from ..telemetry import active_tracer, maybe_span
 from ..tracker.interface import BatchHomotopy, HomotopyFunction, _per_path_t
 from .slp import KernelStats, Term
 
@@ -158,17 +162,23 @@ class TermHomotopy(BatchHomotopy, HomotopyFunction):
         X = np.asarray(X, dtype=complex)
         return X, _per_path_t(t, X.shape[0])
 
+    def _call(self, method: str, X, t):
+        """One kernel call; inside a trace, one ``kernel/<method>`` span
+        (the per-layer breakdown the report CLI prints)."""
+        with maybe_span(active_tracer(), method, "kernel"):
+            return getattr(self._kernel, method)(*self._args(X, t))
+
     def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
-        return self._kernel.evaluate(*self._args(X, t))
+        return self._call("evaluate", X, t)
 
     def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
-        return self._kernel.evaluate_and_jacobian(*self._args(X, t))[1]
+        return self._call("evaluate_and_jacobian", X, t)[1]
 
     def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
-        return self._kernel.jacobian_t(*self._args(X, t))
+        return self._call("jacobian_t", X, t)
 
     def evaluate_and_jacobian_batch(self, X, t):
-        return self._kernel.evaluate_and_jacobian(*self._args(X, t))
+        return self._call("evaluate_and_jacobian", X, t)
 
     def jacobians_batch(self, X, t):
-        return self._kernel.jacobians(*self._args(X, t))
+        return self._call("jacobians", X, t)

@@ -185,8 +185,6 @@ class PolynomialSystem:
         self._polys: Tuple[Polynomial, ...] = tuple(polys)
         self._nvars = nvars
         self._tables: _CompiledTables | None = None
-        self._kernel = None  # compiled kernel routing (select_kernel)
-        self._kernel_name: str | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -203,19 +201,6 @@ class PolynomialSystem:
 
     def is_square(self) -> bool:
         return self.neqs == self.nvars
-
-    def __getstate__(self):
-        # ship the backend *name*, not the bound kernel, and rebind on
-        # arrival: kernels are memoized per process, so workers pay
-        # taping once per family and share its tape and schedules
-        state = self.__dict__.copy()
-        state["_kernel"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        if self._kernel_name is not None:
-            self.select_kernel(self._kernel_name)
 
     def __len__(self) -> int:
         return self.neqs
@@ -249,46 +234,11 @@ class PolynomialSystem:
             )
         return self._tables
 
-    # ------------------------------------------------------------------
-    # pluggable kernel backends (repro.kernels)
-    # ------------------------------------------------------------------
-    def select_kernel(self, backend: str | None) -> "PolynomialSystem":
-        """Route bulk (and scalar) evaluation through a compiled kernel.
-
-        ``backend`` is ``None`` (the default power-table + scatter
-        path), ``"naive"`` (same arithmetic, with effort accounting) or
-        ``"slp"`` (the taped straight-line program of
-        :mod:`repro.kernels`).  With a kernel selected, the scalar
-        entry points run as one-row batches through the same compiled
-        code, so scalar and batched evaluation stay bit-identical.
-        Returns ``self`` for chaining.
-        """
-        if backend is None:
-            self._kernel = None
-            self._kernel_name = None
-            return self
-        from ..kernels import compile_system_kernel
-
-        self._kernel = compile_system_kernel(self, backend)
-        self._kernel_name = backend
-        return self
-
-    @property
-    def kernel_backend(self) -> str | None:
-        """The selected kernel backend name (``None`` = default path)."""
-        return self._kernel_name
-
-    def kernel_stats(self) -> dict | None:
-        """Snapshot of the selected kernel's effort counters, if any."""
-        return None if self._kernel is None else self._kernel.stats.snapshot()
-
     def evaluate(self, point: Sequence[complex]) -> np.ndarray:
         """Residual vector F(x), shape ``(neqs,)``."""
         x = np.asarray(point, dtype=complex)
         if x.shape != (self._nvars,):
             raise ValueError(f"expected point of length {self._nvars}")
-        if self._kernel is not None:
-            return self._kernel.evaluate(x[None, :])[0]
         t = self._compiled()
         mono = t.monomial_values(x)
         out = np.zeros(self.neqs, dtype=complex)
@@ -300,8 +250,6 @@ class PolynomialSystem:
         x = np.asarray(point, dtype=complex)
         if x.shape != (self._nvars,):
             raise ValueError(f"expected point of length {self._nvars}")
-        if self._kernel is not None:
-            return self._kernel.evaluate_and_jacobian(x[None, :])[1][0]
         t = self._compiled()
         mono = t.monomial_values(x)
         out = np.zeros((self.neqs, self._nvars), dtype=complex)
@@ -320,9 +268,6 @@ class PolynomialSystem:
         x = np.asarray(point, dtype=complex)
         if x.shape != (self._nvars,):
             raise ValueError(f"expected point of length {self._nvars}")
-        if self._kernel is not None:
-            res, jac = self._kernel.evaluate_and_jacobian(x[None, :])
-            return res[0], jac[0]
         t = self._compiled()
         mono = t.monomial_values(x)
         res = np.zeros(self.neqs, dtype=complex)
@@ -341,12 +286,6 @@ class PolynomialSystem:
         pts = np.asarray(points, dtype=complex)
         if pts.ndim != 2 or pts.shape[1] != self._nvars:
             raise ValueError(f"expected array of shape (npts, {self._nvars})")
-        if self._kernel is not None:
-            return self._kernel.evaluate(pts)
-        return self._tables_evaluate_many(pts)
-
-    def _tables_evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        """The seed power-table + scatter residual path (naive backend)."""
         t = self._compiled()
         with np.errstate(invalid="ignore", over="ignore"):
             mono = t.monomial_values_many(pts)
@@ -367,18 +306,13 @@ class PolynomialSystem:
         Returns ``(res, jac)`` with shapes ``(npts, neqs)`` and
         ``(npts, neqs, nvars)``, sharing one monomial-table evaluation —
         the batched analogue of :meth:`evaluate_and_jacobian` and the
-        kernel behind :class:`~repro.homotopy.convex.ConvexHomotopy`'s
-        batch interface.
+        ``"naive"`` system kernel's arithmetic (no homotopy evaluates
+        through it: Newton refinement on the target and the oracles the
+        term kernels are measured against do).
         """
         pts = np.asarray(points, dtype=complex)
         if pts.ndim != 2 or pts.shape[1] != self._nvars:
             raise ValueError(f"expected array of shape (npts, {self._nvars})")
-        if self._kernel is not None:
-            return self._kernel.evaluate_and_jacobian(pts)
-        return self._tables_evaluate_and_jacobian_many(pts)
-
-    def _tables_evaluate_and_jacobian_many(self, pts: np.ndarray):
-        """The seed fused residual+Jacobian scatter path (naive backend)."""
         t = self._compiled()
         with np.errstate(invalid="ignore", over="ignore"):
             mono = t.monomial_values_many(pts)

@@ -32,6 +32,7 @@ from repro.homotopy import (
 from repro.polynomials import PolynomialSystem, variables
 from repro.systems import (
     cyclic_deficient_system,
+    cyclic_roots_system,
     griewank_osborne_system,
     katsura_system,
     multiple_root_system,
@@ -339,6 +340,24 @@ class TestRescuePipeline:
         assert report.n_solutions == 1
         sol = report.solutions[0]
         assert np.max(np.abs(sol - np.array([-1.0, -1.0]))) < 1e-8
+
+    @pytest.mark.parametrize("kernel", [None, "slp"])
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_cyclic5_diverging_paths_are_diverged_not_failed(self, seed, kernel):
+        """50 of cyclic-5's 120 total-degree paths leave for infinity.
+        The blend must keep gamma (1-t) G accurate out there (it is
+        written in s = 1 - t): evaluated as gamma G + (F - gamma G) t it
+        cancels as t -> 1, every one of those paths ends FAILED instead
+        of DIVERGED, and rescue finds nothing to re-patch."""
+        summary = solve(
+            cyclic_roots_system(5),
+            rng=np.random.default_rng([seed, 11]),
+            rescue=True,
+            kernel=kernel,
+        ).summary
+        assert summary["rescued"] >= 25  # DIVERGED before the rescue
+        assert summary["at_infinity"] >= 25
+        assert summary["diverged"] == 0
 
     def test_rescue_hook_default_is_none(self):
         class Nothing(HomotopyFunction):

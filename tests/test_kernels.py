@@ -17,7 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.homotopy import ConvexHomotopy, solve
+from repro.homotopy import (
+    ConvexHomotopy,
+    ProjectivePatchHomotopy,
+    homogenized_pair,
+    solve,
+)
 from repro.kernels import (
     KERNEL_BACKENDS,
     KernelUsage,
@@ -345,8 +350,38 @@ def _coefficient_homotopy(kernel, rng):
     return homotopy, generic
 
 
+def _blend_pair(rng):
+    """A 3-variable start/target pair on *disjoint* supports."""
+    def system(expos):
+        return PolynomialSystem([
+            Polynomial({e: complex(*rng.standard_normal(2)) for e in row}, 3)
+            for row in expos
+        ])
+
+    start = system([[(2, 0, 0), (0, 0, 0)], [(0, 3, 0), (0, 0, 1)],
+                    [(0, 0, 2), (1, 1, 0)]])
+    target = system([[(1, 1, 1), (0, 2, 0)], [(2, 0, 1), (1, 0, 0)],
+                     [(0, 1, 1), (3, 0, 0), (0, 1, 0)]])
+    return start, target
+
+
+def _patch_homotopy(kernel, rng):
+    """The projective chart of :func:`_blend_pair`'s homotopy."""
+    start_h, target_h = homogenized_pair(*_blend_pair(rng))
+    patch = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return ProjectivePatchHomotopy(
+        start_h, target_h, 0.6 + 0.8j, patch, kernel=kernel
+    )
+
+
 _TERM_EVALUATORS = {
     "naive-kernel": lambda rng: _cell_homotopy("naive", rng).kernels[0],
+    "blend-naive": lambda rng: ConvexHomotopy(
+        *_blend_pair(rng), gamma=0.6 + 0.8j, kernel="naive"),
+    "blend-slp": lambda rng: ConvexHomotopy(
+        *_blend_pair(rng), gamma=0.6 + 0.8j, kernel="slp"),
+    "patch-naive": lambda rng: _patch_homotopy("naive", rng),
+    "patch-slp": lambda rng: _patch_homotopy("slp", rng),
     "cell-naive": lambda rng: _cell_homotopy("naive", rng),
     "cell-slp": lambda rng: _cell_homotopy("slp", rng),
     "coefficient-naive": lambda rng: _coefficient_homotopy("naive", rng)[0],
@@ -378,6 +413,16 @@ def test_term_evaluator_rows_do_not_depend_on_the_batch(subject, complex_t):
     _assert_rows_do_not_depend_on_the_batch(calls, X, T)
 
 
+def _batch_outputs(homotopy, X, t):
+    """Every array the five batch-protocol methods return, in order."""
+    outs = []
+    for method in ("evaluate_batch", "jacobian_x_batch", "jacobian_t_batch",
+                   "evaluate_and_jacobian_batch", "jacobians_batch"):
+        out = getattr(homotopy, method)(X, t)
+        outs.extend(out if isinstance(out, tuple) else (out,))
+    return outs
+
+
 def test_coefficient_homotopy_backends_agree_and_meet_both_ends():
     """eta in {0, 1}: naive and SLP agree to 1e-12 everywhere, and the
     two-terms-a-row blend still is gamma G at t = 0 and F at t = 1."""
@@ -390,11 +435,8 @@ def test_coefficient_homotopy_backends_agree_and_meet_both_ends():
         return float(np.max(np.abs(a - b))) <= 1e-12 * (1 + np.max(np.abs(b)))
 
     for t in (0.0, 0.35, 1.0, 0.8 + 0.1j, rng.random(9)):
-        for method in ("evaluate_batch", "jacobian_x_batch", "jacobian_t_batch",
-                       "evaluate_and_jacobian_batch", "jacobians_batch"):
-            a, b = getattr(naive, method)(X, t), getattr(fast, method)(X, t)
-            for u, v in zip(*((a, b) if isinstance(a, tuple) else ((a,), (b,)))):
-                assert u.shape == v.shape and near(u, v)
+        for u, v in zip(_batch_outputs(naive, X, t), _batch_outputs(fast, X, t)):
+            assert u.shape == v.shape and near(u, v)
     g, jg = generic.evaluate_and_jacobian_many(X)
     f, jf = naive.target.evaluate_and_jacobian_many(X)
     for hom in (naive, fast):
@@ -405,6 +447,109 @@ def test_coefficient_homotopy_backends_agree_and_meet_both_ends():
         assert near(hom.jacobian_t_batch(X, 0.4), f - hom.gamma * g)
         assert np.array_equal(hom.evaluate(X[2], 0.35),
                               hom.evaluate_batch(X, 0.35)[2])
+
+
+def _blend_oracle(start, target, gamma, X, t):
+    """Eq. (1) and its derivatives assembled from the system tables."""
+    g, jg = start.evaluate_and_jacobian_many(X)
+    f, jf = target.evaluate_and_jacobian_many(X)
+    t = np.broadcast_to(np.asarray(t), X.shape[:1])
+    w = gamma * (1.0 - t)
+    res = w[:, None] * g + t[:, None] * f
+    jac = w[:, None, None] * jg + t[:, None, None] * jf
+    return res, jac, f - gamma * g
+
+
+def _assert_matches_blend(homotopy, oracle, X):
+    """All five batch methods against ``oracle(X, t)`` at real t in
+    {0, 0.3, 1} and on a circle of complex t around 1."""
+    def near(a, b):
+        return float(np.max(np.abs(a - b))) <= 1e-12 * (1 + np.max(np.abs(b)))
+
+    circle = 1.0 - 0.2 * np.exp(2j * np.pi * np.arange(len(X)) / len(X))
+    for t in (0.0, 0.3, 1.0, circle):
+        res, jac, dt = oracle(X, t)
+        expected = (res, jac, dt, res, jac, jac, dt)
+        for got, want in zip(_batch_outputs(homotopy, X, t), expected):
+            assert got.shape == want.shape and near(got, want)
+
+
+def _blend_cases():
+    from repro.homotopy import total_degree_start_system
+    from repro.systems import noon_system
+
+    cases = {"disjoint": _blend_pair(np.random.default_rng(4))}
+    for name, target in (("katsura-4", katsura_system(4)),
+                         ("cyclic-5", cyclic_roots_system(5)),
+                         ("noon-3", noon_system(3))):
+        start, _ = total_degree_start_system(target, np.random.default_rng(4))
+        cases[name] = (start, target)
+    return cases
+
+
+@pytest.mark.parametrize("kernel", [None, "naive", "slp"])
+@pytest.mark.parametrize("case", ["katsura-4", "cyclic-5", "noon-3", "disjoint"])
+def test_blend_term_list_is_eq_1(case, kernel):
+    """``blend_terms`` against gamma (1-t) G + t F put together from the
+    two systems' own tables: affine, and in the projective chart with
+    its patch row and that row's zero d/dt."""
+    start, target = _blend_cases()[case]
+    gamma = 0.6 + 0.8j
+    rng = np.random.default_rng(8)
+    n = target.nvars
+    X = 0.7 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
+    _assert_matches_blend(
+        ConvexHomotopy(start, target, gamma=gamma, kernel=kernel),
+        lambda X, t: _blend_oracle(start, target, gamma, X, t),
+        X,
+    )
+
+    start_h, target_h = homogenized_pair(start, target)
+    patch = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    Y = 0.7 * (rng.standard_normal((6, n + 1))
+               + 1j * rng.standard_normal((6, n + 1)))
+
+    def chart(Y, t):
+        res, jac, dt = _blend_oracle(start_h, target_h, gamma, Y, t)
+        return (
+            np.hstack([res, (Y @ patch - 1.0)[:, None]]),
+            np.concatenate([jac, np.tile(patch, (len(Y), 1, 1))], axis=1),
+            np.hstack([dt, np.zeros((len(Y), 1))]),
+        )
+
+    _assert_matches_blend(
+        ProjectivePatchHomotopy(start_h, target_h, gamma, patch, kernel=kernel),
+        chart,
+        Y,
+    )
+
+
+def test_coefficient_homotopy_is_the_convex_homotopy():
+    """One expression: same arrays from all five methods, one tape."""
+    from repro.homotopy.coefficient import CoefficientHomotopy
+    from repro.polyhedral.supports import (
+        augment_with_origin, coefficient_system, random_coefficient_system,
+        supports_of)
+
+    target = katsura_system(3)
+    supports = augment_with_origin(supports_of(target))
+    _, coefficients = random_coefficient_system(
+        supports, np.random.default_rng(5))
+    gamma = 0.6 + 0.8j
+    clear_kernel_cache()
+    warm = CoefficientHomotopy(
+        supports, coefficients, target, gamma=gamma, kernel="slp")
+    hits = kernel_cache_info()["tape_hits"]
+    convex = ConvexHomotopy(
+        coefficient_system(supports, coefficients), target, gamma=gamma,
+        kernel="slp")
+    assert kernel_cache_info()["tape_hits"] == hits + 1
+    assert convex.kernels[0].tape is warm.kernels[0].tape
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    T = rng.random(5)
+    for u, v in zip(_batch_outputs(warm, X, T), _batch_outputs(convex, X, T)):
+        assert np.array_equal(u, v)
 
 
 @pytest.mark.parametrize("kernel", [None, "naive", "slp"])
@@ -476,42 +621,18 @@ def test_naive_kernel_is_bitwise_the_seed_path():
     assert kernel.stats.calls == 2 and kernel.stats.evaluations == 12
 
 
-def test_system_select_kernel_routes_scalar_and_batch():
-    system = katsura_system(2)
-    x = np.array([0.3 + 0.2j, -0.1j, 0.7 + 0j])
-    base_scalar = system.evaluate(x)
-    base_jac = system.jacobian_at(x)
-    system.select_kernel("slp")
-    assert system.kernel_backend == "slp"
-    assert _close(system.evaluate(x), base_scalar)
-    assert _close(system.jacobian_at(x), base_jac)
-    stats = system.kernel_stats()
-    assert stats["backend"] == "slp" and stats["calls"] >= 2
-    system.select_kernel(None)
-    assert system.kernel_backend is None
-    assert np.array_equal(system.evaluate(x), base_scalar)
-
-
-def test_selected_kernel_survives_pickling_by_name():
-    system = cyclic_roots_system(4)
-    system.select_kernel("slp")
-    clone = pickle.loads(pickle.dumps(system))
-    assert clone.kernel_backend == "slp"
-    X = np.full((2, 4), 0.5 + 0.25j)
-    assert np.array_equal(clone.evaluate_many(X), system.evaluate_many(X))
-
-
 def test_convex_homotopy_pickles_and_rebinds_kernel():
     h = ConvexHomotopy(
         katsura_system(2), katsura_system(2), gamma=0.6 + 0.8j, kernel="slp"
     )
     X = np.full((3, 3), 0.3 - 0.1j)
-    before = h.evaluate_and_jacobian_batch(X, 0.5)  # binds both kernels
+    before = h.evaluate_and_jacobian_batch(X, 0.5)
     clone = pickle.loads(pickle.dumps(h))
-    assert clone.kernel == "slp" and len(clone.kernels) == 2
-    # bound kernels are not shipped: the clone rebinds from the
-    # process-local cache, here to the very same kernel objects
-    assert all(a is b for a, b in zip(clone.kernels, h.kernels))
+    assert clone.kernel == "slp" and len(clone.kernels) == 1
+    # the bound kernel is not shipped: the clone binds its coefficients
+    # anew, onto the very tape the process-local cache holds
+    assert clone.kernels[0] is not h.kernels[0]
+    assert clone.kernels[0].tape is h.kernels[0].tape
     after = clone.evaluate_and_jacobian_batch(X, 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(after, before))
     assert np.array_equal(
@@ -599,7 +720,7 @@ def test_solve_report_carries_kernel_stats():
     )
     stats = report.summary["kernel"]
     assert stats["backend"] == "slp"
-    assert stats["kernels"] == 2  # start + target system kernels
+    assert stats["kernels"] == 1  # eq. (1) is one term list, one kernel
     assert stats["tape_ops"] > 0
     assert stats["calls"] > 0 and stats["evaluations"] >= stats["calls"]
     # the default path stays untouched: no kernel key, no accounting

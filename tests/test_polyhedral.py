@@ -305,8 +305,15 @@ class TestPolyhedralSolveParity:
         assert poly.n_paths == poly.summary["mixed_volume"] == expected
         assert poly.summary["start"] == "polyhedral"
         assert poly.summary["phase1_failures"] == 0
-        # ... and finds the same distinct finite solutions
-        assert _solution_sets_match(poly.solutions, td.solutions)
+        # ... to that many distinct roots, which hold every root the
+        # total-degree solve delivers (equality would pin a seed on
+        # which no total-degree path jumps, not a property: cyclic-5
+        # euler comes back one or two roots short on 10 of 24 seeds)
+        assert len(poly.solutions) == expected
+        for x in poly.solutions:
+            assert np.max(np.abs(system.evaluate(x))) < 1e-8
+        for y in td.solutions:
+            assert any(np.max(np.abs(x - y)) < 1e-8 for x in poly.solutions)
 
     def test_polyhedral_tracks_fewer_paths_on_cyclic(self):
         report = solve(

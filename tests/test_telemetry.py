@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.artifacts import ArtifactStore
 from repro.homotopy import make_homotopy_and_starts, solve
 from repro.systems import cyclic_roots_system, katsura_system
 from repro.telemetry import (
@@ -256,27 +257,34 @@ class TestReportCLI:
 class TestTracedSolve:
     def test_trace_paths_exports_layer_breakdown(self, tmp_path, capsys):
         system = katsura_system(3)
-        report = solve(system, rng=np.random.default_rng(7), mode="batch",
-                       kernel="slp", trace_paths=True)
-        assert report.trace is not None
-        assert report.telemetry is not None
-        spans = report.telemetry["spans"]
-        # every layer of the stack shows up in one trace
-        for key in ("solve/track", "predictor/tangent", "corrector/newton",
-                    "kernel/evaluate_and_jacobian"):
-            assert key in spans, f"missing span {key}"
-        assert report.telemetry["counters"]["solve.paths"] == len(
-            report.results
-        )
-        assert report.summary["kernel"]["cache"]["kernels"] >= 1
+        store = ArtifactStore(tmp_path / "store")
+        solve(system, start="polyhedral", rng=np.random.default_rng(6),
+              kernel="slp", cache=store)
+        # the default route, and a solve served warm from the store
+        for route in ({}, dict(start="polyhedral", cache=store)):
+            report = solve(system, rng=np.random.default_rng(7), mode="batch",
+                           kernel="slp", trace_paths=True, **route)
+            if route:
+                assert report.summary["cache"]["status"] == "warm"
+            assert report.trace is not None
+            assert report.telemetry is not None
+            spans = report.telemetry["spans"]
+            # every layer of the stack shows up in one trace
+            for key in ("solve/track", "predictor/tangent",
+                        "corrector/newton", "kernel/evaluate_and_jacobian"):
+                assert key in spans, f"missing span {key}"
+            assert report.telemetry["counters"]["solve.paths"] == len(
+                report.results
+            )
+            assert report.summary["kernel"]["cache"]["tapes"] >= 1
 
-        path = tmp_path / "solve.trace.json"
-        n = report.trace.write_trace(path)
-        assert n == len(report.trace.events) > 0
-        assert telemetry_main(["report", str(path)]) == 0
-        out = capsys.readouterr().out
-        for layer in ("predictor", "corrector", "kernel"):
-            assert layer in out
+            path = tmp_path / "solve.trace.json"
+            n = report.trace.write_trace(path)
+            assert n == len(report.trace.events) > 0
+            assert telemetry_main(["report", str(path)]) == 0
+            out = capsys.readouterr().out
+            for layer in ("predictor", "corrector", "kernel"):
+                assert layer in out
 
     def test_default_solve_records_nothing(self):
         system = katsura_system(2)

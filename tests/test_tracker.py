@@ -216,6 +216,34 @@ def test_knob_budget():
     }
 
 
+def test_one_polynomial_evaluator():
+    """A second evaluator shows up in review as a failed test: every
+    polynomial homotopy class the two packages export (and the warm
+    route's, which ``repro.homotopy`` imports late) is a term list on
+    the kernel seam, with no kernel plumbing of its own."""
+    import repro.homotopy
+    import repro.polyhedral
+    from repro.homotopy.coefficient import CoefficientHomotopy
+    from repro.kernels import TermHomotopy
+    from repro.tracker import BatchHomotopy
+
+    classes = {CoefficientHomotopy}
+    for package in (repro.homotopy, repro.polyhedral):
+        exported = (getattr(package, name) for name in package.__all__)
+        classes |= {
+            c for c in exported
+            if inspect.isclass(c) and issubclass(c, BatchHomotopy)
+        }
+    assert {c.__name__ for c in classes} == {
+        "CellHomotopy", "CoefficientHomotopy", "ConvexHomotopy",
+        "ProjectivePatchHomotopy",
+    }
+    for cls in classes:
+        assert issubclass(cls, TermHomotopy), cls
+        plumbing = {"_pair_eval", "_pair_eval_jac", "_bind_kernel"}
+        assert not plumbing & set(vars(cls)), cls
+
+
 class TestSummarize:
     def test_summary_counts(self):
         h = SqrtHomotopy()
