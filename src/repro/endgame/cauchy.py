@@ -66,13 +66,16 @@ class CauchyEndgame(EndgameStrategy):
     max_winding:
         Give up (keeping the plain-refinement classification) if the
         path has not closed up after this many revolutions.
-    closure_tol:
+
+    The remaining tolerances are class constants (override by subclass):
+
+    ``closure_tol``
         Relative tolerance declaring the loop closed — comfortably above
         corrector noise, comfortably below branch separation.
-    residual_bound:
+    ``residual_bound``
         A recovered endpoint must satisfy ``|H(x, 1)| <= residual_bound``
         or the recovery is rejected (spurious closure).
-    jacobian_rcond:
+    ``jacobian_rcond``
         The *stall detector*.  At a multiple root the residual tolerance
         is deceptive — ``|H(x, 1)| ~ |x - x*|^w`` is tiny long before
         ``x`` is accurate — so plain refinement can report SUCCESS with
@@ -81,7 +84,7 @@ class CauchyEndgame(EndgameStrategy):
         is therefore re-examined by the loop phase; a loop closing at
         ``w = 1`` keeps SUCCESS (now with a certified endpoint),
         ``w >= 2`` reclassifies the endpoint as a measured singularity.
-    verify_tol:
+    ``verify_tol``
         The *hop detector*.  When several singular roots share a target
         system, their loop rings can overlap and an anchor Newton may
         hop onto a different root's cycle, recovering the wrong
@@ -92,16 +95,16 @@ class CauchyEndgame(EndgameStrategy):
     """
 
     name = "cauchy"
+    closure_tol = 1e-6
+    residual_bound = 1e-6
+    jacobian_rcond = 1e-5
+    verify_tol = 0.05
 
     def __init__(
         self,
         operating_radius: float = 0.05,
         samples_per_loop: int = 16,
         max_winding: int = 8,
-        closure_tol: float = 1e-6,
-        residual_bound: float = 1e-6,
-        jacobian_rcond: float = 1e-5,
-        verify_tol: float = 0.05,
     ) -> None:
         if not 0.0 < operating_radius < 1.0:
             raise ValueError("operating_radius must lie in (0, 1)")
@@ -112,10 +115,6 @@ class CauchyEndgame(EndgameStrategy):
         self.operating_radius = float(operating_radius)
         self.samples_per_loop = int(samples_per_loop)
         self.max_winding = int(max_winding)
-        self.closure_tol = float(closure_tol)
-        self.residual_bound = float(residual_bound)
-        self.jacobian_rcond = float(jacobian_rcond)
-        self.verify_tol = float(verify_tol)
         self._refine = RefineEndgame()
 
     # ------------------------------------------------------------------

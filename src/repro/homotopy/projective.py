@@ -105,6 +105,11 @@ class ProjectivePatchHomotopy(_BlendHomotopy):
     (``c_j y_j`` and ``-1``), whose ``d/dt`` row is zero by construction.
     """
 
+    # thresholds of finalize_rescued's three-way classification
+    infinity_tol = 1e-8
+    residual_tol = 1e-6
+    affine_bound = 1e3
+
     def __init__(
         self,
         start_h: PolynomialSystem,
@@ -112,9 +117,6 @@ class ProjectivePatchHomotopy(_BlendHomotopy):
         gamma: complex,
         patch: np.ndarray,
         affine_target: PolynomialSystem | None = None,
-        infinity_tol: float = 1e-8,
-        residual_tol: float = 1e-6,
-        affine_bound: float = 1e3,
         kernel: str | None = None,
     ) -> None:
         if start_h.nvars != target_h.nvars:
@@ -131,9 +133,6 @@ class ProjectivePatchHomotopy(_BlendHomotopy):
         self.gamma = complex(gamma)
         self.patch = patch
         self.affine_target = affine_target
-        self.infinity_tol = float(infinity_tol)
-        self.residual_tol = float(residual_tol)
-        self.affine_bound = float(affine_bound)
         n, nvars = start_h.neqs, start_h.nvars
         terms = blend_terms(start_h, target_h, self.gamma)
         for j, c in enumerate(patch):

@@ -372,8 +372,8 @@ def _fallback_retrack(results, starts, homotopy, options, strategy) -> int:
     Euler loop walks straight through.  Paths are rare in that regime,
     so re-tracking just the failures with the conservative settings
     buys Euler's completeness at a tiny fraction of Euler's cost.  The
-    failed attempt's Newton/Jacobian work is added to the retracked
-    stats so solve summaries never hide the wasted effort.
+    failed attempt's effort is added to the retracked stats so solve
+    summaries never hide the wasted work.
     """
     failed = [i for i, r in enumerate(results) if r.status is PathStatus.FAILED]
     if not failed:
@@ -386,13 +386,8 @@ def _fallback_retrack(results, starts, homotopy, options, strategy) -> int:
     )
     n = 0
     for i, redo in zip(failed, redone):
-        old = results[i]
-        redo.stats.newton_iterations += old.stats.newton_iterations
-        redo.stats.jacobian_evaluations += old.stats.jacobian_evaluations
-        redo.stats.tangents_recycled += old.stats.tangents_recycled
-        redo.stats.steps_accepted += old.stats.steps_accepted
-        redo.stats.steps_rejected += old.stats.steps_rejected
         if redo.success:
+            redo.stats.absorb(results[i].stats)
             results[i] = redo
             n += 1
     return n
@@ -403,8 +398,6 @@ def solve(
     start: Literal["total_degree", "linear_product", "polyhedral"] = "total_degree",
     options: TrackerOptions | None = None,
     rng: np.random.Generator | None = None,
-    refine: bool = True,
-    rerun_duplicates: bool = True,
     mode: Literal["per_path", "batch"] = "batch",
     endgame="refine",
     rescue: bool = False,
@@ -415,9 +408,10 @@ def solve(
 ) -> SolveReport:
     """Track all paths of a homotopy to ``target`` and classify endpoints.
 
-    With ``rerun_duplicates`` (default), paths whose endpoints collide —
-    the signature of a predictor jumping between close paths — are
-    re-tracked with conservatively small steps, PHCpack-style.
+    Paths whose endpoints collide — the signature of a predictor jumping
+    between close paths — are re-tracked with conservatively small
+    steps, PHCpack-style, and every SUCCESS endpoint is Newton-refined
+    against ``target``.
 
     ``mode`` only says how many rows a front of the one tracker loop
     (:class:`BatchTracker`) gets: ``"batch"`` (default) tracks every
@@ -444,10 +438,6 @@ def solve(
     options:
         :class:`~repro.tracker.TrackerOptions` for the main tracking
         pass (defaults are PHCpack-flavoured).
-    refine:
-        Newton-refine every SUCCESS endpoint against ``target``.
-    rerun_duplicates:
-        Re-track colliding endpoints with conservative steps.
     mode:
         ``"batch"`` (one SoA front) or ``"per_path"`` (one-row fronts).
     endgame:
@@ -536,21 +526,13 @@ def solve(
     if mode not in ("per_path", "batch"):
         raise ValueError(f"unknown tracking mode {mode!r}")
     tel = current_telemetry()
-    own = None
-    if trace_paths and tel is None:
-        tel = own = Telemetry(name="solve")
-    if own is not None:
-        with use_telemetry(own):
-            report = _solve(
-                target, start, options, rng, refine, rerun_duplicates,
-                mode, endgame, rescue, kernel, predictor, trace_paths,
-                tel, cache,
-            )
-    else:
+    own = trace_paths and tel is None
+    if own:
+        tel = Telemetry(name="solve")
+    with use_telemetry(tel) if own else nullcontext():
         report = _solve(
-            target, start, options, rng, refine, rerun_duplicates,
-            mode, endgame, rescue, kernel, predictor, trace_paths,
-            tel, cache,
+            target, start, options, rng, mode, endgame, rescue, kernel,
+            predictor, trace_paths, tel, cache,
         )
     if tel is not None:
         report.telemetry = tel.summary()
@@ -560,8 +542,8 @@ def solve(
 
 
 def _solve(
-    target, start, options, rng, refine, rerun_duplicates, mode,
-    endgame, rescue, kernel, predictor, trace_paths, tel, cache=None,
+    target, start, options, rng, mode, endgame, rescue, kernel,
+    predictor, trace_paths, tel, cache,
 ) -> SolveReport:
     base_options = options or TrackerOptions()
     if predictor is not None:
@@ -648,25 +630,23 @@ def _solve(
                 )
             if tel is not None and n_fallback:
                 tel.count("solve.fallback_retracked", n_fallback)
-        if rerun_duplicates:
-            with maybe_span(tel, "retrack_duplicates", "solve"):
-                retrack_duplicate_clusters(
-                    results,
-                    lambda pids, opts: BatchTracker(
-                        opts, endgame=strategy
-                    ).track_batch(homotopy, starts_arr[pids], path_ids=pids),
-                    _tightened,
-                    base_options,
-                )
+        with maybe_span(tel, "retrack_duplicates", "solve"):
+            retrack_duplicate_clusters(
+                results,
+                lambda pids, opts: BatchTracker(
+                    opts, endgame=strategy
+                ).track_batch(homotopy, starts_arr[pids], path_ids=pids),
+                _tightened,
+                base_options,
+            )
         n_rescued = 0
         if rescue:
             with maybe_span(tel, "rescue", "solve"):
                 results, n_rescued = rescue_diverged(
                     tracker, homotopy, results
                 )
-        if refine:
-            with maybe_span(tel, "refine", "solve"):
-                refine_solutions(target, results)
+        with maybe_span(tel, "refine", "solve"):
+            refine_solutions(target, results)
         clusters = multiplicity_clusters(results)
     # the non-singular cluster representatives ARE the distinct finite
     # solutions (same tolerance, same first-seen order as
@@ -677,6 +657,10 @@ def _solve(
     summary["start"] = start
     summary["endgame"] = strategy.name
     summary["predictor"] = make_predictor(base_options.predictor).name
+    # what the main pass ran with: no field resolves later, so this is it
+    summary["options"] = dataclasses.asdict(
+        dataclasses.replace(base_options, predictor=summary["predictor"])
+    )
     if n_fallback:
         summary["fallback_retracked"] = n_fallback
     usage = homotopy.kernel_usage

@@ -11,9 +11,7 @@ This package makes that hot path pluggable:
   program with common-subexpression sharing, derives the Jacobian tape
   by forward-mode AD over the SLP, and replays both fused per batch by
   dependency level — O(depth) array operations a call, whatever the
-  instruction count (:mod:`repro.kernels.slp`) — behind a small
-  array-API seam (:mod:`repro.kernels.array_api`) that
-  leaves the door open to GPU arrays.
+  instruction count (:mod:`repro.kernels.slp`).
 
 Tapes and bound kernels are memoized by structure fingerprint plus
 coefficient hash (:mod:`repro.kernels.cache`), so repeated solves of
@@ -65,12 +63,6 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .array_api import (
-    ArrayBackend,
-    NUMPY_BACKEND,
-    get_array_backend,
-    register_array_backend,
-)
 from .cache import (
     CAPACITY_ENV,
     bound_slp_kernel,
@@ -87,7 +79,6 @@ from .terms import NaiveTermKernel, TermHomotopy
 
 __all__ = [
     "KERNEL_BACKENDS",
-    "ArrayBackend",
     "KernelStats",
     "KernelUsage",
     "NaiveSystemKernel",
@@ -100,12 +91,10 @@ __all__ = [
     "clear_kernel_cache",
     "compile_system_kernel",
     "compile_term_kernel",
-    "get_array_backend",
     "kernel_cache_info",
     "normalize_kernel",
     "set_kernel_cache_capacity",
     "CAPACITY_ENV",
-    "register_array_backend",
     "system_terms",
 ]
 

@@ -52,8 +52,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .array_api import ArrayBackend, get_array_backend
-
 __all__ = ["Term", "SLPTape", "SLPKernel", "KernelStats", "build_tape"]
 
 
@@ -283,16 +281,16 @@ class _Schedule:
         self.sections = list(zip(np.split(scatter, cuts), shapes))
         self.n_ops = len(live) + len(rows)
 
-    def replay(self, X, T, K, xp):
+    def replay(self, X, T, K):
         """Run the program on ``X`` (``npts, nvars``) and times ``T``
-        with constant column ``K``; arrays come from namespace ``xp``."""
+        with constant column ``K``."""
         npts, secs = X.shape[0], self.sections
-        outs = [xp.empty((npts, len(r)), dtype=X.dtype) for r, _ in secs]
+        outs = [np.empty((npts, len(r)), dtype=X.dtype) for r, _ in secs]
         V, nrows = None, self.nslots + len(self.gather)
         for lo in range(0, npts, BLOCK):
             hi = min(lo + BLOCK, npts)
             if V is None or V.shape[1] != hi - lo:
-                V = xp.empty((nrows, hi - lo), dtype=X.dtype)
+                V = np.empty((nrows, hi - lo), dtype=X.dtype)
                 V[0] = 1.0
                 G = V[self.nslots :]
             V[1 : 1 + self.nvars] = X[lo:hi].T
@@ -300,13 +298,13 @@ class _Schedule:
             for row, eta in self.tpows:  # scalar exponents: see docs/kernels.md
                 V[row] = Tb ** eta
             for a, b, s, e in self.levels:
-                xp.multiply(V.take(a, 0), V.take(b, 0), out=V[s:e])
+                np.multiply(V.take(a, 0), V.take(b, 0), out=V[s:e])
             # into V's tail rows, not over the gathered operand: numpy
             # rounds a 1x1 product written in place unlike any other shape
-            xp.multiply(K, V.take(self.gather, 0), out=G)
+            np.multiply(K, V.take(self.gather, 0), out=G)
             for m, off in self.adds:
                 acc = G[:m]
-                xp.add(acc, G[off : off + m], out=acc)
+                np.add(acc, G[off : off + m], out=acc)
             for out, (r, _) in zip(outs, secs):
                 out[lo:hi] = G.take(r, 0).T
         outs = [o.reshape((npts,) + s) for o, (_, s) in zip(outs, secs)]
@@ -386,7 +384,7 @@ def build_tape(
 
 
 class SLPKernel:
-    """A tape bound to concrete coefficients and an array backend.
+    """A tape bound to concrete coefficients.
 
     All methods take ``X`` of shape ``(npts, nvars)`` (complex) and, for
     parametric tapes, the per-point time vector ``tt``.  Arithmetic is
@@ -400,7 +398,6 @@ class SLPKernel:
         self,
         tape: SLPTape,
         coefficients: Sequence[complex],
-        array_backend: ArrayBackend | str | None = None,
         taping_seconds: float = 0.0,
         cache_hit: bool = False,
     ) -> None:
@@ -411,7 +408,6 @@ class SLPKernel:
             )
         self.tape = tape
         self.coefficients = np.asarray(coefficients, dtype=complex)
-        self.array_backend = get_array_backend(array_backend)
         self._bound: Dict[str, tuple] = {}
         self.stats = KernelStats(
             backend=self.backend,
@@ -422,16 +418,15 @@ class SLPKernel:
         )
 
     def _run(self, name: str, X: np.ndarray, tt):
-        xp = self.array_backend.xp
         bound = self._bound.get(name)
         if bound is None:  # fold the coefficients into the constant column
             prog = self.tape.program(name)
-            K = xp.zeros((len(prog.gather), 1), dtype=complex)
+            K = np.zeros((len(prog.gather), 1), dtype=complex)
             K[prog.rows, 0] = self.coefficients[prog.term] * prog.scale
             bound = self._bound[name] = (prog, K)
         self.stats.record(X.shape[0])
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return bound[0].replay(X, tt, bound[1], xp)
+            return bound[0].replay(X, tt, bound[1])
 
     # ------------------------------------------------------------------
     def evaluate(self, X: np.ndarray, tt=None) -> np.ndarray:

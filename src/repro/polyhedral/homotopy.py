@@ -31,8 +31,6 @@ homotopy ``gamma (1-t) G + t F``.
 
 from __future__ import annotations
 
-import dataclasses
-
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +43,7 @@ from ..tracker import (
     StackedHomotopy,
     TrackerOptions,
     retrack_duplicate_clusters,
+    tighten_options,
 )
 from .binomial import solve_binomial_system
 from .cells import MixedCell, MixedSubdivision, mixed_cells
@@ -80,20 +79,6 @@ class CellHomotopy(TermHomotopy):
 
     def __repr__(self) -> str:
         return f"CellHomotopy(dim={self.dim}, nterms={len(self._terms)})"
-
-
-def _tightened(options: TrackerOptions) -> TrackerOptions:
-    # dataclasses.replace keeps every field not listed at the caller's
-    # value, so new TrackerOptions fields survive escalation untouched
-    return dataclasses.replace(
-        options,
-        initial_step=max(options.initial_step / 4, options.min_step / 4),
-        min_step=options.min_step / 4,
-        max_step=max(options.max_step / 4, options.min_step),
-        max_steps=options.max_steps * 4,
-    )
-
-
 
 
 class PolyhedralStart:
@@ -206,7 +191,7 @@ class PolyhedralStart:
         """
         opts = options or TrackerOptions()
         tracker = BatchTracker(opts, endgame=endgame)
-        retry = BatchTracker(_tightened(opts), endgame=endgame)
+        retry = BatchTracker(tighten_options(opts), endgame=endgame)
         all_starts: List[np.ndarray] = []
         all_results: List[PathResult] = []
         homotopies: List[CellHomotopy] = []
@@ -251,7 +236,7 @@ class PolyhedralStart:
         # the generic system has mixed_volume distinct regular roots, so
         # a collision here is always a predictor jump — the shared
         # escalation loop stops when a round reproduces every endpoint
-        retrack_duplicate_clusters(all_results, retrack, _tightened, opts)
+        retrack_duplicate_clusters(all_results, retrack, tighten_options, opts)
         for pid, result in enumerate(all_results):
             if result.success and np.all(np.isfinite(result.solution)):
                 all_starts.append(result.solution)

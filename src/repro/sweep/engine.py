@@ -145,7 +145,7 @@ def run_job(job: JobSpec) -> dict:
     params = job.param_dict
     rng = np.random.default_rng(job.seed)
     store = None
-    if getattr(job, "cache", "off") == "on":
+    if job.cache == "on":
         from ..artifacts import default_store
 
         store = default_store()

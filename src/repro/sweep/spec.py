@@ -18,26 +18,12 @@ A spec is JSON, with explicit jobs and/or cartesian grids::
                  "start": ["total_degree", "polyhedral"]}]
     }
 
-Polynomial-system jobs take an optional ``start`` strategy (and grids an
-optional ``start`` axis) choosing the start system ``repro.homotopy.
-solve`` builds: ``total_degree`` (default), ``linear_product``, or
-``polyhedral`` — the last tracks one path per unit of mixed volume, the
-sharp BKK count, instead of one per Bezout path.  They also take an
-optional ``endgame`` (and grid axis): ``refine`` (default) or
-``cauchy``, which recovers singular endpoints with winding-number loops
-and journals each job's multiplicity histogram.  An optional ``kernel``
-(and grid axis) picks the evaluation backend — ``naive`` (default, the
-seed arithmetic) or ``slp`` (the compiled straight-line-program kernels
-of :mod:`repro.kernels`) — and each job journals its kernel's
-deterministic effort counters.  An optional ``cache`` (and grid axis)
-— ``off`` (default) or ``on`` — routes Pieri and ``polyhedral``-start
-jobs through the structure-keyed artifact store
-(:mod:`repro.artifacts`), so a family of same-structure jobs pays the
-ab-initio solve once and continues the rest.  An optional ``predictor``
-(and grid axis) — ``euler`` (default, the seed tangent prediction) or
-``hermite`` (the error-model pipeline of :mod:`repro.tracker.predictor`)
-— picks the prediction strategy, and each job journals its tracker's
-tangent-recycle counters.
+Besides its kind, parameters and seed a job (and a grid, as an axis)
+takes six optional settings, each described once in :data:`AXES`:
+``start``, ``mode``, ``endgame``, ``kernel``, ``cache`` and
+``predictor``.  Leaving one out means its default, which leaves the job
+id — and hence old journals — untouched.  Unknown keys are rejected: a
+misspelt axis would otherwise run the default sweep silently.
 
 Every job has a deterministic, human-readable :attr:`JobSpec.job_id`
 (e.g. ``pieri-m2-p2-q1-s0``) that keys the checkpoint journal, and a
@@ -55,12 +41,8 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 
 __all__ = [
     "JOB_KINDS",
+    "AXES",
     "START_KINDS",
-    "PIERI_MODES",
-    "ENDGAME_KINDS",
-    "SOLVE_KERNELS",
-    "CACHE_MODES",
-    "SOLVE_PREDICTORS",
     "JobSpec",
     "SweepSpec",
     "mixed_demo_spec",
@@ -75,63 +57,63 @@ JOB_KINDS: Dict[str, tuple] = {
     "pieri": ("m", "p", "q"),
 }
 
-#: Start-system strategies for the polynomial-system job kinds (the
-#: choices :func:`repro.homotopy.solve` accepts); ``total_degree`` is the
-#: default and the only strategy Pieri jobs take (their tree solver has
-#: its own start mechanism).
-START_KINDS = ("total_degree", "linear_product", "polyhedral")
+#: The optional settings of a job, in ``job_id`` order: ``name ->
+#: (choices, default first; why a Pieri job takes only the default, or
+#: None when it takes any)``.  Polynomial-system jobs pass ``start``,
+#: ``endgame``, ``kernel`` and ``predictor`` to
+#: :func:`repro.homotopy.solve` under the same names.
+AXES: Dict[str, tuple] = {
+    # start system: one path per Bezout path, per product-structure
+    # root, or (polyhedral) per unit of mixed volume — the sharp BKK count
+    "start": (
+        ("total_degree", "linear_product", "polyhedral"),
+        "pieri jobs run the tree solver and take no start strategy",
+    ),
+    # how many edges a Pieri front gets: per_path one (depth first, the
+    # paper's unit of work), batch a whole tree level as one stacked SoA
+    # front (repro.schubert.solver.PieriSolver.solve).  Polynomial jobs
+    # always track one wide front and take no mode
+    "mode": (("per_path", "batch"), None),
+    # refine is the plain Newton sharpen; cauchy recovers singular
+    # endpoints with winding-number loops and journals each job's
+    # multiplicity histogram
+    "endgame": (
+        ("refine", "cauchy"),
+        "pieri jobs keep the default refine endgame (their retry ladder "
+        "owns failure handling)",
+    ),
+    # naive is the seed power-table arithmetic with effort accounting,
+    # slp the compiled straight-line-program backend of repro.kernels;
+    # each job journals its kernel's deterministic effort counters
+    "kernel": (
+        ("naive", "slp"),
+        "pieri jobs run the tree solver and take no kernel backend",
+    ),
+    # on consults the process-shared repro.artifacts.ArtifactStore
+    # ($REPRO_ARTIFACT_STORE, which the engine points at
+    # <checkpoint>/artifacts when unset) so same-structure jobs pay the
+    # ab-initio solve once and continue the rest
+    "cache": (("off", "on"), None),
+    # euler is the seed tangent prediction, hermite the error-model
+    # pipeline of repro.tracker.predictor; each job journals its
+    # tracker's tangent-recycle counters
+    "predictor": (
+        ("euler", "hermite"),
+        "pieri jobs run the tree solver and take no predictor",
+    ),
+}
 
-#: Tracking modes for Pieri jobs — how many edges a front gets:
-#: ``per_path`` one (depth first, the paper's unit of work), ``batch``
-#: a whole tree level as one stacked SoA front
-#: (:meth:`repro.schubert.solver.PieriSolver.solve`).  Polynomial jobs
-#: always track one wide front and take no mode.
-PIERI_MODES = ("per_path", "batch")
-
-#: Endgame strategies for polynomial-system jobs (the choices
-#: :func:`repro.homotopy.solve` accepts): ``refine`` is the plain
-#: Newton sharpen, ``cauchy`` recovers singular endpoints with
-#: winding-number loops and journals a multiplicity histogram.
-ENDGAME_KINDS = ("refine", "cauchy")
-
-#: Evaluation-kernel backends for polynomial-system jobs (the choices
-#: :func:`repro.homotopy.solve` accepts as ``kernel=``): ``naive`` is
-#: the seed power-table arithmetic with effort accounting, ``slp`` the
-#: compiled straight-line-program backend of :mod:`repro.kernels`.
-#: The default ``naive`` leaves job ids (and hence old journals)
-#: untouched.
-SOLVE_KERNELS = ("naive", "slp")
-
-#: Artifact-cache modes (and grid axis): ``off`` (default) solves
-#: ab-initio; ``on`` consults the process-shared
-#: :class:`~repro.artifacts.ArtifactStore` (``$REPRO_ARTIFACT_STORE``,
-#: which the engine points at ``<checkpoint>/artifacts`` when unset) so
-#: same-structure jobs amortize mixed cells / solved generic instances
-#: into coefficient-parameter continuation.  Only Pieri jobs and
-#: ``polyhedral``-start polynomial jobs have a structure to key on.
-CACHE_MODES = ("off", "on")
-
-#: Predictor strategies for polynomial-system jobs (the choices
-#: :func:`repro.homotopy.solve` accepts as ``predictor=``, mirroring
-#: ``repro.tracker.PREDICTORS``): ``euler`` is the seed tangent
-#: prediction, ``hermite`` the error-model pipeline (cubic Hermite
-#: prediction, update-size acceptance, Jacobian-recycled tangents).
-#: The default ``euler`` leaves job ids (and old journals) untouched.
-SOLVE_PREDICTORS = ("euler", "hermite")
+#: Start-system strategies (re-exported by :mod:`repro.sweep`).
+START_KINDS = AXES["start"][0]
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One solve job: a kind, its parameters, a start strategy, a seed.
+    """One solve job: a kind, its parameters, a seed, and the :data:`AXES`.
 
-    ``params`` is stored as a sorted tuple of ``(name, value)`` pairs so
-    the spec is hashable and its canonical form (and hence ``job_id``)
-    does not depend on insertion order.  ``start`` picks the start
-    system :func:`repro.homotopy.solve` builds for polynomial jobs
-    (``"polyhedral"`` tracks one path per unit of mixed volume instead
-    of per Bezout path); ``mode`` picks per-path vs level-batched
-    tracking for Pieri jobs.  The defaults leave job ids — and hence
-    old journals — untouched.
+    ``params`` is given as a mapping and stored as a sorted tuple of
+    ``(name, value)`` pairs so the spec is hashable and its canonical
+    form (and hence ``job_id``) does not depend on insertion order.
     """
 
     kind: str
@@ -144,95 +126,47 @@ class JobSpec:
     cache: str = "off"
     predictor: str = "euler"
 
-    def __init__(
-        self,
-        kind: str,
-        params: Mapping[str, int],
-        seed: int = 0,
-        start: str = "total_degree",
-        mode: str = "per_path",
-        endgame: str = "refine",
-        kernel: str = "naive",
-        cache: str = "off",
-        predictor: str = "euler",
-    ):
+    def __post_init__(self) -> None:
+        kind = self.kind
         if kind not in JOB_KINDS:
             raise ValueError(
                 f"unknown job kind {kind!r}; expected one of {sorted(JOB_KINDS)}"
             )
-        if start not in START_KINDS:
-            raise ValueError(
-                f"unknown start strategy {start!r}; expected one of "
-                f"{sorted(START_KINDS)}"
-            )
-        if kind == "pieri" and start != "total_degree":
-            raise ValueError(
-                "pieri jobs run the tree solver and take no start strategy"
-            )
-        if mode not in PIERI_MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; expected one of {sorted(PIERI_MODES)}"
-            )
-        if kind != "pieri" and mode != "per_path":
+        for name, (choices, pieri_reason) in AXES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {name} {value!r}; expected one of {sorted(choices)}"
+                )
+            if kind == "pieri" and pieri_reason and value != choices[0]:
+                raise ValueError(pieri_reason)
+        if kind != "pieri" and self.mode != "per_path":
             raise ValueError(
                 "only pieri jobs take a tracking mode (polynomial jobs "
                 "always run the batch tracker)"
             )
-        if endgame not in ENDGAME_KINDS:
-            raise ValueError(
-                f"unknown endgame {endgame!r}; expected one of "
-                f"{sorted(ENDGAME_KINDS)}"
-            )
-        if kind == "pieri" and endgame != "refine":
-            raise ValueError(
-                "pieri jobs keep the default refine endgame (their retry "
-                "ladder owns failure handling)"
-            )
-        if kernel not in SOLVE_KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of "
-                f"{sorted(SOLVE_KERNELS)}"
-            )
-        if kind == "pieri" and kernel != "naive":
-            raise ValueError(
-                "pieri jobs run the tree solver and take no kernel backend"
-            )
-        if cache not in CACHE_MODES:
-            raise ValueError(
-                f"unknown cache mode {cache!r}; expected one of "
-                f"{sorted(CACHE_MODES)}"
-            )
-        if cache == "on" and kind != "pieri" and start != "polyhedral":
+        if self.cache == "on" and kind != "pieri" and self.start != "polyhedral":
             raise ValueError(
                 "cache='on' needs a structure to key on: pieri jobs or "
                 "polynomial jobs with start='polyhedral'"
             )
-        if predictor not in SOLVE_PREDICTORS:
+        given = dict(self.params)
+        if sorted(given) != sorted(JOB_KINDS[kind]):
             raise ValueError(
-                f"unknown predictor {predictor!r}; expected one of "
-                f"{sorted(SOLVE_PREDICTORS)}"
-            )
-        if kind == "pieri" and predictor != "euler":
-            raise ValueError(
-                "pieri jobs run the tree solver and take no predictor"
-            )
-        required = JOB_KINDS[kind]
-        given = dict(params)
-        if sorted(given) != sorted(required):
-            raise ValueError(
-                f"{kind} jobs need exactly the parameters {sorted(required)}, "
-                f"got {sorted(given)}"
+                f"{kind} jobs need exactly the parameters "
+                f"{sorted(JOB_KINDS[kind])}, got {sorted(given)}"
             )
         clean = tuple(sorted((k, int(v)) for k, v in given.items()))
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", clean)
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "endgame", endgame)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "cache", cache)
-        object.__setattr__(self, "predictor", predictor)
+        object.__setattr__(self, "seed", int(self.seed))
+
+    def _off_default(self) -> Dict[str, str]:
+        """The axes this job sets to something other than the default."""
+        return {
+            name: getattr(self, name)
+            for name, (choices, _) in AXES.items()
+            if getattr(self, name) != choices[0]
+        }
 
     @property
     def param_dict(self) -> Dict[str, int]:
@@ -242,56 +176,33 @@ class JobSpec:
     def job_id(self) -> str:
         """Deterministic human-readable identity, e.g. ``pieri-m2-p2-q1-s0``.
 
-        Non-default start strategies and Pieri tracking modes join the
-        id (e.g. ``cyclic-n7-polyhedral-s0``, ``pieri-m2-p2-q1-batch-s0``),
+        Every axis off its default joins the id in :data:`AXES` order
+        (e.g. ``cyclic-n7-polyhedral-s0``, ``pieri-m2-p2-q1-batch-s0``),
         so the same system solved two ways makes two distinct journal
         entries; default ids match pre-existing journals exactly.
         """
         parts = [self.kind]
         parts += [f"{k}{v}" for k, v in self.params]
-        if self.start != "total_degree":
-            parts.append(self.start)
-        if self.mode != "per_path":
-            parts.append(self.mode)
-        if self.endgame != "refine":
-            parts.append(self.endgame)
-        if self.kernel != "naive":
-            parts.append(self.kernel)
-        if self.cache != "off":
-            parts.append("cache")
-        if self.predictor != "euler":
-            parts.append(self.predictor)
+        # a bare "on" says nothing in an id: such an axis goes by its name
+        parts += [n if v == "on" else v for n, v in self._off_default().items()]
         parts.append(f"s{self.seed}")
         return "-".join(parts)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "params": self.param_dict, "seed": self.seed}
-        if self.start != "total_degree":
-            d["start"] = self.start
-        if self.mode != "per_path":
-            d["mode"] = self.mode
-        if self.endgame != "refine":
-            d["endgame"] = self.endgame
-        if self.kernel != "naive":
-            d["kernel"] = self.kernel
-        if self.cache != "off":
-            d["cache"] = self.cache
-        if self.predictor != "euler":
-            d["predictor"] = self.predictor
+        d.update(self._off_default())
         return d
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "JobSpec":
+        unknown = set(d) - {"kind", "params", "seed", *AXES}
+        if unknown:
+            raise ValueError(f"unknown job keys: {sorted(unknown)}")
         return cls(
             d["kind"],
             d.get("params", {}),
             d.get("seed", 0),
-            d.get("start", "total_degree"),
-            d.get("mode", "per_path"),
-            d.get("endgame", "refine"),
-            d.get("kernel", "naive"),
-            d.get("cache", "off"),
-            d.get("predictor", "euler"),
+            **{name: d[name] for name in AXES if name in d},
         )
 
 
@@ -304,24 +215,10 @@ def _expand_grid(grid: Mapping) -> List[JobSpec]:
     seeds = grid.pop("seeds", [0])
     if isinstance(seeds, int):
         seeds = [seeds]
-    starts = grid.pop("start", ["total_degree"])
-    if isinstance(starts, str):
-        starts = [starts]
-    modes = grid.pop("mode", ["per_path"])
-    if isinstance(modes, str):
-        modes = [modes]
-    endgames = grid.pop("endgame", ["refine"])
-    if isinstance(endgames, str):
-        endgames = [endgames]
-    kernels = grid.pop("kernel", ["naive"])
-    if isinstance(kernels, str):
-        kernels = [kernels]
-    caches = grid.pop("cache", ["off"])
-    if isinstance(caches, str):
-        caches = [caches]
-    predictors = grid.pop("predictor", ["euler"])
-    if isinstance(predictors, str):
-        predictors = [predictors]
+    options = []
+    for name, (choices, _) in AXES.items():
+        vals = grid.pop(name, choices[:1])
+        options.append([vals] if isinstance(vals, str) else list(vals))
     axes = {}
     for name in JOB_KINDS[kind]:
         if name not in grid:
@@ -330,27 +227,11 @@ def _expand_grid(grid: Mapping) -> List[JobSpec]:
         axes[name] = [vals] if isinstance(vals, int) else list(vals)
     if grid:
         raise ValueError(f"unknown grid keys for {kind!r}: {sorted(grid)}")
-    names = list(axes)
-    jobs = []
-    for combo in itertools.product(*(axes[n] for n in names)):
-        for combo_opts in itertools.product(
-            starts, modes, endgames, kernels, caches, predictors, seeds
-        ):
-            start, mode, endgame, kernel, cache, predictor, seed = combo_opts
-            jobs.append(
-                JobSpec(
-                    kind,
-                    dict(zip(names, combo)),
-                    seed=seed,
-                    start=start,
-                    mode=mode,
-                    endgame=endgame,
-                    kernel=kernel,
-                    cache=cache,
-                    predictor=predictor,
-                )
-            )
-    return jobs
+    return [
+        JobSpec(kind, dict(zip(axes, combo)), seed, **dict(zip(AXES, opts)))
+        for combo in itertools.product(*axes.values())
+        for *opts, seed in itertools.product(*options, seeds)
+    ]
 
 
 @dataclass
@@ -381,6 +262,9 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SweepSpec":
+        unknown = set(d) - {"name", "jobs", "grids"}
+        if unknown:
+            raise ValueError(f"unknown sweep spec keys: {sorted(unknown)}")
         jobs = [JobSpec.from_dict(j) for j in d.get("jobs", [])]
         for grid in d.get("grids", []):
             jobs.extend(_expand_grid(grid))

@@ -47,13 +47,7 @@ import numpy as np
 from ..telemetry import current_telemetry, maybe_span
 from .interface import BatchHomotopy, HomotopyFunction, as_batch
 from .newton import _solve_batch, batch_newton_correct
-from .predictor import (
-    make_predictor,
-    resolve_fail_fast,
-    resolve_loose_tol,
-    resolve_recycle,
-    resolve_update_tol,
-)
+from .predictor import make_predictor
 from .result import PathResult, PathStatus, TrackStats
 from .tracker import TrackerOptions
 
@@ -200,10 +194,10 @@ class BatchTracker:
         t_reached = np.zeros(n)
         charged = np.zeros(n)
         pred = make_predictor(opts.predictor)
-        recycle = resolve_recycle(opts, pred)
-        update_tol = resolve_update_tol(opts, pred)
-        loose_tol = resolve_loose_tol(opts, pred)
-        fail_fast = resolve_fail_fast(opts, pred)
+        # the error-model pipeline is on or off as a whole (see Predictor)
+        recycle = fail_fast = on = pred.error_model
+        update_tol = float(np.sqrt(opts.corrector_tol)) if on else None
+        loose_tol = opts.corrector_tol ** (1.0 / 3.0) if on else None
         # per-call predictor history (secant/Hermite memory), seeded with
         # the uncorrected starts — a requeued/resumed batch (chart-switch
         # continuation with per-path t_start) begins with *empty* history
@@ -319,10 +313,7 @@ class BatchTracker:
                 # saves the whole endpoint-collision retracking rung the
                 # jump would otherwise trigger
                 err_all = np.abs(corr.x - x_pred).max(axis=1)
-                jump = conv & (
-                    err_all
-                    > opts.predictor_jump_factor * opts.predictor_target_error
-                )
+                jump = conv & (err_all > pred.jump_factor * pred.target_error)
                 if jump.any():
                     conv = conv & ~jump
                     if tel is not None:
@@ -356,13 +347,12 @@ class BatchTracker:
                     # dt * (target / err)^(1/p), damped by safety and
                     # capped at max_growth per step
                     err = err_all[conv]
-                    growth = np.full(acc.size, opts.predictor_max_growth)
+                    growth = np.full(acc.size, pred.max_growth)
                     pos = err > 0.0
                     growth[pos] = np.minimum(
-                        opts.predictor_max_growth,
-                        opts.predictor_safety
-                        * (opts.predictor_target_error / err[pos])
-                        ** (1.0 / pred.order),
+                        pred.max_growth,
+                        pred.safety
+                        * (pred.target_error / err[pos]) ** (1.0 / pred.order),
                     )
                     step[acc] = np.minimum(
                         np.maximum(dt[conv] * growth, opts.min_step),

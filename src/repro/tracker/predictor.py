@@ -60,10 +60,6 @@ __all__ = [
     "EulerPredictor",
     "HermitePredictor",
     "make_predictor",
-    "resolve_recycle",
-    "resolve_update_tol",
-    "resolve_loose_tol",
-    "resolve_fail_fast",
 ]
 
 #: Registered predictor names (the choices ``TrackerOptions.predictor``
@@ -102,10 +98,45 @@ class Predictor(abc.ABC):
     #: asymptotic order p of the local error model ``err ~ C dt^p``
     #: (the exponent error-model step control inverts)
     order: int
-    #: True when the tracker should drive step size from the measured
-    #: predictor error instead of the easy-streak heuristic (and, by
-    #: default, recycle corrector Jacobians into the tangent solve)
+    #: True switches the whole error-model pipeline on for the front;
+    #: False leaves the seed loop untouched to the bit (streak-heuristic
+    #: steps, two fused evaluations a step, exhaustive corrector sweeps).
+    #: The pipeline, all read by ``BatchTracker._track_batch``:
+    #:
+    #: - step control from the measured predictor error (constants below);
+    #: - the corrector's final ``J_x`` is recycled into the next tangent
+    #:   solve, so an accepted step costs one fused evaluation, not two;
+    #: - update-size acceptance (PHCpack's criterion): Newton converges
+    #:   quadratically inside its basin, so once ``|dx| <=
+    #:   sqrt(corrector_tol)`` the *next* residual is already below
+    #:   tolerance and the verification sweep is redundant;
+    #: - contraction-gated loose acceptance: updates up to
+    #:   ``corrector_tol ** (1/3)`` are accepted only when they also
+    #:   contracted to at most ``newton.CONTRACTION`` times the previous
+    #:   one — an ungated loose exit accepts the barely-shrinking updates
+    #:   of near-singular stretches and strands those paths a step later;
+    #: - fail-fast: a Newton update that *grows* missed the basin, and
+    #:   burning the remaining sweeps to confirm that is the largest
+    #:   per-rejection cost in the loop.
     error_model: bool
+
+    # Constants of the pipeline (override by subclass).  After an accepted
+    # step with measured predictor error err the next step is
+    #   dt * min(max_growth, safety * (target_error / err) ** (1 / order))
+    # clipped into [min_step, max_step].  The target is a *prediction*
+    # error the corrector must absorb, not a solution accuracy: 0.03 keeps
+    # predictions inside Newton's basin (and off neighbouring paths —
+    # looser targets measurably raise endpoint collisions) while letting
+    # steps grow to what the corrector actually tolerates.
+    target_error = 0.03
+    safety = 0.8
+    max_growth = 2.0
+    #: A *converged* step whose predictor error exceeds ``jump_factor *
+    #: target_error`` is rejected: Newton converged, but so far from the
+    #: prediction that it is almost certainly a neighbouring path's basin.
+    #: One retry at a smaller step is far cheaper than the
+    #: endpoint-collision re-tracking rung the jump would trigger.
+    jump_factor = 10.0
 
     def make_state(self, X: np.ndarray, T: np.ndarray) -> PredictorState:
         """Fresh history seeded with the (uncorrected) start points."""
@@ -251,74 +282,3 @@ def make_predictor(predictor) -> Predictor:
             f"{sorted(_REGISTRY)} or a Predictor instance"
         ) from None
     return cls()
-
-
-def resolve_recycle(options, predictor: Predictor) -> bool:
-    """Whether this track should recycle corrector Jacobians.
-
-    ``options.recycle_jacobians`` is a tri-state: ``None`` (default)
-    enables recycling exactly when the predictor runs the error model —
-    the seed Euler path stays untouched to the bit — and ``True``/
-    ``False`` force it either way.
-    """
-    if options.recycle_jacobians is None:
-        return predictor.error_model
-    return bool(options.recycle_jacobians)
-
-
-def resolve_update_tol(options, predictor: Predictor) -> float | None:
-    """Update-size acceptance threshold for the step corrector, or None.
-
-    Newton converges quadratically inside its basin, so once an update
-    satisfies ``|dx| <= sqrt(corrector_tol)`` the *next* residual is
-    already below tolerance — the verification sweep that the residual
-    criterion would spend one more fused Jacobian evaluation on is
-    provably redundant.  PHCpack's path corrector accepts on exactly
-    this update-size criterion.  The tri-state mirrors
-    :func:`resolve_recycle`: ``None`` (default) switches it on exactly
-    with the predictor's error model, keeping the seed Euler loop
-    byte-for-byte; a float forces the threshold; 0 disables.
-    """
-    cfg = options.corrector_update_tol
-    if cfg is None:
-        if predictor.error_model:
-            return float(np.sqrt(options.corrector_tol))
-        return None
-    return float(cfg) if cfg > 0.0 else None
-
-
-def resolve_loose_tol(options, predictor: Predictor) -> float | None:
-    """Contraction-gated loose acceptance threshold, or None.
-
-    A bolder exit than :func:`resolve_update_tol`: updates up to
-    ``corrector_tol**(1/3)`` may be accepted, but *only* when the update
-    also contracted to at most ``CONTRACTION`` times the previous one —
-    evidence the iteration is in its quadratic regime, where one more
-    (skipped) sweep would land far below tolerance.  The gate is what
-    makes the looser threshold safe: an unconditional loose exit
-    accepts the slow, barely-shrinking updates of near-singular
-    stretches and strands those paths at the next step.  Tri-state like
-    the others: ``None`` follows the predictor's error model, a float
-    forces the threshold, 0 disables.
-    """
-    cfg = options.corrector_loose_tol
-    if cfg is None:
-        if predictor.error_model:
-            return float(options.corrector_tol ** (1.0 / 3.0))
-        return None
-    return float(cfg) if cfg > 0.0 else None
-
-
-def resolve_fail_fast(options, predictor: Predictor) -> bool:
-    """Whether the step corrector rejects on a growing update.
-
-    A contracting Newton run shrinks its update every sweep; growth
-    means the prediction missed the basin, and burning the remaining
-    ``corrector_iterations - it`` fused evaluations to confirm that is
-    the single largest per-rejection cost in the loop.  Tri-state:
-    ``None`` (default) follows the predictor's error model — the seed
-    Euler corrector keeps its exhaustive sweeps, bit for bit.
-    """
-    if options.corrector_fail_fast is None:
-        return predictor.error_model
-    return bool(options.corrector_fail_fast)

@@ -64,16 +64,12 @@ def fold_rescued_effort(resumed: PathResult, prior: PathResult) -> PathResult:
     """Account the diverged attempt's effort on the kept rescue result.
 
     Shared by every rescue driver (:func:`rescue_diverged` here and the
-    Schubert chart-switch requeue) so a rescued path reports
-    the same bookkeeping — ``stats.rescues``, accumulated step/Newton
-    counts, the *original* start point — no matter which driver rescued
-    it.
+    Schubert chart-switch requeue) so a rescued path reports the same
+    bookkeeping — ``stats.rescues``, every effort counter accumulated,
+    the *original* start point — no matter which driver rescued it.
     """
     resumed.stats.rescues = prior.stats.rescues + 1
-    resumed.stats.steps_accepted += prior.stats.steps_accepted
-    resumed.stats.steps_rejected += prior.stats.steps_rejected
-    resumed.stats.newton_iterations += prior.stats.newton_iterations
-    resumed.stats.seconds += prior.stats.seconds
+    resumed.stats.absorb(prior.stats)
     resumed.start = np.asarray(prior.start, dtype=complex)
     return resumed
 

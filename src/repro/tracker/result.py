@@ -10,7 +10,7 @@ simulator consumes to build empirical cost distributions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List
 
 import numpy as np
@@ -61,6 +61,19 @@ class TrackStats:
     @property
     def total_steps(self) -> int:
         return self.steps_accepted + self.steps_rejected
+
+    def absorb(self, prior: "TrackStats") -> None:
+        """Add a superseded attempt's effort to this, the kept attempt's.
+
+        Every counter is additive except ``t_reached`` (the kept
+        attempt's own) and ``rescues`` (attempts, not effort: the rescue
+        drivers set it).
+        """
+        for f in fields(self):
+            if f.name not in ("t_reached", "rescues"):
+                setattr(
+                    self, f.name, getattr(self, f.name) + getattr(prior, f.name)
+                )
 
 
 @dataclass
@@ -221,9 +234,8 @@ def tighten_options(options, factor: float = 0.25):
     Shrinks the step-size window by ``factor`` and stretches the step
     budget to compensate, via ``dataclasses.replace`` so every field
     not listed keeps the *caller's* value (new options fields are never
-    silently reset on escalation).  Drivers with tuned escalation
-    profiles (the blackbox solver, polyhedral phase-1) keep their own
-    variants; this is the default recipe for everyone else.
+    silently reset on escalation).  The blackbox solver keeps a tuned
+    variant of its own; this is the recipe for everyone else.
     """
     import dataclasses
 

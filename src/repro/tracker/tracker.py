@@ -2,9 +2,10 @@
 
 This is the Python counterpart of PHCpack's increment-and-fix continuation:
 
-- **predictor** — first-order (tangent) prediction ``x + dt * dx/dt`` where
-  the tangent solves ``J_x (dx/dt) = -J_t``; a cheap secant predictor is
-  used as a fallback when the tangent solve fails.
+- **predictor** — by default first-order (tangent) prediction
+  ``x + dt * dx/dt`` where the tangent solves ``J_x (dx/dt) = -J_t``; a
+  cheap secant predictor is used as a fallback when the tangent solve
+  fails (``predictor="hermite"``: see :mod:`~repro.tracker.predictor`).
 - **corrector** — a few Newton iterations at the new ``t`` (increment and
   fix), accepting the step only when the corrector converges.
 - **step control** — multiply the step by ``expand`` after a run of easy
@@ -21,6 +22,12 @@ This is the Python counterpart of PHCpack's increment-and-fix continuation:
   exactly the seed behavior; :class:`~repro.endgame.CauchyEndgame`
   additionally recovers singular endpoints by winding-number loops and
   takes over paths that stall inside its operating radius.
+
+:class:`TrackerOptions` is the whole resolved configuration of a front:
+14 fields, none of which can be ``None`` or defers to another, so
+``dataclasses.asdict`` of it says what ran.  The error-model pipeline a
+non-Euler predictor switches on keeps its constants on
+:class:`~repro.tracker.predictor.Predictor`.
 
 The loop itself lives once, in :class:`~repro.tracker.batch.BatchTracker`;
 :class:`PathTracker` hands it one row at a time — the paper's unit of work,
@@ -61,68 +68,18 @@ class TrackerOptions:
     # of per-step allocation.  Never changes tracking decisions.
     trace_paths: bool = False
     # prediction strategy: "euler" (seed arithmetic, bit-identical) or
-    # "hermite" (cubic through the last two accepted points + tangents);
-    # also accepts a Predictor instance (see repro.tracker.predictor)
+    # "hermite" (cubic through the last two accepted points + tangents,
+    # which also switches on the error-model pipeline: step control,
+    # Jacobian recycling and the corrector's early exits — its constants
+    # are class attributes of repro.tracker.predictor.Predictor); also
+    # accepts a Predictor instance
     predictor: object = "euler"
-    # error-model step control (active when the predictor declares
-    # ``error_model``): after an accepted step with measured predictor
-    # error err, the next step is
-    #   dt * min(max_growth, safety * (target / err) ** (1 / order))
-    # clipped into [min_step, max_step] — replacing the streak heuristic.
-    # The target is a *prediction* error the corrector must absorb, not
-    # a solution accuracy; 0.03 keeps predictions inside Newton's basin
-    # (and off neighboring paths — looser targets measurably raise
-    # endpoint collisions) while letting steps grow to what the
-    # corrector actually tolerates
-    predictor_target_error: float = 0.03
-    predictor_safety: float = 0.8
-    predictor_max_growth: float = 2.0
-    # jump rejection (error-model predictors only): a *converged* step
-    # whose measured predictor error exceeds factor * target is treated
-    # as a rejection — Newton converged, but to a point so far from the
-    # prediction that it is almost certainly a neighboring path's basin,
-    # not a continuation of this one.  One retry at a smaller step here
-    # is far cheaper than the endpoint-collision re-tracking rung the
-    # jump would otherwise trigger
-    predictor_jump_factor: float = 10.0
-    # recycle the corrector's final J_x into the next tangent solve so
-    # an accepted step costs one fused evaluation instead of two; the
-    # default None means "exactly when the predictor's error model is
-    # active", keeping the Euler path byte-for-byte the seed loop
-    recycle_jacobians: bool | None = None
-    # corrector update-size acceptance (PHCpack's criterion): accept
-    # once |dx| falls below this, skipping the residual-verification
-    # sweep.  None (default) resolves to sqrt(corrector_tol) when the
-    # error-model predictor is active and stays off otherwise; 0
-    # forces it off, a positive float forces that threshold
-    corrector_update_tol: float | None = None
-    # contraction-gated loose acceptance: updates up to this (larger)
-    # threshold are accepted when they also contracted to at most
-    # CONTRACTION times the previous update — quadratic-regime evidence
-    # that makes the loose exit safe near singular stretches.  None
-    # resolves to corrector_tol**(1/3) under the error-model predictor
-    # and off otherwise; 0 forces it off, a float forces the threshold
-    corrector_loose_tol: float | None = None
-    # reject a step as soon as a Newton update *grows* instead of
-    # burning the remaining corrector sweeps confirming the miss; None
-    # resolves to on exactly under the error-model predictor
-    corrector_fail_fast: bool | None = None
 
     def validated(self) -> "TrackerOptions":
         if not (0 < self.min_step <= self.initial_step <= self.max_step):
             raise ValueError("need 0 < min_step <= initial_step <= max_step")
         if not (0 < self.shrink < 1 < self.expand):
             raise ValueError("need 0 < shrink < 1 < expand")
-        if not (self.predictor_target_error > 0 and self.predictor_safety > 0):
-            raise ValueError("need positive predictor target error and safety")
-        if self.corrector_update_tol is not None and self.corrector_update_tol < 0:
-            raise ValueError("corrector_update_tol must be >= 0 (or None)")
-        if self.corrector_loose_tol is not None and self.corrector_loose_tol < 0:
-            raise ValueError("corrector_loose_tol must be >= 0 (or None)")
-        if not self.predictor_max_growth > 1:
-            raise ValueError("need predictor_max_growth > 1")
-        if not self.predictor_jump_factor > 1:
-            raise ValueError("need predictor_jump_factor > 1")
         make_predictor(self.predictor)  # raises on unknown names
         return self
 

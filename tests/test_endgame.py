@@ -313,6 +313,7 @@ class TestRescuePipeline:
             1 for r in results if r.status is PathStatus.DIVERGED
         )
         assert n_diverged == 3
+        spent = [r.stats.jacobian_evaluations for r in results]
         results, changed = rescue_diverged(BatchTracker(), homotopy, results)
         assert changed == 3
         statuses = [r.status for r in results]
@@ -326,6 +327,10 @@ class TestRescuePipeline:
                 assert abs(np.linalg.norm(y) - 1.0) < 1e-8
                 assert abs(y[-1]) < 1e-3
                 assert r.stats.rescues == 1
+        # the diverged attempt's Jacobian evaluations are not dropped
+        for r, before in zip(results, spent):
+            if r.stats.rescues:
+                assert r.stats.jacobian_evaluations > before
 
     def test_solve_rescue_flag(self):
         report = solve(
@@ -358,6 +363,29 @@ class TestRescuePipeline:
         assert summary["rescued"] >= 25  # DIVERGED before the rescue
         assert summary["at_infinity"] >= 25
         assert summary["diverged"] == 0
+
+    def test_effort_fold_sums_every_additive_counter(self):
+        """One fold for every re-track rung: all of a prior attempt's
+        effort lands on the kept result (``fold_rescued_effort`` used to
+        drop the Jacobian counters, the fallback re-track the seconds)."""
+        from repro.tracker.rescue import fold_rescued_effort
+
+        x = np.zeros(1, dtype=complex)
+        prior = PathResult(
+            PathStatus.DIVERGED, x, x + 1, 1.0,
+            TrackStats(3, 2, 17, 0.4, 0.25, 1, 11, 5),
+        )
+        kept = PathResult(
+            PathStatus.SUCCESS, x, x + 2, 0.0,
+            TrackStats(10, 1, 30, 1.0, 0.5, 0, 20, 7),
+        )
+        assert fold_rescued_effort(kept, prior) is kept
+        assert kept.stats == TrackStats(
+            steps_accepted=13, steps_rejected=3, newton_iterations=47,
+            t_reached=1.0, seconds=0.75, rescues=2,
+            jacobian_evaluations=31, tangents_recycled=12,
+        )
+        assert np.array_equal(kept.start, prior.start)
 
     def test_rescue_hook_default_is_none(self):
         class Nothing(HomotopyFunction):

@@ -261,6 +261,13 @@ class TestPolyhedralStart:
                 for j in range(i + 1, len(starts)):
                     assert np.max(np.abs(starts[i] - starts[j])) > 1e-6
 
+    def test_phase1_escalates_with_the_shared_recipe(self):
+        import repro.polyhedral.homotopy as phase1
+        from repro.tracker import tighten_options
+
+        assert phase1.tighten_options is tighten_options
+        assert not hasattr(phase1, "_tightened")
+
     def test_non_square_rejected(self):
         x, y = variables(2)
         with pytest.raises(ValueError):

@@ -11,9 +11,9 @@ The contracts under test:
   under the Hermite predictor (statuses, step/Newton counters,
   endpoints, bit for bit).
 - Jacobian recycling, update-size acceptance, the contraction-gated
-  loose exit, fail-fast rejection, and jump rejection each do what
-  their knob says — and the knobs resolve off unless the error model
-  is active.
+  loose exit, fail-fast rejection, and jump rejection are one pipeline,
+  on exactly when the predictor declares ``error_model``; its constants
+  are ``Predictor`` class attributes, overridden by subclass.
 - The solve layer re-tracks Hermite failures with the pinned Euler
   baseline (``_fallback_retrack``) so the root set never shrinks.
 """
@@ -44,15 +44,15 @@ from repro.tracker import (
     newton_correct,
 )
 from repro.tracker.interface import HomotopyFunction
-from repro.tracker.predictor import (
-    _euler_predict,
-    resolve_fail_fast,
-    resolve_loose_tol,
-    resolve_recycle,
-    resolve_update_tol,
-)
+from repro.tracker.predictor import _euler_predict
 
 solve_module = importlib.import_module("repro.homotopy.solve")
+
+
+def _tuned(base=HermitePredictor, **constants):
+    """A ``base`` predictor with pipeline constants overridden — they are
+    class attributes, so the override is a subclass."""
+    return type(f"Tuned{base.__name__}", (base,), constants)()
 
 
 class CubicHomotopy(HomotopyFunction):
@@ -107,45 +107,42 @@ class TestPredictorResolution:
         assert EulerPredictor.order == 2 and not EulerPredictor.error_model
         assert HermitePredictor.order == 4 and HermitePredictor.error_model
 
-    def test_jump_factor_validated(self):
-        with pytest.raises(ValueError, match="jump_factor"):
-            TrackerOptions(predictor_jump_factor=1.0).validated()
-
 
 class TestKnobResolution:
-    """None-valued knobs activate exactly with the error model."""
+    """The error-model pipeline is on exactly when the predictor says so."""
+
+    @staticmethod
+    def _front(predictor):
+        homotopy, starts = make_homotopy_and_starts(
+            katsura_system(4), rng=np.random.default_rng(9)
+        )
+        tel = Telemetry()
+        with use_telemetry(tel):
+            res = BatchTracker(
+                TrackerOptions(predictor=predictor, trace_paths=True)
+            ).track_batch(homotopy, starts)
+        assert all(r.success for r in res)
+        return res, tel
 
     def test_euler_resolves_everything_off(self):
-        opts, pred = TrackerOptions(), make_predictor("euler")
-        assert resolve_recycle(opts, pred) is False
-        assert resolve_update_tol(opts, pred) is None
-        assert resolve_loose_tol(opts, pred) is None
-        assert resolve_fail_fast(opts, pred) is False
+        # a jump factor this tight rejects under hermite (TestJumpRejection)
+        res, tel = self._front(_tuned(EulerPredictor, jump_factor=1.2))
+        assert sum(r.stats.tangents_recycled for r in res) == 0
+        assert tel.counters.get("tracker.jump_rejections", 0) == 0
 
     def test_hermite_resolves_error_model_defaults(self):
-        opts, pred = TrackerOptions(predictor="hermite"), make_predictor("hermite")
-        assert resolve_recycle(opts, pred) is True
-        assert resolve_update_tol(opts, pred) == pytest.approx(
-            np.sqrt(opts.corrector_tol)
-        )
-        assert resolve_loose_tol(opts, pred) == pytest.approx(
-            opts.corrector_tol ** (1.0 / 3.0)
-        )
-        assert resolve_fail_fast(opts, pred) is True
+        euler, _ = self._front("euler")
+        hermite, tel = self._front("hermite")
+        assert sum(r.stats.tangents_recycled for r in hermite) > 0
+        assert tel.counters.get("tracker.tangents_recycled", 0) > 0
 
-    def test_explicit_values_win(self):
-        opts = TrackerOptions(
-            predictor="hermite",
-            recycle_jacobians=False,
-            corrector_update_tol=0.0,
-            corrector_loose_tol=0.0,
-            corrector_fail_fast=False,
-        )
-        pred = make_predictor("hermite")
-        assert resolve_recycle(opts, pred) is False
-        assert resolve_update_tol(opts, pred) is None
-        assert resolve_loose_tol(opts, pred) is None
-        assert resolve_fail_fast(opts, pred) is False
+        def effort(res):
+            return sum(
+                r.stats.jacobian_evaluations + r.stats.newton_iterations
+                for r in res
+            )
+
+        assert effort(hermite) < effort(euler)
 
 
 class TestHermiteArithmetic:
@@ -263,7 +260,7 @@ class TestScalarBatchParity:
         homotopy, starts = make_homotopy_and_starts(
             katsura_system(4), rng=np.random.default_rng(3)
         )
-        opts = TrackerOptions(predictor="hermite", predictor_jump_factor=1.5)
+        opts = TrackerOptions(predictor=_tuned(jump_factor=1.5))
         batch = BatchTracker(opts).track_batch(homotopy, starts)
         assert sum(r.stats.steps_rejected for r in batch) > 0
         for i, b in enumerate(batch):
@@ -304,9 +301,8 @@ class TestRootParityAndEffort:
             homotopy, starts
         )
         assert sum(r.stats.tangents_recycled for r in on) > 0
-        off = BatchTracker(
-            TrackerOptions(predictor="hermite", recycle_jacobians=False)
-        ).track_batch(homotopy, starts)
+        # the front that does not recycle is the default euler one
+        off = BatchTracker(TrackerOptions()).track_batch(homotopy, starts)
         assert all(r.success for r in off)
         assert sum(r.stats.tangents_recycled for r in off) == 0
         # recycling replaces fused tangent evaluations with jac_t-only
@@ -440,15 +436,13 @@ class TestErrorModelStepControl:
     def test_growth_is_capped(self):
         """Consecutive step attempts never grow faster than max_growth."""
         h = CubicHomotopy()
-        rec = _DtRecorder()
-        opts = TrackerOptions(
-            predictor=rec, initial_step=1e-3, predictor_max_growth=1.7
-        )
+        rec = _tuned(_DtRecorder, max_growth=1.7)
+        opts = TrackerOptions(predictor=rec, initial_step=1e-3)
         res = PathTracker(opts).track(h, np.array([h.c(0.0)]))
         assert res.success
         assert len(rec.dts) >= 3
         for prev, cur in zip(rec.dts, rec.dts[1:]):
-            assert cur <= prev * opts.predictor_max_growth * (1 + 1e-12)
+            assert cur <= prev * rec.max_growth * (1 + 1e-12)
 
     def test_steps_respect_max_step(self):
         h = CubicHomotopy()
@@ -478,7 +472,7 @@ class TestJumpRejection:
         )
         tel = Telemetry()
         opts = TrackerOptions(
-            predictor="hermite", predictor_jump_factor=1.2, trace_paths=True
+            predictor=_tuned(jump_factor=1.2), trace_paths=True
         )
         with use_telemetry(tel):
             res = BatchTracker(opts).track_batch(homotopy, starts)
@@ -490,10 +484,10 @@ class TestJumpRejection:
             katsura_system(4), rng=np.random.default_rng(3)
         )
         loose = BatchTracker(
-            TrackerOptions(predictor="hermite", predictor_jump_factor=1e9)
+            TrackerOptions(predictor=_tuned(jump_factor=1e9))
         ).track_batch(homotopy, starts)
         tight = BatchTracker(
-            TrackerOptions(predictor="hermite", predictor_jump_factor=1.2)
+            TrackerOptions(predictor=_tuned(jump_factor=1.2))
         ).track_batch(homotopy, starts)
         assert sum(r.stats.steps_rejected for r in tight) > sum(
             r.stats.steps_rejected for r in loose
@@ -506,7 +500,10 @@ class TestJumpRejection:
         tel = Telemetry()
         with use_telemetry(tel):
             BatchTracker(
-                TrackerOptions(predictor_jump_factor=1.2, trace_paths=True)
+                TrackerOptions(
+                    predictor=_tuned(EulerPredictor, jump_factor=1.2),
+                    trace_paths=True,
+                )
             ).track_batch(homotopy, starts)
         assert tel.counters.get("tracker.jump_rejections", 0) == 0
 
@@ -636,6 +633,10 @@ class TestSolveIntegration:
             predictor="hermite",
         )
         assert rep.summary["predictor"] == "hermite"
+        # the report echoes the main pass's options, nothing left to resolve
+        assert rep.summary["options"] == {
+            **dataclasses.asdict(TrackerOptions()), "predictor": "hermite"
+        }
         base = solve_module.solve(
             katsura_system(3), rng=np.random.default_rng(0), mode="batch"
         )

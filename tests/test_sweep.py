@@ -56,6 +56,38 @@ class TestJobSpec:
         assert a.job_id == b.job_id == "pieri-m2-p2-q1-s3"
         assert JobSpec("cyclic", {"n": 5}).job_id == "cyclic-n5-s0"
 
+    def test_golden_job_ids(self):
+        """Ids key the journals: written out, so old journals resume."""
+        pieri = {"m": 2, "p": 2, "q": 1}
+        golden = {
+            "katsura-n4-s0": JobSpec("katsura", {"n": 4}),
+            "rps-n5-s9": JobSpec("rps", {"n": 5}, 9),
+            "cyclic-n5-linear_product-s0":
+                JobSpec("cyclic", {"n": 5}, start="linear_product"),
+            "cyclic-n7-polyhedral-s2":
+                JobSpec("cyclic", {"n": 7}, 2, "polyhedral"),
+            "noon-n3-cauchy-s1": JobSpec("noon", {"n": 3}, 1, endgame="cauchy"),
+            "katsura-n6-slp-s0": JobSpec("katsura", {"n": 6}, kernel="slp"),
+            "katsura-n6-hermite-s3":
+                JobSpec("katsura", {"n": 6}, 3, predictor="hermite"),
+            "cyclic-n6-polyhedral-cache-s4":
+                JobSpec("cyclic", {"n": 6}, 4, "polyhedral", cache="on"),
+            "cyclic-n5-polyhedral-cauchy-slp-cache-hermite-s0": JobSpec(
+                "cyclic", {"n": 5}, 0, "polyhedral", "per_path", "cauchy",
+                "slp", "on", "hermite",
+            ),
+            "katsura-n5-slp-hermite-s7":
+                JobSpec("katsura", {"n": 5}, 7, kernel="slp", predictor="hermite"),
+            "pieri-m2-p2-q1-s0": JobSpec("pieri", pieri),
+            "pieri-m2-p2-q1-batch-s5": JobSpec("pieri", pieri, 5, mode="batch"),
+            "pieri-m2-p2-q1-cache-s0": JobSpec("pieri", pieri, cache="on"),
+            "pieri-m2-p2-q1-batch-cache-s1":
+                JobSpec("pieri", pieri, 1, mode="batch", cache="on"),
+        }
+        assert {j.job_id for j in golden.values()} == set(golden)
+        for job_id, job in golden.items():
+            assert job.job_id == job_id
+
     def test_rejects_unknown_kind_and_bad_params(self):
         with pytest.raises(ValueError):
             JobSpec("bogus", {"n": 3})
@@ -63,10 +95,33 @@ class TestJobSpec:
             JobSpec("cyclic", {"m": 3})
         with pytest.raises(ValueError):
             JobSpec("pieri", {"m": 2, "p": 2})
+        # spec JSON comes from outside: a misspelt axis is not the default
+        with pytest.raises(ValueError, match="predicter"):
+            JobSpec.from_dict(
+                {"kind": "cyclic", "params": {"n": 4}, "predicter": "hermite"}
+            )
 
     def test_roundtrip(self):
         job = JobSpec("katsura", {"n": 4}, seed=7)
         assert JobSpec.from_dict(job.to_dict()) == job
+        every_axis = {
+            "start": ["total_degree", "linear_product", "polyhedral"],
+            "endgame": ["refine", "cauchy"],
+            "kernel": ["naive", "slp"],
+            "predictor": ["euler", "hermite"],
+            "seeds": [0, 3],
+        }
+        spec = SweepSpec.from_dict({"name": "axes", "grids": [
+            {"kind": "katsura", "n": [3, 4], **every_axis},
+            {"kind": "cyclic", "n": 5, **every_axis, "start": "polyhedral",
+             "cache": ["off", "on"]},
+            {"kind": "pieri", "m": 2, "p": 2, "q": [0, 1],
+             "mode": ["per_path", "batch"], "cache": ["off", "on"]},
+        ]})
+        assert spec.n_jobs == 2 * 48 + 32 + 8
+        for job in spec.jobs:
+            assert JobSpec.from_dict(job.to_dict()) == job
+        assert SweepSpec.from_dict(spec.to_dict()).jobs == spec.jobs
 
 
 class TestSweepSpec:
@@ -88,6 +143,11 @@ class TestSweepSpec:
     def test_duplicate_jobs_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec("dup", [JobSpec("cyclic", {"n": 4})] * 2)
+        # "grid" for "grids" used to load as a sweep of no jobs
+        with pytest.raises(ValueError, match="grid"):
+            SweepSpec.from_dict(
+                {"name": "x", "grid": [{"kind": "cyclic", "n": [4]}]}
+            )
 
     def test_save_load_roundtrip(self, tmp_path):
         spec = small_mixed_spec()

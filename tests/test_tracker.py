@@ -202,8 +202,19 @@ class TestOneSpanPerCall:
 
 def test_knob_budget():
     """The next knob shows up in review as a changed number."""
-    assert len(dataclasses.fields(TrackerOptions)) == 22
-    assert len(inspect.signature(solve).parameters) == 13
+    from repro.endgame import CauchyEndgame
+    from repro.homotopy.projective import ProjectivePatchHomotopy
+    from repro.kernels import SLPKernel
+    from repro.sweep.spec import AXES
+
+    assert len(dataclasses.fields(TrackerOptions)) == 14
+    assert len(inspect.signature(solve).parameters) == 11
+    # constructors, counted without ``self``
+    assert {
+        cls.__name__: len(inspect.signature(cls).parameters)
+        for cls in (CauchyEndgame, ProjectivePatchHomotopy, SLPKernel)
+    } == {"CauchyEndgame": 3, "ProjectivePatchHomotopy": 6, "SLPKernel": 4}
+    assert len(AXES) == 6
     # the local masters: one dispatcher call each
     n_parameters = {
         fn.__name__: len(inspect.signature(fn).parameters)
