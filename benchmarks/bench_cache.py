@@ -83,10 +83,13 @@ def bench_pieri(m: int, p: int, q: int, n_queries: int, seed: int):
     assert loaded is not None
     gen_instance, gen_solutions, _ = loaded
 
-    # warm: all queries in ONE fused stacked front
+    # warm: all queries in ONE fused stacked front, tracked with the
+    # options the cold trees were (as PieriSolver.solve(cache=) passes
+    # them), so the ratio compares routes, not predictors
     t0 = time.perf_counter()
     pairs = continue_to_instances(
         gen_instance, gen_solutions, queries,
+        options=PieriSolver.DEFAULT_OPTIONS,
         rng=np.random.default_rng(seed),
     )
     warm_seconds = time.perf_counter() - t0

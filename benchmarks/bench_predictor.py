@@ -22,6 +22,14 @@ Euler baseline.  Three claims are checked per system:
   is printed, not gated; the gate guards against the pipeline making
   solves meaningfully *slower*.
 
+A last row covers the other cell of the predictor protocol's 2x2
+(``docs/tracking.md``): the Pieri tree's default ``"cubic"`` — the same
+cubic guess on the *seed's* streak step control — against
+``predictor="euler"`` on one (2, 2, 2) instance.  Gated on root parity
+and on the Jacobian-evaluation ratio euler/cubic >= ``PIERI_JAC_GATE``
+(counts that repeat exactly for a seed; 1.53x measured); its wall ratio
+is printed, not gated.
+
 cyclic-7 is solved through the polyhedral start system with a warm
 artifact cache (PR 9): the mixed-cell phase-1 work is predictor-
 independent and ~20s, so it is paid once in an untimed warm-up and the
@@ -34,6 +42,7 @@ Micro:  pytest -o python_functions="bench_*" benchmarks/bench_predictor.py
 """
 
 import argparse
+import dataclasses
 import tempfile
 import time
 
@@ -42,6 +51,7 @@ import pytest
 
 from repro.artifacts import ArtifactStore
 from repro.homotopy import solve
+from repro.schubert import PieriInstance, PieriSolver
 from repro.systems import cyclic_roots_system, katsura_system
 
 PARITY_TOL = 1e-8
@@ -49,6 +59,7 @@ EFFORT_GATE = 1.35   # regression floor; issue aspiration is 2.0
 WALL_GATE = 0.80     # hermite must never be meaningfully slower
 EFFORT_TARGET = 2.0  # the PR issue's aspirational reduction
 WALL_TARGET = 1.5
+PIERI_JAC_GATE = 1.3  # euler / cubic Jacobian evaluations, Pieri (2, 2, 2)
 
 
 def _solve_case(case: dict, predictor: str, seed: int):
@@ -117,6 +128,34 @@ def compare_predictors(case: dict, seed: int, reps: int) -> dict:
         "root_dist": _match_roots(
             euler["report"].solutions, hermite["report"].solutions
         ),
+    }
+
+
+def compare_pieri(seed: int) -> dict:
+    """One Pieri (2, 2, 2) tree under the default cubic and under euler."""
+    instance = PieriInstance.random(2, 2, 2, np.random.default_rng(seed + 3))
+    runs = {}
+    for predictor in ("euler", "cubic"):
+        options = dataclasses.replace(
+            PieriSolver.DEFAULT_OPTIONS, predictor=predictor
+        )
+        t0 = time.perf_counter()
+        report = PieriSolver(instance, options=options, seed=seed).solve()
+        runs[predictor] = (report, time.perf_counter() - t0)
+    (euler, euler_wall), (cubic, cubic_wall) = runs["euler"], runs["cubic"]
+    return {
+        "euler_jac": euler.effort("jacobian_evaluations"),
+        "cubic_jac": cubic.effort("jacobian_evaluations"),
+        "wall_ratio": euler_wall / cubic_wall,
+        "roots": cubic.n_solutions,
+        # every expected root, each once, on both sides
+        "closed": all(
+            r.failures == 0
+            and r.n_solutions == r.expected_count()
+            and r.all_distinct()
+            for r in (euler, cubic)
+        ),
+        "root_dist": _match_roots(euler.solutions, cubic.solutions),
     }
 
 
@@ -196,6 +235,20 @@ def main() -> int:
                 print(f"note: {row['name']} {metric} {row[metric]:.2f}x is "
                       f"below the {target:.1f}x issue target (not gated; "
                       f"see module docstring)")
+    row = compare_pieri(args.seed)
+    jac_ratio = row["euler_jac"] / row["cubic_jac"]
+    print(f"{'pieri-222':<11}{row['roots']:>7}{row['euler_jac']:>11}"
+          f"{row['cubic_jac']:>12}{jac_ratio:>9.2f}x"
+          f"{row['wall_ratio']:>10.2f}x{'-':>9}"
+          "   (cubic vs euler, Jacobian evaluations; wall not gated)")
+    if not row["closed"] or row["root_dist"] > PARITY_TOL:
+        print(f"FAIL: pieri-222 root sets differ or do not close "
+              f"(closed {row['closed']}, distance {row['root_dist']:.2e})")
+        failed = True
+    if jac_ratio < PIERI_JAC_GATE:
+        print(f"FAIL: pieri-222 Jacobian evaluations euler/cubic "
+              f"{jac_ratio:.2f}x below the {PIERI_JAC_GATE:.2f}x floor")
+        failed = True
     if failed:
         return 1
     print(f"\nOK: hermite cuts Newton+Jacobian effort >= {EFFORT_GATE:.2f}x "

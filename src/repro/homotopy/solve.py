@@ -658,9 +658,7 @@ def _solve(
     summary["endgame"] = strategy.name
     summary["predictor"] = make_predictor(base_options.predictor).name
     # what the main pass ran with: no field resolves later, so this is it
-    summary["options"] = dataclasses.asdict(
-        dataclasses.replace(base_options, predictor=summary["predictor"])
-    )
+    summary["options"] = base_options.echo()
     if n_fallback:
         summary["fallback_retracked"] = n_fallback
     usage = homotopy.kernel_usage

@@ -118,7 +118,12 @@ def solve_pieri_parallel(
     ``jobs_per_level`` counts edges, ``seconds_per_level`` worker-busy
     seconds, and ``level_batches`` has one record per tree level, the
     sums over its bundles (``n_chunks`` of them): ``n_jobs`` edges,
-    ``n_homotopies`` built, ``chart_switches``, ``retries``.
+    ``n_homotopies`` built, ``chart_switches``, ``retries``,
+    ``collisions`` and the effort counters of
+    :data:`repro.schubert.solver.EFFORT_KEYS`; ``options`` echoes what
+    every worker's tracker ran with.  A worker re-tracks a path jump it
+    can see (two endpoints of its bundle coincide); one split over two
+    bundles ends as duplicate leaves, which ``failures`` counts.
 
     Fault tolerance: a bundle whose worker *crashes* (raises, as opposed
     to returning a failed path) is re-enqueued as single edges, each up
@@ -139,7 +144,10 @@ def solve_pieri_parallel(
         raise ValueError(f"unknown mode {mode!r}")
     if granularity not in ("edge", "level"):
         raise ValueError(f"unknown granularity {granularity!r}")
-    report = ParallelPieriReport(instance, n_workers=n_workers)
+    master = PieriSolver(instance, options=options, seed=seed)
+    report = ParallelPieriReport(
+        instance, n_workers=n_workers, options=master.tracker.options.echo()
+    )
     t_wall = time.perf_counter()
 
     def submit_bundle(pool, bundle: List[PieriJob]):
@@ -159,7 +167,7 @@ def solve_pieri_parallel(
             mode, n_workers, _init_pieri_worker, (instance, options, seed)
         ),
         submit_bundle,
-        PieriSolver(instance, options=options, seed=seed).initial_jobs(),
+        master.initial_jobs(),
         on_result,
         n_workers=n_workers,
         max_retries=max_job_retries,

@@ -63,6 +63,18 @@ __all__ = [
 ]
 
 
+#: Tracking parameters of the online phase when the caller passes none:
+#: the Pieri edges' conservative steps and strict corrector on the seed's
+#: Euler guess.  ``predictor="cubic"`` measured identical warm root sets
+#: at 0.65x the Jacobian evaluations here (``docs/tracking.md``); which
+#: guess Pieri fronts use is decided in one place,
+#: :attr:`PieriSolver.DEFAULT_OPTIONS`, whose solver hands its own options
+#: to this route.
+DEFAULT_OPTIONS = TrackerOptions(
+    initial_step=0.02, max_step=0.08, corrector_tol=1e-10
+)
+
+
 class PieriParameterHomotopy(_BatchSlices, BatchHomotopy, HomotopyFunction):
     """H(x, t): root-pattern solutions deformed between two instances.
 
@@ -233,9 +245,7 @@ def continue_to_instance(
     if mode not in ("per_path", "batch"):
         raise ValueError(f"unknown mode {mode!r}")
     homotopy = PieriParameterHomotopy(start, target, rng)
-    opts = options or TrackerOptions(
-        initial_step=0.02, max_step=0.08, corrector_tol=1e-10
-    )
+    opts = options or DEFAULT_OPTIONS
     x0s = [
         homotopy.from_matrix(np.asarray(sol, dtype=complex))
         for sol in start_solutions
@@ -367,9 +377,7 @@ def continue_to_instances(
     if not targets:
         return []
     rng = np.random.default_rng() if rng is None else rng
-    opts = options or TrackerOptions(
-        initial_step=0.02, max_step=0.08, corrector_tol=1e-10
-    )
+    opts = options or DEFAULT_OPTIONS
     members = [PieriParameterHomotopy(start, tgt, rng) for tgt in targets]
     x0s_one = [
         members[0].from_matrix(np.asarray(sol, dtype=complex))

@@ -56,6 +56,50 @@ __all__ = [
 ]
 
 
+#: Per-front sums of :class:`~repro.tracker.TrackStats` counters that
+#: :meth:`PieriSolver.run_jobs_batched` reports next to its job counts
+#: (and :meth:`PieriReport.record_front` sums per level): effort that
+#: repeats exactly for a seed, where seconds do not.
+EFFORT_KEYS = (
+    "steps_accepted",
+    "steps_rejected",
+    "newton_iterations",
+    "jacobian_evaluations",
+)
+
+
+def _effort_sums(results: Sequence[PathResult]) -> Dict[str, int]:
+    return {
+        key: sum(getattr(r.stats, key) for r in results) for key in EFFORT_KEYS
+    }
+
+
+#: Max-norm distance below which two standard-chart endpoints at one
+#: poset node are the same solution.  The Pieri induction makes the
+#: solutions at a node distinct, so two that coincide mean a path jumped.
+COINCIDENCE_TOL = 1e-6
+
+
+def _coinciding(
+    jobs: Sequence["PieriJob"], matrices: Sequence[Optional[np.ndarray]]
+) -> set:
+    """Rows of a front whose endpoint coincides with another row's at
+    the same poset node (every member of each such cluster)."""
+    by_node: Dict[tuple, List[int]] = {}
+    for i, (job, matrix) in enumerate(zip(jobs, matrices)):
+        if matrix is not None:
+            by_node.setdefault(job.node.pattern().bottom_pivots, []).append(i)
+    return {
+        rows[k]
+        for rows in by_node.values()
+        for cluster in greedy_cluster_indices(
+            [matrices[i] for i in rows], COINCIDENCE_TOL
+        )
+        if len(cluster) > 1
+        for k in cluster
+    }
+
+
 @dataclass
 class PieriInstance:
     """A concrete pole-placement-shaped input: N planes and N points."""
@@ -147,8 +191,13 @@ class PieriReport:
     seconds_per_level: Dict[int, float] = field(default_factory=dict)
     total_seconds: float = 0.0
     #: one record per tree level, the sums over the fronts tracked at
-    #: it: n_jobs, n_homotopies, chart_switches, retries, seconds
+    #: it: n_jobs, n_homotopies, chart_switches, retries, collisions,
+    #: seconds, and the effort counters of :data:`EFFORT_KEYS`
     level_batches: List[dict] = field(default_factory=list)
+    #: the tracker options the tree was solved with
+    #: (:meth:`~repro.tracker.TrackerOptions.echo`, as in
+    #: ``SolveReport.summary["options"]``)
+    options: Dict[str, object] = field(default_factory=dict)
     #: artifact-store routing of this solve, when a ``cache=`` was given:
     #: ``status`` ("warm" — continued from the cached generic instance
     #: in exactly ``n_paths == d(m, p, q)`` paths — or "cold"), the
@@ -163,6 +212,11 @@ class PieriReport:
     def expected_count(self) -> int:
         return PieriPoset.build(self.instance.problem).root_count()
 
+    def effort(self, key: str) -> int:
+        """Sum of one per-level counter (:data:`EFFORT_KEYS`, ``retries``,
+        ``collisions``, ...) over the tree levels."""
+        return sum(record[key] for record in self.level_batches)
+
     def max_residual(self) -> float:
         """Largest |det| residual over all solutions and all N conditions."""
         root = PieriPoset.build(self.instance.problem).root()
@@ -174,7 +228,7 @@ class PieriReport:
             worst = max(worst, float(np.max(np.abs(res))))
         return worst
 
-    def all_distinct(self, tol: float = 1e-6) -> bool:
+    def all_distinct(self, tol: float = COINCIDENCE_TOL) -> bool:
         """No two solutions within ``tol`` of each other (max norm)."""
         clusters = greedy_cluster_indices(self.solutions, tol)
         return len(clusters) == len(self.solutions)
@@ -193,7 +247,11 @@ class PieriReport:
         :meth:`PieriSolver.run_jobs_batched`) and its worker-busy
         ``seconds`` are added to the level's record.  A failed edge is
         counted, a leaf's matrix is a solution, and the child jobs every
-        other edge enables are returned.
+        other edge enables are returned.  A leaf's matrix that coincides
+        with a solution already booked is a failed edge too: some path
+        below it jumped onto a neighbour in a front that could not see
+        both (:meth:`PieriSolver.run_jobs_batched` re-tracks the ones it
+        can), and the duplicated subtree ends here, counted.
         """
         lvl = jobs[0].level
         record = next((r for r in self.level_batches if r["level"] == lvl), None)
@@ -206,15 +264,26 @@ class PieriReport:
         self.jobs_per_level[lvl] = self.jobs_per_level.get(lvl, 0) + len(jobs)
         self.seconds_per_level[lvl] = record["seconds"]
         enabled: List[PieriJob] = []
+        leaves: List[np.ndarray] = []
         for job, matrix in zip(jobs, matrices):
             if matrix is None:
                 self.failures += 1
             elif job.node.is_leaf():
-                self.solutions.append(matrix)
+                leaves.append(matrix)
             else:
                 enabled.extend(
                     PieriJob(child, matrix) for child in job.node.children()
                 )
+        if leaves:
+            booked = len(self.solutions)
+            pool = self.solutions + leaves
+            fresh = [
+                cluster[0]
+                for cluster in greedy_cluster_indices(pool, COINCIDENCE_TOL)
+                if cluster[0] >= booked
+            ]
+            self.failures += len(leaves) - len(fresh)
+            self.solutions.extend(pool[i] for i in fresh)
         return enabled
 
 
@@ -247,13 +316,16 @@ class PieriSolver:
 
     #: Default tracking parameters for Pieri edges: conservative steps and a
     #: strict corrector so that close sibling paths are not jumped (a jump
-    #: merges two endpoints and silently loses a feedback law).
+    #: merges two endpoints and silently loses a feedback law).  The cubic
+    #: guess leaves all of that as it is and saves a Newton update a step,
+    #: which is what lets the streak rule grow the step here at all.
     DEFAULT_OPTIONS = TrackerOptions(
         initial_step=0.02,
         max_step=0.08,
         corrector_tol=1e-10,
         corrector_iterations=4,
         expand_after=4,
+        predictor="cubic",
     )
 
     def __init__(
@@ -365,20 +437,31 @@ class PieriSolver:
           per attempt, against the *original* homotopies (fresh gammas
           would break the bijection); endpoints the endgame already
           classified (e.g. a Cauchy-measured singularity) are not
-          retried — the verdict stands.
+          retried — the verdict stands;
+        - so are paths that *succeeded* onto the same endpoint at one
+          poset node (within :data:`COINCIDENCE_TOL` in the standard
+          chart): the solutions at a node are distinct, so one of them
+          jumped onto the other's path, and either may be the one — all
+          of them climb the same ladder.
 
         Returns one :class:`PieriJobResult` per job, in input order,
-        plus a stats dict (``n_jobs``, ``n_homotopies``,
-        ``chart_switches``, ``retries``).
+        plus a stats dict: ``n_jobs``, ``n_homotopies``,
+        ``chart_switches``, ``retries`` (re-tracked rows, summed over
+        attempts), ``collisions`` (those of them re-tracked for a
+        coinciding endpoint) and the front's sums of the
+        :data:`EFFORT_KEYS` counters, superseded attempts included (a
+        kept chart switch and a retry absorb what they replace; a
+        discarded chart switch is dropped, as in
+        :func:`~repro.tracker.rescue.rescue_diverged`).
         """
         jobs = list(jobs)
+        stats = dict.fromkeys(
+            ("n_jobs", "n_homotopies", "chart_switches", "retries",
+             "collisions", *EFFORT_KEYS),
+            0,
+        )
         if not jobs:
-            return [], {
-                "n_jobs": 0,
-                "n_homotopies": 0,
-                "chart_switches": 0,
-                "retries": 0,
-            }
+            return [], stats
         if len({job.level for job in jobs}) != 1:
             raise ValueError("batched Pieri jobs must share one tree level")
         # one homotopy per (pattern, jstar) class — all chains into the
@@ -399,12 +482,8 @@ class PieriSolver:
         ]
         results = self.tracker.track_batch(StackedHomotopy(members, owners), x0)
         homs: List[PieriEdgeHomotopy] = [members[k] for k in owners]
-        stats = {
-            "n_jobs": len(jobs),
-            "n_homotopies": len(members),
-            "chart_switches": 0,
-            "retries": 0,
-        }
+        stats["n_jobs"] = len(jobs)
+        stats["n_homotopies"] = len(members)
 
         # --- chart-switch requeue: re-pin and resume divergent paths
         # through the rescue hook, stacked per target chart (switched
@@ -454,18 +533,36 @@ class PieriSolver:
                     results[i] = fold_rescued_effort(rr, results[i])
                     homs[i] = sw_members[k]
 
-        # --- retry ladder: tighter tracking of the same homotopies;
-        # endgame-classified endpoints (measured singularities) are
-        # final verdicts, not failures to burn retries on
+        def endpoint(i: int) -> Optional[np.ndarray]:
+            """Row ``i``'s endpoint in the standard chart, if it has one."""
+            if not results[i].success:
+                return None
+            matrix = homs[i].to_matrix(results[i].solution)
+            try:
+                return normalize_to_standard_chart(matrix, jobs[i].node.pattern())
+            except ZeroDivisionError:
+                return None
+
+        matrices = [endpoint(i) for i in range(len(jobs))]
+
+        # --- retry ladder: tighter tracking of the same homotopies, for
+        # failed paths and for paths whose endpoints coincide (one of
+        # them jumped; either may be the one).  Endgame-classified
+        # endpoints (measured singularities) are final verdicts, not
+        # failures to burn retries on
         for attempt in range(1, self.MAX_RETRIES + 1):
-            fail = [
-                i
-                for i, r in enumerate(results)
-                if not r.success and not r.endgame_classified
-            ]
+            collided = _coinciding(jobs, matrices)
+            fail = sorted(
+                collided.union(
+                    i
+                    for i, r in enumerate(results)
+                    if not r.success and not r.endgame_classified
+                )
+            )
             if not fail:
                 break
             stats["retries"] += len(fail)
+            stats["collisions"] += len(collided)
             retry = BatchTracker(
                 self._retry_options(attempt), endgame=self.tracker.endgame
             )
@@ -475,23 +572,15 @@ class PieriSolver:
                 path_ids=[results[i].path_id for i in fail],
             )
             for i, rr in zip(fail, retried):
+                rr.stats.absorb(results[i].stats)
                 results[i] = rr
                 homs[i] = members[owners[i]]
-
-        # --- normalize endpoints to the standard chart
-        out: List[PieriJobResult] = []
-        for job, r, hom in zip(jobs, results, homs):
-            if not r.success:
-                out.append(PieriJobResult(job, r, None))
-                continue
-            matrix = hom.to_matrix(r.solution)
-            try:
-                matrix = normalize_to_standard_chart(matrix, job.node.pattern())
-            except ZeroDivisionError:
-                out.append(PieriJobResult(job, r, None))
-                continue
-            out.append(PieriJobResult(job, r, matrix))
-        return out, stats
+                matrices[i] = endpoint(i)
+        stats.update(_effort_sums(results))
+        return [
+            PieriJobResult(job, r, matrix)
+            for job, r, matrix in zip(jobs, results, matrices)
+        ], stats
 
     # ------------------------------------------------------------------
     def solve(
@@ -544,12 +633,12 @@ class PieriSolver:
                 "n_paths": sum(report.jobs_per_level.values()),
                 "stored": False,
             }
-            # two coinciding endpoints (a path jump no failure count
-            # shows) would cost every warm query a root: not stored
+            # a root short would cost every warm query that root: not
+            # stored (two coinciding endpoints count as a failure, see
+            # PieriReport.record_front)
             complete = (
                 report.failures == 0
                 and report.n_solutions == report.expected_count()
-                and report.all_distinct()
             )
             if complete:
                 store_pieri_generic(
@@ -594,6 +683,7 @@ class PieriSolver:
             self.instance,
             solutions=solutions,
             total_seconds=seconds,
+            options=self.tracker.options.echo(),
             level_batches=[
                 {
                     "level": "online",
@@ -601,6 +691,7 @@ class PieriSolver:
                     "n_homotopies": 1,
                     "n_paths": len(results),
                     "seconds": seconds,
+                    **_effort_sums(results),
                 }
             ],
         )
@@ -617,7 +708,7 @@ class PieriSolver:
         edges a front gets: a whole level (``"batch"``, level-synchronous)
         or one (``"per_path"``, depth first, each edge timed on its own)."""
         t_start = time.perf_counter()
-        report = PieriReport(self.instance)
+        report = PieriReport(self.instance, options=self.tracker.options.echo())
         pending = self.initial_jobs()
         while pending:
             if mode == "batch":

@@ -48,6 +48,7 @@ from .newton import (
 )
 from .predictor import (
     PREDICTORS,
+    CubicPredictor,
     EulerPredictor,
     HermitePredictor,
     Predictor,
@@ -97,5 +98,6 @@ __all__ = [
     "PredictorState",
     "EulerPredictor",
     "HermitePredictor",
+    "CubicPredictor",
     "make_predictor",
 ]

@@ -1,4 +1,4 @@
-"""Pluggable path predictors: Euler tangent and cubic Hermite.
+"""Pluggable path predictors: Euler tangent, cubic Hermite, bare cubic.
 
 The predictor is the half of the increment-and-fix loop that guesses
 where a path goes next; the corrector (Newton) pays for every digit the
@@ -15,6 +15,12 @@ BatchTracker`) delegates the guess to a :class:`Predictor`:
   (``s > 1`` extrapolation).  Local error is O(dt^4) against Euler's
   O(dt^2), so steps grow much faster under error-model step control,
   and the corrector starts closer — fewer Newton sweeps per step.
+- :class:`CubicPredictor` (``"cubic"``) — the same cubic on the *seed's*
+  streak step control (``error_model = False``): nothing but the guess
+  changes, so streak steps stay quantised and a front stays in lockstep.
+  Newton lands in two updates instead of three on most steps, which is
+  what lets the streak rule grow the step at all on Pieri edges
+  (``PieriSolver.DEFAULT_OPTIONS``; the 2x2 in ``docs/tracking.md``).
 
 Predictors operate on *row batches*: ``predict`` takes ``(k, dim)``
 arrays for the active front, all arithmetic elementwise per row, so a
@@ -59,12 +65,13 @@ __all__ = [
     "PredictorState",
     "EulerPredictor",
     "HermitePredictor",
+    "CubicPredictor",
     "make_predictor",
 ]
 
 #: Registered predictor names (the choices ``TrackerOptions.predictor``
 #: and ``solve(predictor=)`` accept).
-PREDICTORS = ("euler", "hermite")
+PREDICTORS = ("euler", "hermite", "cubic")
 
 
 @dataclass
@@ -254,9 +261,22 @@ class HermitePredictor(Predictor):
         return x_pred
 
 
+class CubicPredictor(HermitePredictor):
+    """The Hermite cubic as a guess only: step control stays the seed's.
+
+    ``predict`` is inherited, not restated — ``perfbench`` wraps
+    ``HermitePredictor.predict`` by name, and an override here would
+    drop out of ``tracker.predict_self_s``.
+    """
+
+    name = "cubic"
+    error_model = False
+
+
 _REGISTRY = {
     "euler": EulerPredictor,
     "hermite": HermitePredictor,
+    "cubic": CubicPredictor,
 }
 
 

@@ -36,6 +36,7 @@ whose ``stats.seconds`` are that path's exclusive wall time.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,13 +68,23 @@ class TrackerOptions:
     # (see repro.telemetry); off by default so the hot path stays free
     # of per-step allocation.  Never changes tracking decisions.
     trace_paths: bool = False
-    # prediction strategy: "euler" (seed arithmetic, bit-identical) or
+    # prediction strategy: "euler" (seed arithmetic, bit-identical),
     # "hermite" (cubic through the last two accepted points + tangents,
     # which also switches on the error-model pipeline: step control,
     # Jacobian recycling and the corrector's early exits — its constants
-    # are class attributes of repro.tracker.predictor.Predictor); also
-    # accepts a Predictor instance
+    # are class attributes of repro.tracker.predictor.Predictor) or
+    # "cubic" (that cubic on the seed's step control, the Pieri
+    # default); also accepts a Predictor instance
     predictor: object = "euler"
+
+    def echo(self) -> dict:
+        """The options as reports carry them: a plain dict, no field of
+        which resolves to anything else later, the predictor by name."""
+        return dataclasses.asdict(
+            dataclasses.replace(
+                self, predictor=make_predictor(self.predictor).name
+            )
+        )
 
     def validated(self) -> "TrackerOptions":
         if not (0 < self.min_step <= self.initial_step <= self.max_step):

@@ -6,6 +6,7 @@ safe via atomic rename, and a warm Pieri query tracks exactly
 ``d(m, p, q)`` paths — asserted from the report itself.
 """
 
+import dataclasses
 import importlib
 import json
 import multiprocessing
@@ -226,28 +227,61 @@ class TestPieriRoute:
         assert load_pieri_generic(store, 3, 3, 0) is None  # other shape
 
     def test_duplicated_endpoint_does_not_poison_the_store(self, tmp_path):
-        """Regression (found sizing PR 16): on this (2,2,2) instance the
-        tree solve returns 32 matrices with ``failures == 0`` of which
-        two coincide.  Stored, it cost every warm query a root."""
+        """Regression (found sizing PR 16): on this (2,2,2) instance a
+        path of the last level jumps onto a neighbour under
+        ``predictor="euler"``, and the tree solve used to return 32
+        matrices with ``failures == 0`` of which two coincide.  Stored,
+        it cost every warm query a root.
+
+        A front that holds both paths now re-tracks them; one that does
+        not (one edge a front) books the second copy as a failure.
+        Neither route stores a root short, and the default cubic keeps
+        the two paths apart in the first place."""
         rng = np.random.default_rng([0, 2])
         seed = int(rng.integers(2**31))
         instance = PieriInstance.random(2, 2, 2, rng)
-        store = ArtifactStore(tmp_path)
-        cold = PieriSolver(instance, seed=seed).solve(mode="batch", cache=store)
-        assert cold.failures == 0
-        assert cold.n_solutions == cold.expected_count() == 32
-        assert not cold.all_distinct()
+        euler = dataclasses.replace(
+            PieriSolver.DEFAULT_OPTIONS, predictor="euler"
+        )
+        store = ArtifactStore(tmp_path / "per_path")
+        cold = PieriSolver(instance, options=euler, seed=seed).solve(
+            mode="per_path", cache=store
+        )
+        assert cold.failures == 1 and cold.n_solutions == 31
+        assert cold.all_distinct()
         assert cold.cache["status"] == "cold"
         assert cold.cache["stored"] is False
         assert store.keys() == []
         # a bundle written before the guard existed loads as corrupt
-        store_pieri_generic(store, instance, cold.solutions, cold.jobs_per_level)
+        store_pieri_generic(
+            store,
+            instance,
+            cold.solutions + cold.solutions[:1],
+            cold.jobs_per_level,
+        )
         assert load_pieri_generic(store, 2, 2, 2) is None
         assert store.stats["corrupt"] == 1
         # ... and the next query is served cold, not a root short
         query = PieriInstance.random(2, 2, 2, np.random.default_rng(5))
         report = PieriSolver(query, seed=1).solve(mode="batch", cache=store)
         assert report.cache["status"] == "cold"
+        # the level-wide front sees both paths and separates them
+        wide = PieriSolver(instance, options=euler, seed=seed).solve(
+            mode="batch", cache=ArtifactStore(tmp_path / "batch")
+        )
+        assert wide.failures == 0 and wide.n_solutions == 32
+        assert wide.level_batches[-1]["collisions"] == 2
+        assert wide.cache["stored"] is True
+        # the mirror: the default solve of the same instance closes
+        clean = ArtifactStore(tmp_path / "default")
+        default = PieriSolver(instance, seed=seed).solve(
+            mode="batch", cache=clean
+        )
+        assert default.failures == 0 and default.n_solutions == 32
+        assert default.all_distinct()
+        assert default.effort("collisions") == 0
+        assert default.cache["stored"] is True
+        assert len(clean.keys()) == 1
 
 
 # ----------------------------------------------------------- polyhedral

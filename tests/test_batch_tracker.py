@@ -15,7 +15,12 @@ import pytest
 
 import repro.polynomials.poly as poly_module
 from repro.homotopy import ConvexHomotopy, make_homotopy_and_starts, solve
-from repro.schubert import PieriInstance, PieriSolver, trivial_solution_matrix
+from repro.schubert import (
+    PieriInstance,
+    PieriReport,
+    PieriSolver,
+    trivial_solution_matrix,
+)
 from repro.systems import cyclic_roots_system, katsura_system
 from repro.tracker import (
     BatchHomotopy,
@@ -231,7 +236,7 @@ class TestScalarParity:
     """One loop: ``PathTracker.track`` is the one-row case of the front."""
 
     @pytest.mark.parametrize("kernel", ["naive", "slp"])
-    @pytest.mark.parametrize("predictor", ["euler", "hermite"])
+    @pytest.mark.parametrize("predictor", ["euler", "hermite", "cubic"])
     @pytest.mark.parametrize("system", ["cyclic5", "katsura5"])
     def test_track_is_row_of_the_front(self, system, predictor, kernel):
         """Regression for the hand-kept scalar loop's drift: under
@@ -278,6 +283,26 @@ class TestScalarParity:
                 ScalarBatchAdapter(homotopy), [start]
             )
             _assert_parity(serial, batch)
+
+    def test_pieri_edge_is_row_of_the_level_front_under_cubic(self):
+        """The Pieri default's history is per row: an edge tracked alone
+        ends where its row of the level-wide front does (1e-8, not bits:
+        the bracket GEMMs round by shape)."""
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(21))
+        solver = PieriSolver(instance, seed=22)
+        assert solver.tracker.options.predictor == "cubic"
+        report = PieriReport(instance)
+        jobs = solver.initial_jobs()
+        while jobs:
+            wide, stats = solver.run_jobs_batched(jobs)
+            for job, row in zip(jobs, wide):
+                one = solver.run_job(job)
+                assert one.path_result.status == row.path_result.status
+                assert np.max(np.abs(one.matrix - row.matrix)) < 1e-8
+            jobs = report.record_front(
+                jobs, [r.matrix for r in wide], stats, 0.0
+            )
+        assert report.failures == 0 and report.n_solutions == 8
 
     def test_solve_mode_batch_matches_per_path(self):
         target = cyclic_roots_system(4)

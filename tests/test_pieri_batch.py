@@ -25,6 +25,7 @@ from repro.schubert import (
 )
 from repro.schubert.homotopy import evaluate_map
 from repro.schubert.parameter import PieriParameterHomotopy
+from repro.schubert.solver import EFFORT_KEYS
 from repro.sweep import JobSpec
 from repro.sweep.engine import run_job
 from repro.tracker import (
@@ -284,9 +285,10 @@ class TestSolverParity:
         )
         with pytest.raises(ValueError):
             solver.run_jobs_batched([jobs[0], deeper[0]])
-        assert solver.run_jobs_batched([]) == ([], {
-            "n_jobs": 0, "n_homotopies": 0, "chart_switches": 0, "retries": 0,
-        })
+        # an empty front reports the same keys as any other, all zero
+        nothing, zeros = solver.run_jobs_batched([])
+        assert nothing == [] and set(zeros) == set(stats)
+        assert set(zeros.values()) == {0}
 
     def test_retry_ladder_parity(self):
         """Coarse steps force failures; both modes walk the same ladder."""
@@ -336,6 +338,73 @@ class TestSolverParity:
         assert retried.shrink == 0.4
         assert retried.min_step < custom.min_step
         assert retried.max_steps == custom.max_steps * 3
+
+
+class TestCubicDefaultGate:
+    """The Pieri default predicts with the cubic on the seed's step
+    control: same roots, fewer evaluations — gated on counts that repeat
+    exactly for a seed, not on a wall ratio."""
+
+    def test_same_roots_for_three_quarters_of_the_evaluations(self):
+        instance = PieriInstance.random(2, 2, 2, np.random.default_rng(3))
+        assert PieriSolver.DEFAULT_OPTIONS.predictor == "cubic"
+        euler = PieriSolver(
+            instance,
+            options=dataclasses.replace(
+                PieriSolver.DEFAULT_OPTIONS, predictor="euler"
+            ),
+            seed=3,
+        ).solve()
+        batch = PieriSolver(instance, seed=3).solve()
+        assert batch.options["predictor"] == "cubic"
+        assert euler.options == {**batch.options, "predictor": "euler"}
+        for report in (euler, batch):
+            assert report.failures == 0 and report.n_solutions == 32
+            assert report.all_distinct()
+        _assert_same_solution_sets(euler.solutions, batch.solutions)
+        assert batch.effort("jacobian_evaluations") <= 0.75 * euler.effort(
+            "jacobian_evaluations"
+        )
+        assert batch.effort("newton_iterations") < euler.effort(
+            "newton_iterations"
+        )
+        # history is per track call and per row, so a row is tracked the
+        # same whatever travels with it: one edge a front returns the
+        # level-wide fronts' matrices.  On this instance every per-level
+        # counter agrees too (as under euler; the bracket GEMMs round by
+        # shape, so that is a property of the instance, not a law — seed
+        # 5 differs in one endgame sweep).
+        per_path = PieriSolver(instance, seed=3).solve(mode="per_path")
+        assert per_path.failures == 0 and per_path.options == batch.options
+        _assert_same_solution_sets(batch.solutions, per_path.solutions)
+        for mine, theirs in zip(batch.level_batches, per_path.level_batches):
+            assert mine["level"] == theirs["level"]
+            for key in EFFORT_KEYS:
+                assert mine[key] == theirs[key], (mine["level"], key)
+        # two workers' bundles are as wide as the moment allowed, so only
+        # what does not depend on width is asserted of them
+        par = solve_pieri_parallel(instance, n_workers=2, seed=3)
+        assert par.failures == 0 and par.options == batch.options
+        _assert_same_solution_sets(batch.solutions, par.solutions)
+        assert par.jobs_per_level == batch.jobs_per_level
+
+    def test_a_jump_is_retracked_not_delivered(self):
+        """Regression (PR 24's soak, op ``[103, 4]``): under the default
+        one path of level 11 jumps onto a neighbour and the tree used to
+        return 124 distinct roots of 128 with ``failures == 0``.  The
+        level front now sees two endpoints coincide at one poset node
+        and sends both up the retry ladder."""
+        rng = np.random.default_rng([103, 4])
+        seed = int(rng.integers(2**31))
+        instance = PieriInstance.random(2, 2, 3, rng)
+        report = PieriSolver(instance, seed=seed).solve()
+        assert report.failures == 0 and report.n_solutions == 128
+        assert report.all_distinct()
+        assert {
+            r["level"]: (r["collisions"], r["retries"])
+            for r in report.level_batches
+            if r["retries"]
+        } == {11: (2, 2)}
 
 
 class TestParallelGranularityKeyword:

@@ -27,10 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.homotopy import make_homotopy_and_starts
+from repro.schubert import PieriInstance, PieriSolver
 from repro.systems import katsura_system
 from repro.telemetry import Telemetry, use_telemetry
 from repro.tracker import (
     BatchTracker,
+    CubicPredictor,
     EulerPredictor,
     HermitePredictor,
     PathStatus,
@@ -84,9 +86,14 @@ class CubicHomotopy(HomotopyFunction):
 
 class TestPredictorResolution:
     def test_registry_names(self):
-        assert PREDICTORS == ("euler", "hermite")
+        assert PREDICTORS == ("euler", "hermite", "cubic")
         assert isinstance(make_predictor("euler"), EulerPredictor)
         assert isinstance(make_predictor("hermite"), HermitePredictor)
+        cubic = make_predictor("cubic")
+        assert isinstance(cubic, HermitePredictor)
+        assert (cubic.name, cubic.order, cubic.error_model) == ("cubic", 4, False)
+        # one predict body: the tracer wraps HermitePredictor's by name
+        assert "predict" not in vars(type(cubic))
 
     def test_default_is_euler(self):
         assert make_predictor(None).name == "euler"
@@ -250,6 +257,60 @@ class TestHistoryResetOnResume:
         rec.first_call_had_history = None
         tracker.track(h, np.array([h.c(0.5)]), t_start=0.5)
         assert rec.first_call_had_history is False
+
+    class _RecordingCubic(CubicPredictor):
+        """Per track call: did its first prediction see any history?"""
+
+        def __init__(self):
+            self.calls = []
+
+        def make_state(self, X, T):
+            self.calls.append(None)
+            return super().make_state(X, T)
+
+        def predict(self, state, rows, X, T, dt, tangent, ok):
+            if self.calls[-1] is None:
+                self.calls[-1] = bool(np.any(state.has_tangent[rows]))
+            return super().predict(state, rows, X, T, dt, tangent, ok)
+
+    def test_cubic_resumed_front_starts_without_history(self):
+        h = CubicHomotopy()
+        t0 = np.array([0.0, 0.25, 0.5])
+        starts = np.array([[h.c(t)] for t in t0])
+        rec = self._RecordingCubic()
+        assert rec.name == "cubic" and not rec.error_model
+        tracker = BatchTracker(TrackerOptions(predictor=rec))
+        for _ in range(2):
+            res = tracker.track_batch(h, starts, t_start=t0)
+            assert all(r.success for r in res)
+        assert rec.calls == [False, False]
+
+    @pytest.mark.parametrize(
+        "rung, stress",
+        [
+            ("chart_switches", dict(divergence_bound=20.0)),
+            (
+                "retries",
+                dict(initial_step=0.4, max_step=0.4, min_step=0.1,
+                     corrector_iterations=3, expand_after=2),
+            ),
+        ],
+    )
+    def test_pieri_requeued_fronts_start_without_history(self, rung, stress):
+        """A chart-switch resume tracks other coordinates and a retry
+        other steps: each is a track call of its own, so the cubic
+        cannot extrapolate across the seam."""
+        rec = self._RecordingCubic()
+        options = dataclasses.replace(
+            PieriSolver.DEFAULT_OPTIONS, predictor=rec, **stress
+        )
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(0))
+        report = PieriSolver(instance, options=options, seed=0).solve()
+        assert report.options["predictor"] == "cubic"
+        assert sum(r[rung] for r in report.level_batches) > 0
+        # more track calls than tree levels: the requeued fronts
+        assert len(rec.calls) > instance.problem.num_conditions
+        assert not any(rec.calls)
 
 
 class TestScalarBatchParity:
