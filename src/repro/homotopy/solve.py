@@ -344,55 +344,6 @@ def _warm_polyhedral_start(store, target, rng, tel, kernel):
     return homotopy, starts, bundle["meta"]
 
 
-def _tightened(options: TrackerOptions) -> TrackerOptions:
-    # dataclasses.replace keeps every field not listed at the caller's
-    # value, so new TrackerOptions fields survive escalation untouched.
-    # Escalation also pins the seed Euler predictor: duplicate re-tracks
-    # exist to undo predictor jumps, and an aggressive error-model
-    # predictor at a quarter step size would still take the very leaps
-    # the retrack is meant to rule out
-    return dataclasses.replace(
-        options,
-        initial_step=max(options.initial_step / 4, options.min_step),
-        min_step=options.min_step / 4,
-        max_step=max(options.max_step / 4, options.min_step),
-        expand_after=options.expand_after + 2,
-        corrector_iterations=max(3, options.corrector_iterations - 1),
-        max_steps=options.max_steps * 4,
-        predictor="euler",
-    )
-
-
-def _fallback_retrack(results, starts, homotopy, options, strategy) -> int:
-    """Re-track FAILED paths with the seed Euler settings.
-
-    An error-model predictor trades per-step robustness for speed: on a
-    hard path its larger steps (and looser corrector exits) can strand
-    the tracker in a step-underflow failure that the slow fixed-step
-    Euler loop walks straight through.  Paths are rare in that regime,
-    so re-tracking just the failures with the conservative settings
-    buys Euler's completeness at a tiny fraction of Euler's cost.  The
-    failed attempt's effort is added to the retracked stats so solve
-    summaries never hide the wasted work.
-    """
-    failed = [i for i, r in enumerate(results) if r.status is PathStatus.FAILED]
-    if not failed:
-        return 0
-    fallback = dataclasses.replace(options, predictor="euler")
-    pids = [results[i].path_id for i in failed]
-    starts_arr = np.asarray(starts, dtype=complex)
-    redone = BatchTracker(fallback, endgame=strategy).track_batch(
-        homotopy, starts_arr[pids], path_ids=pids
-    )
-    n = 0
-    for i, redo in zip(failed, redone):
-        if redo.success:
-            redo.stats.absorb(results[i].stats)
-            results[i] = redo
-            n += 1
-    return n
-
-
 def solve(
     target: PolynomialSystem,
     start: Literal["total_degree", "linear_product", "polyhedral"] = "total_degree",
@@ -622,23 +573,25 @@ def _solve(
                     homotopy, starts_arr[front], path_ids=front
                 )
             ]
-        n_fallback = 0
+        # an error-model predictor trades per-step robustness for speed:
+        # its larger steps can strand a hard path in a step underflow the
+        # seed Euler settings walk through, so its FAILED rows ride the
+        # ladder with the collisions (Euler's own failures are final)
+        failed = []
         if make_predictor(base_options.predictor).error_model:
-            with maybe_span(tel, "fallback_retrack", "solve"):
-                n_fallback = _fallback_retrack(
-                    results, starts_arr, homotopy, base_options, strategy
-                )
-            if tel is not None and n_fallback:
-                tel.count("solve.fallback_retracked", n_fallback)
+            failed = [r.path_id for r in results if r.status is PathStatus.FAILED]
         with maybe_span(tel, "retrack_duplicates", "solve"):
             retrack_duplicate_clusters(
                 results,
                 lambda pids, opts: BatchTracker(
                     opts, endgame=strategy
                 ).track_batch(homotopy, starts_arr[pids], path_ids=pids),
-                _tightened,
                 base_options,
+                failed=failed,
             )
+        n_fallback = sum(results[pid].success for pid in failed)
+        if tel is not None and n_fallback:
+            tel.count("solve.fallback_retracked", n_fallback)
         n_rescued = 0
         if rescue:
             with maybe_span(tel, "rescue", "solve"):

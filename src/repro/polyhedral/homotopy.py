@@ -20,8 +20,8 @@ regular at ``t = 0`` (no fractional-power singularity).
 term list bound to an evaluation kernel, implementing both tracker
 protocols — so a cell's whole start batch
 advances through the existing :class:`~repro.tracker.BatchTracker`
-front, and stragglers re-run as fronts of their own with conservative
-options (across cells: a :class:`~repro.tracker.StackedHomotopy`).
+front, and failed or colliding paths climb the re-track ladder as
+fronts across cells (a :class:`~repro.tracker.StackedHomotopy`).
 
 :class:`PolyhedralStart` packages the pipeline end to end: subdivision,
 generic system, per-cell tracking, and the start points that
@@ -43,7 +43,6 @@ from ..tracker import (
     StackedHomotopy,
     TrackerOptions,
     retrack_duplicate_clusters,
-    tighten_options,
 )
 from .binomial import solve_binomial_system
 from .cells import MixedCell, MixedSubdivision, mixed_cells
@@ -178,20 +177,19 @@ class PolyhedralStart:
         Returns ``(starts, results)``: a ``(mixed_volume, n)`` array of
         solutions of the generic system (one per path, cells
         concatenated in order) plus the per-path phase-1 results.
-        Failed paths are retried once, cell by cell, with conservative
-        options — unless the endgame already classified them (a Cauchy-measured
-        singular endpoint is a verdict, not a numerical accident, so
-        requeueing it cannot help) — and colliding endpoints, a
-        predictor jump between close paths which would silently lose a
-        root of the generic system, are re-tracked through the shared
-        :func:`~repro.tracker.retrack_duplicate_clusters` escalation.
-        A path that still fails keeps its binomial start (it will be
-        reported failed again downstream rather than silently dropped),
-        and is counted in :attr:`phase1_failures`.
+        The generic system has ``mixed_volume`` distinct regular roots,
+        so a failed path (unless the endgame classified it: a
+        Cauchy-measured singular endpoint is a verdict, not a numerical
+        accident) and colliding endpoints (a predictor jump between
+        close paths, which would silently lose a root) both climb the
+        shared :func:`~repro.tracker.retrack_duplicate_clusters` ladder,
+        one front across cells a rung.  A path that still fails keeps
+        its binomial start (it will be reported failed again downstream
+        rather than silently dropped), and is counted in
+        :attr:`phase1_failures`.
         """
         opts = options or TrackerOptions()
         tracker = BatchTracker(opts, endgame=endgame)
-        retry = BatchTracker(tighten_options(opts), endgame=endgame)
         all_starts: List[np.ndarray] = []
         all_results: List[PathResult] = []
         homotopies: List[CellHomotopy] = []
@@ -202,19 +200,7 @@ class PolyhedralStart:
             homotopy = self.cell_homotopy(cell)
             seeds = np.asarray(self.cell_starts(cell), dtype=complex)
             ids = list(range(len(path_seed), len(path_seed) + len(seeds)))
-            results = tracker.track_batch(homotopy, seeds, path_ids=ids)
-            failed = [
-                k for k, r in enumerate(results)
-                if not r.success and not r.endgame_classified
-            ]
-            if failed:
-                retried = retry.track_batch(
-                    homotopy, seeds[failed], path_ids=[ids[k] for k in failed]
-                )
-                for k, redo in zip(failed, retried):
-                    if redo.success:
-                        results[k] = redo
-            all_results.extend(results)
+            all_results.extend(tracker.track_batch(homotopy, seeds, path_ids=ids))
             path_cell.extend([len(homotopies)] * len(seeds))
             homotopies.append(homotopy)
             path_seed.extend(seeds)
@@ -231,12 +217,13 @@ class PolyhedralStart:
                 stack, [path_seed[pid] for pid in pids], path_ids=pids
             )
 
-        # endpoint collisions: re-track whole clusters with tighter steps
-        # (all_results is ordered by path id, so ids index the lists);
-        # the generic system has mixed_volume distinct regular roots, so
-        # a collision here is always a predictor jump — the shared
-        # escalation loop stops when a round reproduces every endpoint
-        retrack_duplicate_clusters(all_results, retrack, tighten_options, opts)
+        # all_results is ordered by path id, so ids index the lists
+        retrack_duplicate_clusters(
+            all_results,
+            retrack,
+            opts,
+            failed=[r.path_id for r in all_results if not r.success],
+        )
         for pid, result in enumerate(all_results):
             if result.success and np.all(np.isfinite(result.solution)):
                 all_starts.append(result.solution)

@@ -40,7 +40,6 @@ from ..tracker import (
     PathStatus,
     TrackerOptions,
     retrack_duplicate_clusters,
-    tighten_options,
 )
 from ..tracker.interface import _per_path_t
 from ..tracker.stacked import StackedHomotopy
@@ -261,11 +260,27 @@ def continue_to_instance(
             homotopy, [x0s[k] for k in front], path_ids=front
         )
     ]
-    # endpoint collisions would silently merge two feedback laws: the
-    # deformation's endpoints are provably distinct, so a collision is a
-    # predictor jump — separate it through the shared escalation loop
+    return _finish(homotopy, x0s, raw, opts)
+
+
+def _finish(homotopy, x0s, raw, options):
+    """One query's ``(solutions, path_results)``: its paths through the
+    re-track ladder, then each endpoint in the standard chart.
+
+    The deformation's endpoints are provably distinct regular roots, so
+    a collision (which would silently merge two feedback laws) is a
+    predictor jump and a failure a numerical accident: both climb the
+    shared ladder, one front of ``homotopy``'s paths a rung.  An
+    endpoint whose chart normalization hits a zero pivot is recorded
+    FAILED.
+    """
     retrack_duplicate_clusters(
-        raw, _front_retrack(homotopy, x0s), tighten_options, opts
+        raw,
+        lambda pids, o: BatchTracker(o).track_batch(
+            homotopy, [x0s[pid] for pid in pids], path_ids=pids
+        ),
+        options,
+        failed=[r.path_id for r in raw if not r.success],
     )
     solutions: List[np.ndarray] = []
     results: List[PathResult] = []
@@ -273,21 +288,13 @@ def continue_to_instance(
         if result.success:
             matrix = homotopy.to_matrix(result.solution)
             try:
-                matrix = normalize_to_standard_chart(matrix, homotopy.pattern)
+                solutions.append(
+                    normalize_to_standard_chart(matrix, homotopy.pattern)
+                )
             except ZeroDivisionError:
                 result = dataclasses.replace(result, status=PathStatus.FAILED)
-            else:
-                solutions.append(matrix)
         results.append(result)
     return solutions, results
-
-
-def _front_retrack(homotopy, x0s):
-    """The re-track callback of the duplicate escalation: one rung's
-    paths of ``homotopy`` as one front."""
-    return lambda pids, options: BatchTracker(options).track_batch(
-        homotopy, [x0s[pid] for pid in pids], path_ids=pids
-    )
 
 
 class PieriParameterStack(_BatchSlices, StackedHomotopy):
@@ -391,36 +398,20 @@ def continue_to_instances(
         x0s.extend(x0s_one)
     stack = PieriParameterStack(members, owners)
     raw = BatchTracker(opts).track_batch(stack, x0s)
-    # duplicate-endpoint separation is a per-query question: two paths
-    # of different queries may legitimately coincide.  The shared loop
-    # indexes its result list and the re-track callback by path id, so
-    # each query's rows are renumbered 0..d-1 first (also the ids a
-    # sequential continue_to_instance call reports).
-    for k, member in enumerate(members):
-        group = [
-            dataclasses.replace(result, path_id=pid)
-            for pid, result in enumerate(raw[k * d : (k + 1) * d])
-        ]
-        raw[k * d : (k + 1) * d] = retrack_duplicate_clusters(
-            group, _front_retrack(member, x0s_one), tighten_options, opts
+    # the ladder is a per-query question: two paths of different queries
+    # may legitimately coincide.  It indexes its result list and the
+    # re-track callback by path id, so each query's rows are renumbered
+    # 0..d-1 first (also the ids a sequential continue_to_instance call
+    # reports).
+    return [
+        _finish(
+            member,
+            x0s_one,
+            [
+                dataclasses.replace(result, path_id=pid)
+                for pid, result in enumerate(raw[k * d : (k + 1) * d])
+            ],
+            opts,
         )
-    out: List[tuple[List[np.ndarray], List[PathResult]]] = []
-    for k, member in enumerate(members):
-        solutions: List[np.ndarray] = []
-        results: List[PathResult] = []
-        for result in raw[k * d : (k + 1) * d]:
-            if result.success:
-                matrix = member.to_matrix(result.solution)
-                try:
-                    matrix = normalize_to_standard_chart(
-                        matrix, member.pattern
-                    )
-                except ZeroDivisionError:
-                    result = dataclasses.replace(
-                        result, status=PathStatus.FAILED
-                    )
-                else:
-                    solutions.append(matrix)
-            results.append(result)
-        out.append((solutions, results))
-    return out
+        for k, member in enumerate(members)
+    ]

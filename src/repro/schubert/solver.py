@@ -2,17 +2,19 @@
 
 One *job* tracks one solution path along a tree edge (paper §III-C/D): given
 the solution at a node's parent, it produces the solution at the node.  The
-solver exposes the job machinery (``initial_jobs`` / ``run_job`` /
-``expand``) so the sequential DFS here and the parallel master/slave
-scheduler in :mod:`repro.parallel` drive *exactly the same computation* —
-only the order differs, which is what makes the sequential/parallel
-agreement tests meaningful.
+solver exposes the job machinery (``initial_jobs`` / ``run_jobs_batched``
+/ :meth:`PieriReport.record_front`) so the sequential DFS here and the
+parallel master/worker scheduler in :mod:`repro.parallel` drive *exactly
+the same computation* — only the order differs, which is what makes the
+sequential/parallel agreement tests meaningful.
 
 Every edge is tracked by :meth:`PieriSolver.run_jobs_batched`: same-level
 edges share a shape (``dim == level``), so any number of them stack into
 one :class:`~repro.tracker.StackedHomotopy` front of the SoA
-:class:`~repro.tracker.BatchTracker`, with the chart-switch continuation
-and the retry ladder as requeued fronts.  ``solve(mode=...)`` only says how
+:class:`~repro.tracker.BatchTracker`; the chart switch
+(:func:`~repro.tracker.rescue_diverged`) and the re-track ladder
+(:func:`~repro.tracker.retrack_duplicate_clusters`) requeue fronts of
+their own.  ``solve(mode=...)`` only says how
 many rows a front gets: ``"batch"`` a whole tree level, ``"per_path"`` one
 edge (the paper's unit of work, depth first).  A row is tracked the same
 whatever rows travel with it, so the solution sets agree.
@@ -20,7 +22,6 @@ whatever rows travel with it, so the solution sets agree.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Optional, Sequence, Tuple
@@ -31,12 +32,12 @@ from ..linalg import random_plane
 from ..tracker import (
     BatchTracker,
     PathResult,
-    PathStatus,
     StackedHomotopy,
     TrackerOptions,
     greedy_cluster_indices,
+    rescue_diverged,
+    retrack_duplicate_clusters,
 )
-from ..tracker.rescue import fold_rescued_effort, keep_rescue
 from .homotopy import (
     PieriEdgeHomotopy,
     intersection_residuals,
@@ -74,30 +75,12 @@ def _effort_sums(results: Sequence[PathResult]) -> Dict[str, int]:
     }
 
 
-#: Max-norm distance below which two standard-chart endpoints at one
-#: poset node are the same solution.  The Pieri induction makes the
-#: solutions at a node distinct, so two that coincide mean a path jumped.
+#: Max-norm distance below which two standard-chart endpoints are the
+#: same solution.  The Pieri induction makes the solutions at a node
+#: distinct, so two that coincide mean a path jumped; endpoints at
+#: different nodes differ by 1 at a bottom pivot of one of them (the
+#: other is 0 there, below its own pivot).
 COINCIDENCE_TOL = 1e-6
-
-
-def _coinciding(
-    jobs: Sequence["PieriJob"], matrices: Sequence[Optional[np.ndarray]]
-) -> set:
-    """Rows of a front whose endpoint coincides with another row's at
-    the same poset node (every member of each such cluster)."""
-    by_node: Dict[tuple, List[int]] = {}
-    for i, (job, matrix) in enumerate(zip(jobs, matrices)):
-        if matrix is not None:
-            by_node.setdefault(job.node.pattern().bottom_pivots, []).append(i)
-    return {
-        rows[k]
-        for rows in by_node.values()
-        for cluster in greedy_cluster_indices(
-            [matrices[i] for i in rows], COINCIDENCE_TOL
-        )
-        if len(cluster) > 1
-        for k in cluster
-    }
 
 
 @dataclass
@@ -380,32 +363,6 @@ class PieriSolver:
         start = trivial_solution_matrix(self.problem)
         return [PieriJob(child, start) for child in root.children()]
 
-    #: How many times a failed path is re-tracked with tighter steps.
-    MAX_RETRIES = 2
-
-    def _retry_options(self, attempt: int) -> TrackerOptions:
-        """Progressively conservative options for retries of hard paths.
-
-        A retry tightens the tracking of the *same* homotopy: redrawing
-        the gammas of a single edge would break the per-node bijection
-        of :meth:`_edge_rng` (its endpoint could collide with a
-        sibling's).
-
-        ``dataclasses.replace`` keeps every field not listed here at the
-        *caller's* value, so new :class:`TrackerOptions` fields are never
-        silently reset to their defaults on a retry.
-        """
-        base = self.tracker.options
-        factor = 0.25**attempt
-        return dataclasses.replace(
-            base,
-            initial_step=max(base.initial_step * factor, base.min_step),
-            min_step=base.min_step * factor,
-            max_step=max(base.max_step * factor, base.min_step),
-            expand_after=base.expand_after + attempt,
-            max_steps=base.max_steps * (attempt + 1),
-        )
-
     def run_job(self, job: PieriJob) -> PieriJobResult:
         """Track one edge: the one-row case of :meth:`run_jobs_batched`."""
         return self.run_jobs_batched([job])[0][0]
@@ -424,35 +381,30 @@ class PieriSolver:
         :class:`~repro.tracker.StackedHomotopy` front.  Edges into the
         same poset node reuse one homotopy object (identical gamma
         twists, see :meth:`_edge_rng`), so the start/endpoint bijection
-        that keeps solutions distinct is preserved.  Failures are
-        requeued as fronts of their own:
-
-        - apparently divergent paths are re-pinned through the edge
-          homotopy's :meth:`~repro.schubert.homotopy.PieriEdgeHomotopy.
-          rescale_patch` and *resumed* in the rescaled chart, each from
-          its own reached ``t`` (the chart-switch continuation, stacked
-          per target chart);
-        - remaining failures are re-tracked from their start points with
-          the progressively tighter retry options, as one stacked batch
-          per attempt, against the *original* homotopies (fresh gammas
-          would break the bijection); endpoints the endgame already
-          classified (e.g. a Cauchy-measured singularity) are not
-          retried — the verdict stands;
-        - so are paths that *succeeded* onto the same endpoint at one
-          poset node (within :data:`COINCIDENCE_TOL` in the standard
-          chart): the solutions at a node are distinct, so one of them
-          jumped onto the other's path, and either may be the one — all
-          of them climb the same ladder.
+        that keeps solutions distinct is preserved.  Every front —
+        the first pass and each rung of the ladder below — is tracked
+        and then its apparently divergent rows are re-pinned through
+        :func:`~repro.tracker.rescue_diverged` (the chart switch:
+        :meth:`~repro.schubert.homotopy.PieriEdgeHomotopy.rescale_patch`,
+        each row resumed from its own reached ``t``).  Failed rows, and
+        rows whose standard-chart endpoints coincide (within
+        :data:`COINCIDENCE_TOL`: the solutions at a node are distinct,
+        so one of them jumped onto the other's path, and either may be
+        the one), then climb the shared re-track ladder
+        :func:`~repro.tracker.retrack_duplicate_clusters` against the
+        *original* homotopies (fresh gammas would break the bijection);
+        endpoints the endgame already classified (e.g. a Cauchy-measured
+        singularity) are final verdicts, not failures to burn rungs on.
 
         Returns one :class:`PieriJobResult` per job, in input order,
         plus a stats dict: ``n_jobs``, ``n_homotopies``,
-        ``chart_switches``, ``retries`` (re-tracked rows, summed over
-        attempts), ``collisions`` (those of them re-tracked for a
-        coinciding endpoint) and the front's sums of the
-        :data:`EFFORT_KEYS` counters, superseded attempts included (a
-        kept chart switch and a retry absorb what they replace; a
-        discarded chart switch is dropped, as in
-        :func:`~repro.tracker.rescue.rescue_diverged`).
+        ``chart_switches`` (kept re-pins, every front), ``retries``
+        (re-tracked rows, summed over rungs), ``collisions`` (those of
+        them re-tracked for a coinciding endpoint) and the front's sums
+        of the :data:`EFFORT_KEYS` counters, superseded attempts
+        included (a kept chart switch and a rung absorb what they
+        replace; a discarded chart switch is dropped, as in
+        :func:`~repro.tracker.rescue_diverged`).
         """
         jobs = list(jobs)
         stats = dict.fromkeys(
@@ -480,106 +432,55 @@ class PieriSolver:
             members[k].start_vector(job.start_matrix)
             for k, job in zip(owners, jobs)
         ]
-        results = self.tracker.track_batch(StackedHomotopy(members, owners), x0)
+        # the chart each row's successful endpoint lives in (a success
+        # always replaces the attempt before it, so only successes move it)
         homs: List[PieriEdgeHomotopy] = [members[k] for k in owners]
-        stats["n_jobs"] = len(jobs)
-        stats["n_homotopies"] = len(members)
 
-        # --- chart-switch requeue: re-pin and resume divergent paths
-        # through the rescue hook, stacked per target chart (switched
-        # homotopies for one poset node + pin are deterministic clones,
-        # so grouping them under one member changes nothing)
-        sw_members: List[PieriEdgeHomotopy] = []
-        sw_index: Dict[tuple, int] = {}
-        sw_paths: List[int] = []   # index into jobs/results
-        sw_owner: List[int] = []
-        sw_x: List[np.ndarray] = []
-        sw_t: List[float] = []
-        for i, r in enumerate(results):
-            if r.status is not PathStatus.DIVERGED:
-                continue
-            job = jobs[i]
-            patch = homs[i].rescale_patch(r.solution, r.stats.t_reached)
-            if patch is None:
-                continue
-            new_hom, x1 = patch
-            skey = (
-                job.node.pattern().bottom_pivots,
-                job.node.columns[-1],
-                new_hom.pin_row,
+        def track(rows, options):
+            tracker = BatchTracker(options, endgame=self.tracker.endgame)
+            out = tracker.track_batch(
+                StackedHomotopy(members, [owners[i] for i in rows]),
+                [x0[i] for i in rows],
+                path_ids=rows,
             )
-            k = sw_index.get(skey)
-            if k is None:
-                k = sw_index[skey] = len(sw_members)
-                sw_members.append(new_hom)
-            sw_paths.append(i)
-            sw_owner.append(k)
-            sw_x.append(x1)
-            sw_t.append(r.stats.t_reached)
-        if sw_paths:
-            stats["chart_switches"] = len(sw_paths)
-            resumed = self.tracker.track_batch(
-                StackedHomotopy(sw_members, sw_owner),
-                sw_x,
-                path_ids=[results[i].path_id for i in sw_paths],
-                t_start=np.array(sw_t),
-            )
-            for i, k, rr in zip(sw_paths, sw_owner, resumed):
-                # same finalize/keep/fold sequence as rescue_diverged,
-                # so the two drivers cannot disagree on a rescued
-                # verdict, its coordinates, or its stats
-                rr = sw_members[k].finalize_rescued(rr)
-                if keep_rescue(rr):
-                    results[i] = fold_rescued_effort(rr, results[i])
-                    homs[i] = sw_members[k]
+            charts = [members[owners[i]] for i in rows]
+            out, switched = rescue_diverged(tracker, charts, out)
+            stats["chart_switches"] += switched
+            for i, chart, r in zip(rows, charts, out):
+                if r.success:
+                    homs[i] = chart
+            return out
 
-        def endpoint(i: int) -> Optional[np.ndarray]:
-            """Row ``i``'s endpoint in the standard chart, if it has one."""
-            if not results[i].success:
-                return None
-            matrix = homs[i].to_matrix(results[i].solution)
+        def retry(rows, options):
+            stats["retries"] += len(rows)
+            stats["collisions"] += sum(results[i].success for i in rows)
+            return track(rows, options)
+
+        def endpoint(r: PathResult) -> Optional[np.ndarray]:
+            """A successful row's endpoint in the standard chart."""
+            matrix = homs[r.path_id].to_matrix(r.solution)
             try:
-                return normalize_to_standard_chart(matrix, jobs[i].node.pattern())
+                return normalize_to_standard_chart(
+                    matrix, jobs[r.path_id].node.pattern()
+                )
             except ZeroDivisionError:
                 return None
 
-        matrices = [endpoint(i) for i in range(len(jobs))]
-
-        # --- retry ladder: tighter tracking of the same homotopies, for
-        # failed paths and for paths whose endpoints coincide (one of
-        # them jumped; either may be the one).  Endgame-classified
-        # endpoints (measured singularities) are final verdicts, not
-        # failures to burn retries on
-        for attempt in range(1, self.MAX_RETRIES + 1):
-            collided = _coinciding(jobs, matrices)
-            fail = sorted(
-                collided.union(
-                    i
-                    for i, r in enumerate(results)
-                    if not r.success and not r.endgame_classified
-                )
-            )
-            if not fail:
-                break
-            stats["retries"] += len(fail)
-            stats["collisions"] += len(collided)
-            retry = BatchTracker(
-                self._retry_options(attempt), endgame=self.tracker.endgame
-            )
-            retried = retry.track_batch(
-                StackedHomotopy(members, [owners[i] for i in fail]),
-                [x0[i] for i in fail],
-                path_ids=[results[i].path_id for i in fail],
-            )
-            for i, rr in zip(fail, retried):
-                rr.stats.absorb(results[i].stats)
-                results[i] = rr
-                homs[i] = members[owners[i]]
-                matrices[i] = endpoint(i)
+        results = track(list(range(len(jobs))), self.tracker.options)
+        retrack_duplicate_clusters(
+            results,
+            retry,
+            self.tracker.options,
+            failed=[i for i, r in enumerate(results) if not r.success],
+            endpoint=endpoint,
+            tol=COINCIDENCE_TOL,
+        )
+        stats["n_jobs"] = len(jobs)
+        stats["n_homotopies"] = len(members)
         stats.update(_effort_sums(results))
         return [
-            PieriJobResult(job, r, matrix)
-            for job, r, matrix in zip(jobs, results, matrices)
+            PieriJobResult(job, r, endpoint(r) if r.success else None)
+            for job, r in zip(jobs, results)
         ], stats
 
     # ------------------------------------------------------------------

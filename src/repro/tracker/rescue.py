@@ -18,11 +18,12 @@ coordinates — and optionally
 map a finished result back to the caller's coordinate conventions.
 :func:`rescue_diverged` sweeps a finished result list through that
 protocol: every diverged path is re-patched and all of them resume
-together, each from its own reached ``t``, as one stacked front.  The
-blackbox solver's projective rescue is a thin client of it; the Schubert
-solver's chart switch runs the same re-patch / resume / keep / fold
-sequence inside its own requeue (it also has to swap the edge homotopy
-the endpoint is read in).
+together, each from its own reached ``t``, as one stacked front.  It is
+the one rescue driver: the blackbox solver's projective rescue calls it
+on its one homotopy, and the Schubert chart switch calls it on each
+row's own edge homotopy — after the first pass of a tree front and
+after every rung of the re-track ladder — and reads back the homotopy
+each kept endpoint now lives in.
 """
 
 from __future__ import annotations
@@ -37,37 +38,14 @@ from .stacked import StackedHomotopy
 
 __all__ = [
     "rescue_diverged",
-    "keep_rescue",
     "fold_rescued_effort",
 ]
 
 
-def keep_rescue(resumed: PathResult) -> bool:
-    """Does a resumed path's outcome supersede the diverged original?
-
-    Only a *finished* classification does: SUCCESS, AT_INFINITY (the
-    projective patch classified the escape), or an endgame-measured
-    singularity.  Anything else keeps the original diverged result,
-    exactly as the Schubert chart switch always behaved.
-    """
-    return (
-        resumed.success
-        or resumed.status is PathStatus.AT_INFINITY
-        or (
-            resumed.status is PathStatus.SINGULAR
-            and resumed.winding_number is not None
-        )
-    )
-
-
 def fold_rescued_effort(resumed: PathResult, prior: PathResult) -> PathResult:
-    """Account the diverged attempt's effort on the kept rescue result.
-
-    Shared by every rescue driver (:func:`rescue_diverged` here and the
-    Schubert chart-switch requeue) so a rescued path reports the same
-    bookkeeping — ``stats.rescues``, every effort counter accumulated,
-    the *original* start point — no matter which driver rescued it.
-    """
+    """Account the diverged attempt's effort on the kept rescue result:
+    ``stats.rescues`` counted, every effort counter accumulated, the
+    *original* start point kept."""
     resumed.stats.rescues = prior.stats.rescues + 1
     resumed.stats.absorb(prior.stats)
     resumed.start = np.asarray(prior.start, dtype=complex)
@@ -85,18 +63,23 @@ def rescue_diverged(
     number of paths whose classification a rescue changed.  ``tracker``
     is a :class:`~repro.tracker.batch.BatchTracker`: the re-patched
     paths — each in its own patch homotopy, each from its own reached
-    ``t`` — resume as one stacked front.  A rescue is kept only when the
-    resumed path *finishes* (see :func:`keep_rescue`); otherwise the
-    original diverged result stands.
+    ``t`` — resume as one stacked front.  ``homotopy`` is the one
+    homotopy every row tracked, or a list of each row's own; in a list,
+    a kept row's entry is replaced by the homotopy its endpoint now
+    lives in.  A rescue is kept only when the resumed path *finishes* —
+    SUCCESS, AT_INFINITY (the projective patch classified the escape),
+    or an endgame-measured singularity; otherwise the original diverged
+    result stands.
     """
     tel = current_telemetry()
+    homs = homotopy if isinstance(homotopy, list) else [homotopy] * len(results)
     rows: List[int] = []
     patches: list = []
     for i, r in enumerate(results):
         t = r.stats.t_reached
         if r.status is not PathStatus.DIVERGED or not 0.0 < t < 1.0:
             continue
-        patch = homotopy.rescale_patch(r.solution, t)
+        patch = homs[i].rescale_patch(r.solution, t)
         if patch is None:
             continue
         if tel is not None:
@@ -115,9 +98,12 @@ def rescue_diverged(
     changed = 0
     for i, (new_hom, _), rr in zip(rows, patches, resumed):
         rr = new_hom.finalize_rescued(rr)
-        if keep_rescue(rr):
+        if rr.success or rr.status is PathStatus.AT_INFINITY or (
+            rr.status is PathStatus.SINGULAR and rr.winding_number is not None
+        ):
             if tel is not None:
                 tel.count("tracker.rescues_kept")
             results[i] = fold_rescued_effort(rr, results[i])
+            homs[i] = new_hom
             changed += 1
     return results, changed

@@ -9,9 +9,10 @@ simulator consumes to build empirical cost distributions.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field, fields
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -109,8 +110,8 @@ class PathResult:
 
         A SINGULAR result with a measured winding number is a *finished*
         classification — the endpoint was recovered as the mean of the
-        Cauchy loop samples — so retry ladders (Pieri, polyhedral
-        phase-1) should not burn re-tracking attempts on it.
+        Cauchy loop samples — so the re-track ladder
+        (:func:`retrack_duplicate_clusters`) does not burn attempts on it.
         """
         return self.winding_number is not None and self.status in (
             PathStatus.SINGULAR,
@@ -217,8 +218,8 @@ def duplicate_path_ids(results, tol: float = 1e-6) -> List[int]:
     Either party may be the one that jumped — the first path to arrive
     is no more trustworthy than the second — so all members of a cluster
     are candidates for conservative re-tracking, not just the
-    later-arriving ones.  Shared by the blackbox ``solve()`` and the
-    polyhedral phase-1 cell tracking.
+    later-arriving ones.  The collision test of every rung of
+    :func:`retrack_duplicate_clusters`.
     """
     succ = [r for r in results if r.success]
     clusters = greedy_cluster_indices([r.solution for r in succ], tol)
@@ -228,46 +229,56 @@ def duplicate_path_ids(results, tol: float = 1e-6) -> List[int]:
     ]
 
 
-def tighten_options(options, factor: float = 0.25):
-    """The generic escalation step for duplicate re-tracking.
+def tighten_options(options):
+    """One rung of the re-track ladder: the options a rung runs with.
 
-    Shrinks the step-size window by ``factor`` and stretches the step
-    budget to compensate, via ``dataclasses.replace`` so every field
-    not listed keeps the *caller's* value (new options fields are never
-    silently reset on escalation).  The blackbox solver keeps a tuned
-    variant of its own; this is the recipe for everyone else.
+    A quarter of the step-size window, a longer streak before a step
+    grows, at most ``max(3, n - 1)`` corrector iterations, four times
+    the step budget, and the seed Euler guess: re-tracks exist to undo
+    predictor jumps, and a higher-order guess at a quarter step would
+    still take the very leaps the re-track is meant to rule out.
+    ``dataclasses.replace`` keeps every field not listed at the
+    *caller's* value.
     """
-    import dataclasses
-
     return dataclasses.replace(
         options,
-        initial_step=max(options.initial_step * factor, options.min_step),
-        min_step=options.min_step * factor,
-        max_step=max(options.max_step * factor, options.min_step),
-        max_steps=int(options.max_steps / factor),
+        initial_step=max(options.initial_step / 4, options.min_step),
+        min_step=options.min_step / 4,
+        max_step=max(options.max_step / 4, options.min_step),
+        expand_after=options.expand_after + 2,
+        corrector_iterations=max(3, options.corrector_iterations - 1),
+        max_steps=options.max_steps * 4,
+        predictor="euler",
     )
 
 
 def retrack_duplicate_clusters(
     results: List[PathResult],
     retrack,
-    tighten,
     options,
+    failed: Sequence[int] = (),
+    endpoint=None,
     rounds: int = 3,
     tol: float = 1e-6,
 ) -> List[PathResult]:
-    """Re-track endpoint-collision clusters until they separate or stall.
+    """The re-track ladder: re-track suspicious paths until they
+    separate, finish, or stall.
 
-    The shared escalation loop behind the blackbox solver, the
-    polyhedral phase-1 driver and the Pieri parameter continuation:
-    every member of a colliding cluster (see :func:`duplicate_path_ids`)
-    is re-tracked with progressively tightened options, up to ``rounds``
+    The one escalation loop behind the blackbox solver, polyhedral
+    phase 1, the Pieri tree and the Pieri parameter continuation.  Each
+    rung tightens the options once (:func:`tighten_options`) and
+    re-tracks one front: every member of a colliding cluster (see
+    :func:`duplicate_path_ids`) plus the rows of ``failed`` that have
+    not succeeded and carry no endgame verdict (a Cauchy-measured
+    singularity is a classification, not a failure), up to ``rounds``
     times.  The *no-progress bail-out* is the subtle part, and the
-    reason this lives in one place: when a re-track round reproduces
-    every endpoint it re-tracked (nothing moved beyond ``tol``), the
-    collision is a genuine multiple root — not a predictor jump — and
-    tighter steps can never separate it, so escalating further would
-    only burn time.
+    reason this lives in one place: when a rung reproduces every
+    endpoint it re-tracked (nothing moved beyond ``tol``), the collision
+    is a genuine multiple root — not a predictor jump — and tighter
+    steps can never separate it, so escalating further would only burn
+    time.  A re-tracked path replaces the one before it unless that one
+    succeeded and the re-track did not; either way the attempt kept
+    absorbs the other's effort, so effort totals count every attempt.
 
     Parameters
     ----------
@@ -280,53 +291,80 @@ def retrack_duplicate_clusters(
         front (results aligned with ``path_ids``).  Tightened re-tracks
         take 4x the steps of the main pass at a quarter the step size,
         which is exactly where a front pays.
-    tighten:
-        ``tighten(options) -> options`` — one escalation step.
     options:
         The options the main tracking pass used; tightened before the
-        first re-track round.
+        first rung.
+    failed:
+        Path ids to re-track for as long as they fail, besides the
+        colliding ones.
+    endpoint:
+        ``endpoint(result) -> point or None`` — where two successful
+        results are compared, when not at ``result.solution`` (``None``:
+        the result takes no part in collisions).  Each rung calls it on
+        the current results before its re-track and on every re-tracked
+        result as it returns.
     """
     from ..telemetry import current_telemetry
 
     tel = current_telemetry()
     stable: set = set()
     for rung in range(rounds):
-        dups = [
-            pid for pid in duplicate_path_ids(results, tol=tol)
-            if pid not in stable
-        ]
-        if not dups:
+        seen = _compared(results, endpoint)
+        at = {r.path_id: r.solution for r in seen}
+        front = sorted(
+            {pid for pid in duplicate_path_ids(seen, tol=tol) if pid not in stable}
+            | {
+                pid for pid in failed
+                if not results[pid].success
+                and not results[pid].endgame_classified
+            }
+        )
+        if not front:
             break
-        options = tighten(options)
+        options = tighten_options(options)
         if tel is not None:
             tel.count("tracker.retry_rungs")
             tel.instant(
-                "retry_rung", "tracker", rung=rung + 1, paths=len(dups)
+                "retry_rung", "tracker", rung=rung + 1, paths=len(front)
             )
         moved = False
-        for pid, retracked in zip(dups, retrack(dups, options)):
+        for pid, retracked in zip(front, retrack(front, options)):
             old = results[pid]
-            if retracked.success or not old.success:
-                if (
-                    retracked.success
-                    and old.success
-                    and np.max(np.abs(retracked.solution - old.solution)) < tol
-                ):
-                    # this path reproduced its endpoint at tighter steps:
-                    # its side of the collision is a genuine root, not a
-                    # predictor jump — exclude it from later rungs so a
-                    # single wandering path elsewhere cannot keep the
-                    # whole stable cluster re-tracking
-                    stable.add(pid)
-                else:
-                    moved = True
-                results[pid] = retracked
+            if old.success and not retracked.success:
+                old.stats.absorb(retracked.stats)
+                continue
+            point = _compared([retracked], endpoint)
+            if point and pid in at and np.max(
+                np.abs(point[0].solution - at[pid])
+            ) < tol:
+                # this path reproduced its endpoint at tighter steps:
+                # its side of the collision is a genuine root, not a
+                # predictor jump — exclude it from later rungs so a
+                # single wandering path elsewhere cannot keep the
+                # whole stable cluster re-tracking
+                stable.add(pid)
+            else:
+                moved = True
+            retracked.stats.absorb(old.stats)
+            results[pid] = retracked
         if not moved:
             # every re-track reproduced its endpoint: the collision is a
             # genuine multiple root, and tighter steps will never
             # separate it — stop escalating
             break
     return results
+
+
+def _compared(results, endpoint) -> List[PathResult]:
+    """The successful results as the ladder compares them: at
+    ``endpoint(r)`` when a hook is given, else as they are."""
+    succ = [r for r in results if r.success]
+    if endpoint is None:
+        return succ
+    points = [(r, endpoint(r)) for r in succ]
+    return [
+        dataclasses.replace(r, solution=p) for r, p in points if p is not None
+    ]
 
 
 def summarize_results(results: List[PathResult]) -> dict:

@@ -12,10 +12,12 @@ Contracts under test:
   chart switches ride ``PieriEdgeHomotopy.rescale_patch``, plain
   polynomial homotopies ride the projective patch and classify
   AT_INFINITY.
-- ``retrack_duplicate_clusters`` (the hoisted no-progress bail-out)
-  escalates while re-tracks move endpoints and stops the moment a round
-  reproduces them.
+- ``retrack_duplicate_clusters`` (the one re-track ladder) escalates
+  while re-tracks move endpoints, stops the moment a round reproduces
+  them, and books every attempt's effort.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from repro.tracker import (
     PathTracker,
     TrackerOptions,
     TrackStats,
+    duplicate_path_ids,
     rescue_diverged,
     retrack_duplicate_clusters,
 )
@@ -455,7 +458,7 @@ class TestRetrackDuplicateClusters:
             return [self._result(pid, 2.0 if pid == 1 else 1.0) for pid in pids]
 
         retrack_duplicate_clusters(
-            results, retrack, lambda o: o, TrackerOptions()
+            results, retrack, TrackerOptions()
         )
         assert sorted(calls) == [0, 1]
         assert abs(results[1].solution[0] - 2.0) < 1e-12
@@ -472,7 +475,7 @@ class TestRetrackDuplicateClusters:
             return [self._result(pid, 1.0) for pid in pids]
 
         retrack_duplicate_clusters(
-            results, retrack, lambda o: o, TrackerOptions()
+            results, retrack, TrackerOptions()
         )
         assert len(calls) == 2  # one round over the cluster, then stop
 
@@ -488,9 +491,75 @@ class TestRetrackDuplicateClusters:
             return [self._result(pid, moved) for pid in pids]
 
         retrack_duplicate_clusters(
-            results, retrack, lambda o: o, TrackerOptions(), rounds=3
+            results, retrack, TrackerOptions(), rounds=3
         )
         assert len(calls) == 6  # three rounds over the two-path cluster
+
+    def test_failed_rows_and_endpoint_hook(self):
+        """Handed-in failures ride every rung until they succeed; the
+        hook says where successes collide (here: by the real part), and
+        a success is never traded for a failed re-track — the kept one
+        absorbs its effort."""
+        failed = PathResult(
+            PathStatus.FAILED, np.zeros(1, complex), np.zeros(1, complex),
+            1.0, TrackStats(newton_iterations=5), 2,
+        )
+        results = [self._result(0, 1.0 + 1j), self._result(1, 1.0 - 1j), failed]
+        rungs = []
+
+        def retrack(pids, opts):
+            rungs.append((list(pids), opts.predictor))
+            out = {0: self._result(0, 3.0), 1: failed, 2: self._result(2, 2.0)}
+            out = [dataclasses.replace(out[pid]) for pid in pids]
+            for r in out:
+                r.stats = TrackStats(newton_iterations=7)
+            return out
+
+        retrack_duplicate_clusters(
+            results, retrack, TrackerOptions(predictor="hermite"),
+            failed=[2], endpoint=lambda r: r.solution.real,
+        )
+        assert rungs == [([0, 1, 2], "euler")]
+        assert [r.solution[0] for r in results] == [3.0, 1.0 - 1j, 2.0]
+        assert [r.stats.newton_iterations for r in results] == [7, 7, 12]
+
+    def test_solve_summary_counts_every_attempt(self, monkeypatch):
+        """Regression: the ladder dropped the effort of the attempt a
+        re-track replaced, so ``newton_total`` and
+        ``jacobian_evaluations`` under-counted every solve whose
+        duplicate rung fired.  Force one rung; the summary must equal
+        the effort of every track call."""
+        real = duplicate_path_ids
+        looks = []
+
+        def collide_once(results, tol=1e-6):
+            looks.append(tol)
+            if len(looks) == 1:
+                return [r.path_id for r in results[:2]]
+            return real(results, tol=tol)
+
+        monkeypatch.setattr(
+            "repro.tracker.result.duplicate_path_ids", collide_once
+        )
+        tracked = {"newton_total": 0, "jacobian_evaluations": 0}
+        fronts = []
+        track_batch = BatchTracker.track_batch
+
+        def counted(self, *args, **kwargs):
+            out = track_batch(self, *args, **kwargs)
+            fronts.append(len(out))
+            tracked["newton_total"] += sum(
+                r.stats.newton_iterations for r in out
+            )
+            tracked["jacobian_evaluations"] += sum(
+                r.stats.jacobian_evaluations for r in out
+            )
+            return out
+
+        monkeypatch.setattr(BatchTracker, "track_batch", counted)
+        summary = solve(katsura_system(3), rng=np.random.default_rng(1)).summary
+        assert fronts == [8, 2]  # the main pass, then the forced rung
+        assert {key: summary[key] for key in tracked} == tracked
 
 
 class TestMultiplicityClusters:

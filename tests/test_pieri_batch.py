@@ -36,6 +36,7 @@ from repro.tracker import (
     PathTracker,
     StackedHomotopy,
     TrackerOptions,
+    tighten_options,
 )
 
 
@@ -326,18 +327,33 @@ class TestSolverParity:
         assert batch.n_solutions == 8
         _assert_same_solution_sets(per_path.solutions, batch.solutions)
 
-    def test_retry_options_preserve_unlisted_fields(self):
-        """dataclasses.replace keeps custom fields through the ladder."""
+    def test_retry_options_preserve_unlisted_fields(self, monkeypatch):
+        """Every rung of the ladder runs ``tighten_options`` of the one
+        before, and ``dataclasses.replace`` keeps custom fields."""
+        import repro.tracker.result as ladder
+
+        rungs = []
+
+        def recorded(options):
+            rungs.append(tighten_options(options))
+            return rungs[-1]
+
+        monkeypatch.setattr(ladder, "tighten_options", recorded)
         custom = dataclasses.replace(
-            PieriSolver.DEFAULT_OPTIONS, divergence_bound=123.0, shrink=0.4
+            PieriSolver.DEFAULT_OPTIONS, divergence_bound=123.0, shrink=0.4,
+            initial_step=0.4, max_step=0.4, min_step=0.1,
         )
-        instance = PieriInstance.random(2, 2, 0, np.random.default_rng(1))
-        solver = PieriSolver(instance, options=custom, seed=2)
-        retried = solver._retry_options(2)
-        assert retried.divergence_bound == 123.0
-        assert retried.shrink == 0.4
-        assert retried.min_step < custom.min_step
-        assert retried.max_steps == custom.max_steps * 3
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(0))
+        report = PieriSolver(instance, options=custom, seed=0).solve()
+        assert report.effort("retries") > 0 and rungs
+        for retried in rungs:
+            assert retried.divergence_bound == 123.0
+            assert retried.shrink == 0.4
+            assert retried.min_step < custom.min_step
+            assert retried.predictor == "euler"
+        assert {r.max_steps for r in rungs} <= {
+            custom.max_steps * 4, custom.max_steps * 16, custom.max_steps * 64
+        }
 
 
 class TestCubicDefaultGate:
@@ -405,6 +421,29 @@ class TestCubicDefaultGate:
             for r in report.level_batches
             if r["retries"]
         } == {11: (2, 2)}
+
+
+    @pytest.mark.parametrize(
+        "key, level", [([7, 4], 16), ([32, 1], 4)], ids=["7-4", "32-1"]
+    )
+    def test_euler_jumps_are_retracked_not_delivered(self, key, level):
+        """The two (2,2,3) jumps PR 16's runs met under ``"euler"``: one
+        path jumps onto a neighbour at one level, both climb the ladder
+        and the tree returns every root."""
+        rng = np.random.default_rng(key)
+        seed = int(rng.integers(2**31))
+        instance = PieriInstance.random(2, 2, 3, rng)
+        options = dataclasses.replace(
+            PieriSolver.DEFAULT_OPTIONS, predictor="euler"
+        )
+        report = PieriSolver(instance, options=options, seed=seed).solve()
+        assert report.failures == 0 and report.n_solutions == 128
+        assert report.all_distinct()
+        assert {
+            r["level"]: (r["collisions"], r["retries"])
+            for r in report.level_batches
+            if r["retries"]
+        } == {level: (2, 2)}
 
 
 class TestParallelGranularityKeyword:

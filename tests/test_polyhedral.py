@@ -262,10 +262,13 @@ class TestPolyhedralStart:
                     assert np.max(np.abs(starts[i] - starts[j])) > 1e-6
 
     def test_phase1_escalates_with_the_shared_recipe(self):
+        """Phase 1 has no retry of its own: its failures and collisions
+        climb the one ladder, on the ladder's own recipe."""
         import repro.polyhedral.homotopy as phase1
-        from repro.tracker import tighten_options
+        from repro.tracker import retrack_duplicate_clusters
 
-        assert phase1.tighten_options is tighten_options
+        assert phase1.retrack_duplicate_clusters is retrack_duplicate_clusters
+        assert not hasattr(phase1, "tighten_options")
         assert not hasattr(phase1, "_tightened")
 
     def test_non_square_rejected(self):

@@ -14,8 +14,9 @@ The contracts under test:
   loose exit, fail-fast rejection, and jump rejection are one pipeline,
   on exactly when the predictor declares ``error_model``; its constants
   are ``Predictor`` class attributes, overridden by subclass.
-- The solve layer re-tracks Hermite failures with the pinned Euler
-  baseline (``_fallback_retrack``) so the root set never shrinks.
+- The solve layer hands Hermite failures to the re-track ladder, which
+  re-tracks them on the pinned Euler baseline, so the root set never
+  shrinks.
 """
 
 import dataclasses
@@ -44,6 +45,7 @@ from repro.tracker import (
     greedy_cluster_indices,
     make_predictor,
     newton_correct,
+    retrack_duplicate_clusters,
 )
 from repro.tracker.interface import HomotopyFunction
 from repro.tracker.predictor import _euler_predict
@@ -297,9 +299,10 @@ class TestHistoryResetOnResume:
         ],
     )
     def test_pieri_requeued_fronts_start_without_history(self, rung, stress):
-        """A chart-switch resume tracks other coordinates and a retry
-        other steps: each is a track call of its own, so the cubic
-        cannot extrapolate across the seam."""
+        """A chart-switch resume tracks other coordinates: it is a track
+        call of its own, so the cubic cannot extrapolate across the
+        seam.  A ladder rung re-tracks on the seed Euler guess
+        (``tighten_options``), so the cubic never sees one."""
         rec = self._RecordingCubic()
         options = dataclasses.replace(
             PieriSolver.DEFAULT_OPTIONS, predictor=rec, **stress
@@ -308,8 +311,9 @@ class TestHistoryResetOnResume:
         report = PieriSolver(instance, options=options, seed=0).solve()
         assert report.options["predictor"] == "cubic"
         assert sum(r[rung] for r in report.level_batches) > 0
-        # more track calls than tree levels: the requeued fronts
-        assert len(rec.calls) > instance.problem.num_conditions
+        # track calls beyond one a tree level: the chart-switch resumes
+        extra = len(rec.calls) - instance.problem.num_conditions
+        assert (extra > 0) == (rung == "chart_switches")
         assert not any(rec.calls)
 
 
@@ -570,6 +574,20 @@ class TestJumpRejection:
 
 
 class TestFallbackRetrack:
+    """Under an error-model predictor ``solve()`` hands its FAILED rows
+    to the re-track ladder, which re-tracks them on the seed Euler
+    settings with the first collision rung."""
+
+    @staticmethod
+    def _retrack(homotopy, starts, rungs):
+        def retrack(pids, opts):
+            rungs.append((list(pids), make_predictor(opts.predictor).name))
+            return BatchTracker(opts).track_batch(
+                homotopy, np.asarray(starts)[pids], path_ids=pids
+            )
+
+        return retrack
+
     def test_failed_hermite_path_is_rescued_by_euler(self):
         homotopy, starts = make_homotopy_and_starts(
             katsura_system(3), rng=np.random.default_rng(1)
@@ -583,10 +601,11 @@ class TestFallbackRetrack:
         results[2] = dataclasses.replace(
             good, status=PathStatus.FAILED, solution=good.start.copy()
         )
-        n = solve_module._fallback_retrack(
-            results, starts, homotopy, opts, strategy=None
+        rungs = []
+        retrack_duplicate_clusters(
+            results, self._retrack(homotopy, starts, rungs), opts, failed=[2]
         )
-        assert n == 1
+        assert rungs == [([2], "euler")]
         redone = results[2]
         assert redone.success
         assert np.max(np.abs(redone.solution - good.solution)) < 1e-8
@@ -600,12 +619,12 @@ class TestFallbackRetrack:
         opts = TrackerOptions(predictor="hermite")
         results = BatchTracker(opts).track_batch(homotopy, starts)
         before = [r.solution.copy() for r in results]
-        assert (
-            solve_module._fallback_retrack(
-                results, starts, homotopy, opts, strategy=None
-            )
-            == 0
+        rungs = []
+        retrack_duplicate_clusters(
+            results, self._retrack(homotopy, starts, rungs), opts,
+            failed=[r.path_id for r in results if not r.success],
         )
+        assert rungs == []
         for r, b in zip(results, before):
             np.testing.assert_array_equal(r.solution, b)
 

@@ -255,6 +255,27 @@ def test_one_polynomial_evaluator():
         assert not plumbing & set(vars(cls)), cls
 
 
+def test_one_escalation_recipe():
+    """A second retry recipe shows up in review as a failed test: the
+    only module that sets ``min_step`` / ``max_step`` to a computed
+    value is the re-track ladder's (``tighten_options``)."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    rescaling = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.keyword)
+        and node.arg in ("min_step", "max_step")
+        and not isinstance(node.value, ast.Constant)
+    }
+    assert rescaling == {"tracker/result.py"}
+
+
 class TestSummarize:
     def test_summary_counts(self):
         h = SqrtHomotopy()
