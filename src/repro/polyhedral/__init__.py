@@ -14,7 +14,7 @@ from .supports import (
     random_lifting,
     supports_of,
 )
-from .lp import inequalities_feasible, lp_feasible
+from .lp import inequalities_feasible, lp_feasible, lp_feasible_stack
 from .cells import (
     DegenerateLiftingError,
     MixedCell,
@@ -32,6 +32,7 @@ __all__ = [
     "random_lifting",
     "random_coefficient_system",
     "lp_feasible",
+    "lp_feasible_stack",
     "inequalities_feasible",
     "DegenerateLiftingError",
     "MixedCell",

@@ -11,24 +11,34 @@ mixed cells, and each cell seeds a binomial start system with that many
 toric roots (:mod:`repro.polyhedral.binomial`).
 
 Enumeration is exhaustive with pruning, which is plenty at this repo's
-sizes (supports of a dozen points, dimension <= 10):
+sizes (supports of a dozen points, dimension <= 10).  Like the Pieri
+tree, the search runs as level fronts: the work inside one stage or one
+search depth is independent, so each is one stacked call of the LP
+kernel (:func:`repro.polyhedral.lp.lp_feasible_stack`) rather than one
+call per node:
 
 1. per-support *lower-edge* filter — an edge that is not a lower edge
-   of its own lifted support can never enter a cell;
+   of its own lifted support can never enter a cell (one stacked LP
+   call per support);
 2. a pairwise *relation table* — LP feasibility for every pair of
-   surviving edges from different supports; a cell's edges must be
-   pairwise compatible, so the table prunes most of the product space
-   before any joint test runs;
-3. depth-first search over supports (fewest edges first) with forward
-   checking against the relation table, an incremental rank test on the
-   edge directions (dependent directions can never reach a nonzero
-   determinant), and a joint LP feasibility test
-   (:func:`repro.polyhedral.lp.lp_feasible`) at every interior node;
-4. exact leaf verification in integer/rational arithmetic: the unique
-   ``gamma`` of a candidate cell solves an integer linear system, so
-   every "every other lifted point lies strictly above" slack is a
-   rational number that is compared to zero *exactly* — a zero slack
-   means the lifting was degenerate and is reported as
+   surviving edges from different supports (one stacked call per
+   support pair); a cell's edges must be pairwise compatible, so the
+   table prunes most of the product space before any joint test runs;
+3. a level-synchronous search over supports (fewest edges first): the
+   frontier holds every partial cell of one depth, and a child survives
+   the forward check against the relation table, an incremental rank
+   test on the edge directions (dependent directions can never reach a
+   nonzero determinant) and, from depth 2, the level's one joint LP
+   call.  Children are ordered by (parent, edge), so the cells come out
+   in depth-first order;
+4. leaf verification: a leaf whose integer edge-direction determinant
+   is zero spans no cell and is dropped; the rest are screened as one
+   stack in floats, and a leaf whose float slacks are too close to zero
+   to trust is verified exactly in integer/rational arithmetic — the
+   unique ``gamma`` of a candidate cell solves an integer linear
+   system, so every "every other lifted point lies strictly above"
+   slack is a rational number that is compared to zero *exactly* — a
+   zero slack means the lifting was degenerate and is reported as
    :class:`DegenerateLiftingError` (the caller re-lifts) instead of
    being silently mis-counted.
 """
@@ -43,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..polynomials import PolynomialSystem
-from .lp import lp_feasible
+from .lp import chunk_length, lp_feasible_stack
 from .supports import augment_with_origin, random_lifting, supports_of
 
 __all__ = [
@@ -175,7 +185,6 @@ class _Enumerator:
         self.order = sorted(range(self.n), key=lambda i: len(supports[i]))
         self.supports = [np.asarray(supports[i], dtype=np.int64) for i in self.order]
         self.lifting = [np.asarray(lifting[i], dtype=np.int64) for i in self.order]
-        self.cells: List[MixedCell] = []
 
     def run(self) -> List[MixedCell]:
         if any(len(s) < 2 for s in self.supports):
@@ -184,42 +193,57 @@ class _Enumerator:
         if any(len(e) == 0 for e in self.edges):
             return []
         self._build_relation_table()
-        allowed = [np.ones(len(self.edges[d]), dtype=bool) for d in range(self.n)]
-        self._dfs(0, allowed, [], [])
-        return self.cells
+        return self._verify_leaves(self._search())
 
     # -- stage 1: per-support lower edges ------------------------------
     def _build_edge_tables(self) -> None:
+        """Per support, one stacked LP over every point pair ``(p, q)``:
+        the edge is level under gamma and point ``p`` is minimal over the
+        rest of the support, ``<p - c, gamma> <= w_c - w_p``."""
         n = self.n
-        self.edges: List[List[Tuple[int, int]]] = []
-        self.eq_rows: List[np.ndarray] = []   # per support: (nedges, n) directions
-        self.eq_rhs: List[np.ndarray] = []
-        self.ub_rows: List[List[np.ndarray]] = []  # per support, per edge
-        self.ub_rhs: List[List[np.ndarray]] = []
+        self.edges: List[np.ndarray] = []    # per support: (nedges, 2) point pairs
+        self.eq_rows: List[np.ndarray] = []  # per support: (nedges, n) directions
+        self.eq_rhs: List[np.ndarray] = []   # (nedges,)
+        self.ub_rows: List[np.ndarray] = []  # (nedges, npoints - 2, n)
+        self.ub_rhs: List[np.ndarray] = []   # (nedges, npoints - 2)
         for d in range(n):
             pts = self.supports[d].astype(float)
             w = self.lifting[d].astype(float)
             m = len(pts)
-            keep, eqa, eqb, uba, ubb = [], [], [], [], []
-            for p, q in combinations(range(m), 2):
-                erow = pts[q] - pts[p]
-                erhs = w[p] - w[q]
-                others = [c for c in range(m) if c != p and c != q]
-                # minimality of point p over the rest of the support:
-                # <p - c, gamma> <= w_c - w_p
-                arows = pts[p][None, :] - pts[others]
-                brhs = w[others] - w[p]
-                if lp_feasible(erow[None, :], np.array([erhs]), arows, brhs):
-                    keep.append((p, q))
-                    eqa.append(erow)
-                    eqb.append(erhs)
-                    uba.append(arows)
-                    ubb.append(brhs)
-            self.edges.append(keep)
-            self.eq_rows.append(np.array(eqa) if eqa else np.zeros((0, n)))
-            self.eq_rhs.append(np.array(eqb) if eqb else np.zeros(0))
-            self.ub_rows.append(uba)
-            self.ub_rhs.append(ubb)
+            p, q = np.array(list(combinations(range(m), 2))).T
+            rest = np.arange(m)
+            others = np.nonzero((rest != p[:, None]) & (rest != q[:, None]))[1]
+            others = others.reshape(len(p), m - 2)
+            eqa = pts[q] - pts[p]
+            eqb = w[p] - w[q]
+            uba = pts[p][:, None, :] - pts[others]
+            ubb = w[others] - w[p][:, None]
+            keep = lp_feasible_stack(eqa[:, None, :], eqb[:, None], uba, ubb)
+            self.edges.append(np.column_stack([p[keep], q[keep]]))
+            self.eq_rows.append(eqa[keep])
+            self.eq_rhs.append(eqb[keep])
+            self.ub_rows.append(uba[keep])
+            self.ub_rhs.append(ubb[keep])
+
+    def _joint_feasible(self, supports: Sequence[int], picks: np.ndarray) -> np.ndarray:
+        """Joint LP feasibility of each row of ``picks`` (one edge index
+        per listed support), gathered and solved one chunk at a time."""
+        m = sum(self.ub_rows[d].shape[1] for d in supports)
+        step = chunk_length(m, self.n)
+        out = np.empty(len(picks), dtype=bool)
+        for lo in range(0, len(picks), step):
+            rows = picks[lo : lo + step]
+            out[lo : lo + step] = lp_feasible_stack(
+                np.stack([self.eq_rows[d][rows[:, k]] for k, d in enumerate(supports)], 1),
+                np.stack([self.eq_rhs[d][rows[:, k]] for k, d in enumerate(supports)], 1),
+                np.concatenate(
+                    [self.ub_rows[d][rows[:, k]] for k, d in enumerate(supports)], 1
+                ),
+                np.concatenate(
+                    [self.ub_rhs[d][rows[:, k]] for k, d in enumerate(supports)], 1
+                ),
+            )
+        return out
 
     # -- stage 2: pairwise relation table ------------------------------
     def _build_relation_table(self) -> None:
@@ -229,86 +253,98 @@ class _Enumerator:
         ]
         for d1 in range(n):
             for d2 in range(d1 + 1, n):
-                e1, e2 = self.edges[d1], self.edges[d2]
-                table = np.zeros((len(e1), len(e2)), dtype=bool)
-                for i in range(len(e1)):
-                    eq_a1 = self.eq_rows[d1][i]
-                    eq_b1 = self.eq_rhs[d1][i]
-                    ub_a1, ub_b1 = self.ub_rows[d1][i], self.ub_rhs[d1][i]
-                    for j in range(len(e2)):
-                        table[i, j] = lp_feasible(
-                            np.vstack([eq_a1[None, :], self.eq_rows[d2][j][None, :]]),
-                            np.array([eq_b1, self.eq_rhs[d2][j]]),
-                            np.vstack([ub_a1, self.ub_rows[d2][j]]),
-                            np.concatenate([ub_b1, self.ub_rhs[d2][j]]),
-                        )
-                self.compat[d1][d2] = table
+                shape = (len(self.edges[d1]), len(self.edges[d2]))
+                picks = np.indices(shape).reshape(2, -1).T
+                self.compat[d1][d2] = self._joint_feasible((d1, d2), picks).reshape(shape)
 
-    # -- stage 3: depth-first search -----------------------------------
-    def _dfs(
-        self,
-        depth: int,
-        allowed: List[np.ndarray],
-        chosen: List[int],
-        basis: List[np.ndarray],
-    ) -> None:
+    # -- stage 3: level-synchronous search -----------------------------
+    def _search(self) -> np.ndarray:
+        """Every leaf of the pruned search tree, one row of edge indices
+        (internal support order) each, in depth-first order.
+
+        The frontier holds every partial cell of one depth: its chosen
+        edges, an orthonormal basis of their directions and, per future
+        support, the edges the relation table still allows.  A child
+        (parent, edge) survives the incremental rank test (dependent
+        directions can never reach det != 0), the forward check against
+        the relation table and, from depth 2, the frontier's one joint
+        LP call.  Children are ordered by (parent, edge), so the leaves
+        come out in depth-first order.
+        """
         n = self.n
-        for eidx in np.flatnonzero(allowed[depth]):
-            if depth == n - 1:
-                cell = self._verify_leaf(chosen + [int(eidx)])
-                if cell is not None:
-                    self.cells.append(cell)
-                continue
-            # incremental rank: dependent directions can never reach det != 0
-            v = self.eq_rows[depth][eidx].copy()
-            for b in basis:
-                v -= (v @ b) * b
-            norm = float(np.linalg.norm(v))
-            if norm < 1e-9:
-                continue
-            # forward-check the relation table for every future support
-            new_allowed = allowed[: depth + 1] + [
-                allowed[j] & self.compat[depth][j][eidx] for j in range(depth + 1, n)
+        chosen = np.zeros((1, 0), dtype=np.int64)
+        basis = np.zeros((1, 0, n))
+        allowed = [np.ones((1, len(e)), dtype=bool) for e in self.edges]
+        for depth in range(n - 1):
+            parent, edge = np.nonzero(allowed[depth])
+            v = self.eq_rows[depth][edge]
+            for k in range(depth):
+                b = basis[parent, k]
+                v = v - np.sum(v * b, axis=1)[:, None] * b
+            norm = np.linalg.norm(v, axis=1)
+            keep = norm >= 1e-9
+            future = [
+                allowed[j][parent] & self.compat[depth][j][edge]
+                for j in range(depth + 1, n)
             ]
-            if any(not a.any() for a in new_allowed[depth + 1 :]):
-                continue
-            chosen.append(int(eidx))
-            if depth >= 2 and not self._partial_feasible(chosen):
-                chosen.pop()
-                continue
-            basis.append(v / norm)
-            self._dfs(depth + 1, new_allowed, chosen, basis)
-            basis.pop()
-            chosen.pop()
+            for a in future:
+                keep &= a.any(axis=1)
+            picks = np.column_stack([chosen[parent], edge])
+            if depth >= 2:
+                live = np.flatnonzero(keep)
+                keep[live] = self._joint_feasible(range(depth + 1), picks[live])
+            chosen = picks[keep]
+            basis = np.concatenate(
+                [basis[parent[keep]], (v[keep] / norm[keep, None])[:, None, :]], 1
+            )
+            allowed = allowed[: depth + 1] + [a[keep] for a in future]
+        parent, edge = np.nonzero(allowed[n - 1])
+        return np.column_stack([chosen[parent], edge])
 
-    def _partial_feasible(self, chosen: List[int]) -> bool:
-        eq_a = np.vstack([self.eq_rows[d][e][None, :] for d, e in enumerate(chosen)])
-        eq_b = np.array([self.eq_rhs[d][e] for d, e in enumerate(chosen)])
-        ub_a = np.vstack([self.ub_rows[d][e] for d, e in enumerate(chosen)])
-        ub_b = np.concatenate([self.ub_rhs[d][e] for d, e in enumerate(chosen)])
-        return lp_feasible(eq_a, eq_b, ub_a, ub_b)
+    # -- stage 4: leaf verification ------------------------------------
+    def _verify_leaves(self, leaves: np.ndarray) -> List[MixedCell]:
+        """Screen every leaf in one stack; borderline leaves go exact.
 
-    # -- stage 4: exact leaf verification ------------------------------
-    def _verify_leaf(self, chosen: List[int]) -> Optional[MixedCell]:
+        A leaf whose edge directions are dependent (integer determinant
+        zero) spans no cell and is dropped before any arithmetic.  The
+        rest get one stacked float solve for gamma and their slacks; a
+        slack too close to zero to trust (or a non-finite gamma) sends
+        the leaf down the exact rational path.
+        """
         n = self.n
-        pairs = [self.edges[d][e] for d, e in enumerate(chosen)]
-        vmat = [
-            [int(v) for v in (self.supports[d][q] - self.supports[d][p])]
-            for d, (p, q) in enumerate(pairs)
-        ]
-        rhs = [int(self.lifting[d][p] - self.lifting[d][q]) for d, (p, q) in enumerate(pairs)]
-        gamma_f = self._float_gamma(vmat, rhs)
-        if gamma_f is not None:
-            ok, borderline, etas = self._float_slacks(pairs, gamma_f)
-            if ok and not borderline:
-                det = _int_det(vmat)
-                if det == 0:  # float solve lied; fall through to exact
-                    gamma_f = None
-                else:
-                    return self._make_cell(pairs, abs(det), gamma_f, etas)
-            elif not ok and not borderline:
-                return None
-        # exact path: singular/borderline float arithmetic
+        pq = np.stack([self.edges[d][leaves[:, d]] for d in range(n)], 1)
+        p, q = pq[:, :, 0], pq[:, :, 1]
+        vmats = np.stack(
+            [self.supports[d][q[:, d]] - self.supports[d][p[:, d]] for d in range(n)], 1
+        )
+        dets = [_int_det(vmat) for vmat in vmats.tolist()]
+        live = np.flatnonzero(dets)
+        pq, vmats = pq[live], vmats[live]
+        rhs = np.stack(
+            [self.lifting[d][pq[:, d, 0]] - self.lifting[d][pq[:, d, 1]] for d in range(n)],
+            1,
+        )
+        gammas = self._float_gammas(vmats.astype(float), rhs.astype(float))
+        finite = np.all(np.isfinite(gammas), axis=1)
+        gammas[~finite] = 0.0
+        ok, borderline, etas = self._float_slacks(pq, gammas)
+        cells: List[MixedCell] = []
+        for k, i in enumerate(live):
+            pairs = [tuple(e) for e in pq[k].tolist()]
+            if not finite[k] or borderline[k]:
+                cell = self._verify_exact(pairs, vmats[k].tolist(), rhs[k].tolist())
+            elif ok[k]:
+                cell = self._make_cell(
+                    pairs, abs(dets[i]), gammas[k].copy(), [e[k].copy() for e in etas]
+                )
+            else:
+                cell = None
+            if cell is not None:
+                cells.append(cell)
+        return cells
+
+    def _verify_exact(self, pairs, vmat, rhs) -> Optional[MixedCell]:
+        n = self.n
         det, gamma = _solve_exact(vmat, rhs)
         if det == 0:
             return None
@@ -331,29 +367,36 @@ class _Enumerator:
         gamma_f = np.array([float(g) for g in gamma])
         return self._make_cell(pairs, abs(det), gamma_f, etas)
 
-    def _float_gamma(self, vmat, rhs) -> Optional[np.ndarray]:
+    @staticmethod
+    def _float_gammas(vmats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Each leaf's float gamma; all NaN (every leaf goes exact) if a
+        float pivot vanishes."""
         try:
-            g = np.linalg.solve(np.array(vmat, dtype=float), np.array(rhs, dtype=float))
+            return np.linalg.solve(vmats, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            return None
-        return g if np.all(np.isfinite(g)) else None
+            return np.full(rhs.shape, np.nan)
 
-    def _float_slacks(self, pairs, gamma):
-        """Per-point slacks; flags any slack too close to zero to trust."""
-        ok, borderline, etas = True, False, []
-        for d, (p, q) in enumerate(pairs):
+    def _float_slacks(self, pq: np.ndarray, gammas: np.ndarray):
+        """Per-point slacks of every leaf; flags slacks too close to zero
+        to trust (``borderline``) and negative ones (``not ok``)."""
+        at = np.arange(len(gammas))
+        ok = np.ones(len(gammas), dtype=bool)
+        borderline = np.zeros(len(gammas), dtype=bool)
+        etas = []
+        for d in range(self.n):
             pts = self.supports[d].astype(float)
             w = self.lifting[d].astype(float)
-            vals = pts @ gamma + w
-            sl = vals - vals[p]
-            sl[p] = 0.0
-            sl[q] = 0.0
-            others = np.ones(len(pts), dtype=bool)
-            others[[p, q]] = False
-            if np.any(np.abs(sl[others]) < 1e-6 * max(1.0, float(np.max(np.abs(vals))))):
-                borderline = True
-            if np.any(sl[others] < 0):
-                ok = False
+            p, q = pq[:, d, 0], pq[:, d, 1]
+            vals = (pts @ gammas[:, :, None])[:, :, 0] + w
+            sl = vals - vals[at, p][:, None]
+            sl[at, p] = 0.0
+            sl[at, q] = 0.0
+            others = np.ones(sl.shape, dtype=bool)
+            others[at, p] = False
+            others[at, q] = False
+            scale = 1e-6 * np.maximum(1.0, np.max(np.abs(vals), axis=1))
+            borderline |= np.any(others & (np.abs(sl) < scale[:, None]), axis=1)
+            ok &= ~np.any(others & (sl < 0), axis=1)
             etas.append(np.maximum(sl, 0.0))
         return ok, borderline, etas
 

@@ -18,10 +18,11 @@ regular at ``t = 0`` (no fractional-power singularity).
 
 :class:`CellHomotopy` is a :class:`~repro.kernels.TermHomotopy` — a
 term list bound to an evaluation kernel, implementing both tracker
-protocols — so a cell's whole start batch
-advances through the existing :class:`~repro.tracker.BatchTracker`
-front, and failed or colliding paths climb the re-track ladder as
-fronts across cells (a :class:`~repro.tracker.StackedHomotopy`).
+protocols — so every cell's start batch
+advances in one :class:`~repro.tracker.BatchTracker` front (a
+:class:`~repro.tracker.StackedHomotopy` with one member per cell), and
+failed or colliding paths climb the re-track ladder as fronts across
+cells.
 
 :class:`PolyhedralStart` packages the pipeline end to end: subdivision,
 generic system, per-cell tracking, and the start points that
@@ -172,7 +173,7 @@ class PolyhedralStart:
     def track_starts(
         self, options: TrackerOptions | None = None, endgame=None
     ) -> Tuple[np.ndarray, List[PathResult]]:
-        """Track every cell's toric roots to the generic system.
+        """Track every cell's toric roots to the generic system, as one front.
 
         Returns ``(starts, results)``: a ``(mixed_volume, n)`` array of
         solutions of the generic system (one per path, cells
@@ -189,24 +190,20 @@ class PolyhedralStart:
         :attr:`phase1_failures`.
         """
         opts = options or TrackerOptions()
-        tracker = BatchTracker(opts, endgame=endgame)
         all_starts: List[np.ndarray] = []
-        all_results: List[PathResult] = []
         homotopies: List[CellHomotopy] = []
         path_cell: List[int] = []
         path_seed: List[np.ndarray] = []
         self.phase1_failures = 0
         for cell in self.subdivision.cells:
-            homotopy = self.cell_homotopy(cell)
             seeds = np.asarray(self.cell_starts(cell), dtype=complex)
-            ids = list(range(len(path_seed), len(path_seed) + len(seeds)))
-            all_results.extend(tracker.track_batch(homotopy, seeds, path_ids=ids))
             path_cell.extend([len(homotopies)] * len(seeds))
-            homotopies.append(homotopy)
+            homotopies.append(self.cell_homotopy(cell))
             path_seed.extend(seeds)
 
-        def retrack(pids, o):
-            # one front across cells: the members are the cells in play
+        def track(pids, o):
+            # one front across the cells in play; a row never sees the
+            # rest of its front, so this is a per-cell loop row by row
             cells = sorted({path_cell[pid] for pid in pids})
             member = {c: k for k, c in enumerate(cells)}
             stack = StackedHomotopy(
@@ -217,10 +214,13 @@ class PolyhedralStart:
                 stack, [path_seed[pid] for pid in pids], path_ids=pids
             )
 
+        all_results: List[PathResult] = (
+            track(list(range(len(path_seed))), opts) if path_seed else []
+        )
         # all_results is ordered by path id, so ids index the lists
         retrack_duplicate_clusters(
             all_results,
-            retrack,
+            track,
             opts,
             failed=[r.path_id for r in all_results if not r.success],
         )

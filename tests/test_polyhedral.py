@@ -22,6 +22,7 @@ from repro.polyhedral import (
     induced_subdivision,
     inequalities_feasible,
     lp_feasible,
+    lp_feasible_stack,
     mixed_cells,
     mixed_volume,
     monomial_map,
@@ -78,6 +79,70 @@ class TestLpKernel:
             np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 3.0]),
             None, None,
         )
+
+    @given(
+        st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_rows_equal_one_row_calls(self, n, k, m, seed):
+        """Every row of a stack answers as its own one-row call, across
+        chunk boundaries, and known answers come out right."""
+        import repro.polyhedral.lp as lp
+
+        k = min(k, n + 1)  # k >= n covers "no free direction left"
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            # four rows a chunk, so the stack sizes below cross chunks
+            mp.setattr(lp, "STACK_BYTES", 4 * 8 * max(m, 1) * (2 * n + m + 1))
+            C = lp.chunk_length(m, n)
+            assert C == 4
+            lps = [_random_lp(rng, n, k, m) for _ in range(3 * C + 5)]
+            one_row = [lp_feasible(*row[:4]) for row in lps]
+            assert one_row == [row[4] for row in lps]
+            for size in (1, C - 1, C, C + 1, 3 * C + 5):
+                stack = [np.array([row[i] for row in lps[:size]]) for i in range(4)]
+                assert lp_feasible_stack(*stack).tolist() == one_row[:size]
+
+    def test_stack_memory_is_bounded(self):
+        """The chunked stacks keep a cyclic-6 enumeration small."""
+        import tracemalloc
+
+        # first-call allocations (lazy imports, LAPACK set-up) are not
+        # the enumeration's
+        mixed_cells(cyclic_roots_system(3), rng=np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            mixed_cells(cyclic_roots_system(6), rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
+def _random_lp(rng, n, k, m):
+    """``(A_eq, b_eq, A_ub, b_ub, answer)`` of one random small LP.
+
+    The kind is drawn among those the shape admits: feasible around a
+    known integer point (with rank-deficient equalities when k >= 2),
+    inconsistent equalities, or two inequalities whose sum reads
+    ``0 <= -1`` (a certificate).  ``answer`` is the known feasibility.
+    """
+    kinds = ["feasible"] + ["certificate"] * (m >= 2) + ["dependent", "inconsistent"] * (k >= 2)
+    kind = kinds[rng.integers(len(kinds))]
+    x = rng.integers(-3, 4, n).astype(float)
+    A_eq = rng.integers(-3, 4, (k, n)).astype(float)
+    A_ub = rng.integers(-3, 4, (m, n)).astype(float)
+    if kind in ("dependent", "inconsistent"):
+        A_eq[1] = 2 * A_eq[0]
+    b_eq = A_eq @ x
+    b_ub = A_ub @ x + rng.integers(0, 3, m)
+    if kind == "inconsistent":
+        b_eq[1] += 1.0
+    if kind == "certificate":
+        A_ub[1] = -A_ub[0]
+        b_ub[1] = -b_ub[0] - 1.0
+    return A_eq, b_eq, A_ub, b_ub, kind in ("feasible", "dependent")
 
 
 class TestSmithNormalForm:
@@ -138,7 +203,8 @@ class TestMixedVolumePins:
 
     def test_cyclic_7(self):
         # the paper-scale pin: 924 mixed cells' worth of volume vs 5040
-        # total-degree paths (a ~6 s enumeration, the suite's largest)
+        # total-degree paths (a ~2-3 s enumeration as level fronts; the
+        # depth-first search took ~13 s)
         assert mixed_volume(
             cyclic_roots_system(7), rng=np.random.default_rng(0)
         ) == 924
@@ -192,6 +258,79 @@ class TestMixedVolumePins:
         x, y = variables(2)
         with pytest.raises(ValueError):
             mixed_volume(PolynomialSystem([x + y]))
+
+
+#: ordered ``(edges, volume)`` of every cell, as the depth-first search
+#: produced them: the level search must emit the same cells in the same
+#: order (downstream path ids and cached artifacts follow this order)
+_CELL_ORDER = {
+    "cyclic-5": (cyclic_roots_system(5), 0, [
+        (((1, 2), (0, 1), (0, 2), (0, 3), (0, 1)), 2),
+        (((1, 2), (0, 1), (0, 3), (0, 3), (0, 1)), 2),
+        (((1, 2), (0, 1), (1, 2), (0, 1), (0, 1)), 2),
+        (((1, 2), (0, 1), (1, 3), (0, 2), (0, 1)), 4),
+        (((1, 2), (0, 2), (1, 2), (0, 1), (0, 1)), 2),
+        (((1, 3), (2, 3), (1, 2), (0, 1), (0, 1)), 4),
+        (((1, 4), (0, 1), (0, 2), (1, 3), (0, 1)), 1),
+        (((1, 4), (0, 1), (0, 4), (1, 3), (0, 1)), 3),
+        (((1, 4), (0, 3), (0, 2), (0, 1), (0, 1)), 1),
+        (((1, 4), (0, 3), (0, 4), (0, 1), (0, 1)), 2),
+        (((1, 4), (0, 3), (0, 4), (0, 4), (0, 1)), 1),
+        (((1, 5), (0, 3), (0, 1), (0, 4), (0, 1)), 2),
+        (((1, 5), (0, 4), (0, 1), (2, 4), (0, 1)), 2),
+        (((1, 5), (0, 4), (0, 3), (0, 2), (0, 1)), 2),
+        (((1, 5), (0, 4), (0, 3), (0, 3), (0, 1)), 2),
+        (((1, 5), (0, 4), (0, 4), (0, 3), (0, 1)), 2),
+        (((1, 5), (0, 4), (0, 4), (0, 4), (0, 1)), 2),
+        (((2, 5), (0, 2), (0, 2), (0, 3), (0, 1)), 1),
+        (((2, 5), (0, 2), (0, 3), (0, 3), (0, 1)), 1),
+        (((2, 5), (0, 2), (1, 3), (0, 2), (0, 1)), 2),
+        (((2, 5), (2, 5), (2, 3), (3, 5), (0, 1)), 5),
+        (((3, 5), (2, 3), (0, 1), (0, 4), (0, 1)), 1),
+        (((3, 5), (2, 3), (0, 5), (0, 4), (0, 1)), 2),
+        (((3, 5), (2, 3), (2, 5), (0, 5), (0, 1)), 4),
+        (((3, 5), (2, 4), (1, 5), (2, 4), (0, 1)), 5),
+        (((4, 5), (0, 5), (0, 2), (0, 3), (0, 1)), 2),
+        (((4, 5), (0, 5), (0, 4), (0, 3), (0, 1)), 2),
+        (((4, 5), (0, 5), (0, 4), (0, 4), (0, 1)), 2),
+        (((4, 5), (3, 5), (0, 5), (0, 4), (0, 1)), 3),
+        (((4, 5), (3, 5), (2, 5), (0, 5), (0, 1)), 4),
+    ]),
+    "katsura-4": (katsura_system(4), 1, [
+        (((1, 5), (1, 3), (0, 4), (0, 1), (0, 3)), 2),
+        (((5, 6), (1, 5), (0, 5), (0, 1), (1, 5)), 1),
+        (((1, 5), (1, 5), (4, 5), (0, 1), (1, 4)), 2),
+        (((1, 5), (1, 5), (4, 5), (0, 1), (3, 4)), 3),
+        (((1, 6), (1, 5), (4, 5), (1, 4), (1, 4)), 2),
+        (((2, 6), (1, 5), (4, 5), (1, 4), (2, 4)), 2),
+        (((1, 2), (1, 5), (4, 5), (1, 4), (3, 4)), 4),
+    ]),
+}
+
+
+class TestLevelSearch:
+    """The level-synchronous search against the depth-first one."""
+
+    @pytest.mark.parametrize("name", sorted(_CELL_ORDER))
+    def test_cells_in_depth_first_order(self, name):
+        system, seed, expected = _CELL_ORDER[name]
+        sub = mixed_cells(system, rng=np.random.default_rng(seed))
+        assert [(c.edges, c.volume) for c in sub.cells] == expected
+
+    def test_zero_volume_leaves_skip_the_exact_path(self, monkeypatch):
+        """A leaf with dependent edge directions is dropped on its
+        integer determinant; only borderline slacks go rational (47
+        rational eliminations here when the gate was missing)."""
+        import repro.polyhedral.cells as cells
+
+        calls = []
+        exact = cells._solve_exact
+        monkeypatch.setattr(
+            cells, "_solve_exact", lambda *a: calls.append(a) or exact(*a)
+        )
+        sub = mixed_cells(cyclic_roots_system(5), rng=np.random.default_rng(0))
+        assert sub.mixed_volume == 70
+        assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +399,54 @@ class TestPolyhedralStart:
             for i in range(len(starts)):
                 for j in range(i + 1, len(starts)):
                     assert np.max(np.abs(starts[i] - starts[j])) > 1e-6
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_one_front_matches_the_per_cell_loop(self, seed):
+        """Phase 1 as one front is the per-cell loop row by row: same
+        solutions, statuses and effort (seed 7 collides, so the ladder
+        runs too)."""
+        from repro.tracker import (
+            BatchTracker,
+            StackedHomotopy,
+            TrackerOptions,
+            retrack_duplicate_clusters,
+        )
+
+        ps = PolyhedralStart(katsura_system(5), np.random.default_rng(seed))
+        _, front = ps.track_starts()
+        opts = TrackerOptions()
+        homs, owner, seeds, loop = [], [], [], []
+        for cell in ps.cells:
+            hom = ps.cell_homotopy(cell)
+            starts = np.asarray(ps.cell_starts(cell), dtype=complex)
+            ids = list(range(len(seeds), len(seeds) + len(starts)))
+            loop.extend(BatchTracker(opts).track_batch(hom, starts, path_ids=ids))
+            owner.extend([len(homs)] * len(starts))
+            homs.append(hom)
+            seeds.extend(starts)
+
+        def retrack(pids, o):
+            cells = sorted({owner[pid] for pid in pids})
+            member = {c: k for k, c in enumerate(cells)}
+            stack = StackedHomotopy(
+                [homs[c] for c in cells], [member[owner[pid]] for pid in pids]
+            )
+            return BatchTracker(o).track_batch(
+                stack, [seeds[pid] for pid in pids], path_ids=pids
+            )
+
+        retrack_duplicate_clusters(
+            loop, retrack, opts, failed=[r.path_id for r in loop if not r.success]
+        )
+        assert len(front) == len(loop) == ps.mixed_volume
+        for a, b in zip(front, loop):
+            assert (a.path_id, a.status) == (b.path_id, b.status)
+            assert a.solution.tobytes() == b.solution.tobytes()
+            effort = ("steps_accepted", "steps_rejected", "newton_iterations",
+                      "jacobian_evaluations", "tangents_recycled", "rescues")
+            assert [getattr(a.stats, f) for f in effort] == [
+                getattr(b.stats, f) for f in effort
+            ]
 
     def test_phase1_escalates_with_the_shared_recipe(self):
         """Phase 1 has no retry of its own: its failures and collisions
