@@ -76,17 +76,6 @@ class RootCountReport:
     known: Optional[int] = None
     seconds: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def best_bound(self) -> Optional[int]:
-        """The sharpest applicable bound — the tracked-path budget."""
-        counts = [
-            c
-            for c in (self.total_degree, self.m_homogeneous,
-                      self.mixed_volume, self.pieri)
-            if c is not None
-        ]
-        return min(counts) if counts else None
-
 
 def root_counts(
     system: PolynomialSystem,

@@ -122,12 +122,6 @@ class LinearProductStart:
             except np.linalg.LinAlgError:  # pragma: no cover - measure zero
                 continue
 
-    def solution_count(self) -> int:
-        out = 1
-        for d in self.degrees:
-            out *= d
-        return out
-
 
 def linear_product_start_system(
     target: PolynomialSystem, rng: np.random.Generator | None = None

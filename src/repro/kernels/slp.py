@@ -5,7 +5,10 @@ built once per system structure, in three passes:
 
 1. **Taping with hash-consing.**  Every monomial ``x^a`` (and, for
    parametric homotopies, every time power ``t^eta``) is decomposed into
-   a chain of binary multiplications.  Each multiplication is *interned*
+   a chain of binary multiplications.  A term whose time exponent is
+   per-row data (``eta=None``: one exponent per point, supplied at each
+   call) reads two input rows of its own instead, ``t^eta`` and
+   ``eta t^(eta-1)``.  Each multiplication is *interned*
    — ``(mul, a, b)`` with commutatively sorted operands maps to exactly
    one tape node — so shared monomial prefixes and repeated power
    products across all equations collapse into common subexpressions
@@ -37,8 +40,10 @@ built once per system structure, in three passes:
    same kernels as the batch fronts without perturbing a decision.
 
 Coefficients are *not* part of a schedule: it depends only on the
-system's structure (supports and t-exponents), and each term's
-coefficient is folded into a constant column at kernel-bind time.  Two
+system's structure (supports and fixed t-exponents), and each term's
+coefficient is folded into a constant column at kernel-bind time.
+Per-row exponents are not part of it either, so the homotopies of
+every mixed cell of a subdivision share one tape.  Two
 systems from the same family — the sweep engine's common case —
 therefore share one tape and its schedules and differ only in their
 constant columns (see :mod:`repro.kernels.cache`).
@@ -60,14 +65,17 @@ class Term:
     """One term ``coeff * t^eta * x^expo`` of equation ``row``.
 
     ``eta == 0`` makes the term a plain polynomial term (the
-    :class:`~repro.polynomials.PolynomialSystem` case); cell homotopies
-    carry the lifted slack as a positive float ``eta``.
+    :class:`~repro.polynomials.PolynomialSystem` case) and the blends of
+    eq. (1) carry ``eta`` in {0, 1}.  ``eta=None`` makes the exponent
+    per-row data: each call passes it for every point, as one row of
+    ``E`` per such term in term order — the polyhedral cell homotopy,
+    whose lifted slacks differ from cell to cell.
     """
 
     row: int
     expo: Tuple[int, ...]
     coeff: complex
-    eta: float = 0.0
+    eta: Optional[float] = 0.0
 
 
 @dataclass
@@ -130,6 +138,11 @@ class _TapeBuilder:
             return None
         return self._node(("tpow", e))
 
+    def trow(self, kind: str, j: int) -> int:
+        """Per-row time input ``j``: ``"tvar"`` is ``t^eta``, ``"dtvar"``
+        is ``eta t^(eta-1)``."""
+        return self._node((kind, int(j)))
+
     def mul(self, a: Optional[int], b: Optional[int]) -> Optional[int]:
         if a is None:
             return b
@@ -165,7 +178,7 @@ class _TapeBuilder:
         op = self.ops[node]
         if op[0] == "var":
             out: Dict[int, _LinComb] = {op[1]: {None: 1.0}}
-        elif op[0] == "tpow":
+        elif op[0] != "mul":  # time rows: no x-dependence
             out = {}
         else:
             _, a, b = op
@@ -194,7 +207,9 @@ class _Schedule:
     """One program's replay plan: index tables only, no constants.
 
     Work row 0 is the constant 1, rows ``1..nvars`` the variables, then
-    one row ``T ** eta`` per ``(row, eta)`` of ``tpows``; ``levels`` holds
+    one row ``T ** eta`` per ``(row, eta)`` of ``tpows``, then the
+    per-row time rows: ``t^E`` for the ``E`` rows ``trows`` from work
+    row ``tlo``, ``E t^(E-1)`` for ``dtrows`` after them; ``levels`` holds
     ``(a, b, lo, hi)`` per product depth — rows ``lo:hi`` are rows ``a``
     times rows ``b``.  ``gather`` names the work row of every
     linear-combination term, j-th terms of all outputs contiguous and
@@ -232,6 +247,7 @@ class _Schedule:
                 live.update(ops[nid][1:])
         slot: Dict[Optional[int], int] = {None: 0}
         self.tpows: List[Tuple[int, float]] = []
+        rows_of: Dict[str, List[int]] = {"tvar": [], "dtvar": []}
         depth: Dict[int, int] = {}
         by_depth: Dict[int, List[int]] = {}
         for nid in sorted(live):
@@ -241,12 +257,22 @@ class _Schedule:
             elif op[0] == "tpow":
                 slot[nid] = 1 + nvars + len(self.tpows)
                 self.tpows.append((slot[nid], op[1]))
+            elif op[0] in rows_of:
+                rows_of[op[0]].append(nid)
             else:
                 d = 1 + max(depth.get(op[1], 0), depth.get(op[2], 0))
                 depth[nid] = d
                 by_depth.setdefault(d, []).append(nid)
         self.nvars = nvars
-        self.nslots = 1 + nvars + len(self.tpows)
+        self.nslots = self.tlo = 1 + nvars + len(self.tpows)
+        for ids in rows_of.values():  # t^E rows, then E t^(E-1) rows,
+            # each in E-row order (the order build_tape created them)
+            slot.update(zip(ids, range(self.nslots, self.nslots + len(ids))))
+            self.nslots += len(ids)
+        self.trows, self.dtrows = (
+            np.array([ops[n][1] for n in ids], dtype=np.intp)
+            for ids in rows_of.values()
+        )
         self.levels = []
         for _, ids in sorted(by_depth.items()):
             a = np.array([slot[ops[n][1]] for n in ids], dtype=np.intp)
@@ -281,12 +307,18 @@ class _Schedule:
         self.sections = list(zip(np.split(scatter, cuts), shapes))
         self.n_ops = len(live) + len(rows)
 
-    def replay(self, X, T, K):
+    def replay(self, X, T, K, E=None):
         """Run the program on ``X`` (``npts, nvars``) and times ``T``
-        with constant column ``K``."""
+        with constant column ``K`` and per-row exponents ``E``."""
         npts, secs = X.shape[0], self.sections
         outs = [np.empty((npts, len(r)), dtype=X.dtype) for r, _ in secs]
         V, nrows = None, self.nslots + len(self.gather)
+        P = None  # the per-row time rows, filled once for the whole call
+        if self.trows.size or self.dtrows.size:
+            P = np.concatenate([
+                T ** E.take(self.trows, 0),
+                time_derivative_rows(T, E.take(self.dtrows, 0)),
+            ])
         for lo in range(0, npts, BLOCK):
             hi = min(lo + BLOCK, npts)
             if V is None or V.shape[1] != hi - lo:
@@ -297,6 +329,8 @@ class _Schedule:
             Tb = T[lo:hi] if self.tpows else None
             for row, eta in self.tpows:  # scalar exponents: see docs/kernels.md
                 V[row] = Tb ** eta
+            if P is not None:
+                V[self.tlo : self.tlo + len(P)] = P[:, lo:hi]
             for a, b, s, e in self.levels:
                 np.multiply(V.take(a, 0), V.take(b, 0), out=V[s:e])
             # into V's tail rows, not over the gathered operand: numpy
@@ -309,6 +343,19 @@ class _Schedule:
                 out[lo:hi] = G.take(r, 0).T
         outs = [o.reshape((npts,) + s) for o, (_, s) in zip(outs, secs)]
         return outs[0] if len(outs) == 1 else tuple(outs)
+
+
+def time_derivative_rows(T, E):
+    """``E t^(E-1)`` for per-row exponents ``E`` (``nrows, npts``),
+    exactly 0 where ``E == 0`` (no NaN at ``t = 0``).
+
+    The exponent is always an array, even when every entry is equal:
+    numpy's scalar-exponent ``power`` swaps in ``square``, ``sqrt`` or a
+    reciprocal for some values, which round unlike ``pow``, so a row's
+    bits would depend on its neighbours' exponents.  The array-exponent
+    loop is one elementwise ``pow`` whatever the operand shapes.
+    """
+    return np.where(E > 0, E * T ** (E - 1), 0.0)
 
 
 @dataclass
@@ -351,20 +398,29 @@ def build_tape(
     res_terms: List[List[_Entry]] = [[] for _ in range(neqs)]
     jac_terms: Dict[Tuple[int, int], List[_Entry]] = {}
     dt_terms: List[List[_Entry]] = [[] for _ in range(neqs)]
+    n_rows = 0
     for k, term in enumerate(terms):
         mono = builder.monomial(term.expo)
-        tnode = builder.tpow(term.eta) if has_t else None
+        # tnode: t^eta; dt: (scale, node) of the term's dH/dt entry
+        if term.eta is None:  # per-row exponent: its time rows are data
+            tnode = builder.trow("tvar", n_rows)
+            dt = (1.0, builder.trow("dtvar", n_rows))
+            n_rows += 1
+        elif has_t:
+            tnode = builder.tpow(term.eta)
+            dt = None
+            if term.eta > 0.0:
+                dt = (term.eta, builder.tpow(term.eta - 1.0))
+        else:
+            tnode = dt = None
         value = builder.mul(tnode, mono)
         res_terms[term.row].append((k, 1.0, value))
         for v, lin in builder.deriv(mono).items():
             entries = jac_terms.setdefault((term.row, v), [])
             for n, s in lin.items():
                 entries.append((k, s, builder.mul(tnode, n)))
-        if has_t and term.eta > 0.0:
-            td = builder.tpow(term.eta - 1.0)
-            dt_terms[term.row].append(
-                (k, term.eta, builder.mul(td, mono))
-            )
+        if dt is not None:
+            dt_terms[term.row].append((k, dt[0], builder.mul(dt[1], mono)))
     return SLPTape(
         neqs=neqs,
         nvars=nvars,
@@ -387,7 +443,9 @@ class SLPKernel:
     """A tape bound to concrete coefficients.
 
     All methods take ``X`` of shape ``(npts, nvars)`` (complex) and, for
-    parametric tapes, the per-point time vector ``tt``.  Arithmetic is
+    parametric tapes, the per-point time vector ``tt`` and — when the
+    term list has ``eta=None`` terms — their exponents ``E``, one row a
+    term, shape ``(nrows, npts)``.  Arithmetic is
     elementwise along the point axis, so row ``i`` of any batched call
     is bit-identical to the same call on the one-row batch ``X[i:i+1]``.
     """
@@ -417,7 +475,7 @@ class SLPKernel:
             cache_hit=cache_hit,
         )
 
-    def _run(self, name: str, X: np.ndarray, tt):
+    def _run(self, name: str, X: np.ndarray, tt, E):
         bound = self._bound.get(name)
         if bound is None:  # fold the coefficients into the constant column
             prog = self.tape.program(name)
@@ -426,25 +484,25 @@ class SLPKernel:
             bound = self._bound[name] = (prog, K)
         self.stats.record(X.shape[0])
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return bound[0].replay(X, tt, bound[1])
+            return bound[0].replay(X, tt, bound[1], E)
 
     # ------------------------------------------------------------------
-    def evaluate(self, X: np.ndarray, tt=None) -> np.ndarray:
+    def evaluate(self, X: np.ndarray, tt=None, E=None) -> np.ndarray:
         """Residuals, shape ``(npts, neqs)``."""
-        return self._run("eval", X, tt)
+        return self._run("eval", X, tt, E)
 
-    def evaluate_and_jacobian(self, X: np.ndarray, tt=None):
+    def evaluate_and_jacobian(self, X: np.ndarray, tt=None, E=None):
         """Residuals and x-Jacobians, shapes ``(npts, neqs)`` and
         ``(npts, neqs, nvars)``, fused over one shared tape replay."""
-        return self._run("eval_jac", X, tt)
+        return self._run("eval_jac", X, tt, E)
 
-    def jacobian_t(self, X: np.ndarray, tt) -> np.ndarray:
+    def jacobian_t(self, X: np.ndarray, tt, E=None) -> np.ndarray:
         """t-derivatives, shape ``(npts, neqs)`` (parametric tapes)."""
-        return self._run("jac_t", X, tt)
+        return self._run("jac_t", X, tt, E)
 
-    def jacobians(self, X: np.ndarray, tt):
+    def jacobians(self, X: np.ndarray, tt, E=None):
         """x-Jacobians and t-derivatives from one fused replay."""
-        return self._run("jac_both", X, tt)
+        return self._run("jac_both", X, tt, E)
 
     def __repr__(self) -> str:
         return (

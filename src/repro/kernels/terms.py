@@ -3,7 +3,8 @@ evaluator and the homotopy base class that evaluates through a kernel.
 
 Every polynomial homotopy in this codebase is nothing but such a list
 — the polyhedral :class:`~repro.polyhedral.CellHomotopy` (``eta`` =
-lifted slack) and the three faces of paper eq. (1), ``eta`` in {0, 1}
+the lifted slack of each path's cell, per-row data) and the three
+faces of paper eq. (1), ``eta`` in {0, 1}
 (:class:`~repro.homotopy.convex.ConvexHomotopy`, the warm route's
 :class:`~repro.homotopy.coefficient.CoefficientHomotopy` and the rescue
 chart :class:`~repro.homotopy.projective.ProjectivePatchHomotopy`, all
@@ -25,7 +26,7 @@ import numpy as np
 from ..polynomials.system import _CompiledTables
 from ..telemetry import active_tracer, maybe_span
 from ..tracker.interface import BatchHomotopy, HomotopyFunction, _per_path_t
-from .slp import KernelStats, Term
+from .slp import KernelStats, Term, time_derivative_rows
 
 __all__ = ["NaiveTermKernel", "TermHomotopy"]
 
@@ -35,12 +36,14 @@ class NaiveTermKernel:
     with :class:`~repro.kernels.SLPKernel`'s four-method signature.
 
     Monomials come from the shape-stable power table of
-    :class:`~repro.polynomials.PolynomialSystem`; time powers are one
-    scalar-exponent ``tt ** eta`` per distinct exponent (numpy's
-    array-exponent power rounds by operand shape).  Every other
-    operation is elementwise along the point axis, so a row of a batch
-    is bit-identical to that row evaluated alone.  This is the oracle
-    the SLP tape is cross-checked against.
+    :class:`~repro.polynomials.PolynomialSystem`; fixed time powers are
+    one scalar-exponent ``tt ** eta`` per distinct exponent, and the
+    ``eta=None`` terms read their exponents ``E`` per call, filling
+    their time rows the way the SLP tape does (one array-exponent
+    ``tt ** E`` and one :func:`~repro.kernels.slp.time_derivative_rows`).
+    Every other operation is elementwise along the point axis, so a row
+    of a batch is bit-identical to that row evaluated alone.  This is
+    the oracle the SLP tape is cross-checked against.
     """
 
     backend = "naive"
@@ -50,12 +53,23 @@ class NaiveTermKernel:
         tb = self._tables = _CompiledTables(
             ((t.row, t.expo, t.coeff) for t in terms), nvars
         )
-        eta = np.array([t.eta for t in terms], dtype=float)
-        moving = np.flatnonzero(eta > 0.0)  # the terms dH/dt keeps
+        per_row = np.array([t.eta is None for t in terms], dtype=bool)
+        eta = np.array([t.eta or 0.0 for t in terms], dtype=float)
+        scalar = np.flatnonzero(~per_row & (eta > 0.0))  # dH/dt keeps these
         self._etas, power = np.unique(
-            np.concatenate([eta, eta[moving] - 1.0]), return_inverse=True
+            np.concatenate([eta[~per_row], eta[scalar] - 1.0]),
+            return_inverse=True,
         )
-        own = power[: len(eta)]
+        # time-power rows: the distinct fixed exponents, then t^E and
+        # E t^(E-1), one each per eta=None term
+        nfix, nrow = len(self._etas), int(per_row.sum())
+        self._n_rows = nrow
+        own, dpower = np.empty((2, len(eta)), dtype=np.intp)
+        own[~per_row], dpower[scalar] = np.split(power, [len(eta) - nrow])
+        own[per_row] = nfix + np.arange(nrow)
+        dpower[per_row] = nfix + nrow + np.arange(nrow)
+        moving = np.flatnonzero(per_row | (eta > 0.0))
+        eta[per_row] = 1.0  # their E sits in the time row, not here
         # per output: (scatter index, coefficients, time-power row,
         # monomial column, trailing shape)
         self._res = (tb.res_rows, tb.res_coefs, own, tb.res_cols, (neqs,))
@@ -69,7 +83,7 @@ class NaiveTermKernel:
         self._dt = (
             tb.res_rows[moving],
             tb.res_coefs[moving] * eta[moving],
-            power[len(eta) :],
+            dpower[moving],
             tb.res_cols[moving],
             (neqs,),
         )
@@ -80,14 +94,18 @@ class NaiveTermKernel:
             taping_seconds=time.perf_counter() - t0,
         )
 
-    def _run(self, X: np.ndarray, tt: np.ndarray, *outputs):
+    def _run(self, X: np.ndarray, tt: np.ndarray, E, *outputs):
         self.stats.record(X.shape[0])
         outs = []
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             mono = self._tables.monomial_values_many(X)
-            tpow = np.empty((len(self._etas), len(tt)), dtype=tt.dtype)
+            nfix, nrow = len(self._etas), self._n_rows
+            tpow = np.empty((nfix + 2 * nrow, len(tt)), dtype=tt.dtype)
             for k, eta in enumerate(self._etas):
                 tpow[k] = tt ** eta
+            if nrow:
+                tpow[nfix : nfix + nrow] = tt ** E
+                tpow[nfix + nrow :] = time_derivative_rows(tt, E)
             for where, coefs, power, cols, shape in outputs:
                 out = np.zeros(shape + (X.shape[0],), dtype=complex)
                 np.add.at(
@@ -97,21 +115,21 @@ class NaiveTermKernel:
                 outs.append(out.transpose(out.ndim - 1, *range(out.ndim - 1)))
         return outs[0] if len(outs) == 1 else tuple(outs)
 
-    def evaluate(self, X: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    def evaluate(self, X: np.ndarray, tt: np.ndarray, E=None) -> np.ndarray:
         """Residuals, shape ``(npts, neqs)``."""
-        return self._run(X, tt, self._res)
+        return self._run(X, tt, E, self._res)
 
-    def evaluate_and_jacobian(self, X: np.ndarray, tt: np.ndarray):
+    def evaluate_and_jacobian(self, X: np.ndarray, tt: np.ndarray, E=None):
         """Residuals and x-Jacobians from one monomial table."""
-        return self._run(X, tt, self._res, self._jac)
+        return self._run(X, tt, E, self._res, self._jac)
 
-    def jacobian_t(self, X: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    def jacobian_t(self, X: np.ndarray, tt: np.ndarray, E=None) -> np.ndarray:
         """t-derivatives, shape ``(npts, neqs)``."""
-        return self._run(X, tt, self._dt)
+        return self._run(X, tt, E, self._dt)
 
-    def jacobians(self, X: np.ndarray, tt: np.ndarray):
+    def jacobians(self, X: np.ndarray, tt: np.ndarray, E=None):
         """x-Jacobians and t-derivatives from one monomial table."""
-        return self._run(X, tt, self._jac, self._dt)
+        return self._run(X, tt, E, self._jac, self._dt)
 
 
 class TermHomotopy(BatchHomotopy, HomotopyFunction):

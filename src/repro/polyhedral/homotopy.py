@@ -1,4 +1,4 @@
-"""Per-cell polyhedral homotopies and the toric start-system driver.
+"""The polyhedral cell homotopy and the toric start-system driver.
 
 For a mixed cell with inner normal ``gamma``, substituting
 ``x = t^gamma z`` into the generic system ``G`` (random coefficients on
@@ -16,16 +16,19 @@ cell's ``|det|`` toric roots across ``t in [0, 1]`` reaches exactly
 cell so the smallest positive exponent is 1, which keeps ``dH/dt``
 regular at ``t = 0`` (no fractional-power singularity).
 
-:class:`CellHomotopy` is a :class:`~repro.kernels.TermHomotopy` — a
-term list bound to an evaluation kernel, implementing both tracker
-protocols — so every cell's start batch
-advances in one :class:`~repro.tracker.BatchTracker` front (a
-:class:`~repro.tracker.StackedHomotopy` with one member per cell), and
-failed or colliding paths climb the re-track ladder as fronts across
-cells.
+The cells share supports and coefficients and differ only in the
+exponents of ``t``, so one :class:`CellHomotopy` serves a whole
+subdivision: a :class:`~repro.kernels.TermHomotopy` whose terms carry
+per-row time exponents (``Term.eta is None``), read from the
+``(ncells, nterms)`` slack matrix by each path's cell.  Its tape
+depends on the supports only — every cell, and every cold solve on the
+same supports, replays one tape — and phase 1 is one front making one
+kernel call a sweep, whatever the cell count; failed or colliding
+paths climb the re-track ladder as fronts across cells on the same
+homotopy.
 
 :class:`PolyhedralStart` packages the pipeline end to end: subdivision,
-generic system, per-cell tracking, and the start points that
+generic system, phase-1 tracking, and the start points that
 ``repro.homotopy.solve(start="polyhedral")`` hands to the coefficient
 homotopy ``gamma (1-t) G + t F``.
 """
@@ -41,7 +44,6 @@ from ..polynomials import PolynomialSystem
 from ..tracker import (
     BatchTracker,
     PathResult,
-    StackedHomotopy,
     TrackerOptions,
     retrack_duplicate_clusters,
 )
@@ -53,11 +55,16 @@ __all__ = ["CellHomotopy", "PolyhedralStart"]
 
 
 class CellHomotopy(TermHomotopy):
-    """``H_i(z,t) = sum_a c_{i,a} t^{eta_{i,a}} z^a`` for one mixed cell.
+    """``H_i(z,t) = sum_a c_{i,a} t^{eta_{c,i,a}} z^a`` for the mixed
+    cells ``c`` of one subdivision.
 
-    Exponents come pre-normalized (0 on the cell's edges, >= 1 off
-    them), so ``H(., 0)`` is the cell's binomial system, ``H(., 1)`` is
-    the generic system, and ``dH/dt`` stays finite on all of [0, 1].
+    ``etas`` holds, per equation, the slacks of one cell (``(m_i,)``)
+    or of every cell (``(ncells, m_i)``, one row a cell).  They come
+    pre-normalized (0 on a cell's edges, >= 1 off them), so ``H(., 0)``
+    is the cell's binomial system, ``H(., 1)`` is the generic system,
+    and ``dH/dt`` stays finite on all of [0, 1].  Every row of the
+    homotopy follows cell 0; :meth:`front` is the view whose rows
+    follow given cells.
     """
 
     def __init__(
@@ -70,15 +77,67 @@ class CellHomotopy(TermHomotopy):
         nvars = int(supports[0].shape[1])
         if len(supports) != nvars:
             raise ValueError("cell homotopies need a square system")
+        slacks = np.concatenate([np.asarray(e, dtype=float) for e in etas], -1)
+        # (nterms, ncells): a front's exponent rows are one column take
+        self._slacks = np.ascontiguousarray(np.atleast_2d(slacks).T)
+        self._cells = None
         terms = [
-            Term(i, tuple(int(v) for v in a), complex(c), float(e))
-            for i, (support, coefs, eta) in enumerate(zip(supports, coefficients, etas))
-            for a, c, e in zip(support, coefs, eta)
+            Term(i, tuple(int(v) for v in a), complex(c), None)
+            for i, (support, coefs) in enumerate(zip(supports, coefficients))
+            for a, c in zip(support, coefs)
         ]
+        if len(terms) != len(self._slacks):
+            raise ValueError("need one slack per term and cell")
         super().__init__(nvars, terms, kernel)
 
+    @property
+    def ncells(self) -> int:
+        return self._slacks.shape[1]
+
+    def front(self, cells) -> "CellHomotopy":
+        """The view whose row ``i`` follows cell ``cells[i]``."""
+        view = object.__new__(CellHomotopy)
+        view.__dict__.update(self.__dict__)
+        view._cells = np.asarray(cells, dtype=np.intp)
+        return view
+
+    def restrict(self, rows) -> "CellHomotopy":
+        """The view of the given rows (tracker culling support)."""
+        if self._cells is None:
+            return self
+        return self.front(self._cells[np.asarray(rows, dtype=np.intp)])
+
+    def _args(self, X, t):
+        X, tt = super()._args(X, t)
+        if self._cells is None:
+            cells = np.zeros(X.shape[0], dtype=np.intp)
+        elif len(self._cells) == X.shape[0]:
+            cells = self._cells
+        else:
+            raise ValueError(
+                f"front of {len(self._cells)} rows got {X.shape[0]} points"
+            )
+        return X, tt, self._slacks.take(cells, 1)
+
     def __repr__(self) -> str:
-        return f"CellHomotopy(dim={self.dim}, nterms={len(self._terms)})"
+        return (
+            f"CellHomotopy(dim={self.dim}, nterms={len(self._terms)}, "
+            f"ncells={self.ncells})"
+        )
+
+
+def normalized_slacks(subdivision: MixedSubdivision) -> List[np.ndarray]:
+    """Per equation, the ``(ncells, m_i)`` slacks of every cell, scaled
+    so each cell's smallest positive slack is 1."""
+    sizes = [len(s) for s in subdivision.supports]
+    S = np.array([np.concatenate(c.etas) for c in subdivision.cells])
+    low = np.where(S > 0, S, np.inf).min(axis=1)
+    scale = np.where(np.isfinite(low), 1.0 / low, 1.0)[:, None]
+    # clamp positive slacks to >= 1 exactly: roundoff in the scaling
+    # must not produce an exponent of 1 - eps, whose t-derivative
+    # t**(-eps) blows up at t = 0
+    S = np.where(S > 0, np.maximum(S * scale, 1.0), 0.0)
+    return np.split(S, np.cumsum(sizes)[:-1], axis=1)
 
 
 class PolyhedralStart:
@@ -140,25 +199,6 @@ class PolyhedralStart:
         return self.subdivision.relifts
 
     # ------------------------------------------------------------------
-    def cell_homotopy(self, cell: MixedCell) -> CellHomotopy:
-        """The cell's coefficient homotopy, slacks normalized to min 1."""
-        positive = np.concatenate([e[e > 0] for e in cell.etas] or [np.zeros(0)])
-        scale = 1.0 / float(positive.min()) if positive.size else 1.0
-        # clamp positive slacks to >= 1 exactly: roundoff in the scaling
-        # must not produce an exponent of 1 - eps, whose t-derivative
-        # t**(-eps) blows up at t = 0
-        etas = [
-            np.where(e > 0, np.maximum(e * scale, 1.0), 0.0) for e in cell.etas
-        ]
-        homotopy = CellHomotopy(
-            self.subdivision.supports,
-            self.coefficients,
-            etas,
-            kernel=self.kernel,
-        )
-        self.kernel_usage.add(homotopy.kernels)
-        return homotopy
-
     def cell_starts(self, cell: MixedCell) -> np.ndarray:
         """The closed-form binomial roots seeding the cell's paths."""
         vmat = []
@@ -191,27 +231,29 @@ class PolyhedralStart:
         """
         opts = options or TrackerOptions()
         all_starts: List[np.ndarray] = []
-        homotopies: List[CellHomotopy] = []
         path_cell: List[int] = []
         path_seed: List[np.ndarray] = []
         self.phase1_failures = 0
-        for cell in self.subdivision.cells:
+        for c, cell in enumerate(self.subdivision.cells):
             seeds = np.asarray(self.cell_starts(cell), dtype=complex)
-            path_cell.extend([len(homotopies)] * len(seeds))
-            homotopies.append(self.cell_homotopy(cell))
+            path_cell.extend([c] * len(seeds))
             path_seed.extend(seeds)
+        if path_seed:
+            homotopy = CellHomotopy(
+                self.subdivision.supports,
+                self.coefficients,
+                normalized_slacks(self.subdivision),
+                kernel=self.kernel,
+            )
+            self.kernel_usage.add(homotopy.kernels)
 
         def track(pids, o):
             # one front across the cells in play; a row never sees the
             # rest of its front, so this is a per-cell loop row by row
-            cells = sorted({path_cell[pid] for pid in pids})
-            member = {c: k for k, c in enumerate(cells)}
-            stack = StackedHomotopy(
-                [homotopies[c] for c in cells],
-                [member[path_cell[pid]] for pid in pids],
-            )
             return BatchTracker(o, endgame=endgame).track_batch(
-                stack, [path_seed[pid] for pid in pids], path_ids=pids
+                homotopy.front([path_cell[pid] for pid in pids]),
+                [path_seed[pid] for pid in pids],
+                path_ids=pids,
             )
 
         all_results: List[PathResult] = (

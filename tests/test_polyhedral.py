@@ -402,48 +402,52 @@ class TestPolyhedralStart:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_one_front_matches_the_per_cell_loop(self, seed):
-        """Phase 1 as one front is the per-cell loop row by row: same
-        solutions, statuses and effort (seed 7 collides, so the ladder
-        runs too)."""
+        """Phase 1 as one front on one tape is the per-cell loop row by
+        row: same path ids, statuses and effort, and — one-cell
+        homotopies replay the same per-row time rows — bitwise the same
+        solutions (seed 7 collides, so the ladder runs too)."""
+        from dataclasses import fields
+
+        from repro.polyhedral.homotopy import CellHomotopy, normalized_slacks
         from repro.tracker import (
             BatchTracker,
-            StackedHomotopy,
             TrackerOptions,
+            TrackStats,
             retrack_duplicate_clusters,
         )
 
         ps = PolyhedralStart(katsura_system(5), np.random.default_rng(seed))
         _, front = ps.track_starts()
         opts = TrackerOptions()
+        slacks = normalized_slacks(ps.subdivision)
         homs, owner, seeds, loop = [], [], [], []
-        for cell in ps.cells:
-            hom = ps.cell_homotopy(cell)
+        for c, cell in enumerate(ps.cells):
+            hom = CellHomotopy(ps.subdivision.supports, ps.coefficients,
+                               [block[c] for block in slacks])
             starts = np.asarray(ps.cell_starts(cell), dtype=complex)
             ids = list(range(len(seeds), len(seeds) + len(starts)))
             loop.extend(BatchTracker(opts).track_batch(hom, starts, path_ids=ids))
-            owner.extend([len(homs)] * len(starts))
+            owner.extend([c] * len(starts))
             homs.append(hom)
             seeds.extend(starts)
 
-        def retrack(pids, o):
-            cells = sorted({owner[pid] for pid in pids})
-            member = {c: k for k, c in enumerate(cells)}
-            stack = StackedHomotopy(
-                [homs[c] for c in cells], [member[owner[pid]] for pid in pids]
-            )
-            return BatchTracker(o).track_batch(
-                stack, [seeds[pid] for pid in pids], path_ids=pids
-            )
+        def retrack(pids, o):  # cell by cell, each on its own homotopy
+            done = {}
+            for c in sorted({owner[pid] for pid in pids}):
+                mine = [pid for pid in pids if owner[pid] == c]
+                for r in BatchTracker(o).track_batch(
+                        homs[c], [seeds[pid] for pid in mine], path_ids=mine):
+                    done[r.path_id] = r
+            return [done[pid] for pid in pids]
 
         retrack_duplicate_clusters(
             loop, retrack, opts, failed=[r.path_id for r in loop if not r.success]
         )
+        effort = [f.name for f in fields(TrackStats) if f.name != "seconds"]
         assert len(front) == len(loop) == ps.mixed_volume
         for a, b in zip(front, loop):
             assert (a.path_id, a.status) == (b.path_id, b.status)
             assert a.solution.tobytes() == b.solution.tobytes()
-            effort = ("steps_accepted", "steps_rejected", "newton_iterations",
-                      "jacobian_evaluations", "tangents_recycled", "rescues")
             assert [getattr(a.stats, f) for f in effort] == [
                 getattr(b.stats, f) for f in effort
             ]
@@ -462,6 +466,49 @@ class TestPolyhedralStart:
         x, y = variables(2)
         with pytest.raises(ValueError):
             PolyhedralStart(PolynomialSystem([x + y]))
+
+
+class TestPhase1OneTapeGate:
+    """Phase 1 is one term list on one tape — gated on counts that
+    repeat exactly for a seed, not on a wall ratio."""
+
+    def test_cold_phase1_binds_one_kernel(self):
+        """Counter gate: phase 1 is one term list on one tape, so a cold
+        phase 1 binds one kernel and makes one call a sweep whatever the
+        cell count (30 cells here: 2 814 calls on one kernel per cell,
+        the same 5 475 points); counts that repeat exactly for a seed."""
+        from dataclasses import fields
+
+        from repro.kernels import kernel_cache_info
+        from repro.tracker import TrackStats
+
+        ps = PolyhedralStart(
+            cyclic_roots_system(5), np.random.default_rng(0), kernel="slp"
+        )
+        _, results = ps.track_starts()
+        usage = ps.kernel_usage.report()
+        assert len(ps.cells) == 30 and ps.phase1_failures == 0
+        assert usage["kernels"] == 1
+        assert (usage["calls"], usage["evaluations"]) == (170, 5475)
+        totals = {
+            f.name: sum(getattr(r.stats, f.name) for r in results)
+            for f in fields(TrackStats)
+            if f.name not in ("seconds", "t_reached")
+        }
+        assert totals == {
+            "steps_accepted": 1026, "steps_rejected": 40,
+            "newton_iterations": 3203, "jacobian_evaluations": 5289,
+            "tangents_recycled": 0, "rescues": 0,
+        }
+        # the tape depends on the supports only: another lifting replays it
+        hits = kernel_cache_info()["tape_hits"]
+        other = PolyhedralStart(
+            cyclic_roots_system(5), np.random.default_rng(1), kernel="slp"
+        )
+        other.track_starts()
+        assert kernel_cache_info()["tape_hits"] == hits + 1
+        assert (other.kernel_usage.kernels[0].tape
+                is ps.kernel_usage.kernels[0].tape)
 
 
 # ---------------------------------------------------------------------------
