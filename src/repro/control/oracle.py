@@ -9,8 +9,8 @@ the query's planes/points — ``d(m, p, q)`` paths each (55 for (3,2,1)).
 
 This is the deployment mode the paper's framework targets: the cluster
 produces the general solution set; specific feedback laws for specific
-machines are then cheap (also in this repository's benchmarks:
-``bench_oracle_online_vs_tree``).
+machines are then cheap (pinned in ``tests/test_parameter.py``:
+``TestOracle`` and ``TestContinuation::test_fewer_paths_than_tree``).
 """
 
 from __future__ import annotations

@@ -117,35 +117,9 @@ class PolyMatrix:
         )
 
     # ------------------------------------------------------------------
-    def determinant_coefficients(self, degree_bound: int | None = None) -> np.ndarray:
-        """Coefficients of det(M(s)) (constant term first) by interpolation.
-
-        ``det`` of an n x n polynomial matrix of degree d has degree at most
-        n*d; we sample on a scaled unit circle and solve the Vandermonde
-        system with an inverse FFT, which is well conditioned.
-        """
-        n = self.shape[0]
-        if n != self.shape[1]:
-            raise ValueError("determinant of a non-square polynomial matrix")
-        bound = n * self.degree if degree_bound is None else int(degree_bound)
-        npts = bound + 1
-        # scale radius to balance coefficient magnitudes
-        radius = 1.0
-        nodes = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
-        values = np.array([np.linalg.det(self(z)) for z in nodes])
-        # nodes are exp(+2*pi*i*j/npts), so coefficient k is fft(values)[k]/npts
-        coeffs = np.fft.fft(values) / npts / (radius ** np.arange(npts))
-        return coeffs
-
     @staticmethod
     def constant(matrix: np.ndarray) -> "PolyMatrix":
         return PolyMatrix([np.asarray(matrix, dtype=complex)])
-
-    @staticmethod
-    def identity_times_poly(n: int, poly_coeffs: Sequence[complex]) -> "PolyMatrix":
-        """``p(s) * I_n`` from scalar coefficients (constant first)."""
-        eye = np.eye(n, dtype=complex)
-        return PolyMatrix([c * eye for c in poly_coeffs])
 
     def __repr__(self) -> str:
         return f"PolyMatrix(shape={self.shape}, degree={self.degree})"

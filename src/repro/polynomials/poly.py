@@ -124,12 +124,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self._coeffs)
 
-    def degree_in(self, var: int) -> int:
-        """Largest exponent of variable ``var``; -1 for zero polynomial."""
-        if not self._coeffs:
-            return -1
-        return max(e[var] for e in self._coeffs)
-
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self._coeffs)
 
@@ -310,12 +304,6 @@ class Polynomial:
         for expo, c in self._coeffs.items():
             out[expo + (d - sum(expo),)] = c
         return Polynomial(out, self._nvars + 1, None)
-
-    def max_norm(self) -> float:
-        """Largest coefficient magnitude (zero polynomial -> 0.0)."""
-        if not self._coeffs:
-            return 0.0
-        return max(abs(c) for c in self._coeffs.values())
 
     # ------------------------------------------------------------------
     # printing

@@ -340,13 +340,6 @@ class PolynomialSystem:
     def map(self, func) -> "PolynomialSystem":
         return PolynomialSystem([func(p) for p in self._polys])
 
-    def scale_equations(self, factors: Sequence[complex]) -> "PolynomialSystem":
-        if len(factors) != self.neqs:
-            raise ValueError("need one factor per equation")
-        return PolynomialSystem(
-            [f * p for f, p in zip(factors, self._polys)]
-        )
-
     def __str__(self) -> str:
         return "\n".join(str(p) for p in self._polys)
 

@@ -124,11 +124,6 @@ class LocalizationPattern:
 
     # ------------------------------------------------------------------
     @property
-    def top_pivots(self) -> Tuple[int, ...]:
-        """Fixed to [1..p] in this (and the paper's) implementation."""
-        return tuple(range(1, self.problem.p + 1))
-
-    @property
     def level(self) -> int:
         """Number of intersection conditions this pattern can satisfy.
 

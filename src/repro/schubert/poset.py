@@ -71,9 +71,6 @@ class PieriPoset:
             raise RuntimeError("poset does not reach the expected depth")
         return self.levels[-1][self.root()]
 
-    def node_count(self) -> int:
-        return sum(len(lv) for lv in self.levels)
-
     def job_counts(self) -> List[int]:
         """Paths tracked per level (Table III): job_counts()[n-1] for level n.
 
@@ -81,10 +78,6 @@ class PieriPoset:
         the count at level ``n`` is the sum of chain counts over the nodes.
         """
         return [sum(lv.values()) for lv in self.levels[1:]]
-
-    def total_paths(self) -> int:
-        """Total path-tracking jobs over all levels (Table III's bottom row)."""
-        return sum(self.job_counts())
 
     def patterns_at(self, n: int) -> List[LocalizationPattern]:
         return list(self.levels[n].keys())

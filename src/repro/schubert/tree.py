@@ -76,7 +76,7 @@ class PieriTreeNode:
 
 
 class PieriTree:
-    """Virtual Pieri tree with lazy traversal and counting helpers."""
+    """Virtual Pieri tree with lazy traversal; the counts live on the poset."""
 
     def __init__(self, problem: PieriProblem) -> None:
         self.problem = problem
@@ -98,20 +98,6 @@ class PieriTree:
             node = queue.popleft()
             yield node
             queue.extend(node.children())
-
-    def leaf_count(self) -> int:
-        """Number of leaves == root count d(m, p, q) (checked in tests)."""
-        poset = PieriPoset.build(self.problem)
-        return poset.root_count()
-
-    def node_count_per_level(self) -> List[int]:
-        """Tree nodes per level == the poset's chain counts per level."""
-        poset = PieriPoset.build(self.problem)
-        return [sum(lv.values()) for lv in poset.levels]
-
-    def edge_count(self) -> int:
-        """Total path-tracking jobs (edges) in the whole tree."""
-        return sum(self.node_count_per_level()[1:])
 
     def ascii_art(self, max_depth: int = 4) -> str:
         """Indented rendering of the top of the tree (Fig 5 for small cases)."""

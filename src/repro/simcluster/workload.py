@@ -67,9 +67,6 @@ class Workload:
         factor = (minutes * 60.0) / self.total_seconds
         return Workload(self.name, self.costs * factor)
 
-    def shuffled(self, rng: np.random.Generator) -> "Workload":
-        return Workload(self.name, rng.permutation(self.costs))
-
 
 def cyclic10_workload(
     rng: np.random.Generator | None = None,

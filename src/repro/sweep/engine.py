@@ -17,8 +17,8 @@ Schedules — how the pending list is cut into the units the one
   per-job journaling, so a kill loses at most the jobs in flight.
 - ``static`` — one contiguous block per worker, cut before the run;
   minimal coordination but journaling is per *block*, so checkpoints are
-  coarser and a skewed job mix leaves workers idle (measured by
-  ``benchmarks/bench_sweep.py``).
+  coarser and a skewed job mix leaves workers idle (simulated in
+  ``tests/test_simcluster.py::TestStaticVsDynamic``).
 
 Polynomial-system jobs route through :func:`repro.homotopy.solve` with
 ``mode="batch"`` (one structure-of-arrays front) and the job's

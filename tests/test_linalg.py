@@ -156,18 +156,6 @@ class TestPolyMatrix:
         v = PolyMatrix([np.ones((1, 2))]).vstack(PolyMatrix([np.zeros((1, 2))]))
         assert v.shape == (2, 2)
 
-    def test_determinant_coefficients(self):
-        # det([[s, 1], [1, s]]) = s^2 - 1
-        m = PolyMatrix(
-            [np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)]
-        )
-        coeffs = m.determinant_coefficients()
-        assert np.allclose(coeffs[:3], [-1.0, 0.0, 1.0], atol=1e-10)
-
-    def test_identity_times_poly(self):
-        m = PolyMatrix.identity_times_poly(3, [1.0, 2.0])
-        assert np.allclose(m(5.0), 11 * np.eye(3))
-
 
 class TestCharpoly:
     def test_matches_numpy_eigvals(self):

@@ -162,8 +162,6 @@ class TestStructure:
     def test_degrees(self):
         p = self.x**2 * self.y + self.y
         assert p.total_degree() == 3
-        assert p.degree_in(0) == 2
-        assert p.degree_in(1) == 1
         assert Polynomial({}, nvars=2).total_degree() == -1
 
     def test_substitute(self):
@@ -205,11 +203,6 @@ class TestStructure:
 
     def test_hash_consistency(self):
         assert hash(self.x + self.y) == hash(self.y + self.x)
-
-    def test_max_norm(self):
-        p = 3 * self.x - 4j * self.y
-        assert p.max_norm() == 4.0
-        assert Polynomial({}, nvars=2).max_norm() == 0.0
 
     def test_conjugate(self):
         p = (2 + 3j) * self.x

@@ -91,8 +91,11 @@ class TestPoset:
         assert counts[-1] == pieri_root_count(3, 2, 1)
 
     def test_total_paths(self):
-        poset = PieriPoset.build(PieriProblem(3, 2, 1))
-        assert poset.total_paths() == 252
+        """Table III's bottom row: 7 / 37 / 252 jobs in the whole tree."""
+        for (m, p, q), total in [
+            ((2, 2, 0), 7), ((2, 2, 1), 37), ((3, 2, 1), 252)
+        ]:
+            assert sum(level_job_counts(m, p, q)) == total
 
     def test_patterns_at(self):
         poset = PieriPoset.build(PieriProblem(2, 2, 1))
@@ -117,20 +120,21 @@ class TestTree:
         for m, p, q in [(2, 2, 0), (3, 2, 0), (2, 2, 1)]:
             tree = PieriTree(PieriProblem(m, p, q))
             explicit = sum(1 for n in tree.walk_dfs() if n.is_leaf())
-            assert explicit == tree.leaf_count() == pieri_root_count(m, p, q)
+            assert explicit == pieri_root_count(m, p, q)
 
     def test_edge_count_equals_total_jobs(self):
-        tree = PieriTree(PieriProblem(2, 2, 1))
-        explicit = sum(1 for _ in tree.walk_dfs()) - 1  # edges = nodes - root
-        assert explicit == tree.edge_count()
+        for m, p, q in [(2, 2, 0), (2, 2, 1), (3, 2, 1)]:
+            tree = PieriTree(PieriProblem(m, p, q))
+            explicit = sum(1 for _ in tree.walk_dfs()) - 1  # edges = nodes - root
+            assert explicit == sum(level_job_counts(m, p, q))
 
     def test_bfs_levels_match_poset(self):
         tree = PieriTree(PieriProblem(2, 2, 1))
         from collections import Counter
 
         per_level = Counter(n.level for n in tree.walk_bfs())
-        expected = tree.node_count_per_level()
-        assert [per_level[i] for i in range(len(expected))] == expected
+        expected = [1] + level_job_counts(2, 2, 1)  # the root, then each level
+        assert [per_level[i] for i in range(len(per_level))] == expected
 
     def test_node_navigation(self):
         prob = PieriProblem(2, 2, 1)

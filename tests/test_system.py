@@ -110,15 +110,6 @@ class TestEvaluation:
 
 
 class TestTransforms:
-    def test_scale_equations(self):
-        x, y = variables(2)
-        sys = PolynomialSystem([x, y])
-        scaled = sys.scale_equations([2, 3j])
-        assert scaled[0] == 2 * x
-        assert scaled[1] == 3j * y
-        with pytest.raises(ValueError):
-            sys.scale_equations([1])
-
     def test_map(self):
         x, y = variables(2)
         sys = PolynomialSystem([x, y]).map(lambda p: p + 1)
