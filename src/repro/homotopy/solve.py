@@ -29,6 +29,7 @@ from ..polynomials import PolynomialSystem
 from ..telemetry import Telemetry, current_telemetry, maybe_span, use_telemetry
 from ..tracker import (
     BatchTracker,
+    Ladder,
     PathResult,
     PathStatus,
     TrackerOptions,
@@ -565,20 +566,22 @@ def _solve(
         ids = list(range(len(starts)))
         # mode only says how many rows a front gets: all of them, or one
         fronts = [ids] if mode == "batch" else [[i] for i in ids]
+        # an error-model predictor trades per-step robustness for speed:
+        # its larger steps can strand a hard path in a step underflow the
+        # seed Euler settings walk through, so its FAILED rows ride the
+        # ladder with the collisions (Euler's own failures are final)
+        error_model = make_predictor(base_options.predictor).error_model
+        ladder = Ladder(base_options, retry_failed=error_model)
         with maybe_span(tel, "track", "solve"):
             results = [
                 r
                 for front in fronts
                 for r in tracker.track_batch(
-                    homotopy, starts_arr[front], path_ids=front
+                    homotopy, starts_arr[front], path_ids=front, ladder=ladder
                 )
             ]
-        # an error-model predictor trades per-step robustness for speed:
-        # its larger steps can strand a hard path in a step underflow the
-        # seed Euler settings walk through, so its FAILED rows ride the
-        # ladder with the collisions (Euler's own failures are final)
         failed = []
-        if make_predictor(base_options.predictor).error_model:
+        if error_model:
             failed = [r.path_id for r in results if r.status is PathStatus.FAILED]
         with maybe_span(tel, "retrack_duplicates", "solve"):
             retrack_duplicate_clusters(
@@ -586,10 +589,10 @@ def _solve(
                 lambda pids, opts: BatchTracker(
                     opts, endgame=strategy
                 ).track_batch(homotopy, starts_arr[pids], path_ids=pids),
-                base_options,
+                ladder,
                 failed=failed,
             )
-        n_fallback = sum(results[pid].success for pid in failed)
+        n_fallback = sum(results[pid].success for pid in ladder.failures)
         if tel is not None and n_fallback:
             tel.count("solve.fallback_retracked", n_fallback)
         n_rescued = 0

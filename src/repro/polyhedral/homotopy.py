@@ -43,6 +43,7 @@ from ..kernels import KernelUsage, Term, TermHomotopy
 from ..polynomials import PolynomialSystem
 from ..tracker import (
     BatchTracker,
+    Ladder,
     PathResult,
     TrackerOptions,
     retrack_duplicate_clusters,
@@ -247,23 +248,26 @@ class PolyhedralStart:
             )
             self.kernel_usage.add(homotopy.kernels)
 
-        def track(pids, o):
+        def track(pids, o, ladder=None):
             # one front across the cells in play; a row never sees the
             # rest of its front, so this is a per-cell loop row by row
             return BatchTracker(o, endgame=endgame).track_batch(
                 homotopy.front([path_cell[pid] for pid in pids]),
                 [path_seed[pid] for pid in pids],
                 path_ids=pids,
+                ladder=ladder,
             )
 
+        ladder = Ladder(opts, retry_failed=True)
         all_results: List[PathResult] = (
-            track(list(range(len(path_seed))), opts) if path_seed else []
+            track(list(range(len(path_seed))), opts, ladder)
+            if path_seed else []
         )
         # all_results is ordered by path id, so ids index the lists
         retrack_duplicate_clusters(
             all_results,
             track,
-            opts,
+            ladder,
             failed=[r.path_id for r in all_results if not r.success],
         )
         for pid, result in enumerate(all_results):

@@ -36,6 +36,7 @@ from ..tracker import (
     BatchHomotopy,
     BatchTracker,
     HomotopyFunction,
+    Ladder,
     PathResult,
     PathStatus,
     TrackerOptions,
@@ -253,14 +254,15 @@ def continue_to_instance(
     # mode only says how many rows a front gets: all of them, or one
     fronts = [ids] if mode == "batch" else [[k] for k in ids]
     tracker = BatchTracker(opts)
+    ladder = Ladder(opts, retry_failed=True)
     raw = [
         r
         for front in fronts
         for r in tracker.track_batch(
-            homotopy, [x0s[k] for k in front], path_ids=front
+            homotopy, [x0s[k] for k in front], path_ids=front, ladder=ladder
         )
     ]
-    return _finish(homotopy, x0s, raw, opts)
+    return _finish(homotopy, x0s, raw, ladder)
 
 
 def _finish(homotopy, x0s, raw, options):
@@ -270,9 +272,10 @@ def _finish(homotopy, x0s, raw, options):
     The deformation's endpoints are provably distinct regular roots, so
     a collision (which would silently merge two feedback laws) is a
     predictor jump and a failure a numerical accident: both climb the
-    shared ladder, one front of ``homotopy``'s paths a rung.  An
-    endpoint whose chart normalization hits a zero pivot is recorded
-    FAILED.
+    shared ladder (``options`` is the :class:`~repro.tracker.Ladder` the
+    paths ran under live, or the options of a front that ran without
+    one), one front of ``homotopy``'s paths a rung.  An endpoint whose
+    chart normalization hits a zero pivot is recorded FAILED.
     """
     retrack_duplicate_clusters(
         raw,

@@ -31,6 +31,7 @@ import numpy as np
 from ..linalg import random_plane
 from ..tracker import (
     BatchTracker,
+    Ladder,
     PathResult,
     StackedHomotopy,
     TrackerOptions,
@@ -436,12 +437,13 @@ class PieriSolver:
         # always replaces the attempt before it, so only successes move it)
         homs: List[PieriEdgeHomotopy] = [members[k] for k in owners]
 
-        def track(rows, options):
+        def track(rows, options, ladder=None):
             tracker = BatchTracker(options, endgame=self.tracker.endgame)
             out = tracker.track_batch(
                 StackedHomotopy(members, [owners[i] for i in rows]),
                 [x0[i] for i in rows],
                 path_ids=rows,
+                ladder=ladder,
             )
             charts = [members[owners[i]] for i in rows]
             out, switched = rescue_diverged(tracker, charts, out)
@@ -450,11 +452,6 @@ class PieriSolver:
                 if r.success:
                     homs[i] = chart
             return out
-
-        def retry(rows, options):
-            stats["retries"] += len(rows)
-            stats["collisions"] += sum(results[i].success for i in rows)
-            return track(rows, options)
 
         def endpoint(r: PathResult) -> Optional[np.ndarray]:
             """A successful row's endpoint in the standard chart."""
@@ -466,15 +463,19 @@ class PieriSolver:
             except ZeroDivisionError:
                 return None
 
-        results = track(list(range(len(jobs))), self.tracker.options)
-        retrack_duplicate_clusters(
-            results,
-            retry,
-            self.tracker.options,
-            failed=[i for i, r in enumerate(results) if not r.success],
-            endpoint=endpoint,
+        ladder = Ladder(
+            self.tracker.options, retry_failed=True, endpoint=endpoint,
             tol=COINCIDENCE_TOL,
         )
+        results = track(list(range(len(jobs))), self.tracker.options, ladder)
+        retrack_duplicate_clusters(
+            results,
+            track,
+            ladder,
+            failed=[i for i, r in enumerate(results) if not r.success],
+        )
+        stats["retries"] = ladder.retries
+        stats["collisions"] = ladder.collisions
         stats["n_jobs"] = len(jobs)
         stats["n_homotopies"] = len(members)
         stats.update(_effort_sums(results))

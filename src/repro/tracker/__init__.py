@@ -57,6 +57,7 @@ from .predictor import (
 )
 from .rescue import rescue_diverged
 from .result import (
+    Ladder,
     PathResult,
     PathStatus,
     TrackStats,
@@ -87,6 +88,7 @@ __all__ = [
     "greedy_cluster_indices",
     "retrack_duplicate_clusters",
     "tighten_options",
+    "Ladder",
     "summarize_results",
     "rescue_diverged",
     "PathTracker",

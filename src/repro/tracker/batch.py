@@ -20,7 +20,10 @@ is the one-row case.  Paths that
 finish — converged to t=1, diverged past the bound, or failed on step
 underflow — are *culled* from the front, so late sweeps run on ever
 smaller batches.  The endgame (sharpening at t=1) is deferred and run once
-as a single batched Newton over every surviving path.
+as a single batched Newton over every surviving path.  Tracked under a
+re-track :class:`~repro.tracker.result.Ladder`, the front also grows: a
+path that collides or fails re-enters it from its start, on its next
+rung's options, and rides the remaining sweeps.
 
 Time accounting: exclusive per-path cost is not observable when paths
 share batched kernel calls, so per-path ``stats.seconds`` is *amortized*
@@ -48,7 +51,7 @@ from ..telemetry import current_telemetry, maybe_span
 from .interface import BatchHomotopy, HomotopyFunction, as_batch
 from .newton import _solve_batch, batch_newton_correct
 from .predictor import make_predictor
-from .result import PathResult, PathStatus, TrackStats
+from .result import Ladder, PathResult, PathStatus, TrackStats, option_rungs
 from .tracker import TrackerOptions
 
 __all__ = ["BatchTracker"]
@@ -56,6 +59,7 @@ __all__ = ["BatchTracker"]
 # internal per-path state codes while the batch is in flight
 _RUNNING = -1
 _ENDGAME = -2
+_UNUSED = -3
 _STATUS_BY_CODE = {
     0: PathStatus.SUCCESS,
     1: PathStatus.DIVERGED,
@@ -126,6 +130,7 @@ class BatchTracker:
         starts: Sequence[Sequence[complex]],
         path_ids: Sequence[int] | None = None,
         t_start: float | Sequence[float] = 0.0,
+        ladder: Ladder | None = None,
     ) -> List[PathResult]:
         """Track all ``starts`` from ``t=t_start`` to t=1 in lockstep sweeps.
 
@@ -138,18 +143,31 @@ class BatchTracker:
         continuation, where each resumed path picks up at the ``t`` it
         had reached.  Returns one :class:`PathResult` per start, in
         input order.
-        """
-        return self._traced(homotopy, starts, path_ids, t_start)
 
-    def _traced(self, homotopy, starts, path_ids, t_start) -> List[PathResult]:
+        With a :class:`~repro.tracker.result.Ladder` the front climbs
+        the re-track ladder while it runs: a colliding or failed row
+        re-enters the running front from its start, on the next of
+        :func:`~repro.tracker.result.option_rungs` of this tracker's
+        options, as soon as the ladder knows it must; its result is the
+        attempt the ladder keeps, with every attempt's effort.
+        """
+        return self._traced(homotopy, starts, path_ids, t_start, ladder)
+
+    def _traced(
+        self, homotopy, starts, path_ids, t_start, ladder=None
+    ) -> List[PathResult]:
         """The body behind both public names, ``track_batch`` and
         :meth:`PathTracker.track <repro.tracker.tracker.PathTracker.track>`
         (a traced call of either opens one span)."""
         tel = current_telemetry() if self.options.trace_paths else None
         if tel is None:
-            return self._track_batch(homotopy, starts, path_ids, t_start, None)
+            return self._track_batch(
+                homotopy, starts, path_ids, t_start, None, ladder
+            )
         with tel.trace():
-            return self._track_batch(homotopy, starts, path_ids, t_start, tel)
+            return self._track_batch(
+                homotopy, starts, path_ids, t_start, tel, ladder
+            )
 
     def _track_batch(
         self,
@@ -158,55 +176,89 @@ class BatchTracker:
         path_ids: Sequence[int] | None,
         t_start: float | Sequence[float],
         tel,
+        ladder: Ladder | None,
     ) -> List[PathResult]:
         opts = self.options
         bh = as_batch(homotopy)
-        X = np.array([np.asarray(s, dtype=complex) for s in starts], dtype=complex)
-        if X.size == 0:
+        X0 = np.array(
+            [np.asarray(s, dtype=complex) for s in starts], dtype=complex
+        )
+        if X0.size == 0:
             return []
-        if X.ndim != 2 or X.shape[1] != bh.dim:
+        if X0.ndim != 2 or X0.shape[1] != bh.dim:
             raise ValueError(f"expected starts of shape (npaths, {bh.dim})")
-        n = X.shape[0]
-        T = np.asarray(t_start, dtype=float)
-        if T.ndim == 0:
-            T = np.full(n, float(T))
-        elif T.shape != (n,):
+        n, dim = X0.shape
+        T0 = np.asarray(t_start, dtype=float)
+        if T0.ndim == 0:
+            T0 = np.full(n, float(T0))
+        elif T0.shape != (n,):
             raise ValueError(f"expected t_start scalar or shape ({n},)")
-        else:
-            T = T.copy()
-        if np.any((T < 0.0) | (T >= 1.0)):
+        if np.any((T0 < 0.0) | (T0 >= 1.0)):
             raise ValueError("t_start must lie in [0, 1)")
         if path_ids is None:
             path_ids = list(range(n))
         elif len(path_ids) != n:
             raise ValueError("path_ids must match the number of starts")
 
-        x_start = X.copy()
-        step = np.full(n, opts.initial_step)
-        easy = np.zeros(n, dtype=np.int64)
-        accepted = np.zeros(n, dtype=np.int64)
-        rejected = np.zeros(n, dtype=np.int64)
-        newton = np.zeros(n, dtype=np.int64)
-        jac_evals = np.zeros(n, dtype=np.int64)
-        recycled = np.zeros(n, dtype=np.int64)
-        state = np.full(n, _RUNNING, dtype=np.int64)
-        res_final = np.full(n, np.inf)
-        t_reached = np.zeros(n)
-        charged = np.zeros(n)
-        pred = make_predictor(opts.predictor)
-        # the error-model pipeline is on or off as a whole (see Predictor)
-        recycle = fail_fast = on = pred.error_model
-        update_tol = float(np.sqrt(opts.corrector_tol)) if on else None
-        loose_tol = opts.corrector_tol ** (1.0 / 3.0) if on else None
+        # one option set per rung: rows start on set 0, and a re-entered
+        # row is an attempt of its own, in a slot of its own; every
+        # per-row decision below reads the slot's set (``oset``).  A
+        # front that never re-entered a row is ``uniform`` and reads
+        # set 0's scalars, the one-set loop to the bit
+        sets = [opts] if ladder is None else option_rungs(opts, ladder.rounds)
+        watch = None if ladder is None else ladder.front(path_ids, dim)
+        preds = [make_predictor(o.predictor) for o in sets]
+        em = np.array([p.error_model for p in preds])
+        # the error-model pipeline is on or off per set, as a whole (see
+        # Predictor); corrector_tol and the endgame fields are the
+        # front's (the ladder changes neither)
+        jump_at = np.array([
+            p.jump_factor * p.target_error if p.error_model else np.inf
+            for p in preds
+        ])
+        update_tols = np.where(em, np.sqrt(opts.corrector_tol), np.nan)
+        loose_tols = np.where(em, opts.corrector_tol ** (1.0 / 3.0), np.nan)
+        iters = np.array([o.corrector_iterations for o in sets])
+        budgets = np.array([o.max_steps for o in sets])
+        bounds = np.array([o.divergence_bound for o in sets])
+        recycle = bool(em.any())
+        uniform = True
+
+        # a slot per attempt (a row climbs at most ``rounds`` rungs),
+        # allocated once: a front whose slots grew would reallocate its
+        # widest arrays mid-flight
+        cap = n * len(sets)
+        src = np.zeros(cap, dtype=np.int64)  # slot -> input row
+        oset = np.zeros(cap, dtype=np.int64)
+        ids = np.asarray(path_ids)
+        X = np.zeros((cap, dim), dtype=complex)
+        T = np.zeros(cap)
+        step = np.zeros(cap)
+        easy = np.zeros(cap, dtype=np.int64)
+        accepted = np.zeros(cap, dtype=np.int64)
+        rejected = np.zeros(cap, dtype=np.int64)
+        newton = np.zeros(cap, dtype=np.int64)
+        jac_evals = np.zeros(cap, dtype=np.int64)
+        recycled = np.zeros(cap, dtype=np.int64)
+        state = np.full(cap, _UNUSED, dtype=np.int64)
+        res_final = np.full(cap, np.inf)
+        t_reached = np.zeros(cap)
+        charged = np.zeros(cap)
         # per-call predictor history (secant/Hermite memory), seeded with
         # the uncorrected starts — a requeued/resumed batch (chart-switch
         # continuation with per-path t_start) begins with *empty* history
-        pstate = pred.make_state(X, T)
+        pstate = preds[0].make_state(X, T)
         if recycle:
             # corrector Jacobians carried across the step boundary; rows
             # stay valid over rejections (the point did not move)
-            re_jac = np.zeros((n, bh.dim, bh.dim), dtype=complex)
-            re_ok = np.zeros(n, dtype=bool)
+            re_jac = np.zeros((cap, dim, dim), dtype=complex)
+            re_ok = np.zeros(cap, dtype=bool)
+        winding = np.zeros(cap, dtype=np.int64)
+        finished_by_endgame = np.zeros(cap, dtype=bool)
+        latest = np.arange(n)          # input row -> its latest slot
+        nslots = 0
+        arrivals: list = []
+        endings: list = []
 
         mark = time.perf_counter()
 
@@ -219,55 +271,142 @@ class BatchTracker:
                 charged[idx] += (now - mark) / idx.size
             mark = now
 
-        def classify(idx: np.ndarray, status: PathStatus, res: np.ndarray) -> None:
+        def classify(
+            idx: np.ndarray, status: PathStatus, res: np.ndarray,
+            ended: bool = True,
+        ) -> None:
             state[idx] = _CODE_BY_STATUS[status]
             res_final[idx] = res
             t_reached[idx] = T[idx]
+            if watch is not None and ended and idx.size:
+                endings.append(idx)
 
-        # make sure the start points actually solve H(., t_start)
-        with maybe_span(tel, "start_check", "corrector"):
-            check = batch_newton_correct(
-                bh, X, T, tol=opts.corrector_tol,
-                max_iterations=opts.corrector_iterations,
-                want_jacobian=recycle,
+        def groups(rows: np.ndarray):
+            # (option set, positions in ``rows``) for each set in play
+            if uniform:
+                return [(0, slice(None))]
+            k = oset[rows]
+            present = np.flatnonzero(np.bincount(k, minlength=len(sets)))
+            return [(j, np.flatnonzero(k == j)) for j in present.tolist()]
+
+        def enter(rows: np.ndarray, ks: np.ndarray) -> None:
+            # new attempts of input rows ``rows`` on option sets ``ks``:
+            # from their starts, after a check that those solve H(., t0)
+            nonlocal nslots, uniform
+            slots = np.arange(nslots, nslots + rows.size)
+            nslots += rows.size
+            src[slots], oset[slots] = rows, ks
+            latest[rows] = slots
+            X[slots], T[slots] = X0[rows], T0[rows]
+            step[slots] = [sets[k].initial_step for k in ks.tolist()]
+            state[slots] = _RUNNING
+            pstate.x_prev[slots], pstate.t_prev[slots] = X[slots], T[slots]
+            if ks.any():
+                uniform = False
+            for k, at in groups(slots):
+                g = slots[at]
+                with maybe_span(tel, "start_check", "corrector"):
+                    check = batch_newton_correct(
+                        bh if nslots == n else bh.restrict(src[g]),
+                        X[g], T[g], tol=opts.corrector_tol,
+                        max_iterations=sets[k].corrector_iterations,
+                        want_jacobian=recycle,
+                    )
+                newton[g] += check.iterations
+                jac_evals[g] += check.jac_evaluations
+                bad = ~check.converged
+                classify(g[bad], PathStatus.FAILED, check.residual[bad])
+                # failed paths keep their original start point; only
+                # converged paths adopt the corrected one
+                X[g[check.converged]] = check.x[check.converged]
+                if em[k]:
+                    re_ok[g] = check.jac_current
+                    cur = g[check.jac_current]
+                    re_jac[cur] = check.jacobian[check.jac_current]
+            charge(slots)
+
+        def finish(slots: np.ndarray) -> None:
+            # the endgame, one batch per option set
+            for k, at in groups(slots):
+                g = slots[at]
+                with maybe_span(tel, "finish", "endgame"):
+                    out = self.endgame.finish_batch(
+                        bh.restrict(src[g]), X[g], T[g], sets[k]
+                    )
+                newton[g] += out.iterations
+                X[g] = out.x
+                winding[g] = out.winding_number
+                finished_by_endgame[g] = True
+                for st in _STATUS_BY_CODE.values():
+                    mask = np.array([s is st for s in out.status], dtype=bool)
+                    if mask.any():
+                        classify(g[mask], st, out.residual[mask], ended=False)
+            charge(slots)
+
+        def finish_rows(rows):
+            # the ladder's early endgame for rows that reached t = 1
+            g = latest[rows]
+            finish(g)
+            return (
+                X[g],
+                state[g] == _CODE_BY_STATUS[PathStatus.SUCCESS],
+                state[g] == _CODE_BY_STATUS[PathStatus.FAILED],
             )
-        newton += check.iterations
-        jac_evals += check.jac_evaluations
-        bad = np.flatnonzero(~check.converged)
-        classify(bad, PathStatus.FAILED, check.residual[bad])
-        # failed paths keep their original start point; only converged
-        # paths adopt the corrected one
-        X[check.converged] = check.x[check.converged]
-        if recycle:
-            re_ok[:] = check.jac_current
-            re_jac[check.jac_current] = check.jacobian[check.jac_current]
-        charge(np.arange(n))
+
+        def settle() -> bool:
+            # hand the attempts that just finished to the ladder and let
+            # the rows it sends up re-enter the front; True if any did
+            entered = False
+            while arrivals or endings:
+                got = np.concatenate(arrivals or [np.zeros(0, np.int64)])
+                out = np.concatenate(endings or [np.zeros(0, np.int64)])
+                arrivals.clear()
+                endings.clear()
+                rows, ks = watch.step(
+                    src[got], X[got], src[out],
+                    state[out] == _CODE_BY_STATUS[PathStatus.FAILED],
+                    t_reached[out], finish_rows,
+                )
+                if rows.size:
+                    if tel is not None:
+                        tel.count("tracker.retry_rungs")
+                    enter(rows, ks)
+                    entered = True
+            return entered
+
+        enter(np.arange(n), np.zeros(n, dtype=np.int64))
+        if watch is not None:
+            settle()
 
         # --- main predictor-corrector sweeps over the active front
         while True:
             run = np.flatnonzero(state == _RUNNING)
-            if run.size == 0:
-                break
-            exhausted = run[accepted[run] + rejected[run] >= opts.max_steps]
+            spent = accepted[run] + rejected[run]
+            exhausted = run[
+                spent >= (budgets[0] if uniform else budgets[oset[run]])
+            ]
             if exhausted.size:
                 classify(
                     exhausted, PathStatus.FAILED, np.full(exhausted.size, np.inf)
                 )
+            entered = watch is not None and settle()
+            if exhausted.size or entered:
                 run = np.flatnonzero(state == _RUNNING)
-                if run.size == 0:
-                    break
+            if run.size == 0:
+                break
             # the running rows, as an index into the front's arrays.
-            # While no row has left the front that is a slice (views,
-            # no gathers) and ``restrict`` would be the identity
-            whole = run.size == n
-            live = slice(None) if whole else run
-            bh_run = bh if whole else bh.restrict(run)
+            # While every slot is a running first attempt that is a
+            # slice (views, no gathers) and ``restrict`` would be the
+            # identity
+            whole = run.size == n and nslots == n
+            live = slice(0, n) if whole else run
+            bh_run = bh if whole else bh.restrict(src[run])
             X_run, T_run = X[live], T[live]
             dt = np.minimum(step[live], 1.0 - T_run)
             t_new = T_run + dt
 
             # --- predict: batched tangent (recycled J_x where valid),
-            # predictor-strategy point guess with secant fallback
+            # each set's predictor guess with secant fallback
             with maybe_span(tel, "tangent", "predictor"):
                 hit = re_ok[live] if recycle else None
                 if recycle and hit.any():
@@ -283,29 +422,47 @@ class BatchTracker:
                 else:
                     tangent, ok = self._tangents(bh_run, X_run, T_run)
                     jac_evals[live] += 1
-                x_pred = pred.predict(
-                    pstate, run, X_run, T_run, dt, tangent, ok
-                )
+                if uniform:
+                    x_pred = preds[0].predict(
+                        pstate, run, X_run, T_run, dt, tangent, ok
+                    )
+                else:
+                    x_pred = np.empty_like(X_run)
+                    for k, at in groups(run):
+                        x_pred[at] = preds[k].predict(
+                            pstate, run[at], X_run[at], T_run[at], dt[at],
+                            tangent[at], ok[at],
+                        )
 
             # --- correct
+            if uniform:
+                em_run = bool(em[0])
+                limits = opts.corrector_iterations
+                update_tol = update_tols[0] if em_run else None
+                loose_tol = loose_tols[0] if em_run else None
+            else:
+                em_run = em[oset[run]]
+                limits = iters[oset[run]]
+                update_tol = update_tols[oset[run]] if em_run.any() else None
+                loose_tol = loose_tols[oset[run]] if em_run.any() else None
             with maybe_span(tel, "newton", "corrector"):
                 corr = batch_newton_correct(
                     bh_run,
                     x_pred,
                     t_new,
                     tol=opts.corrector_tol,
-                    max_iterations=opts.corrector_iterations,
+                    max_iterations=limits,
                     want_jacobian=recycle,
                     update_tol=update_tol,
                     loose_tol=loose_tol,
-                    fail_fast=fail_fast,
+                    fail_fast=em_run,
                 )
             newton[live] += corr.iterations
             jac_evals[live] += corr.jac_evaluations
 
             conv = corr.converged
             err_all = None
-            if pred.error_model and conv.any():
+            if (em_run if uniform else em_run.any()) and conv.any():
                 # suspected path jump: the corrector converged, but to a
                 # point far beyond what the prediction's error model can
                 # explain — almost certainly a neighboring path's basin.
@@ -313,7 +470,9 @@ class BatchTracker:
                 # saves the whole endpoint-collision retracking rung the
                 # jump would otherwise trigger
                 err_all = np.abs(corr.x - x_pred).max(axis=1)
-                jump = conv & (err_all > pred.jump_factor * pred.target_error)
+                jump = conv & (
+                    err_all > (jump_at[0] if uniform else jump_at[oset[run]])
+                )
                 if jump.any():
                     conv = conv & ~jump
                     if tel is not None:
@@ -323,7 +482,7 @@ class BatchTracker:
                     tel.instant(
                         "step_accept" if conv[k] else "step_reject",
                         "tracker",
-                        path=int(path_ids[run[k]]),
+                        path=int(ids[src[run[k]]]),
                         t=float(t_new[k]),
                         dt=float(dt[k]),
                         newton=int(corr.iterations[k]),
@@ -331,61 +490,68 @@ class BatchTracker:
                     tel.observe("step_size", float(dt[k]))
             acc = run[conv]
             if acc.size:
-                pred.accepted(
+                preds[0].accepted(
                     pstate, acc, X[acc], T[acc], tangent[conv], ok[conv]
                 )
                 X[acc] = corr.x[conv]
                 T[acc] = t_new[conv]
                 accepted[acc] += 1
                 if recycle:
-                    re_ok[acc] = corr.jac_current[conv]
-                    cur = conv & corr.jac_current
+                    cur = conv & corr.jac_current & em_run
+                    re_ok[acc] = cur[conv]
                     re_jac[run[cur]] = corr.jacobian[cur]
-                if pred.error_model:
-                    # asymptotic error model: err ~ C dt^p per path, so
-                    # the dt that would have hit the target error is
-                    # dt * (target / err)^(1/p), damped by safety and
-                    # capped at max_growth per step
-                    err = err_all[conv]
-                    growth = np.full(acc.size, pred.max_growth)
-                    pos = err > 0.0
-                    growth[pos] = np.minimum(
-                        pred.max_growth,
-                        pred.safety
-                        * (pred.target_error / err[pos]) ** (1.0 / pred.order),
-                    )
-                    step[acc] = np.minimum(
-                        np.maximum(dt[conv] * growth, opts.min_step),
-                        opts.max_step,
-                    )
-                    if tel is not None:
-                        for e in err:
-                            tel.observe("predictor_error", float(e))
-                else:
-                    easy[acc] += 1
-                    expand = (easy[acc] >= opts.expand_after) & (
-                        corr.iterations[conv] <= 2
-                    )
-                    grow = acc[expand]
-                    step[grow] = np.minimum(
-                        step[grow] * opts.expand, opts.max_step
-                    )
-                    easy[grow] = 0
+                dt_acc = dt[conv]
+                for k, at in groups(acc):
+                    o, pred = sets[k], preds[k]
+                    rows = acc[at]
+                    if pred.error_model:
+                        # asymptotic error model: err ~ C dt^p per path,
+                        # so the dt that would have hit the target error
+                        # is dt * (target / err)^(1/p), damped by safety
+                        # and capped at max_growth per step
+                        err = err_all[conv][at]
+                        growth = np.full(rows.size, pred.max_growth)
+                        pos = err > 0.0
+                        growth[pos] = np.minimum(
+                            pred.max_growth,
+                            pred.safety
+                            * (pred.target_error / err[pos])
+                            ** (1.0 / pred.order),
+                        )
+                        step[rows] = np.minimum(
+                            np.maximum(dt_acc[at] * growth, o.min_step),
+                            o.max_step,
+                        )
+                        if tel is not None:
+                            for e in err:
+                                tel.observe("predictor_error", float(e))
+                    else:
+                        easy[rows] += 1
+                        expand = (easy[rows] >= o.expand_after) & (
+                            corr.iterations[conv][at] <= 2
+                        )
+                        grow = rows[expand]
+                        step[grow] = np.minimum(
+                            step[grow] * o.expand, o.max_step
+                        )
+                        easy[grow] = 0
                 norms = np.abs(X[acc]).max(axis=1)
-                div = norms > opts.divergence_bound
+                div = norms > (bounds[0] if uniform else bounds[oset[acc]])
                 if div.any():
                     classify(
                         acc[div], PathStatus.DIVERGED, corr.residual[conv][div]
                     )
                 # survivors that reached t=1 leave the front for the endgame
-                done = (~div) & (T[acc] >= 1.0)
-                state[acc[done]] = _ENDGAME
+                done = acc[(~div) & (T[acc] >= 1.0)]
+                state[done] = _ENDGAME
+                if watch is not None and done.size:
+                    arrivals.append(done)
                 if tel is not None:
-                    for p in acc[done]:
+                    for p in done:
                         tel.instant(
                             "endgame_handoff",
                             "tracker",
-                            path=int(path_ids[p]),
+                            path=int(ids[src[p]]),
                             reason="arrived",
                         )
 
@@ -393,12 +559,15 @@ class BatchTracker:
             if rej.size:
                 rejected[rej] += 1
                 easy[rej] = 0
-                step[rej] *= opts.shrink
-                under = step[rej] < opts.min_step
-                dead = rej[under]
-                if dead.size:
+                for k, at in groups(rej):
+                    o, rows = sets[k], rej[at]
+                    step[rows] *= o.shrink
+                    under = step[rows] < o.min_step
+                    dead = rows[under]
+                    if not dead.size:
+                        continue
                     blew_up = np.max(np.abs(X[dead]), axis=1) > 1e3
-                    res_dead = corr.residual[~conv][under]
+                    res_dead = corr.residual[~conv][at][under]
                     classify(
                         dead[blew_up], PathStatus.DIVERGED, res_dead[blew_up]
                     )
@@ -412,7 +581,7 @@ class BatchTracker:
                             tel.instant(
                                 "endgame_handoff",
                                 "tracker",
-                                path=int(path_ids[p]),
+                                path=int(ids[src[p]]),
                                 reason="stalled",
                                 t=float(T[p]),
                             )
@@ -424,34 +593,18 @@ class BatchTracker:
 
             charge(run)
 
-        # --- endgame: the whole surviving front finishes as one batch
+        # --- endgame: the surviving front finishes as one batch per set
         endg = np.flatnonzero(state == _ENDGAME)
-        winding = np.zeros(n, dtype=np.int64)
-        finished_by_endgame = np.zeros(n, dtype=bool)
-        finished_by_endgame[endg] = True
         if endg.size:
-            with maybe_span(tel, "finish", "endgame"):
-                out = self.endgame.finish_batch(
-                    bh.restrict(endg), X[endg], T[endg], opts
-                )
-            newton[endg] += out.iterations
-            X[endg] = out.x
-            winding[endg] = out.winding_number
-            for st in (
-                PathStatus.SUCCESS,
-                PathStatus.FAILED,
-                PathStatus.SINGULAR,
-                PathStatus.DIVERGED,
-                PathStatus.AT_INFINITY,
-            ):
-                mask = np.array([s is st for s in out.status], dtype=bool)
-                if mask.any():
-                    classify(endg[mask], st, out.residual[mask])
-            charge(endg)
+            finish(endg)
 
-        # --- gather SoA state back into per-path results
-        results: List[PathResult] = []
-        for i in range(n):
+        # --- gather SoA state back into per-path results, each row's
+        # attempts folded into the one its ladder keeps
+        if nslots < cap:
+            # the results are views of X: keep no unused slot alive
+            X = X[:nslots].copy()
+        results: List[PathResult | None] = [None] * n
+        for i in range(nslots):
             stats = TrackStats(
                 steps_accepted=int(accepted[i]),
                 steps_rejected=int(rejected[i]),
@@ -462,18 +615,22 @@ class BatchTracker:
                 tangents_recycled=int(recycled[i]),
             )
             w = int(winding[i])
-            results.append(
-                PathResult(
-                    _STATUS_BY_CODE[int(state[i])],
-                    X[i],
-                    x_start[i],
-                    float(res_final[i]),
-                    stats,
-                    int(path_ids[i]),
-                    endgame=self.endgame.name if finished_by_endgame[i] else None,
-                    winding_number=w if w > 0 else None,
-                    multiplicity=w if w > 0 else None,
-                )
+            row = int(src[i])
+            attempt = PathResult(
+                _STATUS_BY_CODE[int(state[i])],
+                X[i],
+                X0[row],
+                float(res_final[i]),
+                stats,
+                int(ids[row]),
+                endgame=self.endgame.name if finished_by_endgame[i] else None,
+                winding_number=w if w > 0 else None,
+                multiplicity=w if w > 0 else None,
+            )
+            prior = results[row]
+            results[row] = (
+                attempt if prior is None
+                else ladder.keep(attempt.path_id, prior, attempt)
             )
         return results
 

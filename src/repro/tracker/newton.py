@@ -186,6 +186,12 @@ def batch_newton_correct(
     prediction missed the basin and the remaining sweeps are almost
     always wasted — the tracker learns of the rejection several fused
     evaluations earlier and retries with a smaller step.
+
+    ``max_iterations``, ``update_tol``, ``loose_tol`` and ``fail_fast``
+    may also be given per path, as ``(npaths,)`` arrays (a NaN
+    tolerance switches that exit off for its row): a front whose rows
+    run under different options (the re-track ladder's rungs) corrects
+    them in one call, each row exactly as a front of its own would.
     """
     return _newton_sweeps(
         homotopy, X, t, tol, max_iterations, active, want_jacobian,
@@ -226,6 +232,15 @@ def _newton_sweeps(
         work = np.flatnonzero(np.asarray(active, dtype=bool))
     bh_work, local = homotopy, work
     dx_prev = np.full(npaths, np.inf)
+    # per-row limits: a row below the largest takes its closing
+    # residual evaluation at its own last sweep
+    limit = None
+    if np.ndim(max_iterations):
+        limit = np.asarray(max_iterations, dtype=np.int64)
+        max_iterations = int(limit.max()) if npaths else 0
+    rowwise = [np.ndim(v) > 0 for v in (update_tol, loose_tol, fail_fast)]
+    if rowwise[2] and not fail_fast.any():
+        fail_fast, rowwise[2] = False, False
     for it in range(1, max_iterations + 1):
         if work.size == 0:
             return result()
@@ -276,11 +291,11 @@ def _newton_sweeps(
             # current to within |dx| of the accepted point.  The
             # threshold is absolute, like the residual criterion it
             # replaces — a relative one balloons on diverging paths
-            small = dxnorm <= update_tol
+            small = dxnorm <= (update_tol[rows] if rowwise[0] else update_tol)
             if loose_tol is not None:
                 prev = dx_prev[rows]
                 small |= (
-                    (dxnorm <= loose_tol)
+                    (dxnorm <= (loose_tol[rows] if rowwise[1] else loose_tol))
                     # finite guard: prev is inf on a row's first sweep,
                     # and one update is no contraction evidence at all
                     & np.isfinite(prev)
@@ -299,8 +314,10 @@ def _newton_sweeps(
                 xnorm, dxnorm = xnorm[keep], dxnorm[keep]
                 if work.size == 0:
                     return result()
-        if fail_fast:
+        if rowwise[2] or fail_fast:
             grew = dxnorm > dx_prev[rows]
+            if rowwise[2]:
+                grew &= fail_fast[rows]
             if grew.any():
                 iterations[work[grew]] = it
                 keep = ~grew
@@ -324,15 +341,28 @@ def _newton_sweeps(
             converged[u] = rn <= tol * 1e3
             iterations[u] = it
             work, local = work[~under], local[~under]
+        if limit is not None and it < max_iterations:
+            last = limit[work] == it
+            if last.any():
+                _close_rows(
+                    bh_work.restrict(local[last]), X, tt, work[last], tol,
+                    it, residual, converged, iterations,
+                )
+                work, local = work[~last], local[~last]
     if work.size:
-        rn = np.max(
-            np.abs(bh_work.restrict(local).evaluate_batch(X[work], tt[work])),
-            axis=1,
+        _close_rows(
+            bh_work.restrict(local), X, tt, work, tol, max_iterations,
+            residual, converged, iterations,
         )
-        residual[work] = rn
-        converged[work] = rn <= tol
-        iterations[work] = max_iterations
     return result()
+
+
+def _close_rows(bh, X, tt, rows, tol, it, residual, converged, iterations):
+    """Rows out of sweeps: their residual at the last update decides."""
+    rn = np.max(np.abs(bh.evaluate_batch(X[rows], tt[rows])), axis=1)
+    residual[rows] = rn
+    converged[rows] = rn <= tol
+    iterations[rows] = it
 
 
 def newton_refine_system(

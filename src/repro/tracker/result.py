@@ -24,6 +24,8 @@ __all__ = [
     "duplicate_path_ids",
     "retrack_duplicate_clusters",
     "tighten_options",
+    "option_rungs",
+    "Ladder",
     "summarize_results",
 ]
 
@@ -252,6 +254,287 @@ def tighten_options(options):
     )
 
 
+def option_rungs(options, rounds: int) -> list:
+    """The ladder's option sets: ``options``, then :func:`tighten_options`
+    applied 1, ..., ``rounds`` times.  Index ``k`` is rung ``k``."""
+    sets = [options]
+    for _ in range(rounds):
+        sets.append(tighten_options(sets[-1]))
+    return sets
+
+
+class Ladder:
+    """The re-track ladder of one set of paths: its option sets, its
+    policy, and where each path stands on it.
+
+    A path *climbs* a rung when it is re-tracked from its start under
+    the next option set (:func:`option_rungs`), up to ``rounds`` times.
+    Two kinds of path climb:
+
+    - every member of a collision cluster (endpoints within ``tol``, as
+      :func:`duplicate_path_ids` defines them, compared at
+      ``endpoint(result)`` when a hook is given), except the *stable*
+      members: a re-track that reproduced its endpoint says its side of
+      the collision is a genuine root, and a cluster whose members are
+      all stable is a genuine multiple root that tighter steps will
+      never separate (the no-progress bail-out);
+    - failed paths: under ``retry_failed`` every FAILED path as it
+      fails, and after a front the ids its caller hands to
+      :func:`retrack_duplicate_clusters`.
+
+    Of two attempts a path keeps the later one, unless the earlier
+    succeeded and the later did not (:meth:`keep`); the kept attempt
+    absorbs the other's effort, so effort totals count every attempt.
+    A re-track of a success that stopped short of the end
+    (:meth:`short`) is *unresolved*, not reproduced: the path keeps
+    climbing while it collides, and a path still in a collision after
+    its last rung is reported FAILED.
+
+    The ladder is consulted twice.  A :class:`~repro.tracker.batch.
+    BatchTracker` front tracked with ``ladder=`` applies it *live*
+    (:meth:`front`): a collision re-enters the running front as soon as
+    its second member reaches t = 1, a FAILED path as soon as it fails,
+    each on its next option set, so a rung's calls ride with the rest
+    of the front.  :func:`retrack_duplicate_clusters` applies it after
+    the front to what the front could not settle (collisions that show
+    only among endgame-finished or chart-switched endpoints, failures of
+    the endgame, the failures a caller hands in).  ``retries`` and
+    ``collisions`` count the re-tracks of both, the latter those of a
+    path whose kept attempt had succeeded.
+    """
+
+    def __init__(
+        self,
+        options,
+        retry_failed: bool = False,
+        endpoint=None,
+        rounds: int = 3,
+        tol: float = 1e-6,
+    ) -> None:
+        self.sets = option_rungs(options, rounds)
+        self.retry_failed = retry_failed
+        self.endpoint = endpoint
+        self.rounds = rounds
+        self.tol = tol
+        #: path id -> rung of its latest attempt (absent: rung 0)
+        self.rung: dict = {}
+        self.stable: set = set()
+        #: path id -> the failed re-track its kept success stands over
+        self.unresolved: dict = {}
+        #: path ids that climbed from a kept attempt that had failed
+        self.failures: set = set()
+        self.retries = 0
+        self.collisions = 0
+
+    def keep(self, pid: int, old: PathResult, new: PathResult) -> PathResult:
+        """The attempt path ``pid`` keeps of ``old`` and its re-track
+        ``new``, which absorbs the other's effort.  A success stands
+        over a re-track that did not succeed, *unresolved* when the
+        re-track stopped short of the end (:meth:`short`)."""
+        if old.success and not new.success:
+            old.stats.absorb(new.stats)
+            if self.short(new.status is PathStatus.FAILED, new.stats.t_reached):
+                self.unresolved[pid] = new
+            return old
+        new.stats.absorb(old.stats)
+        self.unresolved.pop(pid, None)
+        return new
+
+    def short(self, failed, t_reached):
+        """Whether an attempt that did not succeed stopped short of the
+        end: it ``failed``, or diverged more than one of the caller's
+        longest steps (``max_step``) before t = 1.  A re-track that
+        leaves for infinity only in that last window says nothing
+        against the success it re-tracked: as t -> 1 a path of a
+        deficient system that piled onto a finite root and one that
+        runs off to infinity look alike.  Works on arrays too."""
+        return failed | (t_reached < 1.0 - self.sets[0].max_step)
+
+    def climb(self, pid: int, succeeded: bool) -> int | None:
+        """Move path ``pid`` one rung up; ``None`` when it has none left.
+        ``succeeded`` says whether its kept attempt is a success."""
+        rung = self.rung.get(pid, 0)
+        if rung >= self.rounds:
+            return None
+        self.rung[pid] = rung + 1
+        self.retries += 1
+        if succeeded:
+            self.collisions += 1
+        else:
+            self.failures.add(pid)
+        return rung + 1
+
+    def front(self, path_ids, dim: int) -> "_LiveFront":
+        """The ladder as a running front of ``path_ids`` consults it
+        (see :class:`_LiveFront`)."""
+        return _LiveFront(self, path_ids, dim)
+
+
+class _LiveFront:
+    """A running front's view of its :class:`Ladder`.
+
+    Rows are the front's input rows.  A row ``arrived`` while its kept
+    attempt is a success, at ``point``: where it reached t = 1 (the
+    tracker's coordinates, as accurate as the corrector's acceptance)
+    or, once ``final``, the endgame's endpoint.  A row is ``busy`` while
+    an attempt of it runs.  Pairs of kept points within ``window`` (the
+    loosest acceptance a corrector may take, ``corrector_tol ** (1/3)``)
+    of which a row may still climb are finished on the spot by the
+    tracker's ``finish`` callback, and only finished endpoints are
+    compared, within ``tol`` and at ``ladder.endpoint`` when a hook is
+    given: the ladder decides on what :func:`retrack_duplicate_clusters`
+    would compare.  What the front cannot settle (a collision the
+    window misses, a re-track the endgame fails) is left to that
+    function.
+    """
+
+    def __init__(self, ladder: Ladder, path_ids, dim: int) -> None:
+        self.ladder = ladder
+        self.window = max(ladder.tol, ladder.sets[0].corrector_tol ** (1 / 3))
+        self.ids = [int(pid) for pid in path_ids]
+        n = len(self.ids)
+        self.point = np.zeros((n, dim), dtype=complex)
+        self.arrived = np.zeros(n, dtype=bool)
+        self.final = np.zeros(n, dtype=bool)
+        self.busy = np.ones(n, dtype=bool)
+        self._hooked: dict = {}
+        # kept points binned on their first coordinate, ``window`` wide:
+        # max-norm neighbours within ``window`` are in adjacent bins
+        self._bins: dict = {}
+        self._bin: dict = {}
+
+    def step(self, arrived, x, ended, failed, t_ended, finish):
+        """Rows whose running attempt just finished: ``arrived`` reached
+        t = 1 at the rows of ``x``; ``ended`` did not, FAILED where
+        ``failed`` (diverged elsewhere), at ``t_ended``.  ``finish(rows)
+        -> (points, success, failed)`` runs the endgame on rows that
+        arrived.  Returns ``(rows, rungs)``: the rows that re-enter, each
+        with the option set it climbs to."""
+        lad = self.ladder
+        arrived = np.asarray(arrived, dtype=np.int64)
+        ended = np.asarray(ended, dtype=np.int64)
+        failed = np.asarray(failed, dtype=bool)
+        short = lad.short(failed, t_ended)
+        self.busy[arrived] = False
+        self.busy[ended] = False
+        # a re-track of a kept success that reproduced its endpoint
+        # makes its row stable (the corrector accepts a re-track's Euler
+        # steps on the residual, so where it arrived is where it ends)
+        redo = arrived[self.arrived[arrived]]
+        if redo.size:
+            same = np.max(
+                np.abs(x[self.arrived[arrived]] - self.point[redo]), axis=1
+            ) < lad.tol
+            lad.stable.update(self.ids[r] for r in redo[same])
+        self._place(arrived, x, final=False)
+        # a re-track that stopped short leaves its row's earlier success
+        # kept and unresolved, and that success collides still unless
+        # its partner moved
+        query = np.concatenate([arrived, ended[short & self.arrived[ended]]])
+        near = [
+            (i, j) for i, j in self._near(query)
+            if self._may_climb(i) or self._may_climb(j)
+        ]
+        dead = [ended[failed & ~self.arrived[ended]]]
+        todo = np.array(
+            sorted({r for pair in near for r in pair if not self.final[r]}),
+            dtype=np.int64,
+        )
+        if todo.size:
+            pts, ok, bad = finish(todo)
+            self._place(todo[ok], pts[ok], final=True)
+            for r in todo[~ok].tolist():
+                self._drop(r)
+            dead.append(todo[bad])
+        up = set()
+        for i, j in near:
+            if self._collide(i, j):
+                up.update((i, j))
+        if lad.retry_failed:
+            up.update(np.concatenate(dead).tolist())
+        rows, rungs = [], []
+        for r in sorted(up):
+            if not self._may_climb(r):
+                continue
+            rung = lad.climb(self.ids[r], bool(self.arrived[r]))
+            self.busy[r] = True
+            rows.append(r)
+            rungs.append(rung)
+        return np.array(rows, dtype=np.int64), np.array(rungs, dtype=np.int64)
+
+    def _may_climb(self, r: int) -> bool:
+        pid = self.ids[r]
+        return (
+            not self.busy[r]
+            and pid not in self.ladder.stable
+            and self.ladder.rung.get(pid, 0) < self.ladder.rounds
+        )
+
+    def _place(self, rows, points, final: bool) -> None:
+        """Rows whose kept attempt is now a success at ``points``."""
+        for r in rows.tolist():
+            self._drop(r)
+        first = points[:, 0] / self.window
+        re = np.floor(first.real).astype(np.int64).tolist()
+        im = np.floor(first.imag).astype(np.int64).tolist()
+        for r, b in zip(rows.tolist(), zip(re, im)):
+            self._bins.setdefault(b, set()).add(r)
+            self._bin[r] = b
+        self.point[rows] = points
+        self.arrived[rows] = True
+        self.final[rows] = final
+
+    def _drop(self, r: int) -> None:
+        """Row ``r`` no longer keeps a success."""
+        b = self._bin.pop(r, None)
+        if b is not None:
+            self._bins[b].discard(r)
+        self._hooked.pop(r, None)
+        self.arrived[r] = False
+
+    def _near(self, rows) -> List[tuple]:
+        """Pairs ``(i, j)``, ``i`` in ``rows``, of kept points within
+        ``window`` of each other."""
+        out: List[tuple] = []
+        for r in rows.tolist():
+            b = self._bin.get(r)
+            if b is None:
+                continue
+            near = [
+                s for i in (-1, 0, 1) for j in (-1, 0, 1)
+                for s in self._bins.get((b[0] + i, b[1] + j), ())
+                if s != r
+            ]
+            if near:
+                close = np.max(
+                    np.abs(self.point[near] - self.point[r]), axis=1
+                ) < self.window
+                out.extend((r, s) for s, c in zip(near, close.tolist()) if c)
+        return out
+
+    def _collide(self, i: int, j: int) -> bool:
+        """Whether two finished kept successes coincide within ``tol``."""
+        if not (self.arrived[i] and self.arrived[j]):
+            return False
+        if self.ladder.endpoint is None:
+            p, q = self.point[i], self.point[j]
+        else:
+            p, q = self._hooked_point(i), self._hooked_point(j)
+            if p is None or q is None:
+                return False
+        return bool(
+            np.max(np.abs(np.asarray(p) - np.asarray(q))) < self.ladder.tol
+        )
+
+    def _hooked_point(self, r: int):
+        if r not in self._hooked:
+            x = self.point[r]
+            self._hooked[r] = self.ladder.endpoint(
+                PathResult(PathStatus.SUCCESS, x, x, 0.0, path_id=self.ids[r])
+            )
+        return self._hooked[r]
+
+
 def retrack_duplicate_clusters(
     results: List[PathResult],
     retrack,
@@ -261,24 +544,23 @@ def retrack_duplicate_clusters(
     rounds: int = 3,
     tol: float = 1e-6,
 ) -> List[PathResult]:
-    """The re-track ladder: re-track suspicious paths until they
-    separate, finish, or stall.
+    """The re-track ladder after a front: re-track suspicious paths
+    until they separate, finish, or stall.
 
     The one escalation loop behind the blackbox solver, polyhedral
-    phase 1, the Pieri tree and the Pieri parameter continuation.  Each
-    rung tightens the options once (:func:`tighten_options`) and
-    re-tracks one front: every member of a colliding cluster (see
-    :func:`duplicate_path_ids`) plus the rows of ``failed`` that have
-    not succeeded and carry no endgame verdict (a Cauchy-measured
-    singularity is a classification, not a failure), up to ``rounds``
-    times.  The *no-progress bail-out* is the subtle part, and the
-    reason this lives in one place: when a rung reproduces every
-    endpoint it re-tracked (nothing moved beyond ``tol``), the collision
-    is a genuine multiple root — not a predictor jump — and tighter
-    steps can never separate it, so escalating further would only burn
-    time.  A re-tracked path replaces the one before it unless that one
-    succeeded and the re-track did not; either way the attempt kept
-    absorbs the other's effort, so effort totals count every attempt.
+    phase 1, the Pieri tree and the Pieri parameter continuation, with
+    the policy of :class:`Ladder`.  Each pass re-tracks every member of
+    a colliding cluster that is not stable, plus the rows of ``failed``
+    that have not succeeded and carry no endgame verdict (a
+    Cauchy-measured singularity is a classification, not a failure),
+    each on the option set one rung above its own, one front per rung;
+    a path that has climbed ``rounds`` rungs is left as it stands.  A
+    pass in which nothing moved (every re-track reproduced its endpoint
+    or ended in a verdict that leaves the success kept) is the
+    no-progress bail-out: a genuine multiple root, not a predictor
+    jump.  A FAILED re-track is unresolved, not reproduced, so it never
+    bails out; a path still in a collision whose latest re-track failed
+    is reported FAILED (with all its effort), one cluster member kept.
 
     Parameters
     ----------
@@ -286,72 +568,87 @@ def retrack_duplicate_clusters(
         Per-path results ordered by path id (mutated in place and also
         returned).
     retrack:
-        ``retrack(path_ids, options) -> List[PathResult]`` — re-track a
-        whole rung's members with the given (tightened) options as one
-        front (results aligned with ``path_ids``).  Tightened re-tracks
-        take 4x the steps of the main pass at a quarter the step size,
-        which is exactly where a front pays.
+        ``retrack(path_ids, options) -> List[PathResult]`` — re-track
+        paths with the given (tightened) options as one front (results
+        aligned with ``path_ids``).
     options:
-        The options the main tracking pass used; tightened before the
-        first rung.
+        The options the main tracking pass used, or the :class:`Ladder`
+        it ran under live — which then carries the rungs already
+        climbed, the stable paths, ``endpoint``, ``rounds`` and ``tol``.
     failed:
         Path ids to re-track for as long as they fail, besides the
         colliding ones.
     endpoint:
         ``endpoint(result) -> point or None`` — where two successful
         results are compared, when not at ``result.solution`` (``None``:
-        the result takes no part in collisions).  Each rung calls it on
-        the current results before its re-track and on every re-tracked
-        result as it returns.
+        the result takes no part in collisions).
     """
     from ..telemetry import current_telemetry
 
+    if isinstance(options, Ladder):
+        ladder = options
+    else:
+        ladder = Ladder(options, endpoint=endpoint, rounds=rounds, tol=tol)
+    endpoint, tol = ladder.endpoint, ladder.tol
     tel = current_telemetry()
-    stable: set = set()
-    for rung in range(rounds):
+    while True:
         seen = _compared(results, endpoint)
         at = {r.path_id: r.solution for r in seen}
         front = sorted(
-            {pid for pid in duplicate_path_ids(seen, tol=tol) if pid not in stable}
+            {
+                pid for pid in duplicate_path_ids(seen, tol=tol)
+                if pid not in ladder.stable
+            }
             | {
                 pid for pid in failed
                 if not results[pid].success
                 and not results[pid].endgame_classified
             }
         )
-        if not front:
+        rungs: dict = {}
+        for pid in front:
+            rung = ladder.climb(pid, results[pid].success)
+            if rung is not None:
+                rungs.setdefault(rung, []).append(pid)
+        if not rungs:
             break
-        options = tighten_options(options)
-        if tel is not None:
-            tel.count("tracker.retry_rungs")
-            tel.instant(
-                "retry_rung", "tracker", rung=rung + 1, paths=len(front)
-            )
         moved = False
-        for pid, retracked in zip(front, retrack(front, options)):
-            old = results[pid]
-            if old.success and not retracked.success:
-                old.stats.absorb(retracked.stats)
-                continue
-            point = _compared([retracked], endpoint)
-            if point and pid in at and np.max(
-                np.abs(point[0].solution - at[pid])
-            ) < tol:
-                # this path reproduced its endpoint at tighter steps:
-                # its side of the collision is a genuine root, not a
-                # predictor jump — exclude it from later rungs so a
-                # single wandering path elsewhere cannot keep the
-                # whole stable cluster re-tracking
-                stable.add(pid)
-            else:
-                moved = True
-            retracked.stats.absorb(old.stats)
-            results[pid] = retracked
+        for rung, pids in sorted(rungs.items()):
+            if tel is not None:
+                tel.count("tracker.retry_rungs")
+                tel.instant("retry_rung", "tracker", rung=rung, paths=len(pids))
+            for pid, retracked in zip(pids, retrack(pids, ladder.sets[rung])):
+                kept = ladder.keep(pid, results[pid], retracked)
+                point = _compared([kept], endpoint) if kept is retracked else []
+                if point and pid in at and np.max(
+                    np.abs(point[0].solution - at[pid])
+                ) < tol:
+                    # reproduced at tighter steps: this side of the
+                    # collision is a genuine root, so a wandering path
+                    # elsewhere cannot keep it re-tracking
+                    ladder.stable.add(pid)
+                elif kept is retracked or ladder.unresolved.get(pid) is retracked:
+                    # moved, or stopped short: unresolved, not reproduced
+                    moved = True
+                results[pid] = kept
         if not moved:
-            # every re-track reproduced its endpoint: the collision is a
-            # genuine multiple root, and tighter steps will never
-            # separate it — stop escalating
+            # every re-track reproduced its endpoint (or ended in a
+            # verdict that leaves the success kept): a genuine multiple
+            # root, which tighter steps will never separate
             break
+    if ladder.unresolved:
+        seen = _compared(results, endpoint)
+        for cluster in greedy_cluster_indices([r.solution for r in seen], tol):
+            ids = [seen[i].path_id for i in cluster]
+            lost = [pid for pid in ids if pid in ladder.unresolved]
+            if len(ids) < 2 or not lost:
+                continue
+            for pid in lost[len(lost) == len(ids):]:
+                results[pid] = dataclasses.replace(
+                    ladder.unresolved.pop(pid),
+                    status=PathStatus.FAILED,
+                    stats=results[pid].stats,
+                )
     return results
 
 

@@ -8,6 +8,7 @@ batch protocol natively (ConvexHomotopy) or is wrapped by
 :class:`ScalarBatchAdapter` (the Pieri determinant homotopy).
 """
 
+import dataclasses
 import doctest
 
 import numpy as np
@@ -22,14 +23,17 @@ from repro.schubert import (
     trivial_solution_matrix,
 )
 from repro.systems import cyclic_roots_system, katsura_system
+from repro.kernels import slp
 from repro.tracker import (
     BatchHomotopy,
     BatchTracker,
     HomotopyFunction,
+    Ladder,
     PathStatus,
     PathTracker,
     ScalarBatchAdapter,
     TrackerOptions,
+    TrackStats,
     as_batch,
     batch_newton_correct,
     newton_correct,
@@ -323,6 +327,61 @@ class TestScalarParity:
         monkeypatch.setattr("repro.polyhedral.homotopy.mixed_cells", no_cells)
         with pytest.raises(ValueError):
             solve(cyclic_roots_system(3), start="polyhedral", mode="bogus")
+
+
+class TestLiveLadder:
+    """A row that climbs the re-track ladder re-enters the running
+    front: each attempt is the row tracked alone on its rung's options,
+    and the kept attempt absorbs the ones it supersedes."""
+
+    B = slp.BLOCK
+    attempts: dict = {}
+
+    @pytest.mark.parametrize("npts", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_reentered_row_is_its_rung_alone(self, npts):
+        # 8 katsura-3 starts cycled over the front: each start's rows
+        # collide, and an 8-step budget fails the hermite first pass of
+        # every path, so rows re-enter both ways and climb rungs 1 to 3
+        # beside hermite rows of the first pass
+        homotopy, starts = make_homotopy_and_starts(
+            katsura_system(3), rng=np.random.default_rng(5), kernel="slp"
+        )
+        starts = np.asarray(starts)
+        which = np.arange(npts) % len(starts)
+        options = TrackerOptions(predictor="hermite", max_steps=8)
+        ladder = Ladder(options, retry_failed=True)
+        front = BatchTracker(options).track_batch(
+            homotopy, starts[which], ladder=ladder
+        )
+        attempts = self.attempts  # shared by the front sizes
+
+        def alone(start, rung):
+            if (start, rung) not in attempts:
+                attempts[start, rung] = BatchTracker(
+                    ladder.sets[rung]
+                ).track_batch(homotopy, starts[[start]])[0]
+            return dataclasses.replace(
+                attempts[start, rung],
+                stats=dataclasses.replace(attempts[start, rung].stats),
+            )
+
+        fields = [
+            f.name for f in dataclasses.fields(TrackStats) if f.name != "seconds"
+        ]
+        climbed = [ladder.rung.get(i, 0) for i in range(npts)]
+        assert min(climbed) >= 1
+        for i, row in enumerate(front):
+            kept = alone(which[i], 0)
+            for rung in range(1, climbed[i] + 1):
+                kept = Ladder(options).keep(i, kept, alone(which[i], rung))
+            assert (row.path_id, row.status) == (i, kept.status)
+            assert row.solution.tobytes() == kept.solution.tobytes()
+            assert [getattr(row.stats, f) for f in fields] == [
+                getattr(kept.stats, f) for f in fields
+            ]
+        if npts > len(starts):
+            assert max(climbed) == 3
+            assert ladder.collisions > 0 and ladder.stable
 
 
 def test_polynomial_doctests():

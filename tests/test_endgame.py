@@ -523,6 +523,46 @@ class TestRetrackDuplicateClusters:
         assert [r.solution[0] for r in results] == [3.0, 1.0 - 1j, 2.0]
         assert [r.stats.newton_iterations for r in results] == [7, 7, 12]
 
+    def test_failed_retrack_is_unresolved_not_reproduced(self):
+        """A re-track that fails does not reproduce its endpoint: the
+        ladder keeps climbing instead of bailing out on a "multiple
+        root", and a path still colliding after its last rung is a
+        failure, every attempt's effort on it.  The parent bailed out
+        after one rung and reported both paths successful."""
+        results = [self._result(0, 1.0), self._result(1, 1.0)]
+        rungs = []
+
+        def retrack(pids, opts):
+            rungs.append(list(pids))
+            out = []
+            for pid in pids:
+                r = self._result(pid, 1.0)
+                if pid == 1:
+                    r.status = PathStatus.FAILED
+                r.stats = TrackStats(newton_iterations=3, t_reached=0.5)
+                out.append(r)
+            return out
+
+        retrack_duplicate_clusters(results, retrack, TrackerOptions())
+        assert rungs == [[0, 1], [1], [1]]
+        assert results[0].success
+        assert results[1].status is PathStatus.FAILED
+        assert results[1].stats.newton_iterations == 9
+
+    def test_a_lost_root_is_not_reported_found(self):
+        """Regression: on katsura-7, hermite, ``default_rng(2)`` path 67
+        jumps onto path 113's root and every re-track of it diverges
+        short of the end.  The bail-out took the pair for a multiple
+        root: 128 successes over 127 roots."""
+        report = solve(
+            katsura_system(7), kernel="slp", mode="batch",
+            predictor="hermite", rng=np.random.default_rng(2),
+        )
+        summary = report.summary
+        assert summary["success"] + summary["failed"] == 128
+        assert len(report.solutions) == summary["success"] == 127
+        assert report.results[67].status is PathStatus.FAILED
+
     def test_solve_summary_counts_every_attempt(self, monkeypatch):
         """Regression: the ladder dropped the effort of the attempt a
         re-track replaced, so ``newton_total`` and

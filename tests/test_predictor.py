@@ -437,6 +437,24 @@ class TestEffortGate:
         assert effort[0] >= self.EFFORT_FLOOR * effort[1]
 
 
+class TestLiveLadderGate:
+    """The re-track ladder's rungs ride the live front: kernel calls of
+    a whole solve, a count that repeats exactly for a seed."""
+
+    def test_rungs_ride_the_front(self):
+        # katsura-7 seed 0 re-tracks five colliding pairs.  As a 10-row
+        # front after the 128-row one: 1 235 kernel calls at 18.6
+        # points a call
+        report = solve_module.solve(
+            katsura_system(7), kernel="slp", mode="batch",
+            predictor="hermite", rng=np.random.default_rng(0),
+        )
+        kernel = report.summary["kernel"]
+        assert len(report.solutions) == report.summary["success"] == 128
+        assert kernel["calls"] == 1193
+        assert kernel["points_per_call"] > 18.6
+
+
 class TestCorrectorAcceptance:
     def _homotopy(self):
         homotopy, starts = make_homotopy_and_starts(

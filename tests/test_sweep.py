@@ -32,6 +32,36 @@ from repro.sweep import (
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _group_members(pgid):
+    """Live (not zombie) processes of process group ``pgid``."""
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # after the command: state, ppid, pgrp
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            alive.append(int(entry))
+    return alive
+
+
+def _reap_group(pgid, timeout=30.0):
+    """SIGKILL what is left of a killed master's process group (its pool
+    workers) and wait until none of it runs."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return
+    deadline = time.time() + timeout
+    while _group_members(pgid):
+        assert time.time() < deadline, "orphaned workers survived SIGKILL"
+        time.sleep(0.05)
+
+
 def small_mixed_spec(name="mixed-small"):
     """20 mixed jobs, fast ones first and the heavy ones last (so a kill
     early in the run always leaves work for the resume to do)."""
@@ -467,6 +497,9 @@ class TestKillResumeIdentity:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            # its own process group: the pool workers the SIGKILL
+            # orphans stay findable, and are reaped below
+            start_new_session=True,
         )
         try:
             deadline = time.time() + 120
@@ -482,6 +515,7 @@ class TestKillResumeIdentity:
             os.kill(proc.pid, signal.SIGKILL)
         finally:
             proc.wait(timeout=60)
+            _reap_group(proc.pid)
 
         killed_records = SweepJournal(checkpoint).load_records()
         assert 0 < len(killed_records) < spec.n_jobs, (
