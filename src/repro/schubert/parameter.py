@@ -265,24 +265,24 @@ def continue_to_instance(
     return _finish(homotopy, x0s, raw, ladder)
 
 
-def _finish(homotopy, x0s, raw, options):
+def _finish(homotopy, x0s, raw, ladder):
     """One query's ``(solutions, path_results)``: its paths through the
     re-track ladder, then each endpoint in the standard chart.
 
     The deformation's endpoints are provably distinct regular roots, so
     a collision (which would silently merge two feedback laws) is a
     predictor jump and a failure a numerical accident: both climb the
-    shared ladder (``options`` is the :class:`~repro.tracker.Ladder` the
-    paths ran under live, or the options of a front that ran without
-    one), one front of ``homotopy``'s paths a rung.  An endpoint whose
-    chart normalization hits a zero pivot is recorded FAILED.
+    shared :class:`~repro.tracker.Ladder` (the one the paths ran under
+    live, or a fresh one after a front that ran without), one front of
+    ``homotopy``'s paths a rung.  An endpoint whose chart normalization
+    hits a zero pivot is recorded FAILED.
     """
     retrack_duplicate_clusters(
         raw,
         lambda pids, o: BatchTracker(o).track_batch(
             homotopy, [x0s[pid] for pid in pids], path_ids=pids
         ),
-        options,
+        ladder,
         failed=[r.path_id for r in raw if not r.success],
     )
     solutions: List[np.ndarray] = []
@@ -414,7 +414,7 @@ def continue_to_instances(
                 dataclasses.replace(result, path_id=pid)
                 for pid, result in enumerate(raw[k * d : (k + 1) * d])
             ],
-            opts,
+            Ladder(opts, retry_failed=True),
         )
         for k, member in enumerate(members)
     ]

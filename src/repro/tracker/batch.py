@@ -202,9 +202,7 @@ class BatchTracker:
 
         # one option set per rung: rows start on set 0, and a re-entered
         # row is an attempt of its own, in a slot of its own; every
-        # per-row decision below reads the slot's set (``oset``).  A
-        # front that never re-entered a row is ``uniform`` and reads
-        # set 0's scalars, the one-set loop to the bit
+        # per-row decision below reads the slot's set (``oset``)
         sets = [opts] if ladder is None else option_rungs(opts, ladder.rounds)
         watch = None if ladder is None else ladder.front(path_ids, dim)
         preds = [make_predictor(o.predictor) for o in sets]
@@ -222,7 +220,6 @@ class BatchTracker:
         budgets = np.array([o.max_steps for o in sets])
         bounds = np.array([o.divergence_bound for o in sets])
         recycle = bool(em.any())
-        uniform = True
 
         # a slot per attempt (a row climbs at most ``rounds`` rungs),
         # allocated once: a front whose slots grew would reallocate its
@@ -282,17 +279,25 @@ class BatchTracker:
                 endings.append(idx)
 
         def groups(rows: np.ndarray):
-            # (option set, positions in ``rows``) for each set in play
-            if uniform:
+            # (option set, positions in ``rows``) for each set in play;
+            # until a row re-enters, every slot is on set 0
+            if nslots == n:
                 return [(0, slice(None))]
             k = oset[rows]
             present = np.flatnonzero(np.bincount(k, minlength=len(sets)))
+            if present.size == 1:
+                return [(int(present[0]), slice(None))]
             return [(j, np.flatnonzero(k == j)) for j in present.tolist()]
+
+        def per_row(table, rows: np.ndarray, parts):
+            # each row's entry of a per-set table, given ``groups(rows)``:
+            # one scalar while the rows share a set
+            return table[parts[0][0]] if len(parts) == 1 else table[oset[rows]]
 
         def enter(rows: np.ndarray, ks: np.ndarray) -> None:
             # new attempts of input rows ``rows`` on option sets ``ks``:
             # from their starts, after a check that those solve H(., t0)
-            nonlocal nslots, uniform
+            nonlocal nslots
             slots = np.arange(nslots, nslots + rows.size)
             nslots += rows.size
             src[slots], oset[slots] = rows, ks
@@ -301,8 +306,6 @@ class BatchTracker:
             step[slots] = [sets[k].initial_step for k in ks.tolist()]
             state[slots] = _RUNNING
             pstate.x_prev[slots], pstate.t_prev[slots] = X[slots], T[slots]
-            if ks.any():
-                uniform = False
             for k, at in groups(slots):
                 g = slots[at]
                 with maybe_span(tel, "start_check", "corrector"):
@@ -382,9 +385,7 @@ class BatchTracker:
         while True:
             run = np.flatnonzero(state == _RUNNING)
             spent = accepted[run] + rejected[run]
-            exhausted = run[
-                spent >= (budgets[0] if uniform else budgets[oset[run]])
-            ]
+            exhausted = run[spent >= budgets[oset[run]]]
             if exhausted.size:
                 classify(
                     exhausted, PathStatus.FAILED, np.full(exhausted.size, np.inf)
@@ -422,36 +423,26 @@ class BatchTracker:
                 else:
                     tangent, ok = self._tangents(bh_run, X_run, T_run)
                     jac_evals[live] += 1
-                if uniform:
-                    x_pred = preds[0].predict(
-                        pstate, run, X_run, T_run, dt, tangent, ok
+                parts = groups(run)
+                x_pred = np.empty_like(X_run)
+                for k, at in parts:
+                    x_pred[at] = preds[k].predict(
+                        pstate, run[at], X_run[at], T_run[at], dt[at],
+                        tangent[at], ok[at],
                     )
-                else:
-                    x_pred = np.empty_like(X_run)
-                    for k, at in groups(run):
-                        x_pred[at] = preds[k].predict(
-                            pstate, run[at], X_run[at], T_run[at], dt[at],
-                            tangent[at], ok[at],
-                        )
 
             # --- correct
-            if uniform:
-                em_run = bool(em[0])
-                limits = opts.corrector_iterations
-                update_tol = update_tols[0] if em_run else None
-                loose_tol = loose_tols[0] if em_run else None
-            else:
-                em_run = em[oset[run]]
-                limits = iters[oset[run]]
-                update_tol = update_tols[oset[run]] if em_run.any() else None
-                loose_tol = loose_tols[oset[run]] if em_run.any() else None
+            em_run = per_row(em, run, parts)
+            any_em = bool(em_run.any())
+            update_tol = per_row(update_tols, run, parts) if any_em else None
+            loose_tol = per_row(loose_tols, run, parts) if any_em else None
             with maybe_span(tel, "newton", "corrector"):
                 corr = batch_newton_correct(
                     bh_run,
                     x_pred,
                     t_new,
                     tol=opts.corrector_tol,
-                    max_iterations=limits,
+                    max_iterations=per_row(iters, run, parts),
                     want_jacobian=recycle,
                     update_tol=update_tol,
                     loose_tol=loose_tol,
@@ -462,7 +453,7 @@ class BatchTracker:
 
             conv = corr.converged
             err_all = None
-            if (em_run if uniform else em_run.any()) and conv.any():
+            if any_em and conv.any():
                 # suspected path jump: the corrector converged, but to a
                 # point far beyond what the prediction's error model can
                 # explain — almost certainly a neighboring path's basin.
@@ -470,9 +461,7 @@ class BatchTracker:
                 # saves the whole endpoint-collision retracking rung the
                 # jump would otherwise trigger
                 err_all = np.abs(corr.x - x_pred).max(axis=1)
-                jump = conv & (
-                    err_all > (jump_at[0] if uniform else jump_at[oset[run]])
-                )
+                jump = conv & (err_all > per_row(jump_at, run, parts))
                 if jump.any():
                     conv = conv & ~jump
                     if tel is not None:
@@ -536,7 +525,7 @@ class BatchTracker:
                         )
                         easy[grow] = 0
                 norms = np.abs(X[acc]).max(axis=1)
-                div = norms > (bounds[0] if uniform else bounds[oset[acc]])
+                div = norms > bounds[oset[acc]]
                 if div.any():
                     classify(
                         acc[div], PathStatus.DIVERGED, corr.residual[conv][div]

@@ -235,10 +235,12 @@ def _newton_sweeps(
     # per-row limits: a row below the largest takes its closing
     # residual evaluation at its own last sweep
     limit = None
-    if np.ndim(max_iterations):
+    if isinstance(max_iterations, np.ndarray):
         limit = np.asarray(max_iterations, dtype=np.int64)
         max_iterations = int(limit.max()) if npaths else 0
-    rowwise = [np.ndim(v) > 0 for v in (update_tol, loose_tol, fail_fast)]
+    rowwise = [
+        isinstance(v, np.ndarray) for v in (update_tol, loose_tol, fail_fast)
+    ]
     if rowwise[2] and not fail_fast.any():
         fail_fast, rowwise[2] = False, False
     for it in range(1, max_iterations + 1):

@@ -273,7 +273,8 @@ class Ladder:
 
     - every member of a collision cluster (endpoints within ``tol``, as
       :func:`duplicate_path_ids` defines them, compared at
-      ``endpoint(result)`` when a hook is given), except the *stable*
+      ``endpoint(result) -> point or None`` when a hook is given;
+      ``None`` keeps a result out of collisions), except the *stable*
       members: a re-track that reproduced its endpoint says its side of
       the collision is a genuine root, and a cluster whose members are
       all stable is a genuine multiple root that tighter steps will
@@ -382,10 +383,12 @@ class _LiveFront:
     of which a row may still climb are finished on the spot by the
     tracker's ``finish`` callback, and only finished endpoints are
     compared, within ``tol`` and at ``ladder.endpoint`` when a hook is
-    given: the ladder decides on what :func:`retrack_duplicate_clusters`
-    would compare.  What the front cannot settle (a collision the
-    window misses, a re-track the endgame fails) is left to that
-    function.
+    given: for a collision, and for whether a re-track of a kept success
+    that collides again reproduced that success's endpoint (its row is
+    then stable).  The ladder decides on what
+    :func:`retrack_duplicate_clusters` would compare.  What the front
+    cannot settle (a collision the window misses, a re-track the
+    endgame fails) is left to that function.
     """
 
     def __init__(self, ladder: Ladder, path_ids, dim: int) -> None:
@@ -398,6 +401,9 @@ class _LiveFront:
         self.final = np.zeros(n, dtype=bool)
         self.busy = np.ones(n, dtype=bool)
         self._hooked: dict = {}
+        #: row -> (point, compared point) of the kept success a re-track
+        #: of it that is not finished yet stands over
+        self._prior: dict = {}
         # kept points binned on their first coordinate, ``window`` wide:
         # max-norm neighbours within ``window`` are in adjacent bins
         self._bins: dict = {}
@@ -417,15 +423,11 @@ class _LiveFront:
         short = lad.short(failed, t_ended)
         self.busy[arrived] = False
         self.busy[ended] = False
-        # a re-track of a kept success that reproduced its endpoint
-        # makes its row stable (the corrector accepts a re-track's Euler
-        # steps on the residual, so where it arrived is where it ends)
-        redo = arrived[self.arrived[arrived]]
-        if redo.size:
-            same = np.max(
-                np.abs(x[self.arrived[arrived]] - self.point[redo]), axis=1
-            ) < lad.tol
-            lad.stable.update(self.ids[r] for r in redo[same])
+        # a re-track of a kept success (whose endpoint is finished: it
+        # climbed from a collision) remembers that endpoint until it is
+        # finished itself, below, if it collides again
+        for r in arrived[self.arrived[arrived]].tolist():
+            self._prior[r] = (self.point[r].copy(), self._compared(r))
         self._place(arrived, x, final=False)
         # a re-track that stopped short leaves its row's earlier success
         # kept and unresolved, and that success collides still unless
@@ -443,8 +445,21 @@ class _LiveFront:
         if todo.size:
             pts, ok, bad = finish(todo)
             self._place(todo[ok], pts[ok], final=True)
-            for r in todo[~ok].tolist():
-                self._drop(r)
+            for i, r in enumerate(todo.tolist()):
+                if r not in self._prior:
+                    if not ok[i]:
+                        self._drop(r)
+                    continue
+                # a finished re-track of a kept success: one that
+                # reproduced its endpoint makes its row stable, as the
+                # ladder after the front decides; one the endgame does
+                # not pass leaves that success kept (:meth:`Ladder.keep`)
+                point, at = self._prior.pop(r)
+                bad[i] = False
+                if not ok[i]:
+                    self._place(np.array([r]), point[None], final=True)
+                elif self._close(at, self._compared(r)):
+                    lad.stable.add(self.ids[r])
             dead.append(todo[bad])
         up = set()
         for i, j in near:
@@ -516,33 +531,35 @@ class _LiveFront:
         """Whether two finished kept successes coincide within ``tol``."""
         if not (self.arrived[i] and self.arrived[j]):
             return False
-        if self.ladder.endpoint is None:
-            p, q = self.point[i], self.point[j]
-        else:
-            p, q = self._hooked_point(i), self._hooked_point(j)
-            if p is None or q is None:
-                return False
+        return self._close(self._compared(i), self._compared(j))
+
+    def _close(self, p, q) -> bool:
+        if p is None or q is None:
+            return False
         return bool(
             np.max(np.abs(np.asarray(p) - np.asarray(q))) < self.ladder.tol
         )
 
-    def _hooked_point(self, r: int):
-        if r not in self._hooked:
-            x = self.point[r]
-            self._hooked[r] = self.ladder.endpoint(
+    def _compared(self, r: int, x=None):
+        """Where an endpoint of row ``r`` (its kept one, or ``x``) is
+        compared: at ``ladder.endpoint`` when a hook is given (``None``:
+        not at all), else as it stands."""
+        if self.ladder.endpoint is None:
+            return self.point[r] if x is None else x
+        if x is not None:
+            return self.ladder.endpoint(
                 PathResult(PathStatus.SUCCESS, x, x, 0.0, path_id=self.ids[r])
             )
+        if r not in self._hooked:
+            self._hooked[r] = self._compared(r, self.point[r])
         return self._hooked[r]
 
 
 def retrack_duplicate_clusters(
     results: List[PathResult],
     retrack,
-    options,
+    ladder: Ladder,
     failed: Sequence[int] = (),
-    endpoint=None,
-    rounds: int = 3,
-    tol: float = 1e-6,
 ) -> List[PathResult]:
     """The re-track ladder after a front: re-track suspicious paths
     until they separate, finish, or stall.
@@ -571,24 +588,17 @@ def retrack_duplicate_clusters(
         ``retrack(path_ids, options) -> List[PathResult]`` — re-track
         paths with the given (tightened) options as one front (results
         aligned with ``path_ids``).
-    options:
-        The options the main tracking pass used, or the :class:`Ladder`
-        it ran under live — which then carries the rungs already
-        climbed, the stable paths, ``endpoint``, ``rounds`` and ``tol``.
+    ladder:
+        The :class:`Ladder` of these paths, built on the options the
+        main tracking pass used: its rounds, ``tol`` and ``endpoint``
+        hook, and, when the front ran under it live, the rungs already
+        climbed and the stable paths.
     failed:
         Path ids to re-track for as long as they fail, besides the
         colliding ones.
-    endpoint:
-        ``endpoint(result) -> point or None`` — where two successful
-        results are compared, when not at ``result.solution`` (``None``:
-        the result takes no part in collisions).
     """
     from ..telemetry import current_telemetry
 
-    if isinstance(options, Ladder):
-        ladder = options
-    else:
-        ladder = Ladder(options, endpoint=endpoint, rounds=rounds, tol=tol)
     endpoint, tol = ladder.endpoint, ladder.tol
     tel = current_telemetry()
     while True:

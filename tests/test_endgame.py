@@ -42,6 +42,7 @@ from repro.systems import (
 from repro.tracker import (
     BatchTracker,
     HomotopyFunction,
+    Ladder,
     PathResult,
     PathStatus,
     PathTracker,
@@ -457,9 +458,7 @@ class TestRetrackDuplicateClusters:
             # the re-track separates path 1 to its true endpoint
             return [self._result(pid, 2.0 if pid == 1 else 1.0) for pid in pids]
 
-        retrack_duplicate_clusters(
-            results, retrack, TrackerOptions()
-        )
+        retrack_duplicate_clusters(results, retrack, Ladder(TrackerOptions()))
         assert sorted(calls) == [0, 1]
         assert abs(results[1].solution[0] - 2.0) < 1e-12
 
@@ -474,9 +473,7 @@ class TestRetrackDuplicateClusters:
             calls.extend(pids)
             return [self._result(pid, 1.0) for pid in pids]
 
-        retrack_duplicate_clusters(
-            results, retrack, TrackerOptions()
-        )
+        retrack_duplicate_clusters(results, retrack, Ladder(TrackerOptions()))
         assert len(calls) == 2  # one round over the cluster, then stop
 
     def test_escalates_while_moving(self):
@@ -491,7 +488,7 @@ class TestRetrackDuplicateClusters:
             return [self._result(pid, moved) for pid in pids]
 
         retrack_duplicate_clusters(
-            results, retrack, TrackerOptions(), rounds=3
+            results, retrack, Ladder(TrackerOptions(), rounds=3)
         )
         assert len(calls) == 6  # three rounds over the two-path cluster
 
@@ -516,8 +513,12 @@ class TestRetrackDuplicateClusters:
             return out
 
         retrack_duplicate_clusters(
-            results, retrack, TrackerOptions(predictor="hermite"),
-            failed=[2], endpoint=lambda r: r.solution.real,
+            results, retrack,
+            Ladder(
+                TrackerOptions(predictor="hermite"),
+                endpoint=lambda r: r.solution.real,
+            ),
+            failed=[2],
         )
         assert rungs == [([0, 1, 2], "euler")]
         assert [r.solution[0] for r in results] == [3.0, 1.0 - 1j, 2.0]
@@ -543,11 +544,42 @@ class TestRetrackDuplicateClusters:
                 out.append(r)
             return out
 
-        retrack_duplicate_clusters(results, retrack, TrackerOptions())
+        retrack_duplicate_clusters(results, retrack, Ladder(TrackerOptions()))
         assert rungs == [[0, 1], [1], [1]]
         assert results[0].success
         assert results[1].status is PathStatus.FAILED
         assert results[1].stats.newton_iterations == 9
+
+    @pytest.mark.parametrize("predictor", ["euler", "hermite"])
+    def test_live_front_bails_out_on_a_multiple_root(self, predictor):
+        """A genuine double root re-tracked on the live front: each
+        member climbs one rung, reproduces its endgame-finished endpoint
+        and is stable, as after the front.  The refine endgame leaves
+        the two endpoints ~1e-6 apart, so they collide within 1e-5.
+        Compared where the re-track reached t = 1 instead, the members
+        never read as reproduced and climbed all three rungs."""
+        homotopy, starts = make_homotopy_and_starts(
+            multiple_root_system(2), rng=np.random.default_rng(0),
+            kernel="slp",
+        )
+        options = TrackerOptions(predictor=predictor)
+        live = Ladder(options, retry_failed=True, tol=1e-5)
+        front = BatchTracker(options).track_batch(
+            homotopy, starts, ladder=live
+        )
+        assert [r.status for r in front] == [PathStatus.SUCCESS] * 2
+        assert (live.retries, live.stable) == (2, {0, 1})
+        assert live.rung == {0: 1, 1: 1}
+
+        after = Ladder(options, tol=1e-5)
+        retrack_duplicate_clusters(
+            BatchTracker(options).track_batch(homotopy, starts),
+            lambda pids, o: BatchTracker(o).track_batch(
+                homotopy, [starts[p] for p in pids], path_ids=pids
+            ),
+            after,
+        )
+        assert (after.retries, after.stable) == (2, {0, 1})
 
     def test_a_lost_root_is_not_reported_found(self):
         """Regression: on katsura-7, hermite, ``default_rng(2)`` path 67

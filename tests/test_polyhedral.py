@@ -411,6 +411,7 @@ class TestPolyhedralStart:
         from repro.polyhedral.homotopy import CellHomotopy, normalized_slacks
         from repro.tracker import (
             BatchTracker,
+            Ladder,
             TrackerOptions,
             TrackStats,
             retrack_duplicate_clusters,
@@ -441,7 +442,8 @@ class TestPolyhedralStart:
             return [done[pid] for pid in pids]
 
         retrack_duplicate_clusters(
-            loop, retrack, opts, failed=[r.path_id for r in loop if not r.success]
+            loop, retrack, Ladder(opts),
+            failed=[r.path_id for r in loop if not r.success],
         )
         effort = [f.name for f in fields(TrackStats) if f.name != "seconds"]
         assert len(front) == len(loop) == ps.mixed_volume
