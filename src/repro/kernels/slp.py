@@ -51,6 +51,7 @@ constant columns (see :mod:`repro.kernels.cache`).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -308,29 +309,35 @@ class _Schedule:
         self.n_ops = len(live) + len(rows)
 
     def replay(self, X, T, K, E=None):
-        """Run the program on ``X`` (``npts, nvars``) and times ``T``
-        with constant column ``K`` and per-row exponents ``E``."""
+        """Run the program on ``X`` (``npts, nvars``, complex) and times
+        ``T`` with constant column ``K`` and per-row exponents ``E``.
+
+        The work array ``V`` of each block is a reshaped prefix of the
+        calling thread's arena (:func:`_work`): row 0 is reset per
+        block, every other row is written before it is read, and the
+        outputs are fresh arrays, so nothing in the arena outlives the
+        call and one row's bits do not depend on what the arena held.
+        """
         npts, secs = X.shape[0], self.sections
-        outs = [np.empty((npts, len(r)), dtype=X.dtype) for r, _ in secs]
-        V, nrows = None, self.nslots + len(self.gather)
-        P = None  # the per-row time rows, filled once for the whole call
-        if self.trows.size or self.dtrows.size:
-            P = np.concatenate([
-                T ** E.take(self.trows, 0),
-                time_derivative_rows(T, E.take(self.dtrows, 0)),
-            ])
+        outs = [np.empty((npts, len(r)), dtype=complex) for r, _ in secs]
+        nrows, width = self.nslots + len(self.gather), 0
+        ntr, ndt = self.trows.size, self.dtrows.size
         for lo in range(0, npts, BLOCK):
             hi = min(lo + BLOCK, npts)
-            if V is None or V.shape[1] != hi - lo:
-                V = np.empty((nrows, hi - lo), dtype=X.dtype)
+            if hi - lo != width:
+                width = hi - lo
+                V = _work(nrows * width).reshape(nrows, width)
                 V[0] = 1.0
                 G = V[self.nslots :]
             V[1 : 1 + self.nvars] = X[lo:hi].T
-            Tb = T[lo:hi] if self.tpows else None
+            Tb = None if T is None else T[lo:hi]
             for row, eta in self.tpows:  # scalar exponents: see docs/kernels.md
                 V[row] = Tb ** eta
-            if P is not None:
-                V[self.tlo : self.tlo + len(P)] = P[:, lo:hi]
+            if ntr or ndt:  # the per-row time rows, t^E then E t^(E-1)
+                Eb = E[:, lo:hi]
+                V[self.tlo : self.tlo + ntr] = Tb ** Eb.take(self.trows, 0)
+                V[self.tlo + ntr : self.tlo + ntr + ndt] = (
+                    time_derivative_rows(Tb, Eb.take(self.dtrows, 0)))
             for a, b, s, e in self.levels:
                 np.multiply(V.take(a, 0), V.take(b, 0), out=V[s:e])
             # into V's tail rows, not over the gathered operand: numpy
@@ -343,6 +350,23 @@ class _Schedule:
                 out[lo:hi] = G.take(r, 0).T
         outs = [o.reshape((npts,) + s) for o, (_, s) in zip(outs, secs)]
         return outs[0] if len(outs) == 1 else tuple(outs)
+
+
+#: each thread's replay work arena: one flat complex buffer, grown to
+#: the largest block the thread has replayed and never shrunk (threads
+#: of one process replay shared kernels at once, so it is per thread)
+_arena = threading.local()
+
+
+def _work(n):
+    """The first ``n`` entries of the calling thread's arena.
+
+    A fresh work array per call is 0.3-1.3 MB, which glibc maps and
+    trims again on every call: a page fault per 4 KiB touched."""
+    buf = getattr(_arena, "buf", None)
+    if buf is None or buf.size < n:
+        buf = _arena.buf = np.empty(n, dtype=complex)
+    return buf[:n]
 
 
 def time_derivative_rows(T, E):
@@ -482,6 +506,7 @@ class SLPKernel:
             K = np.zeros((len(prog.gather), 1), dtype=complex)
             K[prog.rows, 0] = self.coefficients[prog.term] * prog.scale
             bound = self._bound[name] = (prog, K)
+        X = np.asarray(X, dtype=complex)  # real points evaluate too
         self.stats.record(X.shape[0])
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             return bound[0].replay(X, tt, bound[1], E)

@@ -11,12 +11,16 @@ and sweep journals.
 """
 
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.artifacts import ArtifactStore
 from repro.homotopy import (
     ConvexHomotopy,
     ProjectivePatchHomotopy,
@@ -39,6 +43,7 @@ from repro.kernels import (
     system_terms,
 )
 from repro.kernels import slp
+from repro.polyhedral import supports as poly_supports
 from repro.polynomials import Polynomial, PolynomialSystem
 from repro.systems import cyclic_roots_system, katsura_system
 
@@ -321,6 +326,189 @@ def _assert_rows_do_not_depend_on_the_batch(calls, X, T, E=None):
         for i in (0, B - 1, B, 2 * B, 3 * B + 4):
             for part, whole in zip(run(call, slice(i, i + 1)), full):
                 assert np.array_equal(part[0], whole[i])
+
+
+# ---------------------------------------------------------------------------
+# the replay's per-thread work arena
+# ---------------------------------------------------------------------------
+
+
+def _work_rows(kernel, name):
+    prog = kernel.tape.program(name)
+    return prog.nslots + len(prog.gather)
+
+
+def _random_points(rng, npts, nvars):
+    return rng.standard_normal((npts, nvars)) + 1j * rng.standard_normal(
+        (npts, nvars)
+    )
+
+
+@pytest.mark.parametrize("parametric", [False, True])
+def test_rows_do_not_depend_on_what_the_arena_held(parametric):
+    """The row-of-batch identity with a larger, different program
+    replayed before every call, so each call's work array is a prefix
+    of an arena full of foreign values."""
+    B = slp.BLOCK
+    rng = np.random.default_rng(12)
+    foreign = compile_system_kernel(cyclic_roots_system(6), "slp")
+    Y = _random_points(rng, B + 7, 6)
+    if parametric:
+        terms = [
+            Term(int(rng.integers(0, 3)),
+                 tuple(int(e) for e in rng.integers(0, 4, 3)),
+                 complex(*rng.standard_normal(2)),
+                 float(rng.choice([0.0, 1.0, 2.0, 0.5])))
+            for _ in range(12)
+        ]
+        kernel = compile_term_kernel(3, 3, terms)
+        T = 0.05 + 0.95 * rng.random(3 * B + 5)
+        calls = (kernel.evaluate, kernel.evaluate_and_jacobian,
+                 kernel.jacobian_t, kernel.jacobians)
+    else:
+        kernel = compile_system_kernel(katsura_system(4), "slp")
+        T = None
+        calls = (kernel.evaluate, kernel.evaluate_and_jacobian)
+    assert _work_rows(foreign, "eval_jac") > max(
+        _work_rows(kernel, name) for name in kernel.tape._programs
+    )
+
+    def after_foreign(call):
+        def wrapped(*args):
+            foreign.evaluate_and_jacobian(Y)
+            return call(*args)
+        return wrapped
+
+    X = _random_points(rng, 3 * B + 5, kernel.tape.nvars)
+    _assert_rows_do_not_depend_on_the_batch(
+        [after_foreign(call) for call in calls], X, T
+    )
+
+
+def test_returned_arrays_do_not_alias_the_arena():
+    rng = np.random.default_rng(13)
+    kernel = compile_system_kernel(katsura_system(5), "slp")
+    other = compile_system_kernel(cyclic_roots_system(5), "slp")
+    res, jac = kernel.evaluate_and_jacobian(_random_points(rng, 40, 6))
+    kept = res.copy(), jac.copy()
+    for npts in (1, 40, 2 * slp.BLOCK + 3):
+        kernel.evaluate_and_jacobian(_random_points(rng, npts, 6))
+        other.evaluate_and_jacobian(_random_points(rng, npts, 5))
+    assert np.array_equal(res, kept[0]) and np.array_equal(jac, kept[1])
+
+
+def test_threads_replay_shared_kernels_concurrently():
+    """Four threads, two a kernel, each replaying its kernel 200 times
+    at once with a short switch interval, get the serial bits: no
+    thread reads another's work rows."""
+    rng = np.random.default_rng(14)
+    B = slp.BLOCK
+    jobs = []
+    for system in (katsura_system(6), cyclic_roots_system(6)):
+        kernel = compile_system_kernel(system, "slp")
+        X = _random_points(rng, 2 * B + 9, system.nvars)
+        jobs.append((kernel, X, kernel.evaluate_and_jacobian(X)))
+    nthreads = 4
+    barrier = threading.Barrier(nthreads, timeout=60)
+    mismatches, done = [0] * nthreads, [0] * nthreads
+
+    def hammer(k):
+        kernel, X, (res, jac) = jobs[k % len(jobs)]
+        barrier.wait()
+        for i in range(200):
+            n = (1, B, B + 1, 2 * B + 9)[(i + k) % 4]
+            r, j = kernel.evaluate_and_jacobian(X[:n])
+            mismatches[k] += not (
+                np.array_equal(r, res[:n]) and np.array_equal(j, jac[:n])
+            )
+            done[k] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer, args=(k,))
+                   for k in range(nthreads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert done == [200] * nthreads
+    assert mismatches == [0] * nthreads
+
+
+class TestWarmArenaGate:
+    """A warm solve replays in the pages it already has: once a cold
+    cyclic-5 polyhedral solve and one warm solve have run in a thread,
+    warm solves 2 and 3 (reports kept, as a serving loop keeps them)
+    replay in that thread's arena buffer, which they neither replace
+    nor leave unused.  The gate reads the buffer, not page faults: what
+    a fresh work array per call costs in minor faults depends on glibc's
+    heap state.  Measured per warm solve in a fresh interpreter, a
+    fresh work array per call read 8 745-9 396 faults in one checkout
+    and 125-778 in a checkout at another path; the arena reads 11-49.
+    A fault ceiling therefore would not fail reliably without it."""
+
+    def test_warm_solves_replay_in_one_buffer(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        target = cyclic_roots_system(5)
+        supports = [np.asarray(s) for s in poly_supports.supports_of(target)]
+
+        def run(system, rng):
+            return solve(system, start="polyhedral", kernel="slp",
+                         mode="batch", cache=store, rng=rng)
+
+        def solves():  # in a fresh thread: its arena starts empty
+            run(target, np.random.default_rng(0))  # the cold solve
+            kept, arenas, written = [], [], []
+            for seed in (1, 2, 3):
+                rng = np.random.default_rng(seed)
+                coefficients = [rng.standard_normal(len(s))
+                                + 1j * rng.standard_normal(len(s))
+                                for s in supports]
+                system = poly_supports.coefficient_system(supports, coefficients)
+                if arenas:
+                    arenas[-1][:] = np.nan  # poison what the arena holds
+                kept.append(run(system, rng))
+                arenas.append(getattr(slp._arena, "buf", None))
+                assert arenas[-1] is not None, "the replay took no arena"
+                written.append(int(np.count_nonzero(~np.isnan(arenas[-1]))))
+            return kept, arenas, written
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            kept, arenas, written = pool.submit(solves).result()
+        assert [r.summary["cache"]["status"] for r in kept] == ["warm"] * 3
+        assert [len(r.solutions) for r in kept] == [70] * 3
+        assert all(a is arenas[0] for a in arenas), [a.size for a in arenas]
+        assert min(written[1:]) > 0, written
+
+
+@pytest.mark.parametrize("dtype", [float, int])
+def test_real_points_evaluate_like_their_complex_cast(dtype):
+    """Real and integer points are complex points with zero imaginary
+    parts, on both compile routes, and agree with the naive backend."""
+    rng = np.random.default_rng(15)
+    system = katsura_system(2)
+    X = (4 * rng.standard_normal((9, 3))).astype(dtype)
+    T = rng.random(9)
+    terms = system_terms(system) + [Term(0, (1, 0, 2), 0.5 - 1j, 1.0)]
+    pairs = [
+        (compile_system_kernel(system, "slp"),
+         compile_system_kernel(system, "naive"), ()),
+        (compile_term_kernel(3, 3, terms, "slp"),
+         compile_term_kernel(3, 3, terms, "naive"), (T,)),
+    ]
+    for kernel, naive, t in pairs:
+        for name in ("evaluate", "evaluate_and_jacobian"):
+            got = getattr(kernel, name)(X, *t)
+            want = getattr(kernel, name)(X.astype(complex), *t)
+            ref = getattr(naive, name)(X, *t)
+            for a, b, c in zip(*(o if isinstance(o, tuple) else (o,)
+                                 for o in (got, want, ref))):
+                assert a.dtype == complex
+                assert np.array_equal(a, b) and _close(a, c)
 
 
 _ETAS = [0.0, 1.0, 2.0, 1.5, 2.75]

@@ -54,6 +54,15 @@ def cyclic4():
     return homotopy, starts
 
 
+@pytest.fixture(scope="module")
+def cyclic4_slp():
+    """The same homotopy on one shared SLP kernel."""
+    homotopy, starts = make_homotopy_and_starts(
+        cyclic_roots_system(4), rng=np.random.default_rng(0), kernel="slp"
+    )
+    return homotopy, starts
+
+
 class TestFlatExecutors:
     def test_serial_baseline(self, cyclic4):
         homotopy, starts = cyclic4
@@ -75,6 +84,20 @@ class TestFlatExecutors:
             assert a.status == b.status
             if a.status is PathStatus.SUCCESS:
                 assert np.allclose(a.solution, b.solution, atol=1e-8)
+
+    def test_dynamic_threads_match_serial_on_one_slp_kernel(self, cyclic4_slp):
+        """Four threads replay one kernel at once: each row's bits are
+        the serial ones (the replay's work arena is per thread)."""
+        homotopy, starts = cyclic4_slp
+        serial = track_paths_parallel(homotopy, starts, mode="serial")
+        threaded = track_paths_parallel(
+            homotopy, starts, n_workers=4, schedule="dynamic", mode="thread"
+        )
+        assert len(threaded.results) == len(serial.results)
+        for a, b in zip(serial.results, threaded.results):
+            assert a.path_id == b.path_id
+            assert a.status == b.status
+            assert np.array_equal(a.solution, b.solution)
 
     def test_static_threads_match_serial(self, cyclic4):
         homotopy, starts = cyclic4
