@@ -55,6 +55,17 @@ __all__ = [
     "multiplicity_clusters",
 ]
 
+#: The main pass of a warm polyhedral query (``solve(start="polyhedral",
+#: cache=...)`` served from the store) when the caller passes neither
+#: ``options`` nor ``predictor``: the Hermite cubic as a guess on the
+#: seed's step control.  Every warm path starts at a regular root of a
+#: generic instance, and Euler at ``corrector_tol = 1e-9`` takes about
+#: three Newton updates a step there, so its streak rule never grows a
+#: halved step back and the slowest path takes 5-6x the median's steps
+#: (``docs/tracking.md``).  The cold route, the closed-form starts and
+#: anything the caller passes keep their own options.
+WARM_OPTIONS = TrackerOptions(predictor="cubic")
+
 
 @dataclass
 class SolveReport:
@@ -389,7 +400,10 @@ def solve(
         reproducible run.
     options:
         :class:`~repro.tracker.TrackerOptions` for the main tracking
-        pass (defaults are PHCpack-flavoured).
+        pass.  ``None`` (default) means the route's default: PHCpack-
+        flavoured :class:`~repro.tracker.TrackerOptions`, or
+        :data:`WARM_OPTIONS` (the ``"cubic"`` guess) on a warm
+        polyhedral hit when ``predictor`` is ``None`` too.
     mode:
         ``"batch"`` (one SoA front) or ``"per_path"`` (one-row fronts).
     endgame:
@@ -418,9 +432,12 @@ def solve(
         call/evaluation counts.
     predictor:
         Prediction strategy for the main tracking pass (see
-        :mod:`repro.tracker.predictor`).  ``None`` (default) keeps
-        whatever ``options`` says (itself defaulting to ``"euler"``,
-        the seed arithmetic); ``"hermite"`` switches on the
+        :mod:`repro.tracker.predictor`).  ``None`` (default) means the
+        route's default: whatever ``options`` says, and without
+        ``options`` ``"euler"`` (the seed arithmetic), except on a warm
+        polyhedral hit, which guesses with ``"cubic"``.  Any
+        ``predictor`` or ``options`` the caller passes wins over that.
+        ``"hermite"`` switches on the
         higher-order predictor pipeline — cubic Hermite prediction,
         error-model step control, and Jacobian-recycled tangent
         solves.  The summary always carries a ``"predictor"`` entry
@@ -448,7 +465,9 @@ def solve(
         continuation from the cached solved generic instance
         (mixed-volume-many paths); a cold solve with a clean phase 1
         populates the store.  The summary's ``cache`` dict records the
-        route taken.
+        route taken.  A warm path starts at a regular root of a generic
+        instance, so a FAILED row of a warm hit is a lost root: it
+        climbs the re-track ladder under any predictor.
 
     Returns
     -------
@@ -549,6 +568,10 @@ def _solve(
             else:
                 from ..artifacts import polyhedral_key
 
+                if options is None and predictor is None:
+                    base_options = dataclasses.replace(
+                        WARM_OPTIONS, trace_paths=base_options.trace_paths
+                    )
                 cache_info = {
                     "status": "warm",
                     "key": polyhedral_key(target),
@@ -569,9 +592,15 @@ def _solve(
         # an error-model predictor trades per-step robustness for speed:
         # its larger steps can strand a hard path in a step underflow the
         # seed Euler settings walk through, so its FAILED rows ride the
-        # ladder with the collisions (Euler's own failures are final)
-        error_model = make_predictor(base_options.predictor).error_model
-        ladder = Ladder(base_options, retry_failed=error_model)
+        # ladder with the collisions.  A warm path starts at a regular
+        # root of a generic instance, so a FAILED row of a warm hit is a
+        # lost root under any guess, never an endpoint at infinity.  Off
+        # the warm route, Euler's and the cubic's failures are final.
+        retry_failed = (
+            make_predictor(base_options.predictor).error_model
+            or warm_meta is not None
+        )
+        ladder = Ladder(base_options, retry_failed=retry_failed)
         with maybe_span(tel, "track", "solve"):
             results = [
                 r
@@ -581,7 +610,7 @@ def _solve(
                 )
             ]
         failed = []
-        if error_model:
+        if retry_failed:
             failed = [r.path_id for r in results if r.status is PathStatus.FAILED]
         with maybe_span(tel, "retrack_duplicates", "solve"):
             retrack_duplicate_clusters(

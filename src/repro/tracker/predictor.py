@@ -20,7 +20,8 @@ BatchTracker`) delegates the guess to a :class:`Predictor`:
   changes, so streak steps stay quantised and a front stays in lockstep.
   Newton lands in two updates instead of three on most steps, which is
   what lets the streak rule grow the step at all on Pieri edges
-  (``PieriSolver.DEFAULT_OPTIONS``; the 2x2 in ``docs/tracking.md``).
+  (``PieriSolver.DEFAULT_OPTIONS``) and on warm polyhedral queries
+  (``homotopy.solve.WARM_OPTIONS``; the 2x2 in ``docs/tracking.md``).
 
 Predictors operate on *row batches*: ``predict`` takes ``(k, dim)``
 arrays for the active front, all arithmetic elementwise per row, so a

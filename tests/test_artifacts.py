@@ -7,6 +7,7 @@ safe via atomic rename, and a warm Pieri query tracks exactly
 """
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import multiprocessing
@@ -33,6 +34,7 @@ from repro.homotopy import solve
 from repro.polyhedral.supports import coefficient_system, supports_of
 from repro.schubert import PieriInstance, PieriSolver, pieri_root_count
 from repro.systems import cyclic_roots_system, katsura_system
+from repro.tracker import TrackerOptions
 
 
 # ---------------------------------------------------------------- store
@@ -440,3 +442,90 @@ class TestPolyhedralRoute:
         assert sub.lifting_seed == cold.summary["lifting_seed"]
         # the journaled seed really reproduces the stored lifting
         assert validate_lifting_seed(store, target) is True
+
+
+class TestWarmRouteGuess:
+    """A warm polyhedral hit tracks with ``homotopy.solve.WARM_OPTIONS``
+    (the cubic guess) unless the caller passes ``options`` or
+    ``predictor``, and its FAILED rows climb the re-track ladder under
+    any guess.  Counters only: one cold cyclic-5 solve fills the store,
+    then six random-coefficient queries on its supports run each way."""
+
+    QUERIES = 6
+    #: summed kernel calls, default over explicit Euler; 2 120 / 3 089 =
+    #: 0.686 measured, 1.0 when the warm route tracks with Euler
+    CALLS_CEILING = 0.80
+    #: sha256 (first 16 hex digits) of the concatenated solutions of the
+    #: six queries under explicit Euler, the same before the warm route
+    #: had a default of its own
+    EULER_HASH = "86281046fb12812d"
+
+    @pytest.fixture(scope="class")
+    def warm(self, tmp_path_factory):
+        store = ArtifactStore(tmp_path_factory.mktemp("warm"))
+        target = cyclic_roots_system(5)
+        cold = solve(target, start="polyhedral", kernel="slp", mode="batch",
+                     cache=store, rng=np.random.default_rng(0))
+        assert cold.summary["cache"]["stored"]
+        sups = [np.asarray(s) for s in supports_of(target)]
+        queries = []
+        for q in range(self.QUERIES):
+            rng = np.random.default_rng(100 + q)
+            coeffs = [rng.standard_normal(len(s)) + 1j * rng.standard_normal(len(s))
+                      for s in sups]
+            queries.append(coefficient_system(sups, coeffs))
+
+        def run(q, **kwargs):
+            report = solve(queries[q], start="polyhedral", kernel="slp",
+                           mode="batch", cache=store,
+                           rng=np.random.default_rng(q), **kwargs)
+            assert report.summary["cache"]["status"] == "warm"
+            return report
+
+        return run
+
+    @pytest.fixture(scope="class")
+    def both(self, warm):
+        return ([warm(q) for q in range(self.QUERIES)],
+                [warm(q, predictor="euler") for q in range(self.QUERIES)])
+
+    def test_default_is_cubic_and_the_caller_wins(self, warm, both):
+        default, euler = both
+        for rep in default:
+            assert rep.summary["predictor"] == "cubic"
+            assert rep.summary["options"]["predictor"] == "cubic"
+        for rep in euler + [warm(0, options=TrackerOptions())]:
+            assert rep.summary["predictor"] == "euler"
+            assert rep.summary["options"]["predictor"] == "euler"
+
+    def test_same_roots_at_fewer_kernel_calls(self, both):
+        default, euler = both
+        for cubic_rep, euler_rep in zip(default, euler):
+            assert len(cubic_rep.solutions) == len(euler_rep.solutions) == 70
+            pool = list(cubic_rep.solutions)
+            for x in euler_rep.solutions:  # greedy nearest-neighbour pairing
+                dists = [np.max(np.abs(x - y)) for y in pool]
+                k = int(np.argmin(dists))
+                assert dists[k] < 1e-8
+                pool.pop(k)
+        calls = [sum(rep.summary["kernel"]["calls"] for rep in side)
+                 for side in (default, euler)]
+        assert calls[0] <= self.CALLS_CEILING * calls[1], calls
+
+    def test_explicit_euler_is_the_seed_route_bit_for_bit(self, both):
+        _, euler = both
+        assert all(rep.summary["failed"] == 0 for rep in euler)
+        digest = hashlib.sha256()
+        for rep in euler:
+            for x in rep.solutions:
+                digest.update(x.tobytes())
+        assert digest.hexdigest()[:16] == self.EULER_HASH
+
+    def test_failed_rows_of_a_warm_hit_climb_the_ladder(self, warm):
+        # 20 steps strand about half the Euler paths; each rung allows
+        # four times the steps of the one below it
+        report = warm(0, options=TrackerOptions(max_steps=20))
+        assert report.summary["predictor"] == "euler"
+        assert report.summary["fallback_retracked"] > 0
+        assert report.summary["failed"] == 0
+        assert len(report.solutions) == 70

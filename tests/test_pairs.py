@@ -92,3 +92,54 @@ def test_every_benchmark_metric_is_summarized():
     assert [r["metric"] for r in rows] == list(metrics)
     assert all(r["wins"] == 0 and r["verdict"] == "unchanged" for r in rows)
     assert "solve_s" in pairs.format_rows(rows)
+
+
+def _runs(parent, change):
+    """Pairs from ``(roots_missing, roots_expected, ops)`` per side."""
+    return [{"runs": {side: {"roots_missing": m, "roots_expected": e, "ops": n}
+                      for side, (m, e, n) in (("parent", a), ("change", b))}}
+            for a, b in zip(parent, change)]
+
+
+def test_root_losses_are_judged_by_the_harness_bound(monkeypatch):
+    # 80 ops of 156 roots a side: 1 root missing each side is no change
+    even = _runs([(1, 6240, 40), (0, 6240, 40)], [(0, 6240, 40), (1, 6240, 40)])
+    shares, verdict = pairs.root_losses(even)
+    assert shares["parent"] == shares["change"] == pytest.approx(1 / 12480)
+    assert verdict == "unchanged"
+    # 14 more roots missing: 15 / 12480 - 1 / 12480 = 0.00112 > 0.001
+    worse = _runs([(1, 6240, 40), (0, 6240, 40)], [(7, 6240, 40), (8, 6240, 40)])
+    assert pairs.root_losses(worse)[1] == "REGRESSED"
+    # the bound is the harness module's, not a copy of it
+    monkeypatch.setattr(pairs.harness, "ROOTS_MISSING_BOUND", 0.002)
+    assert pairs.root_losses(worse)[1] == "unchanged"
+
+
+def test_median_ops_per_side():
+    runs = _runs([(0, 1, 49), (0, 1, 51), (0, 1, 50)],
+                 [(0, 1, 61), (0, 1, 59), (0, 1, 60)])
+    assert pairs.median_ops(runs) == {"parent": 50, "change": 60}
+
+
+def test_report_flags_lost_roots_and_unequal_op_counts(capsys):
+    metrics = pairs.bounds()
+
+    def pair(k, missing):
+        return {"workload": "w", "pair": k,
+                "parent": dict.fromkeys(metrics, 1.0),
+                "change": dict.fromkeys(metrics, 1.0),
+                "runs": {"parent": {"correct": True, "attempted": 50,
+                                    "failed": 0, "ops": 50,
+                                    "roots_missing": 0, "roots_expected": 7800},
+                         "change": {"correct": True, "attempted": 60,
+                                    "failed": 0, "ops": 60,
+                                    "roots_missing": missing,
+                                    "roots_expected": 9360}}}
+
+    assert pairs.report([pair(k, 0) for k in range(1, 5)]) == 0
+    out = capsys.readouterr().out
+    assert "roots missing: parent 0.0000%, change 0.0000%  unchanged" in out
+    assert "ops a run, median: parent 50, change 60" in out
+    assert "peak_rss_mb compared at unequal op counts" in out
+    assert pairs.report([pair(k, 12) for k in range(1, 5)]) == 1
+    assert "REGRESSED" in capsys.readouterr().out

@@ -12,8 +12,9 @@ Three contracts under test:
    identical with and without instrumentation (the whole point of
    keeping telemetry out of the numerics).
 3. **Cost** — with no ambient context the hooks are one contextvar read;
-   the <3% budget the docs promise for an ambient context is a wall-clock
-   gate, so it lives in ``benchmarks/bench_telemetry.py``, not here.
+   an ambient context without ``trace_paths`` records a fixed handful of
+   spans a solve, however many paths and steps it tracks (a count, not
+   a wall-clock ratio: :class:`TestAmbientCost`).
 """
 
 import json
@@ -371,6 +372,25 @@ class TestDecisionParity:
             assert a.status == b.status
             assert np.array_equal(a.solution, b.solution)
             assert a.stats.newton_iterations == b.stats.newton_iterations
+
+
+class TestAmbientCost:
+    """An ambient context without ``trace_paths`` costs a fixed number
+    of spans a solve: one per stage of ``solve()``, none per path, step
+    or kernel call, and no trace events."""
+
+    STAGES = {"solve/solve": 1, "solve/start_system": 1, "solve/track": 1,
+              "solve/retrack_duplicates": 1, "solve/refine": 1}
+
+    @pytest.mark.parametrize("n, paths", [(4, 24), (5, 120)])
+    def test_spans_do_not_grow_with_the_paths(self, n, paths):
+        tel = Telemetry(name="ambient")
+        with use_telemetry(tel):
+            report = solve(cyclic_roots_system(n), mode="batch", kernel="slp",
+                           rng=np.random.default_rng(0))
+        assert report.n_paths == paths
+        assert tel.deterministic_summary()["spans"] == self.STAGES
+        assert tel.events == []
 
 
 class TestBatchSecondsAmortization:

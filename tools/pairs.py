@@ -16,15 +16,21 @@ neither side), whether the gap between the medians exceeds the parent's
 interquartile range, and the verdict of ``harness.compare_row`` on the
 two lists of runs (``unresolved`` with fewer than 4 runs or a spread
 above the metric's bound, unless every run of the working tree reads
-better than every run of the parent).  It then compares the share of
-failed ops on each side.
+better than every run of the parent).  It then compares, side by side,
+the share of failed ops, the share of expected roots not delivered
+(``REGRESSED`` when the change's share is higher by more than the
+harness's ``ROOTS_MISSING_BOUND``, as ``harness.py compare`` judges it)
+and the median op count a run: ``peak_rss_mb`` grows with the ops a
+window fits, so where the counts differ it is compared at unequal op
+counts.
 
 Run:  python tools/pairs.py run PARENT_DIR --workload W --pairs N --seed S
           --out PAIRS.jsonl
       python tools/pairs.py summary pairs.jsonl [more.jsonl ...]
 
 The tool writes only ``--out``; each harness run keeps its own record
-under its checkout's ``perfbench/results/``, which git ignores.
+under its checkout's ``perfbench/results/``, which git ignores, and the
+tool reads the run's root and op counts from there.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +88,22 @@ def failed_shares(pairs):
             for side in ("parent", "change")}
 
 
+def root_losses(pairs):
+    """``{side: roots missing / roots expected}`` over every run of a
+    side, and the harness's verdict on the change's share."""
+    shares = {side: sum(p["runs"][side]["roots_missing"] for p in pairs)
+              / max(1, sum(p["runs"][side]["roots_expected"] for p in pairs))
+              for side in ("parent", "change")}
+    worse = shares["change"] - shares["parent"] > harness.ROOTS_MISSING_BOUND
+    return shares, "REGRESSED" if worse else "unchanged"
+
+
+def median_ops(pairs):
+    """``{side: median ops a run}``."""
+    return {side: statistics.median(p["runs"][side]["ops"] for p in pairs)
+            for side in ("parent", "change")}
+
+
 def format_rows(rows):
     lines = [f"{'metric':12s} {'parent median [q1, q3]':>30s} "
              f"{'change median [q1, q3]':>30s} {'ratio':>6s} wins  gap>IQR  "
@@ -109,8 +132,12 @@ def harness_run(checkout, workload, seed):
         raise RuntimeError(f"{checkout}: harness printed nothing\n"
                            f"{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
+    record = Path(checkout) / "perfbench" / "results" / f"BENCH_{workload}.json"
+    detail = json.loads(record.read_text())["detail"]
     return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+            "failed": result["failed"], "ops": detail["ops"],
+            "roots_missing": detail["roots_missing"],
+            "roots_expected": detail["roots_expected"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -126,8 +153,8 @@ def cmd_run(args):
             pair = {"workload": args.workload, "pair": k, "seed": seed,
                     "first": order[0],
                     **{side: runs[side]["metrics"] for side in sides},
-                    "runs": {side: {key: runs[side][key] for key in
-                                    ("correct", "attempted", "failed")}
+                    "runs": {side: {key: value for key, value in
+                                    runs[side].items() if key != "metrics"}
                              for side in sides}}
             out.write(json.dumps(pair) + "\n")
             out.flush()
@@ -139,8 +166,8 @@ def cmd_run(args):
 
 
 def report(pairs):
-    """Print each workload's summary; nonzero if a run was incorrect or
-    the change failed a larger share of its ops."""
+    """Print each workload's summary; nonzero if a run was incorrect, or
+    the change failed a larger share of its ops or lost more roots."""
     status = 0
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         ours = [p for p in pairs if p["workload"] == workload]
@@ -150,7 +177,16 @@ def report(pairs):
         worse = shares["change"] > shares["parent"]
         print(f"failed ops: parent {shares['parent']:.2%}, change "
               f"{shares['change']:.2%}{'  MORE FAIL' if worse else ''}")
-        status |= worse
+        missing, verdict = root_losses(ours)
+        print(f"roots missing: parent {missing['parent']:.4%}, change "
+              f"{missing['change']:.4%}  {verdict} "
+              f"[bound +{harness.ROOTS_MISSING_BOUND} abs]")
+        ops = median_ops(ours)
+        unequal = ("  (peak_rss_mb compared at unequal op counts)"
+                   if ops["parent"] != ops["change"] else "")
+        print(f"ops a run, median: parent {ops['parent']:g}, change "
+              f"{ops['change']:g}{unequal}")
+        status |= worse or verdict == "REGRESSED"
     bad = [(p["pair"], side) for p in pairs for side in ("parent", "change")
            if not p["runs"][side]["correct"]]
     print("every run correct" if not bad else f"INCORRECT runs: {bad}")
