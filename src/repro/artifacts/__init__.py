@@ -42,7 +42,7 @@ from .fingerprints import (
     supports_fingerprint,
     system_fingerprint,
 )
-from .pieri import load_pieri_generic, pieri_key, store_pieri_generic
+from .pieri import load_pieri_generic, store_pieri_generic
 from .polyhedral import (
     load_polyhedral_start,
     load_subdivision,
@@ -60,7 +60,6 @@ __all__ = [
     "supports_fingerprint",
     "system_fingerprint",
     "pieri_fingerprint",
-    "pieri_key",
     "store_pieri_generic",
     "load_pieri_generic",
     "polyhedral_key",

@@ -26,12 +26,7 @@ import numpy as np
 from .fingerprints import pieri_fingerprint
 from .store import ArtifactStore, collide
 
-__all__ = ["pieri_key", "store_pieri_generic", "load_pieri_generic"]
-
-
-def pieri_key(m: int, p: int, q: int) -> str:
-    """Store key of the shape (alias of :func:`pieri_fingerprint`)."""
-    return pieri_fingerprint(m, p, q)
+__all__ = ["store_pieri_generic", "load_pieri_generic"]
 
 
 def store_pieri_generic(
@@ -47,7 +42,7 @@ def store_pieri_generic(
     enforces this before calling in.
     """
     problem = instance.problem
-    key = pieri_key(problem.m, problem.p, problem.q)
+    key = pieri_fingerprint(problem.m, problem.p, problem.q)
     meta = {
         "kind": "pieri",
         "m": int(problem.m),
@@ -80,7 +75,7 @@ def load_pieri_generic(
     from ..schubert.poset import pieri_root_count
     from ..schubert.solver import PieriInstance, PieriProblem
 
-    loaded = store.get(pieri_key(m, p, q))
+    loaded = store.get(pieri_fingerprint(m, p, q))
     if loaded is None:
         return None
     meta, arrays = loaded

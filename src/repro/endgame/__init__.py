@@ -33,14 +33,15 @@ degenerate Jacobian, measures the winding and recovers the endpoint
 from the loop mean:
 
 >>> import numpy as np
->>> from repro.tracker import HomotopyFunction, PathTracker, PathStatus
->>> class Collapse(HomotopyFunction):
+>>> from repro.tracker import BatchHomotopy, PathTracker, PathStatus
+>>> class Collapse(BatchHomotopy):
 ...     '''x(t) = sqrt(1 - t): two branches collapsing at t = 1.'''
 ...     @property
 ...     def dim(self): return 1
-...     def evaluate(self, x, t): return np.array([x[0] ** 2 - (1 - t)])
-...     def jacobian_x(self, x, t): return np.array([[2 * x[0]]])
-...     def jacobian_t(self, x, t): return np.array([1.0 + 0j])
+...     def evaluate_batch(self, X, t):
+...         return X ** 2 - (1 - np.reshape(t, (-1, 1)))
+...     def jacobian_x_batch(self, X, t): return 2 * X[:, :, None]
+...     def jacobian_t_batch(self, X, t): return np.ones_like(X)
 >>> plain = PathTracker().track(Collapse(), [1.0])
 >>> plain.success and plain.winding_number is None
 True

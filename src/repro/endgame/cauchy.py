@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..telemetry import active_tracer
-from ..tracker.interface import as_batch
 from ..tracker.newton import batch_newton_correct
 from ..tracker.result import PathStatus
 from .strategy import (
@@ -121,7 +120,7 @@ class CauchyEndgame(EndgameStrategy):
     def finish(self, homotopy, x, t, options) -> EndgameOutcome:
         """Scalar entry point: the batch kernels run as a one-row batch."""
         out = self._classify(
-            as_batch(homotopy),
+            homotopy,
             np.asarray(x, dtype=complex)[None, :],
             np.array([float(t)]),
             options,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tracker.interface import BatchHomotopy, HomotopyFunction, as_batch
+from ..tracker.interface import BatchHomotopy
 from ..tracker.newton import batch_newton_correct
 from ..tracker.result import PathStatus
 
@@ -80,7 +80,7 @@ class EndgameStrategy(abc.ABC):
     @abc.abstractmethod
     def finish(
         self,
-        homotopy: HomotopyFunction,
+        homotopy: BatchHomotopy,
         x: np.ndarray,
         t: float,
         options,
@@ -119,7 +119,7 @@ class RefineEndgame(EndgameStrategy):
     def finish(self, homotopy, x, t, options) -> EndgameOutcome:
         del t  # the sharpen always happens at t = 1, as the seed did
         out = self._sharpen(
-            as_batch(homotopy), np.asarray(x, dtype=complex)[None, :], options
+            homotopy, np.asarray(x, dtype=complex)[None, :], options
         )
         return EndgameOutcome(
             out.status[0], out.x[0], float(out.residual[0]), int(out.iterations[0])

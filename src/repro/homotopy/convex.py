@@ -12,8 +12,8 @@ over the union of the two supports, which makes :class:`ConvexHomotopy`
 CoefficientHomotopy` and the rescue chart :class:`~repro.homotopy.
 projective.ProjectivePatchHomotopy`) a :class:`~repro.kernels.
 TermHomotopy` — one kernel call per evaluation, the SLP tape under
-``kernel="slp"`` and the reference term kernel otherwise, both tracker
-protocols inherited.
+``kernel="slp"`` and the reference term kernel otherwise, the tracker's
+one homotopy protocol (:class:`~repro.tracker.BatchHomotopy`) inherited.
 """
 
 from __future__ import annotations

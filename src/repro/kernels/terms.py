@@ -25,7 +25,7 @@ import numpy as np
 
 from ..polynomials.system import _CompiledTables
 from ..telemetry import active_tracer, maybe_span
-from ..tracker.interface import BatchHomotopy, HomotopyFunction, _per_path_t
+from ..tracker.interface import BatchHomotopy, _per_path_t
 from .slp import KernelStats, Term, time_derivative_rows
 
 __all__ = ["NaiveTermKernel", "TermHomotopy"]
@@ -132,7 +132,7 @@ class NaiveTermKernel:
         return self._run(X, tt, E, self._jac, self._dt)
 
 
-class TermHomotopy(BatchHomotopy, HomotopyFunction):
+class TermHomotopy(BatchHomotopy):
     """A square homotopy given as a term list, evaluated by one kernel.
 
     ``kernel`` is ``None`` (the reference arithmetic, not accounted),

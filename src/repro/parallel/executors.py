@@ -52,8 +52,8 @@ from typing import Dict, List, Literal, Sequence, Tuple
 import numpy as np
 
 from ..tracker import (
+    BatchHomotopy,
     BatchTracker,
-    HomotopyFunction,
     PathResult,
     TrackerOptions,
 )
@@ -88,7 +88,7 @@ def load_imbalance(busy_seconds) -> float:
 
 # Module-level worker state: set once per worker process by the initializer
 # so the homotopy is pickled once, not per path.
-_WORKER_HOMOTOPY: HomotopyFunction | None = None
+_WORKER_HOMOTOPY: BatchHomotopy | None = None
 _WORKER_TRACKER: BatchTracker | None = None
 
 WorkerKey = Tuple[int, int]
@@ -99,7 +99,7 @@ def _worker_key() -> WorkerKey:
     return os.getpid(), threading.get_ident()
 
 
-def _init_worker(homotopy: HomotopyFunction, options: TrackerOptions) -> None:
+def _init_worker(homotopy: BatchHomotopy, options: TrackerOptions) -> None:
     global _WORKER_HOMOTOPY, _WORKER_TRACKER
     _WORKER_HOMOTOPY = homotopy
     _WORKER_TRACKER = BatchTracker(options)
@@ -150,7 +150,7 @@ def _busy_list(per_worker: Dict[WorkerKey, float], n_workers: int) -> List[float
 
 
 def track_paths_parallel(
-    homotopy: HomotopyFunction,
+    homotopy: BatchHomotopy,
     starts: Sequence[Sequence[complex]],
     n_workers: int | None = None,
     schedule: Literal["static", "dynamic"] = "dynamic",
@@ -162,7 +162,7 @@ def track_paths_parallel(
     Parameters
     ----------
     homotopy:
-        Any :class:`~repro.tracker.HomotopyFunction`; it is shipped to
+        Any :class:`~repro.tracker.BatchHomotopy`; it is shipped to
         each worker once (pickled for process workers).
     starts:
         One start vector per path; path ids are their indices here.

@@ -47,7 +47,7 @@ import numpy as np
 # edit, reads this module's `batched_det` as its example of a function
 # held by name that must see the tracer's wrapper.
 from ..linalg import batched_det  # noqa: F401
-from ..tracker import BatchHomotopy, HomotopyFunction
+from ..tracker import BatchHomotopy
 from ..tracker.interface import _per_path_t
 from .brackets import BracketChart, plane_brackets, plane_path_brackets
 from .patterns import LocalizationPattern
@@ -153,20 +153,18 @@ class _BatchSlices:
         return self._batch(X, t, with_t=True)[1:]
 
 
-class PieriEdgeHomotopy(_BatchSlices, BatchHomotopy, HomotopyFunction):
+class PieriEdgeHomotopy(_BatchSlices, BatchHomotopy):
     """The square homotopy tracked along one Pieri-tree edge.
 
-    Implements *both* tracker protocols: the scalar
-    :class:`~repro.tracker.HomotopyFunction` (one point, one t) and the
-    structure-of-arrays :class:`~repro.tracker.BatchHomotopy` (N points,
-    each at its own t).  The conditions are evaluated through their
-    bracket expansion (:mod:`repro.schubert.brackets`): the ``n - 1``
-    fixed conditions are constant multilinear forms in the unknowns,
-    taped at construction and replayed per call; the moving condition
-    is a polynomial in t whose coefficients are taped forms too, replayed
-    at the unknowns weighted by the moving point.  No determinant is
-    taken while tracking.  Everything carries a leading *path* axis, and
-    the scalar methods run through the batched kernel as one-row batches.
+    A :class:`~repro.tracker.BatchHomotopy`: N points, each at its own
+    t, per call.  The conditions are evaluated through their bracket
+    expansion (:mod:`repro.schubert.brackets`): the ``n - 1`` fixed
+    conditions are constant multilinear forms in the unknowns, taped at
+    construction and replayed per call; the moving condition is a
+    polynomial in t whose coefficients are taped forms too, replayed at
+    the unknowns weighted by the moving point.  No determinant is taken
+    while tracking.  Everything carries a leading *path* axis, and the
+    one-point methods run through the batched kernel as one-row batches.
     Many edges of one tree level (same ``dim``, different patterns and
     gammas) combine into one front via
     :class:`~repro.tracker.StackedHomotopy`.

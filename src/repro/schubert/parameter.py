@@ -35,7 +35,6 @@ import numpy as np
 from ..tracker import (
     BatchHomotopy,
     BatchTracker,
-    HomotopyFunction,
     Ladder,
     PathResult,
     PathStatus,
@@ -75,17 +74,17 @@ DEFAULT_OPTIONS = TrackerOptions(
 )
 
 
-class PieriParameterHomotopy(_BatchSlices, BatchHomotopy, HomotopyFunction):
+class PieriParameterHomotopy(_BatchSlices, BatchHomotopy):
     """H(x, t): root-pattern solutions deformed between two instances.
 
     Unknowns are the free coefficients of the *root* localization pattern
     in the standard chart (bottom pivots pinned to 1); all N conditions
     move simultaneously.
 
-    Implements both tracker protocols: the online phase tracks all
-    ``d(m, p, q)`` known solutions at once, so the batched methods carry
-    a leading path axis (each path at its own t) and the scalar methods
-    run through them as one-row batches.
+    A :class:`~repro.tracker.BatchHomotopy`: the online phase tracks all
+    ``d(m, p, q)`` known solutions at once, so every method carries a
+    leading path axis (each path at its own t); one point is a one-row
+    batch.
     """
 
     def __init__(

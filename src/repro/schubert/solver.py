@@ -526,12 +526,12 @@ class PieriSolver:
                 return report
         report = self._solve_tree(mode)
         if store is not None:
-            from ..artifacts import pieri_key, store_pieri_generic
+            from ..artifacts import pieri_fingerprint, store_pieri_generic
 
             problem = self.problem
             report.cache = {
                 "status": "cold",
-                "key": pieri_key(problem.m, problem.p, problem.q),
+                "key": pieri_fingerprint(problem.m, problem.p, problem.q),
                 "n_paths": sum(report.jobs_per_level.values()),
                 "stored": False,
             }
@@ -559,7 +559,7 @@ class PieriSolver:
         when the store has no (valid) artifact for this shape or any
         continuation path fails; a warm answer is all-or-nothing.
         """
-        from ..artifacts import load_pieri_generic, pieri_key
+        from ..artifacts import load_pieri_generic, pieri_fingerprint
         from .parameter import continue_to_instance
 
         problem = self.problem
@@ -599,7 +599,7 @@ class PieriSolver:
         )
         report.cache = {
             "status": "warm",
-            "key": pieri_key(problem.m, problem.p, problem.q),
+            "key": pieri_fingerprint(problem.m, problem.p, problem.q),
             "n_paths": len(results),
             "seconds": seconds,
         }

@@ -8,12 +8,13 @@ One tracker loop, two names for how many rows a front gets:
   a one-row front through the same loop, bit for bit the row that path
   would be in a wider front.
 
-The loop consumes any homotopy implementing the :class:`HomotopyFunction`
-protocol (``evaluate`` / ``jacobian_x`` / ``jacobian_t`` and ``dim``);
-scalar-only homotopies batch through :class:`ScalarBatchAdapter`.  A batch
-need not track one homotopy from many starts: :class:`StackedHomotopy`
-stacks *distinct same-shape* homotopies (e.g. every Pieri edge of one
-tree level) into a single structure-of-arrays front.
+The loop consumes any :class:`BatchHomotopy` (``dim``,
+``evaluate_batch`` / ``jacobian_x_batch`` / ``jacobian_t_batch`` over a
+stack of points, each at its own ``t``), the one homotopy protocol.  A
+batch need not track one homotopy from many starts:
+:class:`StackedHomotopy` stacks *distinct same-shape* homotopies (e.g.
+every Pieri edge of one tree level) into a single structure-of-arrays
+front.
 
 Track the four total-degree paths of katsura-2 both ways:
 
@@ -33,12 +34,7 @@ True
 """
 
 from .batch import BatchTracker
-from .interface import (
-    BatchHomotopy,
-    HomotopyFunction,
-    ScalarBatchAdapter,
-    as_batch,
-)
+from .interface import BatchHomotopy
 from .newton import (
     BatchNewtonResult,
     NewtonResult,
@@ -71,11 +67,8 @@ from .stacked import StackedHomotopy
 from .tracker import PathTracker, TrackerOptions, refine_solutions
 
 __all__ = [
-    "HomotopyFunction",
     "BatchHomotopy",
-    "ScalarBatchAdapter",
     "StackedHomotopy",
-    "as_batch",
     "NewtonResult",
     "BatchNewtonResult",
     "newton_correct",

@@ -48,7 +48,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..telemetry import current_telemetry, maybe_span
-from .interface import BatchHomotopy, HomotopyFunction, as_batch
+from .interface import BatchHomotopy
 from .newton import _solve_batch, batch_newton_correct
 from .predictor import make_predictor
 from .result import Ladder, PathResult, PathStatus, TrackStats, option_rungs
@@ -126,7 +126,7 @@ class BatchTracker:
 
     def track_batch(
         self,
-        homotopy: BatchHomotopy | HomotopyFunction,
+        homotopy: BatchHomotopy,
         starts: Sequence[Sequence[complex]],
         path_ids: Sequence[int] | None = None,
         t_start: float | Sequence[float] = 0.0,
@@ -134,9 +134,8 @@ class BatchTracker:
     ) -> List[PathResult]:
         """Track all ``starts`` from ``t=t_start`` to t=1 in lockstep sweeps.
 
-        ``homotopy`` may be a native :class:`BatchHomotopy` or any scalar
-        :class:`HomotopyFunction` (wrapped via
-        :func:`~repro.tracker.interface.as_batch`); a
+        ``homotopy`` is any :class:`BatchHomotopy` (anything else raises
+        ``TypeError``); a
         :class:`~repro.tracker.stacked.StackedHomotopy` lets each row
         track its *own* homotopy.  ``t_start`` is a scalar or one value
         per path — per-path starts serve batched chart-switch
@@ -171,22 +170,27 @@ class BatchTracker:
 
     def _track_batch(
         self,
-        homotopy: BatchHomotopy | HomotopyFunction,
+        homotopy: BatchHomotopy,
         starts: Sequence[Sequence[complex]],
         path_ids: Sequence[int] | None,
         t_start: float | Sequence[float],
         tel,
         ladder: Ladder | None,
     ) -> List[PathResult]:
+        if not isinstance(homotopy, BatchHomotopy):
+            raise TypeError(
+                f"expected a BatchHomotopy, got {type(homotopy)!r}"
+            )
         opts = self.options
-        bh = as_batch(homotopy)
         X0 = np.array(
             [np.asarray(s, dtype=complex) for s in starts], dtype=complex
         )
         if X0.size == 0:
             return []
-        if X0.ndim != 2 or X0.shape[1] != bh.dim:
-            raise ValueError(f"expected starts of shape (npaths, {bh.dim})")
+        if X0.ndim != 2 or X0.shape[1] != homotopy.dim:
+            raise ValueError(
+                f"expected starts of shape (npaths, {homotopy.dim})"
+            )
         n, dim = X0.shape
         T0 = np.asarray(t_start, dtype=float)
         if T0.ndim == 0:
@@ -310,7 +314,7 @@ class BatchTracker:
                 g = slots[at]
                 with maybe_span(tel, "start_check", "corrector"):
                     check = batch_newton_correct(
-                        bh if nslots == n else bh.restrict(src[g]),
+                        homotopy if nslots == n else homotopy.restrict(src[g]),
                         X[g], T[g], tol=opts.corrector_tol,
                         max_iterations=sets[k].corrector_iterations,
                         want_jacobian=recycle,
@@ -334,7 +338,7 @@ class BatchTracker:
                 g = slots[at]
                 with maybe_span(tel, "finish", "endgame"):
                     out = self.endgame.finish_batch(
-                        bh.restrict(src[g]), X[g], T[g], sets[k]
+                        homotopy.restrict(src[g]), X[g], T[g], sets[k]
                     )
                 newton[g] += out.iterations
                 X[g] = out.x
@@ -401,7 +405,7 @@ class BatchTracker:
             # identity
             whole = run.size == n and nslots == n
             live = slice(0, n) if whole else run
-            bh_run = bh if whole else bh.restrict(src[run])
+            bh_run = homotopy if whole else homotopy.restrict(src[run])
             X_run, T_run = X[live], T[live]
             dt = np.minimum(step[live], 1.0 - T_run)
             t_new = T_run + dt
@@ -622,6 +626,3 @@ class BatchTracker:
                 else ladder.keep(attempt.path_id, prior, attempt)
             )
         return results
-
-    # alias matching PathTracker.track_many's shape for drop-in use
-    track_many = track_batch

@@ -1,4 +1,4 @@
-"""The homotopy-function interfaces consumed by the path trackers.
+"""The homotopy interface consumed by the path trackers.
 
 A homotopy is any object H(x, t) with x in C^n and t in [0, 1] that can
 produce its residual and both partial Jacobians.  Keeping this as a tiny
@@ -9,20 +9,12 @@ the tracker serve three very different clients without modification:
 - determinant-based Pieri homotopies (:mod:`repro.schubert.homotopy`),
 - synthetic test homotopies used by the unit tests.
 
-Two interfaces live here:
-
-- :class:`HomotopyFunction` — the scalar protocol: one point, one t.
-- :class:`BatchHomotopy` — the structure-of-arrays protocol consumed by
-  :class:`~repro.tracker.batch.BatchTracker`: ``npaths`` points evaluated
-  in one call, each at its own ``t`` (paths in a batch advance with
-  independent adaptive step sizes, so ``t`` is a per-path vector).
-
-Any scalar homotopy can serve as a batch homotopy through
-:class:`ScalarBatchAdapter` (a Python loop, correct but slow); homotopies
-with genuinely vectorized evaluators (e.g.
-:class:`~repro.homotopy.convex.ConvexHomotopy`) implement
-:class:`BatchHomotopy` natively and the adapter is skipped by
-:func:`as_batch`.
+There is one protocol, :class:`BatchHomotopy`: the structure-of-arrays
+interface consumed by :class:`~repro.tracker.batch.BatchTracker`, with
+``npaths`` points evaluated in one call, each at its own ``t`` (paths in
+a batch advance with independent adaptive step sizes, so ``t`` is a
+per-path vector).  Its one-point methods (``evaluate``, ``jacobian_x``,
+...) are one-row batches, and a path tracked alone is a one-row front.
 """
 
 from __future__ import annotations
@@ -31,73 +23,7 @@ import abc
 
 import numpy as np
 
-__all__ = [
-    "HomotopyFunction",
-    "BatchHomotopy",
-    "ScalarBatchAdapter",
-    "as_batch",
-]
-
-
-class HomotopyFunction(abc.ABC):
-    """Abstract H : C^n x [0,1] -> C^n with Jacobians."""
-
-    @property
-    @abc.abstractmethod
-    def dim(self) -> int:
-        """Number of variables (and equations); the system is square."""
-
-    @abc.abstractmethod
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Residual H(x, t), shape ``(dim,)``."""
-
-    @abc.abstractmethod
-    def jacobian_x(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Jacobian dH/dx, shape ``(dim, dim)``."""
-
-    def jacobian_t(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Jacobian dH/dt, shape ``(dim,)``.
-
-        Default: central finite difference; concrete homotopies override
-        with the analytic derivative when it is cheap.
-        """
-        h = 1e-7
-        lo = max(0.0, t - h)
-        hi = min(1.0, t + h)
-        return (self.evaluate(x, hi) - self.evaluate(x, lo)) / (hi - lo)
-
-    def evaluate_and_jacobian_x(
-        self, x: np.ndarray, t: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Residual and dH/dx together (override to share work)."""
-        return self.evaluate(x, t), self.jacobian_x(x, t)
-
-    # -- rescue hooks (see repro.tracker.rescue) -----------------------
-    def rescale_patch(self, x: np.ndarray, t: float):
-        """Offer better coordinates for a path escaping at time ``t``.
-
-        Called by the tracker-level rescue pipeline when a path is about
-        to be classified DIVERGED mid-way (``0 < t < 1``).  A homotopy
-        whose coordinates are a *chart* of some larger space — the
-        Pieri determinant homotopies (column-scaling charts) and the
-        projective patch of polynomial homotopies — returns
-        ``(new_homotopy, new_x)``: the *same geometric path* re-expressed
-        in well-scaled coordinates, ready to resume from ``t``.  The
-        default returns ``None``: no re-patching available.
-        """
-        del x, t
-        return None
-
-    def finalize_rescued(self, result):
-        """Map a rescued path's result back to the caller's coordinates.
-
-        After a rescued path finishes in re-patched coordinates, the
-        rescue pipeline passes its :class:`~repro.tracker.result.
-        PathResult` through this hook.  The default is the identity;
-        the projective patch overrides it to dehomogenize endpoints and
-        classify points at infinity.
-        """
-        return result
+__all__ = ["BatchHomotopy"]
 
 
 def _per_path_t(t, npaths: int) -> np.ndarray:
@@ -168,10 +94,9 @@ class BatchHomotopy(abc.ABC):
         """
         return self.jacobian_x_batch(X, t), self.jacobian_t_batch(X, t)
 
-    # -- the scalar protocol, as one-row batches -----------------------
+    # -- one point, as a one-row batch ---------------------------------
     # Elementwise batching does not change rounding, so a point sees the
-    # same arithmetic however many rows it is evaluated with; a class
-    # implementing both protocols lists BatchHomotopy first.
+    # same arithmetic however many rows it is evaluated with.
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.evaluate_batch(np.asarray(x, dtype=complex)[None, :], t)[0]
 
@@ -189,15 +114,29 @@ class BatchHomotopy(abc.ABC):
 
     # -- rescue hooks (see repro.tracker.rescue) -----------------------
     def rescale_patch(self, x: np.ndarray, t: float):
-        """Offer better coordinates for one escaping path (see
-        :meth:`HomotopyFunction.rescale_patch`); default: none."""
+        """Offer better coordinates for a path escaping at time ``t``.
+
+        Called by the tracker-level rescue pipeline when a path is about
+        to be classified DIVERGED mid-way (``0 < t < 1``).  A homotopy
+        whose coordinates are a *chart* of some larger space — the
+        Pieri determinant homotopies (column-scaling charts) and the
+        projective patch of polynomial homotopies — returns
+        ``(new_homotopy, new_x)``: the *same geometric path* re-expressed
+        in well-scaled coordinates, ready to resume from ``t``.  The
+        default returns ``None``: no re-patching available.
+        """
         del x, t
         return None
 
     def finalize_rescued(self, result):
-        """Map a rescued path's result back to the caller's coordinates
-        (see :meth:`HomotopyFunction.finalize_rescued`); default:
-        identity."""
+        """Map a rescued path's result back to the caller's coordinates.
+
+        After a rescued path finishes in re-patched coordinates, the
+        rescue pipeline passes its :class:`~repro.tracker.result.
+        PathResult` through this hook.  The default is the identity;
+        the projective patch overrides it to dehomogenize endpoints and
+        classify points at infinity.
+        """
         return result
 
     def restrict(self, rows) -> "BatchHomotopy":
@@ -214,79 +153,3 @@ class BatchHomotopy(abc.ABC):
         """
         del rows
         return self
-
-
-class ScalarBatchAdapter(BatchHomotopy):
-    """Present any scalar :class:`HomotopyFunction` as a :class:`BatchHomotopy`.
-
-    Evaluation loops over the paths in Python, so this gains nothing in
-    speed — it exists so that :class:`~repro.tracker.batch.BatchTracker`
-    can run (and be parity-tested) against every existing homotopy,
-    including the determinant-based Pieri edges.
-    """
-
-    def __init__(self, homotopy: HomotopyFunction) -> None:
-        self.scalar = homotopy
-
-    @property
-    def dim(self) -> int:
-        return self.scalar.dim
-
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"expected X of shape (npaths, {self.dim})")
-        return X
-
-    def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        out = np.empty_like(X)
-        for i in range(X.shape[0]):
-            out[i] = self.scalar.evaluate(X[i], tt[i])
-        return out
-
-    def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        out = np.empty((X.shape[0], self.dim, self.dim), dtype=complex)
-        for i in range(X.shape[0]):
-            out[i] = self.scalar.jacobian_x(X[i], tt[i])
-        return out
-
-    def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        out = np.empty_like(X)
-        for i in range(X.shape[0]):
-            out[i] = self.scalar.jacobian_t(X[i], tt[i])
-        return out
-
-    def evaluate_and_jacobian_batch(self, X, t):
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        res = np.empty_like(X)
-        jac = np.empty((X.shape[0], self.dim, self.dim), dtype=complex)
-        for i in range(X.shape[0]):
-            res[i], jac[i] = self.scalar.evaluate_and_jacobian_x(X[i], tt[i])
-        return res, jac
-
-    def rescale_patch(self, x: np.ndarray, t: float):
-        return self.scalar.rescale_patch(x, t)
-
-    def finalize_rescued(self, result):
-        return self.scalar.finalize_rescued(result)
-
-    def __repr__(self) -> str:
-        return f"ScalarBatchAdapter({self.scalar!r})"
-
-
-def as_batch(homotopy) -> BatchHomotopy:
-    """Coerce a scalar or batch homotopy to the batch interface."""
-    if isinstance(homotopy, BatchHomotopy):
-        return homotopy
-    if isinstance(homotopy, HomotopyFunction):
-        return ScalarBatchAdapter(homotopy)
-    raise TypeError(
-        f"expected a HomotopyFunction or BatchHomotopy, got {type(homotopy)!r}"
-    )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interface import BatchHomotopy, HomotopyFunction, _per_path_t, as_batch
+from .interface import BatchHomotopy, _per_path_t
 
 __all__ = [
     "NewtonResult",
@@ -62,7 +62,7 @@ def _solve(jac: np.ndarray, res: np.ndarray) -> np.ndarray | None:
 
 
 def newton_correct(
-    homotopy: HomotopyFunction,
+    homotopy: BatchHomotopy,
     x: np.ndarray,
     t: float,
     tol: float = 1e-10,
@@ -78,7 +78,7 @@ def newton_correct(
     criteria — unpacked into a :class:`NewtonResult`.
     """
     out = _newton_sweeps(
-        as_batch(homotopy), np.asarray(x, dtype=complex)[None, :], t,
+        homotopy, np.asarray(x, dtype=complex)[None, :], t,
         tol, max_iterations, None, want_jacobian, update_tol, loose_tol,
         fail_fast,
     )

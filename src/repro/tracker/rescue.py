@@ -11,10 +11,10 @@ with first coordinate tending to zero).
 
 The generalized mechanism lives here, one layer below the solvers:
 any homotopy may implement
-:meth:`~repro.tracker.interface.HomotopyFunction.rescale_patch`,
+:meth:`~repro.tracker.interface.BatchHomotopy.rescale_patch`,
 returning ``(new_homotopy, new_x)`` — the same path in better
 coordinates — and optionally
-:meth:`~repro.tracker.interface.HomotopyFunction.finalize_rescued` to
+:meth:`~repro.tracker.interface.BatchHomotopy.finalize_rescued` to
 map a finished result back to the caller's coordinate conventions.
 :func:`rescue_diverged` sweeps a finished result list through that
 protocol: every diverged path is re-patched and all of them resume

@@ -10,13 +10,9 @@ single :class:`~repro.tracker.interface.BatchHomotopy`: every path row is
 *owned* by one member homotopy, and each batched call partitions the rows
 by owner, delegates to the members, and scatters the answers back.
 
-Members may implement the batch protocol natively (the vectorized
-:class:`~repro.schubert.homotopy.PieriEdgeHomotopy`) or be plain scalar
-homotopies — those fall back to
-:class:`~repro.tracker.interface.ScalarBatchAdapter` via
-:func:`~repro.tracker.interface.as_batch`, so stacking never changes the
-arithmetic a member sees and scalar/batch tracking decisions stay
-bit-identical per path.
+Every member is a :class:`~repro.tracker.interface.BatchHomotopy` (the
+vectorized :class:`~repro.schubert.homotopy.PieriEdgeHomotopy`, say),
+handed the rows it owns as one batch.
 
 Because the tracker culls finished paths from its active front, a batch
 homotopy must be able to follow: :meth:`StackedHomotopy.restrict` returns
@@ -27,15 +23,18 @@ no-op because homogeneous batches are row-independent).
 Track three paths of two different 1-dim homotopies in one front:
 
 >>> import numpy as np
->>> from repro.tracker import BatchTracker, HomotopyFunction, StackedHomotopy
->>> class Line(HomotopyFunction):
+>>> from repro.tracker import BatchHomotopy, BatchTracker, StackedHomotopy
+>>> class Line(BatchHomotopy):
 ...     '''H(x, t) = x - a t - 1: the single path is x(t) = 1 + a t.'''
 ...     def __init__(self, a): self.a = a
 ...     @property
 ...     def dim(self): return 1
-...     def evaluate(self, x, t): return np.array([x[0] - self.a * t - 1.0])
-...     def jacobian_x(self, x, t): return np.array([[1.0 + 0j]])
-...     def jacobian_t(self, x, t): return np.array([-self.a + 0j])
+...     def evaluate_batch(self, X, t):
+...         return X - self.a * np.reshape(t, (-1, 1)) - 1.0
+...     def jacobian_x_batch(self, X, t):
+...         return np.ones((len(X), 1, 1), dtype=complex)
+...     def jacobian_t_batch(self, X, t):
+...         return np.full((len(X), 1), -self.a, dtype=complex)
 >>> stack = StackedHomotopy([Line(2.0), Line(-1.0)], [0, 1, 1])
 >>> stack.npaths, stack.dim, stack.restrict([2]).npaths
 (3, 1, 1)
@@ -52,7 +51,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .interface import BatchHomotopy, _per_path_t, as_batch
+from .interface import BatchHomotopy, _per_path_t
 
 __all__ = ["StackedHomotopy"]
 
@@ -63,9 +62,8 @@ class StackedHomotopy(BatchHomotopy):
     Parameters
     ----------
     members:
-        The distinct homotopies (scalar or batch; scalars are wrapped by
-        :func:`~repro.tracker.interface.as_batch`).  All must share one
-        ``dim``.
+        The distinct homotopies, each a :class:`BatchHomotopy` (anything
+        else raises ``TypeError``).  All must share one ``dim``.
     owners:
         For each path row, the index of the member that owns it.  Rows
         owned by the same member are evaluated in one delegated batch
@@ -76,7 +74,10 @@ class StackedHomotopy(BatchHomotopy):
     def __init__(self, members: Sequence, owners: Sequence[int]) -> None:
         if not members:
             raise ValueError("need at least one member homotopy")
-        self.members: List[BatchHomotopy] = [as_batch(h) for h in members]
+        self.members: List[BatchHomotopy] = list(members)
+        for h in self.members:
+            if not isinstance(h, BatchHomotopy):
+                raise TypeError(f"expected a BatchHomotopy, got {type(h)!r}")
         dims = {h.dim for h in self.members}
         if len(dims) != 1:
             raise ValueError(

@@ -40,7 +40,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
-from .interface import HomotopyFunction
+from .interface import BatchHomotopy
 from .newton import newton_refine_system
 from .predictor import make_predictor
 from .result import PathResult
@@ -96,7 +96,7 @@ class TrackerOptions:
 
 
 class PathTracker:
-    """Tracks solution paths of a :class:`HomotopyFunction` one at a time.
+    """Tracks solution paths of a :class:`BatchHomotopy` one at a time.
 
     Each :meth:`track` is a one-row front of
     :class:`~repro.tracker.batch.BatchTracker` — same loop, same
@@ -119,7 +119,7 @@ class PathTracker:
 
     def track(
         self,
-        homotopy: HomotopyFunction,
+        homotopy: BatchHomotopy,
         start: Sequence[complex],
         path_id: int = -1,
         t_start: float = 0.0,
@@ -133,7 +133,7 @@ class PathTracker:
 
     def track_many(
         self,
-        homotopy: HomotopyFunction,
+        homotopy: BatchHomotopy,
         starts: Sequence[Sequence[complex]],
     ) -> list[PathResult]:
         """Track a batch of paths sequentially (the 1-CPU baseline)."""

@@ -22,7 +22,6 @@ from repro.artifacts import (
     load_polyhedral_start,
     load_subdivision,
     pieri_fingerprint,
-    pieri_key,
     polyhedral_key,
     resolve_store,
     store_pieri_generic,
@@ -173,8 +172,8 @@ class TestPieriRoute:
             PieriInstance.random(m, p, q, np.random.default_rng(0)), seed=1
         ).solve(mode="batch", cache=store)
         assert cold.cache["status"] == "cold" and cold.cache["stored"]
-        assert cold.cache["key"] == pieri_key(m, p, q)
-        assert pieri_key(m, p, q) in store
+        assert cold.cache["key"] == pieri_fingerprint(m, p, q)
+        assert pieri_fingerprint(m, p, q) in store
 
         query = PieriInstance.random(m, p, q, np.random.default_rng(7))
         warm = PieriSolver(query, seed=1).solve(mode="batch", cache=store)
@@ -205,7 +204,7 @@ class TestPieriRoute:
         PieriSolver(
             PieriInstance.random(2, 2, 0, np.random.default_rng(0)), seed=1
         ).solve(mode="batch", cache=store)
-        (tmp_path / f"{pieri_key(2, 2, 0)}.npz").write_bytes(b"garbage")
+        (tmp_path / f"{pieri_fingerprint(2, 2, 0)}.npz").write_bytes(b"garbage")
         query = PieriInstance.random(2, 2, 0, np.random.default_rng(5))
         report = PieriSolver(query, seed=1).solve(mode="batch", cache=store)
         # never a wrong answer: the route degrades to cold and re-stores

@@ -3,9 +3,8 @@
 The contract under test: there is one tracker loop, and a path is tracked
 bit for bit the same whatever rows travel with it — ``PathTracker.track``
 (a one-row front) returns exactly its row of a wide
-``BatchTracker.track_batch`` front — whether the homotopy implements the
-batch protocol natively (ConvexHomotopy) or is wrapped by
-:class:`ScalarBatchAdapter` (the Pieri determinant homotopy).
+``BatchTracker.track_batch`` front, on a polynomial homotopy
+(ConvexHomotopy) as on a Pieri determinant homotopy.
 """
 
 import dataclasses
@@ -16,91 +15,63 @@ import pytest
 
 import repro.polynomials.poly as poly_module
 from repro.homotopy import ConvexHomotopy, make_homotopy_and_starts, solve
-from repro.schubert import (
-    PieriInstance,
-    PieriReport,
-    PieriSolver,
-    trivial_solution_matrix,
-)
+from repro.schubert import PieriInstance, PieriReport, PieriSolver
 from repro.systems import cyclic_roots_system, katsura_system
 from repro.kernels import slp
 from repro.tracker import (
     BatchHomotopy,
     BatchTracker,
-    HomotopyFunction,
     Ladder,
     PathStatus,
     PathTracker,
-    ScalarBatchAdapter,
+    StackedHomotopy,
     TrackerOptions,
     TrackStats,
-    as_batch,
     batch_newton_correct,
     newton_correct,
 )
+from repro.tracker.interface import _per_path_t
 
 
-class SqrtHomotopy(HomotopyFunction):
+class SqrtHomotopy(BatchHomotopy):
     """H(x, t) = x^2 - (1 + 3t): paths x(t) = +/- sqrt(1 + 3t)."""
 
     @property
     def dim(self):
         return 1
 
-    def evaluate(self, x, t):
-        return np.array([x[0] ** 2 - (1 + 3 * t)])
+    def evaluate_batch(self, X, t):
+        return X ** 2 - (1 + 3 * _per_path_t(t, len(X))[:, None])
 
-    def jacobian_x(self, x, t):
-        return np.array([[2 * x[0]]])
+    def jacobian_x_batch(self, X, t):
+        return 2 * X[:, :, None]
 
-    def jacobian_t(self, x, t):
-        return np.array([-3.0 + 0j])
-
-
-def _assert_parity(serial, batch, tol=1e-8):
-    assert len(serial) == len(batch)
-    for a, b in zip(serial, batch):
-        assert a.path_id == b.path_id
-        assert a.status == b.status, (
-            f"path {a.path_id}: scalar {a.status} vs batch {b.status}"
-        )
-        if a.success:
-            assert np.max(np.abs(a.solution - b.solution)) < tol
+    def jacobian_t_batch(self, X, t):
+        return np.full((len(X), 1), -3.0 + 0j)
 
 
 class TestBatchInterface:
-    def test_as_batch_wraps_scalar(self):
-        h = SqrtHomotopy()
-        bh = as_batch(h)
-        assert isinstance(bh, ScalarBatchAdapter)
-        assert bh.dim == 1
-        # a native batch homotopy passes through untouched
-        assert as_batch(bh) is bh
-
-    def test_as_batch_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_batch(object())
-
-    def test_adapter_matches_scalar_pointwise(self):
-        h = SqrtHomotopy()
-        bh = ScalarBatchAdapter(h)
-        X = np.array([[1.0 + 0j], [-1.5 + 0.5j], [2.0 + 0j]])
-        t = np.array([0.0, 0.3, 1.0])
-        res = bh.evaluate_batch(X, t)
-        jac = bh.jacobian_x_batch(X, t)
-        jt = bh.jacobian_t_batch(X, t)
-        res2, jac2 = bh.evaluate_and_jacobian_batch(X, t)
-        for i in range(3):
-            assert np.allclose(res[i], h.evaluate(X[i], t[i]))
-            assert np.allclose(jac[i], h.jacobian_x(X[i], t[i]))
-            assert np.allclose(jt[i], h.jacobian_t(X[i], t[i]))
-            assert np.allclose(res2[i], res[i]) and np.allclose(jac2[i], jac[i])
+    def test_rejects_other_types(self):
+        """Every entry point names what it was handed instead of failing
+        deep in the loop: the tracker (for either tracker class) and
+        each member of a stack."""
+        entry_points = (
+            lambda h: BatchTracker().track_batch(h, [[1.0]]),
+            lambda h: PathTracker().track(h, [1.0]),
+            lambda h: StackedHomotopy([SqrtHomotopy(), h], [0, 1]),
+        )
+        for enter in entry_points:
+            with pytest.raises(TypeError, match="object"):
+                enter(object())
 
     def test_scalar_t_broadcasts(self):
-        bh = ScalarBatchAdapter(SqrtHomotopy())
-        X = np.array([[1.0 + 0j], [-1.0 + 0j]])
+        homotopy, starts = make_homotopy_and_starts(
+            cyclic_roots_system(3), rng=np.random.default_rng(0)
+        )
+        X = np.array(starts[:2])
         assert np.allclose(
-            bh.evaluate_batch(X, 0.5), bh.evaluate_batch(X, np.array([0.5, 0.5]))
+            homotopy.evaluate_batch(X, 0.5),
+            homotopy.evaluate_batch(X, np.array([0.5, 0.5])),
         )
 
     def test_convex_is_native_batch(self):
@@ -110,7 +81,6 @@ class TestBatchInterface:
         )
         assert isinstance(homotopy, ConvexHomotopy)
         assert isinstance(homotopy, BatchHomotopy)
-        assert as_batch(homotopy) is homotopy
 
 
 class TestBatchedSystemEvaluation:
@@ -142,7 +112,7 @@ class TestBatchNewton:
     def test_converges_like_scalar(self):
         h = SqrtHomotopy()
         X = np.array([[1.9 + 0j], [-1.9 + 0j], [2.2 + 0j]])
-        out = batch_newton_correct(as_batch(h), X, 1.0, tol=1e-12)
+        out = batch_newton_correct(h, X, 1.0, tol=1e-12)
         assert out.converged.all()
         assert np.allclose(np.abs(out.x[:, 0]), 2.0, atol=1e-10)
         for i, x0 in enumerate(X):
@@ -155,7 +125,7 @@ class TestBatchNewton:
         h = SqrtHomotopy()
         # x = 0 has a singular Jacobian; its neighbours are fine
         X = np.array([[1.9 + 0j], [0.0 + 0j], [-2.1 + 0j]])
-        out = batch_newton_correct(as_batch(h), X, 1.0, tol=1e-12)
+        out = batch_newton_correct(h, X, 1.0, tol=1e-12)
         assert out.singular[1] and not out.converged[1]
         assert not out.singular[0] and not out.singular[2]
         assert out.converged[0] and out.converged[2]
@@ -168,7 +138,7 @@ class TestBatchNewton:
         h = SqrtHomotopy()
         X = np.array([[1.9 + 0j], [1.9 + 0j]])
         out = batch_newton_correct(
-            as_batch(h), X, 1.0, active=np.array([True, False])
+            h, X, 1.0, active=np.array([True, False])
         )
         assert out.converged[0] and not out.converged[1]
         assert out.x[1, 0] == 1.9  # untouched
@@ -271,22 +241,6 @@ class TestScalarParity:
         if system == "cyclic5":
             # the slice exercises divergence culling, not just successes
             assert not any(front[i].success for i in (7, 44, 45))
-
-    def test_pieri_edge_parity_via_adapter(self):
-        """A determinant homotopy runs through ScalarBatchAdapter."""
-        instance = PieriInstance.random(2, 2, 0, np.random.default_rng(21))
-        solver = PieriSolver(instance, seed=22)
-        jobs = solver.initial_jobs()
-        for job in jobs:
-            homotopy = solver.make_homotopy(job.node)
-            start = homotopy.start_vector(
-                trivial_solution_matrix(instance.problem)
-            )
-            serial = [PathTracker().track(homotopy, start, path_id=0)]
-            batch = BatchTracker().track_batch(
-                ScalarBatchAdapter(homotopy), [start]
-            )
-            _assert_parity(serial, batch)
 
     def test_pieri_edge_is_row_of_the_level_front_under_cubic(self):
         """The Pieri default's history is per row: an edge tracked alone

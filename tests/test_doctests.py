@@ -1,44 +1,34 @@
-"""Doctests for the documented public entry points run as tier-1 tests.
+"""Doctests of the documented modules run as tier-1 tests.
 
-CI additionally runs ``pytest --doctest-modules`` over the homotopy and
-tracker packages; this file pins the same examples (plus the executor
-and Pieri-solver ones) inside the main suite so a doc regression fails
-everywhere, not just in the docs job.
+A module is documented when its source holds a ``>>>`` prompt: the list
+is derived from ``src/repro``, not kept by hand, so a new example is
+tested the day it is written.  CI's docs job runs the same examples
+through ``pytest --doctest-modules src/repro``; this file pins them
+inside the main suite so a doc regression fails everywhere, not just in
+the docs job.
 """
 
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
 
-DOCUMENTED_MODULES = [
-    "repro.homotopy.solve",
-    "repro.homotopy.counts",
-    "repro.tracker",
-    "repro.tracker.stacked",
-    "repro.tracker.predictor",
-    "repro.linalg.dets",
-    "repro.parallel.executors",
-    "repro.schubert.solver",
-    "repro.schubert.brackets",
-    "repro.polyhedral.supports",
-    "repro.polyhedral.cells",
-    "repro.polyhedral.binomial",
-    "repro.polyhedral.lp",
-    "repro.polyhedral.homotopy",
-    "repro.endgame",
-    "repro.systems.deficient",
-    "repro.kernels",
-    "repro.telemetry",
-    "repro.telemetry.core",
-    "repro.parallel.fleet.protocol",
-    "repro.parallel.fleet.messages",
-    "repro.simcluster.fleet_sim",
-    "repro.artifacts",
-    "repro.artifacts.fingerprints",
-    "repro.homotopy.coefficient",
-    "repro.serve",
-]
+import repro
+
+_PACKAGE = Path(repro.__file__).parent
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(_PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+DOCUMENTED_MODULES = sorted(
+    _module_name(path)
+    for path in _PACKAGE.rglob("*.py")
+    if path.name != "__main__.py" and ">>>" in path.read_text("utf-8")
+)
 
 
 @pytest.mark.parametrize("module_name", DOCUMENTED_MODULES)

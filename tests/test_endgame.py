@@ -40,8 +40,8 @@ from repro.systems import (
     multiple_root_system,
 )
 from repro.tracker import (
+    BatchHomotopy,
     BatchTracker,
-    HomotopyFunction,
     Ladder,
     PathResult,
     PathStatus,
@@ -52,23 +52,24 @@ from repro.tracker import (
     rescue_diverged,
     retrack_duplicate_clusters,
 )
+from repro.tracker.interface import _per_path_t
 
 
-class Collapse(HomotopyFunction):
+class Collapse(BatchHomotopy):
     """H(x, t) = x^2 - (1 - t): branches collapsing to a double root."""
 
     @property
     def dim(self):
         return 1
 
-    def evaluate(self, x, t):
-        return np.array([x[0] ** 2 - (1 - t)])
+    def evaluate_batch(self, X, t):
+        return X ** 2 - (1 - _per_path_t(t, len(X))[:, None])
 
-    def jacobian_x(self, x, t):
-        return np.array([[2 * x[0]]])
+    def jacobian_x_batch(self, X, t):
+        return 2 * X[:, :, None]
 
-    def jacobian_t(self, x, t):
-        return np.array([1.0 + 0j])
+    def jacobian_t_batch(self, X, t):
+        return np.full((len(X), 1), 1.0 + 0j)
 
 
 def _diverging_system():
@@ -203,12 +204,11 @@ class TestCauchyWinding:
         # hop gate must then walk UP to the reference radius instead of
         # comparing the near-limit bottom point against the stall point
         # (which once rejected every clean retry-radius recovery)
-        from repro.tracker import as_batch
         from repro.tracker.newton import batch_newton_correct
 
         eg = CauchyEndgame()
         opts = TrackerOptions()
-        bh = as_batch(Collapse())
+        bh = Collapse()
         rho = eg.operating_radius / 4  # the first retry's radius
         stall = np.array([[np.sqrt(0.04)]], dtype=complex)  # rho_ref 0.04
         z = stall.copy()
@@ -392,16 +392,16 @@ class TestRescuePipeline:
         assert np.array_equal(kept.start, prior.start)
 
     def test_rescue_hook_default_is_none(self):
-        class Nothing(HomotopyFunction):
+        class Nothing(BatchHomotopy):
             @property
             def dim(self):
                 return 1
 
-            def evaluate(self, x, t):
-                return np.array([x[0]])
+            def evaluate_batch(self, X, t):
+                return X.copy()
 
-            def jacobian_x(self, x, t):
-                return np.array([[1.0 + 0j]])
+            def jacobian_x_batch(self, X, t):
+                return np.ones((len(X), 1, 1), dtype=complex)
 
         assert Nothing().rescale_patch(np.array([1.0]), 0.5) is None
 
@@ -410,10 +410,10 @@ class TestRescuePipeline:
         homotopy, starts = make_homotopy_and_starts(
             _diverging_system(), rng=np.random.default_rng(0)
         )
-        class NoPatch(HomotopyFunction):
+        class NoPatch(BatchHomotopy):
             dim = homotopy.dim
-            evaluate = staticmethod(homotopy.evaluate)
-            jacobian_x = staticmethod(homotopy.jacobian_x)
+            evaluate_batch = staticmethod(homotopy.evaluate_batch)
+            jacobian_x_batch = staticmethod(homotopy.jacobian_x_batch)
 
         tracker = BatchTracker()
         results = tracker.track_batch(homotopy, starts)

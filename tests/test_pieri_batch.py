@@ -31,16 +31,16 @@ from repro.sweep.engine import run_job
 from repro.tracker import (
     BatchHomotopy,
     BatchTracker,
-    HomotopyFunction,
     PathStatus,
     PathTracker,
     StackedHomotopy,
     TrackerOptions,
     tighten_options,
 )
+from repro.tracker.interface import _per_path_t
 
 
-class Line(HomotopyFunction):
+class Line(BatchHomotopy):
     """H(x, t) = x - a t - 1: the single path is x(t) = 1 + a t."""
 
     def __init__(self, a):
@@ -50,14 +50,14 @@ class Line(HomotopyFunction):
     def dim(self):
         return 1
 
-    def evaluate(self, x, t):
-        return np.array([x[0] - self.a * t - 1.0])
+    def evaluate_batch(self, X, t):
+        return X - self.a * _per_path_t(t, len(X))[:, None] - 1.0
 
-    def jacobian_x(self, x, t):
-        return np.array([[1.0 + 0j]])
+    def jacobian_x_batch(self, X, t):
+        return np.ones((len(X), 1, 1), dtype=complex)
 
-    def jacobian_t(self, x, t):
-        return np.array([-self.a + 0j])
+    def jacobian_t_batch(self, X, t):
+        return np.full((len(X), 1), -self.a + 0j)
 
 
 def _sorted_solutions(solutions):
@@ -177,7 +177,6 @@ class TestPieriEdgeBatchProtocol:
     def test_is_native_batch(self):
         hom = self._edge()
         assert isinstance(hom, BatchHomotopy)
-        assert isinstance(hom, HomotopyFunction)
 
     def test_evaluate_batch_matches_reference_dets(self):
         """The vectorized assembly equals the definitional construction."""

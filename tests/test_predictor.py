@@ -44,14 +44,13 @@ from repro.tracker import (
     PathTracker,
     PREDICTORS,
     TrackerOptions,
-    as_batch,
     batch_newton_correct,
     greedy_cluster_indices,
     make_predictor,
     newton_correct,
     retrack_duplicate_clusters,
 )
-from repro.tracker.interface import HomotopyFunction
+from repro.tracker.interface import BatchHomotopy, _per_path_t
 from repro.tracker.predictor import _euler_predict
 
 solve_module = importlib.import_module("repro.homotopy.solve")
@@ -63,7 +62,7 @@ def _tuned(base=HermitePredictor, **constants):
     return type(f"Tuned{base.__name__}", (base,), constants)()
 
 
-class CubicHomotopy(HomotopyFunction):
+class CubicHomotopy(BatchHomotopy):
     """H(x, t) = x - c(t) with cubic c(t): the path *is* a cubic."""
 
     COEFFS = (0.3 + 0.1j, -1.2 + 0.4j, 0.7 - 0.2j, 1.1 + 0.05j)
@@ -80,14 +79,14 @@ class CubicHomotopy(HomotopyFunction):
         _, a1, a2, a3 = self.COEFFS
         return a1 + 2 * a2 * t + 3 * a3 * t * t
 
-    def evaluate(self, x, t):
-        return np.array([x[0] - self.c(t)])
+    def evaluate_batch(self, X, t):
+        return X - self.c(_per_path_t(t, len(X))[:, None])
 
-    def jacobian_x(self, x, t):
-        return np.array([[1.0 + 0j]])
+    def jacobian_x_batch(self, X, t):
+        return np.ones((len(X), 1, 1), dtype=complex)
 
-    def jacobian_t(self, x, t):
-        return np.array([-self.dc(t)])
+    def jacobian_t_batch(self, X, t):
+        return -self.dc(_per_path_t(t, len(X))[:, None])
 
 
 class TestPredictorResolution:
@@ -499,7 +498,7 @@ class TestCorrectorAcceptance:
         homotopy, starts = self._homotopy()
         X = np.asarray(starts) + 1e-4
         kw = dict(tol=1e-14, update_tol=1e-6, loose_tol=1e-4, fail_fast=True)
-        out = batch_newton_correct(as_batch(homotopy), X, 0.0, **kw)
+        out = batch_newton_correct(homotopy, X, 0.0, **kw)
         for i, x0 in enumerate(X):
             scalar = newton_correct(homotopy, x0, 0.0, **kw)
             assert out.converged[i] == scalar.converged
@@ -540,7 +539,7 @@ class TestRestrictNeverEmpty:
         X[1] += 1e-3    # ordinary quadratic convergence
         X[2] += 50.0    # hopeless: burns every sweep
         log = []
-        wrapped = _RestrictRecorder(as_batch(homotopy), log)
+        wrapped = _RestrictRecorder(homotopy, log)
         batch_newton_correct(
             wrapped, X, 0.0, tol=1e-14, max_iterations=4, update_tol=1e-7
         )
@@ -552,7 +551,7 @@ class TestRestrictNeverEmpty:
             katsura_system(3), rng=np.random.default_rng(6)
         )
         log = []
-        wrapped = _RestrictRecorder(as_batch(homotopy), log)
+        wrapped = _RestrictRecorder(homotopy, log)
         out = batch_newton_correct(wrapped, np.asarray(starts), 0.0, tol=1e-8)
         assert out.converged.all()
         assert not log or min(log) >= 1

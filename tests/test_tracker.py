@@ -14,7 +14,7 @@ from repro.parallel import dispatch_with_pool, track_paths_parallel
 from repro.polynomials import PolynomialSystem, variables
 from repro.sweep import run_sweep
 from repro.tracker import (
-    HomotopyFunction,
+    BatchHomotopy,
     PathStatus,
     PathTracker,
     TrackerOptions,
@@ -22,9 +22,15 @@ from repro.tracker import (
     newton_refine_system,
     summarize_results,
 )
+from repro.tracker.interface import _per_path_t
 
 
-class LinearHomotopy(HomotopyFunction):
+def _column(t, X):
+    """A scalar or per-row ``t`` as one column, a row per point of ``X``."""
+    return _per_path_t(t, len(X))[:, None]
+
+
+class LinearHomotopy(BatchHomotopy):
     """H(x, t) = x - (a + t*(b - a)): single path from a to b."""
 
     def __init__(self, a, b):
@@ -35,48 +41,49 @@ class LinearHomotopy(HomotopyFunction):
     def dim(self):
         return len(self.a)
 
-    def evaluate(self, x, t):
-        return x - (self.a + t * (self.b - self.a))
+    def evaluate_batch(self, X, t):
+        return X - (self.a + _column(t, X) * (self.b - self.a))
 
-    def jacobian_x(self, x, t):
-        return np.eye(self.dim, dtype=complex)
+    def jacobian_x_batch(self, X, t):
+        return np.repeat(np.eye(self.dim, dtype=complex)[None], len(X), 0)
 
-    def jacobian_t(self, x, t):
-        return -(self.b - self.a)
+    def jacobian_t_batch(self, X, t):
+        return np.repeat(-(self.b - self.a)[None], len(X), 0)
 
 
-class SqrtHomotopy(HomotopyFunction):
+class SqrtHomotopy(BatchHomotopy):
     """H(x, t) = x^2 - (1 + 3t): path x(t) = sqrt(1 + 3t), from 1 to 2."""
 
     @property
     def dim(self):
         return 1
 
-    def evaluate(self, x, t):
-        return np.array([x[0] ** 2 - (1 + 3 * t)])
+    def evaluate_batch(self, X, t):
+        return X ** 2 - (1 + 3 * _column(t, X))
 
-    def jacobian_x(self, x, t):
-        return np.array([[2 * x[0]]])
+    def jacobian_x_batch(self, X, t):
+        return 2 * X[:, :, None]
 
-    def jacobian_t(self, x, t):
-        return np.array([-3.0 + 0j])
+    def jacobian_t_batch(self, X, t):
+        return np.full((len(X), 1), -3.0 + 0j)
 
 
-class DivergingHomotopy(HomotopyFunction):
+class DivergingHomotopy(BatchHomotopy):
     """H(x, t) = (1 - t) * x - t: the path x = t/(1-t) blows up at t=1."""
 
     @property
     def dim(self):
         return 1
 
-    def evaluate(self, x, t):
-        return np.array([(1 - t) * x[0] - t])
+    def evaluate_batch(self, X, t):
+        t = _column(t, X)
+        return (1 - t) * X - t
 
-    def jacobian_x(self, x, t):
-        return np.array([[1 - t + 0j]])
+    def jacobian_x_batch(self, X, t):
+        return (1 - _column(t, X) + 0j)[:, :, None]
 
-    def jacobian_t(self, x, t):
-        return np.array([-x[0] - 1.0])
+    def jacobian_t_batch(self, X, t):
+        return -X - 1.0
 
 
 class TestNewton:
@@ -253,6 +260,50 @@ def test_one_polynomial_evaluator():
         assert issubclass(cls, TermHomotopy), cls
         plumbing = {"_pair_eval", "_pair_eval_jac", "_bind_kernel"}
         assert not plumbing & set(vars(cls)), cls
+
+
+def test_one_homotopy_protocol():
+    """A second homotopy protocol shows up in review as a failed test.
+
+    The interface module's exports, which were the scalar one-point
+    protocol, its looping adapter and the coercion between the two, are
+    one name; and every homotopy class the solver packages export is a
+    ``BatchHomotopy`` with no other abstract protocol in its MRO."""
+    import repro.homotopy
+    import repro.polyhedral
+    import repro.schubert
+    from repro.homotopy.coefficient import CoefficientHomotopy
+    from repro.tracker import BatchHomotopy, interface
+
+    assert interface.__all__ == ["BatchHomotopy"]
+    assert {
+        name for name in repro.tracker.__all__
+        if getattr(getattr(repro.tracker, name), "__module__", None)
+        == interface.__name__
+    } == {"BatchHomotopy"}
+
+    classes = {CoefficientHomotopy}
+    packages = (repro.homotopy, repro.polyhedral, repro.schubert, repro.tracker)
+    for package in packages:
+        exported = (getattr(package, name) for name in package.__all__)
+        classes |= {
+            c for c in exported
+            if inspect.isclass(c)
+            and (hasattr(c, "evaluate") or hasattr(c, "evaluate_batch"))
+        }
+    assert {c.__name__ for c in classes} == {
+        "BatchHomotopy", "StackedHomotopy", "CoefficientHomotopy",
+        "ConvexHomotopy", "ProjectivePatchHomotopy", "CellHomotopy",
+        "PieriEdgeHomotopy", "PieriParameterHomotopy", "PieriParameterStack",
+    }
+    for cls in classes:
+        assert issubclass(cls, BatchHomotopy), cls
+        protocols = [
+            k for k in cls.__mro__
+            if any(getattr(v, "__isabstractmethod__", False)
+                   for v in vars(k).values())
+        ]
+        assert protocols == [BatchHomotopy], cls
 
 
 def test_one_escalation_recipe():

@@ -5,29 +5,30 @@ import pytest
 
 from repro.polynomials import PolynomialSystem, variables
 from repro.tracker import (
-    HomotopyFunction,
+    BatchHomotopy,
     PathStatus,
     PathTracker,
     TrackerOptions,
     refine_solutions,
 )
+from repro.tracker.interface import _per_path_t
 
 
-class CubicHomotopy(HomotopyFunction):
+class CubicHomotopy(BatchHomotopy):
     """H(x,t) = x^3 - (1 + 7t): single smooth path from 1 to 2."""
 
     @property
     def dim(self):
         return 1
 
-    def evaluate(self, x, t):
-        return np.array([x[0] ** 3 - (1 + 7 * t)])
+    def evaluate_batch(self, X, t):
+        return X ** 3 - (1 + 7 * _per_path_t(t, len(X))[:, None])
 
-    def jacobian_x(self, x, t):
-        return np.array([[3 * x[0] ** 2]])
+    def jacobian_x_batch(self, X, t):
+        return 3 * X[:, :, None] ** 2
 
-    def jacobian_t(self, x, t):
-        return np.array([-7.0 + 0j])
+    def jacobian_t_batch(self, X, t):
+        return np.full((len(X), 1), -7.0 + 0j)
 
 
 class TestResume:
