@@ -7,7 +7,11 @@ counts, printing the per-level job profile (the structure of Table III)
 and verifying that parallel and sequential solutions agree (to 1e-8).
 The master hands an idle worker a *bundle* — its share of the ready
 edges of one level, tracked as one stacked front — so the profile also
-shows how many bundles each level's edges travelled in.
+shows how many bundles each level's edges travelled in.  No share is
+narrower than ``pieri_scheduler.MIN_SHARE`` (64) edges unless it is the
+whole ready level, so every level of this small tree travels in one
+bundle and ``speedup_vs_cpu_time`` reads about 1: one worker busy at a
+time, as the sequential solver's level fronts.
 
 Run:  python examples/parallel_pieri.py
 """

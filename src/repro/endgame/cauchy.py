@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..telemetry import active_tracer
+from ..tracker.interface import require_batch_homotopy
 from ..tracker.newton import batch_newton_correct
 from ..tracker.result import PathStatus
 from .strategy import (
@@ -120,7 +121,7 @@ class CauchyEndgame(EndgameStrategy):
     def finish(self, homotopy, x, t, options) -> EndgameOutcome:
         """Scalar entry point: the batch kernels run as a one-row batch."""
         out = self._classify(
-            homotopy,
+            require_batch_homotopy(homotopy),
             np.asarray(x, dtype=complex)[None, :],
             np.array([float(t)]),
             options,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tracker.interface import BatchHomotopy
+from ..tracker.interface import BatchHomotopy, require_batch_homotopy
 from ..tracker.newton import batch_newton_correct
 from ..tracker.result import PathStatus
 
@@ -89,7 +89,8 @@ class EndgameStrategy(abc.ABC):
 
         ``t == 1.0`` for clean arrivals; ``t < 1`` only for stalls
         inside the operating radius (the point ``x`` is then the last
-        accepted, corrector-converged point at ``t``).
+        accepted, corrector-converged point at ``t``).  Anything but a
+        :class:`BatchHomotopy` raises ``TypeError``.
         """
 
     @abc.abstractmethod
@@ -119,7 +120,9 @@ class RefineEndgame(EndgameStrategy):
     def finish(self, homotopy, x, t, options) -> EndgameOutcome:
         del t  # the sharpen always happens at t = 1, as the seed did
         out = self._sharpen(
-            homotopy, np.asarray(x, dtype=complex)[None, :], options
+            require_batch_homotopy(homotopy),
+            np.asarray(x, dtype=complex)[None, :],
+            options,
         )
         return EndgameOutcome(
             out.status[0], out.x[0], float(out.residual[0]), int(out.iterations[0])

@@ -11,13 +11,17 @@ is done and all workers are parked.
 
 What a worker is handed is a *bundle*, not one edge: the ready edges at the
 level of the queue's head, split evenly among the workers idle at that
-moment.  Edges of one level share a shape, so the worker tracks its bundle
-as a single stacked SoA front
-(:meth:`repro.schubert.solver.PieriSolver.run_jobs_batched`) with the same
-per-poset-node homotopies the sequential solver builds — the parallel solve
-returns exactly the same solution set (tested).  A front here is bound by
-interpreter overhead per call, not arithmetic: one edge a job cost 23-28 ms
-a path, the same edges in bundles 6-9 ms.
+moment, but never into shares narrower than :data:`MIN_SHARE` edges — a
+level too narrow to split travels whole to one worker.  Edges of one level
+share a shape, so the worker tracks its bundle as a single stacked SoA
+front (:meth:`repro.schubert.solver.PieriSolver.run_jobs_batched`) with the
+same per-poset-node homotopies the sequential solver builds — the parallel
+solve returns exactly the same solution set (tested), and where every level
+travels whole, the sequential batch solve bit for bit.  A front here is
+bound by interpreter overhead per call, not arithmetic: one edge a job
+cost 23-28 ms a path, the same edges in bundles 6-9 ms, and on two worker
+processes the bundles of a split level of 64 edges or fewer cost 1.2-2.4
+times the whole level's busy time for no less wall time.
 """
 
 from __future__ import annotations
@@ -60,12 +64,23 @@ def _run_pieri_job(args):
     return [r.matrix for r in results], stats, time.perf_counter() - t0
 
 
+#: The grain of a bundle: a level's ready edges are split into at most
+#: ``n_ready // MIN_SHARE`` even shares, so a level narrower than two
+#: grains travels whole.  Sized from per-level worker-busy time, whole
+#: level vs split (docs/release_notes.md): in one process a half of a
+#: 128-edge level costs 0.50-0.61 of the whole level, a half of a 64-edge
+#: level 0.71-0.72, and narrower halves 0.67-0.91.
+MIN_SHARE = 64
+
+
 def _take_front(queue: deque, n_idle: int) -> List[PieriJob]:
     """The ready edges at the level of the queue's head, split evenly
-    among the idle workers: this worker's share, in queue order."""
+    among ``k = max(1, min(n_idle, n_ready // MIN_SHARE))`` of the idle
+    workers: this worker's share, in queue order.  No share is narrower
+    than :data:`MIN_SHARE` unless it is the whole ready level."""
     level = queue[0].level
     n_ready = sum(job.level == level for job in queue)
-    share = -(-n_ready // n_idle)
+    share = -(-n_ready // max(1, min(n_idle, n_ready // MIN_SHARE)))
     bundle: List[PieriJob] = []
     rest: List[PieriJob] = []
     for job in queue:
@@ -89,7 +104,9 @@ class ParallelPieriReport(PieriReport):
 
     @property
     def speedup_vs_cpu_time(self) -> float:
-        """Total busy time / wall time: achieved parallelism."""
+        """Total busy time / wall time: achieved parallelism.  It reads
+        about 1 when every level travels whole (no level reaches
+        ``2 * MIN_SHARE`` edges), one worker busy at a time."""
         busy = sum(self.seconds_per_level.values())
         return busy / self.wall_seconds if self.wall_seconds > 0 else 1.0
 
@@ -109,11 +126,15 @@ def solve_pieri_parallel(
     edges, no barrier between levels, children enqueued as their
     parent's result arrives — and hands an idle worker a *bundle*: its
     even share of the ready edges at the level of the queue's head,
-    tracked by the worker as one stacked SoA front.  With one worker
-    that is one bundle per level; with several, the fronts stay as wide
-    as the moment allows.  ``granularity`` is accepted for callers of
-    the former edge-at-a-time and level-synchronous masters; both names
-    run this one.
+    tracked by the worker as one stacked SoA front.  No share is
+    narrower than :data:`MIN_SHARE` edges unless it is the whole ready
+    level, so with one worker, or on a tree whose levels are all
+    narrower than ``2 * MIN_SHARE``, every level travels as one bundle
+    and the worker tracks exactly the sequential solver's level front;
+    wider levels are split among the workers idle at that moment.
+    ``granularity`` is accepted for callers of the former
+    edge-at-a-time and level-synchronous masters; both names run this
+    one.
 
     ``jobs_per_level`` counts edges, ``seconds_per_level`` worker-busy
     seconds, and ``level_batches`` has one record per tree level, the
@@ -122,8 +143,9 @@ def solve_pieri_parallel(
     ``collisions`` and the effort counters of
     :data:`repro.schubert.solver.EFFORT_KEYS`; ``options`` echoes what
     every worker's tracker ran with.  A worker re-tracks a path jump it
-    can see (two endpoints of its bundle coincide); one split over two
-    bundles ends as duplicate leaves, which ``failures`` counts.
+    can see (two endpoints of its bundle coincide); on a level split at
+    or above ``2 * MIN_SHARE`` edges, a jump onto a row of another
+    bundle ends as duplicate leaves, which ``failures`` counts.
 
     Fault tolerance: a bundle whose worker *crashes* (raises, as opposed
     to returning a failed path) is re-enqueued as single edges, each up

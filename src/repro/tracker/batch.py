@@ -48,7 +48,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..telemetry import current_telemetry, maybe_span
-from .interface import BatchHomotopy
+from .interface import BatchHomotopy, require_batch_homotopy
 from .newton import _solve_batch, batch_newton_correct
 from .predictor import make_predictor
 from .result import Ladder, PathResult, PathStatus, TrackStats, option_rungs
@@ -177,10 +177,7 @@ class BatchTracker:
         tel,
         ladder: Ladder | None,
     ) -> List[PathResult]:
-        if not isinstance(homotopy, BatchHomotopy):
-            raise TypeError(
-                f"expected a BatchHomotopy, got {type(homotopy)!r}"
-            )
+        require_batch_homotopy(homotopy)
         opts = self.options
         X0 = np.array(
             [np.asarray(s, dtype=complex) for s in starts], dtype=complex

@@ -153,3 +153,11 @@ class BatchHomotopy(abc.ABC):
         """
         del rows
         return self
+
+
+def require_batch_homotopy(homotopy) -> BatchHomotopy:
+    """``homotopy`` itself; anything but a :class:`BatchHomotopy` raises
+    ``TypeError`` naming its type, before any sweep runs."""
+    if not isinstance(homotopy, BatchHomotopy):
+        raise TypeError(f"expected a BatchHomotopy, got {type(homotopy)!r}")
+    return homotopy

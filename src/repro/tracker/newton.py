@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interface import BatchHomotopy, _per_path_t
+from .interface import BatchHomotopy, _per_path_t, require_batch_homotopy
 
 __all__ = [
     "NewtonResult",
@@ -75,10 +75,12 @@ def newton_correct(
     """Newton's method on ``H(., t) = 0`` starting from ``x``.
 
     The one-row case of :func:`batch_newton_correct` — same sweeps, same
-    criteria — unpacked into a :class:`NewtonResult`.
+    criteria — unpacked into a :class:`NewtonResult`; anything but a
+    :class:`BatchHomotopy` raises ``TypeError``.
     """
     out = _newton_sweeps(
-        homotopy, np.asarray(x, dtype=complex)[None, :], t,
+        require_batch_homotopy(homotopy),
+        np.asarray(x, dtype=complex)[None, :], t,
         tol, max_iterations, None, want_jacobian, update_tol, loose_tol,
         fail_fast,
     )

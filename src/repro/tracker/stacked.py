@@ -51,7 +51,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .interface import BatchHomotopy, _per_path_t
+from .interface import BatchHomotopy, _per_path_t, require_batch_homotopy
 
 __all__ = ["StackedHomotopy"]
 
@@ -76,8 +76,7 @@ class StackedHomotopy(BatchHomotopy):
             raise ValueError("need at least one member homotopy")
         self.members: List[BatchHomotopy] = list(members)
         for h in self.members:
-            if not isinstance(h, BatchHomotopy):
-                raise TypeError(f"expected a BatchHomotopy, got {type(h)!r}")
+            require_batch_homotopy(h)
         dims = {h.dim for h in self.members}
         if len(dims) != 1:
             raise ValueError(

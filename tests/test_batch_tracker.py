@@ -8,12 +8,11 @@ bit for bit the same whatever rows travel with it — ``PathTracker.track``
 """
 
 import dataclasses
-import doctest
 
 import numpy as np
 import pytest
 
-import repro.polynomials.poly as poly_module
+from repro.endgame import CauchyEndgame, RefineEndgame
 from repro.homotopy import ConvexHomotopy, make_homotopy_and_starts, solve
 from repro.schubert import PieriInstance, PieriReport, PieriSolver
 from repro.systems import cyclic_roots_system, katsura_system
@@ -53,12 +52,18 @@ class SqrtHomotopy(BatchHomotopy):
 class TestBatchInterface:
     def test_rejects_other_types(self):
         """Every entry point names what it was handed instead of failing
-        deep in the loop: the tracker (for either tracker class) and
-        each member of a stack."""
+        deep in the loop: the tracker (for either tracker class), each
+        member of a stack, the one-row corrector and both endgames'
+        one-row ``finish``.  ``batch_newton_correct`` stays duck-typed
+        (``tests/test_predictor.py`` records through a wrapper)."""
+        options = TrackerOptions()
         entry_points = (
             lambda h: BatchTracker().track_batch(h, [[1.0]]),
             lambda h: PathTracker().track(h, [1.0]),
             lambda h: StackedHomotopy([SqrtHomotopy(), h], [0, 1]),
+            lambda h: newton_correct(h, [1.0], 0.0),
+            lambda h: RefineEndgame().finish(h, [1.0], 1.0, options),
+            lambda h: CauchyEndgame().finish(h, [1.0], 0.99, options),
         )
         for enter in entry_points:
             with pytest.raises(TypeError, match="object"):
@@ -336,9 +341,3 @@ class TestLiveLadder:
         if npts > len(starts):
             assert max(climbed) == 3
             assert ladder.collisions > 0 and ladder.stable
-
-
-def test_polynomial_doctests():
-    """Run the poly-module doctests (complex coefficient printing etc.)."""
-    failures, _ = doctest.testmod(poly_module)
-    assert failures == 0

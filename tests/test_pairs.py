@@ -94,6 +94,15 @@ def test_every_benchmark_metric_is_summarized():
     assert "solve_s" in pairs.format_rows(rows)
 
 
+def test_cores_used_is_the_median_cpu_over_wall_per_side():
+    runs = [{"parent": {"cpu_s": c, "solve_s": 0.6},
+             "change": {"cpu_s": c / 2, "solve_s": 0.6}}
+            for c in (1.2, 1.08, 1.14)]
+    cores = pairs.cores_used(runs)
+    assert cores["parent"] == pytest.approx(1.9)
+    assert cores["change"] == pytest.approx(0.95)
+
+
 def _runs(parent, change):
     """Pairs from ``(roots_missing, roots_expected, ops)`` per side."""
     return [{"runs": {side: {"roots_missing": m, "roots_expected": e, "ops": n}
@@ -140,6 +149,7 @@ def test_report_flags_lost_roots_and_unequal_op_counts(capsys):
     out = capsys.readouterr().out
     assert "roots missing: parent 0.0000%, change 0.0000%  unchanged" in out
     assert "ops a run, median: parent 50, change 60" in out
+    assert "cores used (cpu_s / solve_s, median): parent 1.00, change 1.00" in out
     assert "peak_rss_mb compared at unequal op counts" in out
     assert pairs.report([pair(k, 12) for k in range(1, 5)]) == 1
     assert "REGRESSED" in capsys.readouterr().out

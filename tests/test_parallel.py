@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.parallel.executors as executors_mod
+import repro.parallel.pieri_scheduler as scheduler_mod
 from repro.homotopy import make_homotopy_and_starts
 from repro.parallel import (
     dispatch_jobs,
@@ -15,6 +16,7 @@ from repro.parallel import (
 from repro.parallel.dispatcher import make_pool
 from repro.parallel.executors import _busy_list, load_imbalance
 from repro.schubert import PieriInstance, PieriSolver, pieri_root_count
+from repro.schubert.solver import EFFORT_KEYS
 from repro.systems import cyclic_roots_system
 from repro.tracker import BatchHomotopy, PathStatus
 
@@ -410,6 +412,22 @@ class TestParallelPieri:
     def test_bundles_match_sequential(self, shape, n_workers, mode):
         """Whatever bundles the moment forms, the solution set is the
         sequential edge-at-a-time one and every level counts its edges."""
+        self._assert_bundles_match_sequential(shape, n_workers, mode)
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    @pytest.mark.parametrize("shape", [(2, 2, 0), (2, 2, 1), (3, 2, 0)])
+    def test_split_bundles_match_sequential(
+        self, shape, n_workers, mode, monkeypatch
+    ):
+        """The same with the floor at 1: the master splits these narrow
+        levels among the idle workers, as it does levels of two floors
+        and more (a lone worker is always handed the whole level)."""
+        monkeypatch.setattr(scheduler_mod, "MIN_SHARE", 1)
+        self._assert_bundles_match_sequential(shape, n_workers, mode)
+
+    @staticmethod
+    def _assert_bundles_match_sequential(shape, n_workers, mode):
         instance = PieriInstance.random(*shape, np.random.default_rng(21))
         seq = PieriSolver(instance, seed=22).solve(mode="per_path")
         par = solve_pieri_parallel(
@@ -424,7 +442,6 @@ class TestParallelPieri:
         assert par.jobs_per_level == seq.jobs_per_level
 
     def test_every_edge_is_tracked_exactly_once(self, monkeypatch):
-        import repro.parallel.pieri_scheduler as scheduler_mod
         from repro.schubert import level_job_counts
 
         real, seen = scheduler_mod._run_pieri_job, []
@@ -468,22 +485,67 @@ class TestParallelPieri:
         )
         assert par.max_active_jobs == 1
 
-    def test_take_front_splits_the_head_level_evenly(self):
-        from collections import deque
+    def test_take_front_splits_the_head_level_evenly(self, monkeypatch):
         from types import SimpleNamespace
 
-        from repro.parallel.pieri_scheduler import _take_front
-
+        monkeypatch.setattr(scheduler_mod, "MIN_SHARE", 1)
         jobs = [SimpleNamespace(level=lvl, tag=i)
                 for i, lvl in enumerate([3, 4, 3, 3, 4, 3, 3])]
         queue = deque(jobs)
-        first = _take_front(queue, 2)      # 5 ready at level 3, 2 idle
+        take = scheduler_mod._take_front
+        first = take(queue, 2)      # 5 ready at level 3, 2 idle
         assert [j.tag for j in first] == [0, 2, 3]
-        second = _take_front(queue, 1)     # the head moved to level 4
+        second = take(queue, 1)     # the head moved to level 4
         assert [j.tag for j in second] == [1, 4]
-        third = _take_front(queue, 3)      # 2 ready, 3 idle: one each
+        third = take(queue, 3)      # 2 ready, 3 idle: one each
         assert [j.tag for j in third] == [5]
         assert [j.tag for j in queue] == [6]
+
+    def test_take_front_keeps_shares_at_least_the_floor(self):
+        """A level narrower than two floors travels whole; from two
+        floors on, it splits into even shares no narrower than one."""
+        from types import SimpleNamespace
+
+        floor = scheduler_mod.MIN_SHARE
+        take = scheduler_mod._take_front
+
+        def level(lvl, n, tag=0):
+            return [SimpleNamespace(level=lvl, tag=tag + i) for i in range(n)]
+
+        queue = deque(level(5, 2 * floor - 1))
+        assert len(take(queue, 2)) == 2 * floor - 1 and not queue
+        queue = deque(level(5, 2 * floor))
+        first = take(queue, 2)
+        assert [j.tag for j in first] == list(range(floor))
+        assert [j.tag for j in take(queue, 1)] == list(range(floor, 2 * floor))
+        # the head's level goes first, the rest keeps its order
+        head, later = level(7, floor + 1), level(8, 3 * floor, tag=1000)
+        queue = deque([head[0], *later[:floor], *head[1:], *later[floor:]])
+        assert take(queue, 3) == head
+        assert list(queue) == later
+
+    def test_two_process_workers_match_the_sequential_batch_bitwise(self):
+        """Every level of a small tree is narrower than two floors, so it
+        travels whole to one worker, which tracks the sequential batch
+        solver's level front: same rows in the same order, the same
+        roots bit for bit and the same per-level effort."""
+        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(29))
+        seq = PieriSolver(instance, seed=30).solve(mode="batch")
+        par = solve_pieri_parallel(
+            instance, n_workers=2, mode="process", seed=30
+        )
+        assert [r["n_chunks"] for r in par.level_batches] == (
+            [1] * instance.problem.num_conditions
+        )
+        assert par.failures == seq.failures == 0
+        assert [s.tobytes() for s in par.solutions] == [
+            s.tobytes() for s in seq.solutions
+        ]
+        keys = ("level", "n_jobs", "n_homotopies", "chart_switches",
+                "retries", "collisions", *EFFORT_KEYS)
+        assert [[r[k] for k in keys] for r in par.level_batches] == [
+            [r[k] for k in keys] for r in seq.level_batches
+        ]
 
     def test_invalid_workers(self):
         instance = PieriInstance.random(2, 2, 0, np.random.default_rng(11))

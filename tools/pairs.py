@@ -17,7 +17,9 @@ interquartile range, and the verdict of ``harness.compare_row`` on the
 two lists of runs (``unresolved`` with fewer than 4 runs or a spread
 above the metric's bound, unless every run of the working tree reads
 better than every run of the parent).  It then compares, side by side,
-the share of failed ops, the share of expected roots not delivered
+the share of failed ops next to the cores a run kept busy (the median
+of ``cpu_s / solve_s``, so a parallel change's CPU story reads off one
+line), the share of expected roots not delivered
 (``REGRESSED`` when the change's share is higher by more than the
 harness's ``ROOTS_MISSING_BOUND``, as ``harness.py compare`` judges it)
 and the median op count a run: ``peak_rss_mb`` grows with the ops a
@@ -85,6 +87,13 @@ def failed_shares(pairs):
     """``{side: failed ops / attempted ops}`` over every run of a side."""
     return {side: sum(p["runs"][side]["failed"] for p in pairs)
             / max(1, sum(p["runs"][side]["attempted"] for p in pairs))
+            for side in ("parent", "change")}
+
+
+def cores_used(pairs):
+    """``{side: median cpu_s / solve_s}``: the cores a run kept busy."""
+    return {side: statistics.median(p[side]["cpu_s"] / p[side]["solve_s"]
+                                    for p in pairs)
             for side in ("parent", "change")}
 
 
@@ -175,8 +184,11 @@ def report(pairs):
         print(format_rows(summarize(ours, bounds())))
         shares = failed_shares(ours)
         worse = shares["change"] > shares["parent"]
+        cores = cores_used(ours)
         print(f"failed ops: parent {shares['parent']:.2%}, change "
-              f"{shares['change']:.2%}{'  MORE FAIL' if worse else ''}")
+              f"{shares['change']:.2%}{'  MORE FAIL' if worse else ''}; "
+              f"cores used (cpu_s / solve_s, median): parent "
+              f"{cores['parent']:.2f}, change {cores['change']:.2f}")
         missing, verdict = root_losses(ours)
         print(f"roots missing: parent {missing['parent']:.4%}, change "
               f"{missing['change']:.4%}  {verdict} "
