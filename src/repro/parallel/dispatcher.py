@@ -12,8 +12,8 @@ Extracted from the Pieri tree scheduler so that *any* job-shaped workload
 5. terminate when the queue is drained and every worker is parked.
 
 What an idle worker is handed in step 1 is the caller's to say (``take``):
-the head of the queue by default, or a *bundle* of queued jobs — the
-Pieri scheduler hands out same-level fronts that way.
+a *unit*, a list of queued jobs — the Pieri scheduler hands out same-level
+fronts that way, path tracking and sweeps their pre-cut blocks.
 
 The loop (:func:`dispatch_jobs`) is executor-agnostic: it only sees a
 ``submit`` callable returning :class:`concurrent.futures.Future` objects.
@@ -128,7 +128,8 @@ def dispatch_jobs(
     on_abandoned: Optional[Callable[[Any], None]] = None,
     rebuild_pool: Optional[Callable[[], Callable[[Any], Future]]] = None,
     telemetry: Optional[DispatchTelemetry] = None,
-    take: Optional[Callable[[deque, int], list]] = None,
+    *,
+    take: Callable[[deque, int], list],
 ) -> DispatchTelemetry:
     """Run the dynamic master loop until every job is done or abandoned.
 
@@ -138,9 +139,9 @@ def dispatch_jobs(
         Jobs known at startup (the Pieri tree-root jobs, or a sweep's
         full pending list).
     submit:
-        ``submit(job) -> Future``; typically wraps ``pool.submit``.
+        ``submit(unit) -> Future``; typically wraps ``pool.submit``.
     on_result:
-        ``on_result(job, result)`` consumes one worker result and returns
+        ``on_result(unit, result)`` consumes one worker result and returns
         the newly enabled jobs (or ``None``).  Called from the master
         thread only, so it may mutate shared state freely.
     n_workers:
@@ -167,22 +168,22 @@ def dispatch_jobs(
         the caller then keeps the partial counts even when ``on_result``
         raises to abort the run mid-flight.
     take:
-        What an idle worker is handed.  ``None`` is the head of the
-        queue, one job a worker.  Otherwise ``take(queue, n_idle)``
-        removes a non-empty list of jobs from the FCFS ``queue`` while
-        ``n_idle`` workers (this one included) wait, and that *bundle*
-        is what ``submit`` and ``on_result`` receive.  Retries stay per
-        job: a crashed bundle comes back as its single jobs, each
-        charged under its own ``retry_key``, and a job that has come
-        back (crash or breakage) is from then on handed out alone — a
-        poison job forfeits only itself, and no re-formed bundle resets
-        a budget.
+        What an idle worker is handed: ``take(queue, n_idle)`` removes a
+        non-empty list of jobs from the FCFS ``queue`` while ``n_idle``
+        workers (this one included) wait, and that *unit* is what
+        ``submit`` and ``on_result`` receive.  A caller whose queue
+        already holds its units passes ``lambda queue, n_idle:
+        queue.popleft()``.  Retries stay per job: a crashed unit comes
+        back as its single jobs, each charged under its own
+        ``retry_key``, and a job that has come back (crash or breakage)
+        is from then on handed out alone, served before the queue — a
+        poison job forfeits only itself, and no re-formed unit resets a
+        budget.
     """
     queue: deque = deque(initial_jobs)
-    # jobs that came back: the same FCFS queue, or when bundling one of
-    # their own, served first and one job at a time
-    retries: deque = queue if take is None else deque()
-    active: Dict[Future, Any] = {}
+    # jobs that came back: served first, one job at a time
+    retries: deque = deque()
+    active: Dict[Future, list] = {}
     attempts: Dict[Any, int] = {}
     telemetry = DispatchTelemetry() if telemetry is None else telemetry
     fruitless_breaks = 0
@@ -193,19 +194,14 @@ def dispatch_jobs(
         if on_abandoned is not None:
             on_abandoned(job)
 
-    def jobs_of(unit: Any) -> Iterable[Any]:
-        return (unit,) if take is None else unit
-
-    def next_unit() -> Any:
-        if take is None:
-            return queue.popleft()
+    def next_unit() -> list:
         if retries:
             return [retries.popleft()]
         return take(queue, n_workers - len(active))
 
-    def crash(unit: Any) -> None:
+    def crash(unit: list) -> None:
         telemetry.worker_crashes += 1
-        for job in jobs_of(unit):
+        for job in unit:
             key = retry_key(job)
             attempts[key] = attempts.get(key, 0) + 1
             if attempts[key] <= max_retries:
@@ -213,17 +209,20 @@ def dispatch_jobs(
             else:
                 abandon(job)
 
-    def harvest(fut: Future, job: Any, lost: list) -> None:
-        """Consume one settled future: result, own crash, or breakage."""
+    def harvest(fut: Future, unit: list, lost: list) -> None:
+        """Consume one settled future: result, own crash, or breakage
+        (re-raised when the pool cannot be rebuilt)."""
         try:
             result = fut.result()
         except BrokenExecutor:
-            lost.append(job)
+            if rebuild_pool is None:
+                raise
+            lost.append(unit)
         except Exception:
-            crash(job)
+            crash(unit)
         else:
             telemetry.jobs_done += 1
-            queue.extend(on_result(job, result) or ())
+            queue.extend(on_result(unit, result) or ())
 
     def reclaim_active() -> list:
         """Empty ``active`` after a breakage: harvest results that
@@ -232,17 +231,17 @@ def dispatch_jobs(
         that *crashed on its own* in the window (any exception other
         than the breakage itself) still pays its retry budget."""
         lost = []
-        for fut, job in list(active.items()):
+        for fut, unit in list(active.items()):
             if fut.done():
-                harvest(fut, job, lost)
+                harvest(fut, unit, lost)
             elif fut.cancel():
-                lost.append(job)
+                lost.append(unit)
             else:
                 # cancel() failing means the future slipped past the
                 # done() check and completed (or is completing) in the
                 # race window: requeueing it here would run — and
                 # potentially commit — the job twice.  Harvest instead.
-                harvest(fut, job, lost)
+                harvest(fut, unit, lost)
         active.clear()
         return lost
 
@@ -258,7 +257,7 @@ def dispatch_jobs(
         else:
             fruitless_breaks = 1
         done_at_last_break = telemetry.jobs_done
-        lost = [job for unit in in_flight for job in jobs_of(unit)]
+        lost = [job for unit in in_flight for job in unit]
         if fruitless_breaks > max_retries:
             for job in lost:
                 abandon(job)
@@ -269,41 +268,30 @@ def dispatch_jobs(
 
     while queue or retries or active:
         while (queue or retries) and len(active) < n_workers:
-            job = next_unit()
+            unit = next_unit()
             try:
-                fut = submit(job)
+                fut = submit(unit)
             except BrokenExecutor:
                 if rebuild_pool is None:
                     raise
                 # the dead pool's in-flight futures die with it: reclaim
                 # them now so the same breakage is not processed twice
-                note_breakage([job] + reclaim_active())
+                note_breakage([unit] + reclaim_active())
                 continue
-            active[fut] = job
-        telemetry.max_queue_length = max(telemetry.max_queue_length, len(queue))
+            active[fut] = unit
+        # the backlog: what waits for a worker, retried jobs included
+        telemetry.max_queue_length = max(
+            telemetry.max_queue_length, len(queue) + len(retries)
+        )
         telemetry.max_active_jobs = max(telemetry.max_active_jobs, len(active))
         if not active:
             continue
         done, _ = wait(list(active), return_when=FIRST_COMPLETED)
-        broken = False
-        in_flight = []
+        lost: list = []
         for fut in done:
-            job = active.pop(fut)
-            try:
-                result = fut.result()
-            except BrokenExecutor:
-                if rebuild_pool is None:
-                    raise
-                broken = True
-                in_flight.append(job)
-                continue
-            except Exception:
-                crash(job)
-                continue
-            telemetry.jobs_done += 1
-            queue.extend(on_result(job, result) or ())
-        if broken:
-            note_breakage(in_flight + reclaim_active())
+            harvest(fut, active.pop(fut), lost)
+        if lost:
+            note_breakage(lost + reclaim_active())
     return telemetry
 
 
@@ -317,12 +305,13 @@ def dispatch_with_pool(
     retry_key: Callable[[Any], Any] = id,
     on_abandoned: Optional[Callable[[Any], None]] = None,
     telemetry: Optional[DispatchTelemetry] = None,
-    take: Optional[Callable[[deque, int], list]] = None,
+    *,
+    take: Callable[[deque, int], list],
 ) -> DispatchTelemetry:
     """:func:`dispatch_jobs` plus executor lifecycle, in one call.
 
     Owns the pool: creates it via ``new_pool`` (typically a
-    :func:`make_pool` call), submits through ``submit_job(pool, job)``,
+    :func:`make_pool` call), submits through ``submit_job(pool, unit)``,
     transparently replaces a broken process pool (thread and inline
     pools cannot break), and always shuts the final pool down.  The loop
     returns with nothing in flight, so that shutdown waits for the
@@ -332,8 +321,8 @@ def dispatch_with_pool(
     """
     state = {"pool": new_pool()}
 
-    def submit(job: Any) -> Future:
-        return submit_job(state["pool"], job)
+    def submit(unit: list) -> Future:
+        return submit_job(state["pool"], unit)
 
     def rebuild_pool() -> Callable[[Any], Future]:
         state["pool"].shutdown(wait=False, cancel_futures=True)

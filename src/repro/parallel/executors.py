@@ -9,27 +9,18 @@ path list is cut into blocks before the run:
 - **static** — one round-robin block per worker, so every worker is handed
   its whole share at once.  Minimal coordination, but worker finish times
   inherit the full variance of the per-path costs.
-- **dynamic** — one path a block; a worker that finishes is handed the
-  next.  More coordination, near-perfect balance.
+- **dynamic** — ``4 * n_workers`` round-robin blocks; a worker that
+  finishes is handed the next.  More coordination, better balance.
 
-Workers are processes by default (real parallelism for this CPU-bound
-workload); ``mode="thread"`` runs the same code on threads, useful for
-correctness tests and when the homotopy is cheap relative to process
-startup.  ``mode="serial"`` is the 1-CPU baseline: the same loop over a
-pool that runs each block inline.
-
-Every worker runs the one tracker loop
-(:class:`~repro.tracker.BatchTracker`); the per-path modes above hand it
-one-row fronts, so a path's seconds are its exclusive wall time.  Beyond
-the paper's axis (paths x workers), two modes track a block as one wide
-front:
-
-- **batch** — one block, all paths, advanced as a single vectorized front
-  in this process; no coordination at all, the speedup comes from
-  amortizing numpy dispatch over the batch.
-- **hybrid** — processes x batch: every worker tracks its block as one
-  batched front; ``schedule="dynamic"`` cuts ``4 * n_workers`` blocks,
-  trading some batching efficiency for balance.
+Every block is one structure-of-arrays front of the one tracker loop
+(:class:`~repro.tracker.BatchTracker`): a front here is bound by
+interpreter overhead per call, not by arithmetic, so a block tracked
+row by row costs several times the same block tracked at once, and a
+row's bits do not depend on the rows beside it.  ``mode`` names only
+the pool: worker processes by default (real parallelism for this
+CPU-bound workload), ``"thread"`` for the same code on threads, and
+``"serial"`` for the 1-CPU baseline, the whole path list as one front
+in this process.  Any one-worker run is that one front.
 
 A worker that raises stops the run: its exception reaches the caller and
 no partial report is returned.
@@ -105,17 +96,15 @@ def _init_worker(homotopy: BatchHomotopy, options: TrackerOptions) -> None:
     _WORKER_TRACKER = BatchTracker(options)
 
 
-def _track_block(block, wide: bool) -> tuple[List[PathResult], float, WorkerKey]:
-    """Worker entry point: track one block of ``(path_id, start)`` pairs,
-    as a single SoA front when ``wide`` and as one-row fronts otherwise."""
+def _track_block(block) -> tuple[List[PathResult], float, WorkerKey]:
+    """Worker entry point: track one block of ``(path_id, start)`` pairs
+    as a single SoA front."""
     t0 = time.perf_counter()
-    results: List[PathResult] = []
-    for front in [block] if wide else [[item] for item in block]:
-        results += _WORKER_TRACKER.track_batch(
-            _WORKER_HOMOTOPY,
-            [start for _, start in front],
-            path_ids=[path_id for path_id, _ in front],
-        )
+    results = _WORKER_TRACKER.track_batch(
+        _WORKER_HOMOTOPY,
+        [start for _, start in block],
+        path_ids=[path_id for path_id, _ in block],
+    )
     return results, time.perf_counter() - t0, _worker_key()
 
 
@@ -154,7 +143,7 @@ def track_paths_parallel(
     starts: Sequence[Sequence[complex]],
     n_workers: int | None = None,
     schedule: Literal["static", "dynamic"] = "dynamic",
-    mode: Literal["process", "thread", "serial", "batch", "hybrid"] = "process",
+    mode: Literal["process", "thread", "serial"] = "process",
     options: TrackerOptions | None = None,
 ) -> ParallelTrackReport:
     """Track all paths of ``homotopy`` from ``starts`` on local workers.
@@ -170,13 +159,12 @@ def track_paths_parallel(
         Pool size; defaults to ``cpu_count() - 1`` (min 1).
     schedule:
         How the path list is cut: ``"static"`` is one round-robin block
-        per worker, ``"dynamic"`` one path a block (``4 * n_workers``
-        blocks in hybrid mode) — the paper's two schemes.
+        per worker, ``"dynamic"`` ``4 * n_workers`` round-robin blocks —
+        the paper's two schemes.  Every block is one SoA front.
     mode:
-        ``"process"``/``"thread"``/``"serial"`` track a block path by
-        path; ``"batch"`` advances all paths as one SoA front in this
-        process; ``"hybrid"`` has each worker process track its block
-        as one front.  One worker is always this process.
+        The pool: ``"process"``, ``"thread"`` or ``"serial"`` (all paths
+        as one front in this process).  One worker is always this
+        process.
     options:
         Tracker options shared by every worker.
 
@@ -202,23 +190,14 @@ def track_paths_parallel(
     n_workers = _resolve_workers(n_workers)
     if schedule not in ("static", "dynamic"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    if mode not in ("process", "thread", "serial", "batch", "hybrid"):
+    if mode not in ("process", "thread", "serial"):
         raise ValueError(f"unknown mode {mode!r}")
     jobs = [(i, np.asarray(s, dtype=complex)) for i, s in enumerate(starts)]
 
-    # mode: which pool, and whether a block is one front or one-row fronts
-    wide = mode in ("batch", "hybrid")
-    if mode in ("serial", "batch") or n_workers == 1:
-        pool_mode, n_workers = "serial", 1
+    if mode == "serial" or n_workers == 1:
+        mode, n_workers, n_blocks = "serial", 1, 1
     else:
-        pool_mode = "thread" if mode == "thread" else "process"
-    # schedule: how the path list is cut
-    if wide and n_workers == 1:
-        n_blocks = 1  # batch, or hybrid on one worker: one front
-    elif schedule == "static":
-        n_blocks = n_workers
-    else:
-        n_blocks = 4 * n_workers if wide else len(jobs)
+        n_blocks = n_workers if schedule == "static" else 4 * n_workers
     blocks = [b for b in (jobs[k::n_blocks] for k in range(n_blocks)) if b]
 
     results: List[PathResult] = []
@@ -229,22 +208,23 @@ def track_paths_parallel(
         results.extend(tracked)
         per_worker[key] = per_worker.get(key, 0.0) + busy
 
-    def on_abandoned(block) -> None:
+    def on_abandoned(job) -> None:
         # called inside the dispatcher's ``except``: a bare raise hands the
         # worker's own exception to the caller (a dead process leaves none)
         if sys.exc_info()[1] is not None:
             raise
-        lost = [path_id for path_id, _ in block]
-        raise RuntimeError(f"worker process died; paths {lost} lost")
+        raise RuntimeError(f"worker process died; path {job[0]} lost")
 
     t_wall = time.perf_counter()
     dispatch_with_pool(
-        lambda: make_pool(pool_mode, n_workers, _init_worker, (homotopy, options)),
-        lambda pool, block: pool.submit(_track_block, block, wide),
+        lambda: make_pool(mode, n_workers, _init_worker, (homotopy, options)),
+        lambda pool, block: pool.submit(_track_block, block),
         blocks,
         on_result,
         n_workers=n_workers,
         on_abandoned=on_abandoned,
+        # the queue holds the pre-cut blocks
+        take=lambda queue, n_idle: queue.popleft(),
     )
     wall = time.perf_counter() - t_wall
     results.sort(key=lambda r: r.path_id)

@@ -8,8 +8,9 @@ vectorized numpy call over the whole *active front* instead of N Python
 round trips.  This is the data-parallel axis orthogonal to the paper's
 distribution of whole paths across workers: where Verschelde-Wang amortize
 path cost over MPI ranks, the batch tracker amortizes Python and numpy
-dispatch overhead over paths, and the two compose (see
-``mode="hybrid"`` in :func:`repro.parallel.track_paths_parallel`).
+dispatch overhead over paths, and the two compose: every worker of
+:func:`repro.parallel.track_paths_parallel` tracks its block of paths as
+one front.
 
 This is the one predictor-corrector loop of the package: each path keeps
 its own adaptive step size, so the decisions it makes (accept/reject,

@@ -188,6 +188,11 @@ class TestPieriSchedulerFaults:
         assert report.worker_crashes == 0
 
 
+def _head(queue, n_idle):
+    """The head of the queue, a one-job unit."""
+    return [queue.popleft()]
+
+
 class TestDispatcherPoolBreakage:
     """The generic dispatcher under a job that kills its worker process."""
 
@@ -195,12 +200,12 @@ class TestDispatcherPoolBreakage:
     def _fake_submit():
         from concurrent.futures import BrokenExecutor, Future
 
-        def submit(job):
+        def submit(unit):
             fut = Future()
-            if job == "poison":
+            if "poison" in unit:
                 fut.set_exception(BrokenExecutor("worker died"))
             else:
-                fut.set_result(job.upper())
+                fut.set_result([job.upper() for job in unit])
             return fut
 
         return submit
@@ -212,11 +217,12 @@ class TestDispatcherPoolBreakage:
         telemetry = dispatch_jobs(
             ["poison", "a", "b", "c"],
             self._fake_submit(),
-            lambda job, result: done.append(result),
+            lambda unit, result: done.extend(result),
             n_workers=2,
             max_retries=1,
             on_abandoned=lost.append,
             rebuild_pool=self._fake_submit,
+            take=_head,
         )
         # healthy jobs all finish exactly once; their retry budgets are
         # never charged for breakage they did not cause
@@ -234,11 +240,11 @@ class TestDispatcherPoolBreakage:
         from repro.parallel import dispatch_jobs
 
         def make_submit():
-            def submit(job):
-                if job == "poison":
+            def submit(unit):
+                if "poison" in unit:
                     raise BrokenExecutor("died at submit")
                 fut = Future()
-                fut.set_result(job.upper())
+                fut.set_result([job.upper() for job in unit])
                 return fut
 
             return submit
@@ -247,11 +253,12 @@ class TestDispatcherPoolBreakage:
         telemetry = dispatch_jobs(
             ["a", "poison", "b"],
             make_submit(),
-            lambda job, result: done.append(result),
+            lambda unit, result: done.extend(result),
             n_workers=2,
             max_retries=1,
             on_abandoned=lost.append,
             rebuild_pool=make_submit,
+            take=_head,
         )
         assert sorted(done) == ["A", "B"]
         assert lost == ["poison"]
@@ -285,11 +292,11 @@ class TestDispatcherPoolBreakage:
         executions = []
 
         def make_submit():
-            def submit(job):
-                if job == "poison":
+            def submit(unit):
+                if "poison" in unit:
                     raise BrokenExecutor("died at submit")
-                executions.append(job)
-                return SlipperyFuture(job.upper())
+                executions.extend(unit)
+                return SlipperyFuture([job.upper() for job in unit])
 
             return submit
 
@@ -297,11 +304,12 @@ class TestDispatcherPoolBreakage:
         telemetry = dispatch_jobs(
             ["a", "poison"],
             make_submit(),
-            lambda job, result: done.append(result),
+            lambda unit, result: done.extend(result),
             n_workers=2,
             max_retries=1,
             on_abandoned=lost.append,
             rebuild_pool=make_submit,
+            take=_head,
         )
         assert executions.count("a") == 1, "the race window re-ran the job"
         assert done == ["A"], "the in-window result must commit exactly once"
@@ -319,8 +327,9 @@ class TestDispatcherPoolBreakage:
             dispatch_jobs(
                 ["poison"],
                 self._fake_submit(),
-                lambda job, result: None,
+                lambda unit, result: None,
                 n_workers=1,
+                take=_head,
             )
 
 
@@ -406,24 +415,54 @@ class TestDispatcherBundles:
         assert telemetry.pool_rebuilds == 1
 
     def test_default_take_is_the_head_of_the_queue(self):
+        """A take of the head alone serves the queue first come first
+        served, enabled jobs joining its tail."""
         from concurrent.futures import Future
 
         from repro.parallel import dispatch_jobs
 
         order = []
 
-        def submit(job):
-            order.append(job)
+        def submit(unit):
+            order.extend(unit)
             fut = Future()
-            fut.set_result(job)
+            fut.set_result(unit)
             return fut
 
         dispatch_jobs(
             [1, 2, 3], submit,
-            lambda job, result: [10 * job] if job < 10 else None,
+            lambda unit, result: [10 * job for job in unit if job < 10],
             n_workers=1,
+            take=_head,
         )
         assert order == [1, 2, 3, 10, 20, 30]
+
+    def test_backlog_counts_the_jobs_waiting_to_retry(self):
+        """A job that came back waits for a worker as much as a queued
+        one: ``"poison"`` waits behind ``"a"``'s solo retry."""
+        from concurrent.futures import Future
+
+        from repro.parallel import dispatch_jobs
+
+        def submit(bundle):
+            fut = Future()
+            if len(bundle) > 1:
+                fut.set_exception(RuntimeError("crash"))
+            else:
+                fut.set_result(bundle)
+            return fut
+
+        telemetry = dispatch_jobs(
+            ["a", "poison"],
+            submit,
+            lambda bundle, result: None,
+            n_workers=1,
+            max_retries=1,
+            retry_key=lambda job: job,
+            take=self._pairs,
+        )
+        assert telemetry.jobs_done == 2
+        assert telemetry.max_queue_length == 1
 
 
 class TestSimulatedFailures:

@@ -18,7 +18,7 @@ from repro.parallel.executors import _busy_list, load_imbalance
 from repro.schubert import PieriInstance, PieriSolver, pieri_root_count
 from repro.schubert.solver import EFFORT_KEYS
 from repro.systems import cyclic_roots_system
-from repro.tracker import BatchHomotopy, PathStatus
+from repro.tracker import BatchHomotopy, PathTracker, TrackerOptions
 
 
 class TestLoadImbalance:
@@ -57,6 +57,26 @@ def cyclic4():
 
 
 @pytest.fixture(scope="module")
+def cyclic4_per_path(cyclic4):
+    """Each path of ``cyclic4`` tracked alone, as a one-row front."""
+    homotopy, starts = cyclic4
+    tracker = PathTracker(TrackerOptions())
+    return [tracker.track(homotopy, s, path_id=i) for i, s in enumerate(starts)]
+
+
+def assert_rows_equal(expected, results):
+    """Path by path, the same status, endpoint, accepted steps and
+    Newton iterations, bit for bit: a row's arithmetic does not depend
+    on the rows its front carries beside it."""
+    assert [r.path_id for r in results] == [r.path_id for r in expected]
+    for a, b in zip(expected, results):
+        assert a.status == b.status
+        assert np.array_equal(a.solution, b.solution, equal_nan=True)
+        assert a.stats.steps_accepted == b.stats.steps_accepted
+        assert a.stats.newton_iterations == b.stats.newton_iterations
+
+
+@pytest.fixture(scope="module")
 def cyclic4_slp():
     """The same homotopy on one shared SLP kernel."""
     homotopy, starts = make_homotopy_and_starts(
@@ -80,12 +100,7 @@ class TestFlatExecutors:
             homotopy, starts, n_workers=4, schedule="dynamic", mode="thread"
         )
         assert len(threaded.results) == len(serial.results)
-        # same classification and same endpoints per path id
-        for a, b in zip(serial.results, threaded.results):
-            assert a.path_id == b.path_id
-            assert a.status == b.status
-            if a.status is PathStatus.SUCCESS:
-                assert np.allclose(a.solution, b.solution, atol=1e-8)
+        assert_rows_equal(serial.results, threaded.results)
 
     def test_dynamic_threads_match_serial_on_one_slp_kernel(self, cyclic4_slp):
         """Four threads replay one kernel at once: each row's bits are
@@ -135,10 +150,10 @@ class TestFlatExecutors:
             track_paths_parallel(homotopy, starts, n_workers=0)
         with pytest.raises(ValueError):
             track_paths_parallel(homotopy, starts, schedule="bogus", n_workers=2)
-        with pytest.raises(ValueError):
-            track_paths_parallel(
-                homotopy, starts, mode="bogus", n_workers=2
-            )
+        # the pool is all ``mode`` names: every block is one front
+        for mode in ("bogus", "batch", "hybrid"):
+            with pytest.raises(ValueError):
+                track_paths_parallel(homotopy, starts, mode=mode, n_workers=2)
 
     def test_busy_accounting(self, cyclic4):
         homotopy, starts = cyclic4
@@ -162,55 +177,41 @@ class TestFlatExecutors:
 
 
 class TestBatchModes:
-    def test_batch_mode_matches_serial(self, cyclic4):
+    """Every pool tracks a block as one SoA front: the rows are those of
+    the paths tracked one at a time."""
+
+    def test_batch_mode_matches_serial(self, cyclic4, cyclic4_per_path):
         homotopy, starts = cyclic4
         serial = track_paths_parallel(homotopy, starts, mode="serial")
-        batch = track_paths_parallel(homotopy, starts, mode="batch")
-        assert batch.n_workers == 1
-        assert [r.path_id for r in batch.results] == list(range(len(starts)))
-        for a, b in zip(serial.results, batch.results):
-            assert a.status == b.status
-            if a.status is PathStatus.SUCCESS:
-                assert np.allclose(a.solution, b.solution, atol=1e-8)
+        assert serial.n_workers == 1
+        assert_rows_equal(cyclic4_per_path, serial.results)
 
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
-    def test_hybrid_mode_matches_serial(self, cyclic4, schedule):
-        homotopy, starts = cyclic4
-        serial = track_paths_parallel(homotopy, starts, mode="serial")
-        hybrid = track_paths_parallel(
-            homotopy, starts, n_workers=2, schedule=schedule, mode="hybrid"
-        )
-        assert len(hybrid.results) == len(starts)
-        assert [r.path_id for r in hybrid.results] == list(range(len(starts)))
-        for a, b in zip(serial.results, hybrid.results):
-            assert a.status == b.status
-            if a.status is PathStatus.SUCCESS:
-                assert np.allclose(a.solution, b.solution, atol=1e-8)
-        assert len(hybrid.worker_busy_seconds) == 2
-        assert hybrid.total_cpu_seconds > 0
-
-    def test_hybrid_single_worker_still_batches(self, cyclic4):
-        """hybrid with one worker must run the SoA front, not fall back
-        to per-path tracking."""
+    def test_hybrid_mode_matches_serial(self, cyclic4, cyclic4_per_path, schedule):
         homotopy, starts = cyclic4
         report = track_paths_parallel(
-            homotopy, starts[:6], n_workers=1, mode="hybrid"
+            homotopy, starts, n_workers=2, schedule=schedule, mode="process"
+        )
+        assert_rows_equal(cyclic4_per_path, report.results)
+        assert len(report.worker_busy_seconds) == 2
+        assert report.total_cpu_seconds > 0
+
+    def test_hybrid_single_worker_still_batches(self, cyclic4):
+        """A process pool of one worker is this process tracking one SoA
+        front, not a pool of one."""
+        homotopy, starts = cyclic4
+        report = track_paths_parallel(
+            homotopy, starts[:6], n_workers=1, mode="process"
         )
         assert report.n_workers == 1
         assert len(report.results) == 6
         # batch-tracked paths share wall-clock accounting: per-path
-        # seconds are classification times, so they are non-decreasing
-        # in finish order and bounded by the single busy figure
+        # seconds are amortized shares of the front's sweeps, bounded by
+        # the single busy figure
         assert len(report.worker_busy_seconds) == 1
         assert max(r.stats.seconds for r in report.results) <= (
             report.worker_busy_seconds[0] + 1e-6
         )
-
-
-@pytest.fixture(scope="module")
-def cyclic4_serial(cyclic4):
-    homotopy, starts = cyclic4
-    return track_paths_parallel(homotopy, starts, mode="serial")
 
 
 class Boom(Exception):
@@ -230,48 +231,61 @@ class ExplodingHomotopy(BatchHomotopy):
 
 
 class TestOneLocalMaster:
-    """``mode`` and ``schedule`` only say how the path list is cut and who
-    runs a block: every combination is one ``dispatch_with_pool`` call."""
+    """``mode`` says who runs a block and ``schedule`` how the path list
+    is cut: every combination is one ``dispatch_with_pool`` call whose
+    blocks are fronts."""
 
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
-    @pytest.mark.parametrize(
-        "mode", ["serial", "thread", "process", "batch", "hybrid"]
-    )
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_every_cut_matches_serial(
-        self, cyclic4, cyclic4_serial, mode, schedule
+        self, cyclic4, cyclic4_per_path, mode, schedule
     ):
         homotopy, starts = cyclic4
         report = track_paths_parallel(
             homotopy, starts, n_workers=2, schedule=schedule, mode=mode
         )
-        n_workers = 1 if mode in ("serial", "batch") else 2
+        n_workers = 1 if mode == "serial" else 2
         assert report.n_workers == n_workers
         assert len(report.worker_busy_seconds) == n_workers
         assert report.schedule == schedule
-        assert [r.path_id for r in report.results] == list(range(len(starts)))
-        for a, b in zip(cyclic4_serial.results, report.results):
-            assert a.status == b.status
-            if mode in ("batch", "hybrid"):
-                if a.status is PathStatus.SUCCESS:
-                    assert np.max(np.abs(a.solution - b.solution)) <= 1e-8
-            else:
-                # who runs a one-row front cannot change its arithmetic
-                assert np.array_equal(a.solution, b.solution, equal_nan=True)
+        # who runs a row, and beside which rows, cannot change its bits
+        assert_rows_equal(cyclic4_per_path, report.results)
 
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     def test_one_worker_hybrid_is_one_front(self, cyclic4, monkeypatch, schedule):
         homotopy, starts = cyclic4
         real, calls = executors_mod._track_block, []
 
-        def spy(block, wide):
-            calls.append((len(block), wide))
-            return real(block, wide)
+        def spy(block):
+            calls.append(len(block))
+            return real(block)
 
         monkeypatch.setattr(executors_mod, "_track_block", spy)
         track_paths_parallel(
-            homotopy, starts[:6], n_workers=1, schedule=schedule, mode="hybrid"
+            homotopy, starts[:6], n_workers=1, schedule=schedule, mode="process"
         )
-        assert calls == [(6, True)]
+        assert calls == [6]
+
+    @pytest.mark.parametrize(
+        "schedule, widths", [("static", [12, 12]), ("dynamic", [3] * 8)]
+    )
+    def test_blocks_are_the_schedule_cut(
+        self, cyclic4, monkeypatch, schedule, widths
+    ):
+        """Two workers: ``static`` is one block per worker, ``dynamic``
+        ``4 * n_workers`` blocks, each one front."""
+        homotopy, starts = cyclic4
+        real, calls = executors_mod._track_block, []
+
+        def spy(block):
+            calls.append(len(block))
+            return real(block)
+
+        monkeypatch.setattr(executors_mod, "_track_block", spy)
+        track_paths_parallel(
+            homotopy, starts, n_workers=2, schedule=schedule, mode="thread"
+        )
+        assert sorted(calls) == widths
 
     @pytest.mark.parametrize(
         "mode, schedule",

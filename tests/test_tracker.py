@@ -165,16 +165,24 @@ class TestTrackerBasic:
             TrackerOptions(expand=0.5).validated()
 
 
-@pytest.fixture
-def tracer():
-    """perfbench's tracer with its default targets installed (imported
-    the way ``perfbench/test_harness.py`` does)."""
-    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _tracing():
+    """perfbench's tracer module, imported the way
+    ``perfbench/test_harness.py`` does."""
+    perfbench = str(REPO / "perfbench")
     if perfbench not in sys.path:
         sys.path.insert(0, perfbench)
     import tracing
 
-    tracer = tracing.Tracer()
+    return tracing
+
+
+@pytest.fixture
+def tracer():
+    """perfbench's tracer with its default targets installed."""
+    tracer = _tracing().Tracer()
     tracer.install()
     yield tracer
     tracer.uninstall()
@@ -232,6 +240,71 @@ def test_knob_budget():
         "track_paths_parallel": 6,
         "run_sweep": 7,
     }
+
+
+#: Public names that only tests call, each kept as the reference a test
+#: checks something else against.
+TEST_ONLY_NAMES = {
+    "jacobian_at": "numeric reference the AD Jacobian is checked against",
+    "jacobian_system": "symbolic reference the AD Jacobian is checked against",
+    "substitute": "reference that homogenize is checked against",
+    "walk_bfs": "the Pieri tree's shape, level by level",
+    "walk_dfs": "the Pieri tree's shape, depth first",
+    "pending_ids": "the fleet master's lease table in protocol tests",
+    "is_valid": "which pivot tuples make a localization pattern",
+    "is_trivial": "the root pattern of the poset",
+    "star_count": "a pattern's dimension against its poset level",
+    "patterns_at": "the poset's levels against the pattern counts",
+    "variance_ratio": "the simulator workloads' cost spread",
+    "total_degree_bound": "the Bezout number the root counts are bounded by",
+    "is_zero": "polynomial algebra identities",
+    "almost_equal": "polynomial algebra identities up to rounding",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """The next uncalled name shows up in review as a failed test: every
+    public ``def``/``class`` under ``src/repro`` is named somewhere in the
+    program (``src/``, ``examples/``, ``benchmarks/``, ``perfbench/``,
+    ``tools/``) besides its own definition.  Tracer targets and names
+    with a ``>>>`` example are public API by construction."""
+    import ast
+    import re
+    from collections import Counter
+
+    targets = {
+        target
+        for _, names, _ in _tracing().TARGETS.values()
+        for target in names
+    }
+    text = "\n".join(
+        path.read_text()
+        for folder in ("src", "examples", "benchmarks", "perfbench", "tools")
+        for path in sorted((REPO / folder).rglob("*.py"))
+    )
+    uses = Counter(re.findall(r"\w+", text))
+    defs = Counter(re.findall(r"\b(?:def|class) (\w+)", text))
+
+    def public(body, module, prefix=""):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                not node.name.startswith("_")
+            ):
+                yield f"{module}:{prefix}{node.name}", node
+                if isinstance(node, ast.ClassDef):
+                    yield from public(node.body, module, f"{prefix}{node.name}.")
+
+    uncalled = set()
+    src = REPO / "src"
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for target, node in public(ast.parse(path.read_text()).body, module):
+            if target in targets or ">>>" in (ast.get_docstring(node) or ""):
+                continue
+            if uses[node.name] <= defs[node.name]:
+                uncalled.add(node.name)
+    assert uncalled == set(TEST_ONLY_NAMES)
 
 
 def test_one_polynomial_evaluator():
