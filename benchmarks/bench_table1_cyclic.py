@@ -3,7 +3,7 @@
 Two layers, per DESIGN.md's substitution table:
 
 - *real*: track every path of a cyclic system with this repository's
-  tracker, serially and with the dynamic thread executor, measuring actual
+  tracker, serially and with the dynamic process executor, measuring actual
   wall times (the paper's 2.4 GHz PC vs cluster contrast, scaled down);
 - *simulated*: regenerate the full 35,940-path Table I rows on the
   discrete-event cluster, including a variant calibrated from the measured
@@ -45,14 +45,14 @@ def bench_real_serial_tracking(benchmark, cyclic5):
     assert sum(r.success for r in results) >= 1
 
 
-def bench_real_dynamic_threads(benchmark, cyclic5):
-    """Dynamic master/slave on 4 local workers (same 24 paths)."""
+def bench_real_dynamic_processes(benchmark, cyclic5):
+    """Dynamic master/slave on 4 worker processes (same 24 paths)."""
     homotopy, starts = cyclic5
     subset = starts[:24]
 
     def run():
         return track_paths_parallel(
-            homotopy, subset, n_workers=4, schedule="dynamic", mode="thread"
+            homotopy, subset, n_workers=4, schedule="dynamic", mode="process"
         )
 
     report = benchmark(run)

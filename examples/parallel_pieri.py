@@ -39,7 +39,7 @@ for lvl in sorted(seq.jobs_per_level):
 seq_flat = np.stack([sol.ravel() for sol in seq.solutions])
 for workers in (2, 4):
     par = solve_pieri_parallel(
-        instance, n_workers=workers, mode="thread", seed=1
+        instance, n_workers=workers, mode="process", seed=1
     )
     same = par.n_solutions == seq.n_solutions and par.all_distinct() and all(
         np.min(np.max(np.abs(seq_flat - sol.ravel()), axis=1)) < 1e-8

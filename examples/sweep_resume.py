@@ -39,12 +39,12 @@ assert reference.complete
 
 with tempfile.TemporaryDirectory() as checkpoint:
     killed = run_sweep(
-        spec, checkpoint, n_workers=2, mode="thread", abort_after=4
+        spec, checkpoint, n_workers=2, mode="process", abort_after=4
     )
     print(f"\nkilled run: journaled {len(killed.ran_job_ids)} of "
           f"{spec.n_jobs} jobs, then died (aborted={killed.aborted})")
 
-    resumed = run_sweep(spec, checkpoint, n_workers=2, mode="thread")
+    resumed = run_sweep(spec, checkpoint, n_workers=2, mode="process")
     print(f"resume:     skipped {resumed.skipped} already-journaled, "
           f"ran the remaining {len(resumed.ran_job_ids)}")
     assert resumed.complete

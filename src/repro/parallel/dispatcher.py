@@ -38,11 +38,10 @@ from concurrent.futures import (
     Executor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Literal, Optional, get_args
 
 __all__ = [
     "DispatchTelemetry",
@@ -52,13 +51,21 @@ __all__ = [
 ]
 
 
-def _resolve_workers(n_workers: Optional[int]) -> int:
-    """The pool size asked for; ``None`` leaves one CPU to the master."""
+#: The local pools: worker processes, or one worker inline in this process.
+PoolMode = Literal["process", "serial"]
+POOL_MODES = get_args(PoolMode)
+
+
+def _resolve_workers(n_workers: Optional[int], mode: PoolMode) -> int:
+    """The pool size asked for; ``None`` leaves one CPU to the master,
+    and the ``"serial"`` pool is one worker."""
+    if mode not in POOL_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if n_workers is None:
-        return max(1, (os.cpu_count() or 2) - 1)
+        n_workers = max(1, (os.cpu_count() or 2) - 1)
     if n_workers < 1:
         raise ValueError("need at least one worker")
-    return n_workers
+    return 1 if mode == "serial" else n_workers
 
 
 class _InlineExecutor(Executor):
@@ -75,7 +82,7 @@ class _InlineExecutor(Executor):
 
 
 def make_pool(
-    mode: str,
+    mode: PoolMode,
     n_workers: int,
     initializer: Optional[Callable[..., None]] = None,
     initargs: tuple = (),
@@ -83,10 +90,9 @@ def make_pool(
     """The executor behind a worker ``mode``.
 
     ``"process"`` is a :class:`~concurrent.futures.ProcessPoolExecutor`
-    whose workers each run ``initializer(*initargs)``; ``"thread"`` a
-    :class:`~concurrent.futures.ThreadPoolExecutor` and ``"serial"`` an
-    executor that runs every call inline at ``submit`` — both share this
-    process's module state, so the initializer runs once, here.
+    whose workers each run ``initializer(*initargs)``; ``"serial"`` an
+    executor that runs every call inline at ``submit``, in this process,
+    so the initializer runs once, here.
 
     >>> seen = []
     >>> with make_pool("serial", 1, seen.append, ("ready",)) as pool:
@@ -97,12 +103,10 @@ def make_pool(
         return ProcessPoolExecutor(
             max_workers=n_workers, initializer=initializer, initargs=initargs
         )
-    if mode not in ("thread", "serial"):
+    if mode != "serial":
         raise ValueError(f"unknown mode {mode!r}")
     if initializer is not None:
         initializer(*initargs)
-    if mode == "thread":
-        return ThreadPoolExecutor(max_workers=n_workers)
     return _InlineExecutor()
 
 
@@ -312,8 +316,8 @@ def dispatch_with_pool(
 
     Owns the pool: creates it via ``new_pool`` (typically a
     :func:`make_pool` call), submits through ``submit_job(pool, unit)``,
-    transparently replaces a broken process pool (thread and inline
-    pools cannot break), and always shuts the final pool down.  The loop
+    transparently replaces a broken process pool (the inline pool
+    cannot break), and always shuts the final pool down.  The loop
     returns with nothing in flight, so that shutdown waits for the
     workers to exit; when ``on_result`` or ``on_abandoned`` raised to
     stop the run, whatever is still queued or running is dropped, as a

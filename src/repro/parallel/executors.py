@@ -18,9 +18,9 @@ interpreter overhead per call, not by arithmetic, so a block tracked
 row by row costs several times the same block tracked at once, and a
 row's bits do not depend on the rows beside it.  ``mode`` names only
 the pool: worker processes by default (real parallelism for this
-CPU-bound workload), ``"thread"`` for the same code on threads, and
-``"serial"`` for the 1-CPU baseline, the whole path list as one front
-in this process.  Any one-worker run is that one front.
+CPU-bound workload), or ``"serial"`` for the 1-CPU baseline, the whole
+path list as one front in this process.  Any one-worker run is that
+one front.
 
 A worker that raises stops the run: its exception reaches the caller and
 no partial report is returned.
@@ -48,7 +48,7 @@ from ..tracker import (
     PathResult,
     TrackerOptions,
 )
-from .dispatcher import _resolve_workers, dispatch_with_pool, make_pool
+from .dispatcher import PoolMode, _resolve_workers, dispatch_with_pool, make_pool
 
 __all__ = ["ParallelTrackReport", "load_imbalance", "track_paths_parallel"]
 
@@ -143,7 +143,7 @@ def track_paths_parallel(
     starts: Sequence[Sequence[complex]],
     n_workers: int | None = None,
     schedule: Literal["static", "dynamic"] = "dynamic",
-    mode: Literal["process", "thread", "serial"] = "process",
+    mode: PoolMode = "process",
     options: TrackerOptions | None = None,
 ) -> ParallelTrackReport:
     """Track all paths of ``homotopy`` from ``starts`` on local workers.
@@ -162,9 +162,8 @@ def track_paths_parallel(
         per worker, ``"dynamic"`` ``4 * n_workers`` round-robin blocks —
         the paper's two schemes.  Every block is one SoA front.
     mode:
-        The pool: ``"process"``, ``"thread"`` or ``"serial"`` (all paths
-        as one front in this process).  One worker is always this
-        process.
+        The pool: ``"process"`` or ``"serial"`` (all paths as one front
+        in this process).  One worker is always this process.
     options:
         Tracker options shared by every worker.
 
@@ -187,15 +186,13 @@ def track_paths_parallel(
     True
     """
     options = options or TrackerOptions()
-    n_workers = _resolve_workers(n_workers)
+    n_workers = _resolve_workers(n_workers, mode)
     if schedule not in ("static", "dynamic"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    if mode not in ("process", "thread", "serial"):
-        raise ValueError(f"unknown mode {mode!r}")
     jobs = [(i, np.asarray(s, dtype=complex)) for i, s in enumerate(starts)]
 
-    if mode == "serial" or n_workers == 1:
-        mode, n_workers, n_blocks = "serial", 1, 1
+    if n_workers == 1:
+        mode, n_blocks = "serial", 1
     else:
         n_blocks = n_workers if schedule == "static" else 4 * n_workers
     blocks = [b for b in (jobs[k::n_blocks] for k in range(n_blocks)) if b]

@@ -39,7 +39,7 @@ from ..schubert.solver import (
 )
 from ..schubert.tree import PieriTreeNode
 from ..tracker import TrackerOptions
-from .dispatcher import _resolve_workers, dispatch_with_pool, make_pool
+from .dispatcher import PoolMode, _resolve_workers, dispatch_with_pool, make_pool
 
 __all__ = ["ParallelPieriReport", "solve_pieri_parallel"]
 
@@ -114,7 +114,7 @@ class ParallelPieriReport(PieriReport):
 def solve_pieri_parallel(
     instance: PieriInstance,
     n_workers: int | None = None,
-    mode: Literal["process", "thread"] = "process",
+    mode: PoolMode = "process",
     options: TrackerOptions | None = None,
     seed: int = 0,
     max_job_retries: int = 2,
@@ -155,15 +155,13 @@ def solve_pieri_parallel(
 
     >>> import numpy as np
     >>> instance = PieriInstance.random(2, 2, 0, np.random.default_rng(1))
-    >>> report = solve_pieri_parallel(instance, n_workers=1, mode="thread", seed=2)
+    >>> report = solve_pieri_parallel(instance, mode="serial", seed=2)
     >>> report.n_solutions, report.failures, report.jobs_per_level
     (2, 0, {1: 1, 2: 2, 3: 2, 4: 2})
     >>> [r["n_chunks"] for r in report.level_batches]
     [1, 1, 1, 1]
     """
-    n_workers = _resolve_workers(n_workers)
-    if mode not in ("process", "thread"):
-        raise ValueError(f"unknown mode {mode!r}")
+    n_workers = _resolve_workers(n_workers, mode)
     if granularity not in ("edge", "level"):
         raise ValueError(f"unknown granularity {granularity!r}")
     master = PieriSolver(instance, options=options, seed=seed)

@@ -103,8 +103,9 @@ class _CompiledTables:
         # per-batch-shape scratch buffers (powers / gather / product),
         # reused across calls so replaying the same points-shape — every
         # step of a tracked front — does not reallocate the power table.
-        # Thread-local: the thread executors share one compiled-tables
-        # object across workers, and a shared ``out=`` buffer races
+        # Thread-local: serve's executor solves and the fleet worker's
+        # ``asyncio.to_thread`` jobs can share one compiled-tables object
+        # across threads, and a shared ``out=`` buffer races
         self._scratch = threading.local()
 
     def __getstate__(self):

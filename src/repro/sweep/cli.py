@@ -27,6 +27,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..parallel.dispatcher import POOL_MODES
 from .engine import aggregate_job_telemetry, run_sweep
 from .journal import SweepJournal
 from .spec import SweepSpec, mixed_demo_spec
@@ -55,9 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--schedule", choices=["dynamic", "static"], default="dynamic"
     )
-    run_p.add_argument(
-        "--mode", choices=["process", "thread", "serial"], default="process"
-    )
+    run_p.add_argument("--mode", choices=POOL_MODES, default="process")
     run_p.add_argument(
         "--max-jobs", type=int, default=None, metavar="K",
         help="stop after K newly journaled jobs (simulates a kill)",

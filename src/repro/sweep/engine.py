@@ -47,6 +47,7 @@ import numpy as np
 from ..kernels import kernel_cache_info
 from ..parallel.dispatcher import (
     DispatchTelemetry,
+    PoolMode,
     _resolve_workers,
     dispatch_with_pool,
     make_pool,
@@ -386,7 +387,7 @@ def run_sweep(
     checkpoint: str | Path,
     n_workers: Optional[int] = None,
     schedule: Literal["dynamic", "static"] = "dynamic",
-    mode: Literal["process", "thread", "serial"] = "process",
+    mode: PoolMode = "process",
     max_retries: int = 2,
     abort_after: Optional[int] = None,
 ) -> SweepReport:
@@ -407,15 +408,11 @@ def run_sweep(
     manifest is finalized on the way out (``incomplete`` if anything was
     abandoned), so a rerun resumes from whatever finished.
     """
-    n_workers = _resolve_workers(n_workers)
+    n_workers = _resolve_workers(n_workers, mode)
     if schedule not in ("dynamic", "static"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    if mode not in ("process", "thread", "serial"):
-        raise ValueError(f"unknown mode {mode!r}")
     if abort_after is not None and abort_after < 1:
         raise ValueError("abort_after must be a positive count")
-    if mode == "serial":
-        n_workers = 1
 
     journal = SweepJournal(checkpoint)
     journal.initialize(spec.to_dict())

@@ -75,7 +75,7 @@ class TestPieriSchedulerFaults:
         flaky = FlakyWorker(scheduler_mod._run_pieri_job, crash_times=3)
         monkeypatch.setattr(scheduler_mod, "_run_pieri_job", flaky)
         report = solve_pieri_parallel(
-            instance, n_workers=2, mode="thread", seed=1, max_job_retries=5
+            instance, mode="serial", seed=1, max_job_retries=5
         )
         assert flaky.crashes == 3
         assert report.worker_crashes == 3
@@ -91,7 +91,7 @@ class TestPieriSchedulerFaults:
 
         monkeypatch.setattr(scheduler_mod, "_run_pieri_job", always_crash)
         report = solve_pieri_parallel(
-            instance, n_workers=2, mode="thread", seed=3, max_job_retries=1
+            instance, mode="serial", seed=3, max_job_retries=1
         )
         assert report.n_solutions == 0
         assert report.failures >= 1
@@ -111,9 +111,7 @@ class TestPieriSchedulerFaults:
 
         monkeypatch.setattr(scheduler_mod, "_run_pieri_job", crash_first_bundle)
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(6))
-        report = solve_pieri_parallel(
-            instance, n_workers=1, mode="thread", seed=7
-        )
+        report = solve_pieri_parallel(instance, mode="serial", seed=7)
         crashed = next(c for c in calls if len(c) > 1)
         after = calls[calls.index(crashed) + 1:]
         assert after[: len(crashed)] == [[edge] for edge in crashed]
@@ -153,7 +151,7 @@ class TestPieriSchedulerFaults:
 
         monkeypatch.setattr(scheduler_mod, "_run_pieri_job", poisoned)
         report = solve_pieri_parallel(
-            instance, n_workers=2, mode="thread", seed=9, max_job_retries=2
+            instance, mode="serial", seed=9, max_job_retries=2
         )
         # once in whatever bundle it rode in, then alone until abandoned
         assert len(attempts) == 3 and attempts[1:] == [1, 1]
@@ -182,9 +180,7 @@ class TestPieriSchedulerFaults:
 
     def test_no_crashes_zero_counter(self):
         instance = PieriInstance.random(2, 2, 0, np.random.default_rng(4))
-        report = solve_pieri_parallel(
-            instance, n_workers=2, mode="thread", seed=5
-        )
+        report = solve_pieri_parallel(instance, mode="serial", seed=5)
         assert report.worker_crashes == 0
 
 

@@ -1,4 +1,4 @@
-"""Tests for the real parallel executors (threads/processes, static/dynamic)."""
+"""Tests for the real parallel executors (process/serial, static/dynamic)."""
 
 from collections import deque
 
@@ -76,15 +76,6 @@ def assert_rows_equal(expected, results):
         assert a.stats.newton_iterations == b.stats.newton_iterations
 
 
-@pytest.fixture(scope="module")
-def cyclic4_slp():
-    """The same homotopy on one shared SLP kernel."""
-    homotopy, starts = make_homotopy_and_starts(
-        cyclic_roots_system(4), rng=np.random.default_rng(0), kernel="slp"
-    )
-    return homotopy, starts
-
-
 class TestFlatExecutors:
     def test_serial_baseline(self, cyclic4):
         homotopy, starts = cyclic4
@@ -92,38 +83,6 @@ class TestFlatExecutors:
         assert len(report.results) == len(starts)
         assert report.n_workers == 1
         assert report.total_cpu_seconds > 0
-
-    def test_dynamic_threads_match_serial(self, cyclic4):
-        homotopy, starts = cyclic4
-        serial = track_paths_parallel(homotopy, starts, mode="serial")
-        threaded = track_paths_parallel(
-            homotopy, starts, n_workers=4, schedule="dynamic", mode="thread"
-        )
-        assert len(threaded.results) == len(serial.results)
-        assert_rows_equal(serial.results, threaded.results)
-
-    def test_dynamic_threads_match_serial_on_one_slp_kernel(self, cyclic4_slp):
-        """Four threads replay one kernel at once: each row's bits are
-        the serial ones (the replay's work arena is per thread)."""
-        homotopy, starts = cyclic4_slp
-        serial = track_paths_parallel(homotopy, starts, mode="serial")
-        threaded = track_paths_parallel(
-            homotopy, starts, n_workers=4, schedule="dynamic", mode="thread"
-        )
-        assert len(threaded.results) == len(serial.results)
-        for a, b in zip(serial.results, threaded.results):
-            assert a.path_id == b.path_id
-            assert a.status == b.status
-            assert np.array_equal(a.solution, b.solution)
-
-    def test_static_threads_match_serial(self, cyclic4):
-        homotopy, starts = cyclic4
-        serial = track_paths_parallel(homotopy, starts, mode="serial")
-        static = track_paths_parallel(
-            homotopy, starts, n_workers=3, schedule="static", mode="thread"
-        )
-        for a, b in zip(serial.results, static.results):
-            assert a.status == b.status
 
     def test_process_mode_runs(self, cyclic4):
         homotopy, starts = cyclic4
@@ -140,7 +99,7 @@ class TestFlatExecutors:
     def test_results_ordered_by_path_id(self, cyclic4):
         homotopy, starts = cyclic4
         report = track_paths_parallel(
-            homotopy, starts, n_workers=4, schedule="dynamic", mode="thread"
+            homotopy, starts, n_workers=2, schedule="dynamic", mode="process"
         )
         assert [r.path_id for r in report.results] == list(range(len(starts)))
 
@@ -158,7 +117,7 @@ class TestFlatExecutors:
     def test_busy_accounting(self, cyclic4):
         homotopy, starts = cyclic4
         report = track_paths_parallel(
-            homotopy, starts, n_workers=2, schedule="static", mode="thread"
+            homotopy, starts, n_workers=2, schedule="static", mode="process"
         )
         assert len(report.worker_busy_seconds) == 2
         assert report.total_cpu_seconds > 0
@@ -169,49 +128,11 @@ class TestFlatExecutors:
         roughly the serial tracking time (not a round-robin guess)."""
         homotopy, starts = cyclic4
         report = track_paths_parallel(
-            homotopy, starts, n_workers=3, schedule="dynamic", mode="thread"
+            homotopy, starts, n_workers=2, schedule="dynamic", mode="process"
         )
-        assert len(report.worker_busy_seconds) == 3
+        assert len(report.worker_busy_seconds) == 2
         per_path = sum(r.stats.seconds for r in report.results)
         assert report.total_cpu_seconds == pytest.approx(per_path, rel=0.5)
-
-
-class TestBatchModes:
-    """Every pool tracks a block as one SoA front: the rows are those of
-    the paths tracked one at a time."""
-
-    def test_batch_mode_matches_serial(self, cyclic4, cyclic4_per_path):
-        homotopy, starts = cyclic4
-        serial = track_paths_parallel(homotopy, starts, mode="serial")
-        assert serial.n_workers == 1
-        assert_rows_equal(cyclic4_per_path, serial.results)
-
-    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
-    def test_hybrid_mode_matches_serial(self, cyclic4, cyclic4_per_path, schedule):
-        homotopy, starts = cyclic4
-        report = track_paths_parallel(
-            homotopy, starts, n_workers=2, schedule=schedule, mode="process"
-        )
-        assert_rows_equal(cyclic4_per_path, report.results)
-        assert len(report.worker_busy_seconds) == 2
-        assert report.total_cpu_seconds > 0
-
-    def test_hybrid_single_worker_still_batches(self, cyclic4):
-        """A process pool of one worker is this process tracking one SoA
-        front, not a pool of one."""
-        homotopy, starts = cyclic4
-        report = track_paths_parallel(
-            homotopy, starts[:6], n_workers=1, mode="process"
-        )
-        assert report.n_workers == 1
-        assert len(report.results) == 6
-        # batch-tracked paths share wall-clock accounting: per-path
-        # seconds are amortized shares of the front's sweeps, bounded by
-        # the single busy figure
-        assert len(report.worker_busy_seconds) == 1
-        assert max(r.stats.seconds for r in report.results) <= (
-            report.worker_busy_seconds[0] + 1e-6
-        )
 
 
 class Boom(Exception):
@@ -236,7 +157,7 @@ class TestOneLocalMaster:
     blocks are fronts."""
 
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_every_cut_matches_serial(
         self, cyclic4, cyclic4_per_path, mode, schedule
     ):
@@ -252,7 +173,9 @@ class TestOneLocalMaster:
         assert_rows_equal(cyclic4_per_path, report.results)
 
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
-    def test_one_worker_hybrid_is_one_front(self, cyclic4, monkeypatch, schedule):
+    def test_one_worker_is_one_front(self, cyclic4, monkeypatch, schedule):
+        """A process pool of one worker is this process tracking one SoA
+        front, not a pool of one."""
         homotopy, starts = cyclic4
         real, calls = executors_mod._track_block, []
 
@@ -261,10 +184,17 @@ class TestOneLocalMaster:
             return real(block)
 
         monkeypatch.setattr(executors_mod, "_track_block", spy)
-        track_paths_parallel(
+        report = track_paths_parallel(
             homotopy, starts[:6], n_workers=1, schedule=schedule, mode="process"
         )
         assert calls == [6]
+        assert report.n_workers == 1 and len(report.results) == 6
+        # per-path seconds are amortized shares of the front's sweeps,
+        # bounded by the one busy figure
+        assert len(report.worker_busy_seconds) == 1
+        assert max(r.stats.seconds for r in report.results) <= (
+            report.worker_busy_seconds[0] + 1e-6
+        )
 
     @pytest.mark.parametrize(
         "schedule, widths", [("static", [12, 12]), ("dynamic", [3] * 8)]
@@ -273,23 +203,31 @@ class TestOneLocalMaster:
         self, cyclic4, monkeypatch, schedule, widths
     ):
         """Two workers: ``static`` is one block per worker, ``dynamic``
-        ``4 * n_workers`` blocks, each one front."""
+        ``4 * n_workers`` blocks, each one ``_track_block`` call."""
         homotopy, starts = cyclic4
-        real, calls = executors_mod._track_block, []
+        real, calls = executors_mod.make_pool, []
 
-        def spy(block):
-            calls.append(len(block))
-            return real(block)
+        def spy(*args):
+            pool = real(*args)
+            submit = pool.submit
 
-        monkeypatch.setattr(executors_mod, "_track_block", spy)
+            def recorded(fn, block):
+                calls.append((fn, len(block)))
+                return submit(fn, block)
+
+            pool.submit = recorded
+            return pool
+
+        monkeypatch.setattr(executors_mod, "make_pool", spy)
         track_paths_parallel(
-            homotopy, starts, n_workers=2, schedule=schedule, mode="thread"
+            homotopy, starts, n_workers=2, schedule=schedule, mode="process"
         )
-        assert sorted(calls) == widths
+        assert {fn for fn, _ in calls} == {executors_mod._track_block}
+        assert sorted(width for _, width in calls) == widths
 
     @pytest.mark.parametrize(
         "mode, schedule",
-        [("serial", "dynamic"), ("thread", "static"), ("thread", "dynamic")],
+        [("serial", "dynamic"), ("process", "static"), ("process", "dynamic")],
     )
     def test_worker_exception_reaches_the_caller(
         self, monkeypatch, mode, schedule
@@ -373,20 +311,16 @@ class TestParallelPieri:
         """The key property: parallel == sequential, path by path."""
         instance = PieriInstance.random(2, 2, 0, np.random.default_rng(1))
         seq = PieriSolver(instance, seed=2).solve()
-        par = solve_pieri_parallel(
-            instance, n_workers=3, mode="thread", seed=2
-        )
+        par = solve_pieri_parallel(instance, mode="serial", seed=2)
         assert par.n_solutions == seq.n_solutions == pieri_root_count(2, 2, 0)
         key = lambda c: str(np.round(c.ravel(), 6).tolist())
         assert sorted(map(key, par.solutions)) == sorted(
             map(key, seq.solutions)
         )
 
-    def test_bigger_case_thread(self):
+    def test_bigger_case_serial(self):
         instance = PieriInstance.random(3, 2, 0, np.random.default_rng(3))
-        par = solve_pieri_parallel(
-            instance, n_workers=4, mode="thread", seed=4
-        )
+        par = solve_pieri_parallel(instance, mode="serial", seed=4)
         assert par.n_solutions == 5
         assert par.failures == 0
         assert par.max_residual() < 1e-8
@@ -404,9 +338,7 @@ class TestParallelPieri:
         from repro.schubert import level_job_counts
 
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(7))
-        par = solve_pieri_parallel(
-            instance, n_workers=4, mode="thread", seed=8
-        )
+        par = solve_pieri_parallel(instance, mode="serial", seed=8)
         expected = level_job_counts(2, 2, 1)
         got = [par.jobs_per_level[i + 1] for i in range(len(expected))]
         assert got == expected
@@ -414,21 +346,22 @@ class TestParallelPieri:
     def test_scheduler_telemetry(self):
         instance = PieriInstance.random(2, 2, 0, np.random.default_rng(9))
         par = solve_pieri_parallel(
-            instance, n_workers=2, mode="thread", seed=10
+            instance, n_workers=2, mode="process", seed=10
         )
         assert par.wall_seconds > 0
         assert par.max_active_jobs >= 1
         assert par.n_workers == 2
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(2, 2, 0), (2, 2, 1), (3, 2, 0)])
     def test_bundles_match_sequential(self, shape, n_workers, mode):
         """Whatever bundles the moment forms, the solution set is the
-        sequential edge-at-a-time one and every level counts its edges."""
+        sequential edge-at-a-time one and every level counts its edges
+        (the serial pool is one worker whatever ``n_workers`` asks)."""
         self._assert_bundles_match_sequential(shape, n_workers, mode)
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     @pytest.mark.parametrize("n_workers", [2, 3])
     @pytest.mark.parametrize("shape", [(2, 2, 0), (2, 2, 1), (3, 2, 0)])
     def test_split_bundles_match_sequential(
@@ -447,6 +380,7 @@ class TestParallelPieri:
         par = solve_pieri_parallel(
             instance, n_workers=n_workers, mode=mode, seed=22
         )
+        assert par.n_workers == (1 if mode == "serial" else n_workers)
         assert par.failures == seq.failures == 0
         assert par.n_solutions == seq.n_solutions == pieri_root_count(*shape)
         flat = np.stack([s.ravel() for s in seq.solutions])
@@ -466,17 +400,13 @@ class TestParallelPieri:
 
         monkeypatch.setattr(scheduler_mod, "_run_pieri_job", recording)
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(23))
-        par = solve_pieri_parallel(
-            instance, n_workers=3, mode="thread", seed=24
-        )
+        par = solve_pieri_parallel(instance, mode="serial", seed=24)
         assert len(seen) == len(set(seen)) == sum(level_job_counts(2, 2, 1))
         assert sum(par.jobs_per_level.values()) == len(seen)
 
     def test_level_records_aggregate_the_bundles(self):
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(25))
-        par = solve_pieri_parallel(
-            instance, n_workers=2, mode="thread", seed=26
-        )
+        par = solve_pieri_parallel(instance, mode="serial", seed=26)
         n = instance.problem.num_conditions
         assert [r["level"] for r in par.level_batches] == list(range(1, n + 1))
         for record in par.level_batches:
@@ -491,9 +421,7 @@ class TestParallelPieri:
         """Deterministic: a lone worker is always the only idle one, so
         its share of each level is the whole level."""
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(27))
-        par = solve_pieri_parallel(
-            instance, n_workers=1, mode="thread", seed=28
-        )
+        par = solve_pieri_parallel(instance, mode="serial", seed=28)
         assert [r["n_chunks"] for r in par.level_batches] == (
             [1] * instance.problem.num_conditions
         )

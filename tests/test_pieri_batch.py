@@ -454,7 +454,7 @@ class TestParallelGranularityKeyword:
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(13))
         seq = PieriSolver(instance, seed=14).solve()
         par = solve_pieri_parallel(
-            instance, n_workers=2, mode="thread", seed=14,
+            instance, mode="serial", seed=14,
             granularity=granularity,
         )
         assert par.failures == seq.failures

@@ -431,15 +431,15 @@ class TestEngine:
         )
         reference = run_sweep(spec, tmp_path / "serial", mode="serial")
         dynamic = run_sweep(
-            spec, tmp_path / "dyn", mode="thread", n_workers=3
+            spec, tmp_path / "dyn", mode="process", n_workers=2
         )
         static = run_sweep(
-            spec, tmp_path / "st", mode="thread", n_workers=3,
+            spec, tmp_path / "st", mode="process", n_workers=2,
             schedule="static",
         )
         assert results_only(dynamic.records) == results_only(reference.records)
         assert results_only(static.records) == results_only(reference.records)
-        assert len(dynamic.worker_busy_seconds) == 3
+        assert len(dynamic.worker_busy_seconds) == 2
         assert dynamic.total_cpu_seconds > 0
 
     def test_invalid_arguments(self, tmp_path):
@@ -465,13 +465,13 @@ class TestKillResumeIdentity:
 
         # "kill" the run after 5 journaled jobs: in-flight work is dropped
         killed = run_sweep(
-            spec, tmp_path / "ck", mode="thread", n_workers=3, abort_after=5
+            spec, tmp_path / "ck", mode="process", n_workers=2, abort_after=5
         )
         assert killed.aborted
         assert len(killed.ran_job_ids) == 5
         assert SweepJournal(tmp_path / "ck").read_manifest()["status"] == "aborted"
 
-        resumed = run_sweep(spec, tmp_path / "ck", mode="thread", n_workers=3)
+        resumed = run_sweep(spec, tmp_path / "ck", mode="process", n_workers=2)
         assert resumed.complete
         assert resumed.skipped == 5
         # only unfinished jobs were re-run ...
@@ -521,7 +521,7 @@ class TestKillResumeIdentity:
         assert 0 < len(killed_records) < spec.n_jobs, (
             "the kill should land mid-sweep"
         )
-        resumed = run_sweep(spec, checkpoint, mode="thread", n_workers=3)
+        resumed = run_sweep(spec, checkpoint, mode="serial")
         assert resumed.complete
         assert resumed.skipped == len(killed_records)
         assert set(resumed.ran_job_ids).isdisjoint(killed_records)
@@ -552,7 +552,7 @@ class TestWorkerFailureInjection:
         reference = run_sweep(spec, tmp_path / "ref", mode="serial")
         assert results_only(report.records) == results_only(reference.records)
 
-    def test_crashing_job_is_retried_in_threads(self, tmp_path, monkeypatch):
+    def test_crashing_job_is_retried_in_processes(self, tmp_path, monkeypatch):
         spec = SweepSpec(
             "flaky",
             [JobSpec("katsura", {"n": 2}, seed=s) for s in range(4)],
@@ -560,7 +560,7 @@ class TestWorkerFailureInjection:
         marker = tmp_path / "raised.marker"
         monkeypatch.setenv("REPRO_SWEEP_FAIL_JOB", spec.jobs[1].job_id)
         monkeypatch.setenv("REPRO_SWEEP_KILL_MARKER", str(marker))
-        report = run_sweep(spec, tmp_path / "ck", mode="thread", n_workers=2)
+        report = run_sweep(spec, tmp_path / "ck", mode="process", n_workers=2)
         assert marker.exists()
         assert report.complete
         assert report.worker_crashes == 1
@@ -578,7 +578,7 @@ class TestWorkerFailureInjection:
         monkeypatch.setenv("REPRO_SWEEP_FAIL_JOB", spec.jobs[1].job_id)
         monkeypatch.setenv("REPRO_SWEEP_KILL_MARKER", str(marker))
         report = run_sweep(
-            spec, tmp_path / "ck", mode="thread", n_workers=2,
+            spec, tmp_path / "ck", mode="process", n_workers=2,
             schedule="static",
         )
         assert marker.exists()
@@ -590,7 +590,7 @@ class TestWorkerFailureInjection:
         assert results_only(report.records) == results_only(reference.records)
 
     @pytest.mark.parametrize(
-        "mode, schedule", [("serial", "dynamic"), ("thread", "static")]
+        "mode, schedule", [("serial", "dynamic"), ("process", "static")]
     )
     def test_abandoned_job_keeps_its_reason(
         self, tmp_path, monkeypatch, capsys, mode, schedule
@@ -607,6 +607,7 @@ class TestWorkerFailureInjection:
                 raise ArithmeticError("poisoned job")
             return real(job)
 
+        # the pool's workers fork from this process: they run the patch
         monkeypatch.setattr(engine_mod, "run_job", poisoned)
         report = run_sweep(
             spec, tmp_path / "ck", mode=mode, n_workers=2,

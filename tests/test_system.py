@@ -125,8 +125,9 @@ class TestTransforms:
 class TestScratchBuffers:
     def test_batched_evaluation_is_thread_safe(self):
         # the per-shape scratch buffers (powers / gather / product) are
-        # thread-local: the thread executors share one compiled-tables
-        # object across workers, and a shared ``out=`` target makes
+        # thread-local: serve's executor solves and the fleet worker's
+        # jobs can share one compiled-tables object across threads, and
+        # a shared ``out=`` target makes
         # np.take raise "WRITEBACKIFCOPY base is read-only" under
         # contention (and would silently corrupt results otherwise)
         import concurrent.futures

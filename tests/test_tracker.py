@@ -242,6 +242,43 @@ def test_knob_budget():
     }
 
 
+def test_pool_vocabulary(tmp_path, capsys):
+    """Every local master knows two pools, worker processes and one
+    worker inline: the next one shows up in review as a failed test.
+    A pool outside them is rejected before anything is built."""
+    import typing
+
+    from repro.parallel import solve_pieri_parallel
+    from repro.parallel.dispatcher import make_pool
+    from repro.sweep import JobSpec, SweepSpec
+    from repro.sweep.cli import main as sweep_cli
+
+    masters = (make_pool, track_paths_parallel, run_sweep, solve_pieri_parallel)
+    for master in masters:
+        mode = inspect.signature(master, eval_str=True).parameters["mode"]
+        assert set(typing.get_args(mode.annotation)) == {"process", "serial"}
+    rejected = (
+        lambda: make_pool("thread", 2),
+        lambda: track_paths_parallel(None, [], n_workers=2, mode="thread"),
+        lambda: run_sweep(None, tmp_path / "ck", n_workers=2, mode="thread"),
+        lambda: solve_pieri_parallel(None, n_workers=2, mode="thread"),
+    )
+    for call in rejected:
+        with pytest.raises(ValueError, match="unknown mode 'thread'"):
+            call()
+    assert not (tmp_path / "ck").exists()
+
+    spec = tmp_path / "spec.json"
+    SweepSpec("modes", [JobSpec("katsura", {"n": 2})]).save(spec)
+    run = ["run", str(spec), "--checkpoint", str(tmp_path / "dry"), "--dry-run"]
+    for mode in ("process", "serial"):
+        assert sweep_cli(run + ["--mode", mode]) == 0
+    with pytest.raises(SystemExit) as info:
+        sweep_cli(run + ["--mode", "thread"])
+    assert info.value.code == 2
+    assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+
 #: Public names that only tests call, each kept as the reference a test
 #: checks something else against.
 TEST_ONLY_NAMES = {

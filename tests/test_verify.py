@@ -82,5 +82,5 @@ class TestVerifier:
         from repro.parallel import solve_pieri_parallel
 
         instance = PieriInstance.random(2, 2, 0, np.random.default_rng(2))
-        par = solve_pieri_parallel(instance, n_workers=2, mode="thread", seed=3)
+        par = solve_pieri_parallel(instance, mode="serial", seed=3)
         assert verify_solutions(instance, par.solutions).ok
