@@ -135,6 +135,27 @@ class TestFlatExecutors:
         assert report.total_cpu_seconds == pytest.approx(per_path, rel=0.5)
 
 
+class TestBatchModes:
+    """Every pool tracks a block as one SoA front."""
+
+    def test_hybrid_single_worker_still_batches(self, cyclic4):
+        """A process pool of one worker is this process tracking one SoA
+        front, not a pool of one."""
+        homotopy, starts = cyclic4
+        report = track_paths_parallel(
+            homotopy, starts[:6], n_workers=1, mode="process"
+        )
+        assert report.n_workers == 1
+        assert len(report.results) == 6
+        # batch-tracked paths share wall-clock accounting: per-path
+        # seconds are amortized shares of the front's sweeps, bounded by
+        # the single busy figure
+        assert len(report.worker_busy_seconds) == 1
+        assert max(r.stats.seconds for r in report.results) <= (
+            report.worker_busy_seconds[0] + 1e-6
+        )
+
+
 class Boom(Exception):
     pass
 
@@ -174,8 +195,6 @@ class TestOneLocalMaster:
 
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     def test_one_worker_is_one_front(self, cyclic4, monkeypatch, schedule):
-        """A process pool of one worker is this process tracking one SoA
-        front, not a pool of one."""
         homotopy, starts = cyclic4
         real, calls = executors_mod._track_block, []
 
@@ -184,17 +203,10 @@ class TestOneLocalMaster:
             return real(block)
 
         monkeypatch.setattr(executors_mod, "_track_block", spy)
-        report = track_paths_parallel(
+        track_paths_parallel(
             homotopy, starts[:6], n_workers=1, schedule=schedule, mode="process"
         )
         assert calls == [6]
-        assert report.n_workers == 1 and len(report.results) == 6
-        # per-path seconds are amortized shares of the front's sweeps,
-        # bounded by the one busy figure
-        assert len(report.worker_busy_seconds) == 1
-        assert max(r.stats.seconds for r in report.results) <= (
-            report.worker_busy_seconds[0] + 1e-6
-        )
 
     @pytest.mark.parametrize(
         "schedule, widths", [("static", [12, 12]), ("dynamic", [3] * 8)]
