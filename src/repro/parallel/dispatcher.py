@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 
+_UNSET = object()
+
 #: The local pools: worker processes, or one worker inline in this process.
 PoolMode = Literal["process", "serial"]
 POOL_MODES = get_args(PoolMode)
@@ -70,7 +72,32 @@ def _resolve_workers(n_workers: Optional[int], mode: PoolMode) -> int:
 
 class _InlineExecutor(Executor):
     """The ``"serial"`` pool: ``submit`` runs the call in the master and
-    returns the settled future."""
+    returns the settled future.
+
+    Its one worker is this process, so the worker state the initializer
+    sets — module globals such as the homotopy a worker tracks — lives
+    here: ``shutdown`` puts back every global the initializer rebound,
+    and a finished dispatch keeps nothing of its caller's alive.
+    """
+
+    def __init__(self, initializer=None, initargs: tuple = ()) -> None:
+        self._names = getattr(initializer, "__globals__", {})
+        before = dict(self._names)
+        if initializer is not None:
+            initializer(*initargs)
+        self._replaced = {
+            name: before.get(name, _UNSET)
+            for name, value in self._names.items()
+            if before.get(name, _UNSET) is not value
+        }
+
+    def shutdown(self, wait=True, *, cancel_futures=False) -> None:
+        for name, value in self._replaced.items():
+            if value is _UNSET:
+                del self._names[name]
+            else:
+                self._names[name] = value
+        self._replaced = {}
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
         future: Future = Future()
@@ -92,7 +119,8 @@ def make_pool(
     ``"process"`` is a :class:`~concurrent.futures.ProcessPoolExecutor`
     whose workers each run ``initializer(*initargs)``; ``"serial"`` an
     executor that runs every call inline at ``submit``, in this process,
-    so the initializer runs once, here.
+    so the initializer runs once, here, and what it set is undone when
+    the pool shuts down.
 
     >>> seen = []
     >>> with make_pool("serial", 1, seen.append, ("ready",)) as pool:
@@ -105,9 +133,7 @@ def make_pool(
         )
     if mode != "serial":
         raise ValueError(f"unknown mode {mode!r}")
-    if initializer is not None:
-        initializer(*initargs)
-    return _InlineExecutor()
+    return _InlineExecutor(initializer, initargs)
 
 
 @dataclass

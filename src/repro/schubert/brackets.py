@@ -232,8 +232,10 @@ class BracketChart:
 
     def extend(self, X: np.ndarray) -> np.ndarray:
         """Append the pinned ones: ``(npaths, n)`` -> ``(npaths, n + p)``."""
-        ones = np.ones((X.shape[0], self.p), dtype=complex)
-        return np.concatenate([X, ones], axis=1)
+        y = np.empty((X.shape[0], self.n + self.p), dtype=complex)
+        y[:, : self.n] = X
+        y[:, self.n :] = 1.0
+        return y
 
     def tape(self, coef: np.ndarray) -> np.ndarray:
         """Record R forms: ``coef[i, S, d]`` is what form i gives subset S
@@ -248,8 +250,14 @@ class BracketChart:
         One ``npaths x nmon x (n + p)`` product per form keeps every
         BLAS call far below the size OpenBLAS hands to its thread pool;
         a single product over all forms crossed it on wide fronts and
-        doubled the CPU time of a solve.
+        doubled the CPU time of a solve.  At p = 2 a monomial is one
+        entry of the other column, so the product is one gather; other
+        p keep ``np.prod``, whose reduce rounds a one-row call unlike
+        an elementwise multiply.
         """
-        monomials = np.prod(y[:, self._monomials], axis=1)
+        if len(self._monomials) == 1:
+            monomials = y[:, self._monomials[0]]
+        else:
+            monomials = np.prod(y[:, self._monomials], axis=1)
         grad = np.matmul(monomials, tape).transpose(1, 0, 2)
         return np.matmul(grad, (y * self._first)[:, :, None])[:, :, 0], grad

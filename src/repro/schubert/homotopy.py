@@ -290,6 +290,10 @@ class PieriEdgeHomotopy(_BatchSlices, BatchHomotopy):
             np.repeat(moving[:, :, None], chart.degrees, axis=2)
         )
         self._t_pow = np.arange(len(moving))
+        # constants of the t-derivative: s'(t) = s_n - gamma_s, s0' = 1
+        self._ds_ls = (self.points[-1] - self.gamma_s) * self._s_pow
+        self._ls_1 = np.maximum(self._s_pow - 1, 0)
+        self._l0_1 = np.maximum(self._s0_pow - 1, 0)
 
     # ------------------------------------------------------------------
     @property
@@ -338,11 +342,10 @@ class PieriEdgeHomotopy(_BatchSlices, BatchHomotopy):
         The map depends on t through the entry weights, the plane through
         the powers of t that combine the replayed forms.
         """
-        n = self.dim
+        n = self._chart.n
         s = ((1.0 - tt) * self.gamma_s + tt * self.points[-1])[:, None]
         s0 = tt.astype(complex)[:, None]
-        ls, l0 = self._s_pow, self._s0_pow
-        s_w, s0_w = s**ls, s0**l0
+        s_w, s0_w = s**self._s_pow, s0**self._s0_pow
         w = s_w * s0_w
         value, grad = self._chart.replay(xe * w, self._moving_tape)
         t_pow = s0**self._t_pow
@@ -351,10 +354,9 @@ class PieriEdgeHomotopy(_BatchSlices, BatchHomotopy):
         jac = grad[:, :n] * w[:, :n]
         if not with_t:
             return res, jac, None
-        # chain rule through the entry weights: s'(t) = s_n - gamma_s, s0' = 1
-        ds = self.points[-1] - self.gamma_s
-        dw = ds * ls * s ** np.maximum(ls - 1, 0) * s0_w + s_w * (
-            l0 * s0 ** np.maximum(l0 - 1, 0)
+        # chain rule through the entry weights
+        dw = self._ds_ls * s**self._ls_1 * s0_w + s_w * (
+            self._s0_pow * s0**self._l0_1
         )
         dt_pow = self._t_pow[1:] * t_pow[:, :-1]
         dt = (dt_pow * value[:, 1:]).sum(axis=1) + (grad * xe * dw).sum(axis=1)
@@ -363,17 +365,17 @@ class PieriEdgeHomotopy(_BatchSlices, BatchHomotopy):
     def _batch(self, X, t, with_t: bool = False):
         """``(residuals, dH/dx, dH/dt or None)`` of a stack of points."""
         X = np.asarray(X, dtype=complex)
-        tt = _per_path_t(t, X.shape[0])
+        npaths, n = X.shape
+        tt = _per_path_t(t, npaths)
         xe = self._chart.extend(X)
-        n = self.dim
-        res = np.empty((X.shape[0], n), dtype=complex)
-        jac = np.empty((X.shape[0], n, n), dtype=complex)
+        res = np.empty((npaths, n), dtype=complex)
+        jac = np.empty((npaths, n, n), dtype=complex)
         res[:, :-1], grad = self._chart.replay(xe, self._tape)
         jac[:, :-1] = grad[:, :, :n]
         res[:, -1], jac[:, -1], dt = self._moving(xe, tt, with_t)
         if not with_t:
             return res, jac, None
-        jt = np.zeros((X.shape[0], n), dtype=complex)
+        jt = np.zeros((npaths, n), dtype=complex)
         jt[:, -1] = dt
         return res, jac, jt
 

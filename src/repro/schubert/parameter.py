@@ -346,6 +346,7 @@ class PieriParameterStack(_BatchSlices, StackedHomotopy):
         rows = np.asarray(rows, dtype=np.int64)
         view = object.__new__(PieriParameterStack)
         view.members = self.members
+        view._dim = self._dim
         view.owners = self.owners[rows]
         view._brackets = self._brackets[:, rows]
         view._points = self._points[:, rows]

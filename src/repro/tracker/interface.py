@@ -25,6 +25,8 @@ import numpy as np
 
 __all__ = ["BatchHomotopy"]
 
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
+
 
 def _per_path_t(t, npaths: int) -> np.ndarray:
     """Broadcast a scalar or (npaths,) ``t`` to a float (or complex) vector.
@@ -33,8 +35,16 @@ def _per_path_t(t, npaths: int) -> np.ndarray:
     before.  Complex ``t`` is passed through: the Cauchy endgame tracks
     paths around small circles ``t = 1 - r e^{i theta}`` in the complex
     time plane, and every vectorized homotopy kernel in this codebase is
-    elementwise in ``t``, so complex times flow through unchanged.
+    elementwise in ``t``, so complex times flow through unchanged.  A
+    float64 or complex128 ``(npaths,)`` array — what every front hands
+    down — is returned as it is.
     """
+    if (
+        type(t) is np.ndarray
+        and (t.dtype is _FLOAT or t.dtype is _COMPLEX)
+        and t.shape == (npaths,)
+    ):
+        return t
     tt = np.asarray(t)
     dtype = complex if np.iscomplexobj(tt) else float
     tt = tt.astype(dtype, copy=False)

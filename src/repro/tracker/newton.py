@@ -232,7 +232,13 @@ def _newton_sweeps(
         work = np.arange(npaths)
     else:
         work = np.flatnonzero(np.asarray(active, dtype=bool))
-    bh_work, local = homotopy, work
+    # bh_work is the homotopy restricted to the rows ``swept`` (None:
+    # every row); a row's position in it is found when a stage needs it
+    bh_work, swept = homotopy, None
+
+    def within(rows: np.ndarray) -> np.ndarray:
+        return rows if swept is None else np.searchsorted(swept, rows)
+
     dx_prev = np.full(npaths, np.inf)
     # per-row limits: a row below the largest takes its closing
     # residual evaluation at its own last sweep
@@ -245,6 +251,8 @@ def _newton_sweeps(
     ]
     if rowwise[2] and not fail_fast.any():
         fail_fast, rowwise[2] = False, False
+    # the last update's size is read by the loose exit and fail-fast only
+    keep_prev = loose_tol is not None or rowwise[2] or bool(fail_fast)
     for it in range(1, max_iterations + 1):
         if work.size == 0:
             return result()
@@ -255,10 +263,9 @@ def _newton_sweeps(
         whole = work.size == npaths
         rows = slice(None) if whole else work
         bh_work = homotopy if whole else homotopy.restrict(work)
-        # positions of the surviving rows within bh_work: restriction
-        # composes, so mid-sweep re-checks can reuse this restricted
+        # restriction composes, so mid-sweep re-checks restrict this
         # view instead of re-slicing the full stack from scratch
-        local = np.arange(work.size)
+        swept = None if whole else work
         res, jac = bh_work.evaluate_and_jacobian_batch(X[rows], tt[rows])
         jac_evals[rows] += 1
         resnorm = np.abs(res).max(axis=1)
@@ -273,7 +280,7 @@ def _newton_sweeps(
                 jac_cur[fin] = True
             keep = ~done
             rows = work = work[keep]
-            res, jac, local = res[keep], jac[keep], local[keep]
+            res, jac = res[keep], jac[keep]
             if work.size == 0:
                 return result()
         dx, ok = _solve_batch(jac, res)
@@ -282,7 +289,7 @@ def _newton_sweeps(
             singular[bad] = True
             iterations[bad] = it - 1
             rows = work = work[ok]
-            dx, jac, local = dx[ok], jac[ok], local[ok]
+            dx, jac = dx[ok], jac[ok]
             if work.size == 0:
                 return result()
         X[rows] += dx
@@ -314,7 +321,7 @@ def _newton_sweeps(
                     jac_cur[fin] = True
                 keep = ~small
                 rows = work = work[keep]
-                dx, local = dx[keep], local[keep]
+                dx = dx[keep]
                 xnorm, dxnorm = xnorm[keep], dxnorm[keep]
                 if work.size == 0:
                     return result()
@@ -326,36 +333,38 @@ def _newton_sweeps(
                 iterations[work[grew]] = it
                 keep = ~grew
                 rows = work = work[keep]
-                dx, local = dx[keep], local[keep]
+                dx = dx[keep]
                 xnorm, dxnorm = xnorm[keep], dxnorm[keep]
                 if work.size == 0:
                     return result()
-        dx_prev[rows] = dxnorm
+        if keep_prev:
+            dx_prev[rows] = dxnorm
         # update underflow: quadratic convergence hit the noise floor
         under = dxnorm <= 1e-15 * xnorm
         if under.any():
             u = work[under]
             rn = np.max(
                 np.abs(
-                    bh_work.restrict(local[under]).evaluate_batch(X[u], tt[u])
+                    bh_work.restrict(within(u)).evaluate_batch(X[u], tt[u])
                 ),
                 axis=1,
             )
             residual[u] = rn
             converged[u] = rn <= tol * 1e3
             iterations[u] = it
-            work, local = work[~under], local[~under]
+            work = work[~under]
         if limit is not None and it < max_iterations:
             last = limit[work] == it
             if last.any():
+                out = work[last]
                 _close_rows(
-                    bh_work.restrict(local[last]), X, tt, work[last], tol,
-                    it, residual, converged, iterations,
+                    bh_work.restrict(within(out)), X, tt, out, tol, it,
+                    residual, converged, iterations,
                 )
-                work, local = work[~last], local[~last]
+                work = work[~last]
     if work.size:
         _close_rows(
-            bh_work.restrict(local), X, tt, work, tol, max_iterations,
+            bh_work.restrict(within(work)), X, tt, work, tol, max_iterations,
             residual, converged, iterations,
         )
     return result()

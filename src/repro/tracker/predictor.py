@@ -243,8 +243,9 @@ class HermitePredictor(Predictor):
         x_pred = _euler_predict(state, rows, X, T, dt, tangent, ok)
         h = T - state.t_prev[rows]
         use = ok & state.has_tangent[rows] & (h > 0.0)
-        if np.any(use):
-            u = np.flatnonzero(use)
+        if use.any():
+            # every row is Hermite in the steady state: views, no gathers
+            u = slice(None) if use.all() else np.flatnonzero(use)
             hu = h[u][:, None]
             s = ((dt[u] + h[u]) / h[u])[:, None]
             s2 = s * s

@@ -56,6 +56,28 @@ from .interface import BatchHomotopy, _per_path_t, require_batch_homotopy
 __all__ = ["StackedHomotopy"]
 
 
+def _row_groups(owners: np.ndarray, members) -> List[Tuple[int, object]]:
+    """``(member, rows it owns)`` for each of ``members`` owning a row:
+    the delegation pattern of every batched call of a stack.  Evenly
+    spaced rows — one member's, or each of the alternating owners of a
+    Pieri level — are a slice, so a call gathers and scatters views."""
+    if len(members) == 1:
+        return [(members[0], slice(None))] if owners.size else []
+    groups = []
+    for k in members:
+        rows = (owners == k).nonzero()[0]
+        if rows.size == 0:
+            continue
+        first, last = int(rows[0]), int(rows[-1])
+        step = (last - first) // max(rows.size - 1, 1) or 1
+        if first + step * (rows.size - 1) == last and (
+            rows.size < 3 or (rows[1:] - rows[:-1] == step).all()
+        ):
+            rows = slice(first, last + 1, step)
+        groups.append((k, rows))
+    return groups
+
+
 class StackedHomotopy(BatchHomotopy):
     """A batch whose rows belong to distinct same-dimension homotopies.
 
@@ -90,17 +112,13 @@ class StackedHomotopy(BatchHomotopy):
         ):
             raise ValueError("owner index out of range")
         self.owners = owners
-        # rows grouped per member, computed once: the delegation pattern
-        # of every batched call below
-        self._groups: List[Tuple[int, np.ndarray]] = [
-            (k, np.flatnonzero(owners == k)) for k in range(len(self.members))
-        ]
-        self._groups = [(k, rows) for k, rows in self._groups if rows.size]
+        self._dim = self.members[0].dim
+        self._groups = _row_groups(owners, range(len(self.members)))
 
     # ------------------------------------------------------------------
     @property
     def dim(self) -> int:
-        return self.members[0].dim
+        return self._dim
 
     @property
     def npaths(self) -> int:
@@ -111,69 +129,59 @@ class StackedHomotopy(BatchHomotopy):
         """The sub-stack owning the given rows (tracker culling support)."""
         view = object.__new__(StackedHomotopy)
         view.members = self.members
-        owners = self.owners[np.asarray(rows, dtype=np.int64)]
-        view.owners = owners
-        groups = [
-            (k, np.flatnonzero(owners == k)) for k in range(len(self.members))
-        ]
-        view._groups = [(k, r) for k, r in groups if r.size]
+        view._dim = self._dim
+        view.owners = self.owners[np.asarray(rows, dtype=np.int64)]
+        # restriction composes: only this stack's owners can own a row
+        view._groups = _row_groups(view.owners, [k for k, _ in self._groups])
         return view
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
-        if X.ndim != 2 or X.shape != (self.npaths, self.dim):
+        if X.shape != (self.owners.size, self._dim):
             raise ValueError(
                 f"expected X of shape ({self.npaths}, {self.dim}), "
                 f"got {X.shape}"
             )
         return X
 
+    def _delegate(self, method: str, X, t):
+        """Each member's ``method`` on the rows it owns, scattered back
+        into full-width outputs (one array, or a tuple as the member
+        returns).  A member that owns every row is handed ``X`` and the
+        times as they are, and its answer is the stack's."""
+        X = self._check(X)
+        tt = _per_path_t(t, X.shape[0])
+        if len(self._groups) < 2:
+            k = self._groups[0][0] if self._groups else 0
+            return getattr(self.members[k], method)(X, tt)
+        outs = None
+        for k, rows in self._groups:
+            part = getattr(self.members[k], method)(X[rows], tt[rows])
+            parts = part if isinstance(part, tuple) else (part,)
+            if outs is None:
+                outs = [
+                    np.empty((X.shape[0],) + a.shape[1:], dtype=complex)
+                    for a in parts
+                ]
+            for out, a in zip(outs, parts):
+                out[rows] = a
+        return tuple(outs) if isinstance(part, tuple) else outs[0]
+
     # ------------------------------------------------------------------
     def evaluate_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        out = np.empty_like(X)
-        for k, rows in self._groups:
-            out[rows] = self.members[k].evaluate_batch(X[rows], tt[rows])
-        return out
+        return self._delegate("evaluate_batch", X, t)
 
     def jacobian_x_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        out = np.empty((X.shape[0], self.dim, self.dim), dtype=complex)
-        for k, rows in self._groups:
-            out[rows] = self.members[k].jacobian_x_batch(X[rows], tt[rows])
-        return out
+        return self._delegate("jacobian_x_batch", X, t)
 
     def jacobian_t_batch(self, X: np.ndarray, t) -> np.ndarray:
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        out = np.empty_like(X)
-        for k, rows in self._groups:
-            out[rows] = self.members[k].jacobian_t_batch(X[rows], tt[rows])
-        return out
+        return self._delegate("jacobian_t_batch", X, t)
 
     def evaluate_and_jacobian_batch(self, X, t):
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        res = np.empty_like(X)
-        jac = np.empty((X.shape[0], self.dim, self.dim), dtype=complex)
-        for k, rows in self._groups:
-            res[rows], jac[rows] = self.members[k].evaluate_and_jacobian_batch(
-                X[rows], tt[rows]
-            )
-        return res, jac
+        return self._delegate("evaluate_and_jacobian_batch", X, t)
 
     def jacobians_batch(self, X, t):
-        X = self._check(X)
-        tt = _per_path_t(t, X.shape[0])
-        jx = np.empty((X.shape[0], self.dim, self.dim), dtype=complex)
-        jt = np.empty_like(X)
-        for k, rows in self._groups:
-            jx[rows], jt[rows] = self.members[k].jacobians_batch(
-                X[rows], tt[rows]
-            )
-        return jx, jt
+        return self._delegate("jacobians_batch", X, t)
 
     def __repr__(self) -> str:
         return (

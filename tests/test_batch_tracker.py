@@ -79,6 +79,33 @@ class TestBatchInterface:
             homotopy.evaluate_batch(X, np.array([0.5, 0.5])),
         )
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_per_path_t_hands_a_front_its_times_as_they_are(self, dtype):
+        tt = np.array([0.25, 0.5, 0.75], dtype=dtype)
+        assert _per_path_t(tt, 3) is tt
+        # a view of a front's times (a member's evenly spaced rows)
+        assert _per_path_t(tt[::2], 2).base is tt
+
+    def test_per_path_t_broadcasts_and_casts(self):
+        out = _per_path_t(0.5, 3)
+        assert out.dtype == float and out.tolist() == [0.5, 0.5, 0.5]
+        out = _per_path_t(1 - 0.5j, 2)
+        assert out.dtype == complex and out.tolist() == [1 - 0.5j] * 2
+        for given in ([0, 1, 1], np.array([0, 1, 1]), [0.0, 0.5, 1.0]):
+            out = _per_path_t(given, 3)
+            assert out.dtype == float
+            assert out.tolist() == [float(v) for v in given]
+        out = _per_path_t(np.array([0.5, 1.0], dtype=np.float32), 2)
+        assert out.dtype == float and out.tolist() == [0.5, 1.0]
+        assert _per_path_t([0.5j, 1.0], 2).dtype == complex
+
+    def test_per_path_t_rejects_a_wrong_shape(self):
+        for given in (np.zeros(2), np.zeros((3, 1)), [0.1, 0.2]):
+            with pytest.raises(
+                ValueError, match=r"expected t scalar or shape \(3,\), got"
+            ):
+                _per_path_t(given, 3)
+
     def test_convex_is_native_batch(self):
         target = cyclic_roots_system(3)
         homotopy, _ = make_homotopy_and_starts(

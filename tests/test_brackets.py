@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import slp
 from repro.linalg import random_plane
 from repro.schubert import (
     PieriEdgeHomotopy,
@@ -285,6 +286,8 @@ class TestParameterHomotopy:
 
 
 class TestBracketChart:
+    B = slp.BLOCK
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_unit_tape_replays_the_minors_of_the_map(self, shape):
         """Form (S, d) with coefficient 1 is the s**d part of det X(s)[S, :]."""
@@ -304,6 +307,34 @@ class TestBracketChart:
         X = evaluate_map(hom.to_matrix(x[0]), hom.pattern, s)
         minors = [np.linalg.det(X[list(rows)]) for rows in subsets]
         assert np.allclose(pi @ s ** np.arange(chart.degrees), minors)
+
+    @pytest.mark.parametrize("npts", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_replay_multiplies_the_monomials_as_np_prod(self, npts):
+        """The monomials are bit for bit ``np.prod``'s reduce at every
+        front width, for p = 1 (the empty product) to p = 4: at p = 2
+        the product is a gather."""
+        for shape in [(2, 1, 1), (2, 2, 1), (2, 3, 0), (1, 4, 0)]:
+            rng = np.random.default_rng([npts, *shape])
+            hom = PieriParameterHomotopy(
+                PieriInstance.random(*shape, rng),
+                PieriInstance.random(*shape, rng),
+                rng,
+            )
+            chart, tape = hom._chart, hom._pluecker
+            y = chart.extend(_points(rng, npts, hom.dim))
+            monomials = np.prod(y[:, chart._monomials], axis=1)
+            grad = np.matmul(monomials, tape).transpose(1, 0, 2)
+            value = np.matmul(grad, (y * chart._first)[:, :, None])[:, :, 0]
+            got_value, got_grad = chart.replay(y, tape)
+            assert got_value.tobytes() == value.tobytes(), shape
+            assert got_grad.tobytes() == grad.tobytes(), shape
+
+    def test_extend_appends_the_pinned_ones(self):
+        chart = BracketChart(4, [(0, 0), (1, 1), (2, 1)], [(3, 0), (3, 1)])
+        X = _points(np.random.default_rng(15), 3, 3)
+        y = chart.extend(X)
+        assert y.dtype == complex and y.shape == (3, 5)
+        assert np.array_equal(y, np.concatenate([X, np.ones((3, 2))], axis=1))
 
     def test_pinned_entries_come_one_per_column_in_order(self):
         with pytest.raises(ValueError):

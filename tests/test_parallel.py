@@ -1,5 +1,7 @@
 """Tests for the real parallel executors (process/serial, static/dynamic)."""
 
+import gc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -286,6 +288,30 @@ class TestMakePool:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             make_pool("bogus", 1)
+
+    def test_serial_path_tracking_keeps_no_worker_state(self):
+        """The inline worker's globals are put back when the dispatch
+        ends: a homotopy the caller dropped is freed."""
+        homotopy, starts = make_homotopy_and_starts(
+            cyclic_roots_system(3), rng=np.random.default_rng(1)
+        )
+        alive = weakref.ref(homotopy)
+        track_paths_parallel(homotopy, starts, mode="serial")
+        del homotopy
+        gc.collect()
+        assert alive() is None
+        assert executors_mod._WORKER_HOMOTOPY is None
+        assert executors_mod._WORKER_TRACKER is None
+
+    def test_serial_pieri_solve_keeps_no_worker_state(self):
+        instance = PieriInstance.random(2, 2, 0, np.random.default_rng(3))
+        alive = weakref.ref(instance)
+        report = solve_pieri_parallel(instance, mode="serial", seed=4)
+        assert report.n_solutions == pieri_root_count(2, 2, 0)
+        del instance, report
+        gc.collect()
+        assert alive() is None
+        assert scheduler_mod._WORKER_SOLVER is None
 
     def test_dispatch_jobs_with_bundles_over_the_serial_pool(self):
         """The real master loop over the inline pool: bundles out, a

@@ -10,16 +10,19 @@ that exercise the retry ladder and chart-switch requeues, plus the
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from repro.kernels import slp
 from repro.linalg import batched_det
 from repro.parallel import solve_pieri_parallel
 from repro.schubert import (
     PieriInstance,
     PieriReport,
     PieriSolver,
+    PieriTree,
     continue_to_instance,
     trivial_solution_matrix,
 )
@@ -145,6 +148,103 @@ class TestStackedHomotopy:
             BatchTracker().track_batch(
                 Line(1.0), [[1.0], [1.0]], t_start=np.array([0.0])
             )
+
+
+def _same_level_edges(shape, level, rng):
+    """Two distinct edge homotopies of one tree level (one front)."""
+    instance = PieriInstance.random(*shape, rng)
+    solver = PieriSolver(instance, seed=int(rng.integers(1000)))
+    homs = {}
+    for node in PieriTree(instance.problem).walk_bfs():
+        if node.level == level:
+            key = (node.pattern().bottom_pivots, node.columns[-1])
+            homs.setdefault(key, solver.make_homotopy(node))
+    return list(homs.values())[:2]
+
+
+class TestStackRowsOfAFront:
+    """A member hands the same bits whether it owns every row of its
+    stack (its rows and times pass straight through) or shares the
+    stack with another member (its rows gathered, as evenly spaced
+    views or by index, and scattered back)."""
+
+    B = slp.BLOCK
+    METHODS = ("evaluate_batch", "jacobian_x_batch", "jacobian_t_batch",
+               "evaluate_and_jacobian_batch", "jacobians_batch")
+
+    @pytest.mark.parametrize("npts", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_one_member_stack_is_its_rows_in_a_two_member_stack(self, npts):
+        rng = np.random.default_rng([17, npts])
+        first, other = _same_level_edges((2, 2, 1), 5, rng)
+        X = rng.standard_normal((npts, first.dim)) + 1j * rng.standard_normal(
+            (npts, first.dim)
+        )
+        tt = rng.random(npts)
+        alone = StackedHomotopy([first], [0] * npts)
+        alternating = np.arange(2 * npts) % 2
+        scattered = np.ones(npts + 7, dtype=np.int64)
+        scattered[np.sort(rng.choice(npts + 7, npts, replace=False))] = 0
+        for owners in (alternating, scattered):
+            mine = np.flatnonzero(owners == 0)
+            X2 = rng.standard_normal((owners.size, first.dim)) + 0j
+            t2 = rng.random(owners.size)
+            X2[mine], t2[mine] = X, tt
+            pair = StackedHomotopy([first, other], owners)
+            for method in self.METHODS:
+                want = getattr(alone, method)(X, tt)
+                got = getattr(pair, method)(X2, t2)
+                want = want if isinstance(want, tuple) else (want,)
+                got = got if isinstance(got, tuple) else (got,)
+                for w, g in zip(want, got):
+                    assert g[mine].tobytes() == w.tobytes(), method
+            # culled fronts restrict to the surviving rows, same bits
+            keep = np.flatnonzero(rng.random(owners.size) < 0.7)
+            sub = pair.restrict(keep)
+            res = sub.evaluate_batch(X2[keep], t2[keep])
+            full = pair.evaluate_batch(X2, t2)[keep]
+            own = owners[keep] == 0
+            assert res[own].tobytes() == full[own].tobytes()
+
+
+#: sha256 of a solve's roots and per-level effort counters.  The bracket
+#: products round by the BLAS kernel, so the digests hold for one
+#: numpy/OpenBLAS build: where another build rounds them differently,
+#: re-pin at a commit known to be correct, never at the change under test.
+PINS = {
+    (2, 2, 2): "8526b4d11523738646422fcc0b780ab7b21d1c2184ca3deebdd02fc0b7a1b739",
+    (2, 2, 3): "e4c4bb5961fd9ca55f6c2039e04a217004e7a6384f8951d01e0071d7c06abe0a",
+}
+PIN_SEEDS = {(2, 2, 2): (41, 42), (2, 2, 3): (43, 44)}
+
+
+def _solve_digest(report):
+    digest = hashlib.sha256()
+    for solution in report.solutions:
+        digest.update(solution.tobytes())
+    for record in report.level_batches:
+        counts = [record["level"], *(record[k] for k in EFFORT_KEYS)]
+        digest.update(repr(counts).encode())
+    return digest.hexdigest()
+
+
+class TestBitwisePins:
+    """Speed work on the Pieri front changes no bit of a solve."""
+
+    @pytest.mark.parametrize("shape", sorted(PINS))
+    def test_batch_solve_is_pinned(self, shape):
+        rng_seed, seed = PIN_SEEDS[shape]
+        instance = PieriInstance.random(*shape, np.random.default_rng(rng_seed))
+        report = PieriSolver(instance, seed=seed).solve(mode="batch")
+        assert report.failures == 0
+        assert _solve_digest(report) == PINS[shape]
+
+    def test_two_process_workers_are_pinned(self):
+        rng_seed, seed = PIN_SEEDS[2, 2, 2]
+        instance = PieriInstance.random(2, 2, 2, np.random.default_rng(rng_seed))
+        report = solve_pieri_parallel(
+            instance, n_workers=2, mode="process", seed=seed
+        )
+        assert _solve_digest(report) == PINS[2, 2, 2]
 
 
 class TestBatchedDet:
