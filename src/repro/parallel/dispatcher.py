@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 
-_UNSET = object()
-
 #: The local pools: worker processes, or one worker inline in this process.
 PoolMode = Literal["process", "serial"]
 POOL_MODES = get_args(PoolMode)
@@ -86,17 +84,12 @@ class _InlineExecutor(Executor):
         if initializer is not None:
             initializer(*initargs)
         self._replaced = {
-            name: before.get(name, _UNSET)
-            for name, value in self._names.items()
-            if before.get(name, _UNSET) is not value
+            name: old for name, old in before.items()
+            if self._names.get(name) is not old
         }
 
     def shutdown(self, wait=True, *, cancel_futures=False) -> None:
-        for name, value in self._replaced.items():
-            if value is _UNSET:
-                del self._names[name]
-            else:
-                self._names[name] = value
+        self._names.update(self._replaced)
         self._replaced = {}
 
     def submit(self, fn, /, *args, **kwargs) -> Future:

@@ -55,12 +55,17 @@ def _frozen(*tables: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _row_subsets(amb: int, p: int):
-    """Row subsets ``(C, p)``, complements ``(C, amb-p)``, Laplace signs."""
-    subsets = np.array(list(combinations(range(amb), p)), dtype=np.int64)
-    rows = np.arange(amb)
-    comps = np.array([np.setdiff1d(rows, s) for s in subsets], dtype=np.int64)
+    """Row subsets ``(C, p)``, complements ``(C, amb-p)``, Laplace signs.
+
+    The complements are plain set differences: ``np.setdiff1d`` imports
+    ``numpy.ma`` on first use, ~35 ms in every fresh worker process.
+    """
+    picks = list(combinations(range(amb), p))
+    subsets = np.array(picks, dtype=np.int64).reshape(len(picks), p)
+    comps = [[r for r in range(amb) if r not in s] for s in picks]
+    comps = np.array(comps, dtype=np.int64).reshape(len(picks), amb - p)
     signs = (-1.0) ** (subsets.sum(axis=1) + p * (p - 1) // 2)
-    return _frozen(subsets, comps.reshape(len(subsets), amb - p), signs)
+    return _frozen(subsets, comps, signs)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,12 @@
 """Tests for the real parallel executors (process/serial, static/dynamic)."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from repro.schubert import PieriInstance, PieriSolver, pieri_root_count
 from repro.schubert.solver import EFFORT_KEYS
 from repro.systems import cyclic_roots_system
 from repro.tracker import BatchHomotopy, PathTracker, TrackerOptions
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestLoadImbalance:
@@ -503,6 +509,28 @@ class TestParallelPieri:
         queue = deque([head[0], *later[:floor], *head[1:], *later[floor:]])
         assert take(queue, 3) == head
         assert list(queue) == later
+
+    def test_a_fresh_worker_imports_nothing_while_it_tracks(self):
+        """A pool is forked per solve from a master that only built the
+        solver: a module a worker's first front imports lazily (numpy.ma
+        behind ``np.setdiff1d`` took ~35 ms) is paid by every worker of
+        every solve."""
+        script = (
+            "import sys, numpy as np\n"
+            "from repro.parallel import solve_pieri_parallel\n"
+            "from repro.schubert import PieriInstance, PieriSolver\n"
+            "instance = PieriInstance.random(2, 2, 1, np.random.default_rng(1))\n"
+            "solver = PieriSolver(instance, seed=2)\n"
+            "before = set(sys.modules)\n"
+            "solver.solve()\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_two_process_workers_match_the_sequential_batch_bitwise(self):
         """Every level of a small tree is narrower than two floors, so it
