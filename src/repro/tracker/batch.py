@@ -387,7 +387,7 @@ class BatchTracker:
         while True:
             run = np.flatnonzero(state == _RUNNING)
             spent = accepted[run] + rejected[run]
-            exhausted = run[spent >= budgets[oset[run]]]
+            exhausted = run[spent >= per_row(budgets, run, groups(run))]
             if exhausted.size:
                 classify(
                     exhausted, PathStatus.FAILED, np.full(exhausted.size, np.inf)
@@ -484,15 +484,15 @@ class BatchTracker:
                 preds[0].accepted(
                     pstate, acc, X[acc], T[acc], tangent[conv], ok[conv]
                 )
-                X[acc] = corr.x[conv]
-                T[acc] = t_new[conv]
+                x_acc, t_acc = corr.x[conv], t_new[conv]
+                X[acc], T[acc] = x_acc, t_acc
                 accepted[acc] += 1
                 if recycle:
                     cur = conv & corr.jac_current & em_run
                     re_ok[acc] = cur[conv]
                     re_jac[run[cur]] = corr.jacobian[cur]
-                dt_acc = dt[conv]
-                for k, at in groups(acc):
+                acc_parts = groups(acc)
+                for k, at in acc_parts:
                     o, pred = sets[k], preds[k]
                     rows = acc[at]
                     if pred.error_model:
@@ -510,7 +510,7 @@ class BatchTracker:
                             ** (1.0 / pred.order),
                         )
                         step[rows] = np.minimum(
-                            np.maximum(dt_acc[at] * growth, o.min_step),
+                            np.maximum(dt[conv][at] * growth, o.min_step),
                             o.max_step,
                         )
                         if tel is not None:
@@ -526,14 +526,14 @@ class BatchTracker:
                             step[grow] * o.expand, o.max_step
                         )
                         easy[grow] = 0
-                norms = np.abs(X[acc]).max(axis=1)
-                div = norms > bounds[oset[acc]]
+                norms = np.abs(x_acc).max(axis=1)
+                div = norms > per_row(bounds, acc, acc_parts)
                 if div.any():
                     classify(
                         acc[div], PathStatus.DIVERGED, corr.residual[conv][div]
                     )
                 # survivors that reached t=1 leave the front for the endgame
-                done = acc[(~div) & (T[acc] >= 1.0)]
+                done = acc[(~div) & (t_acc >= 1.0)]
                 state[done] = _ENDGAME
                 if watch is not None and done.size:
                     arrivals.append(done)

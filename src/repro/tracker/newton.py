@@ -293,7 +293,6 @@ def _newton_sweeps(
             if work.size == 0:
                 return result()
         X[rows] += dx
-        xnorm = np.maximum(1.0, np.abs(X[rows]).max(axis=1))
         dxnorm = np.abs(dx).max(axis=1)
         if update_tol is not None:
             # update-size acceptance: quadratic convergence puts the
@@ -322,7 +321,7 @@ def _newton_sweeps(
                 keep = ~small
                 rows = work = work[keep]
                 dx = dx[keep]
-                xnorm, dxnorm = xnorm[keep], dxnorm[keep]
+                dxnorm = dxnorm[keep]
                 if work.size == 0:
                     return result()
         if rowwise[2] or fail_fast:
@@ -334,25 +333,25 @@ def _newton_sweeps(
                 keep = ~grew
                 rows = work = work[keep]
                 dx = dx[keep]
-                xnorm, dxnorm = xnorm[keep], dxnorm[keep]
+                dxnorm = dxnorm[keep]
                 if work.size == 0:
                     return result()
         if keep_prev:
             dx_prev[rows] = dxnorm
-        # update underflow: quadratic convergence hit the noise floor
-        under = dxnorm <= 1e-15 * xnorm
-        if under.any():
-            u = work[under]
-            rn = np.max(
-                np.abs(
-                    bh_work.restrict(within(u)).evaluate_batch(X[u], tt[u])
-                ),
-                axis=1,
-            )
-            residual[u] = rn
-            converged[u] = rn <= tol * 1e3
-            iterations[u] = it
-            work = work[~under]
+        # update underflow: quadratic convergence hit the noise floor,
+        # |dx| <= 1e-15 max(1, |x|).  No row is there while every update
+        # exceeds that bound at the front's largest coordinate
+        xabs = np.abs(X[rows])
+        if not dxnorm.min() > 1e-15 * np.maximum(1.0, xabs.max()):
+            under = dxnorm <= 1e-15 * np.maximum(1.0, xabs.max(axis=1))
+            if under.any():
+                u = work[under]
+                res = bh_work.restrict(within(u)).evaluate_batch(X[u], tt[u])
+                rn = np.abs(res).max(axis=1)
+                residual[u] = rn
+                converged[u] = rn <= tol * 1e3
+                iterations[u] = it
+                work = work[~under]
         if limit is not None and it < max_iterations:
             last = limit[work] == it
             if last.any():
