@@ -386,8 +386,9 @@ class BatchTracker:
         # --- main predictor-corrector sweeps over the active front
         while True:
             run = np.flatnonzero(state == _RUNNING)
+            parts = groups(run)
             spent = accepted[run] + rejected[run]
-            exhausted = run[spent >= per_row(budgets, run, groups(run))]
+            exhausted = run[spent >= per_row(budgets, run, parts)]
             if exhausted.size:
                 classify(
                     exhausted, PathStatus.FAILED, np.full(exhausted.size, np.inf)
@@ -395,6 +396,7 @@ class BatchTracker:
             entered = watch is not None and settle()
             if exhausted.size or entered:
                 run = np.flatnonzero(state == _RUNNING)
+                parts = groups(run)
             if run.size == 0:
                 break
             # the running rows, as an index into the front's arrays.
@@ -425,7 +427,6 @@ class BatchTracker:
                 else:
                     tangent, ok = self._tangents(bh_run, X_run, T_run)
                     jac_evals[live] += 1
-                parts = groups(run)
                 x_pred = np.empty_like(X_run)
                 for k, at in parts:
                     x_pred[at] = preds[k].predict(
@@ -491,6 +492,7 @@ class BatchTracker:
                     cur = conv & corr.jac_current & em_run
                     re_ok[acc] = cur[conv]
                     re_jac[run[cur]] = corr.jacobian[cur]
+                dt_acc = dt[conv]
                 acc_parts = groups(acc)
                 for k, at in acc_parts:
                     o, pred = sets[k], preds[k]
@@ -510,7 +512,7 @@ class BatchTracker:
                             ** (1.0 / pred.order),
                         )
                         step[rows] = np.minimum(
-                            np.maximum(dt[conv][at] * growth, o.min_step),
+                            np.maximum(dt_acc[at] * growth, o.min_step),
                             o.max_step,
                         )
                         if tel is not None:
