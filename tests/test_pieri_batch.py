@@ -156,9 +156,9 @@ def _same_level_edges(shape, level, rng):
     solver = PieriSolver(instance, seed=int(rng.integers(1000)))
     homs = {}
     for node in PieriTree(instance.problem).walk_bfs():
-        if node.level == level:
-            key = (node.pattern().bottom_pivots, node.columns[-1])
-            homs.setdefault(key, solver.make_homotopy(node))
+        key = node.level and (node.pattern().bottom_pivots, node.columns[-1])
+        if node.level == level and key not in homs:
+            homs[key] = solver.make_homotopy(node)
     return list(homs.values())[:2]
 
 
@@ -197,13 +197,12 @@ class TestStackRowsOfAFront:
                 got = got if isinstance(got, tuple) else (got,)
                 for w, g in zip(want, got):
                     assert g[mine].tobytes() == w.tobytes(), method
-            # culled fronts restrict to the surviving rows, same bits
+            # a culled front hands the member its surviving rows
             keep = np.flatnonzero(rng.random(owners.size) < 0.7)
-            sub = pair.restrict(keep)
-            res = sub.evaluate_batch(X2[keep], t2[keep])
-            full = pair.evaluate_batch(X2, t2)[keep]
-            own = owners[keep] == 0
-            assert res[own].tobytes() == full[own].tobytes()
+            res = pair.restrict(keep).evaluate_batch(X2[keep], t2[keep])
+            own = keep[owners[keep] == 0]
+            alone_res = first.evaluate_batch(X2[own], t2[own])
+            assert res[owners[keep] == 0].tobytes() == alone_res.tobytes()
 
 
 #: sha256 of a solve's roots and per-level effort counters.  The bracket
