@@ -361,7 +361,7 @@ def solve(
     start: Literal["total_degree", "linear_product", "polyhedral"] = "total_degree",
     options: TrackerOptions | None = None,
     rng: np.random.Generator | None = None,
-    mode: Literal["per_path", "batch"] = "batch",
+    mode: Literal["batch"] = "batch",
     endgame="refine",
     rescue: bool = False,
     kernel: str | None = None,
@@ -376,13 +376,9 @@ def solve(
     steps, PHCpack-style, and every SUCCESS endpoint is Newton-refined
     against ``target``.
 
-    ``mode`` only says how many rows a front of the one tracker loop
-    (:class:`BatchTracker`) gets: ``"batch"`` (default) tracks every
-    path in one structure-of-arrays front, ``"per_path"`` one path per
-    front — the same decisions and endpoints bit for bit, at several
-    times the Python dispatch overhead, with ``stats.seconds`` each
-    path's exclusive wall time.  Duplicate re-runs and the other
-    re-track rungs travel as one front per rung in either mode.
+    Every path travels in one structure-of-arrays front of the one
+    tracker loop (:class:`BatchTracker`); duplicate re-runs and the
+    other re-track rungs travel as one front per rung.
 
     ``start="polyhedral"`` routes through the polyhedral subsystem: the
     number of tracked paths is the *mixed volume* (BKK bound) instead of
@@ -405,7 +401,8 @@ def solve(
         :data:`WARM_OPTIONS` (the ``"cubic"`` guess) on a warm
         polyhedral hit when ``predictor`` is ``None`` too.
     mode:
-        ``"batch"`` (one SoA front) or ``"per_path"`` (one-row fronts).
+        Only ``"batch"`` (every path in one front); anything else
+        raises ``ValueError`` before any start-system work.
     endgame:
         Terminal-phase strategy: ``"refine"`` (default — the seed
         Newton sharpen, endpoint statuses and solutions bit-identical
@@ -494,7 +491,7 @@ def solve(
     >>> len(report.singular_solutions)
     1
     """
-    if mode not in ("per_path", "batch"):
+    if mode != "batch":
         raise ValueError(f"unknown tracking mode {mode!r}")
     tel = current_telemetry()
     own = trace_paths and tel is None
@@ -502,7 +499,7 @@ def solve(
         tel = Telemetry(name="solve")
     with use_telemetry(tel) if own else nullcontext():
         report = _solve(
-            target, start, options, rng, mode, endgame, rescue, kernel,
+            target, start, options, rng, endgame, rescue, kernel,
             predictor, trace_paths, tel, cache,
         )
     if tel is not None:
@@ -513,7 +510,7 @@ def solve(
 
 
 def _solve(
-    target, start, options, rng, mode, endgame, rescue, kernel,
+    target, start, options, rng, endgame, rescue, kernel,
     predictor, trace_paths, tel, cache,
 ) -> SolveReport:
     base_options = options or TrackerOptions()
@@ -586,9 +583,6 @@ def _solve(
             tel.count("solve.paths", len(starts))
         starts_arr = np.asarray(starts, dtype=complex)
         tracker = BatchTracker(base_options, endgame=strategy)
-        ids = list(range(len(starts)))
-        # mode only says how many rows a front gets: all of them, or one
-        fronts = [ids] if mode == "batch" else [[i] for i in ids]
         # an error-model predictor trades per-step robustness for speed:
         # its larger steps can strand a hard path in a step underflow the
         # seed Euler settings walk through, so its FAILED rows ride the
@@ -602,13 +596,7 @@ def _solve(
         )
         ladder = Ladder(base_options, retry_failed=retry_failed)
         with maybe_span(tel, "track", "solve"):
-            results = [
-                r
-                for front in fronts
-                for r in tracker.track_batch(
-                    homotopy, starts_arr[front], path_ids=front, ladder=ladder
-                )
-            ]
+            results = tracker.track_batch(homotopy, starts_arr, ladder=ladder)
         failed = []
         if retry_failed:
             failed = [r.path_id for r in results if r.status is PathStatus.FAILED]

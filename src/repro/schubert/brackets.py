@@ -234,6 +234,8 @@ class BracketChart:
             row += len(others)
         #: ``(p - 1, nmon)`` entry ids; p = 1 has the one empty product
         self._monomials = np.concatenate(monomials).T
+        #: its rows, held once: slicing them a call slowed Pieri fronts
+        self._factors = tuple(np.ascontiguousarray(f) for f in self._monomials)
 
     def extend(self, X: np.ndarray) -> np.ndarray:
         """Append the pinned ones: ``(npaths, n)`` -> ``(npaths, n + p)``."""
@@ -241,6 +243,18 @@ class BracketChart:
         y[:, : self.n] = X
         y[:, self.n :] = 1.0
         return y
+
+    def _products(self, y: np.ndarray) -> np.ndarray:
+        """The ``(npaths, nmon)`` monomials at ``y``, factors multiplied
+        left to right (ones at p = 1, a gather at p = 2): unlike
+        ``np.prod``'s reduce, a row's bits do not depend on the front."""
+        factors = self._factors
+        if not factors:
+            return np.ones((y.shape[0], 1), dtype=complex)
+        products = y[:, factors[0]]
+        for factor in factors[1:]:
+            products = products * y[:, factor]
+        return products
 
     def tape(self, coef: np.ndarray) -> np.ndarray:
         """Record R forms: ``coef[i, S, d]`` is what form i gives subset S
@@ -255,14 +269,7 @@ class BracketChart:
         One ``npaths x nmon x (n + p)`` product per form keeps every
         BLAS call far below the size OpenBLAS hands to its thread pool;
         a single product over all forms crossed it on wide fronts and
-        doubled the CPU time of a solve.  At p = 2 a monomial is one
-        entry of the other column, so the product is one gather; other
-        p keep ``np.prod``, whose reduce rounds a one-row call unlike
-        an elementwise multiply.
+        doubled the CPU time of a solve.
         """
-        if len(self._monomials) == 1:
-            monomials = y[:, self._monomials[0]]
-        else:
-            monomials = np.prod(y[:, self._monomials], axis=1)
-        grad = np.matmul(monomials, tape).transpose(1, 0, 2)
+        grad = np.matmul(self._products(y), tape).transpose(1, 0, 2)
         return np.matmul(grad, (y * self._first)[:, :, None])[:, :, 0], grad

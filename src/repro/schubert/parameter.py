@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Literal, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -222,7 +222,6 @@ def continue_to_instance(
     target: PieriInstance,
     options: TrackerOptions | None = None,
     rng: np.random.Generator | None = None,
-    mode: Literal["per_path", "batch"] = "batch",
 ) -> tuple[List[np.ndarray], List[PathResult]]:
     """Track a solved instance's solutions to a new instance.
 
@@ -230,10 +229,8 @@ def continue_to_instance(
     the standard chart.  Only ``d(m, p, q)`` paths are tracked — compare
     with the full tree's job count for the offline/online cost split.
 
-    ``mode="batch"`` (default) tracks all paths as one structure-of-
-    arrays front (the homotopy's native batch protocol); ``"per_path"``
-    one path per front.  Decisions and endpoints are identical either
-    way, bit for bit.
+    All paths travel as one structure-of-arrays front (the homotopy's
+    native batch protocol).
 
     An endpoint whose chart normalization hits a zero pivot (the
     solution fits a child pattern — non-generic target data) is recorded
@@ -241,26 +238,14 @@ def continue_to_instance(
     ``len(results)`` always equals the number of start solutions and
     ``sum(r.success) == len(solutions)``.
     """
-    if mode not in ("per_path", "batch"):
-        raise ValueError(f"unknown mode {mode!r}")
     homotopy = PieriParameterHomotopy(start, target, rng)
     opts = options or DEFAULT_OPTIONS
     x0s = [
         homotopy.from_matrix(np.asarray(sol, dtype=complex))
         for sol in start_solutions
     ]
-    ids = list(range(len(x0s)))
-    # mode only says how many rows a front gets: all of them, or one
-    fronts = [ids] if mode == "batch" else [[k] for k in ids]
-    tracker = BatchTracker(opts)
     ladder = Ladder(opts, retry_failed=True)
-    raw = [
-        r
-        for front in fronts
-        for r in tracker.track_batch(
-            homotopy, [x0s[k] for k in front], path_ids=front, ladder=ladder
-        )
-    ]
+    raw = BatchTracker(opts).track_batch(homotopy, x0s, ladder=ladder)
     return _finish(homotopy, x0s, raw, ladder)
 
 

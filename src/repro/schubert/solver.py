@@ -3,10 +3,11 @@
 One *job* tracks one solution path along a tree edge (paper §III-C/D): given
 the solution at a node's parent, it produces the solution at the node.  The
 solver exposes the job machinery (``initial_jobs`` / ``run_jobs_batched``
-/ :meth:`PieriReport.record_front`) so the sequential DFS here and the
-parallel master/worker scheduler in :mod:`repro.parallel` drive *exactly
-the same computation* — only the order differs, which is what makes the
-sequential/parallel agreement tests meaningful.
+/ :meth:`PieriReport.record_front`) so the sequential level-by-level
+driver here and the parallel master/worker scheduler in
+:mod:`repro.parallel` drive *exactly the same computation* — only the
+order differs, which is what makes the sequential/parallel agreement
+tests meaningful.
 
 Every edge is tracked by :meth:`PieriSolver.run_jobs_batched`: same-level
 edges share a shape (``dim == level``), so any number of them stack into
@@ -14,10 +15,11 @@ one :class:`~repro.tracker.StackedHomotopy` front of the SoA
 :class:`~repro.tracker.BatchTracker`; the chart switch
 (:func:`~repro.tracker.rescue_diverged`) and the re-track ladder
 (:func:`~repro.tracker.retrack_duplicate_clusters`) requeue fronts of
-their own.  ``solve(mode=...)`` only says how
-many rows a front gets: ``"batch"`` a whole tree level, ``"per_path"`` one
-edge (the paper's unit of work, depth first).  A row is tracked the same
-whatever rows travel with it, so the solution sets agree.
+their own.  :meth:`PieriSolver.solve` tracks the tree level by level,
+each level one front; a row is tracked the same whatever rows travel
+with it, so a caller that hands the driver other fronts (the parallel
+scheduler's bundles, Table III's one edge a front in
+:mod:`repro.experiments.tables`) finds the same solutions.
 """
 
 from __future__ import annotations
@@ -287,14 +289,10 @@ class PieriSolver:
     >>> report.max_residual() < 1e-8 and report.all_distinct()
     True
 
-    That tracked whole tree levels as stacked SoA fronts (one record per
-    level in ``level_batches``); ``mode="per_path"`` tracks one edge per
-    front, depth first, and finds the same solutions:
+    That tracked whole tree levels as stacked SoA fronts, one record per
+    level in ``level_batches``:
 
     >>> len(report.level_batches) == instance.problem.num_conditions
-    True
-    >>> per_path = PieriSolver(instance, seed=2).solve(mode="per_path")
-    >>> per_path.n_solutions == report.n_solutions
     True
     """
 
@@ -363,10 +361,6 @@ class PieriSolver:
         root = PieriTreeNode(self.problem)
         start = trivial_solution_matrix(self.problem)
         return [PieriJob(child, start) for child in root.children()]
-
-    def run_job(self, job: PieriJob) -> PieriJobResult:
-        """Track one edge: the one-row case of :meth:`run_jobs_batched`."""
-        return self.run_jobs_batched([job])[0][0]
 
     # ------------------------------------------------------------------
     # Batched tracking: a whole tree level as one stacked SoA front
@@ -487,19 +481,16 @@ class PieriSolver:
     # ------------------------------------------------------------------
     def solve(
         self,
-        mode: Literal["per_path", "batch"] = "batch",
+        mode: Literal["batch"] = "batch",
         cache=None,
     ) -> PieriReport:
         """Sequential solve of the whole tree.
 
-        ``batch`` (default) runs the tree level-synchronously, tracking
-        every edge of a level as one stacked structure-of-arrays front
-        and recording per-level batch stats in ``report.level_batches``;
-        ``per_path`` runs it depth first, one edge per front (the
-        paper's unit of work, several times the Python overhead per
-        path).  Both modes build identical homotopies and a row is
-        tracked the same whatever travels with it, so the solution sets
-        agree.
+        The tree runs level-synchronously: every edge of a level is one
+        stacked structure-of-arrays front, and ``report.level_batches``
+        records the per-level batch stats.  ``mode`` names that one
+        front width, ``"batch"``; anything else raises ``ValueError``
+        before any tree or store work.
 
         ``cache`` (an :class:`~repro.artifacts.ArtifactStore`, a path,
         or ``True`` for the ``$REPRO_ARTIFACT_STORE`` default) turns on
@@ -513,7 +504,7 @@ class PieriSolver:
         ab-initio tree (cached data can steer the route, never the
         answer).
         """
-        if mode not in ("per_path", "batch"):
+        if mode != "batch":
             raise ValueError(f"unknown mode {mode!r}")
         store = None
         if cache is not None:
@@ -521,10 +512,10 @@ class PieriSolver:
 
             store = resolve_store(cache)
         if store is not None:
-            report = self._solve_warm(store, mode)
+            report = self._solve_warm(store)
             if report is not None:
                 return report
-        report = self._solve_tree(mode)
+        report = self._solve_tree()
         if store is not None:
             from ..artifacts import pieri_fingerprint, store_pieri_generic
 
@@ -552,7 +543,7 @@ class PieriSolver:
                 report.cache["stored"] = True
         return report
 
-    def _solve_warm(self, store, mode: str) -> Optional[PieriReport]:
+    def _solve_warm(self, store) -> Optional[PieriReport]:
         """Serve the query from a cached solved generic instance.
 
         Returns ``None`` — caller falls back to the ab-initio tree —
@@ -576,7 +567,6 @@ class PieriSolver:
             self.instance,
             options=self.tracker.options,
             rng=rng,
-            mode=mode,
         )
         if any(not r.success for r in results):
             return None
@@ -605,23 +595,17 @@ class PieriSolver:
         }
         return report
 
-    def _solve_tree(self, mode: str) -> PieriReport:
-        """Ab-initio solve of the whole tree; ``mode`` only says how many
-        edges a front gets: a whole level (``"batch"``, level-synchronous)
-        or one (``"per_path"``, depth first, each edge timed on its own)."""
+    def _solve_tree(self) -> PieriReport:
+        """Ab-initio solve of the whole tree, one front a level."""
         t_start = time.perf_counter()
         report = PieriReport(self.instance, options=self.tracker.options.echo())
-        pending = self.initial_jobs()
-        while pending:
-            if mode == "batch":
-                front, pending = pending, []
-            else:
-                front = [pending.pop()]
+        front = self.initial_jobs()
+        while front:
             t0 = time.perf_counter()
             results, stats = self.run_jobs_batched(front)
             dt = time.perf_counter() - t0
-            pending.extend(
-                report.record_front(front, [r.matrix for r in results], stats, dt)
+            front = report.record_front(
+                front, [r.matrix for r in results], stats, dt
             )
         report.total_seconds = time.perf_counter() - t_start
         return report

@@ -334,7 +334,7 @@ class SolveService:
             # generic instance the rest of the group continues from
             route = "cold"
             report = PieriSolver(instances[0], seed=self.seed).solve(
-                mode="batch", cache=self.store
+                cache=self.store
             )
             responses[0] = self._pieri_response(
                 queries[0], report.solutions, report.cache
@@ -383,7 +383,7 @@ class SolveService:
         self.stats["cold_queries"] += 1
         if tel is not None:
             tel.count("serve.fallback")
-        report = PieriSolver(instance, seed=self.seed).solve(mode="batch")
+        report = PieriSolver(instance, seed=self.seed).solve()
         note = dict(report.cache or {})
         note["fallback"] = True
         return self._pieri_response(query, report.solutions, note)
@@ -409,7 +409,6 @@ class SolveService:
             report = solve(
                 system,
                 start=query.get("start", "polyhedral"),
-                mode="batch",
                 rng=np.random.default_rng(
                     [self.seed, int(query.get("seed", 0))]
                 ),

@@ -305,7 +305,8 @@ def _report_payload(journal: SweepJournal, records: dict, manifest) -> dict:
             "result": record.get("result", {}),
         }
         # record-level extras (non-deterministic, segregated from result)
-        for key in ("kernel_cache", "telemetry_seconds", "artifacts"):
+        for key in ("kernel_cache", "telemetry_seconds", "artifacts",
+                    "level_seconds"):
             if record.get(key):
                 row[key] = record[key]
         jobs.append(row)
@@ -326,12 +327,25 @@ def _report_payload(journal: SweepJournal, records: dict, manifest) -> dict:
     telemetry = aggregate_job_telemetry(records.values())
     if telemetry:
         payload["telemetry"] = telemetry
-    if journal.spec_path.exists():
-        spec = SweepSpec.load(journal.spec_path)
+    spec, error = _journal_spec(journal)
+    if error:
+        payload["spec_error"] = error
+    if spec is not None:
         payload["name"] = spec.name
         payload["n_jobs"] = spec.n_jobs
         payload["pending"] = [j for j in spec.job_ids() if j not in records]
     return payload
+
+
+def _journal_spec(journal: SweepJournal):
+    """``(spec, None)``, ``(None, reason)`` for a spec that no longer
+    loads (an axis since deleted), or ``(None, None)`` without one."""
+    if not journal.spec_path.exists():
+        return None, None
+    try:
+        return SweepSpec.load(journal.spec_path), None
+    except ValueError as exc:
+        return None, str(exc)
 
 
 def _cmd_report(args) -> int:
@@ -415,7 +429,6 @@ def _cmd_report(args) -> int:
                     line += f" multiplicities={{{pairs}}}"
         else:
             line = (f"    {job_id}: start=pieri-tree "
-                    f"mode={result.get('mode', 'per_path')} "
                     f"paths={result.get('expected', '?')} "
                     f"solutions={result.get('n_solutions', '?')}")
         artifacts = record.get("artifacts") or {}
@@ -441,8 +454,10 @@ def _cmd_report(args) -> int:
             print(f"    {worker_id}: busy {busy:.2f}s")
     if args.telemetry:
         _print_telemetry(aggregate_job_telemetry(records.values()))
-    if journal.spec_path.exists():
-        spec = SweepSpec.load(journal.spec_path)
+    spec, error = _journal_spec(journal)
+    if error:
+        print(f"  pending: unknown, the spec no longer loads ({error})")
+    if spec is not None:
         pending = [j for j in spec.job_ids() if j not in records]
         if pending:
             print(f"  pending ({len(pending)}): "

@@ -20,13 +20,12 @@ Schedules — how the pending list is cut into the units the one
   coarser and a skewed job mix leaves workers idle (simulated in
   ``tests/test_simcluster.py::TestStaticVsDynamic``).
 
-Polynomial-system jobs route through :func:`repro.homotopy.solve` with
-``mode="batch"`` (one structure-of-arrays front) and the job's
-start-system strategy — ``total_degree``, ``linear_product``, or
-``polyhedral``, which tracks one path per unit of mixed volume; Pieri
-jobs run the tree solver per instance, with one edge per front
-(``mode="per_path"``) or with whole tree levels tracked as stacked SoA
-fronts (``mode="batch"``, journaling the per-level batch stats).
+Polynomial-system jobs route through :func:`repro.homotopy.solve` (one
+structure-of-arrays front) with the job's start-system strategy —
+``total_degree``, ``linear_product``, or ``polyhedral``, which tracks
+one path per unit of mixed volume; Pieri jobs run the tree solver per
+instance, whole tree levels tracked as stacked SoA fronts, and journal
+the per-level batch stats.
 Workers self-report busy seconds and identity, exactly like
 :mod:`repro.parallel.executors`.
 """
@@ -150,19 +149,16 @@ def run_job(job: JobSpec) -> dict:
         from ..artifacts import default_store
 
         store = default_store()
-    cache_route = None
+    cache_route = level_seconds = None
     if job.kind == "pieri":
         from ..schubert import PieriInstance, PieriSolver
 
         instance = PieriInstance.random(
             params["m"], params["p"], params["q"], rng
         )
-        report = PieriSolver(instance, seed=job.seed).solve(
-            mode=job.mode, cache=store
-        )
+        report = PieriSolver(instance, seed=job.seed).solve(cache=store)
         cache_route = report.cache
         result = {
-            "mode": job.mode,
             "n_solutions": report.n_solutions,
             "expected": report.expected_count(),
             "failures": report.failures,
@@ -172,22 +168,22 @@ def run_job(job: JobSpec) -> dict:
                 else int(np.ceil(np.log10(max(report.max_residual(), 1e-300))))
             ),
             "fingerprint": solutions_fingerprint(report.solutions),
-        }
-        if job.mode == "batch":
-            # per-level batch stats (sizes, shared homotopies, requeues)
-            # so a journal replay can reconstruct the batching behaviour
-            result["levels"] = [
-                {k: round(v, 6) if isinstance(v, float) else v
-                 for k, v in rec.items()}
+            # per-level batch stats: sizes, shared homotopies, requeues,
+            # effort (a level's wall seconds ride at record level)
+            "levels": [
+                {k: v for k, v in rec.items() if k != "seconds"}
                 for rec in report.level_batches
-            ]
+            ],
+        }
+        level_seconds = [
+            round(rec["seconds"], 6) for rec in report.level_batches
+        ]
     else:
         from ..homotopy import solve
 
         report = solve(
             _build_system(job.kind, params, rng),
             start=job.start,
-            mode="batch",
             rng=rng,
             endgame=job.endgame,
             kernel=job.kernel,
@@ -257,6 +253,9 @@ def run_job(job: JobSpec) -> dict:
         "seed": job.seed,
         "result": result,
     }
+    if level_seconds is not None:
+        # wall seconds, in ``result["levels"]`` order: not replayable
+        record["level_seconds"] = level_seconds
     if store is not None:
         # record level, not result level: whether a replay lands warm or
         # cold depends on what other jobs stored first, and journaled

@@ -19,11 +19,11 @@ A spec is JSON, with explicit jobs and/or cartesian grids::
     }
 
 Besides its kind, parameters and seed a job (and a grid, as an axis)
-takes six optional settings, each described once in :data:`AXES`:
-``start``, ``mode``, ``endgame``, ``kernel``, ``cache`` and
-``predictor``.  Leaving one out means its default, which leaves the job
-id — and hence old journals — untouched.  Unknown keys are rejected: a
-misspelt axis would otherwise run the default sweep silently.
+takes five optional settings, each described once in :data:`AXES`:
+``start``, ``endgame``, ``kernel``, ``cache`` and ``predictor``.
+Leaving one out means its default, which leaves the job id — and hence
+old journals — untouched.  Unknown keys are rejected: a misspelt axis
+would otherwise run the default sweep silently.
 
 Every job has a deterministic, human-readable :attr:`JobSpec.job_id`
 (e.g. ``pieri-m2-p2-q1-s0``) that keys the checkpoint journal, and a
@@ -69,11 +69,6 @@ AXES: Dict[str, tuple] = {
         ("total_degree", "linear_product", "polyhedral"),
         "pieri jobs run the tree solver and take no start strategy",
     ),
-    # how many edges a Pieri front gets: per_path one (depth first, the
-    # paper's unit of work), batch a whole tree level as one stacked SoA
-    # front (repro.schubert.solver.PieriSolver.solve).  Polynomial jobs
-    # always track one wide front and take no mode
-    "mode": (("per_path", "batch"), None),
     # refine is the plain Newton sharpen; cauchy recovers singular
     # endpoints with winding-number loops and journals each job's
     # multiplicity histogram
@@ -120,7 +115,6 @@ class JobSpec:
     params: tuple
     seed: int = 0
     start: str = "total_degree"
-    mode: str = "per_path"
     endgame: str = "refine"
     kernel: str = "naive"
     cache: str = "off"
@@ -140,11 +134,6 @@ class JobSpec:
                 )
             if kind == "pieri" and pieri_reason and value != choices[0]:
                 raise ValueError(pieri_reason)
-        if kind != "pieri" and self.mode != "per_path":
-            raise ValueError(
-                "only pieri jobs take a tracking mode (polynomial jobs "
-                "always run the batch tracker)"
-            )
         if self.cache == "on" and kind != "pieri" and self.start != "polyhedral":
             raise ValueError(
                 "cache='on' needs a structure to key on: pieri jobs or "
@@ -177,7 +166,7 @@ class JobSpec:
         """Deterministic human-readable identity, e.g. ``pieri-m2-p2-q1-s0``.
 
         Every axis off its default joins the id in :data:`AXES` order
-        (e.g. ``cyclic-n7-polyhedral-s0``, ``pieri-m2-p2-q1-batch-s0``),
+        (e.g. ``cyclic-n7-polyhedral-s0``, ``pieri-m2-p2-q1-cache-s0``),
         so the same system solved two ways makes two distinct journal
         entries; default ids match pre-existing journals exactly.
         """

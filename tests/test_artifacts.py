@@ -227,7 +227,9 @@ class TestPieriRoute:
         assert len(instance.planes) == n and len(instance.points) == n
         assert load_pieri_generic(store, 3, 3, 0) is None  # other shape
 
-    def test_duplicated_endpoint_does_not_poison_the_store(self, tmp_path):
+    def test_duplicated_endpoint_does_not_poison_the_store(
+        self, tmp_path, monkeypatch
+    ):
         """Regression (found sizing PR 16): on this (2,2,2) instance a
         path of the last level jumps onto a neighbour under
         ``predictor="euler"``, and the tree solve used to return 32
@@ -235,19 +237,25 @@ class TestPieriRoute:
         it cost every warm query a root.
 
         A front that holds both paths now re-tracks them; one that does
-        not (one edge a front) books the second copy as a failure.
-        Neither route stores a root short, and the default cubic keeps
-        the two paths apart in the first place."""
+        not (one edge a front, Table III's clock) books the second copy
+        as a failure.  A tree solve that comes back a root short is not
+        stored, and the default cubic keeps the two paths apart in the
+        first place."""
+        from repro.experiments.tables import _solve_edge_by_edge
+
         rng = np.random.default_rng([0, 2])
         seed = int(rng.integers(2**31))
         instance = PieriInstance.random(2, 2, 2, rng)
         euler = dataclasses.replace(
             PieriSolver.DEFAULT_OPTIONS, predictor="euler"
         )
-        store = ArtifactStore(tmp_path / "per_path")
+        store = ArtifactStore(tmp_path / "edge_by_edge")
+        # the cold tree solve handed one edge a front
+        monkeypatch.setattr(PieriSolver, "_solve_tree", _solve_edge_by_edge)
         cold = PieriSolver(instance, options=euler, seed=seed).solve(
-            mode="per_path", cache=store
+            cache=store
         )
+        monkeypatch.undo()
         assert cold.failures == 1 and cold.n_solutions == 31
         assert cold.all_distinct()
         assert cold.cache["status"] == "cold"

@@ -275,9 +275,10 @@ class TestScalarParity:
             assert not any(front[i].success for i in (7, 44, 45))
 
     def test_pieri_edge_is_row_of_the_level_front_under_cubic(self):
-        """The Pieri default's history is per row: an edge tracked alone
-        ends where its row of the level-wide front does (1e-8, not bits:
-        the bracket GEMMs round by shape)."""
+        """The Pieri default's history is per row: an edge tracked alone,
+        a one-job ``run_jobs_batched`` front, ends where its row of the
+        level-wide front does (1e-8, not bits: the bracket GEMMs round
+        by shape)."""
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(21))
         solver = PieriSolver(instance, seed=22)
         assert solver.tracker.options.predictor == "cubic"
@@ -286,20 +287,13 @@ class TestScalarParity:
         while jobs:
             wide, stats = solver.run_jobs_batched(jobs)
             for job, row in zip(jobs, wide):
-                one = solver.run_job(job)
+                (one,), _ = solver.run_jobs_batched([job])
                 assert one.path_result.status == row.path_result.status
                 assert np.max(np.abs(one.matrix - row.matrix)) < 1e-8
             jobs = report.record_front(
                 jobs, [r.matrix for r in wide], stats, 0.0
             )
         assert report.failures == 0 and report.n_solutions == 8
-
-    def test_solve_mode_batch_matches_per_path(self):
-        target = cyclic_roots_system(4)
-        per_path = solve(target, rng=np.random.default_rng(5), mode="per_path")
-        batch = solve(target, rng=np.random.default_rng(5), mode="batch")
-        assert per_path.n_solutions == batch.n_solutions
-        assert per_path.summary["success"] == batch.summary["success"]
 
     def test_solve_rejects_unknown_mode(self, monkeypatch):
         with pytest.raises(ValueError):

@@ -309,10 +309,11 @@ class TestBracketChart:
         assert np.allclose(pi @ s ** np.arange(chart.degrees), minors)
 
     @pytest.mark.parametrize("npts", [1, B - 1, B, B + 1, 3 * B + 5])
-    def test_replay_multiplies_the_monomials_as_np_prod(self, npts):
-        """The monomials are bit for bit ``np.prod``'s reduce at every
-        front width, for p = 1 (the empty product) to p = 4: at p = 2
-        the product is a gather."""
+    def test_monomials_of_a_row_do_not_depend_on_the_front(self, npts):
+        """Each row's monomials are bit for bit the ones it gets alone,
+        for p = 1 (the empty product) to p = 4; at p <= 2 the replay is
+        still bit for bit ``np.prod``'s (at p = 2 the product is a
+        gather), so those solves keep their bits."""
         for shape in [(2, 1, 1), (2, 2, 1), (2, 3, 0), (1, 4, 0)]:
             rng = np.random.default_rng([npts, *shape])
             hom = PieriParameterHomotopy(
@@ -322,6 +323,13 @@ class TestBracketChart:
             )
             chart, tape = hom._chart, hom._pluecker
             y = chart.extend(_points(rng, npts, hom.dim))
+            front = chart._products(y)
+            assert front.shape == (npts, chart._monomials.shape[1]), shape
+            for i in range(npts):
+                alone = chart._products(y[i : i + 1])
+                assert alone.tobytes() == front[i : i + 1].tobytes(), (shape, i)
+            if chart.p > 2:
+                continue
             monomials = np.prod(y[:, chart._monomials], axis=1)
             grad = np.matmul(monomials, tape).transpose(1, 0, 2)
             value = np.matmul(grad, (y * chart._first)[:, :, None])[:, :, 0]

@@ -878,22 +878,27 @@ def test_tape_shares_power_products_across_equations():
 
 
 def test_solve_scalar_batch_parity_with_slp_kernel():
-    a = solve(
-        katsura_system(3),
-        mode="per_path",
-        rng=np.random.default_rng(11),
-        kernel="slp",
+    """An slp solve's front tracks every path as a one-row front of the
+    same homotopy does: status and effort, row for row."""
+    from repro.homotopy import make_homotopy_and_starts
+    from repro.tracker import PathTracker, TrackerOptions
+
+    report = solve(
+        katsura_system(3), rng=np.random.default_rng(11), kernel="slp"
     )
-    b = solve(
-        katsura_system(3),
-        mode="batch",
-        rng=np.random.default_rng(11),
-        kernel="slp",
+    homotopy, starts = make_homotopy_and_starts(
+        katsura_system(3), rng=np.random.default_rng(11), kernel="slp"
     )
-    assert len(a.results) == len(b.results)
-    for ra, rb in zip(a.results, b.results):
-        assert ra.status == rb.status
-        assert np.array_equal(ra.solution, rb.solution)
+    tracker = PathTracker(TrackerOptions())
+    assert len(report.results) == len(starts)
+    for i, row in enumerate(report.results):
+        one = tracker.track(homotopy, starts[i], path_id=i)
+        assert one.status == row.status
+        for counter in ("steps_accepted", "steps_rejected",
+                        "newton_iterations", "jacobian_evaluations"):
+            assert getattr(one.stats, counter) == getattr(row.stats, counter)
+        if one.success:
+            assert np.max(np.abs(one.solution - row.solution)) < 1e-8
 
 
 def test_solve_slp_finds_the_same_roots_as_default():

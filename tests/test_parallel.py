@@ -401,7 +401,7 @@ class TestParallelPieri:
     @pytest.mark.parametrize("shape", [(2, 2, 0), (2, 2, 1), (3, 2, 0)])
     def test_bundles_match_sequential(self, shape, n_workers, mode):
         """Whatever bundles the moment forms, the solution set is the
-        sequential edge-at-a-time one and every level counts its edges
+        sequential level-by-level one and every level counts its edges
         (the serial pool is one worker whatever ``n_workers`` asks)."""
         self._assert_bundles_match_sequential(shape, n_workers, mode)
 
@@ -420,7 +420,7 @@ class TestParallelPieri:
     @staticmethod
     def _assert_bundles_match_sequential(shape, n_workers, mode):
         instance = PieriInstance.random(*shape, np.random.default_rng(21))
-        seq = PieriSolver(instance, seed=22).solve(mode="per_path")
+        seq = PieriSolver(instance, seed=22).solve()
         par = solve_pieri_parallel(
             instance, n_workers=n_workers, mode=mode, seed=22
         )

@@ -1,12 +1,10 @@
 """Batched Pieri tracking: StackedHomotopy and the one job driver.
 
-Every edge goes through ``PieriSolver.run_jobs_batched``; ``mode`` only
-says how many edges a front gets.  Solving a Pieri instance with
-``mode="batch"`` (whole tree levels as stacked SoA fronts) must agree
-with ``mode="per_path"`` (one edge per front) — equal failure statuses
-and endpoints matching to 1e-8 — across (m, p, q) cells, including runs
-that exercise the retry ladder and chart-switch requeues, plus the
-``continue_to_instance`` online phase.
+Every edge goes through ``PieriSolver.run_jobs_batched``, and the tree
+solve tracks each level as one stacked SoA front: the retry ladder and
+chart-switch requeues inside those fronts, the per-level records and
+effort, the pinned bits, the ``continue_to_instance`` online phase and
+the sweep's Pieri jobs.
 """
 
 import dataclasses
@@ -30,7 +28,7 @@ from repro.schubert.homotopy import evaluate_map
 from repro.schubert.parameter import PieriParameterHomotopy
 from repro.schubert.solver import EFFORT_KEYS
 from repro.sweep import JobSpec
-from repro.sweep.engine import run_job
+from repro.sweep.engine import run_job, solutions_fingerprint
 from repro.tracker import (
     BatchHomotopy,
     BatchTracker,
@@ -233,7 +231,7 @@ class TestBitwisePins:
     def test_batch_solve_is_pinned(self, shape):
         rng_seed, seed = PIN_SEEDS[shape]
         instance = PieriInstance.random(*shape, np.random.default_rng(rng_seed))
-        report = PieriSolver(instance, seed=seed).solve(mode="batch")
+        report = PieriSolver(instance, seed=seed).solve()
         assert report.failures == 0
         assert _solve_digest(report) == PINS[shape]
 
@@ -339,40 +337,8 @@ class TestPieriEdgeBatchProtocol:
 
 
 class TestSolverParity:
-    """Acceptance: statuses equal, endpoints to 1e-8, per (m, p, q)."""
-
-    @pytest.mark.parametrize(
-        "m,p,q", [(2, 2, 0), (3, 2, 0), (2, 3, 0), (2, 2, 1)]
-    )
-    def test_solve_modes_agree(self, m, p, q):
-        instance = PieriInstance.random(m, p, q, np.random.default_rng(11))
-        per_path = PieriSolver(instance, seed=12).solve(mode="per_path")
-        batch = PieriSolver(instance, seed=12).solve(mode="batch")
-        assert batch.failures == per_path.failures
-        assert batch.n_solutions == per_path.n_solutions
-        _assert_same_solution_sets(per_path.solutions, batch.solutions)
-        assert batch.jobs_per_level == per_path.jobs_per_level
-        assert len(batch.level_batches) == instance.problem.num_conditions
-        assert all(r["n_jobs"] >= 1 for r in batch.level_batches)
-
-    def test_run_jobs_batched_matches_run_job(self):
-        """``run_job`` is the one-row case of the level's stacked front
-        (to 1e-8, not bitwise: the bracket GEMMs round by shape)."""
-        instance = PieriInstance.random(2, 2, 1, np.random.default_rng(21))
-        solver = PieriSolver(instance, seed=22)
-        report = PieriReport(instance)
-        frontier = solver.initial_jobs()
-        while frontier:
-            batched, stats = solver.run_jobs_batched(frontier)
-            assert stats["n_jobs"] == len(frontier)
-            for job, b in zip(frontier, batched):
-                a = solver.run_job(job)
-                assert a.path_result.status == b.path_result.status
-                assert b.success and np.max(np.abs(a.matrix - b.matrix)) < 1e-8
-            frontier = report.record_front(
-                frontier, [b.matrix for b in batched], stats, 0.0
-            )
-        assert report.n_solutions == report.expected_count()
+    """The level fronts' ladder and chart switch, and the job driver's
+    input checks."""
 
     def test_batch_rejects_mixed_levels(self):
         instance = PieriInstance.random(2, 2, 0, np.random.default_rng(1))
@@ -390,7 +356,8 @@ class TestSolverParity:
         assert set(zeros.values()) == {0}
 
     def test_retry_ladder_parity(self):
-        """Coarse steps force failures; both modes walk the same ladder."""
+        """Coarse steps force failures; the level fronts climb the
+        ladder and still deliver every root."""
         stress = TrackerOptions(
             initial_step=0.4,
             max_step=0.4,
@@ -400,30 +367,23 @@ class TestSolverParity:
             expand_after=2,
         )
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(0))
-        per_path = PieriSolver(instance, options=stress, seed=0).solve(
-            mode="per_path"
-        )
-        batch = PieriSolver(instance, options=stress, seed=0).solve(
-            mode="batch"
-        )
+        batch = PieriSolver(instance, options=stress, seed=0).solve()
         assert sum(r["retries"] for r in batch.level_batches) > 0
-        assert batch.failures == per_path.failures
-        _assert_same_solution_sets(per_path.solutions, batch.solutions)
+        assert batch.failures == 0 and batch.n_solutions == 8
+        assert batch.all_distinct() and batch.max_residual() < 1e-8
 
     def test_chart_switch_requeue_parity(self):
-        """A tight divergence bound forces chart switches in both modes."""
+        """A tight divergence bound forces chart switches; the switched
+        rows still end at every root."""
         opts = dataclasses.replace(
             PieriSolver.DEFAULT_OPTIONS, divergence_bound=20.0
         )
         instance = PieriInstance.random(2, 2, 1, np.random.default_rng(0))
-        per_path = PieriSolver(instance, options=opts, seed=0).solve(
-            mode="per_path"
-        )
-        batch = PieriSolver(instance, options=opts, seed=0).solve(mode="batch")
+        batch = PieriSolver(instance, options=opts, seed=0).solve()
         assert sum(r["chart_switches"] for r in batch.level_batches) > 0
-        assert batch.failures == per_path.failures == 0
+        assert batch.failures == 0
         assert batch.n_solutions == 8
-        _assert_same_solution_sets(per_path.solutions, batch.solutions)
+        assert batch.all_distinct() and batch.max_residual() < 1e-8
 
     def test_retry_options_preserve_unlisted_fields(self, monkeypatch):
         """Every rung of the ladder runs ``tighten_options`` of the one
@@ -482,19 +442,19 @@ class TestCubicDefaultGate:
         assert batch.effort("newton_iterations") < euler.effort(
             "newton_iterations"
         )
-        # history is per track call and per row, so a row is tracked the
-        # same whatever travels with it: one edge a front returns the
-        # level-wide fronts' matrices.  On this instance every per-level
-        # counter agrees too (as under euler; the bracket GEMMs round by
-        # shape, so that is a property of the instance, not a law — seed
-        # 5 differs in one endgame sweep).
-        per_path = PieriSolver(instance, seed=3).solve(mode="per_path")
-        assert per_path.failures == 0 and per_path.options == batch.options
-        _assert_same_solution_sets(batch.solutions, per_path.solutions)
-        for mine, theirs in zip(batch.level_batches, per_path.level_batches):
-            assert mine["level"] == theirs["level"]
+        # every level books its own effort, and the tree's is their sum
+        assert [r["level"] for r in batch.level_batches] == list(
+            range(1, instance.problem.num_conditions + 1)
+        )
+        for report in (euler, batch):
+            for record in report.level_batches:
+                assert record["steps_accepted"] >= record["n_jobs"]
+                assert record["jacobian_evaluations"] > 0
+                assert record["newton_iterations"] > 0
             for key in EFFORT_KEYS:
-                assert mine[key] == theirs[key], (mine["level"], key)
+                assert report.effort(key) == sum(
+                    r[key] for r in report.level_batches
+                )
         # two workers' bundles are as wide as the moment allowed, so only
         # what does not depend on width is asserted of them
         par = solve_pieri_parallel(instance, n_workers=2, seed=3)
@@ -572,22 +532,9 @@ class TestContinuationBatch:
     @pytest.fixture(scope="class")
     def solved_base(self):
         base = PieriInstance.random(2, 2, 1, np.random.default_rng(31))
-        report = PieriSolver(base, seed=32).solve(mode="batch")
+        report = PieriSolver(base, seed=32).solve()
         assert report.n_solutions == 8
         return base, report.solutions
-
-    def test_batch_matches_per_path(self, solved_base):
-        base, sols = solved_base
-        target = PieriInstance.random(2, 2, 1, np.random.default_rng(33))
-        sp, rp = continue_to_instance(
-            base, sols, target, rng=np.random.default_rng(34), mode="per_path"
-        )
-        sb, rb = continue_to_instance(
-            base, sols, target, rng=np.random.default_rng(34), mode="batch"
-        )
-        assert [r.status for r in rb] == [r.status for r in rp]
-        assert len(sb) == len(sp) == 8
-        _assert_same_solution_sets(sp, sb)
 
     def test_parameter_homotopy_batch_protocol(self, solved_base):
         base, sols = solved_base
@@ -633,29 +580,35 @@ class TestContinuationBatch:
 class TestSweepBatchMode:
     def test_job_ids_and_roundtrip(self):
         a = JobSpec("pieri", {"m": 2, "p": 2, "q": 0}, seed=3)
-        b = JobSpec("pieri", {"m": 2, "p": 2, "q": 0}, seed=3, mode="batch")
         assert a.job_id == "pieri-m2-p2-q0-s3"
-        assert b.job_id == "pieri-m2-p2-q0-batch-s3"
-        assert JobSpec.from_dict(b.to_dict()) == b
+        assert JobSpec.from_dict(a.to_dict()) == a
         assert "mode" not in a.to_dict()
-        with pytest.raises(ValueError):
-            JobSpec("cyclic", {"n": 5}, mode="batch")
-        with pytest.raises(ValueError):
-            JobSpec("pieri", {"m": 2, "p": 2, "q": 0}, mode="bogus")
+        # the deleted axis is an unknown key, named in the refusal
+        with pytest.raises(ValueError, match="mode"):
+            JobSpec.from_dict({**a.to_dict(), "mode": "batch"})
 
     def test_batch_job_journals_level_stats(self):
-        per_path = run_job(JobSpec("pieri", {"m": 2, "p": 2, "q": 0}, seed=3))
-        batch = run_job(
-            JobSpec("pieri", {"m": 2, "p": 2, "q": 0}, seed=3, mode="batch")
-        )
-        assert batch["result"]["mode"] == "batch"
-        levels = batch["result"]["levels"]
+        record = run_job(JobSpec("pieri", {"m": 2, "p": 2, "q": 0}, seed=3))
+        result = record["result"]
+        assert "mode" not in result
+        levels = result["levels"]
         assert [rec["level"] for rec in levels] == [1, 2, 3, 4]
         assert all(
-            set(rec) >= {"n_jobs", "n_homotopies", "chart_switches", "retries"}
+            set(rec) >= {"n_jobs", "n_homotopies", "chart_switches", "retries",
+                         *EFFORT_KEYS}
             for rec in levels
         )
-        # the batched solve finds the identical solution set
-        assert (
-            batch["result"]["fingerprint"] == per_path["result"]["fingerprint"]
-        )
+        # the wall seconds ride at record level, one a level
+        assert all("seconds" not in rec for rec in levels)
+        assert len(record["level_seconds"]) == len(levels)
+        assert all(sec > 0 for sec in record["level_seconds"])
+        # the journaled fingerprint is the tree solve's solution set
+        instance = PieriInstance.random(2, 2, 0, np.random.default_rng(3))
+        report = PieriSolver(instance, seed=3).solve()
+        assert result["fingerprint"] == solutions_fingerprint(report.solutions)
+
+    def test_pieri_results_replay_identically(self):
+        """A sweep's resume identity: the ``result`` of one pieri job
+        spec is the same dict on every run."""
+        job = JobSpec("pieri", {"m": 2, "p": 2, "q": 0}, seed=3)
+        assert run_job(job)["result"] == run_job(job)["result"]

@@ -518,20 +518,6 @@ class TestPhase1OneTapeGate:
 # ---------------------------------------------------------------------------
 
 
-def _solution_sets_match(a, b, tol=1e-8):
-    if len(a) != len(b):
-        return False
-    used = set()
-    for x in a:
-        for i, y in enumerate(b):
-            if i not in used and np.max(np.abs(x - y)) < tol:
-                used.add(i)
-                break
-        else:
-            return False
-    return True
-
-
 class TestPolyhedralSolveParity:
     @pytest.mark.parametrize(
         "system,expected",
@@ -573,14 +559,3 @@ class TestPolyhedralSolveParity:
             ).cells
         )
 
-    def test_per_path_mode_matches_batch(self):
-        sys_ = cyclic_roots_system(3)
-        a = solve(
-            sys_, start="polyhedral", mode="per_path",
-            rng=np.random.default_rng(4),
-        )
-        b = solve(
-            sys_, start="polyhedral", mode="batch",
-            rng=np.random.default_rng(4),
-        )
-        assert _solution_sets_match(a.solutions, b.solutions)

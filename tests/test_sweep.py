@@ -103,16 +103,13 @@ class TestJobSpec:
             "cyclic-n6-polyhedral-cache-s4":
                 JobSpec("cyclic", {"n": 6}, 4, "polyhedral", cache="on"),
             "cyclic-n5-polyhedral-cauchy-slp-cache-hermite-s0": JobSpec(
-                "cyclic", {"n": 5}, 0, "polyhedral", "per_path", "cauchy",
-                "slp", "on", "hermite",
+                "cyclic", {"n": 5}, 0, "polyhedral", "cauchy", "slp", "on",
+                "hermite",
             ),
             "katsura-n5-slp-hermite-s7":
                 JobSpec("katsura", {"n": 5}, 7, kernel="slp", predictor="hermite"),
             "pieri-m2-p2-q1-s0": JobSpec("pieri", pieri),
-            "pieri-m2-p2-q1-batch-s5": JobSpec("pieri", pieri, 5, mode="batch"),
             "pieri-m2-p2-q1-cache-s0": JobSpec("pieri", pieri, cache="on"),
-            "pieri-m2-p2-q1-batch-cache-s1":
-                JobSpec("pieri", pieri, 1, mode="batch", cache="on"),
         }
         assert {j.job_id for j in golden.values()} == set(golden)
         for job_id, job in golden.items():
@@ -146,9 +143,9 @@ class TestJobSpec:
             {"kind": "cyclic", "n": 5, **every_axis, "start": "polyhedral",
              "cache": ["off", "on"]},
             {"kind": "pieri", "m": 2, "p": 2, "q": [0, 1],
-             "mode": ["per_path", "batch"], "cache": ["off", "on"]},
+             "cache": ["off", "on"]},
         ]})
-        assert spec.n_jobs == 2 * 48 + 32 + 8
+        assert spec.n_jobs == 2 * 48 + 32 + 4
         for job in spec.jobs:
             assert JobSpec.from_dict(job.to_dict()) == job
         assert SweepSpec.from_dict(spec.to_dict()).jobs == spec.jobs
@@ -737,3 +734,49 @@ class TestCLI:
         assert cauchy["multiplicity_histogram"] == {"1": 4}
         refine = by_id["katsura-n2-s0"]["result"]
         assert refine["endgame"] == "refine"
+
+    def test_report_reads_journals_from_before_the_mode_axis_went(
+        self, tmp_path, capsys
+    ):
+        """Pieri records journaled while jobs had a ``mode`` axis (one
+        edge a front by default, ``batch`` with per-level records and
+        their seconds) still load and print; a spec naming the axis is
+        reported as unreadable, not as a crash."""
+        journal = SweepJournal(tmp_path / "ck")
+        old_spec = {"name": "old", "jobs": [
+            {"kind": "pieri", "params": {"m": 2, "p": 2, "q": 0}, "seed": 0},
+            {"kind": "pieri", "params": {"m": 2, "p": 2, "q": 0}, "seed": 1,
+             "mode": "batch"},
+        ]}
+        journal.initialize(old_spec)
+        common = {"n_solutions": 2, "expected": 2, "failures": 0,
+                  "max_residual_exp": -12, "fingerprint": "f"}
+        level = {"level": 1, "seconds": 0.01, "n_jobs": 1, "n_homotopies": 1,
+                 "chart_switches": 0, "retries": 0, "collisions": 0}
+        with journal:
+            journal.append({
+                "job_id": "pieri-m2-p2-q0-s0", "kind": "pieri",
+                "params": {"m": 2, "p": 2, "q": 0}, "seed": 0,
+                "result": {"mode": "per_path", **common},
+                "seconds": 0.1, "worker": ["h", 1],
+            })
+            journal.append({
+                "job_id": "pieri-m2-p2-q0-batch-s1", "kind": "pieri",
+                "params": {"m": 2, "p": 2, "q": 0}, "seed": 1,
+                "result": {"mode": "batch", **common, "levels": [level]},
+                "seconds": 0.1, "worker": ["h", 1],
+            })
+        assert cli_main(["report", str(tmp_path / "ck")]) == 0
+        out = capsys.readouterr().out
+        assert "2 jobs done" in out
+        assert "pieri-m2-p2-q0-s0: start=pieri-tree paths=2" in out
+        assert "pieri-m2-p2-q0-batch-s1: start=pieri-tree paths=2" in out
+        assert "pending: unknown, the spec no longer loads" in out
+        assert cli_main(
+            ["report", str(tmp_path / "ck"), "--format", "json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_done"] == 2
+        assert "mode" in payload["spec_error"]
+        by_id = {row["job_id"]: row for row in payload["jobs"]}
+        assert by_id["pieri-m2-p2-q0-batch-s1"]["result"]["levels"] == [level]

@@ -321,7 +321,7 @@ def _solve_fingerprint(report):
 class TestDecisionParity:
     """trace_paths must never change what the tracker *does*."""
 
-    @pytest.mark.parametrize("mode", ["batch", "per_path"])
+    @pytest.mark.parametrize("mode", ["batch"])
     def test_solve_parity(self, mode):
         system = cyclic_roots_system(4)
         plain = solve(system, rng=np.random.default_rng(11), mode=mode)

@@ -229,7 +229,7 @@ def test_knob_budget():
         cls.__name__: len(inspect.signature(cls).parameters)
         for cls in (CauchyEndgame, ProjectivePatchHomotopy, SLPKernel)
     } == {"CauchyEndgame": 3, "ProjectivePatchHomotopy": 6, "SLPKernel": 4}
-    assert len(AXES) == 6
+    assert len(AXES) == 5
     # the local masters: one dispatcher call each
     n_parameters = {
         fn.__name__: len(inspect.signature(fn).parameters)
@@ -277,6 +277,50 @@ def test_pool_vocabulary(tmp_path, capsys):
         sweep_cli(run + ["--mode", "thread"])
     assert info.value.code == 2
     assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+
+def test_front_width_vocabulary(tmp_path, monkeypatch):
+    """Every solver tracks one front width, its widest: a tree level, or
+    every path of a solve.  A second width shows up in review as a
+    failed test, and the old one is rejected before anything is built."""
+    import importlib
+    import typing
+
+    from repro.schubert import PieriInstance, PieriSolver, continue_to_instance
+    from repro.sweep import JobSpec
+
+    for fn in (solve, PieriSolver.solve):
+        mode = inspect.signature(fn, eval_str=True).parameters["mode"]
+        assert typing.get_args(mode.annotation) == ("batch",)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the mode was checked")
+
+    # the module, which ``repro.homotopy.solve`` the function shadows
+    solve_mod = importlib.import_module("repro.homotopy.solve")
+    monkeypatch.setattr(solve_mod, "make_homotopy_and_starts", no_work)
+    monkeypatch.setattr(solve_mod, "_polyhedral_start", no_work)
+    monkeypatch.setattr(PieriSolver, "initial_jobs", no_work)
+    monkeypatch.setattr(PieriSolver, "_solve_warm", no_work)
+    target = PolynomialSystem([variables(1)[0] ** 2 - 1])
+    instance = PieriInstance.random(2, 2, 0, np.random.default_rng(0))
+    store = tmp_path / "store"
+    rejected = (
+        lambda: solve(target, mode="per_path"),
+        lambda: solve(target, start="polyhedral", mode="per_path"),
+        lambda: PieriSolver(instance).solve(mode="per_path", cache=store),
+    )
+    for call in rejected:
+        with pytest.raises(ValueError, match="unknown .*mode 'per_path'"):
+            call()
+    assert not store.exists()
+
+    assert "mode" not in inspect.signature(continue_to_instance).parameters
+    assert "mode" not in {f.name for f in dataclasses.fields(JobSpec)}
+    job = {"kind": "pieri", "params": {"m": 2, "p": 2, "q": 0}}
+    assert JobSpec.from_dict(job).job_id == "pieri-m2-p2-q0-s0"
+    with pytest.raises(ValueError, match="'mode'"):
+        JobSpec.from_dict({**job, "mode": "batch"})
 
 
 #: Public names that only tests call, each kept as the reference a test
