@@ -21,8 +21,9 @@ process-shared:
 Consumers: ``repro.homotopy.solve(..., cache=...)`` and
 ``PieriSolver.solve(cache=...)`` consult the store and route warm
 queries through coefficient-parameter continuation; ``repro.serve``
-batches concurrent warm queries into stacked fronts; the sweep engine
-shares one store across workers via ``$REPRO_ARTIFACT_STORE``.
+batches concurrent warm queries into stacked fronts.  The sweep engine
+takes no store: a warm route tracks other paths than a cold one, so a
+journaled result would depend on which job filled the store first.
 
 >>> import numpy as np, tempfile
 >>> from repro.schubert import PieriInstance, PieriSolver

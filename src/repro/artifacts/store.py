@@ -17,8 +17,7 @@ overwrites the winner's files with an equally complete artifact.
 Lookups and stores tick ambient :class:`~repro.telemetry.Telemetry`
 counters (``artifacts.hit`` / ``artifacts.miss`` /
 ``artifacts.corrupt`` / ``artifacts.store``) and a local ``stats``
-dict, so the hit economics show up in solve summaries and sweep
-reports.
+dict, so the hit economics can be read off the store itself.
 
 >>> import numpy as np, tempfile
 >>> store = ArtifactStore(tempfile.mkdtemp())
@@ -44,7 +43,7 @@ from ..telemetry import current_telemetry
 __all__ = ["ArtifactStore", "default_store", "resolve_store"]
 
 #: Environment variable naming the store root for worker processes
-#: (the sweep pool and the serve workers inherit it).
+#: (the serve workers inherit it).
 STORE_ENV = "REPRO_ARTIFACT_STORE"
 
 _FORMAT_VERSION = 1

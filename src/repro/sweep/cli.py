@@ -304,7 +304,9 @@ def _report_payload(journal: SweepJournal, records: dict, manifest) -> dict:
             "seconds": record.get("seconds"),
             "result": record.get("result", {}),
         }
-        # record-level extras (non-deterministic, segregated from result)
+        # record-level extras (non-deterministic, segregated from result);
+        # "artifacts" is the store route of records journaled while
+        # sweeps had a cache axis
         for key in ("kernel_cache", "telemetry_seconds", "artifacts",
                     "level_seconds"):
             if record.get(key):
@@ -431,13 +433,6 @@ def _cmd_report(args) -> int:
             line = (f"    {job_id}: start=pieri-tree "
                     f"paths={result.get('expected', '?')} "
                     f"solutions={result.get('n_solutions', '?')}")
-        artifacts = record.get("artifacts") or {}
-        route = artifacts.get("route") or {}
-        if route:
-            # which way the artifact store sent this job, and how many
-            # paths the warm/cold route actually tracked
-            line += (f" cache={route.get('status', '?')}"
-                     f"({route.get('n_paths', '?')} paths)")
         print(line)
     if manifest and manifest.get("abandoned"):
         # jobs the last run gave up on after their retries, and why

@@ -75,11 +75,14 @@ def solutions_fingerprint(solutions: Sequence[np.ndarray], digits: int = 6) -> s
 
     Two runs of the same seeded job produce the same fingerprint, so the
     kill/resume identity check can compare whole result sets without
-    storing every coordinate in the journal.
+    storing every coordinate in the journal.  ``+ 0.0`` turns a rounded
+    ``-0.0`` into ``0.0``: the sign of a zero is not part of a root, and
+    JSON would write it out.
     """
     canon = sorted(
         [
-            [round(float(v.real), digits), round(float(v.imag), digits)]
+            [round(float(v.real), digits) + 0.0,
+             round(float(v.imag), digits) + 0.0]
             for v in np.asarray(s, dtype=complex).ravel()
         ]
         for s in solutions
@@ -144,20 +147,14 @@ def run_job(job: JobSpec) -> dict:
     """
     params = job.param_dict
     rng = np.random.default_rng(job.seed)
-    store = None
-    if job.cache == "on":
-        from ..artifacts import default_store
-
-        store = default_store()
-    cache_route = level_seconds = None
+    level_seconds = None
     if job.kind == "pieri":
         from ..schubert import PieriInstance, PieriSolver
 
         instance = PieriInstance.random(
             params["m"], params["p"], params["q"], rng
         )
-        report = PieriSolver(instance, seed=job.seed).solve(cache=store)
-        cache_route = report.cache
+        report = PieriSolver(instance, seed=job.seed).solve()
         result = {
             "n_solutions": report.n_solutions,
             "expected": report.expected_count(),
@@ -187,10 +184,8 @@ def run_job(job: JobSpec) -> dict:
             rng=rng,
             endgame=job.endgame,
             kernel=job.kernel,
-            cache=store,
             predictor=job.predictor,
         )
-        cache_route = report.summary.get("cache")
         result = {
             "start": job.start,
             "endgame": job.endgame,
@@ -227,8 +222,7 @@ def run_job(job: JobSpec) -> dict:
             )
         # ``lifting_seed``/``relifts`` journal the polyhedral lifting
         # draw: a DegenerateLiftingError retry replays identically from
-        # the seed, and cached mixed cells validate against it
-        # (:func:`repro.artifacts.validate_lifting_seed`)
+        # the seed
         for key in (
             "mixed_volume", "n_cells", "phase1_failures",
             "lifting_seed", "relifts",
@@ -256,15 +250,6 @@ def run_job(job: JobSpec) -> dict:
     if level_seconds is not None:
         # wall seconds, in ``result["levels"]`` order: not replayable
         record["level_seconds"] = level_seconds
-    if store is not None:
-        # record level, not result level: whether a replay lands warm or
-        # cold depends on what other jobs stored first, and journaled
-        # ``result`` dicts must be replay-deterministic
-        record["artifacts"] = {
-            "route": cache_route,
-            "stats": dict(store.stats),
-            "root": str(store.root),
-        }
     return record
 
 
@@ -458,17 +443,6 @@ def run_sweep(
             "worker process died" if exc is None else repr(exc)
         )
 
-    # point cache-aware jobs at a store the whole pool shares, for the
-    # duration of this run: the worker processes inherit the variable at
-    # fork, and an explicit $REPRO_ARTIFACT_STORE wins so sweeps can
-    # share one store
-    from ..artifacts import STORE_ENV
-
-    own_store = STORE_ENV not in os.environ and any(
-        job.cache != "off" for job in pending
-    )
-    if own_store:
-        os.environ[STORE_ENV] = str(Path(checkpoint) / "artifacts")
     t_wall = time.perf_counter()
     try:
         with journal:
@@ -493,8 +467,6 @@ def run_sweep(
     finally:
         # even a crashed run leaves an honest manifest behind (the
         # journal itself is already durable, record by record)
-        if own_store:
-            del os.environ[STORE_ENV]
         report.wall_seconds = time.perf_counter() - t_wall
         report.worker_busy_seconds = _busy_list(per_worker, n_workers)
         report.worker_crashes = telemetry.worker_crashes

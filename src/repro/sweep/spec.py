@@ -19,16 +19,18 @@ A spec is JSON, with explicit jobs and/or cartesian grids::
     }
 
 Besides its kind, parameters and seed a job (and a grid, as an axis)
-takes five optional settings, each described once in :data:`AXES`:
-``start``, ``endgame``, ``kernel``, ``cache`` and ``predictor``.
-Leaving one out means its default, which leaves the job id — and hence
-old journals — untouched.  Unknown keys are rejected: a misspelt axis
-would otherwise run the default sweep silently.
+takes four optional settings, each described once in :data:`AXES`:
+``start``, ``endgame``, ``kernel`` and ``predictor``.  Leaving one out
+means its default, which leaves the job id — and hence old journals —
+untouched.  Unknown keys are rejected: a misspelt axis would otherwise
+run the default sweep silently.
 
 Every job has a deterministic, human-readable :attr:`JobSpec.job_id`
 (e.g. ``pieri-m2-p2-q1-s0``) that keys the checkpoint journal, and a
 ``seed`` that makes the job's result reproducible bit-for-bit — the
-property the kill/resume identity test relies on.
+property the kill/resume identity test relies on.  A job is its spec:
+no setting reads state another job left behind (an artifact store, a
+warm cache), so which job ran first never changes a journaled result.
 """
 
 from __future__ import annotations
@@ -58,10 +60,9 @@ JOB_KINDS: Dict[str, tuple] = {
 }
 
 #: The optional settings of a job, in ``job_id`` order: ``name ->
-#: (choices, default first; why a Pieri job takes only the default, or
-#: None when it takes any)``.  Polynomial-system jobs pass ``start``,
-#: ``endgame``, ``kernel`` and ``predictor`` to
-#: :func:`repro.homotopy.solve` under the same names.
+#: (choices, default first; why a Pieri job takes only the default)``.
+#: Polynomial-system jobs pass each to :func:`repro.homotopy.solve`
+#: under the same name.
 AXES: Dict[str, tuple] = {
     # start system: one path per Bezout path, per product-structure
     # root, or (polyhedral) per unit of mixed volume — the sharp BKK count
@@ -84,11 +85,6 @@ AXES: Dict[str, tuple] = {
         ("naive", "slp"),
         "pieri jobs run the tree solver and take no kernel backend",
     ),
-    # on consults the process-shared repro.artifacts.ArtifactStore
-    # ($REPRO_ARTIFACT_STORE, which the engine points at
-    # <checkpoint>/artifacts when unset) so same-structure jobs pay the
-    # ab-initio solve once and continue the rest
-    "cache": (("off", "on"), None),
     # euler is the seed tangent prediction, hermite the error-model
     # pipeline of repro.tracker.predictor; each job journals its
     # tracker's tangent-recycle counters
@@ -117,7 +113,6 @@ class JobSpec:
     start: str = "total_degree"
     endgame: str = "refine"
     kernel: str = "naive"
-    cache: str = "off"
     predictor: str = "euler"
 
     def __post_init__(self) -> None:
@@ -132,13 +127,8 @@ class JobSpec:
                 raise ValueError(
                     f"unknown {name} {value!r}; expected one of {sorted(choices)}"
                 )
-            if kind == "pieri" and pieri_reason and value != choices[0]:
+            if kind == "pieri" and value != choices[0]:
                 raise ValueError(pieri_reason)
-        if self.cache == "on" and kind != "pieri" and self.start != "polyhedral":
-            raise ValueError(
-                "cache='on' needs a structure to key on: pieri jobs or "
-                "polynomial jobs with start='polyhedral'"
-            )
         given = dict(self.params)
         if sorted(given) != sorted(JOB_KINDS[kind]):
             raise ValueError(
@@ -166,14 +156,13 @@ class JobSpec:
         """Deterministic human-readable identity, e.g. ``pieri-m2-p2-q1-s0``.
 
         Every axis off its default joins the id in :data:`AXES` order
-        (e.g. ``cyclic-n7-polyhedral-s0``, ``pieri-m2-p2-q1-cache-s0``),
+        (e.g. ``cyclic-n7-polyhedral-s0``, ``katsura-n5-slp-hermite-s7``),
         so the same system solved two ways makes two distinct journal
         entries; default ids match pre-existing journals exactly.
         """
         parts = [self.kind]
         parts += [f"{k}{v}" for k, v in self.params]
-        # a bare "on" says nothing in an id: such an axis goes by its name
-        parts += [n if v == "on" else v for n, v in self._off_default().items()]
+        parts += self._off_default().values()
         parts.append(f"s{self.seed}")
         return "-".join(parts)
 

@@ -100,16 +100,13 @@ class TestJobSpec:
             "katsura-n6-slp-s0": JobSpec("katsura", {"n": 6}, kernel="slp"),
             "katsura-n6-hermite-s3":
                 JobSpec("katsura", {"n": 6}, 3, predictor="hermite"),
-            "cyclic-n6-polyhedral-cache-s4":
-                JobSpec("cyclic", {"n": 6}, 4, "polyhedral", cache="on"),
-            "cyclic-n5-polyhedral-cauchy-slp-cache-hermite-s0": JobSpec(
-                "cyclic", {"n": 5}, 0, "polyhedral", "cauchy", "slp", "on",
+            "cyclic-n5-polyhedral-cauchy-slp-hermite-s0": JobSpec(
+                "cyclic", {"n": 5}, 0, "polyhedral", "cauchy", "slp",
                 "hermite",
             ),
             "katsura-n5-slp-hermite-s7":
                 JobSpec("katsura", {"n": 5}, 7, kernel="slp", predictor="hermite"),
             "pieri-m2-p2-q1-s0": JobSpec("pieri", pieri),
-            "pieri-m2-p2-q1-cache-s0": JobSpec("pieri", pieri, cache="on"),
         }
         assert {j.job_id for j in golden.values()} == set(golden)
         for job_id, job in golden.items():
@@ -140,12 +137,10 @@ class TestJobSpec:
         }
         spec = SweepSpec.from_dict({"name": "axes", "grids": [
             {"kind": "katsura", "n": [3, 4], **every_axis},
-            {"kind": "cyclic", "n": 5, **every_axis, "start": "polyhedral",
-             "cache": ["off", "on"]},
-            {"kind": "pieri", "m": 2, "p": 2, "q": [0, 1],
-             "cache": ["off", "on"]},
+            {"kind": "cyclic", "n": 5, **every_axis, "start": "polyhedral"},
+            {"kind": "pieri", "m": 2, "p": 2, "q": [0, 1]},
         ]})
-        assert spec.n_jobs == 2 * 48 + 32 + 4
+        assert spec.n_jobs == 2 * 48 + 16 + 2
         for job in spec.jobs:
             assert JobSpec.from_dict(job.to_dict()) == job
         assert SweepSpec.from_dict(spec.to_dict()).jobs == spec.jobs
@@ -228,12 +223,13 @@ class TestStartStrategies:
         assert result["start"] == "polyhedral"
         assert result["n_paths"] == result["mixed_volume"] == 8
         assert result["n_solutions"] == 8
-        # same solution count as the default strategy (set-level parity
-        # to 1e-8 is pinned in tests/test_polyhedral.py; fingerprints
-        # round at 1e-6 so refinement noise can flip their last digit)
+        # the same root set as the default strategy: the fingerprint
+        # rounds at 1e-6 and ignores the sign of a zero, which the two
+        # starts' refinements leave differently
         default = run_job(JobSpec("katsura", {"n": 3}))["result"]
         assert default["start"] == "total_degree"
         assert default["n_solutions"] == result["n_solutions"]
+        assert default["fingerprint"] == result["fingerprint"]
 
 
 class TestEndgameStrategies:
@@ -384,6 +380,17 @@ class TestRunJob:
         assert solutions_fingerprint([a], digits=8) != solutions_fingerprint(
             [jittered], digits=8
         )
+
+    def test_fingerprint_ignores_the_sign_of_zero(self):
+        # exact zeros come back as 0.0 from one route and -0.0 from
+        # another, and JSON writes the sign: equal sets must hash alike
+        assert solutions_fingerprint(
+            [np.array([complex(1.0, -0.0), complex(-0.0, -0.0)])]
+        ) == solutions_fingerprint([np.array([1 + 0j, 0j])])
+        # rounding to zero from below and from above is one value too
+        assert solutions_fingerprint(
+            [np.array([complex(-4e-7, 1.0)])]
+        ) == solutions_fingerprint([np.array([complex(4e-7, 1.0)])])
 
     def test_fingerprint_near_collision_distinct(self):
         # values that differ just above the rounding threshold stay
@@ -627,27 +634,6 @@ class TestWorkerFailureInjection:
         )
 
 
-class TestArtifactStoreScope:
-    def test_store_variable_is_set_for_the_run_only(self, tmp_path, monkeypatch):
-        """Regression: ``run_sweep`` left ``$REPRO_ARTIFACT_STORE`` set, so
-        a second sweep in the process was served from the first one's
-        store and never got an ``artifacts/`` of its own."""
-        monkeypatch.delenv("REPRO_ARTIFACT_STORE", raising=False)
-        spec = SweepSpec(
-            "cached",
-            [JobSpec("pieri", {"m": 2, "p": 2, "q": 0}, seed=0, cache="on")],
-        )
-        for name in ("first", "second"):
-            checkpoint = tmp_path / name
-            report = run_sweep(spec, checkpoint, mode="serial")
-            assert report.complete
-            (record,) = report.records.values()
-            assert record["artifacts"]["root"] == str(checkpoint / "artifacts")
-            assert record["artifacts"]["route"]["status"] == "cold"
-            assert (checkpoint / "artifacts").is_dir()
-            assert "REPRO_ARTIFACT_STORE" not in os.environ
-
-
 class TestCLI:
     def run_cli(self, *args):
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
@@ -780,3 +766,37 @@ class TestCLI:
         assert "mode" in payload["spec_error"]
         by_id = {row["job_id"]: row for row in payload["jobs"]}
         assert by_id["pieri-m2-p2-q0-batch-s1"]["result"]["levels"] == [level]
+
+    def test_report_reads_journals_from_before_the_cache_axis_went(
+        self, tmp_path, capsys
+    ):
+        """Records journaled while jobs had a ``cache`` axis (``-cache-``
+        ids, the store route at record level) still load and print; a
+        spec naming the axis is reported as unreadable, not as a crash."""
+        journal = SweepJournal(tmp_path / "ck")
+        journal.initialize({"name": "old", "jobs": [
+            {"kind": "pieri", "params": {"m": 2, "p": 2, "q": 0}, "seed": 0,
+             "cache": "on"},
+        ]})
+        artifacts = {"route": {"status": "warm", "n_paths": 2},
+                     "stats": {"hits": 1}, "root": "ck/artifacts"}
+        with journal:
+            journal.append({
+                "job_id": "pieri-m2-p2-q0-cache-s0", "kind": "pieri",
+                "params": {"m": 2, "p": 2, "q": 0}, "seed": 0,
+                "result": {"n_solutions": 2, "expected": 2, "failures": 0,
+                           "max_residual_exp": -15, "fingerprint": "f"},
+                "artifacts": artifacts, "seconds": 0.1, "worker": ["h", 1],
+            })
+        assert cli_main(["report", str(tmp_path / "ck")]) == 0
+        out = capsys.readouterr().out
+        assert "1 jobs done" in out
+        assert "pieri-m2-p2-q0-cache-s0: start=pieri-tree paths=2" in out
+        assert "pending: unknown, the spec no longer loads" in out
+        assert cli_main(
+            ["report", str(tmp_path / "ck"), "--format", "json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "cache" in payload["spec_error"]
+        (row,) = payload["jobs"]
+        assert row["artifacts"] == artifacts

@@ -229,7 +229,7 @@ def test_knob_budget():
         cls.__name__: len(inspect.signature(cls).parameters)
         for cls in (CauchyEndgame, ProjectivePatchHomotopy, SLPKernel)
     } == {"CauchyEndgame": 3, "ProjectivePatchHomotopy": 6, "SLPKernel": 4}
-    assert len(AXES) == 5
+    assert len(AXES) == 4
     # the local masters: one dispatcher call each
     n_parameters = {
         fn.__name__: len(inspect.signature(fn).parameters)
@@ -321,6 +321,37 @@ def test_front_width_vocabulary(tmp_path, monkeypatch):
     assert JobSpec.from_dict(job).job_id == "pieri-m2-p2-q0-s0"
     with pytest.raises(ValueError, match="'mode'"):
         JobSpec.from_dict({**job, "mode": "batch"})
+
+
+def test_sweep_axes_vocabulary(tmp_path):
+    """A sweep job is its spec: no axis points it at state another job
+    left behind.  The ``cache`` axis made a journaled result depend on
+    whether the artifact store served the job warm or cold; a spec that
+    names it is rejected like any unknown key, and a sweep run leaves
+    the environment as it found it."""
+    import os
+
+    from repro.sweep import JobSpec, SweepSpec
+    from repro.sweep.spec import AXES
+
+    assert list(AXES) == ["start", "endgame", "kernel", "predictor"]
+    assert "cache" not in {f.name for f in dataclasses.fields(JobSpec)}
+    job = {"kind": "pieri", "params": {"m": 2, "p": 2, "q": 0}}
+    with pytest.raises(ValueError, match="'cache'"):
+        JobSpec.from_dict({**job, "cache": "off"})
+    grid = {"kind": "cyclic", "n": 5, "start": "polyhedral",
+            "cache": ["off", "on"]}
+    with pytest.raises(ValueError, match="'cache'"):
+        SweepSpec.from_dict({"name": "cached", "grids": [grid]})
+
+    before = dict(os.environ)
+    spec = SweepSpec("one", [JobSpec.from_dict(job)])
+    report = run_sweep(spec, tmp_path / "ck", mode="serial")
+    assert dict(os.environ) == before
+    assert report.complete
+    (record,) = report.records.values()
+    assert "artifacts" not in record
+    assert not (tmp_path / "ck" / "artifacts").exists()
 
 
 #: Public names that only tests call, each kept as the reference a test
