@@ -33,6 +33,8 @@ from ..tracker.interface import require_batch_homotopy
 from ..tracker.newton import batch_newton_correct
 from ..tracker.result import PathStatus
 from .strategy import (
+    ENDGAME_ITERATIONS,
+    ENDGAME_TOL,
     BatchEndgameOutcome,
     EndgameOutcome,
     EndgameStrategy,
@@ -257,7 +259,7 @@ class CauchyEndgame(EndgameStrategy):
                     z_up[act],
                     1.0 - target,
                     tol=options.corrector_tol,
-                    max_iterations=options.endgame_iterations,
+                    max_iterations=ENDGAME_ITERATIONS,
                 )
                 iterations[loopers[cand[above[act]]]] += corr.iterations
                 zp = z_up[act]
@@ -288,7 +290,7 @@ class CauchyEndgame(EndgameStrategy):
                     z_back[cross],
                     1.0 - ref[cross],
                     tol=options.corrector_tol,
-                    max_iterations=options.endgame_iterations,
+                    max_iterations=ENDGAME_ITERATIONS,
                 )
                 iterations[loopers[cand[cross]]] += corr.iterations
                 snapshot[cross[corr.converged]] = corr.x[corr.converged]
@@ -302,7 +304,7 @@ class CauchyEndgame(EndgameStrategy):
                 z_back[part],
                 1.0 - rho_k,
                 tol=options.corrector_tol,
-                max_iterations=options.endgame_iterations,
+                max_iterations=ENDGAME_ITERATIONS,
             )
             iterations[loopers[cand[part]]] += corr.iterations
             zp = z_back[part]
@@ -420,7 +422,7 @@ class CauchyEndgame(EndgameStrategy):
                 z_anchor[part],
                 1.0 - rho,
                 tol=options.corrector_tol,
-                max_iterations=2 * options.endgame_iterations,
+                max_iterations=2 * ENDGAME_ITERATIONS,
             )
             iterations[rows] += corr.iterations
             zp = z_anchor[part]
@@ -461,7 +463,7 @@ class CauchyEndgame(EndgameStrategy):
                         z_cur[pending],
                         1.0 - rho / sub,
                         tol=options.corrector_tol,
-                        max_iterations=options.endgame_iterations,
+                        max_iterations=ENDGAME_ITERATIONS,
                     )
                     iterations[loopers[pending]] += corr.iterations
                     zp = z_cur[pending]
@@ -517,8 +519,8 @@ class CauchyEndgame(EndgameStrategy):
             homotopy.restrict(rows),
             cand,
             1.0,
-            tol=options.endgame_tol,
-            max_iterations=options.endgame_iterations,
+            tol=ENDGAME_TOL,
+            max_iterations=ENDGAME_ITERATIONS,
         )
         iterations[rows] += polish.iterations
         better = polish.residual < res_mean

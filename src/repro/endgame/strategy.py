@@ -34,6 +34,11 @@ __all__ = [
     "make_endgame",
 ]
 
+# the terminal sharpen at t = 1: a tighter tolerance than the
+# corrector's, with room for the extra iterations it takes
+ENDGAME_TOL = 1e-12
+ENDGAME_ITERATIONS = 15
+
 
 @dataclass
 class EndgameOutcome:
@@ -139,8 +144,8 @@ class RefineEndgame(EndgameStrategy):
             homotopy,
             X,
             1.0,
-            tol=options.endgame_tol,
-            max_iterations=options.endgame_iterations,
+            tol=ENDGAME_TOL,
+            max_iterations=ENDGAME_ITERATIONS,
         )
         sing = final.singular
         failed = (~sing) & (~final.converged) & (

@@ -516,15 +516,13 @@ def _solve(
     base_options = options or TrackerOptions()
     if predictor is not None:
         base_options = dataclasses.replace(base_options, predictor=predictor)
-    if trace_paths:
-        base_options = dataclasses.replace(base_options, trace_paths=True)
     strategy = make_endgame(endgame)
     poly_start = None
     cache_info = None
     warm_meta = None
-    # with trace_paths the whole pipeline records events, so spans from
-    # phase-1 tracking, refinement and clustering land in the trace too
-    tracing = tel.trace() if (tel is not None and trace_paths) else nullcontext()
+    # with trace_paths (and so a context) the whole pipeline records
+    # events: phase 1, every tracker front, refinement and clustering
+    tracing = tel.trace() if trace_paths else nullcontext()
     with tracing, maybe_span(tel, "solve", "solve"):
         if start == "polyhedral":
             rng = np.random.default_rng() if rng is None else rng
@@ -566,9 +564,7 @@ def _solve(
                 from ..artifacts import polyhedral_key
 
                 if options is None and predictor is None:
-                    base_options = dataclasses.replace(
-                        WARM_OPTIONS, trace_paths=base_options.trace_paths
-                    )
+                    base_options = WARM_OPTIONS
                 cache_info = {
                     "status": "warm",
                     "key": polyhedral_key(target),

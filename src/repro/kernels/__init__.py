@@ -64,14 +64,12 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .cache import (
-    CAPACITY_ENV,
     bound_slp_kernel,
     cached_slp_kernel,
     cached_tape,
     clear_kernel_cache,
     coefficient_fingerprint,
     kernel_cache_info,
-    set_kernel_cache_capacity,
     structure_fingerprint,
 )
 from .slp import KernelStats, SLPKernel, SLPTape, Term, build_tape
@@ -93,8 +91,6 @@ __all__ = [
     "compile_term_kernel",
     "kernel_cache_info",
     "normalize_kernel",
-    "set_kernel_cache_capacity",
-    "CAPACITY_ENV",
     "system_terms",
 ]
 

@@ -14,20 +14,16 @@ cache levels make repeated solves pay taping once:
   per-program constant columns) is reused verbatim when the exact same
   system comes back.
 
-Both caches are process-local and softly capped: inserting beyond the
-cap evicts the oldest entry, so a sweep over thousands of
-random-coefficient systems cannot grow them without bound.  The cap
-defaults to 256 and is configurable — per process via
-:func:`set_kernel_cache_capacity`, or at import through the
-``$REPRO_KERNEL_CACHE_CAP`` environment variable (the sweep engine
-forwards it to workers); eviction counts are surfaced by
+Both caches are process-local and softly capped at :data:`CAPACITY`
+entries each: inserting beyond the cap evicts the oldest entry, so a
+sweep over thousands of random-coefficient systems cannot grow them
+without bound; eviction counts are surfaced by
 :func:`kernel_cache_info`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -41,25 +37,11 @@ __all__ = [
     "bound_slp_kernel",
     "cached_slp_kernel",
     "kernel_cache_info",
-    "set_kernel_cache_capacity",
     "clear_kernel_cache",
 ]
 
-CAPACITY_ENV = "REPRO_KERNEL_CACHE_CAP"
-_DEFAULT_CAPACITY = 256
-
-
-def _env_capacity() -> int:
-    raw = os.environ.get(CAPACITY_ENV)
-    if not raw:
-        return _DEFAULT_CAPACITY
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return _DEFAULT_CAPACITY
-
-
-_capacity = _env_capacity()
+#: entries each cache keeps before it evicts its oldest
+CAPACITY = 256
 
 _TAPES: Dict[str, SLPTape] = {}
 _KERNELS: Dict[Tuple[str, str], SLPKernel] = {}
@@ -68,22 +50,8 @@ _MISSES = {"tape": 0, "kernel": 0}
 _EVICTIONS = {"tape": 0, "kernel": 0}
 
 
-def set_kernel_cache_capacity(capacity: int | None) -> int:
-    """Set the soft cap shared by both caches; returns the cap in force.
-
-    ``None`` restores the default (the ``$REPRO_KERNEL_CACHE_CAP``
-    environment variable, else 256).  Shrinking evicts oldest entries
-    immediately; eviction counts land in :func:`kernel_cache_info`.
-    """
-    global _capacity
-    _capacity = _env_capacity() if capacity is None else max(1, int(capacity))
-    _evict(_TAPES, "tape")
-    _evict(_KERNELS, "kernel")
-    return _capacity
-
-
 def _evict(cache: dict, kind: str) -> None:
-    while len(cache) > _capacity:
+    while len(cache) > CAPACITY:
         cache.pop(next(iter(cache)))
         _EVICTIONS[kind] += 1
 
@@ -160,7 +128,7 @@ def kernel_cache_info() -> dict:
     return {
         "tapes": len(_TAPES),
         "kernels": len(_KERNELS),
-        "capacity": _capacity,
+        "capacity": CAPACITY,
         "tape_hits": _HITS["tape"],
         "kernel_hits": _HITS["kernel"],
         "tape_misses": _MISSES["tape"],

@@ -290,8 +290,9 @@ def _report_payload(journal: SweepJournal, records: dict, manifest) -> dict:
     One row per journaled job (sorted by job id) carrying the result
     record verbatim — including the ``endgame`` strategy and the
     ``multiplicity_histogram`` columns polynomial jobs journal — plus
-    the reconciled manifest and the pending job ids, so downstream
-    tooling never has to parse the human text.
+    the reconciled manifest and the pending job ids (``None`` when no
+    spec loads), so downstream tooling never has to parse the human
+    text.
     """
     jobs = []
     for job_id in sorted(records):
@@ -320,7 +321,7 @@ def _report_payload(journal: SweepJournal, records: dict, manifest) -> dict:
         "n_done": len(records),
         "manifest": manifest,
         "jobs": jobs,
-        "pending": [],
+        "pending": None,
     }
     if manifest and manifest.get("fleet"):
         # protocol stats a fleet-master run persisted: workers seen,

@@ -34,11 +34,11 @@ the endgame batch).  Per-path seconds are therefore comparable across
 batch sizes, they sum to the batch's wall clock, and a one-row front's
 are that path's exclusive wall time.
 
-With ``options.trace_paths`` set and an ambient
-:class:`~repro.telemetry.Telemetry` context active, the tracker
-additionally records per-path trace events (step accept/reject with t,
-step size and Newton count; endgame handoffs) and predictor/corrector
-spans; the default path keeps every hook behind a single ``None`` check.
+Inside a ``tel.trace()`` region of the ambient
+:class:`~repro.telemetry.Telemetry` context (``solve(trace_paths=True)``
+opens one), the tracker additionally records per-path trace events
+(step accept/reject with t, step size and Newton count; endgame
+handoffs) and predictor/corrector spans; the default path keeps every hook behind a single ``None`` check.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..telemetry import current_telemetry, maybe_span
+from ..telemetry import active_tracer, maybe_span
 from .interface import BatchHomotopy, require_batch_homotopy
 from .newton import _solve_batch, batch_newton_correct
 from .predictor import make_predictor
@@ -56,6 +56,13 @@ from .result import Ladder, PathResult, PathStatus, TrackStats, option_rungs
 from .tracker import TrackerOptions
 
 __all__ = ["BatchTracker"]
+
+# step control: a streak of easy steps multiplies the step by EXPAND, a
+# rejection by SHRINK; a row whose max-norm passes DIVERGENCE_BOUND is
+# DIVERGED (the paper's "paths diverging to infinity")
+EXPAND = 1.5
+SHRINK = 0.5
+DIVERGENCE_BOUND = 1e8
 
 # internal per-path state codes while the batch is in flight
 _RUNNING = -1
@@ -151,23 +158,7 @@ class BatchTracker:
         options, as soon as the ladder knows it must; its result is the
         attempt the ladder keeps, with every attempt's effort.
         """
-        return self._traced(homotopy, starts, path_ids, t_start, ladder)
-
-    def _traced(
-        self, homotopy, starts, path_ids, t_start, ladder=None
-    ) -> List[PathResult]:
-        """The body behind both public names, ``track_batch`` and
-        :meth:`PathTracker.track <repro.tracker.tracker.PathTracker.track>`
-        (a traced call of either opens one span)."""
-        tel = current_telemetry() if self.options.trace_paths else None
-        if tel is None:
-            return self._track_batch(
-                homotopy, starts, path_ids, t_start, None, ladder
-            )
-        with tel.trace():
-            return self._track_batch(
-                homotopy, starts, path_ids, t_start, tel, ladder
-            )
+        return self._track_batch(homotopy, starts, path_ids, t_start, ladder)
 
     def _track_batch(
         self,
@@ -175,10 +166,13 @@ class BatchTracker:
         starts: Sequence[Sequence[complex]],
         path_ids: Sequence[int] | None,
         t_start: float | Sequence[float],
-        tel,
-        ladder: Ladder | None,
+        ladder: Ladder | None = None,
     ) -> List[PathResult]:
+        """The body behind both public names, ``track_batch`` and
+        :meth:`PathTracker.track <repro.tracker.tracker.PathTracker.track>`
+        (a traced call of either opens one span)."""
         require_batch_homotopy(homotopy)
+        tel = active_tracer()
         opts = self.options
         X0 = np.array(
             [np.asarray(s, dtype=complex) for s in starts], dtype=complex
@@ -210,8 +204,7 @@ class BatchTracker:
         preds = [make_predictor(o.predictor) for o in sets]
         em = np.array([p.error_model for p in preds])
         # the error-model pipeline is on or off per set, as a whole (see
-        # Predictor); corrector_tol and the endgame fields are the
-        # front's (the ladder changes neither)
+        # Predictor); corrector_tol is the front's (the ladder keeps it)
         jump_at = np.array([
             p.jump_factor * p.target_error if p.error_model else np.inf
             for p in preds
@@ -220,7 +213,6 @@ class BatchTracker:
         loose_tols = np.where(em, opts.corrector_tol ** (1.0 / 3.0), np.nan)
         iters = np.array([o.corrector_iterations for o in sets])
         budgets = np.array([o.max_steps for o in sets])
-        bounds = np.array([o.divergence_bound for o in sets])
         recycle = bool(em.any())
 
         # a slot per attempt (a row climbs at most ``rounds`` rungs),
@@ -525,11 +517,11 @@ class BatchTracker:
                         )
                         grow = rows[expand]
                         step[grow] = np.minimum(
-                            step[grow] * o.expand, o.max_step
+                            step[grow] * EXPAND, o.max_step
                         )
                         easy[grow] = 0
                 norms = np.abs(x_acc).max(axis=1)
-                div = norms > per_row(bounds, acc, acc_parts)
+                div = norms > DIVERGENCE_BOUND
                 if div.any():
                     classify(
                         acc[div], PathStatus.DIVERGED, corr.residual[conv][div]
@@ -554,7 +546,7 @@ class BatchTracker:
                 easy[rej] = 0
                 for k, at in groups(rej):
                     o, rows = sets[k], rej[at]
-                    step[rows] *= o.shrink
+                    step[rows] *= SHRINK
                     under = step[rows] < o.min_step
                     dead = rows[under]
                     if not dead.size:

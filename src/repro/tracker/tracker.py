@@ -8,10 +8,10 @@ This is the Python counterpart of PHCpack's increment-and-fix continuation:
   fails (``predictor="hermite"``: see :mod:`~repro.tracker.predictor`).
 - **corrector** — a few Newton iterations at the new ``t`` (increment and
   fix), accepting the step only when the corrector converges.
-- **step control** — multiply the step by ``expand`` after a run of easy
-  steps, shrink by ``shrink`` on failure; abort the path when the step
+- **step control** — multiply the step by ``EXPAND`` after a run of easy
+  steps, by ``SHRINK`` on failure; abort the path when the step
   underflows ``min_step``.
-- **divergence** — paths whose solution norm exceeds ``divergence_bound``
+- **divergence** — paths whose solution norm exceeds ``DIVERGENCE_BOUND``
   are classified DIVERGED (the paper's "paths diverging to infinity"), with
   the time spent recorded — these are exactly the expensive jobs that make
   static load balancing lose to dynamic balancing in Tables I and II.
@@ -24,10 +24,11 @@ This is the Python counterpart of PHCpack's increment-and-fix continuation:
   takes over paths that stall inside its operating radius.
 
 :class:`TrackerOptions` is the whole resolved configuration of a front:
-14 fields, none of which can be ``None`` or defers to another, so
-``dataclasses.asdict`` of it says what ran.  The error-model pipeline a
-non-Euler predictor switches on keeps its constants on
-:class:`~repro.tracker.predictor.Predictor`.
+8 fields, each varied by some caller, none of which can be ``None`` or
+defers to another, so ``dataclasses.asdict`` of it says what ran.  What
+no caller varies is a constant beside the code that reads it
+(:mod:`~repro.tracker.batch`, :mod:`~repro.endgame.strategy`,
+:class:`~repro.tracker.predictor.Predictor`).
 
 The loop itself lives once, in :class:`~repro.tracker.batch.BatchTracker`;
 :class:`PathTracker` hands it one row at a time — the paper's unit of work,
@@ -55,19 +56,10 @@ class TrackerOptions:
     initial_step: float = 0.05
     min_step: float = 1e-8
     max_step: float = 0.2
-    expand: float = 1.5
-    shrink: float = 0.5
     expand_after: int = 3          # consecutive accepted steps before expanding
     corrector_tol: float = 1e-9
     corrector_iterations: int = 5
-    endgame_tol: float = 1e-12
-    endgame_iterations: int = 15
-    divergence_bound: float = 1e8
     max_steps: int = 2000
-    # record per-path trace events into the ambient Telemetry context
-    # (see repro.telemetry); off by default so the hot path stays free
-    # of per-step allocation.  Never changes tracking decisions.
-    trace_paths: bool = False
     # prediction strategy: "euler" (seed arithmetic, bit-identical),
     # "hermite" (cubic through the last two accepted points + tangents,
     # which also switches on the error-model pipeline: step control,
@@ -89,8 +81,6 @@ class TrackerOptions:
     def validated(self) -> "TrackerOptions":
         if not (0 < self.min_step <= self.initial_step <= self.max_step):
             raise ValueError("need 0 < min_step <= initial_step <= max_step")
-        if not (0 < self.shrink < 1 < self.expand):
-            raise ValueError("need 0 < shrink < 1 < expand")
         make_predictor(self.predictor)  # raises on unknown names
         return self
 
@@ -129,7 +119,9 @@ class PathTracker:
         ``t_start > 0`` resumes a path from a mid-way point (used by chart
         switching: the same geometric path continued in new coordinates).
         """
-        return self._front._traced(homotopy, [start], [path_id], t_start)[0]
+        return self._front._track_batch(
+            homotopy, [start], [path_id], t_start
+        )[0]
 
     def track_many(
         self,

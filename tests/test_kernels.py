@@ -35,6 +35,7 @@ from repro.kernels import (
     Term,
     build_tape,
     cached_slp_kernel,
+    cached_tape,
     clear_kernel_cache,
     compile_system_kernel,
     compile_term_kernel,
@@ -857,6 +858,25 @@ def test_kernel_memoized_by_structure_and_coefficients():
     assert k3.stats.cache_hit and k3.stats.taping_seconds == 0.0
     clear_kernel_cache()
     assert kernel_cache_info()["kernels"] == 0
+
+
+def test_cache_evicts_its_oldest_entry_past_the_cap(monkeypatch):
+    monkeypatch.setattr("repro.kernels.cache.CAPACITY", 2)
+    clear_kernel_cache()
+    systems = [katsura_system(n) for n in (2, 3, 4)]
+    for system in systems:
+        compile_system_kernel(system, "slp")
+    info = kernel_cache_info()
+    assert info["capacity"] == 2
+    assert (info["tapes"], info["tape_evictions"]) == (2, 1)
+    assert (info["kernels"], info["kernel_evictions"]) == (2, 1)
+    # the two newest are still held; the oldest is taped anew
+    hits = [
+        cached_tape(s.neqs, s.nvars, system_terms(s), False)[1]
+        for s in reversed(systems)
+    ]
+    assert hits == [True, True, False]
+    clear_kernel_cache()
 
 
 def test_tape_shares_power_products_across_equations():

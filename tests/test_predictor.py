@@ -129,9 +129,9 @@ class TestKnobResolution:
             katsura_system(4), rng=np.random.default_rng(9)
         )
         tel = Telemetry()
-        with use_telemetry(tel):
+        with use_telemetry(tel), tel.trace():
             res = BatchTracker(
-                TrackerOptions(predictor=predictor, trace_paths=True)
+                TrackerOptions(predictor=predictor)
             ).track_batch(homotopy, starts)
         assert all(r.success for r in res)
         return res, tel
@@ -293,7 +293,7 @@ class TestHistoryResetOnResume:
     @pytest.mark.parametrize(
         "rung, stress",
         [
-            ("chart_switches", dict(divergence_bound=20.0)),
+            ("chart_switches", {}),
             (
                 "retries",
                 dict(initial_step=0.4, max_step=0.4, min_step=0.1,
@@ -301,11 +301,16 @@ class TestHistoryResetOnResume:
             ),
         ],
     )
-    def test_pieri_requeued_fronts_start_without_history(self, rung, stress):
+    def test_pieri_requeued_fronts_start_without_history(
+        self, monkeypatch, rung, stress
+    ):
         """A chart-switch resume tracks other coordinates: it is a track
         call of its own, so the cubic cannot extrapolate across the
         seam.  A ladder rung re-tracks on the seed Euler guess
         (``tighten_options``), so the cubic never sees one."""
+        if rung == "chart_switches":
+            # a tight divergence bound forces chart switches
+            monkeypatch.setattr("repro.tracker.batch.DIVERGENCE_BOUND", 20.0)
         rec = self._RecordingCubic()
         options = dataclasses.replace(
             PieriSolver.DEFAULT_OPTIONS, predictor=rec, **stress
@@ -593,9 +598,9 @@ class TestErrorModelStepControl:
             katsura_system(3), rng=np.random.default_rng(8)
         )
         tel = Telemetry()
-        with use_telemetry(tel):
+        with use_telemetry(tel), tel.trace():
             BatchTracker(
-                TrackerOptions(predictor="hermite", trace_paths=True)
+                TrackerOptions(predictor="hermite")
             ).track_batch(homotopy, starts)
         assert "predictor_error" in tel.histograms
         assert tel.counters.get("tracker.tangents_recycled", 0) > 0
@@ -607,10 +612,8 @@ class TestJumpRejection:
             katsura_system(4), rng=np.random.default_rng(3)
         )
         tel = Telemetry()
-        opts = TrackerOptions(
-            predictor=_tuned(jump_factor=1.2), trace_paths=True
-        )
-        with use_telemetry(tel):
+        opts = TrackerOptions(predictor=_tuned(jump_factor=1.2))
+        with use_telemetry(tel), tel.trace():
             res = BatchTracker(opts).track_batch(homotopy, starts)
         assert tel.counters.get("tracker.jump_rejections", 0) > 0
         assert sum(r.success for r in res) == len(starts)
@@ -634,11 +637,10 @@ class TestJumpRejection:
             katsura_system(4), rng=np.random.default_rng(3)
         )
         tel = Telemetry()
-        with use_telemetry(tel):
+        with use_telemetry(tel), tel.trace():
             BatchTracker(
                 TrackerOptions(
-                    predictor=_tuned(EulerPredictor, jump_factor=1.2),
-                    trace_paths=True,
+                    predictor=_tuned(EulerPredictor, jump_factor=1.2)
                 )
             ).track_batch(homotopy, starts)
         assert tel.counters.get("tracker.jump_rejections", 0) == 0

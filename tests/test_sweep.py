@@ -764,6 +764,7 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_done"] == 2
         assert "mode" in payload["spec_error"]
+        assert payload["pending"] is None
         by_id = {row["job_id"]: row for row in payload["jobs"]}
         assert by_id["pieri-m2-p2-q0-batch-s1"]["result"]["levels"] == [level]
 
@@ -798,5 +799,6 @@ class TestCLI:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "cache" in payload["spec_error"]
+        assert payload["pending"] is None
         (row,) = payload["jobs"]
         assert row["artifacts"] == artifacts

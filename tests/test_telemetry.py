@@ -337,12 +337,10 @@ class TestDecisionParity:
         homotopy, starts = make_homotopy_and_starts(
             system, rng=np.random.default_rng(seed)
         )
-        opts_off = TrackerOptions()
-        opts_on = TrackerOptions(trace_paths=True)
-        plain = BatchTracker(opts_off).track_batch(homotopy, starts)
+        plain = BatchTracker().track_batch(homotopy, starts)
         tel = Telemetry()
-        with use_telemetry(tel):
-            traced = BatchTracker(opts_on).track_batch(homotopy, starts)
+        with use_telemetry(tel), tel.trace():
+            traced = BatchTracker().track_batch(homotopy, starts)
         assert tel.counters.get("tracker.step_accept", 0) > 0
         for a, b in zip(plain, traced):
             assert a.status == b.status
@@ -361,17 +359,36 @@ class TestDecisionParity:
             for i, s in enumerate(starts)
         ]
         tel = Telemetry()
-        with use_telemetry(tel):
+        with use_telemetry(tel), tel.trace():
             traced = [
-                PathTracker(TrackerOptions(trace_paths=True)).track(
-                    homotopy, s, path_id=i
-                )
+                PathTracker(TrackerOptions()).track(homotopy, s, path_id=i)
                 for i, s in enumerate(starts)
             ]
         for a, b in zip(plain, traced):
             assert a.status == b.status
             assert np.array_equal(a.solution, b.solution)
             assert a.stats.newton_iterations == b.stats.newton_iterations
+
+
+def test_tracker_traces_only_inside_a_trace_region():
+    """Tracing is the context's own switch: one tracker, one ambient
+    context, per-path step events inside ``tel.trace()`` and none
+    outside it."""
+    homotopy, starts = make_homotopy_and_starts(
+        katsura_system(2), rng=np.random.default_rng(5)
+    )
+    tracker = BatchTracker()
+    tel = Telemetry()
+    with use_telemetry(tel):
+        tracker.track_batch(homotopy, starts)
+        assert tel.events == []
+        with tel.trace():
+            tracker.track_batch(homotopy, starts)
+        n_traced = len(tel.events)
+        tracker.track_batch(homotopy, starts)
+    assert len(tel.events) == n_traced
+    steps = [e for e in tel.events if e["name"] == "step_accept"]
+    assert {e["args"]["path"] for e in steps} == set(range(len(starts)))
 
 
 class TestAmbientCost:

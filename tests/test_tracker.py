@@ -131,9 +131,9 @@ class TestTrackerBasic:
         assert result.success
         assert abs(result.solution[0] + 2.0) < 1e-9
 
-    def test_divergence_detected(self):
-        opts = TrackerOptions(divergence_bound=1e6)
-        result = PathTracker(opts).track(DivergingHomotopy(), [0.0])
+    def test_divergence_detected(self, monkeypatch):
+        monkeypatch.setattr("repro.tracker.batch.DIVERGENCE_BOUND", 1e6)
+        result = PathTracker().track(DivergingHomotopy(), [0.0])
         assert result.status is PathStatus.DIVERGED
         assert result.stats.t_reached > 0.5
 
@@ -162,7 +162,7 @@ class TestTrackerBasic:
         with pytest.raises(ValueError):
             TrackerOptions(min_step=1.0, initial_step=0.1).validated()
         with pytest.raises(ValueError):
-            TrackerOptions(expand=0.5).validated()
+            TrackerOptions(initial_step=0.5, max_step=0.2).validated()
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -222,7 +222,7 @@ def test_knob_budget():
     from repro.kernels import SLPKernel
     from repro.sweep.spec import AXES
 
-    assert len(dataclasses.fields(TrackerOptions)) == 14
+    assert len(dataclasses.fields(TrackerOptions)) == 8
     assert len(inspect.signature(solve).parameters) == 11
     # constructors, counted without ``self``
     assert {

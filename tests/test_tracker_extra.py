@@ -78,8 +78,7 @@ class TestStepControl:
     def test_expansion_reduces_steps(self):
         h = CubicHomotopy()
         slow = TrackerOptions(initial_step=0.01, max_step=0.01)
-        fast = TrackerOptions(initial_step=0.01, max_step=0.2, expand=2.0,
-                              expand_after=2)
+        fast = TrackerOptions(initial_step=0.01, max_step=0.2, expand_after=2)
         n_slow = PathTracker(slow).track(h, [1.0]).stats.steps_accepted
         n_fast = PathTracker(fast).track(h, [1.0]).stats.steps_accepted
         assert n_fast < n_slow
